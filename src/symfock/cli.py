@@ -26,13 +26,7 @@ from .experiments import (
 )
 from .fock import ParticleType, enumerate_outputs, particle_count
 from .permutations import cycle_decompose, eigenstructure
-from .scattering import (
-    prob_boson,
-    prob_distinguishable,
-    prob_fermion,
-    prob_partial,
-    transition_probability,
-)
+from .scattering import prob_partial, probabilities
 from .serialize import (
     VERDICT_COLUMNS,
     check_experiment_config,
@@ -118,20 +112,20 @@ def cmd_build(args) -> int:
 def _verdict_rows(built, input_state, kind: ParticleType):
     u, eigenvalues = built.matrix, built.eigenvalues
     perm = built.spec.permutation
-    n_particles = particle_count(input_state)
+    outputs = list(enumerate_outputs(perm.n, particle_count(input_state), kind))
+    p_dist = probabilities(u, input_state, outputs, ParticleType.DISTINGUISHABLE).tolist()
+    p_kind = (p_dist if kind is ParticleType.DISTINGUISHABLE
+              else probabilities(u, input_state, outputs, kind).tolist())
     rows = []
     fermionic = kind is ParticleType.FERMION
-    for s in enumerate_outputs(perm.n, n_particles, kind):
+    for s, p, p_d in zip(outputs, p_kind, p_dist):
         law_b = boson_suppressed(eigenvalues, s)
         law_f = fermion_suppressed(perm, input_state, eigenvalues, s) if fermionic else None
-        p_d = prob_distinguishable(u, input_state, s)
         if kind is ParticleType.BOSON:
-            p = prob_boson(u, input_state, s)
             rows.append(EventVerdict(s, final_distribution(eigenvalues, s), law_b,
                                      p_boson=p, p_dist=p_d,
                                      event_class=classify_event(law_b, p, p_d)))
         elif fermionic:
-            p = prob_fermion(u, input_state, s)
             rows.append(EventVerdict(s, final_distribution(eigenvalues, s), law_b,
                                      law_suppressed_fermion=law_f, p_fermion=p, p_dist=p_d,
                                      event_class=classify_event(law_f, p, p_d)))
@@ -180,7 +174,7 @@ def cmd_prob(args) -> int:
         base = ParticleType.parse(args.partial_statistics)
         value = prob_partial(u, r, s, gram, base)
     else:
-        value = transition_probability(u, r, s, ParticleType.parse(args.type))
+        value = probabilities(u, r, [s], ParticleType.parse(args.type))[0]
     print(f"{value:.15f}")
     return 0
 
@@ -200,7 +194,7 @@ def cmd_experiment(args) -> int:
     payload = _load_json(args.config)
     problems = check_experiment_config(payload)
     if problems:
-        raise UsageError("invalid experiment config:\n  " + "\n  ".join(problems))
+        raise UsageError("invalid experiment config: " + "; ".join(problems))
     if args.seed is not None:
         payload["seed"] = args.seed
     if args.bases is not None:

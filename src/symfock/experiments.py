@@ -14,6 +14,13 @@ Every runner is deterministic given its seed: per-task generators are
 derived from (seed, task index), reductions run in task order with
 compensated summation, and worker processes only change wall time, never a
 single output bit.
+
+Probabilities come per output stack from :func:`scattering.probabilities`,
+which checks the unitary, the input and the outputs once and then works
+through stacks of a constant size (``scattering.CHUNK``): all outputs of
+one unitary in the census and the DFT comparison, all noise samples of one
+grid point in the unitary robustness fit. The samples are still drawn one
+by one, in sample order, so batching changes no random draw.
 """
 
 from __future__ import annotations
@@ -29,12 +36,12 @@ from . import __version__
 from .fock import ParticleType, check_occupation, enumerate_outputs, particle_count
 from .permutations import Permutation, RootOfUnity, cycle_decompose
 from .scattering import (
+    CHUNK,
     PerturbationModel,
     perturb_unitary,
-    prob_boson,
     prob_distinguishable,
-    prob_fermion,
     prob_partial,
+    probabilities,
     repair_distinguishability,
     validate_distinguishability,
 )
@@ -142,11 +149,11 @@ def _census_basis(cfg: CensusConfig, basis_index: int,
     want_bosonic = ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types
     pb = pd = pf = pdf = np.empty(0)
     if want_bosonic:
-        pb = np.array([prob_boson(u, r, s) for s in boson_outputs])
-        pd = np.array([prob_distinguishable(u, r, s) for s in boson_outputs])
+        pb = probabilities(u, r, boson_outputs, ParticleType.BOSON)
+        pd = probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE)
     if ParticleType.FERMION in cfg.types:
-        pf = np.array([prob_fermion(u, r, s) for s in fermion_outputs])
-        pdf = np.array([prob_distinguishable(u, r, s) for s in fermion_outputs])
+        pf = probabilities(u, r, fermion_outputs, ParticleType.FERMION)
+        pdf = probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
         pdf = pdf / pdf.sum()  # distinguishable reference on singly occupied outputs
     return pb, pd, pf, pdf
 
@@ -310,11 +317,12 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     u = fourier_unitary(n)
     n_particles = sum(r)
 
+    boson_outputs = list(enumerate_outputs(n, n_particles, ParticleType.BOSON))
     boson_rows = []
-    for s in enumerate_outputs(n, n_particles, ParticleType.BOSON):
+    for s, pb, pd in zip(boson_outputs,
+                         probabilities(u, r, boson_outputs, ParticleType.BOSON).tolist(),
+                         probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE).tolist()):
         lb = boson_suppressed(eigenvalues, s)
-        pb = prob_boson(u, r, s)
-        pd = prob_distinguishable(u, r, s)
         boson_rows.append(
             EventVerdict(
                 occupation_out=s,
@@ -332,11 +340,14 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     w = None
     if n_particles <= n and all(x <= 1 for x in r):
         w = transposition_count(perm, r)
-        for s in enumerate_outputs(n, n_particles, ParticleType.FERMION):
+        fermion_outputs = list(enumerate_outputs(n, n_particles, ParticleType.FERMION))
+        for s, pf, pd in zip(
+            fermion_outputs,
+            probabilities(u, r, fermion_outputs, ParticleType.FERMION).tolist(),
+            probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE).tolist(),
+        ):
             lf = fermion_suppressed(perm, r, eigenvalues, s)
             old = old_fourier_fermion_suppressed(eigenvalues, s, w)
-            pf = prob_fermion(u, r, s)
-            pd = prob_distinguishable(u, r, s)
             fermion_rows.append(
                 EventVerdict(
                     occupation_out=s,
@@ -455,15 +466,18 @@ def run_unitary_robustness(
         / prod(factorial(x) for x in r)
         * p_dist
     )
-    prob = prob_boson if particle is ParticleType.BOSON else prob_fermion
 
     measured = []
     for gi, g in enumerate(grid):
         model = PerturbationModel(g, distribution=distribution)
         rng = np.random.default_rng(derive_seed(seed, gi))
         acc = _KahanMean(1)
-        for _ in range(samples):
-            acc.add(np.array([prob(perturb_unitary(unitary, model, rng), r, s)]))
+        for start in range(0, samples, CHUNK):
+            # one draw per sample, in sample order; only the permanents are stacked
+            perturbed = [perturb_unitary(unitary, model, rng)
+                         for _ in range(min(CHUNK, samples - start))]
+            for p in probabilities(np.array(perturbed), r, [s], particle):
+                acc.add(p)
         measured.append(float(acc.mean()[0]))
 
     exponent, prefactor = _fit_loglog(grid, measured, 2.0)

@@ -13,7 +13,9 @@ from math import factorial
 import numpy as np
 
 NAIVE_MAX = 10
-RYSER_MAX = 30
+#: One Ryser call doubles in time per extra row; at n = 20 it takes 6.3 s
+#: (n = 16: 0.33 s, n = 18: 1.6 s, n = 22: 29 s, one matrix, 2-core x86-64).
+RYSER_MAX = 20
 
 #: Default tolerance for structural checks (unitarity, symmetry residuals).
 STRUCT_TOL = 1e-12
@@ -21,11 +23,14 @@ STRUCT_TOL = 1e-12
 PROB_TOL = 1e-10
 
 
-def as_complex_matrix(matrix) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
+def as_complex_matrix(matrix, stack: bool = False) -> np.ndarray:
+    """Coerce to a 2-D complex128 array, rejecting non-finite entries.
+
+    With ``stack=True`` a 3-D stack of equally shaped matrices passes too.
+    """
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        raise ValueError(f"expected a 2-D matrix{' or a 3-D stack' if stack else ''}, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
@@ -36,6 +41,14 @@ def _as_square(matrix) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _as_square_stack(matrix) -> tuple[np.ndarray, bool]:
+    """A (B, n, n) stack, and whether the input was one matrix (B = 1)."""
+    m = as_complex_matrix(matrix, stack=True)
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    return (m, False) if m.ndim == 3 else (m[None], True)
 
 
 _PERM_TABLES: dict[int, np.ndarray] = {}
@@ -96,57 +109,76 @@ def permanent_naive(matrix, signed: bool = False) -> complex:
     return complex(terms.sum())
 
 
-def permanent_ryser(matrix) -> complex:
+def permanent_ryser(matrix):
     """Permanent via Ryser's inclusion-exclusion with Gray-code subset order.
 
     One column add/subtract updates the running row sums per subset step,
-    giving O(2^n * n) scalar work. Agrees with :func:`permanent_naive`.
+    giving O(2^n * n) work per matrix. Agrees with :func:`permanent_naive`.
+
+    One (n, n) matrix gives a ``complex``; a (B, n, n) stack gives a (B,)
+    complex array. Each numpy call runs one step on all B matrices at once,
+    in the order of the scalar loop, so every matrix of a stack gets the
+    bits of a lone call.
     """
-    m = _as_square(matrix)
-    n = m.shape[0]
+    stack, single = _as_square_stack(matrix)
+    b, n = stack.shape[0], stack.shape[-1]
     if n > RYSER_MAX:
         raise ValueError(f"Ryser permanent limited to n <= {RYSER_MAX}, got {n}")
-    if n == 0:
-        return 1.0 + 0.0j
-    rowsums = np.zeros(n, dtype=complex)
-    total = 0.0 + 0.0j
-    subset_sign = 1.0
+    cols = list(np.ascontiguousarray(stack.transpose(2, 0, 1)))  # cols[j]: column j of every matrix
+    rowsums = np.zeros((b, n), dtype=complex)
+    term, total = np.empty(b, dtype=complex), np.zeros(b, dtype=complex)
+    add, sub, prod = np.add, np.subtract, np.multiply.reduce  # positional out: less call overhead
     gray = 0
     for k in range(1, 1 << n):
         bit = k & -k
-        j = bit.bit_length() - 1
         gray ^= bit
-        if gray & bit:
-            rowsums += m[:, j]
-        else:
-            rowsums -= m[:, j]
-        subset_sign = -subset_sign
-        total += subset_sign * rowsums.prod()
-    if n % 2:
+        (add if gray & bit else sub)(rowsums, cols[bit.bit_length() - 1], rowsums)
+        prod(rowsums, 1, None, term)
+        (sub if k & 1 else add)(total, term, total)  # odd subsets: sign -1
+    if not n:
+        total += 1
+    elif n % 2:
         total = -total
-    return complex(total)
+    return complex(total[0]) if single else total
 
 
-def determinant(matrix) -> complex:
+def determinant(matrix):
     """Determinant by LU elimination with partial pivoting.
 
     Row swaps flip the sign; a zero pivot column short-circuits to 0.
+    Takes one (n, n) matrix or a (B, n, n) stack, like
+    :func:`permanent_ryser`. The running product of the pivots is formed
+    from real and imaginary parts exactly as Python multiplies two complex
+    numbers, so a stack gives every matrix the bits of a lone call.
     """
-    m = _as_square(matrix).copy()
-    n = m.shape[0]
-    det = 1.0 + 0.0j
+    stack, single = _as_square_stack(matrix)
+    stack = stack.copy()
+    b, n = stack.shape[0], stack.shape[-1]
+    batch = np.arange(b)
+    det_re, det_im = np.ones(b), np.zeros(b)
     for col in range(n):
-        pivot = col + int(np.argmax(np.abs(m[col:, col])))
-        if m[pivot, col] == 0:
-            return 0.0 + 0.0j
-        if pivot != col:
-            m[[col, pivot]] = m[[pivot, col]]
-            det = -det
-        det *= m[col, col]
+        pivot = col + np.argmax(np.abs(stack[:, col:, col]), axis=1)
+        singular = stack[batch, pivot, col] == 0
+        if singular.any():  # det is 0; an identity keeps the later steps finite
+            det_re[singular] = det_im[singular] = 0.0
+            stack[singular] = np.eye(n)
+            pivot[singular] = col
+        swapped = np.flatnonzero(pivot != col)
+        if swapped.size:
+            upper = stack[swapped, col].copy()
+            stack[swapped, col] = stack[swapped, pivot[swapped]]
+            stack[swapped, pivot[swapped]] = upper
+            det_re[swapped] = -det_re[swapped]
+            det_im[swapped] = -det_im[swapped]
+        diag = stack[:, col, col]
+        det_re, det_im = (det_re * diag.real - det_im * diag.imag,
+                          det_re * diag.imag + det_im * diag.real)
         if col + 1 < n:
-            factors = m[col + 1 :, col] / m[col, col]
-            m[col + 1 :, col:] -= np.outer(factors, m[col, col:])
-    return complex(det)
+            factors = stack[:, col + 1 :, col] / diag[:, None]
+            stack[:, col + 1 :, col:] -= factors[:, :, None] * stack[:, None, col, col:]
+    det = np.empty(b, dtype=complex)
+    det.real, det.imag = det_re, det_im
+    return complex(det[0]) if single else det
 
 
 def is_unitary(matrix, tol: float = STRUCT_TOL) -> bool:

@@ -46,10 +46,25 @@ def matrix_from_json(payload: dict) -> np.ndarray:
         rows, cols, data = payload["rows"], payload["cols"], payload["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"matrix JSON needs rows/cols/data: {exc}") from exc
+    if not (_is_int(rows) and _is_int(cols) and rows >= 0 and cols >= 0):
+        raise ValueError(f"matrix JSON rows/cols must be non-negative integers, got {rows!r}/{cols!r}")
+    if not isinstance(data, list):
+        raise ValueError(f"matrix JSON data must be a list of [re, im] pairs, got {data!r}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix JSON has {len(data)} entries, expected {rows * cols}")
-    flat = [complex(re, im) for re, im in data]
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    for index, entry in enumerate(data):
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+            raise ValueError(f"matrix JSON entry {index} must be a [re, im] pair of numbers, "
+                             f"got {entry!r}")
+    return np.array([complex(re, im) for re, im in data], dtype=complex).reshape(rows, cols)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # --- occupations and permutations --------------------------------------------
@@ -228,6 +243,31 @@ EXPERIMENT_KINDS = (
     "distinguishability-robustness",
 )
 
+_ROBUSTNESS_KEYS = frozenset({
+    "kind", "permutation", "fourier", "rotation_seed", "input_state", "target_output",
+    "particle", "grid", "samples", "seed",
+})
+#: Every key the command line reads, per experiment kind; others are refused.
+EXPERIMENT_KEYS = {
+    "mean-probabilities": frozenset({"kind", "permutation", "input_state", "types", "bases",
+                                     "seed"}),
+    "fourier-comparison": frozenset({"kind", "modes", "order", "input_state"}),
+    "unitary-robustness": _ROBUSTNESS_KEYS | {"delta_distribution"},
+    "distinguishability-robustness": _ROBUSTNESS_KEYS | {"ensemble", "eta_scale"},
+}
+
+#: Optional keys: the test their value must pass, and what it has to be.
+_OPTIONAL_KEYS = {
+    "bases": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "samples": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "rotation_seed": (lambda v: v is None or (_is_int(v) and v >= 0),
+                      "a non-negative integer or null"),
+    "eta_scale": (_is_number, "a number"),
+    "delta_distribution": (lambda v: isinstance(v, str), "a string"),
+    "ensemble": (lambda v: isinstance(v, str), "a string"),
+}
+
 
 def check_experiment_config(payload: dict) -> list[str]:
     """Collect every schema problem instead of stopping at the first one."""
@@ -238,6 +278,12 @@ def check_experiment_config(payload: dict) -> list[str]:
     if kind not in EXPERIMENT_KINDS:
         problems.append(f"'kind' must be one of {EXPERIMENT_KINDS}, got {kind!r}")
         return problems
+    unknown = set(payload) - EXPERIMENT_KEYS[kind]
+    if unknown:
+        problems.append(f"unknown keys for {kind}: {sorted(unknown)}")
+    for key, (valid, what) in _OPTIONAL_KEYS.items():
+        if key in payload and key in EXPERIMENT_KEYS[kind] and not valid(payload[key]):
+            problems.append(f"key {key!r} must be {what}, got {payload[key]!r}")
 
     def need(key, types, note=""):
         if key not in payload:
@@ -247,7 +293,7 @@ def check_experiment_config(payload: dict) -> list[str]:
 
     def occupation_ok(key):
         value = payload.get(key)
-        if isinstance(value, list) and not all(isinstance(v, int) and v >= 0 for v in value):
+        if isinstance(value, list) and not all(_is_int(v) and v >= 0 for v in value):
             problems.append(f"key {key!r} must hold non-negative integers")
 
     if kind == "mean-probabilities":
@@ -261,7 +307,7 @@ def check_experiment_config(payload: dict) -> list[str]:
                 for t in payload["types"]:
                     try:
                         ParticleType.parse(t)
-                    except (ValueError, TypeError):
+                    except (ValueError, TypeError, AttributeError):
                         problems.append(f"unknown particle type {t!r}")
     elif kind == "fourier-comparison":
         need("modes", int)
@@ -275,18 +321,20 @@ def check_experiment_config(payload: dict) -> list[str]:
         occupation_ok("target_output")
         need("grid", list)
         if isinstance(payload.get("grid"), list) and not all(
-            isinstance(g, (int, float)) and g > 0 for g in payload["grid"]
+            _is_number(g) and g > 0 for g in payload["grid"]
         ):
             problems.append("'grid' must hold positive numbers")
         if "fourier" in payload:
             if not (
                 isinstance(payload["fourier"], list)
                 and len(payload["fourier"]) == 2
-                and all(isinstance(x, int) for x in payload["fourier"])
+                and all(_is_int(x) for x in payload["fourier"])
             ):
                 problems.append("'fourier' must be [modes, order]")
         elif "permutation" not in payload:
             problems.append("robustness config needs 'permutation' or 'fourier'")
+        else:
+            need("permutation", (str, list))
         if "particle" in payload and payload["particle"] not in ("boson", "fermion"):
             problems.append("'particle' must be 'boson' or 'fermion'")
     return problems

@@ -92,6 +92,17 @@ class TestProb:
         ])
         assert code == 1
 
+    def test_malformed_matrix_entry_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"rows": 1, "cols": 1, "data": [["a", 0]]}))
+        code = main([
+            "prob", "--unitary", str(path),
+            "--input-state", "[1]", "--output-state", "[1]",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_dimension_mismatch(self, hom_unitary_file, capsys):
         code = main([
             "prob", "--unitary", hom_unitary_file,
@@ -226,6 +237,19 @@ class TestExperiment:
         config.write_text("{not json")
         assert main(["experiment", "--config", str(config)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [{"bases": "x"}, {"seed": "1"}, {"basis": 3}])
+    def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "kind": "mean-probabilities",
+            "permutation": "(1 2)",
+            "input_state": [1, 1],
+        } | extra))
+        assert main(["experiment", "--config", str(config), "--threads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config") and err.count("\n") == 1, err
+        assert next(iter(extra)) in err
 
     def test_schema_problems_listed(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

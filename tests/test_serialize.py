@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,19 @@ class TestMatrixJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="rows/cols/data"):
             matrix_from_json({"rows": 1})
+
+    @pytest.mark.parametrize("entry", [["a", 0], [1.0], 1.0, [1.0, None], [True, 0], [1, 2, 3]])
+    def test_malformed_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match="entry 1"):
+            matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], entry]})
+
+    def test_non_list_data_rejected(self):
+        with pytest.raises(ValueError, match="list"):
+            matrix_from_json({"rows": 1, "cols": 1, "data": "1+0j"})
+
+    def test_non_integer_shape_rejected(self):
+        with pytest.raises(ValueError, match="rows/cols"):
+            matrix_from_json({"rows": "1", "cols": 1, "data": [[1.0, 0.0]]})
 
 
 class TestOccupationAndPermutationParsing:
@@ -171,6 +187,85 @@ class TestExperimentConfigCheck:
         }
         problems = check_experiment_config(payload)
         assert len(problems) >= 4  # state, target, grid, particle, source
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("bases", "x", "mean-probabilities"),
+        ("bases", 0, "mean-probabilities"),
+        ("seed", 1.5, "mean-probabilities"),
+        ("seed", -1, "mean-probabilities"),
+        ("samples", "many", "unitary-robustness"),
+        ("samples", True, "distinguishability-robustness"),
+        ("seed", "0", "unitary-robustness"),
+        ("rotation_seed", 2.0, "unitary-robustness"),
+        ("delta_distribution", 3, "unitary-robustness"),
+        ("ensemble", ["gram"], "distinguishability-robustness"),
+        ("eta_scale", "1", "distinguishability-robustness"),
+    ])
+    def test_wrong_types_named(self, key, value, kind):
+        payload = self.complete(kind) | {key: value}
+        problems = check_experiment_config(payload)
+        assert len(problems) == 1 and repr(key) in problems[0], problems
+
+    @pytest.mark.parametrize("kind", [
+        "mean-probabilities", "fourier-comparison",
+        "unitary-robustness", "distinguishability-robustness",
+    ])
+    def test_every_key_read_is_accepted(self, kind):
+        assert check_experiment_config(self.complete(kind)) == []
+
+    @pytest.mark.parametrize("kind, key", [
+        ("mean-probabilities", "base"),
+        ("mean-probabilities", "samples"),
+        ("fourier-comparison", "seed"),
+        ("unitary-robustness", "ensemble"),
+        ("distinguishability-robustness", "delta_distribution"),
+    ])
+    def test_unknown_keys_rejected(self, kind, key):
+        problems = check_experiment_config(self.complete(kind) | {key: 1})
+        assert problems == [f"unknown keys for {kind}: [{key!r}]"]
+
+    def test_rotation_seed_may_be_null(self):
+        payload = self.complete("unitary-robustness") | {"rotation_seed": None}
+        assert check_experiment_config(payload) == []
+
+    def test_non_string_particle_type_listed(self):
+        problems = check_experiment_config(self.complete("mean-probabilities") | {"types": [1]})
+        assert problems == ["unknown particle type 1"]
+
+    def test_benchmark_configs_accepted(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        for name in ("census", "fourier", "robustness"):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            workloads.build(name, seed=1, smoke=True, workdir=str(workdir))
+            configs = sorted(workdir.glob("*.config.json"))
+            assert configs
+            for config in configs:
+                assert check_experiment_config(json.loads(config.read_text())) == [], config
+
+    @staticmethod
+    def complete(kind):
+        """A config of ``kind`` holding every key the command line reads."""
+        robustness = {
+            "kind": kind, "permutation": "(1 2)", "rotation_seed": 7,
+            "input_state": [1, 1], "target_output": [1, 1], "particle": "boson",
+            "grid": [1e-3, 2e-3, 5e-3, 1e-2], "samples": 10, "seed": 0,
+        }
+        return {
+            "mean-probabilities": {
+                "kind": kind, "permutation": "(1 2)", "input_state": [1, 1],
+                "types": ["boson", "fermion", "dist"], "bases": 2, "seed": 0,
+            },
+            "fourier-comparison": {
+                "kind": kind, "modes": 4, "order": 2, "input_state": [1, 0, 1, 0],
+            },
+            "unitary-robustness": robustness | {"delta_distribution": "ring"},
+            "distinguishability-robustness": robustness | {"ensemble": "gram", "eta_scale": 1.0},
+        }[kind]
 
     def test_fourier_pair_checked(self):
         payload = {
