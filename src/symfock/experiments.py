@@ -19,8 +19,11 @@ Probabilities come per output stack from :func:`scattering.probabilities`,
 which checks the unitary, the input and the outputs once and then works
 through stacks of a constant size (``scattering.CHUNK``): all outputs of
 one unitary in the census and the DFT comparison, all noise samples of one
-grid point in the unitary robustness fit. The samples are still drawn one
-by one, in sample order, so batching changes no random draw.
+grid point in the unitary robustness fit. The distinguishability fit sends
+its Gram matrices to :func:`scattering.prob_partial` in sub-stacks of
+:data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
+B * N! deviation terms of a sub-stack near 2^13. The samples are still drawn
+one by one, in sample order, so batching changes no random draw.
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ import numpy as np
 
 from . import __version__
 from .fock import ParticleType, check_occupation, enumerate_outputs, particle_count
+from .linalg import as_complex_matrix
 from .permutations import Permutation, RootOfUnity, cycle_decompose
 from .scattering import (
     CHUNK,
     PerturbationModel,
-    perturb_unitary,
     prob_distinguishable,
     prob_partial,
     probabilities,
@@ -454,10 +457,11 @@ def run_unitary_robustness(
     """
     started = time.perf_counter()
     grid = _check_grid(grid)
+    u = as_complex_matrix(unitary)
     r = check_occupation(input_state)
     s = check_occupation(target_output)
     _suppressed_target(eigenvalues, permutation, r, s, particle)
-    p_dist = prob_distinguishable(unitary, r, s)
+    p_dist = prob_distinguishable(u, r, s)
     if p_dist <= CLASSIFY_TOL:
         raise ValueError("distinguishable probability vanishes; prediction degenerate")
     predicted = (
@@ -474,9 +478,9 @@ def run_unitary_robustness(
         acc = _KahanMean(1)
         for start in range(0, samples, CHUNK):
             # one draw per sample, in sample order; only the permanents are stacked
-            perturbed = [perturb_unitary(unitary, model, rng)
-                         for _ in range(min(CHUNK, samples - start))]
-            for p in probabilities(np.array(perturbed), r, [s], particle):
+            deltas = np.array([model.sample(u.shape, rng)
+                               for _ in range(min(CHUNK, samples - start))])
+            for p in probabilities(u * (1.0 + deltas), r, [s], particle):
                 acc.add(p)
         measured.append(float(acc.mean()[0]))
 
@@ -500,6 +504,10 @@ def run_unitary_robustness(
 
 #: How the random Gram matrices for the distinguishability sweep are drawn.
 GRAM_ENSEMBLES = ("independent", "gram")
+
+#: Deviation terms (Gram matrices times N!) per ``prob_partial`` call of the
+#: distinguishability fit: small enough that a sub-stack adds no peak memory.
+GRAM_STACK_TERMS = 1 << 13
 
 
 def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
@@ -569,15 +577,22 @@ def run_distinguishability_robustness(
     predicted = particle_count(r) * p_dist
     n = np.asarray(unitary).shape[0]
 
+    stack_size = max(1, GRAM_STACK_TERMS // factorial(particle_count(r)))
+
     measured = []
     repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
         acc = _KahanMean(1)
-        for _ in range(samples):
-            gram, repaired = sample_distinguishability(n, g, rng, ensemble, eta_scale)
-            repairs += repaired
-            acc.add(np.array([prob_partial(unitary, r, s, gram, particle)]))
+        for start in range(0, samples, stack_size):
+            # one draw per sample, in sample order; the Gram matrices are stacked
+            grams = []
+            for _ in range(min(stack_size, samples - start)):
+                gram, repaired = sample_distinguishability(n, g, rng, ensemble, eta_scale)
+                repairs += repaired
+                grams.append(gram)
+            for p in prob_partial(unitary, r, s, np.array(grams), particle):
+                acc.add(p)
         measured.append(float(acc.mean()[0]))
 
     exponent, prefactor = _fit_loglog(grid, measured, 1.0)

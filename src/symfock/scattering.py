@@ -19,7 +19,15 @@ permanent or determinant. ``prob_boson``, ``prob_fermion`` and
 
 Partial distinguishability is handled by a Gram matrix S of internal states
 on the n modes (all-ones = indistinguishable, identity = fully
-distinguishable) through an explicit double sum over permutation pairs.
+distinguishable) through the single sum over permutations tau
+
+    P = sum_tau w_tau * prod_j S[d(j), d(tau(j))] / (prod r! * prod s!),
+    w_tau = chi(tau) * perm(conj(M) o M[tau, :]),
+
+(Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)). The N!
+weights depend on U, the input and the output only, so :func:`prob_partial`
+computes them once, at N! * 2^N * N cost, and then spends N! * N per Gram
+matrix of a stack.
 """
 
 from __future__ import annotations
@@ -38,7 +46,9 @@ from .linalg import (
     permutation_table,
 )
 
-PARTIAL_MAX = 6
+#: The N! weight permanents go through stacks of :data:`CHUNK`, so memory
+#: stays flat; a lone call takes about 0.07 s at N = 7 and 1.2 s at N = 8.
+PARTIAL_MAX = 8
 
 _NEGATIVE_FLOOR = -1e-12
 
@@ -140,18 +150,23 @@ def prob_distinguishable(u, occupation_in, occupation_out) -> float:
 
 def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1e-10) -> np.ndarray:
     """Check the Gram-matrix contract: Hermitian, unit diagonal, entries in
-    the unit disc, positive semidefinite up to ``psd_tol``."""
-    s = as_complex_matrix(s_matrix)
-    n = s.shape[0]
-    if s.shape[0] != s.shape[1]:
+    the unit disc, positive semidefinite up to ``psd_tol``.
+
+    Takes one (n, n) matrix or a (B, n, n) stack, checked as a whole.
+    """
+    s = as_complex_matrix(s_matrix, stack=True)
+    if s.shape[-1] != s.shape[-2]:
         raise ValueError("distinguishability matrix must be square")
-    if np.max(np.abs(s - s.conj().T)) > tol:
+    if not s.size:
+        return s
+    adjoint = s.conj().swapaxes(-1, -2)
+    if np.max(np.abs(s - adjoint)) > tol:
         raise ValueError("distinguishability matrix is not Hermitian")
-    if np.max(np.abs(np.diagonal(s) - 1.0)) > tol:
+    if np.max(np.abs(np.diagonal(s, axis1=-2, axis2=-1) - 1.0)) > tol:
         raise ValueError("distinguishability matrix diagonal must be all ones")
     if np.max(np.abs(s)) > 1.0 + tol:
         raise ValueError("distinguishability entries must satisfy |S_jk| <= 1")
-    if float(np.min(np.linalg.eigvalsh((s + s.conj().T) / 2.0))) < -psd_tol:
+    if float(np.min(np.linalg.eigvalsh((s + adjoint) / 2.0))) < -psd_tol:
         raise ValueError("distinguishability matrix is not positive semidefinite")
     return s
 
@@ -176,57 +191,67 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool]:
     return repaired, True
 
 
-def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType) -> float:
+def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType) -> float | np.ndarray:
     """Transition probability for partially distinguishable particles.
 
-    Evaluates the double permutation sum
+    ``s_matrix`` is one Gram matrix, giving a ``float``, or a (B, n, n)
+    stack, giving a (B,) array. With M the scattering matrix, d(j) the input
+    mode of particle j, D = S - 1 and chi the signature for fermions (1 for
+    bosons), it evaluates
 
-        P = 1/(prod r! prod s!) * sum_{sigma,rho} chi(sigma) chi(rho)
-            * prod_a S[d_sigma(a)(r), d_rho(a)(r)]
-            * conj(U[d_sigma(a)(r), d_a(s)]) * U[d_rho(a)(r), d_a(s)]
+        P = (|perm M|^2 or |det M|^2 + sum_tau w_tau e_tau) / (prod r! prod s!)
+        w_tau = chi(tau) * perm(conj(M) o M[tau, :])
+        e_tau = prod_j (1 + D[d(j), d(tau(j))]) - 1
 
-    with chi the signature for fermions and 1 for bosons. The all-ones S
-    collapses it to the indistinguishable permanent/determinant rule; the
-    identity S collapses it to the fully distinguishable rule. Fermions are
-    restricted to singly occupied modes: a doubly occupied fermionic mode
-    would already demand total distinguishability, so such inputs are
-    rejected rather than reinterpreted.
+    The N! weights are computed once per call, through the stack-aware
+    permanent in stacks of :data:`CHUNK`: N! * 2^N * N work. Each Gram matrix
+    then costs N! * N: e_tau is built one factor at a time as
+    e <- e + d + e * d. The deviation form keeps the cancellation at
+    suppressed outputs at amplitude level: D is exact there, and
+    sum_tau w_tau (the all-ones Gram) is the indistinguishable probability,
+    taken from the same kernel and ``abs(z) ** 2`` as :func:`prob_boson` and
+    :func:`prob_fermion`, so the all-ones S gives their bits; the identity S
+    gives the fully distinguishable rule. Fermions are restricted to singly
+    occupied modes: a doubly occupied fermionic mode would already demand
+    total distinguishability, so such inputs are rejected rather than
+    reinterpreted.
 
-    O((N!)^2) work; refuses N > 6.
+    Refuses N > :data:`PARTIAL_MAX`.
     """
-    if kind is ParticleType.FERMION:
-        r = check_occupation(occupation_in, fermionic=True)
-        s = check_occupation(occupation_out, fermionic=True)
-    elif kind is ParticleType.BOSON:
-        r = check_occupation(occupation_in)
-        s = check_occupation(occupation_out)
-    else:
+    if kind not in (ParticleType.BOSON, ParticleType.FERMION):
         raise ValueError("partial distinguishability applies to bosons or fermions")
+    fermionic = kind is ParticleType.FERMION
     u = as_complex_matrix(u)
-    gram = validate_distinguishability(s_matrix)
-    if gram.shape != u.shape:
-        raise ValueError("distinguishability matrix must match the unitary size")
+    r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic)
     n_particles = sum(r)
-    if sum(s) != n_particles:
-        raise ValueError("particle numbers differ between input and output")
     if n_particles > PARTIAL_MAX:
         raise ValueError(f"partial-distinguishability sum limited to N <= {PARTIAL_MAX}")
-    if n_particles == 0:
-        return 1.0
+    gram = validate_distinguishability(s_matrix)
+    if gram.shape[-2:] != u.shape:
+        raise ValueError("distinguishability matrix must match the unitary size")
+    stack = gram if gram.ndim == 3 else gram[None]
 
-    d_in = _assignment0(r)
-    d_out = _assignment0(s)
+    d = _assignment0(r)
+    m = u[np.ix_(d, _columns(s, n_particles)[0])]
     perms = permutation_table(n_particles)
-    rows = d_in[perms]  # (N!, N): input mode of slot a under each permutation
-    amp = np.prod(np.conj(u[rows, d_out[None, :]]), axis=1)  # (N!,)
-    if kind is ParticleType.FERMION:
-        amp = amp * permutation_signs(n_particles)
-    gram_prod = np.prod(gram[rows[:, None, :], rows[None, :, :]], axis=2)  # (N!, N!)
-    value = complex(amp @ gram_prod @ np.conj(amp))
-    if abs(value.imag) > 1e-10:
-        raise ArithmeticError(f"partial probability has imaginary part {value.imag}")
-    norm = prod(factorial(x) for x in r) * prod(factorial(x) for x in s)
-    return float(_clamp_probability(value.real / norm))
+    weights = np.concatenate([permanent_ryser(m.conj() * m[perms[start:start + CHUNK]])
+                              for start in range(0, len(perms), CHUNK)])
+    if fermionic:
+        weights *= permutation_signs(n_particles)
+    indistinguishable = abs(determinant(m) if fermionic else permanent_ryser(m)) ** 2
+
+    deviation = stack[:, d[:, None], d[None, :]] - 1.0  # D on the occupied input modes
+    e = np.zeros((len(stack), len(perms)), dtype=complex)
+    for j in range(n_particles):
+        factor = deviation[:, j, perms[:, j]]
+        e = e + factor + e * factor
+    value = indistinguishable + (e * weights).sum(axis=1)
+    if np.any(np.abs(value.imag) > 1e-10):
+        raise ArithmeticError(
+            f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
+    norm = prod(factorial(x) for x in r) * prod(factorial(x) for x in s[0])
+    result = _clamp_probability(value.real / norm)
+    return result if gram.ndim == 3 else float(result[0])
 
 
 # --- perturbed unitaries ----------------------------------------------------

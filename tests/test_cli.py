@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symfock.cli import main
+from symfock.linalg import haar_random_unitary
 from symfock.serialize import matrix_to_json, read_verdict_csv
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -84,6 +85,18 @@ class TestProb:
             "--type", "partial", "--distinguishability", str(gram),
         ])
         assert capsys.readouterr().out.strip() == "0.500000000000000"
+
+    def test_partial_seven_particles_all_ones_gram_equals_boson(self, tmp_path, capsys):
+        unitary, gram = tmp_path / "u.json", tmp_path / "gram.json"
+        unitary.write_text(json.dumps(matrix_to_json(haar_random_unitary(8, 70))))
+        gram.write_text(json.dumps(matrix_to_json(np.ones((8, 8), dtype=complex))))
+        args = ["prob", "--unitary", str(unitary), "--input-state", "[1,1,1,1,0,1,1,1]",
+                "--output-state", "[2,0,1,1,1,0,2,0]"]
+        assert main([*args, "--type", "boson"]) == 0
+        boson = capsys.readouterr().out.strip()
+        assert main([*args, "--type", "partial", "--distinguishability", str(gram)]) == 0
+        assert capsys.readouterr().out.strip() == boson
+        assert float(boson) > 0
 
     def test_partial_without_gram_is_usage_error(self, hom_unitary_file, capsys):
         code = main([

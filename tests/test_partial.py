@@ -1,0 +1,135 @@
+"""Properties of the single-sum partial-distinguishability probability:
+agreement with the explicit (N!)^2 double sum, the two limits of the Gram
+matrix, and bit-identity between a Gram stack, its pieces and lone calls."""
+
+from math import factorial, prod
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symfock.fock import ParticleType, occupation_to_assignment
+from symfock.linalg import haar_random_unitary, permutation_signs, permutation_table
+from symfock.scattering import (
+    prob_boson,
+    prob_distinguishable,
+    prob_fermion,
+    prob_partial,
+    validate_distinguishability,
+)
+
+KINDS = (ParticleType.BOSON, ParticleType.FERMION)
+
+
+def double_sum(u, r, s, gram, kind) -> float:
+    """The explicit double sum over permutation pairs (sigma, rho):
+
+        1/(prod r! prod s!) * sum chi(sigma) chi(rho) * prod_a S[d_sigma(a), d_rho(a)]
+            * conj(U[d_sigma(a), d_a(s)]) * U[d_rho(a), d_a(s)]
+    """
+    n = sum(r)
+    d_in = np.array(occupation_to_assignment(r), dtype=np.intp) - 1
+    d_out = np.array(occupation_to_assignment(s), dtype=np.intp) - 1
+    rows = d_in[permutation_table(n)]
+    amp = np.prod(np.conj(u[rows, d_out[None, :]]), axis=1)
+    if kind is ParticleType.FERMION:
+        amp = amp * permutation_signs(n)
+    gram_prod = np.prod(gram[rows[:, None, :], rows[None, :, :]], axis=2)
+    value = complex(amp @ gram_prod @ np.conj(amp))
+    return value.real / (prod(factorial(x) for x in r) * prod(factorial(x) for x in s))
+
+
+def random_gram(rng, n: int, spread: float) -> np.ndarray:
+    """Gram matrix of n random unit vectors in a random dimension; a small
+    ``spread`` makes them almost parallel, as near a suppressed output."""
+    dim = int(rng.integers(1, 4))
+    v = np.ones((n, dim)) + spread * (rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    gram = v.conj() @ v.T
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+@st.composite
+def cases(draw, max_particles=5, max_b=6):
+    """(u, r, s, gram stack, kind): bunched bosonic inputs and outputs,
+    single-occupancy fermions, N <= 5 particles on up to 6 modes."""
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    if kind is ParticleType.BOSON:
+        particles = draw(st.integers(0, max_particles))
+        r = tuple(int(x) for x in rng.multinomial(particles, [1 / n] * n))
+        s = tuple(int(x) for x in rng.multinomial(particles, [1 / n] * n))
+    else:
+        particles = draw(st.integers(0, min(n, max_particles)))
+        r = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
+        s = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
+    spread = draw(st.sampled_from((1e-3, 0.3, 3.0)))
+    grams = np.array([random_gram(rng, n, spread) for _ in range(draw(st.integers(1, max_b)))])
+    return haar_random_unitary(n, rng), r, s, grams, kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_matches_the_double_sum(case):
+    u, r, s, grams, kind = case
+    for gram, value in zip(grams, prob_partial(u, r, s, grams, kind)):
+        assert abs(value - double_sum(u, r, s, gram, kind)) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_stack_gives_the_bits_of_lone_calls(case):
+    u, r, s, grams, kind = case
+    lone = [prob_partial(u, r, s, gram, kind) for gram in grams]
+    assert all(type(p) is float for p in lone)
+    assert prob_partial(u, r, s, grams, kind).tobytes() == np.array(lone).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(), st.data())
+def test_splitting_a_stack_changes_no_bit(case, data):
+    u, r, s, grams, kind = case
+    cut = data.draw(st.integers(0, len(grams)))
+    pieces = [prob_partial(u, r, s, grams[:cut], kind), prob_partial(u, r, s, grams[cut:], kind)]
+    assert prob_partial(u, r, s, grams, kind).tobytes() == np.concatenate(pieces).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(max_b=1))
+def test_all_ones_gram_gives_the_indistinguishable_bits(case):
+    u, r, s, _, kind = case
+    ones = np.ones(u.shape)
+    expected = prob_boson(u, r, s) if kind is ParticleType.BOSON else prob_fermion(u, r, s)
+    assert prob_partial(u, r, s, ones, kind) == expected
+    assert prob_partial(u, r, s, ones[None], kind).tobytes() == np.array([expected]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases(max_b=1))
+def test_identity_gram_gives_the_distinguishable_rule(case):
+    u, r, s, _, kind = case
+    assert abs(prob_partial(u, r, s, np.eye(len(r)), kind) - prob_distinguishable(u, r, s)) <= 1e-12
+
+
+def test_no_particles():
+    u = haar_random_unitary(3, 5)
+    grams = np.array([random_gram(np.random.default_rng(k), 3, 0.3) for k in range(4)])
+    for kind in KINDS:
+        assert prob_partial(u, (0, 0, 0), (0, 0, 0), grams[0], kind) == 1.0
+        assert np.array_equal(prob_partial(u, (0, 0, 0), (0, 0, 0), grams, kind), np.ones(4))
+
+
+def test_stack_checks():
+    u = haar_random_unitary(3, 6)
+    grams = np.array([np.eye(3), np.eye(3)], dtype=complex)
+    grams[1, 0, 1] = 0.5  # not Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        prob_partial(u, (1, 1, 0), (1, 0, 1), grams, ParticleType.BOSON)
+    with pytest.raises(ValueError, match="Hermitian"):
+        validate_distinguishability(grams)
+    with pytest.raises(ValueError, match="match the unitary size"):
+        prob_partial(u, (1, 1, 0), (1, 0, 1), np.ones((2, 4, 4)), ParticleType.BOSON)
+    assert prob_partial(u, (1, 1, 0), (1, 0, 1), np.ones((0, 3, 3)), ParticleType.BOSON).shape == (0,)

@@ -7,6 +7,7 @@ import pytest
 from symfock.fock import ParticleType, enumerate_outputs, occupation_to_assignment
 from symfock.linalg import haar_random_unitary, is_unitary, permanent_naive
 from symfock.scattering import (
+    PARTIAL_MAX,
     PerturbationModel,
     perturb_unitary,
     prob_boson,
@@ -224,10 +225,11 @@ class TestPartialDistinguishability:
             prob_partial(BEAM_SPLITTER, (1, 1), (1, 1), np.eye(2), ParticleType.DISTINGUISHABLE)
 
     def test_particle_cap(self):
-        u = np.eye(8, dtype=complex)
-        r = (1,) * 7 + (0,)
-        with pytest.raises(ValueError, match="N <= 6"):
-            prob_partial(u, r, r, np.ones((8, 8)), ParticleType.BOSON)
+        n = PARTIAL_MAX + 1
+        u = np.eye(n, dtype=complex)
+        r = (1,) * n
+        with pytest.raises(ValueError, match=f"N <= {PARTIAL_MAX}"):
+            prob_partial(u, r, r, np.ones((n, n)), ParticleType.BOSON)
 
     def test_invalid_gram_rejected(self):
         bad = np.array([[1.0, 0.5], [0.3, 1.0]], dtype=complex)  # not Hermitian
