@@ -16,13 +16,13 @@ from symfock import (
     Permutation,
     UnitarySpec,
     build_unitary,
-    boson_suppressed,
     cycle_decompose,
     enumerate_outputs,
     final_distribution,
     initial_distribution,
     fermion_suppressed,
     occupation_to_assignment,
+    output_laws,
     prob_boson,
     prob_fermion,
 )
@@ -61,8 +61,6 @@ verdict = fermion_suppressed(perm, r, rotated.eigenvalues, s_fermi)
 print(f"  fermionic output {s_fermi}: multisets differ = {verdict},",
       f"P_F = {prob_fermion(rotated.matrix, r, s_fermi):.3e}")
 
-boson_zeros = sum(
-    boson_suppressed(built.eigenvalues, out)
-    for out in enumerate_outputs(8, 5, ParticleType.BOSON)
-)
+boson_zeros = int(output_laws(
+    built.eigenvalues, list(enumerate_outputs(8, 5, ParticleType.BOSON))).boson.sum())
 print(f"\nthe law certifies {boson_zeros} of 792 bosonic outputs as exact zeros")

@@ -44,6 +44,7 @@ from .suppression import (
     final_distribution,
     initial_distribution,
     old_fourier_fermion_suppressed,
+    output_laws,
 )
 from .unitaries import (
     ConstructedUnitary,
@@ -86,6 +87,7 @@ __all__ = [
     "final_distribution",
     "initial_distribution",
     "old_fourier_fermion_suppressed",
+    "output_laws",
     "ConstructedUnitary",
     "UnitarySpec",
     "build_unitary",

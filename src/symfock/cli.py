@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .experiments import (
     CensusConfig,
@@ -36,18 +38,12 @@ from .serialize import (
     parse_permutation,
     spec_from_json,
     spec_to_json,
-    verdict_row,
+    verdict_rows,
     write_fit_csv,
     write_metadata,
     write_verdict_csv,
 )
-from .suppression import (
-    EventVerdict,
-    boson_suppressed,
-    classify_event,
-    fermion_suppressed,
-    final_distribution,
-)
+from .suppression import EventVerdict, classify_event, output_laws
 from .svg import bar_chart, write_verdict_svg
 from .unitaries import (
     SymmetryError,
@@ -113,25 +109,25 @@ def _verdict_rows(built, input_state, kind: ParticleType):
     u, eigenvalues = built.matrix, built.eigenvalues
     perm = built.spec.permutation
     outputs = list(enumerate_outputs(perm.n, particle_count(input_state), kind))
-    p_dist = probabilities(u, input_state, outputs, ParticleType.DISTINGUISHABLE).tolist()
+    array = np.array(outputs, dtype=np.intp).reshape(len(outputs), perm.n)
+    p_dist = probabilities(u, input_state, array, ParticleType.DISTINGUISHABLE).tolist()
     p_kind = (p_dist if kind is ParticleType.DISTINGUISHABLE
-              else probabilities(u, input_state, outputs, kind).tolist())
-    rows = []
+              else probabilities(u, input_state, array, kind).tolist())
     fermionic = kind is ParticleType.FERMION
-    for s, p, p_d in zip(outputs, p_kind, p_dist):
-        law_b = boson_suppressed(eigenvalues, s)
-        law_f = fermion_suppressed(perm, input_state, eigenvalues, s) if fermionic else None
+    laws = (output_laws(eigenvalues, array, perm, input_state) if fermionic
+            else output_laws(eigenvalues, array))
+    law_f = laws.fermion.tolist() if fermionic else [None] * len(outputs)
+    rows = []
+    for s, dist, law_b, lf, p, p_d in zip(outputs, laws.distributions, laws.boson.tolist(),
+                                         law_f, p_kind, p_dist):
         if kind is ParticleType.BOSON:
-            rows.append(EventVerdict(s, final_distribution(eigenvalues, s), law_b,
-                                     p_boson=p, p_dist=p_d,
+            rows.append(EventVerdict(s, dist, law_b, p_boson=p, p_dist=p_d,
                                      event_class=classify_event(law_b, p, p_d)))
         elif fermionic:
-            rows.append(EventVerdict(s, final_distribution(eigenvalues, s), law_b,
-                                     law_suppressed_fermion=law_f, p_fermion=p, p_dist=p_d,
-                                     event_class=classify_event(law_f, p, p_d)))
+            rows.append(EventVerdict(s, dist, law_b, law_suppressed_fermion=lf, p_fermion=p,
+                                     p_dist=p_d, event_class=classify_event(lf, p, p_d)))
         else:
-            rows.append(EventVerdict(s, final_distribution(eigenvalues, s), law_b,
-                                     p_dist=p_d,
+            rows.append(EventVerdict(s, dist, law_b, p_dist=p_d,
                                      event_class=classify_event(False, p_d, p_d)))
     return rows
 
@@ -150,8 +146,8 @@ def cmd_verdicts(args) -> int:
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         print(";".join(VERDICT_COLUMNS))
-        for row in rows:
-            print(";".join(verdict_row(row)))
+        for cells in verdict_rows(rows):
+            print(";".join(cells))
     if args.svg:
         write_verdict_svg(args.svg, rows, title=f"{kind.value} events, "
                           f"{spec.permutation.cycle_string()} r={list(input_state)}")

@@ -24,6 +24,10 @@ its Gram matrices to :func:`scattering.prob_partial` in sub-stacks of
 :data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
 B * N! deviation terms of a sub-stack near 2^13. The samples are still drawn
 one by one, in sample order, so batching changes no random draw.
+
+Law verdicts and eigenvalue distributions come from one
+:func:`suppression.output_laws` call per output list, on the same (K, n)
+array the probabilities are computed from.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
 from math import factorial, prod
 
 import numpy as np
@@ -46,7 +51,6 @@ from .scattering import (
     prob_partial,
     probabilities,
     repair_distinguishability,
-    validate_distinguishability,
 )
 from .suppression import (
     CLASSIFY_TOL,
@@ -54,8 +58,7 @@ from .suppression import (
     boson_suppressed,
     classify_event,
     fermion_suppressed,
-    final_distribution,
-    old_fourier_fermion_suppressed,
+    output_laws,
     transposition_count,
 )
 from .unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
@@ -81,6 +84,11 @@ def require_invariant(p: Permutation, occupation) -> None:
         values = {occ[mode - 1] for mode in cycle}
         if len(values) > 1:
             raise ValueError(f"input state not invariant under cycle {cycle}")
+
+
+def _output_array(outputs, n: int) -> np.ndarray:
+    """The (K, n) array of a list of output occupations."""
+    return np.array(outputs, dtype=np.intp).reshape(len(outputs), n)
 
 
 class _KahanMean:
@@ -185,6 +193,9 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
         if ParticleType.FERMION in cfg.types
         else []
     )
+    # one (K, n) array per output list, shared by the kernels and the laws
+    boson_array = _output_array(boson_outputs, p.n)
+    fermion_array = _output_array(fermion_outputs, p.n)
 
     acc = {
         "pb": _KahanMean(len(boson_outputs)),
@@ -192,7 +203,7 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
         "pf": _KahanMean(len(fermion_outputs)),
         "pdf": _KahanMean(len(fermion_outputs)),
     }
-    tasks = ((cfg, b, boson_outputs, fermion_outputs) for b in range(cfg.num_bases))
+    tasks = ((cfg, b, boson_array, fermion_array) for b in range(cfg.num_bases))
     if cfg.workers > 1:
         chunk = max(1, cfg.num_bases // (cfg.workers * 8))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -214,54 +225,58 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     if ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types:
         mean_pb, mean_pd = acc["pb"].mean(), acc["pd"].mean()
         peak_pb = acc["pb"].peak
-        law = [boson_suppressed(eigenvalues, s) for s in boson_outputs]
+        laws = output_laws(eigenvalues, boson_array)
+        law = laws.boson.tolist()
         if ParticleType.BOSON in cfg.types:
             rows = tuple(
                 EventVerdict(
                     occupation_out=s,
-                    distribution=final_distribution(eigenvalues, s),
+                    distribution=dist,
                     law_suppressed_boson=lb,
                     p_boson=float(mpb),
                     p_dist=float(mpd),
                     event_class=classify_event(lb, float(mpb), float(mpd)),
                 )
-                for s, lb, mpb, mpd in zip(boson_outputs, law, mean_pb, mean_pd)
+                for s, dist, lb, mpb, mpd in zip(boson_outputs, laws.distributions, law,
+                                                 mean_pb, mean_pd)
             )
             tables[ParticleType.BOSON] = rows
             max_suppressed[ParticleType.BOSON] = float(
-                max((peak_pb[i] for i in range(len(law)) if law[i]), default=0.0)
+                max(compress(peak_pb, law), default=0.0)
             )
         if ParticleType.DISTINGUISHABLE in cfg.types:
             tables[ParticleType.DISTINGUISHABLE] = tuple(
                 EventVerdict(
                     occupation_out=s,
-                    distribution=final_distribution(eigenvalues, s),
+                    distribution=dist,
                     law_suppressed_boson=lb,
                     p_dist=float(mpd),
                     event_class=classify_event(False, float(mpd), float(mpd)),
                 )
-                for s, lb, mpd in zip(boson_outputs, law, mean_pd)
+                for s, dist, lb, mpd in zip(boson_outputs, laws.distributions, law, mean_pd)
             )
 
     if ParticleType.FERMION in cfg.types:
         mean_pf, mean_pdf = acc["pf"].mean(), acc["pdf"].mean()
         peak_pf = acc["pf"].peak
-        law_f = [fermion_suppressed(p, r, eigenvalues, s) for s in fermion_outputs]
+        laws = output_laws(eigenvalues, fermion_array, p, r)
+        law_f = laws.fermion.tolist()
         rows = tuple(
             EventVerdict(
                 occupation_out=s,
-                distribution=final_distribution(eigenvalues, s),
-                law_suppressed_boson=boson_suppressed(eigenvalues, s),
+                distribution=dist,
+                law_suppressed_boson=lb,
                 law_suppressed_fermion=lf,
                 p_fermion=float(mpf),
                 p_dist=float(mpd),
                 event_class=classify_event(lf, float(mpf), float(mpd)),
             )
-            for s, lf, mpf, mpd in zip(fermion_outputs, law_f, mean_pf, mean_pdf)
+            for s, dist, lb, lf, mpf, mpd in zip(fermion_outputs, laws.distributions,
+                                                 laws.boson.tolist(), law_f, mean_pf, mean_pdf)
         )
         tables[ParticleType.FERMION] = rows
         max_suppressed[ParticleType.FERMION] = float(
-            max((peak_pf[i] for i in range(len(law_f)) if law_f[i]), default=0.0)
+            max(compress(peak_pf, law_f), default=0.0)
         )
 
     metadata = {
@@ -321,21 +336,22 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     n_particles = sum(r)
 
     boson_outputs = list(enumerate_outputs(n, n_particles, ParticleType.BOSON))
-    boson_rows = []
-    for s, pb, pd in zip(boson_outputs,
-                         probabilities(u, r, boson_outputs, ParticleType.BOSON).tolist(),
-                         probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE).tolist()):
-        lb = boson_suppressed(eigenvalues, s)
-        boson_rows.append(
-            EventVerdict(
-                occupation_out=s,
-                distribution=final_distribution(eigenvalues, s),
-                law_suppressed_boson=lb,
-                p_boson=pb,
-                p_dist=pd,
-                event_class=classify_event(lb, pb, pd),
-            )
+    outputs = _output_array(boson_outputs, n)
+    laws = output_laws(eigenvalues, outputs)
+    boson_rows = [
+        EventVerdict(
+            occupation_out=s,
+            distribution=dist,
+            law_suppressed_boson=lb,
+            p_boson=pb,
+            p_dist=pd,
+            event_class=classify_event(lb, pb, pd),
         )
+        for s, dist, lb, pb, pd in zip(
+            boson_outputs, laws.distributions, laws.boson.tolist(),
+            probabilities(u, r, outputs, ParticleType.BOSON).tolist(),
+            probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE).tolist())
+    ]
 
     fermion_rows: list[EventVerdict] = []
     old_flags: list[bool] = []
@@ -344,27 +360,26 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     if n_particles <= n and all(x <= 1 for x in r):
         w = transposition_count(perm, r)
         fermion_outputs = list(enumerate_outputs(n, n_particles, ParticleType.FERMION))
-        for s, pf, pd in zip(
-            fermion_outputs,
-            probabilities(u, r, fermion_outputs, ParticleType.FERMION).tolist(),
-            probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE).tolist(),
-        ):
-            lf = fermion_suppressed(perm, r, eigenvalues, s)
-            old = old_fourier_fermion_suppressed(eigenvalues, s, w)
-            fermion_rows.append(
-                EventVerdict(
-                    occupation_out=s,
-                    distribution=final_distribution(eigenvalues, s),
-                    law_suppressed_boson=boson_suppressed(eigenvalues, s),
-                    law_suppressed_fermion=lf,
-                    p_fermion=pf,
-                    p_dist=pd,
-                    event_class=classify_event(lf, pf, pd),
-                )
+        outputs = _output_array(fermion_outputs, n)
+        laws = output_laws(eigenvalues, outputs, perm, r, w)
+        fermion_rows = [
+            EventVerdict(
+                occupation_out=s,
+                distribution=dist,
+                law_suppressed_boson=lb,
+                law_suppressed_fermion=lf,
+                p_fermion=pf,
+                p_dist=pd,
+                event_class=classify_event(lf, pf, pd),
             )
-            old_flags.append(old)
-            if lf and not old:
-                witnesses.append(s)
+            for s, dist, lb, lf, pf, pd in zip(
+                fermion_outputs, laws.distributions, laws.boson.tolist(), laws.fermion.tolist(),
+                probabilities(u, r, outputs, ParticleType.FERMION).tolist(),
+                probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE).tolist())
+        ]
+        old_flags = laws.parity.tolist()
+        witnesses = [row.occupation_out for row, old in zip(fermion_rows, old_flags)
+                     if row.law_suppressed_fermion and not old]
 
     metadata = {
         "experiment": "fourier-comparison",
@@ -529,12 +544,9 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
         eta = (eta - eta.T) / 2.0
         s = (1.0 - eps) * np.exp(1j * eta)
         np.fill_diagonal(s, 1.0)
-        try:
-            validate_distinguishability(s)
-            return s, False
-        except ValueError:
-            repaired, _ = repair_distinguishability(s)
-            return repaired, True
+        # one eigh decides and repairs; prob_partial checks every Gram it gets
+        repaired, flag = repair_distinguishability(s)
+        return (repaired, True) if flag else (s, False)
     if ensemble == "gram":
         # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
         eps_j = rng.uniform(0.0, 2.0 * mean_eps, size=n)

@@ -72,7 +72,7 @@ def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     occupation and the (K, n) array of output occupations."""
     r = check_occupation(occupation_in, fermionic=fermionic)
     n_in, n_out = u.shape[-2:]
-    s = (np.array(outputs, dtype=np.intp).reshape(len(outputs), -1) if len(outputs)
+    s = (np.asarray(outputs, dtype=np.intp).reshape(len(outputs), -1) if len(outputs)
          else np.zeros((0, n_out), dtype=np.intp))
     bad = (s < 0) | (s > 1) if fermionic else s < 0
     if bad.any():

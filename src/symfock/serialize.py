@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -132,7 +133,7 @@ def spec_to_json(spec: UnitarySpec) -> dict:
 # --- verdict tables ---------------------------------------------------------
 
 def _fmt_occupation(s) -> str:
-    return json.dumps(list(s), separators=(",", ":"))
+    return "[" + ",".join(map(str, s)) + "]"  # the compact JSON array of the integers
 
 
 def _fmt_optional_float(value) -> str:
@@ -143,29 +144,43 @@ def _fmt_optional_bool(value) -> str:
     return "" if value is None else ("true" if value else "false")
 
 
-def verdict_row(verdict: EventVerdict, old_fermion: bool | None = None) -> list[str]:
-    row = [
-        _fmt_occupation(verdict.occupation_out),
-        ",".join(str(v) for v in verdict.distribution),
-        _fmt_optional_bool(verdict.law_suppressed_boson),
-        _fmt_optional_bool(verdict.law_suppressed_fermion),
-        _fmt_optional_float(verdict.p_boson),
-        _fmt_optional_float(verdict.p_fermion),
-        _fmt_optional_float(verdict.p_dist),
-        verdict.event_class.value if verdict.event_class else "",
-    ]
-    if old_fermion is not None:
-        row.append(_fmt_optional_bool(old_fermion))
-    return row
+def verdict_rows(verdicts, old_fermion_flags=None) -> list[list[str]]:
+    """The cells of every verdict row, plus an ``old_fermion_suppressed`` cell
+    per row when flags are given.
+
+    Rows with equal multisets share one distribution tuple (see
+    ``output_laws``), so each tuple's ``lambda_phases`` cell is formatted
+    once, keyed by its id; the dict holds every tuple it has seen, so no id
+    is reused while it runs.
+    """
+    phases: dict[int, tuple] = {}
+    flags = repeat(None) if old_fermion_flags is None else old_fermion_flags
+    rows = []
+    for verdict, old in zip(verdicts, flags):
+        dist = verdict.distribution
+        if id(dist) not in phases:
+            phases[id(dist)] = (dist, ",".join(str(v) for v in dist))
+        row = [
+            _fmt_occupation(verdict.occupation_out),
+            phases[id(dist)][1],
+            _fmt_optional_bool(verdict.law_suppressed_boson),
+            _fmt_optional_bool(verdict.law_suppressed_fermion),
+            _fmt_optional_float(verdict.p_boson),
+            _fmt_optional_float(verdict.p_fermion),
+            _fmt_optional_float(verdict.p_dist),
+            verdict.event_class.value if verdict.event_class else "",
+        ]
+        if old is not None:
+            row.append(_fmt_optional_bool(old))
+        rows.append(row)
+    return rows
 
 
 def write_verdict_csv(path, verdicts, old_fermion_flags=None) -> None:
     columns = list(VERDICT_COLUMNS)
     if old_fermion_flags is not None:
         columns.append("old_fermion_suppressed")
-        rows = [verdict_row(v, old) for v, old in zip(verdicts, old_fermion_flags)]
-    else:
-        rows = [verdict_row(v) for v in verdicts]
+    rows = verdict_rows(verdicts, old_fermion_flags)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(";".join(columns) + "\n")
         for row in rows:

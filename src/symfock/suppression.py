@@ -8,17 +8,34 @@ modes. Two exact tests follow:
 * fermions: the multiset differs from the one fixed by the input
 
 Either verdict certifies a transition probability of exactly zero for every
-member of the unitary class. Both tests run on integer fractions only; no
-float ever enters a verdict.
+member of the unitary class. No float ever enters a verdict:
+:func:`output_laws` decides every law for a whole (K, n) array of outputs
+with int64 arithmetic only.
+
+* Phases as integers. With L the lcm of the eigenvalue denominators, the
+  eigenvalue num/den of column j is k_j = num * L / den L-ths of a turn, so
+  the eigenvalue product over output s is exactly (s @ k) mod L L-ths of a
+  turn. The boson law is (s @ k) % L != 0; the legacy DFT parity law
+  compares the same number with (-1)^w, which is 0 or L/2.
+* Multisets as counts. Over the sorted distinct eigenvalues, s @ onehot
+  counts how often each value is picked, and two multisets are equal iff
+  their count rows are. The fermion law compares each count row with the
+  input's; each distinct count row becomes one shared distribution tuple.
+
+Both are exact as long as no sum leaves int64: s @ k < N * L for N
+particles, so :func:`output_laws` refuses N * L >= 2^63 up front. The
+one-output predicates are wrappers over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from math import lcm
 
-from .fock import check_occupation, occupation_to_assignment
+import numpy as np
+
+from .fock import check_occupation
 from .permutations import Permutation, RootOfUnity, is_invariant
 
 #: Probabilities below this are treated as zero when classifying events.
@@ -26,6 +43,9 @@ CLASSIFY_TOL = 1e-10
 
 #: Multiset of eigenvalues, canonically sorted by phase fraction.
 EigenvalueDistribution = tuple[RootOfUnity, ...]
+
+#: Phase sums must stay below this, so int64 holds them exactly.
+_INT64_LIMIT = 1 << 63
 
 
 def _as_roots(values) -> tuple[RootOfUnity, ...]:
@@ -35,18 +55,6 @@ def _as_roots(values) -> tuple[RootOfUnity, ...]:
             raise TypeError(f"expected RootOfUnity entries, got {type(v).__name__}")
         out.append(v)
     return tuple(out)
-
-
-def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
-    """Eigenvalue multiset picked out by the occupied output modes."""
-    values = _as_roots(eigenvalues)
-    s = check_occupation(occupation_out)
-    if len(s) != len(values):
-        raise ValueError(
-            f"occupation over {len(s)} modes but {len(values)} eigenvalues"
-        )
-    picked = [values[mode - 1] for mode in occupation_to_assignment(s)]
-    return tuple(sorted(picked))
 
 
 def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistribution:
@@ -66,23 +74,93 @@ def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistributio
     return tuple(sorted(values))
 
 
-def phase_sum(distribution: EigenvalueDistribution) -> Fraction:
-    """Exact sum of the phase fractions, reduced modulo one turn."""
-    return sum((v.turns for v in distribution), Fraction(0)) % 1
+@dataclass(frozen=True)
+class OutputLaws:
+    """Law verdicts for K outputs, one entry per output row.
+
+    ``distributions`` holds each output's eigenvalue multiset; outputs with
+    equal multisets share one tuple. ``fermion`` is set when a permutation
+    and an input were given, ``parity`` when a witness ``w`` was.
+    """
+
+    boson: np.ndarray
+    distributions: tuple[EigenvalueDistribution, ...]
+    fermion: np.ndarray | None = None
+    parity: np.ndarray | None = None
+
+
+def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
+                occupation_in=None, w: int | None = None) -> OutputLaws:
+    """Decide the suppression laws for every row of a (K, n) output array.
+
+    Always gives the boson law and the eigenvalue distributions. With the
+    symmetry ``permutation`` and the fermionic ``occupation_in`` it also
+    gives the fermion law (the outputs must then be singly occupied); with
+    the parity witness ``w`` (:func:`transposition_count`) the legacy DFT
+    law. Everything is checked once, here; the arithmetic is int64 only.
+    """
+    values = _as_roots(eigenvalues)
+    n = len(values)
+    s = (np.asarray(outputs, dtype=np.int64).reshape(len(outputs), -1) if len(outputs)
+         else np.zeros((0, n), dtype=np.int64))
+    if (s < 0).any():
+        check_occupation(s[(s < 0).any(axis=1)][0])  # raises the usual message
+    if s.shape[1] != n:
+        raise ValueError(f"occupation over {s.shape[1]} modes but {n} eigenvalues")
+    initial: EigenvalueDistribution = ()
+    if (permutation is None) != (occupation_in is None):
+        raise ValueError("the fermion law needs both the permutation and the input occupation")
+    if permutation is not None:
+        if (s > 1).any():
+            check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
+        initial = initial_distribution(permutation, occupation_in)
+
+    turn = lcm(*(v.den for v in values))  # L: phases count in L-ths of a turn
+    n_particles = int(s.sum(axis=1).max(initial=0))
+    if max(n_particles, 1) * turn >= _INT64_LIMIT:
+        raise ValueError(f"phase sums overflow int64: {n_particles} particles times "
+                         f"lcm of eigenvalue denominators {turn} >= 2^63")
+    k = np.array([v.num * (turn // v.den) for v in values], dtype=np.int64)
+    phase = (s @ k) % turn  # the output's eigenvalue product, exactly
+    parity = None
+    if w is not None:
+        # (-1)^w is 0 or half a turn; an odd L never reaches half a turn
+        target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
+        parity = phase != target
+
+    distinct = sorted(set(values) | set(initial))
+    column = {v: c for c, v in enumerate(distinct)}
+    onehot = np.zeros((n, len(distinct)), dtype=np.int64)
+    onehot[np.arange(n), np.array([column[v] for v in values], dtype=np.intp)] = 1
+    counts = s @ onehot
+    fermion = None
+    if permutation is not None:
+        initial_counts = [0] * len(distinct)
+        for v in initial:
+            initial_counts[column[v]] += 1
+        fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
+
+    keys = list(map(tuple, counts.tolist()))
+    shared = {key: tuple(v for v, c in zip(distinct, key) for _ in range(c))
+              for key in set(keys)}
+    return OutputLaws(phase != 0, tuple(shared[key] for key in keys), fermion, parity)
+
+
+def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
+    """Eigenvalue multiset picked out by the occupied output modes."""
+    return output_laws(eigenvalues, [occupation_out]).distributions[0]
 
 
 def boson_suppressed(eigenvalues, occupation_out) -> bool:
     """True iff the eigenvalue product over the output differs from 1,
     certifying an exactly vanishing bosonic probability."""
-    return phase_sum(final_distribution(eigenvalues, occupation_out)) != 0
+    return bool(output_laws(eigenvalues, [occupation_out]).boson[0])
 
 
 def fermion_suppressed(p: Permutation, occupation_in, eigenvalues, occupation_out) -> bool:
     """True iff the output eigenvalue multiset differs from the input one,
     certifying an exactly vanishing fermionic probability."""
-    final = final_distribution(eigenvalues, occupation_out)
-    check_occupation(occupation_out, fermionic=True)
-    return final != initial_distribution(p, occupation_in)
+    return bool(output_laws(eigenvalues, [occupation_out], p, occupation_in).fermion[0])
 
 
 def transposition_count(p: Permutation, occupation_in) -> int:
@@ -100,8 +178,7 @@ def old_fourier_fermion_suppressed(eigenvalues, occupation_out, w: int) -> bool:
     """The older DFT fermion criterion: product of the output eigenvalues
     differs from (-1)^w. Kept for comparison; it predicts only a subset of
     the events the multiset test catches."""
-    target = Fraction(w, 2) % 1
-    return phase_sum(final_distribution(eigenvalues, occupation_out)) != target
+    return bool(output_laws(eigenvalues, [occupation_out], w=w).parity[0])
 
 
 class EventClass(Enum):

@@ -10,7 +10,7 @@ import pytest
 from symfock.experiments import run_fourier_comparison, run_mean_probabilities, CensusConfig
 from symfock.fock import ParticleType
 from symfock.linalg import haar_random_unitary
-from symfock.permutations import Permutation
+from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import (
     check_experiment_config,
     matrix_from_json,
@@ -21,9 +21,11 @@ from symfock.serialize import (
     read_verdict_csv,
     spec_from_json,
     spec_to_json,
+    verdict_rows,
     write_fit_csv,
     write_verdict_csv,
 )
+from symfock.suppression import EventVerdict
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
@@ -144,6 +146,16 @@ class TestVerdictCsv:
         table = read_verdict_csv(path)
         assert table.old_fermion_flags == comparison.old_fermion_flags
         assert table.verdicts == comparison.fermion_rows
+
+    def test_phase_cells_of_short_lived_distributions(self):
+        # each row's tuple is freed once the generator moves on, and CPython
+        # hands its memory, and so its id, to a later row's different tuple
+        def rows():
+            for k in range(200):
+                yield EventVerdict((1, 1), (RootOfUnity(k, 7), RootOfUnity(1, 3),
+                                            RootOfUnity(1, 2)), False)
+        cells = verdict_rows(rows())
+        assert [row[1] for row in cells] == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
 
     def test_float_cells_roundtrip_exactly(self, tmp_path, census_rows):
         path = tmp_path / "verdicts.csv"

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from symfock.fock import ParticleType, enumerate_outputs
-from symfock.permutations import Permutation, RootOfUnity
-from symfock.scattering import prob_boson, prob_fermion
+from symfock.fock import ParticleType, assignment_to_occupation, enumerate_outputs
+from symfock.fock import occupation_to_assignment
+from symfock.permutations import Permutation, RootOfUnity, eigenstructure
+from symfock.scattering import prob_boson, prob_fermion, probabilities
 from symfock.suppression import (
     EventClass,
     boson_suppressed,
@@ -14,10 +17,34 @@ from symfock.suppression import (
     final_distribution,
     initial_distribution,
     old_fourier_fermion_suppressed,
-    phase_sum,
+    output_laws,
     transposition_count,
 )
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
+
+
+# --- oracle: exact Fraction arithmetic, one output at a time -----------------
+
+def phase_sum(distribution) -> Fraction:
+    """Exact sum of the phase fractions, reduced modulo one turn."""
+    return sum((v.turns for v in distribution), Fraction(0)) % 1
+
+
+def oracle_distribution(eigenvalues, s):
+    return tuple(sorted(eigenvalues[mode - 1] for mode in occupation_to_assignment(s)))
+
+
+def oracle_boson(eigenvalues, s) -> bool:
+    return phase_sum(oracle_distribution(eigenvalues, s)) != 0
+
+
+def oracle_fermion(p, r, eigenvalues, s) -> bool:
+    return oracle_distribution(eigenvalues, s) != initial_distribution(p, r)
+
+
+def oracle_parity(eigenvalues, s, w) -> bool:
+    return phase_sum(oracle_distribution(eigenvalues, s)) != Fraction(w, 2) % 1
+
 
 ROOT = RootOfUnity
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
@@ -214,3 +241,151 @@ class TestSoundnessSmall:
         print(f"unpredicted zeros for the fully filled DFT(6) input: {len(unpredicted)}"
               f" e.g. {unpredicted[:3]}")
         assert True  # documentation only
+
+
+# --- output_laws against the oracle ------------------------------------------
+
+@st.composite
+def symmetric_setups(draw, max_n=8):
+    """A random permutation, its eigenvalues in a random column order, and a
+    fermionic input that fills a random set of whole cycles."""
+    n = draw(st.integers(1, max_n))
+    p = Permutation(draw(st.permutations(range(n))))
+    values = eigenstructure(p).eigenvalues
+    values = tuple(values[j] for j in draw(st.permutations(range(n))))
+    filled = draw(st.lists(st.booleans(), min_size=len(p.cycles0()), max_size=len(p.cycles0())))
+    r = [0] * n
+    for cycle, full in zip(p.cycles0(), filled):
+        for mode in cycle:
+            r[mode] = int(full)
+    return p, values, tuple(r)
+
+
+def _bunched_outputs(draw, n, particles, max_k=12):
+    return [assignment_to_occupation(
+        draw(st.lists(st.integers(1, n), min_size=particles, max_size=particles)), n)
+        for _ in range(draw(st.integers(0, max_k)))]
+
+
+def _fermionic_outputs(draw, n, particles, max_k=12):
+    return [assignment_to_occupation(
+        draw(st.lists(st.integers(1, n), min_size=particles, max_size=particles, unique=True)), n)
+        for _ in range(draw(st.integers(0, max_k)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_setups(), st.integers(0, 5), st.data())
+def test_output_laws_match_oracle_on_bunched_outputs(setup, particles, data):
+    _, values, _ = setup
+    outputs = _bunched_outputs(data.draw, len(values), particles)
+    w = data.draw(st.integers(0, 9))
+    laws = output_laws(values, outputs, w=w)
+    assert laws.fermion is None
+    assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
+    assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
+    assert laws.distributions == tuple(oracle_distribution(values, s) for s in outputs)
+    for dist, s in zip(laws.distributions, outputs):
+        assert ",".join(map(str, dist)) == ",".join(map(str, oracle_distribution(values, s)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_setups(), st.data())
+def test_output_laws_match_oracle_on_fermionic_outputs(setup, data):
+    p, values, r = setup
+    outputs = _fermionic_outputs(data.draw, len(values), sum(r))
+    w = transposition_count(p, r)
+    laws = output_laws(values, np.array(outputs, dtype=np.intp).reshape(-1, len(values)),
+                       p, r, w)
+    assert laws.fermion.tolist() == [oracle_fermion(p, r, values, s) for s in outputs]
+    assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
+    assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
+    assert laws.distributions == tuple(oracle_distribution(values, s) for s in outputs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_setups(), st.integers(0, 4), st.data())
+def test_equal_multisets_share_one_tuple(setup, particles, data):
+    _, values, _ = setup
+    outputs = _bunched_outputs(data.draw, len(values), particles)
+    laws = output_laws(values, outputs)
+    for a, da in zip(outputs, laws.distributions):
+        for b, db in zip(outputs, laws.distributions):
+            if oracle_distribution(values, a) == oracle_distribution(values, b):
+                assert da is db
+
+
+def test_fermion_law_without_the_input_values_suppresses_everything():
+    # the input's roots of unity (thirds) are missing from the diagonal
+    p = Permutation.parse("(1 2 3)")
+    values = (ROOT(0, 1), ROOT(1, 2), ROOT(1, 2))
+    outputs = list(enumerate_outputs(3, 3, ParticleType.FERMION))
+    assert output_laws(values, outputs, p, (1, 1, 1)).fermion.tolist() == [True]
+
+
+class TestOutputLawsBoundary:
+    def test_no_outputs(self):
+        laws = output_laws(WORKED_D, [], WORKED_PERM, WORKED_INPUT, w=1)
+        assert laws.distributions == ()
+        for verdicts in (laws.boson, laws.fermion, laws.parity):
+            assert verdicts.shape == (0,) and verdicts.dtype == bool
+        assert output_laws(WORKED_D, np.zeros((0, 8), dtype=np.intp)).boson.shape == (0,)
+
+    def test_refuses_phase_sums_beyond_int64(self):
+        values = (ROOT(1, 2**61), ROOT(0, 1))
+        with pytest.raises(ValueError, match="overflow int64"):
+            output_laws(values, [(4, 0)])
+        with pytest.raises(ValueError, match="overflow int64"):
+            boson_suppressed((ROOT(1, 3), ROOT(1, 2**62)), (1, 0))
+
+    def test_largest_accepted_phase_sums_stay_exact(self):
+        values = (ROOT(1, 2**61), ROOT(2**60 - 1, 2**61))  # 3 * 2^61 < 2^63
+        outputs = [(3, 0), (2, 1), (1, 2), (0, 3)]
+        assert output_laws(values, outputs).boson.tolist() == [
+            oracle_boson(values, s) for s in outputs]
+
+    def test_rejects_bad_outputs_with_the_usual_messages(self):
+        with pytest.raises(ValueError, match="negative occupation"):
+            output_laws(WORKED_D, [(1, 1, 1, 0, 0, 0, 1, 1), (0, -1, 2, 0, 0, 0, 1, 3)])
+        with pytest.raises(ValueError, match="eigenvalues"):
+            output_laws(WORKED_D, [(1, 0), (0, 1)])
+        with pytest.raises(ValueError, match="fermionic occupation exceeds 1"):
+            output_laws(WORKED_D, [(1, 1, 1, 1, 1, 0, 0, 0), (2, 1, 1, 1, 0, 0, 0, 0)],
+                        WORKED_PERM, WORKED_INPUT)
+        with pytest.raises(ValueError, match="needs both"):
+            output_laws(WORKED_D, [(1, 1, 1, 1, 1, 0, 0, 0)], WORKED_PERM)
+
+
+@st.composite
+def invariant_inputs(draw, max_n=6, max_particles=4):
+    """A random permutation and a non-empty input that is constant on its cycles."""
+    n = draw(st.integers(1, max_n))
+    p = Permutation(draw(st.permutations(range(n))))
+    r = [0] * n
+    for cycle in p.cycles0():
+        count = draw(st.integers(0, 2))
+        for mode in cycle:
+            r[mode] = count
+    assume(0 < sum(r) <= max_particles)
+    return p, tuple(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_inputs(), st.integers(0, 2**32 - 1))
+def test_boson_law_suppressed_outputs_vanish(setup, rotation_seed):
+    p, r = setup
+    built = build_unitary(UnitarySpec(p, rotation_seed=rotation_seed))
+    outputs = np.array(list(enumerate_outputs(p.n, sum(r), ParticleType.BOSON)))
+    suppressed = output_laws(built.eigenvalues, outputs).boson
+    p_boson = probabilities(built.matrix, r, outputs, ParticleType.BOSON)
+    assert np.all(p_boson[suppressed] <= 1e-20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_setups(max_n=7), st.integers(0, 2**32 - 1))
+def test_fermion_law_suppressed_outputs_vanish(setup, rotation_seed):
+    p, _, r = setup
+    built = build_unitary(UnitarySpec(p, rotation_seed=rotation_seed))
+    outputs = np.array(list(enumerate_outputs(p.n, sum(r), ParticleType.FERMION)))
+    suppressed = output_laws(built.eigenvalues, outputs, p, r).fermion
+    p_fermion = probabilities(built.matrix, r, outputs, ParticleType.FERMION)
+    assert np.all(p_fermion[suppressed] <= 1e-20)
