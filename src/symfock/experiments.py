@@ -22,8 +22,13 @@ one unitary in the census and the DFT comparison, all noise samples of one
 grid point in the unitary robustness fit. The distinguishability fit sends
 its Gram matrices to :func:`scattering.prob_partial` in sub-stacks of
 :data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
-B * N! deviation terms of a sub-stack near 2^13. The samples are still drawn
-one by one, in sample order, so batching changes no random draw.
+B * N! deviation terms of a sub-stack near 2^13. Each sub-stack of noise
+samples takes one random call (:meth:`scattering.PerturbationModel.sample`
+on a (B, n, n) shape, :func:`sample_distinguishability` with a count), laid
+out so that it equals the samples' lone draws in sample order bit for bit;
+the drawn Gram matrices are PSD-repaired with one stacked ``eigh``, and the
+probabilities of a grid point are reduced in one compensated loop, in
+sample order.
 
 Law verdicts and eigenvalue distributions come from one
 :func:`suppression.output_laws` call per output list, on the same (K, n)
@@ -92,7 +97,8 @@ def _output_array(outputs, n: int) -> np.ndarray:
 
 
 class _KahanMean:
-    """Streaming compensated mean/max over equally shaped rows, in arrival order."""
+    """Streaming compensated mean/max over equally shaped rows, in arrival
+    order (the census: one row of outputs per eigenbasis)."""
 
     def __init__(self, width: int):
         self.total = np.zeros(width)
@@ -110,6 +116,18 @@ class _KahanMean:
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
+
+
+def _compensated_mean(values: list[float]) -> float:
+    """Mean of a list of floats, summed in order with Kahan compensation:
+    the operations, and so the bits, of ``_KahanMean(1)``."""
+    total = compensation = 0.0
+    for value in values:
+        y = value - compensation
+        t = total + y
+        compensation = (t - total) - y
+        total = t
+    return total / len(values)
 
 
 # --- random-eigenbasis census ------------------------------------------------
@@ -417,7 +435,9 @@ class RobustnessFit:
     metadata: dict
 
 
-def _check_grid(grid) -> tuple[float, ...]:
+def _check_grid(grid, samples: int) -> tuple[float, ...]:
+    if samples < 1:
+        raise ValueError("need at least one sample per grid point")
     grid = tuple(float(g) for g in grid)
     if len(grid) < 4:
         raise ValueError("need at least four grid points for a fit")
@@ -471,7 +491,7 @@ def run_unitary_robustness(
     coefficient N * (prod s_j!/prod r_k!) * P_D.
     """
     started = time.perf_counter()
-    grid = _check_grid(grid)
+    grid = _check_grid(grid, samples)
     u = as_complex_matrix(unitary)
     r = check_occupation(input_state)
     s = check_occupation(target_output)
@@ -490,14 +510,12 @@ def run_unitary_robustness(
     for gi, g in enumerate(grid):
         model = PerturbationModel(g, distribution=distribution)
         rng = np.random.default_rng(derive_seed(seed, gi))
-        acc = _KahanMean(1)
+        values = []
         for start in range(0, samples, CHUNK):
-            # one draw per sample, in sample order; only the permanents are stacked
-            deltas = np.array([model.sample(u.shape, rng)
-                               for _ in range(min(CHUNK, samples - start))])
-            for p in probabilities(u * (1.0 + deltas), r, [s], particle):
-                acc.add(p)
-        measured.append(float(acc.mean()[0]))
+            # one draw per sub-stack, equal to its samples' draws in sample order
+            deltas = model.sample((min(CHUNK, samples - start), *u.shape), rng)
+            values += probabilities(u * (1.0 + deltas), r, [s], particle)[:, 0].tolist()
+        measured.append(_compensated_mean(values))
 
     exponent, prefactor = _fit_loglog(grid, measured, 2.0)
     metadata = {
@@ -526,38 +544,52 @@ GRAM_STACK_TERMS = 1 << 13
 
 
 def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
-                              ensemble: str = "independent",
-                              eta_scale: float = 1.0) -> tuple[np.ndarray, bool]:
-    """One random distinguishability matrix with average deficit ``mean_eps``.
+                              ensemble: str = "independent", eta_scale: float = 1.0,
+                              count: int | None = None) -> tuple[np.ndarray, bool | int]:
+    """Random distinguishability matrices with average deficit ``mean_eps``.
 
     ``independent`` perturbs every off-diagonal entry as (1-eps)*exp(i*eta)
     with eps uniform of mean ``mean_eps`` and eta zero-mean, bounded by
     ``eta_scale * mean_eps``; the result generically violates positivity at
-    first order and is projected back (flag reports a repair). ``gram``
-    builds an exact Gram matrix of almost-parallel unit vectors, which needs
-    no repair by construction.
+    first order and is projected back through
+    :func:`scattering.repair_distinguishability`. Matrices that need no
+    repair come back as drawn. ``gram`` builds an exact Gram matrix of
+    almost-parallel unit vectors, which needs no repair by construction.
+
+    Without ``count``: one (n, n) matrix and whether it was repaired. With
+    ``count``: a (count, n, n) stack from one random call, each sample's
+    arrays contiguous in the stream, so it equals ``count`` successive lone
+    draws bit for bit, and the number of repaired matrices.
     """
+    if ensemble not in GRAM_ENSEMBLES:
+        raise ValueError(f"unknown ensemble {ensemble!r}")
+    lead = () if count is None else (count,)
+    diagonal = np.arange(n)
     if ensemble == "independent":
-        eps = rng.uniform(0.0, 2.0 * mean_eps, size=(n, n))
-        eps = (eps + eps.T) / 2.0
-        eta = rng.uniform(-eta_scale * mean_eps, eta_scale * mean_eps, size=(n, n))
-        eta = (eta - eta.T) / 2.0
+        spread = eta_scale * mean_eps
+        low = np.array([0.0, -spread])[:, None, None]  # (eps, eta) bounds per sample
+        high = np.array([2.0 * mean_eps, spread])[:, None, None]
+        draw = rng.uniform(low, high, size=(*lead, 2, n, n))
+        eps, eta = draw[..., 0, :, :], draw[..., 1, :, :]
+        eps = (eps + eps.swapaxes(-1, -2)) / 2.0
+        eta = (eta - eta.swapaxes(-1, -2)) / 2.0
         s = (1.0 - eps) * np.exp(1j * eta)
-        np.fill_diagonal(s, 1.0)
+        s[..., diagonal, diagonal] = 1.0
         # one eigh decides and repairs; prob_partial checks every Gram it gets
-        repaired, flag = repair_distinguishability(s)
-        return (repaired, True) if flag else (s, False)
-    if ensemble == "gram":
-        # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
-        eps_j = rng.uniform(0.0, 2.0 * mean_eps, size=n)
-        t = np.arcsin(np.sqrt(np.minimum(eps_j, 1.0)))
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        a = np.cos(t)
-        b = np.sin(t) * np.exp(1j * phi)
-        s = np.outer(a, a) + np.outer(b, np.conj(b))
-        np.fill_diagonal(s, 1.0)
-        return s, False
-    raise ValueError(f"unknown ensemble {ensemble!r}")
+        repaired, mask = repair_distinguishability(s)
+        if count is None:
+            return (repaired, True) if mask else (s, False)
+        s[mask] = repaired[mask]
+        return s, int(mask.sum())
+    # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
+    high = np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # (eps_j, phi) bounds per sample
+    draw = rng.uniform(np.zeros((2, 1)), high, size=(*lead, 2, n))
+    t = np.arcsin(np.sqrt(np.minimum(draw[..., 0, :], 1.0)))
+    a = np.cos(t)
+    b = np.sin(t) * np.exp(1j * draw[..., 1, :])
+    s = a[..., :, None] * a[..., None, :] + b[..., :, None] * np.conj(b)[..., None, :]
+    s[..., diagonal, diagonal] = 1.0
+    return (s, False) if count is None else (s, 0)
 
 
 def run_distinguishability_robustness(
@@ -579,7 +611,7 @@ def run_distinguishability_robustness(
     PSD repairs of the sampled Gram matrices are counted in the metadata.
     """
     started = time.perf_counter()
-    grid = _check_grid(grid)
+    grid = _check_grid(grid, samples)
     r = check_occupation(input_state)
     s = check_occupation(target_output)
     _suppressed_target(eigenvalues, permutation, r, s, particle)
@@ -595,17 +627,14 @@ def run_distinguishability_robustness(
     repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
-        acc = _KahanMean(1)
+        values = []
         for start in range(0, samples, stack_size):
-            # one draw per sample, in sample order; the Gram matrices are stacked
-            grams = []
-            for _ in range(min(stack_size, samples - start)):
-                gram, repaired = sample_distinguishability(n, g, rng, ensemble, eta_scale)
-                repairs += repaired
-                grams.append(gram)
-            for p in prob_partial(unitary, r, s, np.array(grams), particle):
-                acc.add(p)
-        measured.append(float(acc.mean()[0]))
+            # one draw per sub-stack, equal to its samples' draws in sample order
+            grams, repaired = sample_distinguishability(
+                n, g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
+            repairs += repaired
+            values += prob_partial(unitary, r, s, grams, particle).tolist()
+        measured.append(_compensated_mean(values))
 
     exponent, prefactor = _fit_loglog(grid, measured, 1.0)
     metadata = {

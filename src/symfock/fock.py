@@ -78,5 +78,9 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
         assignments = combinations(range(1, n + 1), particles)
     else:
         assignments = combinations_with_replacement(range(1, n + 1), particles)
+    # the modes come from range(1, n + 1), so no range check per particle
     for assignment in assignments:
-        yield assignment_to_occupation(assignment, n)
+        counts = [0] * n
+        for mode in assignment:
+            counts[mode - 1] += 1
+        yield tuple(counts)

@@ -171,24 +171,32 @@ def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1
     return s
 
 
-def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool]:
+def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
     """Project onto the valid set by clipping negative eigenvalues and
     renormalising the diagonal back to one.
 
-    Returns the (possibly unchanged) matrix and whether a repair happened.
+    Takes one (n, n) matrix, returning its Hermitian part (repaired or not)
+    and whether a repair happened, or a (B, n, n) stack, returning the stack
+    of Hermitian parts and a (B,) mask of the repaired matrices. One ``eigh``
+    runs over the whole stack; only the matrices with lowest eigenvalue below
+    -1e-10 are clipped and renormalised, each with the bits of a lone call.
     """
-    s = as_complex_matrix(s_matrix)
-    herm = (s + s.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(herm)
-    if eigvals[0] >= -1e-10:
-        return herm, False
-    clipped = (eigvecs * np.maximum(eigvals, 0.0)[None, :]) @ eigvecs.conj().T
-    scale = np.sqrt(np.real(np.diagonal(clipped)))
-    if np.any(scale <= 0):
-        raise ValueError("PSD repair collapsed a diagonal entry to zero")
-    repaired = clipped / np.outer(scale, scale)
-    np.fill_diagonal(repaired, 1.0)
-    return repaired, True
+    s = as_complex_matrix(s_matrix, stack=True)
+    herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
+    stack = herm if herm.ndim == 3 else herm[None]
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    mask = eigvals[:, 0] < -1e-10
+    if mask.any():
+        vecs = eigvecs[mask]
+        clipped = (vecs * np.maximum(eigvals[mask], 0.0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+        scale = np.sqrt(np.real(np.diagonal(clipped, axis1=-2, axis2=-1)))
+        if np.any(scale <= 0):
+            raise ValueError("PSD repair collapsed a diagonal entry to zero")
+        repaired = clipped / (scale[:, :, None] * scale[:, None, :])
+        diagonal = np.arange(stack.shape[-1])
+        repaired[:, diagonal, diagonal] = 1.0
+        stack[mask] = repaired
+    return (herm, mask) if herm.ndim == 3 else (herm, bool(mask[0]))
 
 
 def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType) -> float | np.ndarray:
@@ -281,17 +289,36 @@ class PerturbationModel:
             raise ValueError(f"unknown deviation ensemble {self.distribution!r}")
 
     def sample(self, shape, rng: np.random.Generator) -> np.ndarray:
+        """Deviations for one (n, n) matrix or a (B, n, n) stack of B samples.
+
+        A stack takes one random call, laid out so that each sample's arrays
+        stay contiguous in the stream: it equals B successive (n, n) draws
+        bit for bit. ``gaussian`` and ``disk`` draw two arrays per sample
+        (real and imaginary part; radius and phase).
+        """
         if self.mean_abs == 0.0:
             return np.zeros(shape, dtype=complex)
+        # in place: a sub-stack of samples allocates one complex array, which
+        # keeps the peak memory of a fit flat
         if self.distribution == "ring":
-            phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-            return self.mean_abs * np.exp(1j * phase)
+            z = 1j * rng.uniform(0.0, 2.0 * np.pi, size=shape)
+            np.exp(z, out=z)
+            z *= self.mean_abs
+            return z
+        pairs = (*shape[:-2], 2, *shape[-2:])
         if self.distribution == "gaussian":
-            z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-            return z * (self.mean_abs / (np.sqrt(np.pi) / 2.0))  # E|z| = sqrt(pi)/2
-        radius = np.sqrt(rng.uniform(0.0, 1.0, size=shape))  # uniform over the disc
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
-        return radius * np.exp(1j * phase) * (self.mean_abs * 1.5)  # E radius = 2/3
+            draw = rng.standard_normal(pairs)
+            z = draw[..., 0, :, :] + 1j * draw[..., 1, :, :]
+            z /= np.sqrt(2.0)
+            z *= self.mean_abs / (np.sqrt(np.pi) / 2.0)  # E|z| = sqrt(pi)/2
+            return z
+        high = np.array([1.0, 2.0 * np.pi])[:, None, None]  # (radius^2, phase) bounds per sample
+        draw = rng.uniform(np.zeros((2, 1, 1)), high, size=pairs)
+        z = 1j * draw[..., 1, :, :]
+        np.exp(z, out=z)
+        z *= np.sqrt(draw[..., 0, :, :])  # radius, uniform over the disc
+        z *= self.mean_abs * 1.5  # E radius = 2/3
+        return z
 
 
 def perturb_unitary(u, model: PerturbationModel, rng=None) -> np.ndarray:

@@ -209,6 +209,13 @@ class TestUnitaryRobustness:
                 ParticleType.BOSON, (1e-2, 1e-3, 5e-3, 2e-3),
             )
 
+    def test_rejects_zero_samples(self):
+        built = build_unitary(UnitarySpec(HOM_PERM))
+        for fit in (run_unitary_robustness, run_distinguishability_robustness):
+            with pytest.raises(ValueError, match="at least one sample"):
+                fit(built.matrix, built.eigenvalues, (1, 1), (1, 1),
+                    ParticleType.BOSON, self.GRID, samples=0)
+
     def test_fermionic_target(self):
         perm, values = fourier_symmetry(4, 2)
         u = fourier_unitary(4)

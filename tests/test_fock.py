@@ -1,7 +1,10 @@
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symfock.fock import (
     ParticleType,
@@ -67,6 +70,18 @@ class TestEnumerateOutputs:
         if particles <= n:
             fermionic = sum(1 for _ in enumerate_outputs(n, particles, ParticleType.FERMION))
             assert fermionic == comb(n, particles)
+
+    @given(n=st.integers(1, 9), particles=st.integers(0, 6))
+    def test_counts_and_order_property(self, n, particles):
+        bosonic = list(enumerate_outputs(n, particles, ParticleType.BOSON))
+        assert len(bosonic) == comb(n + particles - 1, particles)
+        assert bosonic == [assignment_to_occupation(a, n)
+                           for a in combinations_with_replacement(range(1, n + 1), particles)]
+        if particles <= n:
+            fermionic = list(enumerate_outputs(n, particles, ParticleType.FERMION))
+            assert len(fermionic) == comb(n, particles)
+            assert fermionic == [assignment_to_occupation(a, n)
+                                 for a in combinations(range(1, n + 1), particles)]
 
     def test_duplicate_free_and_sum(self):
         for kind in (ParticleType.BOSON, ParticleType.FERMION):

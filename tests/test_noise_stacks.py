@@ -1,0 +1,231 @@
+"""Stacked noise draws, PSD repair and reductions of the robustness fits.
+
+The oracles are the per-sample versions the fits used before they drew whole
+sub-stacks: two draws per sample for the gaussian and disk deviations and for
+the sampled Gram matrices, one ``eigh`` and one clip per Gram matrix, and a
+fit loop that draws every sample alone and reduces through ``_KahanMean``.
+The stacked code has to give their bits, not just their values."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symfock.experiments import (
+    GRAM_STACK_TERMS,
+    _KahanMean,
+    derive_seed,
+    run_distinguishability_robustness,
+    run_unitary_robustness,
+    sample_distinguishability,
+)
+from symfock.fock import ParticleType
+from symfock.permutations import Permutation
+from symfock.scattering import (
+    CHUNK,
+    DELTA_DISTRIBUTIONS,
+    PerturbationModel,
+    prob_partial,
+    probabilities,
+    repair_distinguishability,
+)
+from symfock.unitaries import UnitarySpec, build_unitary
+
+ENSEMBLES = ("independent", "gram")
+WORKED = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
+WORKED_INPUT = (1, 1, 1, 0, 0, 0, 1, 1)
+WORKED_TARGET = (1, 1, 0, 1, 1, 0, 1, 0)
+GRID = (1e-3, 2e-3, 5e-3, 1e-2)
+
+
+def lone_deltas(model: PerturbationModel, shape, rng) -> np.ndarray:
+    """Deviations for one matrix, each array drawn by its own call."""
+    if model.distribution == "ring":
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+        return model.mean_abs * np.exp(1j * phase)
+    if model.distribution == "gaussian":
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return z * (model.mean_abs / (np.sqrt(np.pi) / 2.0))
+    radius = np.sqrt(rng.uniform(0.0, 1.0, size=shape))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    return radius * np.exp(1j * phase) * (model.mean_abs * 1.5)
+
+
+def lone_repair(s: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One ``eigh``, then clip and renormalise one matrix."""
+    herm = (s + s.conj().T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(herm)
+    if eigvals[0] >= -1e-10:
+        return herm, False
+    clipped = (eigvecs * np.maximum(eigvals, 0.0)[None, :]) @ eigvecs.conj().T
+    scale = np.sqrt(np.real(np.diagonal(clipped)))
+    if np.any(scale <= 0):
+        raise ValueError("PSD repair collapsed a diagonal entry to zero")
+    repaired = clipped / np.outer(scale, scale)
+    np.fill_diagonal(repaired, 1.0)
+    return repaired, True
+
+
+def lone_gram(n: int, mean_eps: float, rng, ensemble: str, eta_scale: float = 1.0):
+    """One Gram matrix, each array drawn by its own call."""
+    if ensemble == "independent":
+        eps = rng.uniform(0.0, 2.0 * mean_eps, size=(n, n))
+        eps = (eps + eps.T) / 2.0
+        eta = rng.uniform(-eta_scale * mean_eps, eta_scale * mean_eps, size=(n, n))
+        eta = (eta - eta.T) / 2.0
+        s = (1.0 - eps) * np.exp(1j * eta)
+        np.fill_diagonal(s, 1.0)
+        repaired, flag = lone_repair(s)
+        return (repaired, True) if flag else (s, False)
+    eps_j = rng.uniform(0.0, 2.0 * mean_eps, size=n)
+    t = np.arcsin(np.sqrt(np.minimum(eps_j, 1.0)))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    a = np.cos(t)
+    b = np.sin(t) * np.exp(1j * phi)
+    s = np.outer(a, a) + np.outer(b, np.conj(b))
+    np.fill_diagonal(s, 1.0)
+    return s, False
+
+
+def oracle_unitary_fit(u, r, s, particle, grid, samples, seed, distribution):
+    measured = []
+    for gi, g in enumerate(grid):
+        model = PerturbationModel(g, distribution=distribution)
+        rng = np.random.default_rng(derive_seed(seed, gi))
+        acc = _KahanMean(1)
+        for start in range(0, samples, CHUNK):
+            deltas = np.array([lone_deltas(model, u.shape, rng)
+                               for _ in range(min(CHUNK, samples - start))])
+            for p in probabilities(u * (1.0 + deltas), r, [s], particle):
+                acc.add(p)
+        measured.append(float(acc.mean()[0]))
+    return tuple(measured)
+
+
+def oracle_dist_fit(u, r, s, particle, grid, samples, seed, ensemble, eta_scale=1.0):
+    stack_size = max(1, GRAM_STACK_TERMS // 120)  # N = 5 particles
+    measured = []
+    repairs = 0
+    for gi, g in enumerate(grid):
+        rng = np.random.default_rng(derive_seed(seed, gi))
+        acc = _KahanMean(1)
+        for start in range(0, samples, stack_size):
+            grams = []
+            for _ in range(min(stack_size, samples - start)):
+                gram, repaired = lone_gram(u.shape[0], g, rng, ensemble, eta_scale)
+                repairs += repaired
+                grams.append(gram)
+            for p in prob_partial(u, r, s, np.array(grams), particle):
+                acc.add(p)
+        measured.append(float(acc.mean()[0]))
+    return tuple(measured), repairs
+
+
+seeds = st.integers(0, 2**32 - 1)
+scales = st.sampled_from((1e-4, 1e-3, 1e-2, 0.1, 0.4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, b=st.integers(0, 12), n=st.integers(1, 9), eps=scales,
+       distribution=st.sampled_from(DELTA_DISTRIBUTIONS))
+def test_stacked_deviations_equal_lone_draws(seed, b, n, eps, distribution):
+    model = PerturbationModel(eps, distribution=distribution)
+    stacked = model.sample((b, n, n), np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    lone = [lone_deltas(model, (n, n), rng) for _ in range(b)]
+    assert stacked.shape == (b, n, n)
+    assert np.array_equal(stacked, np.array(lone).reshape(b, n, n))
+    assert np.array_equal(model.sample((n, n), np.random.default_rng(seed)),
+                          lone_deltas(model, (n, n), np.random.default_rng(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, b=st.integers(1, 12), n=st.integers(1, 9), eps=scales,
+       ensemble=st.sampled_from(ENSEMBLES), eta_scale=st.sampled_from((0.5, 1.0, 3.0)))
+def test_stacked_grams_equal_lone_draws(seed, b, n, eps, ensemble, eta_scale):
+    stacked, repairs = sample_distinguishability(n, eps, np.random.default_rng(seed), ensemble,
+                                                 eta_scale, count=b)
+    rng = np.random.default_rng(seed)
+    lone = [lone_gram(n, eps, rng, ensemble, eta_scale) for _ in range(b)]
+    assert type(repairs) is int
+    assert repairs == sum(flag for _, flag in lone)
+    assert np.array_equal(stacked, np.array([gram for gram, _ in lone]))
+    gram, flag = sample_distinguishability(n, eps, np.random.default_rng(seed), ensemble, eta_scale)
+    assert type(flag) is bool
+    assert np.array_equal(gram, lone[0][0]) and flag == lone[0][1]
+
+
+def mixed_stack(rng, b: int, n: int) -> np.ndarray:
+    """Hermitian unit-diagonal matrices, every other one pushed out of the PSD
+    cone by an off-diagonal pair of modulus above 1 (its 2 x 2 minor has
+    eigenvalue 1 - |a| < 0), the rest exact Gram matrices."""
+    v = np.ones((b, n, 2)) + 0.3 * (rng.standard_normal((b, n, 2)) + 1j * rng.standard_normal((b, n, 2)))
+    v /= np.linalg.norm(v, axis=2)[:, :, None]
+    stack = v.conj() @ v.swapaxes(-1, -2)
+    diagonal = np.arange(n)
+    stack[:, diagonal, diagonal] = 1.0
+    a = rng.uniform(1.05, 1.5, size=b) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=b))
+    stack[::2, 0, 1] = a[::2]
+    stack[::2, 1, 0] = np.conj(a[::2])
+    return stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, b=st.integers(1, 10), n=st.integers(2, 9))
+def test_stacked_repair_equals_lone_calls(seed, b, n):
+    stack = mixed_stack(np.random.default_rng(seed), b, n)
+    repaired, mask = repair_distinguishability(stack)
+    lone = [lone_repair(m) for m in stack]
+    assert mask.tolist() == [flag for _, flag in lone]
+    assert mask[::2].all()
+    assert np.array_equal(repaired, np.array([m for m, _ in lone]))
+    for m, (expected, flag) in zip(stack, lone):
+        got, got_flag = repair_distinguishability(m)
+        assert type(got_flag) is bool and got_flag == flag
+        assert np.array_equal(got, expected)
+
+
+def test_repair_threshold_inside_a_stack():
+    # lowest eigenvalues on both sides of the -1e-10 repair threshold
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5)))
+    lowest = np.array([-1e-9, -1e-11, -2e-10])
+    eigvals = np.concatenate([lowest[:, None], np.full((3, 4), 1.25)], axis=1)
+    stack = (q * eigvals[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    repaired, mask = repair_distinguishability(stack)
+    lone = [lone_repair(m) for m in stack]
+    assert mask.tolist() == [True, False, True] == [flag for _, flag in lone]
+    assert np.array_equal(repaired, np.array([m for m, _ in lone]))
+
+
+def test_collapsed_diagonal_raises_from_inside_a_stack():
+    stack = mixed_stack(np.random.default_rng(3), 5, 4)
+    stack[3] = np.diag([1.0, 1.0, -1.0, 1.0])  # clipping leaves a zero diagonal entry
+    with pytest.raises(ValueError, match="collapsed a diagonal entry"):
+        repair_distinguishability(stack)
+
+
+SAMPLE_COUNTS = (1, 67, 68, 69, 513, 1025)  # around the Gram sub-stack (68) and CHUNK (512)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("distribution", DELTA_DISTRIBUTIONS)
+def test_unitary_fit_matches_per_sample_oracle(distribution, samples):
+    args = (WORKED.matrix, WORKED_INPUT, WORKED_TARGET, ParticleType.BOSON, GRID, samples, 11)
+    fit = run_unitary_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT, WORKED_TARGET,
+                                 ParticleType.BOSON, GRID, samples=samples, seed=11,
+                                 distribution=distribution)
+    assert fit.measured == oracle_unitary_fit(*args, distribution)
+
+
+@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_dist_fit_matches_per_sample_oracle(ensemble, samples):
+    assert GRAM_STACK_TERMS // 120 == 68
+    args = (WORKED.matrix, WORKED_INPUT, WORKED_TARGET, ParticleType.BOSON, GRID, samples, 12)
+    fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
+                                            WORKED_TARGET, ParticleType.BOSON, GRID,
+                                            samples=samples, seed=12, ensemble=ensemble)
+    measured, repairs = oracle_dist_fit(*args, ensemble)
+    assert fit.measured == measured
+    assert fit.metadata["psd_repairs"] == repairs

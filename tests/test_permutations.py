@@ -1,5 +1,9 @@
+from math import gcd
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symfock.linalg import haar_random_unitary, is_unitary
 from symfock.permutations import (
@@ -49,6 +53,34 @@ class TestRootOfUnity:
     def test_rejects_bad_denominator(self):
         with pytest.raises(ValueError):
             RootOfUnity(1, 0)
+
+
+roots = st.builds(RootOfUnity, st.integers(-10**6, 10**6), st.integers(1, 360))
+
+
+def is_reduced(x: RootOfUnity) -> bool:
+    return 0 <= x.num < x.den and gcd(x.num, x.den) == 1
+
+
+class TestRootOfUnityClosure:
+    @given(roots, roots)
+    def test_product_is_a_root_of_unity(self, x, y):
+        z = x * y
+        assert is_reduced(z)
+        assert z.turns == (x.turns + y.turns) % 1
+        assert z == y * x
+
+    @given(roots)
+    def test_conjugate_is_the_inverse(self, x):
+        c = x.conjugate()
+        assert is_reduced(c)
+        assert c.turns == (-x.turns) % 1
+        assert x * c == RootOfUnity(0, 1)
+        assert c.conjugate() == x
+
+    @given(roots)
+    def test_parse_inverts_str(self, x):
+        assert RootOfUnity.parse(str(x)) == x
 
 
 class TestPermutationParsing:
