@@ -15,11 +15,11 @@ derived from (seed, task index), reductions run in task order with
 compensated summation, and worker processes only change wall time, never a
 single output bit.
 
-Probabilities come per output stack from :func:`scattering.probabilities`,
-which checks the unitary, the input and the outputs once and then works
-through stacks of a constant size (``scattering.CHUNK``): all outputs of
-one unitary in the census and the DFT comparison, all noise samples of one
-grid point in the unitary robustness fit. The distinguishability fit sends
+Probabilities come from :func:`scattering.probabilities`, which checks the
+unitary, the input and the outputs once: all outputs of one unitary in the
+census and the DFT comparison (one polynomial expansion per unitary), all
+noise samples of one grid point in the unitary robustness fit (one permanent
+per sample, in stacks of ``scattering.CHUNK``). The distinguishability fit sends
 its Gram matrices to :func:`scattering.prob_partial` in sub-stacks of
 :data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
 B * N! deviation terms of a sub-stack near 2^13. Each sub-stack of noise
@@ -38,7 +38,6 @@ array the probabilities are computed from.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 from math import factorial, prod
@@ -223,6 +222,8 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     }
     tasks = ((cfg, b, boson_array, fermion_array) for b in range(cfg.num_bases))
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # about 20 ms of start-up, so only here
+
         chunk = max(1, cfg.num_bases // (cfg.workers * 8))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = pool.map(_census_basis_star, tasks, chunksize=chunk)

@@ -4,13 +4,23 @@ enumeration.
 An occupation list gives the particle count per mode; the matching
 assignment list names the mode of each particle, sorted non-decreasing.
 Assignment lists are 1-based like every user-facing mode index.
+
+:func:`outputs_up_to` and :func:`removal_ranks` are the array forms of the
+enumeration that the polynomial expansion of ``scattering`` walks: every
+output of each particle number up to a bound as one array, and where each
+output with one particle removed sits in the enumeration of one particle
+fewer.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from typing import Iterator
+
+import numpy as np
 
 
 class ParticleType(Enum):
@@ -84,3 +94,85 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
         for mode in assignment:
             counts[mode - 1] += 1
         yield tuple(counts)
+
+
+def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Every output of 1, 2, ..., ``particles`` particles in ``n`` modes as one
+    (L, n) array, grouped by particle number, each group in
+    :func:`enumerate_outputs` order; with the start of each group (and L).
+
+    Each group is built from the last: the outputs of d + 1 particles are
+    those of d particles, in order, each followed by its children t + e_k
+    for every mode k from the last occupied mode of t on (past it for
+    fermions), in mode order.
+    """
+    sizes = [comb(n, d) if fermionic else comb(n + d - 1, d) for d in range(1, particles + 1)]
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + size)
+    occ = np.zeros((starts[-1], n), dtype=np.intp)
+    last = np.zeros((1, n), dtype=np.intp)
+    first = np.zeros(1, dtype=np.intp)  # lowest mode a child may fill
+    for d in range(particles):
+        counts = n - first
+        parent = np.repeat(np.arange(len(last)), counts)
+        k = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent] + first[parent]
+        group = occ[starts[d]:starts[d + 1]]
+        np.take(last, parent, axis=0, out=group)
+        group[np.arange(len(group)), k] += 1
+        last, first = group, k + fermionic
+    return occ, starts
+
+
+@lru_cache(maxsize=32)
+def _rank_terms(n: int, top: int, fermionic: bool) -> np.ndarray:
+    """term(m, R) of :func:`removal_ranks` for R = 0..top, flattened by mode."""
+    if fermionic:
+        table = [[comb(n - 1 - m, x - 1) if x else 0 for x in range(top + 1)] for m in range(n)]
+    else:
+        table = [[comb(n - 2 - m + x, x - 1) if x else 0 for x in range(top + 1)] for m in range(n)]
+    flat = np.array(table, dtype=np.int64).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
+def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
+    """Where each output with one particle removed sits among the outputs of
+    one particle fewer.
+
+    ``outputs`` is a (K, n) array of occupations (0/1 for ``fermionic``),
+    of one or several particle numbers. Returns the (K, n) int64 array whose
+    entry (i, k) is the :func:`enumerate_outputs` rank of s_i - e_k among
+    the outputs of its particle number, or -1 where mode k of s_i is empty.
+
+    No loop over outputs. The rank of t is sum_m term(m, R_m, t_m), with R_m
+    the particles in the modes after m and term the number of outputs that
+    agree with t before mode m and put more particles on it: C(n-2-m+R, R-1)
+    for bosons; for fermions C(n-1-m, R-1) on an empty mode and 0 on an
+    occupied one. Removing a particle from mode k lowers R_m by one for
+    every m < k and t_k by one.
+    """
+    s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")  # (n, K): one row per mode
+    n = len(s)
+    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
+    for m in range(n - 2, -1, -1):
+        np.add(after[m + 1], s[m + 1], out=after[m])
+    top = int((after[0] + s[0]).max(initial=0))
+    flat = _rank_terms(n, top, fermionic)
+    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
+    here = flat.take(index)  # term(m, R_m); for the emptied mode k, term(k, R_k, t_k - 1)
+    step = flat.take(index - 1) - here  # term(m, R_m - 1) - term(m, R_m); wraps only where unused
+    if fermionic:
+        empty = 1 - s
+        step *= empty
+        total = (here * empty).sum(axis=0)
+    else:
+        total = here.sum(axis=0)
+    ranks = np.empty_like(s)  # rank(t - e_k) = total + sum_{m<k} step_m (+ here_k, fermions)
+    ranks[0] = total
+    for m in range(1, n):
+        np.add(ranks[m - 1], step[m - 1], out=ranks[m])
+    if fermionic:
+        ranks += here
+    np.copyto(ranks, -1, where=s == 0)
+    return ranks.T

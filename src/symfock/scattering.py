@@ -10,12 +10,32 @@ per output multiplicity. Probabilities:
 The proportionality constants are not taken on faith anywhere: the test
 suite pins them with the sum-to-one oracle over the full output enumeration.
 
-Probabilities are computed per output stack. :func:`probabilities` checks
-U, the input and the list of outputs once, at its entry, gathers the
-scattering matrices by row and column index into stacks of at most
-:data:`CHUNK` (a module constant), and hands each stack to the stack-aware
-permanent or determinant. ``prob_boson``, ``prob_fermion`` and
-``prob_distinguishable`` are its one-output wrappers.
+:func:`probabilities` checks U, the input and the list of outputs once, at
+its entry, and then takes one of two kernels.
+
+* The expansion. The amplitudes of all outputs of one input are the
+  coefficients of one product of linear forms,
+
+      prod_j (sum_k U[d(j), k] x_k) = sum_s perm(M_s) / prod s_k! * x^s,
+
+  (Scheel, quant-ph/0406127 (2004); Aaronson & Arkhipov, Theory of
+  Computing 9, 143 (2013)), with anticommuting x_k for fermions (every
+  N x N minor, det(M_T)) and |U|^2 in place of U for distinguishable
+  particles. :func:`expansion` builds the product one particle at a time:
+  the degrees below N in full, the top degree only for the listed outputs,
+  n * (sum_{d<N} K_d + K) multiply-adds in all.
+* One permanent or determinant per output: the scattering matrices,
+  gathered by row and column index into stacks of at most :data:`CHUNK` (a
+  module constant), go to the stack-aware Ryser permanent or LU
+  determinant, K * 2^N * N or K * N^3 work.
+
+:func:`expansion_pays` picks the cheaper from (n, N, K) alone. A lone
+output always takes the permanent or the determinant, so the one-output
+wrappers ``prob_boson``, ``prob_fermion`` and ``prob_distinguishable`` and
+the robustness fits keep the bits of a lone Ryser or LU call; the census,
+the DFT comparison and the verdict tables take the expansion. Either way a
+probability's bits depend on neither the stack it came in nor the block
+boundaries.
 
 Partial distinguishability is handled by a Gram matrix S of internal states
 on the n modes (all-ones = indistinguishable, identity = fully
@@ -33,12 +53,20 @@ matrix of a stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
+from functools import lru_cache
+from math import comb, factorial, prod
 
 import numpy as np
 
-from .fock import ParticleType, check_occupation, occupation_to_assignment
+from .fock import (
+    ParticleType,
+    check_occupation,
+    occupation_to_assignment,
+    outputs_up_to,
+    removal_ranks,
+)
 from .linalg import (
+    RYSER_MAX,
     as_complex_matrix,
     determinant,
     permanent_ryser,
@@ -52,8 +80,9 @@ PARTIAL_MAX = 8
 
 _NEGATIVE_FLOOR = -1e-12
 
-#: Scattering matrices per stack. A constant, so a stack never grows with the
-#: run: 512 matrices at N = 6 take 0.3 MB.
+#: Scattering matrices per stack, or (matrix, output) coefficients per
+#: expansion block. A constant, so a stack never grows with the run: 512
+#: matrices at N = 6 take 0.3 MB.
 CHUNK = 512
 
 
@@ -99,20 +128,150 @@ def scattering_matrix(u, occupation_in, occupation_out) -> np.ndarray:
     return u[np.ix_(_assignment0(r), _columns(s, sum(r))[0])]
 
 
+def expansion_pays(n: int, particles: int, outputs: int, kind: ParticleType,
+                   single: bool = False) -> bool:
+    """Whether :func:`probabilities` expands the product of the input's linear
+    forms rather than computing one permanent or determinant per output.
+
+    The expansion costs n * (sum_{d<N} K_d + K) multiply-adds for K outputs,
+    K_d being the C(n+d-1, d) multisets of d particles, or the C(n, d)
+    subsets when ``single`` (every output has at most one particle per
+    mode, which fermion outputs always have). One output costs 2^N * N by
+    Ryser, N^3 by LU. A lone output always takes the permanent or the
+    determinant, and so do more than :data:`linalg.RYSER_MAX` bosons or
+    distinguishable particles, which the Ryser refuses: the expansion
+    accepts no input the permanent would not.
+    """
+    if outputs < 2 or (particles > RYSER_MAX and kind is not ParticleType.FERMION):
+        return False
+    single = single or kind is ParticleType.FERMION
+    lower = sum(comb(n, d) if single else comb(n + d - 1, d) for d in range(particles))
+    per_output = particles ** 3 if kind is ParticleType.FERMION else 2 ** particles * particles
+    return n * (lower + outputs) < outputs * per_output
+
+
+def _odd_after(t: np.ndarray) -> np.ndarray:
+    """(n, K) mask of an odd number of particles after mode k, for 0/1 rows t."""
+    after = t[:, ::-1].cumsum(axis=1)[:, ::-1] - t
+    return (after % 2 == 1).T
+
+
+@lru_cache(maxsize=4)
+def _lower_parents(n: int, particles: int, single: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The parents of every output of 1..``particles`` particles, as (n, L)
+    ranks from :func:`fock.removal_ranks`, with the fermion signs for 0/1
+    outputs and the start of each particle number. They depend on the
+    lattice only, so every basis of a census and every kind reuses them.
+    One pass of blocks over all particle numbers: the rank terms do not
+    depend on the particle number.
+    """
+    lower, starts = outputs_up_to(n, particles, single)
+    ranked = np.empty((n, len(lower)), dtype=np.int32 if len(lower) < 2**31 else np.int64)
+    odd = np.empty((n, len(lower) if single else 0), dtype=bool)
+    for start in range(0, len(lower), CHUNK):
+        t = lower[start:start + CHUNK]
+        ranked[:, start:start + CHUNK] = removal_ranks(t, single).T
+        if single:
+            odd[:, start:start + CHUNK] = _odd_after(t)
+    ranked.flags.writeable = odd.flags.writeable = False
+    return ranked, odd, starts
+
+
+def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
+              fermionic: bool = False) -> np.ndarray:
+    """Coefficients of x^s in prod_j (sum_k W[rows[j], k] x_k), for a (B, n, n)
+    stack of checked matrices W, the (N,) input modes ``rows`` of the
+    particles and a checked (K, n) array of outputs; a (B, K) array.
+
+    With W = U the coefficient of s is perm(M_s) / prod s_k!; with W = |U|^2
+    it is the distinguishable probability. With ``fermionic`` the linear
+    forms anticommute and the coefficient of a 0/1 output T is det(M_T),
+    rows in input order and columns ascending. The product is built one
+    particle at a time,
+
+        c_{d+1}(t) = sum_{k: t_k > 0} sign * W[rows[d], k] * c_d(t - e_k),
+
+    sign = (-1)^(particles of t after mode k) for fermions, else 1. Every
+    degree below N is expanded in full, over all multisets, or over the 0/1
+    outputs when every output is one (fermions included); the top degree
+    only for ``outputs``. The parents t - e_k come from
+    :func:`fock.removal_ranks`, whose -1 for an empty mode picks a zero row
+    appended to c_d; those of the degrees below N are cached per (n, N,
+    lattice). Rows go through in blocks of :data:`CHUNK` // B, one
+    multiply-add per mode k = 0..n-1 in that order, so a coefficient's bits
+    depend on neither B nor the block boundaries.
+    """
+    b, n = weights.shape[0], weights.shape[-1]
+    if not (len(rows) and len(outputs) and b):
+        return np.ones((b, len(outputs)), dtype=weights.dtype)
+    single = fermionic or not (outputs > 1).any()
+    ranked, odd, starts = _lower_parents(n, len(rows) - 1, single)
+    coeffs = np.ones((1, b), dtype=weights.dtype)  # degree 0: the constant 1
+    block = max(1, CHUNK // b)
+    for d, row in enumerate(rows):
+        top = d + 1 == len(rows)
+        size = len(outputs) if top else starts[d + 1] - starts[d]
+        padded = np.concatenate([coeffs, np.zeros((1, b), dtype=weights.dtype)])
+        coeffs = np.empty((size, b), dtype=weights.dtype)
+        w = weights[:, row, :].T[:, None, :]
+        for start in range(0, size, block):
+            stop = min(start + block, size)
+            if top:
+                t = outputs[start:stop]
+                parents, flip = removal_ranks(t, single).T, _odd_after(t) if fermionic else None
+            else:
+                part = slice(starts[d] + start, starts[d] + stop)
+                parents, flip = ranked[:, part], odd[:, part]
+            terms = padded[parents]  # (n, rows, B): c_d(t - e_k), zero where t_k = 0
+            terms *= w
+            if fermionic:
+                np.negative(terms, out=terms, where=flip[:, :, None])
+            acc = coeffs[start:stop]
+            acc[...] = terms[0]
+            for k in range(1, n):
+                acc += terms[k]
+    return coeffs.T
+
+
 def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
     """Transition probabilities from one input to every listed output.
 
     ``u`` is one (n, n) matrix, giving a (K,) array for K outputs, or a
     (B, n, n) stack, giving a (B, K) array. ``u``, the input and the outputs
-    are checked once, here. The (matrix, output) pairs then go through the
-    stack-aware permanent or determinant in stacks of at most :data:`CHUNK`
-    scattering matrices, gathered by row and column indices.
-    Every probability has the bits of a lone call on its own matrix.
+    are checked once, here. Where :func:`expansion_pays`, every output comes
+    from one :func:`expansion` per matrix; otherwise the (matrix, output)
+    pairs go through the stack-aware permanent or determinant in stacks of
+    at most :data:`CHUNK` scattering matrices, gathered by row and column
+    indices. Either way every probability has the bits of a call on its own
+    matrix with the same outputs.
     """
     u = as_complex_matrix(u, stack=True)
     stack = u if u.ndim == 3 else u[None]
     r, s = _check_outputs(stack, occupation_in, outputs, kind is ParticleType.FERMION)
     rows = _assignment0(r)
+    if expansion_pays(len(r), len(rows), len(s), kind, not (s > 1).any()):
+        result = _expanded_probabilities(stack, r, rows, s, kind)
+    else:
+        result = _per_output_probabilities(stack, r, rows, s, kind)
+    result = _clamp_probability(result)
+    return result if u.ndim == 3 else result[0]
+
+
+def _expanded_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarray:
+    if kind is ParticleType.DISTINGUISHABLE:
+        return expansion(np.abs(stack) ** 2, rows, s)
+    c = expansion(stack, rows, s, kind is ParticleType.FERMION)
+    result = c.real ** 2 + c.imag ** 2
+    if kind is ParticleType.BOSON:  # |perm M|^2 / (prod r! prod s!) = |c|^2 prod s! / prod r!
+        factorials = np.array([float(factorial(k)) for k in range(len(rows) + 1)])
+        norm = np.ones(len(s))
+        for column in s.T:  # one mode at a time, with no (K, n) array: exact integers
+            norm *= factorials[column]
+        result *= norm / prod(factorials[list(r)])
+    return result
+
+
+def _per_output_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarray:
     factorials = np.array([factorial(k) for k in range(len(rows) + 1)], dtype=object)
     input_norm = prod(factorials[list(r)]) if kind is ParticleType.BOSON else 1
     n_pairs = len(stack) * len(s)
@@ -130,8 +289,7 @@ def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
             values = np.array([abs(z) ** 2 for z in amp.tolist()])
         norm = factorials[s[k]].prod(axis=1) * input_norm  # exact integers, rounded once
         result[pair] = values / norm.astype(float)
-    result = _clamp_probability(result).reshape(len(stack), len(s))
-    return result if u.ndim == 3 else result[0]
+    return result.reshape(len(stack), len(s))
 
 
 def prob_boson(u, occupation_in, occupation_out) -> float:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 CLASS_COLORS = {
     "I": "#9aa0a6",
     "II": "#e8a33d",
@@ -14,6 +12,12 @@ CLASS_COLORS = {
 
 _WIDTH, _HEIGHT = 900, 320
 _MARGIN_LEFT, _MARGIN_BOTTOM, _MARGIN_TOP = 50, 30, 30
+
+
+def _escape(text: str) -> str:
+    """XML text escaping, the bytes of ``xml.sax.saxutils.escape`` without
+    its import (which loads ``urllib.request``, ``http.client`` and ``ssl``)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def bar_chart(values, classes=None, title: str = "") -> str:
@@ -36,7 +40,7 @@ def bar_chart(values, classes=None, title: str = "") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<text x="{_MARGIN_LEFT}" y="18" font-size="13" font-family="sans-serif">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
         f'<line x1="{_MARGIN_LEFT}" y1="{_HEIGHT - _MARGIN_BOTTOM}" x2="{_WIDTH - 10}" '
         f'y2="{_HEIGHT - _MARGIN_BOTTOM}" stroke="#444" stroke-width="1"/>',
         f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" '

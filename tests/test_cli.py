@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import symfock
 from symfock.cli import main
 from symfock.linalg import haar_random_unitary
 from symfock.serialize import matrix_to_json, read_verdict_csv
@@ -270,3 +274,17 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert "target_output" in err and "grid" in err
+
+
+def test_cli_import_loads_no_network_or_process_pool_modules():
+    """``import symfock.cli`` in a fresh interpreter pulls in neither the
+    network stack (once loaded through ``xml.sax.saxutils``) nor the process
+    pool, which only a multi-worker census needs."""
+    heavy = ("ssl", "http.client", "urllib.request", "concurrent.futures.process")
+    code = f"import sys, symfock.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    package_root = os.path.dirname(os.path.dirname(symfock.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
