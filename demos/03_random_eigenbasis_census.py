@@ -28,22 +28,17 @@ cfg = CensusConfig(
 result = run_mean_probabilities(cfg)
 
 for kind in (ParticleType.BOSON, ParticleType.FERMION):
-    rows = result.tables[kind]
-    classes = Counter(row.event_class.value for row in rows)
-    print(f"{kind.value}: {len(rows)} outputs over {bases} bases")
+    table = result.tables[kind]
+    classes = Counter(event.value for event in table.classes)
+    print(f"{kind.value}: {len(table)} outputs over {bases} bases")
     print(f"  classes: I={classes['I']}  II={classes['II']}  "
           f"III={classes['III']}  transmitted={classes['IV']}")
     print(f"  worst suppressed probability across every basis: "
           f"{result.max_suppressed[kind]:.2e}")
-    p = "p_boson" if kind is ParticleType.BOSON else "p_fermion"
-    transmitted = sum(getattr(row, p) for row in rows)
-    print(f"  transmitted probability sums to {transmitted:.12f}")
-    top = sorted(
-        (row for row in rows if row.event_class.value == "IV"),
-        key=lambda row: -getattr(row, p),
-    )[:3]
-    for row in top:
-        print(f"  brightest: {row.occupation_out} mean P = {getattr(row, p):.5f}")
+    print(f"  transmitted probability sums to {sum(table.p):.12f}")
+    transmitted = [i for i, event in enumerate(table.classes) if event.value == "IV"]
+    for i in sorted(transmitted, key=lambda i: -table.p[i])[:3]:
+        print(f"  brightest: {tuple(table.outputs[i].tolist())} mean P = {table.p[i]:.5f}")
     print()
 
 print("class III is the interesting set: classically those outputs stay")

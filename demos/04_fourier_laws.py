@@ -13,12 +13,9 @@ from symfock.experiments import run_fourier_comparison
 
 print("n=6 bosons, shift of order 3, input (1,0,1,0,1,0)")
 comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
-agree = all(
-    row.law_suppressed_boson == (row.p_boson <= 1e-20)
-    for row in comparison.boson_rows
-)
-print(f"  verdict == (permanent vanishes) on all {len(comparison.boson_rows)} "
-      f"outputs: {agree}")
+boson = comparison.boson_table
+agree = bool((boson.boson == (boson.p <= 1e-20)).all())
+print(f"  verdict == (permanent vanishes) on all {len(boson)} outputs: {agree}")
 print(f"  fermion counts: multiset law {comparison.counts['fermion_new_law']}, "
       f"parity law {comparison.counts['fermion_old_law']} (identical sets here)")
 print()
@@ -26,14 +23,15 @@ print()
 print("n=8 fermions, shift of order 2, input (1,0,1,0,1,0,1,0)")
 comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
 counts = comparison.counts
-print(f"  multiset law suppresses {counts['fermion_new_law']} of "
-      f"{len(comparison.fermion_rows)} outputs")
+fermion = comparison.fermion_table
+print(f"  multiset law suppresses {counts['fermion_new_law']} of {len(fermion)} outputs")
 print(f"  parity law suppresses   {counts['fermion_old_law']}")
 print(f"  strictly new: {counts['fermion_new_not_old']}")
+rows = {tuple(s): i for i, s in enumerate(fermion.outputs.tolist())}
 for witness in comparison.witnesses:
-    row = next(r for r in comparison.fermion_rows if r.occupation_out == witness)
+    i = rows[witness]
     print(f"    witness {witness}: eigenvalue multiset "
-          f"{[str(v) for v in row.distribution]}, exact P_F = {row.p_fermion:.2e}")
+          f"{[str(v) for v in fermion.distributions[i]]}, exact P_F = {fermion.p[i]:.2e}")
 print()
 print("both witnesses keep the eigenvalue product at +1, which is all the")
 print("parity test sees; the multiset test notices the wrong multiplicities")

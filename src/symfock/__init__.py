@@ -37,7 +37,7 @@ from .scattering import (
 )
 from .suppression import (
     EventClass,
-    EventVerdict,
+    VerdictTable,
     boson_suppressed,
     classify_event,
     fermion_suppressed,
@@ -45,6 +45,7 @@ from .suppression import (
     initial_distribution,
     old_fourier_fermion_suppressed,
     output_laws,
+    verdict_table,
 )
 from .unitaries import (
     ConstructedUnitary,
@@ -80,7 +81,7 @@ __all__ = [
     "prob_partial",
     "scattering_matrix",
     "EventClass",
-    "EventVerdict",
+    "VerdictTable",
     "boson_suppressed",
     "classify_event",
     "fermion_suppressed",
@@ -88,6 +89,7 @@ __all__ = [
     "initial_distribution",
     "old_fourier_fermion_suppressed",
     "output_laws",
+    "verdict_table",
     "ConstructedUnitary",
     "UnitarySpec",
     "build_unitary",

@@ -14,8 +14,7 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from collections import Counter
 
 from . import __version__
 from .experiments import (
@@ -26,11 +25,10 @@ from .experiments import (
     run_mean_probabilities,
     run_unitary_robustness,
 )
-from .fock import ParticleType, enumerate_outputs, particle_count
+from .fock import ParticleType, output_array, particle_count
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
-    VERDICT_COLUMNS,
     check_experiment_config,
     matrix_from_json,
     matrix_to_json,
@@ -38,12 +36,12 @@ from .serialize import (
     parse_permutation,
     spec_from_json,
     spec_to_json,
-    verdict_rows,
+    verdict_lines,
     write_fit_csv,
     write_metadata,
     write_verdict_csv,
 )
-from .suppression import EventVerdict, classify_event, output_laws
+from .suppression import verdict_table
 from .svg import bar_chart, write_verdict_svg
 from .unitaries import (
     SymmetryError,
@@ -105,33 +103,6 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _verdict_rows(built, input_state, kind: ParticleType):
-    u, eigenvalues = built.matrix, built.eigenvalues
-    perm = built.spec.permutation
-    outputs = list(enumerate_outputs(perm.n, particle_count(input_state), kind))
-    array = np.array(outputs, dtype=np.intp).reshape(len(outputs), perm.n)
-    p_dist = probabilities(u, input_state, array, ParticleType.DISTINGUISHABLE).tolist()
-    p_kind = (p_dist if kind is ParticleType.DISTINGUISHABLE
-              else probabilities(u, input_state, array, kind).tolist())
-    fermionic = kind is ParticleType.FERMION
-    laws = (output_laws(eigenvalues, array, perm, input_state) if fermionic
-            else output_laws(eigenvalues, array))
-    law_f = laws.fermion.tolist() if fermionic else [None] * len(outputs)
-    rows = []
-    for s, dist, law_b, lf, p, p_d in zip(outputs, laws.distributions, laws.boson.tolist(),
-                                         law_f, p_kind, p_dist):
-        if kind is ParticleType.BOSON:
-            rows.append(EventVerdict(s, dist, law_b, p_boson=p, p_dist=p_d,
-                                     event_class=classify_event(law_b, p, p_d)))
-        elif fermionic:
-            rows.append(EventVerdict(s, dist, law_b, law_suppressed_fermion=lf, p_fermion=p,
-                                     p_dist=p_d, event_class=classify_event(lf, p, p_d)))
-        else:
-            rows.append(EventVerdict(s, dist, law_b, p_dist=p_d,
-                                     event_class=classify_event(False, p_d, p_d)))
-    return rows
-
-
 def cmd_verdicts(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
     input_state = parse_occupation(args.input_state)
@@ -140,21 +111,22 @@ def cmd_verdicts(args) -> int:
     if kind is ParticleType.FERMION and any(x > 1 for x in input_state):
         raise UsageError("fermionic verdicts need a singly occupied input state")
     built = build_unitary(spec)
-    rows = _verdict_rows(built, input_state, kind)
+    outputs = output_array(spec.permutation.n, particle_count(input_state), kind)
+    p_dist = probabilities(built.matrix, input_state, outputs, ParticleType.DISTINGUISHABLE)
+    p = (p_dist if kind is ParticleType.DISTINGUISHABLE
+         else probabilities(built.matrix, input_state, outputs, kind))
+    fermion_law = (spec.permutation, input_state) if kind is ParticleType.FERMION else ()
+    table = verdict_table(built.eigenvalues, outputs, kind, p, p_dist, *fermion_law)
     if args.out:
-        write_verdict_csv(args.out, rows)
+        write_verdict_csv(args.out, table)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        print(";".join(VERDICT_COLUMNS))
-        for cells in verdict_rows(rows):
-            print(";".join(cells))
+        sys.stdout.writelines(verdict_lines(table))
     if args.svg:
-        write_verdict_svg(args.svg, rows, title=f"{kind.value} events, "
+        write_verdict_svg(args.svg, table, title=f"{kind.value} events, "
                           f"{spec.permutation.cycle_string()} r={list(input_state)}")
         print(f"wrote {args.svg}", file=sys.stderr)
-    classes = {}
-    for row in rows:
-        classes[row.event_class.value] = classes.get(row.event_class.value, 0) + 1
+    classes = Counter(event.value for event in table.classes.tolist())
     print("class counts:", json.dumps(classes, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -188,13 +160,12 @@ def _experiment_unitary(payload):
 
 def cmd_experiment(args) -> int:
     payload = _load_json(args.config)
+    if isinstance(payload, dict):  # overrides pass the same checks as the config's own keys
+        payload |= {key: value for key, value in (("seed", args.seed), ("bases", args.bases))
+                    if value is not None}
     problems = check_experiment_config(payload)
     if problems:
         raise UsageError("invalid experiment config: " + "; ".join(problems))
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.bases is not None:
-        payload["bases"] = args.bases
     kind = payload["kind"]
     out = args.out or "experiment"
 
@@ -209,24 +180,23 @@ def cmd_experiment(args) -> int:
             workers=args.threads,
         )
         result = run_mean_probabilities(cfg)
-        for kind_, rows in result.tables.items():
-            write_verdict_csv(f"{out}.{kind_.value}.csv", rows)
+        for kind_, table in result.tables.items():
+            write_verdict_csv(f"{out}.{kind_.value}.csv", table)
         write_metadata(f"{out}.meta.json", result.metadata | {
             "max_suppressed": {k.value: v for k, v in result.max_suppressed.items()},
         })
         if args.svg:
-            first = result.tables[types[0]]
-            write_verdict_svg(args.svg, first, title=f"mean probabilities ({types[0].value})")
+            write_verdict_svg(args.svg, result.tables[types[0]],
+                              title=f"mean probabilities ({types[0].value})")
         print(f"wrote {out}.*.csv and {out}.meta.json", file=sys.stderr)
         return 0
 
     if kind == "fourier-comparison":
         comparison = run_fourier_comparison(payload["modes"], payload["order"],
                                             tuple(payload["input_state"]))
-        write_verdict_csv(f"{out}.boson.csv", comparison.boson_rows)
-        if comparison.fermion_rows:
-            write_verdict_csv(f"{out}.fermion.csv", comparison.fermion_rows,
-                              old_fermion_flags=comparison.old_fermion_flags)
+        write_verdict_csv(f"{out}.boson.csv", comparison.boson_table)
+        if comparison.fermion_table is not None:
+            write_verdict_csv(f"{out}.fermion.csv", comparison.fermion_table)
         write_metadata(f"{out}.meta.json", comparison.metadata | {
             "counts": comparison.counts,
             "witnesses": [list(s) for s in comparison.witnesses],

@@ -30,22 +30,23 @@ the drawn Gram matrices are PSD-repaired with one stacked ``eigh``, and the
 probabilities of a grid point are reduced in one compensated loop, in
 sample order.
 
-Law verdicts and eigenvalue distributions come from one
-:func:`suppression.output_laws` call per output list, on the same (K, n)
-array the probabilities are computed from.
+Each census and DFT table is one column-oriented
+:class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
+from the (K, n) output array the probabilities are computed from and the two
+probability columns: one :func:`suppression.output_laws` call per table, and
+every row's event class at once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 from math import factorial, prod
 
 import numpy as np
 
 from . import __version__
-from .fock import ParticleType, check_occupation, enumerate_outputs, particle_count
+from .fock import ParticleType, check_occupation, output_array, particle_count
 from .linalg import as_complex_matrix
 from .permutations import Permutation, RootOfUnity, cycle_decompose
 from .scattering import (
@@ -58,12 +59,11 @@ from .scattering import (
 )
 from .suppression import (
     CLASSIFY_TOL,
-    EventVerdict,
+    VerdictTable,
     boson_suppressed,
-    classify_event,
     fermion_suppressed,
-    output_laws,
     transposition_count,
+    verdict_table,
 )
 from .unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
@@ -88,11 +88,6 @@ def require_invariant(p: Permutation, occupation) -> None:
         values = {occ[mode - 1] for mode in cycle}
         if len(values) > 1:
             raise ValueError(f"input state not invariant under cycle {cycle}")
-
-
-def _output_array(outputs, n: int) -> np.ndarray:
-    """The (K, n) array of a list of output occupations."""
-    return np.array(outputs, dtype=np.intp).reshape(len(outputs), n)
 
 
 class _KahanMean:
@@ -159,7 +154,7 @@ class CensusConfig:
 @dataclass
 class CensusResult:
     eigenvalues: tuple[RootOfUnity, ...]
-    tables: dict[ParticleType, tuple[EventVerdict, ...]]
+    tables: dict[ParticleType, VerdictTable]
     max_suppressed: dict[ParticleType, float]
     metadata: dict
 
@@ -174,12 +169,13 @@ def _census_basis(cfg: CensusConfig, basis_index: int,
     )
     u = build_unitary(spec).matrix
     r = cfg.input_state
-    want_bosonic = ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types
+    types = cfg.types
     pb = pd = pf = pdf = np.empty(0)
-    if want_bosonic:
+    if ParticleType.BOSON in types:
         pb = probabilities(u, r, boson_outputs, ParticleType.BOSON)
+    if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
         pd = probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE)
-    if ParticleType.FERMION in cfg.types:
+    if ParticleType.FERMION in types:
         pf = probabilities(u, r, fermion_outputs, ParticleType.FERMION)
         pdf = probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
         pdf = pdf / pdf.sum()  # distinguishable reference on singly occupied outputs
@@ -193,10 +189,11 @@ def _census_basis_star(args):
 def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     """Average P over ``num_bases`` seeded eigenbasis rotations.
 
-    Returns one verdict row per output configuration and particle type, with
-    mean probabilities, the exact law verdicts (identical for every basis,
-    since rotations never touch the eigenvalue diagonal) and the empirical
-    event class derived from the means.
+    Returns one verdict table per particle type, with mean probabilities,
+    the exact law verdicts (identical for every basis, since rotations never
+    touch the eigenvalue diagonal) and the empirical event class derived
+    from the means. Each basis computes only the probabilities its tables
+    use.
     """
     started = time.perf_counter()
     p = cfg.permutation
@@ -204,15 +201,10 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     n_particles = particle_count(r)
 
     eigenvalues = build_unitary(UnitarySpec(p)).eigenvalues
-    boson_outputs = list(enumerate_outputs(p.n, n_particles, ParticleType.BOSON))
-    fermion_outputs = (
-        list(enumerate_outputs(p.n, n_particles, ParticleType.FERMION))
-        if ParticleType.FERMION in cfg.types
-        else []
-    )
     # one (K, n) array per output list, shared by the kernels and the laws
-    boson_array = _output_array(boson_outputs, p.n)
-    fermion_array = _output_array(fermion_outputs, p.n)
+    boson_outputs = output_array(p.n, n_particles, ParticleType.BOSON)
+    fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
+                       if ParticleType.FERMION in cfg.types else np.zeros((0, p.n), dtype=np.intp))
 
     acc = {
         "pb": _KahanMean(len(boson_outputs)),
@@ -220,7 +212,7 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
         "pf": _KahanMean(len(fermion_outputs)),
         "pdf": _KahanMean(len(fermion_outputs)),
     }
-    tasks = ((cfg, b, boson_array, fermion_array) for b in range(cfg.num_bases))
+    tasks = ((cfg, b, boson_outputs, fermion_outputs) for b in range(cfg.num_bases))
     if cfg.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # about 20 ms of start-up, so only here
 
@@ -238,65 +230,22 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
                 if row.size:
                     acc[key].add(row)
 
-    tables: dict[ParticleType, tuple[EventVerdict, ...]] = {}
+    tables: dict[ParticleType, VerdictTable] = {}
     max_suppressed: dict[ParticleType, float] = {}
-
-    if ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types:
-        mean_pb, mean_pd = acc["pb"].mean(), acc["pd"].mean()
-        peak_pb = acc["pb"].peak
-        laws = output_laws(eigenvalues, boson_array)
-        law = laws.boson.tolist()
-        if ParticleType.BOSON in cfg.types:
-            rows = tuple(
-                EventVerdict(
-                    occupation_out=s,
-                    distribution=dist,
-                    law_suppressed_boson=lb,
-                    p_boson=float(mpb),
-                    p_dist=float(mpd),
-                    event_class=classify_event(lb, float(mpb), float(mpd)),
-                )
-                for s, dist, lb, mpb, mpd in zip(boson_outputs, laws.distributions, law,
-                                                 mean_pb, mean_pd)
-            )
-            tables[ParticleType.BOSON] = rows
-            max_suppressed[ParticleType.BOSON] = float(
-                max(compress(peak_pb, law), default=0.0)
-            )
-        if ParticleType.DISTINGUISHABLE in cfg.types:
-            tables[ParticleType.DISTINGUISHABLE] = tuple(
-                EventVerdict(
-                    occupation_out=s,
-                    distribution=dist,
-                    law_suppressed_boson=lb,
-                    p_dist=float(mpd),
-                    event_class=classify_event(False, float(mpd), float(mpd)),
-                )
-                for s, dist, lb, mpd in zip(boson_outputs, laws.distributions, law, mean_pd)
-            )
-
+    if ParticleType.BOSON in cfg.types:
+        table = verdict_table(eigenvalues, boson_outputs, ParticleType.BOSON,
+                              acc["pb"].mean(), acc["pd"].mean())
+        tables[ParticleType.BOSON] = table
+        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[table.boson].max(initial=0.0))
+    if ParticleType.DISTINGUISHABLE in cfg.types:
+        mean_pd = acc["pd"].mean()
+        tables[ParticleType.DISTINGUISHABLE] = verdict_table(
+            eigenvalues, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
     if ParticleType.FERMION in cfg.types:
-        mean_pf, mean_pdf = acc["pf"].mean(), acc["pdf"].mean()
-        peak_pf = acc["pf"].peak
-        laws = output_laws(eigenvalues, fermion_array, p, r)
-        law_f = laws.fermion.tolist()
-        rows = tuple(
-            EventVerdict(
-                occupation_out=s,
-                distribution=dist,
-                law_suppressed_boson=lb,
-                law_suppressed_fermion=lf,
-                p_fermion=float(mpf),
-                p_dist=float(mpd),
-                event_class=classify_event(lf, float(mpf), float(mpd)),
-            )
-            for s, dist, lb, lf, mpf, mpd in zip(fermion_outputs, laws.distributions,
-                                                 laws.boson.tolist(), law_f, mean_pf, mean_pdf)
-        )
-        tables[ParticleType.FERMION] = rows
-        max_suppressed[ParticleType.FERMION] = float(
-            max(compress(peak_pf, law_f), default=0.0)
-        )
+        table = verdict_table(eigenvalues, fermion_outputs, ParticleType.FERMION,
+                              acc["pf"].mean(), acc["pdf"].mean(), p, r)
+        tables[ParticleType.FERMION] = table
+        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[table.fermion].max(initial=0.0))
 
     metadata = {
         "experiment": "mean-probabilities",
@@ -320,22 +269,20 @@ class FourierComparison:
     m: int
     input_state: tuple[int, ...]
     eigenvalues: tuple[RootOfUnity, ...]
-    boson_rows: tuple[EventVerdict, ...]
-    fermion_rows: tuple[EventVerdict, ...]
-    old_fermion_flags: tuple[bool, ...]
+    boson_table: VerdictTable
+    fermion_table: VerdictTable | None
     transpositions: int | None
     witnesses: tuple[tuple[int, ...], ...]
     metadata: dict
 
     @property
     def counts(self) -> dict:
-        new = sum(1 for row in self.fermion_rows if row.law_suppressed_fermion)
-        old = sum(1 for flag in self.old_fermion_flags if flag)
+        fermion = self.fermion_table
         return {
-            "fermion_new_law": new,
-            "fermion_old_law": old,
+            "fermion_new_law": 0 if fermion is None else int(fermion.fermion.sum()),
+            "fermion_old_law": 0 if fermion is None else int(fermion.parity.sum()),
             "fermion_new_not_old": len(self.witnesses),
-            "boson_law": sum(1 for row in self.boson_rows if row.law_suppressed_boson),
+            "boson_law": int(self.boson_table.boson.sum()),
         }
 
 
@@ -343,9 +290,9 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     """Exact verdict tables for the n-mode DFT under the shift symmetry of
     order m, with the legacy parity criterion alongside the multiset one.
 
-    The fermionic comparison runs only for singly occupied inputs; the
-    witnesses list holds every output the multiset test suppresses that the
-    parity test misses.
+    The fermionic comparison runs only for singly occupied inputs (otherwise
+    ``fermion_table`` is None); the witnesses list holds every output the
+    multiset test suppresses that the parity test misses.
     """
     started = time.perf_counter()
     perm, eigenvalues = fourier_symmetry(n, m)
@@ -354,51 +301,22 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     u = fourier_unitary(n)
     n_particles = sum(r)
 
-    boson_outputs = list(enumerate_outputs(n, n_particles, ParticleType.BOSON))
-    outputs = _output_array(boson_outputs, n)
-    laws = output_laws(eigenvalues, outputs)
-    boson_rows = [
-        EventVerdict(
-            occupation_out=s,
-            distribution=dist,
-            law_suppressed_boson=lb,
-            p_boson=pb,
-            p_dist=pd,
-            event_class=classify_event(lb, pb, pd),
-        )
-        for s, dist, lb, pb, pd in zip(
-            boson_outputs, laws.distributions, laws.boson.tolist(),
-            probabilities(u, r, outputs, ParticleType.BOSON).tolist(),
-            probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE).tolist())
-    ]
-
-    fermion_rows: list[EventVerdict] = []
-    old_flags: list[bool] = []
+    outputs = output_array(n, n_particles, ParticleType.BOSON)
+    boson_table = verdict_table(eigenvalues, outputs, ParticleType.BOSON,
+                                probabilities(u, r, outputs, ParticleType.BOSON),
+                                probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE))
+    fermion_table = None
     witnesses: list[tuple[int, ...]] = []
     w = None
     if n_particles <= n and all(x <= 1 for x in r):
         w = transposition_count(perm, r)
-        fermion_outputs = list(enumerate_outputs(n, n_particles, ParticleType.FERMION))
-        outputs = _output_array(fermion_outputs, n)
-        laws = output_laws(eigenvalues, outputs, perm, r, w)
-        fermion_rows = [
-            EventVerdict(
-                occupation_out=s,
-                distribution=dist,
-                law_suppressed_boson=lb,
-                law_suppressed_fermion=lf,
-                p_fermion=pf,
-                p_dist=pd,
-                event_class=classify_event(lf, pf, pd),
-            )
-            for s, dist, lb, lf, pf, pd in zip(
-                fermion_outputs, laws.distributions, laws.boson.tolist(), laws.fermion.tolist(),
-                probabilities(u, r, outputs, ParticleType.FERMION).tolist(),
-                probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE).tolist())
-        ]
-        old_flags = laws.parity.tolist()
-        witnesses = [row.occupation_out for row, old in zip(fermion_rows, old_flags)
-                     if row.law_suppressed_fermion and not old]
+        outputs = output_array(n, n_particles, ParticleType.FERMION)
+        fermion_table = verdict_table(eigenvalues, outputs, ParticleType.FERMION,
+                                      probabilities(u, r, outputs, ParticleType.FERMION),
+                                      probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE),
+                                      perm, r, w)
+        new_not_old = fermion_table.fermion & ~fermion_table.parity
+        witnesses = list(map(tuple, outputs[new_not_old].tolist()))
 
     metadata = {
         "experiment": "fourier-comparison",
@@ -409,10 +327,8 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
         "library_version": __version__,
         "timing_seconds": time.perf_counter() - started,
     }
-    return FourierComparison(
-        n, m, r, eigenvalues, tuple(boson_rows), tuple(fermion_rows),
-        tuple(old_flags), w, tuple(witnesses), metadata,
-    )
+    return FourierComparison(n, m, r, eigenvalues, boson_table, fermion_table, w,
+                             tuple(witnesses), metadata)
 
 
 # --- robustness fits -------------------------------------------------------

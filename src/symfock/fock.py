@@ -96,6 +96,11 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
         yield tuple(counts)
 
 
+def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
+    """Every output of :func:`enumerate_outputs` as one (K, n) array, in its order."""
+    return np.array(list(enumerate_outputs(n, particles, kind)), dtype=np.intp).reshape(-1, n)
+
+
 def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:
     """Every output of 1, 2, ..., ``particles`` particles in ``n`` modes as one
     (L, n) array, grouped by particle number, each group in

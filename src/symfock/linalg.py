@@ -87,12 +87,8 @@ def permutation_signs(n: int) -> np.ndarray:
     return _SIGN_TABLES[n]
 
 
-def permanent_naive(matrix, signed: bool = False) -> complex:
+def permanent_naive(matrix) -> complex:
     """Permanent by explicit enumeration of all n! permutations.
-
-    With ``signed=True`` each term carries the permutation signature, which
-    turns the sum into the Leibniz determinant; that variant exists purely as
-    an oracle for the elimination-based determinant.
 
     Only sensible for n <= 10.
     """
@@ -103,10 +99,7 @@ def permanent_naive(matrix, signed: bool = False) -> complex:
     if n == 0:
         return 1.0 + 0.0j
     table = permutation_table(n)
-    terms = np.prod(m[np.arange(n)[None, :], table], axis=1)
-    if signed:
-        terms = terms * permutation_signs(n)
-    return complex(terms.sum())
+    return complex(np.prod(m[np.arange(n)[None, :], table], axis=1).sum())
 
 
 def permanent_ryser(matrix):

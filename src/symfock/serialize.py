@@ -3,20 +3,21 @@
 Numbers cross the file boundary losslessly: floats are written with
 ``repr`` (shortest round-trip form) and eigenvalue phases as exact "k/l"
 fractions. Verdict CSVs are semicolon separated because the s and phase
-columns contain commas.
+columns contain commas. A verdict CSV is written from a
+:class:`suppression.VerdictTable` one column at a time, with empty cells for
+the columns its particle kind lacks, and reads back into one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 
 import numpy as np
 
 from .fock import ParticleType
 from .permutations import Permutation, RootOfUnity
-from .suppression import EventClass, EventVerdict
+from .suppression import EventClass, VerdictTable
 from .unitaries import UnitarySpec
 
 VERDICT_COLUMNS = (
@@ -132,99 +133,83 @@ def spec_to_json(spec: UnitarySpec) -> dict:
 
 # --- verdict tables ---------------------------------------------------------
 
-def _fmt_occupation(s) -> str:
-    return "[" + ",".join(map(str, s)) + "]"  # the compact JSON array of the integers
+def _flag_cells(column) -> list[str]:
+    return [("false", "true")[flag] for flag in column.tolist()]
 
 
-def _fmt_optional_float(value) -> str:
-    return "" if value is None else repr(float(value))
+def verdict_lines(table: VerdictTable):
+    """The verdict CSV of a table, line by line: the header, then one line
+    per output, with an ``old_fermion_suppressed`` column when the table has
+    the parity law.
 
-
-def _fmt_optional_bool(value) -> str:
-    return "" if value is None else ("true" if value else "false")
-
-
-def verdict_rows(verdicts, old_fermion_flags=None) -> list[list[str]]:
-    """The cells of every verdict row, plus an ``old_fermion_suppressed`` cell
-    per row when flags are given.
-
-    Rows with equal multisets share one distribution tuple (see
-    ``output_laws``), so each tuple's ``lambda_phases`` cell is formatted
-    once, keyed by its id; the dict holds every tuple it has seen, so no id
-    is reused while it runs.
+    Every column is formatted in one pass over its array; floats as the
+    ``repr`` of each ``.tolist()`` value, each distinct eigenvalue
+    distribution once (rows with equal multisets share one tuple, see
+    ``output_laws``, and the table holds every tuple, so no id is reused).
     """
-    phases: dict[int, tuple] = {}
-    flags = repeat(None) if old_fermion_flags is None else old_fermion_flags
-    rows = []
-    for verdict, old in zip(verdicts, flags):
-        dist = verdict.distribution
-        if id(dist) not in phases:
-            phases[id(dist)] = (dist, ",".join(str(v) for v in dist))
-        row = [
-            _fmt_occupation(verdict.occupation_out),
-            phases[id(dist)][1],
-            _fmt_optional_bool(verdict.law_suppressed_boson),
-            _fmt_optional_bool(verdict.law_suppressed_fermion),
-            _fmt_optional_float(verdict.p_boson),
-            _fmt_optional_float(verdict.p_fermion),
-            _fmt_optional_float(verdict.p_dist),
-            verdict.event_class.value if verdict.event_class else "",
-        ]
-        if old is not None:
-            row.append(_fmt_optional_bool(old))
-        rows.append(row)
-    return rows
+    empty = [""] * len(table)
+    probs = list(map(repr, table.p.tolist()))
+    distinct = {id(dist): dist for dist in table.distributions}
+    phases = {key: ",".join(map(str, dist)) for key, dist in distinct.items()}
+    columns = [
+        [str(s).replace(" ", "") for s in table.outputs.tolist()],  # compact JSON arrays
+        [phases[id(dist)] for dist in table.distributions],
+        _flag_cells(table.boson),
+        empty if table.fermion is None else _flag_cells(table.fermion),
+        probs if table.kind is ParticleType.BOSON else empty,
+        probs if table.kind is ParticleType.FERMION else empty,
+        list(map(repr, table.p_dist.tolist())),
+        [event.value for event in table.classes.tolist()],
+    ]
+    header = list(VERDICT_COLUMNS)
+    if table.parity is not None:
+        header.append("old_fermion_suppressed")
+        columns.append(_flag_cells(table.parity))
+    return chain([";".join(header) + "\n"], (";".join(row) + "\n" for row in zip(*columns)))
 
 
-def write_verdict_csv(path, verdicts, old_fermion_flags=None) -> None:
-    columns = list(VERDICT_COLUMNS)
-    if old_fermion_flags is not None:
-        columns.append("old_fermion_suppressed")
-    rows = verdict_rows(verdicts, old_fermion_flags)
+def write_verdict_csv(path, table: VerdictTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(";".join(columns) + "\n")
-        for row in rows:
-            fh.write(";".join(row) + "\n")
-
-
-@dataclass(frozen=True)
-class VerdictTable:
-    columns: tuple[str, ...]
-    verdicts: tuple[EventVerdict, ...]
-    old_fermion_flags: tuple[bool, ...] | None
+        fh.writelines(verdict_lines(table))
 
 
 def read_verdict_csv(path) -> VerdictTable:
+    """The table of a verdict CSV. Its kind is the one whose probability
+    column is filled; a table without rows reads as distinguishable."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
-    columns = tuple(lines[0].split(";"))
-    if columns[: len(VERDICT_COLUMNS)] != VERDICT_COLUMNS:
-        raise ValueError(f"unexpected verdict CSV header: {columns}")
-    has_old = "old_fermion_suppressed" in columns
-    verdicts = []
-    old_flags = []
-    for line in lines[1:]:
-        cells = line.split(";")
-        record = dict(zip(columns, cells))
-        verdicts.append(
-            EventVerdict(
-                occupation_out=tuple(json.loads(record["s"])),
-                distribution=tuple(
-                    RootOfUnity.parse(tok) for tok in record["lambda_phases"].split(",") if tok
-                ),
-                law_suppressed_boson=record["boson_suppressed"] == "true",
-                law_suppressed_fermion=(
-                    None if record["fermion_suppressed"] == "" else record["fermion_suppressed"] == "true"
-                ),
-                p_boson=None if record["p_boson"] == "" else float(record["p_boson"]),
-                p_fermion=None if record["p_fermion"] == "" else float(record["p_fermion"]),
-                p_dist=None if record["p_dist"] == "" else float(record["p_dist"]),
-                event_class=EventClass(record["class"]) if record["class"] else None,
-            )
-        )
-        if has_old:
-            old_flags.append(record["old_fermion_suppressed"] == "true")
-    return VerdictTable(columns, tuple(verdicts), tuple(old_flags) if has_old else None)
+    header = tuple(lines[0].split(";"))
+    if header[: len(VERDICT_COLUMNS)] != VERDICT_COLUMNS:
+        raise ValueError(f"unexpected verdict CSV header: {header}")
+    rows = [line.split(";") for line in lines[1:]]
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"verdict CSV row {number} has {len(row)} cells, expected {len(header)}")
+    cells = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+    def floats(name):
+        return np.array(list(map(float, cells[name])), dtype=float)
+
+    def flags(name):
+        return np.array([cell == "true" for cell in cells[name]], dtype=bool)
+
+    kind = (ParticleType.BOSON if any(cells["p_boson"]) else
+            ParticleType.FERMION if any(cells["p_fermion"]) else ParticleType.DISTINGUISHABLE)
+    parsed = {cell: tuple(RootOfUnity.parse(tok) for tok in cell.split(",") if tok)
+              for cell in set(cells["lambda_phases"])}
+    return VerdictTable(
+        kind=kind,
+        outputs=np.array([json.loads(cell) for cell in cells["s"]],
+                         dtype=np.int64).reshape(len(rows), -1 if rows else 0),
+        distributions=tuple(parsed[cell] for cell in cells["lambda_phases"]),
+        boson=flags("boson_suppressed"),
+        p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
+                 .get(kind, "p_dist")),
+        p_dist=floats("p_dist"),
+        classes=np.array([EventClass(cell) for cell in cells["class"]], dtype=object),
+        fermion=flags("fermion_suppressed") if kind is ParticleType.FERMION else None,
+        parity=flags("old_fermion_suppressed") if "old_fermion_suppressed" in header else None,
+    )
 
 
 def write_fit_csv(path, fit) -> None:
@@ -316,14 +301,19 @@ def check_experiment_config(payload: dict) -> list[str]:
         need("input_state", list)
         occupation_ok("input_state")
         if "types" in payload:
-            if not isinstance(payload["types"], list):
-                problems.append("'types' must be a list")
+            if not isinstance(payload["types"], list) or not payload["types"]:
+                problems.append("'types' must be a non-empty list")
             else:
+                seen = set()
                 for t in payload["types"]:
                     try:
-                        ParticleType.parse(t)
+                        particle = ParticleType.parse(t)
                     except (ValueError, TypeError, AttributeError):
                         problems.append(f"unknown particle type {t!r}")
+                        continue
+                    if particle in seen:
+                        problems.append(f"'types' names {particle.value!r} twice")
+                    seen.add(particle)
     elif kind == "fourier-comparison":
         need("modes", int)
         need("order", int)

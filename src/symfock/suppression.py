@@ -25,6 +25,10 @@ with int64 arithmetic only.
 Both are exact as long as no sum leaves int64: s @ k < N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. The
 one-output predicates are wrappers over it.
+
+:func:`verdict_table` is the one builder of verdict tables: it joins one
+:func:`output_laws` call with the probabilities of the same outputs and
+classifies every row at once into a column-oriented :class:`VerdictTable`.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import lcm
 
 import numpy as np
 
-from .fock import check_occupation
+from .fock import ParticleType, check_occupation
 from .permutations import Permutation, RootOfUnity, is_invariant
 
 #: Probabilities below this are treated as zero when classifying events.
@@ -192,32 +196,74 @@ class EventClass(Enum):
     CLASS_III = "III"
 
 
-def classify_event(law_suppressed: bool, p_particle: float, p_dist: float,
-                   tol: float = CLASSIFY_TOL) -> EventClass:
-    """Sort one output event into classes I/II/III/IV.
+#: Event classes by the codes :func:`classify_event` computes.
+_CLASS_BY_CODE = np.array([EventClass.ALLOWED, EventClass.CLASS_I, EventClass.CLASS_II,
+                           EventClass.CLASS_III], dtype=object)
+
+
+def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL):
+    """Sort output events into classes I/II/III/IV.
 
     Law-suppressed events split on the distinguishable probability: above
     ``tol`` the vanishing needs many-particle interference (III), below it
     the single-particle dynamics already forbids the event (II). Events that
     vanish for both the coherent and the distinguishable case without a law
     verdict are class I; everything else is transmitted (IV).
+
+    Scalars give one :class:`EventClass`; arrays (scalars broadcast) give an
+    object array of them, one per event.
     """
-    if law_suppressed:
-        return EventClass.CLASS_III if p_dist > tol else EventClass.CLASS_II
-    if p_particle <= tol and p_dist <= tol:
-        return EventClass.CLASS_I
-    return EventClass.ALLOWED
+    p_dist = np.asarray(p_dist)
+    code = np.where(law_suppressed, np.where(p_dist > tol, 3, 2),
+                    np.where((np.asarray(p_particle) <= tol) & (p_dist <= tol), 1, 0))
+    return _CLASS_BY_CODE[code]
 
 
-@dataclass(frozen=True)
-class EventVerdict:
-    """Per-output record: law verdicts, probabilities, empirical class."""
+@dataclass(frozen=True, eq=False)
+class VerdictTable:
+    """Verdicts of K outputs for one particle kind, one array per column.
 
-    occupation_out: tuple[int, ...]
-    distribution: EigenvalueDistribution
-    law_suppressed_boson: bool
-    law_suppressed_fermion: bool | None = None
-    p_boson: float | None = None
-    p_fermion: float | None = None
-    p_dist: float | None = None
-    event_class: EventClass | None = None
+    ``outputs`` is the (K, n) occupation array and ``distributions`` each
+    row's eigenvalue multiset (rows with equal multisets share one tuple).
+    ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
+    only) and ``parity`` the legacy DFT law (when a parity witness was
+    given). ``p`` is the kind's probability, which for distinguishable
+    particles is ``p_dist``; ``classes`` holds each row's :class:`EventClass`.
+    """
+
+    kind: ParticleType
+    outputs: np.ndarray
+    distributions: tuple[EigenvalueDistribution, ...]
+    boson: np.ndarray
+    p: np.ndarray
+    p_dist: np.ndarray
+    classes: np.ndarray
+    fermion: np.ndarray | None = None
+    parity: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+
+def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
+                  permutation: Permutation | None = None, occupation_in=None,
+                  w: int | None = None) -> VerdictTable:
+    """The verdict table of a (K, n) output array for one particle kind.
+
+    ``p`` and ``p_dist`` hold each output's probability for ``kind`` and for
+    distinguishable particles (a distinguishable table passes ``p_dist``
+    twice). Fermion tables, and only they, take the symmetry ``permutation``
+    and the input, plus the parity witness ``w`` for the legacy DFT law. One
+    :func:`output_laws` call decides every law; each class follows from the
+    row's own law (none for distinguishable particles) and probabilities.
+    """
+    if (kind is ParticleType.FERMION) != (permutation is not None):
+        raise ValueError("fermion tables, and only they, take the permutation and the input")
+    laws = output_laws(eigenvalues, outputs, permutation, occupation_in, w)
+    p, p_dist = np.asarray(p, dtype=float), np.asarray(p_dist, dtype=float)
+    if p.shape != laws.boson.shape or p_dist.shape != laws.boson.shape:
+        raise ValueError(f"need one probability per output: {len(laws.boson)} outputs, "
+                         f"{p.shape} and {p_dist.shape} probabilities")
+    law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
+    return VerdictTable(kind, np.asarray(outputs), laws.distributions, laws.boson, p, p_dist,
+                        classify_event(law, p, p_dist), laws.fermion, laws.parity)

@@ -10,6 +10,9 @@ CLASS_COLORS = {
     "": "#3c78d8",
 }
 
+#: Figure rank of the suppressed classes; transmitted events (IV) come last.
+_SUPPRESSED_FIRST = {"I": 0, "II": 1, "III": 2}
+
 _WIDTH, _HEIGHT = 900, 320
 _MARGIN_LEFT, _MARGIN_BOTTOM, _MARGIN_TOP = 50, 30, 30
 
@@ -68,30 +71,19 @@ def bar_chart(values, classes=None, title: str = "") -> str:
     return "\n".join(parts)
 
 
-def figure_order(verdicts):
-    """Display order for verdict rows: classes I, II, III first, then the
-    transmitted events by increasing probability."""
-    def key(item):
-        idx, v = item
-        rank = {"I": 0, "II": 1, "III": 2}.get(v.event_class.value if v.event_class else "", 3)
-        prob = v.p_boson if v.p_boson is not None else (
-            v.p_fermion if v.p_fermion is not None else (v.p_dist or 0.0)
-        )
-        return (rank, prob if rank == 3 else idx)
-    return [idx for idx, _ in sorted(enumerate(verdicts), key=key)]
+def figure_order(table):
+    """Display order for the rows of a verdict table: classes I, II, III
+    first, in row order, then the transmitted events by increasing
+    probability."""
+    ranks = [_SUPPRESSED_FIRST.get(event.value, 3) for event in table.classes.tolist()]
+    probs = table.p.tolist()
+    return sorted(range(len(ranks)), key=lambda i: (ranks[i], probs[i] if ranks[i] == 3 else i))
 
 
-def write_verdict_svg(path, verdicts, title: str = "") -> None:
-    order = figure_order(verdicts)
-    values = []
-    classes = []
-    for idx in order:
-        v = verdicts[idx]
-        prob = v.p_boson if v.p_boson is not None else (
-            v.p_fermion if v.p_fermion is not None else (v.p_dist or 0.0)
-        )
-        values.append(prob)
-        classes.append(v.event_class.value if v.event_class else "")
+def write_verdict_svg(path, table, title: str = "") -> None:
+    order = figure_order(table)
+    probs, classes = table.p.tolist(), table.classes.tolist()
+    chart = bar_chart([probs[i] for i in order], [classes[i].value for i in order], title)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(bar_chart(values, classes, title))
+        fh.write(chart)
         fh.write("\n")

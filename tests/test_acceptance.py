@@ -100,16 +100,13 @@ def test_criterion_04_law_soundness_at_scale():
 
     # completeness for many-particle suppression: every event that vanished
     # while staying classically reachable carries a law verdict
-    for kind, law_field, p_field in [
-        (ParticleType.BOSON, "law_suppressed_boson", "p_boson"),
-        (ParticleType.FERMION, "law_suppressed_fermion", "p_fermion"),
-    ]:
-        for row in result.tables[kind]:
-            if getattr(row, p_field) <= 1e-20 and row.p_dist > 1e-10:
-                assert getattr(row, law_field), row
+    for kind, law_field in [(ParticleType.BOSON, "boson"), (ParticleType.FERMION, "fermion")]:
+        table = result.tables[kind]
+        vanished = (table.p <= 1e-20) & (table.p_dist > 1e-10)
+        assert getattr(table, law_field)[vanished].all(), table.outputs[vanished]
     counts = {
-        kind.value: sum(1 for row in rows if row.event_class.value in ("II", "III"))
-        for kind, rows in result.tables.items()
+        kind.value: sum(1 for event in table.classes if event.value in ("II", "III"))
+        for kind, table in result.tables.items()
     }
     assert elapsed < 300.0
     report(4, f"100 bases, max suppressed "
@@ -146,9 +143,9 @@ def test_criterion_06_fourier_bosons_match_permanent_zeros():
     tested = 0
     for m, r in [(2, (1, 0, 0, 1, 0, 0)), (2, (2, 0, 0, 2, 0, 0)), (3, (1, 0, 1, 0, 1, 0))]:
         comparison = run_fourier_comparison(6, m, r)
-        for row in comparison.boson_rows:
-            assert row.law_suppressed_boson == (row.p_boson <= 1e-20), (m, r, row)
-            tested += 1
+        table = comparison.boson_table
+        assert table.boson.tolist() == (table.p <= 1e-20).tolist(), (m, r)
+        tested += len(table)
     report(6, f"n=6, m in {{2,3}}: verdicts match permanent zeros on {tested} outputs")
 
 
@@ -157,9 +154,8 @@ def test_criterion_07_fourier_fermion_strict_extension():
     counts = comparison.counts
     assert counts["fermion_new_law"] > counts["fermion_old_law"]
     assert comparison.witnesses
-    for row in comparison.fermion_rows:
-        if row.law_suppressed_fermion:
-            assert row.p_fermion <= 1e-20
+    table = comparison.fermion_table
+    assert (table.p[table.fermion] <= 1e-20).all()
     witness = comparison.witnesses[0]
     report(7, f"n=8 m=2: multiset law {counts['fermion_new_law']} > parity law "
               f"{counts['fermion_old_law']}, witness {list(witness)} verified at det level")

@@ -137,7 +137,7 @@ class TestVerdicts:
         ])
         assert code == 0
         table = read_verdict_csv(out)
-        assert len(table.verdicts) == 3
+        assert len(table) == 3
 
     def test_worked_example_row_count_and_svg(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -150,7 +150,7 @@ class TestVerdicts:
             "--type", "boson", "--out", str(out), "--svg", str(svg),
         ])
         assert code == 0
-        assert len(read_verdict_csv(out).verdicts) == 792
+        assert len(read_verdict_csv(out)) == 792
         import xml.etree.ElementTree as ET
         bars = [
             el for el in ET.parse(svg).getroot().iter()
@@ -224,7 +224,7 @@ class TestExperiment:
         meta = json.loads((tmp_path / "ft.meta.json").read_text())
         assert meta["counts"]["fermion_new_not_old"] == len(meta["witnesses"]) > 0
         table = read_verdict_csv(tmp_path / "ft.fermion.csv")
-        assert table.old_fermion_flags is not None
+        assert table.parity is not None
 
     def test_robustness_run(self, tmp_path):
         config = tmp_path / "rob.json"
@@ -255,7 +255,8 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [{"bases": "x"}, {"seed": "1"}, {"basis": 3}])
+    @pytest.mark.parametrize("extra", [{"bases": "x"}, {"seed": "1"}, {"basis": 3},
+                                       {"types": []}, {"types": ["boson", "dist", "boson"]}])
     def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({
@@ -263,10 +264,30 @@ class TestExperiment:
             "permutation": "(1 2)",
             "input_state": [1, 1],
         } | extra))
-        assert main(["experiment", "--config", str(config), "--threads", "1"]) == 1
+        argv = ["experiment", "--config", str(config), "--threads", "1",
+                "--out", str(tmp_path / "run")]
+        for svg in ([], ["--svg", str(tmp_path / "run.svg")]):
+            assert main(argv + svg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid experiment config") and err.count("\n") == 1, err
+            assert next(iter(extra)) in err
+            assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "key 'seed' must be a non-negative integer, got -1"),
+        ("--bases", "0", "key 'bases' must be a positive integer, got 0"),
+    ])
+    def test_overrides_pass_the_config_checks(self, tmp_path, capsys, flag, value, message):
+        config = tmp_path / "census.json"
+        config.write_text(json.dumps({
+            "kind": "mean-probabilities",
+            "permutation": "(1 2)",
+            "input_state": [1, 1],
+        }))
+        assert main(["experiment", "--config", str(config), "--threads", "1",
+                     "--out", str(tmp_path / "run"), flag, value]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invalid experiment config") and err.count("\n") == 1, err
-        assert next(iter(extra)) in err
+        assert err == f"error: invalid experiment config: {message}\n"
 
     def test_schema_problems_listed(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

@@ -25,6 +25,8 @@ from symfock.linalg import haar_random_unitary, permanent_naive
 from symfock.scattering import expansion, expansion_pays, probabilities
 from symfock.unitaries import fourier_unitary
 
+from oracles import leibniz_determinant
+
 
 def close(fast, slow) -> bool:
     """1e-12 relative, floored at 1: entries are of order one."""
@@ -86,7 +88,7 @@ def test_fermionic_coefficients_are_signed_determinants(case):
     u, r, outputs = case
     amplitudes = expansion(u[None], rows_of(r), array_of(outputs, len(r)), fermionic=True)[0]
     for out, amp in zip(outputs, amplitudes):
-        assert close(amp, permanent_naive(submatrix(u, r, out), signed=True))
+        assert close(amp, leibniz_determinant(submatrix(u, r, out)))
 
 
 def test_sign_convention_on_two_fermions():
@@ -189,8 +191,8 @@ def test_dft_zero_census():
     least 1e-6: a stronger law, or a kernel that blurs the gap, changes a
     number here."""
     result = run_fourier_comparison(12, 6, (1, 0) * 6)
-    boson = [(row.law_suppressed_boson, row.p_boson) for row in result.boson_rows]
-    fermion = [(row.law_suppressed_fermion, row.p_fermion) for row in result.fermion_rows]
+    boson = list(zip(result.boson_table.boson.tolist(), result.boson_table.p.tolist()))
+    fermion = list(zip(result.fermion_table.fermion.tolist(), result.fermion_table.p.tolist()))
     assert (len(boson), len(fermion)) == (12376, 924)
     boson_zeros = [law for law, p in boson if p <= 1e-20]
     assert (len(boson_zeros), sum(boson_zeros)) == (10804, 10300)

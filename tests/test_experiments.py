@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from symfock import experiments
 from symfock.experiments import (
     CensusConfig,
     derive_seed,
@@ -14,8 +17,11 @@ from symfock.experiments import (
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation
 from symfock.scattering import validate_distinguishability
+from symfock.serialize import write_verdict_csv
 from symfock.suppression import EventClass
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
+
+from oracles import assert_same_table
 
 HOM_PERM = Permutation.parse("(1 2)")
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
@@ -55,12 +61,12 @@ class TestMeanProbabilities:
     def test_hom_single_basis(self):
         cfg = CensusConfig(HOM_PERM, (1, 1), num_bases=1, seed=0)
         result = run_mean_probabilities(cfg)
-        rows = result.tables[ParticleType.BOSON]
-        assert [row.occupation_out for row in rows] == [(2, 0), (1, 1), (0, 2)]
-        assert rows[1].law_suppressed_boson
-        assert rows[1].p_boson <= 1e-20
-        assert rows[1].event_class is EventClass.CLASS_III
-        assert rows[0].p_boson == pytest.approx(0.5, abs=1e-12)
+        table = result.tables[ParticleType.BOSON]
+        assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
+        assert table.boson[1]
+        assert table.p[1] <= 1e-20
+        assert table.classes[1] is EventClass.CLASS_III
+        assert table.p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_table_shapes_and_sums(self):
         result = run_mean_probabilities(small_census())
@@ -68,11 +74,11 @@ class TestMeanProbabilities:
         fer = result.tables[ParticleType.FERMION]
         assert len(bos) == 792
         assert len(fer) == 56
-        allowed_b = sum(r.p_boson for r in bos)
-        allowed_f = sum(r.p_fermion for r in fer)
+        allowed_b = sum(bos.p)
+        allowed_f = sum(fer.p)
         assert allowed_b == pytest.approx(1.0, abs=1e-9)
         assert allowed_f == pytest.approx(1.0, abs=1e-9)
-        dist_f = sum(r.p_dist for r in fer)
+        dist_f = sum(fer.p_dist)
         assert dist_f == pytest.approx(1.0, abs=1e-9)  # renormalised reference
 
     def test_suppressed_rows_are_exact_zeros(self):
@@ -83,29 +89,50 @@ class TestMeanProbabilities:
     def test_deterministic_given_seed(self):
         a = run_mean_probabilities(small_census())
         b = run_mean_probabilities(small_census())
-        assert a.tables == b.tables
+        assert a.tables.keys() == b.tables.keys()
+        for kind in a.tables:
+            assert_same_table(a.tables[kind], b.tables[kind])
 
     def test_seed_changes_allowed_heights_not_verdicts(self):
         a = run_mean_probabilities(small_census(seed=1))
         b = run_mean_probabilities(small_census(seed=2))
-        rows_a = a.tables[ParticleType.BOSON]
-        rows_b = b.tables[ParticleType.BOSON]
-        assert [r.law_suppressed_boson for r in rows_a] == [r.law_suppressed_boson for r in rows_b]
-        assert any(
-            abs(x.p_boson - y.p_boson) > 1e-6 for x, y in zip(rows_a, rows_b)
-        )
+        table_a = a.tables[ParticleType.BOSON]
+        table_b = b.tables[ParticleType.BOSON]
+        assert table_a.boson.tolist() == table_b.boson.tolist()
+        assert (abs(table_a.p - table_b.p) > 1e-6).any()
 
     def test_workers_change_nothing(self):
         sequential = run_mean_probabilities(small_census())
         parallel = run_mean_probabilities(small_census(workers=2))
-        assert sequential.tables == parallel.tables
+        assert sequential.tables.keys() == parallel.tables.keys()
+        for kind in sequential.tables:
+            assert_same_table(sequential.tables[kind], parallel.tables[kind])
 
     def test_distinguishable_only(self):
         cfg = small_census(types=(ParticleType.DISTINGUISHABLE,))
         result = run_mean_probabilities(cfg)
         assert set(result.tables) == {ParticleType.DISTINGUISHABLE}
-        total = sum(r.p_dist for r in result.tables[ParticleType.DISTINGUISHABLE])
+        total = sum(result.tables[ParticleType.DISTINGUISHABLE].p_dist)
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_computes_only_what_its_tables_use(self, monkeypatch, tmp_path):
+        calls = Counter()
+        probabilities = experiments.probabilities
+
+        def counted(u, r, outputs, kind):
+            calls[kind] += 1
+            return probabilities(u, r, outputs, kind)
+
+        monkeypatch.setattr(experiments, "probabilities", counted)
+        dist_only = run_mean_probabilities(small_census(types=(ParticleType.DISTINGUISHABLE,)))
+        assert calls == {ParticleType.DISTINGUISHABLE: 4}
+        calls.clear()
+        every = run_mean_probabilities(small_census())
+        assert calls == {ParticleType.BOSON: 4, ParticleType.FERMION: 4,
+                         ParticleType.DISTINGUISHABLE: 8}
+        for name, result in (("dist_only", dist_only), ("every", every)):
+            write_verdict_csv(tmp_path / name, result.tables[ParticleType.DISTINGUISHABLE])
+        assert (tmp_path / "dist_only").read_bytes() == (tmp_path / "every").read_bytes()
 
     def test_rejects_non_invariant_input(self):
         with pytest.raises(ValueError, match="invariant"):
@@ -122,14 +149,15 @@ class TestMeanProbabilities:
 class TestFourierComparison:
     def test_hom_limit(self):
         comparison = run_fourier_comparison(2, 2, (1, 1))
-        assert [r.occupation_out for r in comparison.boson_rows] == [(2, 0), (1, 1), (0, 2)]
-        assert comparison.boson_rows[1].law_suppressed_boson
-        assert comparison.boson_rows[1].p_boson <= 1e-20
+        table = comparison.boson_table
+        assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
+        assert table.boson[1]
+        assert table.p[1] <= 1e-20
 
     def test_n6_m3_verdicts_match_permanent_zeros(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
-        for row in comparison.boson_rows:
-            assert row.law_suppressed_boson == (row.p_boson <= 1e-20)
+        table = comparison.boson_table
+        assert table.boson.tolist() == (table.p <= 1e-20).tolist()
 
     def test_n6_m3_fermion_laws_coincide(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
@@ -141,13 +169,12 @@ class TestFourierComparison:
         counts = comparison.counts
         assert counts["fermion_new_law"] > counts["fermion_old_law"]
         assert counts["fermion_new_not_old"] == len(comparison.witnesses) > 0
-        for row in comparison.fermion_rows:
-            if row.law_suppressed_fermion:
-                assert row.p_fermion <= 1e-20
+        table = comparison.fermion_table
+        assert (table.p[table.fermion] <= 1e-20).all()
 
     def test_bunched_input_skips_fermions(self):
         comparison = run_fourier_comparison(6, 3, (2, 0, 2, 0, 2, 0))
-        assert comparison.fermion_rows == ()
+        assert comparison.fermion_table is None
         assert comparison.transpositions is None
 
     def test_rejects_non_invariant(self):

@@ -21,13 +21,15 @@ from symfock.serialize import (
     read_verdict_csv,
     spec_from_json,
     spec_to_json,
-    verdict_rows,
+    verdict_lines,
     write_fit_csv,
     write_verdict_csv,
 )
-from symfock.suppression import EventVerdict
+from symfock.suppression import EventClass, VerdictTable
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
+
+from oracles import assert_same_table
 
 
 class TestMatrixJson:
@@ -114,20 +116,20 @@ class TestSpecJson:
 
 class TestVerdictCsv:
     @pytest.fixture()
-    def census_rows(self):
+    def census_table(self):
         cfg = CensusConfig(Permutation.parse("(1 2)"), (1, 1), num_bases=2, seed=0)
         return run_mean_probabilities(cfg).tables[ParticleType.BOSON]
 
-    def test_roundtrip(self, tmp_path, census_rows):
+    def test_roundtrip(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_rows)
+        write_verdict_csv(path, census_table)
         table = read_verdict_csv(path)
-        assert table.verdicts == tuple(census_rows)
-        assert table.old_fermion_flags is None
+        assert_same_table(table, census_table)
+        assert table.parity is None
 
-    def test_header_and_separator(self, tmp_path, census_rows):
+    def test_header_and_separator(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_rows)
+        write_verdict_csv(path, census_table)
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "s;lambda_phases;boson_suppressed;fermion_suppressed;"
@@ -142,27 +144,38 @@ class TestVerdictCsv:
     def test_old_law_column_roundtrip(self, tmp_path):
         comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
         path = tmp_path / "fermion.csv"
-        write_verdict_csv(path, comparison.fermion_rows, comparison.old_fermion_flags)
+        write_verdict_csv(path, comparison.fermion_table)
         table = read_verdict_csv(path)
-        assert table.old_fermion_flags == comparison.old_fermion_flags
-        assert table.verdicts == comparison.fermion_rows
+        assert table.parity.tolist() == comparison.fermion_table.parity.tolist()
+        assert_same_table(table, comparison.fermion_table)
 
     def test_phase_cells_of_short_lived_distributions(self):
-        # each row's tuple is freed once the generator moves on, and CPython
-        # hands its memory, and so its id, to a later row's different tuple
-        def rows():
+        # every row's multiset is a tuple of its own, made by a generator,
+        # and each row's cell must be its own tuple's phases
+        def distributions():
             for k in range(200):
-                yield EventVerdict((1, 1), (RootOfUnity(k, 7), RootOfUnity(1, 3),
-                                            RootOfUnity(1, 2)), False)
-        cells = verdict_rows(rows())
-        assert [row[1] for row in cells] == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
+                yield (RootOfUnity(k, 7), RootOfUnity(1, 3), RootOfUnity(1, 2))
+        column = np.full(200, 0.5)
+        table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp),
+                             tuple(distributions()), np.zeros(200, dtype=bool), column, column,
+                             np.full(200, EventClass.ALLOWED, dtype=object))
+        cells = [line.split(";")[1] for line in list(verdict_lines(table))[1:]]
+        assert cells == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
 
-    def test_float_cells_roundtrip_exactly(self, tmp_path, census_rows):
+    def test_float_cells_roundtrip_exactly(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_rows)
+        write_verdict_csv(path, census_table)
         table = read_verdict_csv(path)
-        for parsed, original in zip(table.verdicts, census_rows):
-            assert parsed.p_boson == original.p_boson  # bitwise through repr
+        assert table.p.tolist() == census_table.p.tolist()  # bitwise through repr
+        assert list(map(repr, table.p.tolist())) == list(map(repr, census_table.p.tolist()))
+
+    def test_row_with_missing_cells_rejected(self, tmp_path, census_table):
+        path = tmp_path / "verdicts.csv"
+        write_verdict_csv(path, census_table)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [lines[2].rsplit(";", 1)[0]]) + "\n")
+        with pytest.raises(ValueError, match="row 2 has 7 cells, expected 8"):
+            read_verdict_csv(path)
 
     def test_fit_csv_roundtrip(self, tmp_path):
         from symfock.experiments import RobustnessFit
@@ -300,12 +313,12 @@ class TestSvg:
 
     def test_verdict_chart_orders_suppressed_first(self, tmp_path):
         cfg = CensusConfig(Permutation.parse("(1 2)"), (1, 1), num_bases=1, seed=0)
-        rows = run_mean_probabilities(cfg).tables[ParticleType.BOSON]
+        table = run_mean_probabilities(cfg).tables[ParticleType.BOSON]
         path = tmp_path / "chart.svg"
-        write_verdict_svg(path, rows, title="hom")
+        write_verdict_svg(path, table, title="hom")
         root = ET.parse(path).getroot()
         bars = [el for el in root.iter() if el.tag.endswith("rect") and el.get("class") == "bar"]
-        assert len(bars) == len(rows)
+        assert len(bars) == len(table)
         heights = [float(b.get("height")) for b in bars]
         assert heights[0] == pytest.approx(0.0)  # the suppressed event leads
 
