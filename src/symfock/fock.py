@@ -5,11 +5,14 @@ An occupation list gives the particle count per mode; the matching
 assignment list names the mode of each particle, sorted non-decreasing.
 Assignment lists are 1-based like every user-facing mode index.
 
-:func:`outputs_up_to` and :func:`removal_ranks` are the array forms of the
-enumeration that the polynomial expansion of ``scattering`` walks: every
-output of each particle number up to a bound as one array, and where each
-output with one particle removed sits in the enumeration of one particle
-fewer.
+:func:`enumerate_outputs` streams the outputs of one particle number as
+tuples, the reference order. :func:`outputs_up_to` and :func:`removal_ranks`
+are its array forms, the ones the polynomial expansion of ``scattering``
+walks: every output of each particle number up to a bound as one array, and
+where each output with one particle removed sits in the enumeration of one
+particle fewer. :func:`output_array`, the (K, n) outputs that verdict tables
+and probability calls take, is the top group of :func:`outputs_up_to`; no
+output goes through a tuple.
 """
 
 from __future__ import annotations
@@ -70,6 +73,15 @@ def assignment_to_occupation(assignment, n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _check_output_count(n: int, particles: int, kind: ParticleType) -> None:
+    if n < 1:
+        raise ValueError("need at least one mode")
+    if particles < 0:
+        raise ValueError("negative particle number")
+    if kind is ParticleType.FERMION and particles > n:
+        raise ValueError(f"cannot place {particles} fermions in {n} modes")
+
+
 def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tuple[int, ...]]:
     """Stream every output occupation for ``particles`` particles in ``n`` modes.
 
@@ -78,13 +90,8 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
     lexicographic in the assignment list, so it is deterministic and
     duplicate free.
     """
-    if n < 1:
-        raise ValueError("need at least one mode")
-    if particles < 0:
-        raise ValueError("negative particle number")
+    _check_output_count(n, particles, kind)
     if kind is ParticleType.FERMION:
-        if particles > n:
-            raise ValueError(f"cannot place {particles} fermions in {n} modes")
         assignments = combinations(range(1, n + 1), particles)
     else:
         assignments = combinations_with_replacement(range(1, n + 1), particles)
@@ -97,8 +104,13 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
 
 
 def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
-    """Every output of :func:`enumerate_outputs` as one (K, n) array, in its order."""
-    return np.array(list(enumerate_outputs(n, particles, kind)), dtype=np.intp).reshape(-1, n)
+    """Every output of :func:`enumerate_outputs` as one (K, n) array, in its
+    order: the top group of :func:`outputs_up_to`, with the same checks."""
+    _check_output_count(n, particles, kind)
+    if particles == 0:
+        return np.zeros((1, n), dtype=np.intp)
+    occ, starts = outputs_up_to(n, particles, kind is ParticleType.FERMION)
+    return occ[starts[-2]:].copy()  # the lower groups are not kept alive
 
 
 def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:

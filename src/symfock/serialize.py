@@ -4,19 +4,24 @@ Numbers cross the file boundary losslessly: floats are written with
 ``repr`` (shortest round-trip form) and eigenvalue phases as exact "k/l"
 fractions. Verdict CSVs are semicolon separated because the s and phase
 columns contain commas. A verdict CSV is written from a
-:class:`suppression.VerdictTable` one column at a time, with empty cells for
-the columns its particle kind lacks, and reads back into one.
+:class:`suppression.VerdictTable` in row blocks of ``scattering.CHUNK``, one
+column at a time within a block, with empty cells for the columns its
+particle kind lacks, and reads back into one. No cell costs a Python call of
+its own: occupations come from one digit buffer per block, floats from one
+``repr`` per distinct bit pattern, flags and classes from lookup tables.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+import math
+from itertools import chain, repeat
 
 import numpy as np
 
 from .fock import ParticleType
 from .permutations import Permutation, RootOfUnity
+from .scattering import CHUNK
 from .suppression import EventClass, VerdictTable
 from .unitaries import UnitarySpec
 
@@ -67,6 +72,10 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or math.isfinite(value))
 
 
 # --- occupations and permutations --------------------------------------------
@@ -133,8 +142,77 @@ def spec_to_json(spec: UnitarySpec) -> dict:
 
 # --- verdict tables ---------------------------------------------------------
 
-def _flag_cells(column) -> list[str]:
-    return [("false", "true")[flag] for flag in column.tolist()]
+_FLAG_CELLS = np.array(["false", "true"], dtype=object)
+#: Class cells by the member's id: members are singletons, and hashing one runs Python code.
+_CLASS_CELLS = {id(event): event.value for event in EventClass}
+
+
+def _flag_cells(column: np.ndarray) -> list[str]:
+    return _FLAG_CELLS[column.astype(np.intp)].tolist()
+
+
+def _occupation_cells(outputs: np.ndarray) -> list[str]:
+    """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]".
+
+    Every entry takes a sign slot, ``width`` digit slots and its separator
+    in one uint8 buffer; a mask drops the unused slots, and the rows, ended
+    by newlines, are decoded and split once.
+    """
+    b, n = outputs.shape
+    if b == 0 or n == 0:
+        return ["[]"] * b
+    magnitude = np.abs(outputs.astype(np.int64))
+    width = len(str(int(magnitude.max())))
+    power = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    leading = magnitude[..., None] // power  # (B, n, width): the digits and all before them
+    chars = np.empty((b, n, width + 2), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[..., 0] = ord("-")
+    keep[..., 0] = outputs < 0
+    chars[..., 1:-1] = leading % 10 + ord("0")
+    keep[..., 1:-2] = leading[..., :-1] > 0  # no leading zeros; the units digit stays
+    chars[..., -1] = ord(",")
+    chars[:, -1, -1] = ord("]")
+    line = np.empty((b, 1 + n * (width + 2) + 1), dtype=np.uint8)
+    line[:, 0], line[:, 1:-1], line[:, -1] = ord("["), chars.reshape(b, -1), ord("\n")
+    mask = np.ones(line.shape, dtype=bool)
+    mask[:, 1:-1] = keep.reshape(b, -1)
+    return line[mask].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _float_cells(column: np.ndarray) -> list[str]:
+    """The ``repr`` of each float, computed once per distinct bit pattern
+    (so -0.0 and 0.0 stay apart)."""
+    column = np.asarray(column, dtype=np.float64)
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    cells = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(cells.__getitem__, index.tolist()))
+
+
+def _verdict_blocks(table: VerdictTable):
+    """The lines of a verdict CSV in lists: the header, then one list per
+    block of rows (see :func:`verdict_lines`)."""
+    parity = table.parity is not None
+    yield [";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n"]
+    distinct = dict(zip(map(id, table.distributions), table.distributions))
+    phases = {key: ",".join(map(str, dist)) for key, dist in distinct.items()}
+    empty = repeat("")  # zip stops at the filled columns
+    for start in range(0, len(table), CHUNK):
+        rows = slice(start, start + CHUNK)
+        probs = None if table.kind is ParticleType.DISTINGUISHABLE else _float_cells(table.p[rows])
+        columns = [
+            _occupation_cells(table.outputs[rows]),
+            map(phases.__getitem__, map(id, table.distributions[rows])),
+            _flag_cells(table.boson[rows]),
+            empty if table.fermion is None else _flag_cells(table.fermion[rows]),
+            probs if table.kind is ParticleType.BOSON else empty,
+            probs if table.kind is ParticleType.FERMION else empty,
+            _float_cells(table.p_dist[rows]),
+            map(_CLASS_CELLS.__getitem__, map(id, table.classes[rows].tolist())),
+        ]
+        if parity:
+            columns.append(_flag_cells(table.parity[rows]))
+        yield [line + "\n" for line in map(";".join, zip(*columns))]
 
 
 def verdict_lines(table: VerdictTable):
@@ -142,35 +220,21 @@ def verdict_lines(table: VerdictTable):
     per output, with an ``old_fermion_suppressed`` column when the table has
     the parity law.
 
-    Every column is formatted in one pass over its array; floats as the
-    ``repr`` of each ``.tolist()`` value, each distinct eigenvalue
-    distribution once (rows with equal multisets share one tuple, see
-    ``output_laws``, and the table holds every tuple, so no id is reused).
+    The rows go in blocks of ``scattering.CHUNK``, so memory does not grow
+    with the table; each block is formatted column by column. Occupations
+    come from one digit buffer, floats from one ``repr`` per distinct bit
+    pattern, flags and classes from lookups, and each eigenvalue
+    distribution is formatted once (rows with equal multisets share one
+    tuple, see ``output_laws``, and the table holds every tuple, so no id
+    is reused).
     """
-    empty = [""] * len(table)
-    probs = list(map(repr, table.p.tolist()))
-    distinct = {id(dist): dist for dist in table.distributions}
-    phases = {key: ",".join(map(str, dist)) for key, dist in distinct.items()}
-    columns = [
-        [str(s).replace(" ", "") for s in table.outputs.tolist()],  # compact JSON arrays
-        [phases[id(dist)] for dist in table.distributions],
-        _flag_cells(table.boson),
-        empty if table.fermion is None else _flag_cells(table.fermion),
-        probs if table.kind is ParticleType.BOSON else empty,
-        probs if table.kind is ParticleType.FERMION else empty,
-        list(map(repr, table.p_dist.tolist())),
-        [event.value for event in table.classes.tolist()],
-    ]
-    header = list(VERDICT_COLUMNS)
-    if table.parity is not None:
-        header.append("old_fermion_suppressed")
-        columns.append(_flag_cells(table.parity))
-    return chain([";".join(header) + "\n"], (";".join(row) + "\n" for row in zip(*columns)))
+    return chain.from_iterable(_verdict_blocks(table))
 
 
 def write_verdict_csv(path, table: VerdictTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(verdict_lines(table))
+        for block in _verdict_blocks(table):
+            fh.write("".join(block))
 
 
 def read_verdict_csv(path) -> VerdictTable:
@@ -263,7 +327,7 @@ _OPTIONAL_KEYS = {
     "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "rotation_seed": (lambda v: v is None or (_is_int(v) and v >= 0),
                       "a non-negative integer or null"),
-    "eta_scale": (_is_number, "a number"),
+    "eta_scale": (lambda v: _is_finite(v) and v >= 0, "a finite non-negative number"),
     "delta_distribution": (lambda v: isinstance(v, str), "a string"),
     "ensemble": (lambda v: isinstance(v, str), "a string"),
 }
@@ -285,10 +349,10 @@ def check_experiment_config(payload: dict) -> list[str]:
         if key in payload and key in EXPERIMENT_KEYS[kind] and not valid(payload[key]):
             problems.append(f"key {key!r} must be {what}, got {payload[key]!r}")
 
-    def need(key, types, note=""):
+    def need(key, types):
         if key not in payload:
-            problems.append(f"missing key {key!r} {note}".rstrip())
-        elif not isinstance(payload[key], types):
+            problems.append(f"missing key {key!r}")
+        elif not isinstance(payload[key], types) or isinstance(payload[key], bool):
             problems.append(f"key {key!r} has wrong type {type(payload[key]).__name__}")
 
     def occupation_ok(key):
@@ -326,9 +390,9 @@ def check_experiment_config(payload: dict) -> list[str]:
         occupation_ok("target_output")
         need("grid", list)
         if isinstance(payload.get("grid"), list) and not all(
-            _is_number(g) and g > 0 for g in payload["grid"]
+            _is_finite(g) and g > 0 for g in payload["grid"]
         ):
-            problems.append("'grid' must hold positive numbers")
+            problems.append("'grid' must hold finite positive numbers")
         if "fourier" in payload:
             if not (
                 isinstance(payload["fourier"], list)

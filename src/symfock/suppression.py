@@ -20,7 +20,8 @@ with int64 arithmetic only.
 * Multisets as counts. Over the sorted distinct eigenvalues, s @ onehot
   counts how often each value is picked, and two multisets are equal iff
   their count rows are. The fermion law compares each count row with the
-  input's; each distinct count row becomes one shared distribution tuple.
+  input's. One ``lexsort`` of the count rows puts equal rows next to each
+  other; each group becomes one distribution tuple, shared by its rows.
 
 Both are exact as long as no sum leaves int64: s @ k < N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. The
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from math import lcm
 
 import numpy as np
@@ -144,10 +146,17 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
             initial_counts[column[v]] += 1
         fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
 
-    keys = list(map(tuple, counts.tolist()))
-    shared = {key: tuple(v for v, c in zip(distinct, key) for _ in range(c))
-              for key in set(keys)}
-    return OutputLaws(phase != 0, tuple(shared[key] for key in keys), fermion, parity)
+    # equal count rows are adjacent once sorted; one tuple per group, shared by its rows
+    order = np.lexsort(counts.T[::-1]) if len(distinct) else np.arange(len(counts))
+    ranked = counts[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty(len(ranked), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    shared = [tuple(chain.from_iterable(map(repeat, distinct, key)))
+              for key in ranked[first].tolist()]
+    return OutputLaws(phase != 0, tuple(map(shared.__getitem__, group.tolist())), fermion,
+                      parity)
 
 
 def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:

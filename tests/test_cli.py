@@ -255,15 +255,29 @@ class TestExperiment:
         assert main(["experiment", "--config", str(config)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [{"bases": "x"}, {"seed": "1"}, {"basis": 3},
-                                       {"types": []}, {"types": ["boson", "dist", "boson"]}])
+    #: A valid config of each kind that the bad values below go into.
+    GOOD_CONFIGS = {
+        "mean-probabilities": {"permutation": "(1 2)", "input_state": [1, 1]},
+        "fourier-comparison": {"modes": 4, "order": 2, "input_state": [1, 0, 1, 0]},
+        "distinguishability-robustness": {"permutation": "(1 2)", "input_state": [1, 1],
+                                          "target_output": [1, 1], "grid": [0.1]},
+    }
+
+    @pytest.mark.parametrize("extra", [
+        {"bases": "x"}, {"seed": "1"}, {"basis": 3}, {"types": []},
+        {"types": ["boson", "dist", "boson"]},
+        # the key the message must name comes first, the kind it goes into last
+        {"modes": True, "kind": "fourier-comparison"},
+        {"order": False, "kind": "fourier-comparison"},
+        {"eta_scale": float("nan"), "kind": "distinguishability-robustness"},
+        {"eta_scale": float("inf"), "kind": "distinguishability-robustness"},
+        {"eta_scale": -1, "kind": "distinguishability-robustness"},
+        {"grid": [0.1, float("inf")], "kind": "distinguishability-robustness"},
+    ])
     def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
+        kind = extra.get("kind", "mean-probabilities")
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({
-            "kind": "mean-probabilities",
-            "permutation": "(1 2)",
-            "input_state": [1, 1],
-        } | extra))
+        config.write_text(json.dumps({"kind": kind} | self.GOOD_CONFIGS[kind] | extra))
         argv = ["experiment", "--config", str(config), "--threads", "1",
                 "--out", str(tmp_path / "run")]
         for svg in ([], ["--svg", str(tmp_path / "run.svg")]):

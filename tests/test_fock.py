@@ -12,6 +12,7 @@ from symfock.fock import (
     check_occupation,
     enumerate_outputs,
     occupation_to_assignment,
+    output_array,
     particle_count,
 )
 
@@ -100,6 +101,38 @@ class TestEnumerateOutputs:
 
     def test_particle_count(self):
         assert particle_count((1, 1, 1, 0, 0, 0, 1, 1)) == 5
+
+
+class TestOutputArray:
+    """``output_array`` is the array form of ``enumerate_outputs``: the same
+    rows in the same order, and the same refusals."""
+
+    @pytest.mark.parametrize("kind", ParticleType, ids=lambda k: k.value)
+    def test_equals_the_streamed_enumeration(self, kind):
+        for n in range(1, 8):
+            for particles in range(0, 7):
+                if kind is ParticleType.FERMION and particles > n:
+                    continue
+                expected = np.array(list(enumerate_outputs(n, particles, kind)))
+                got = output_array(n, particles, kind)
+                assert got.dtype == np.intp and got.shape == expected.shape, (n, particles)
+                assert (got == expected).all(), (n, particles)
+
+    def test_no_particles_is_one_empty_output(self):
+        for kind in ParticleType:
+            assert output_array(3, 0, kind).tolist() == [[0, 0, 0]]
+
+    @given(n=st.integers(-3, 7), particles=st.integers(-3, 9),
+           kind=st.sampled_from(ParticleType))
+    def test_refusals_match_the_streamed_enumeration(self, n, particles, kind):
+        try:
+            list(enumerate_outputs(n, particles, kind))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                output_array(n, particles, kind)
+            assert str(refused.value) == str(exc)
+        else:
+            assert len(output_array(n, particles, kind)) >= 1
 
 
 class TestParticleType:

@@ -323,6 +323,11 @@ def test_fermion_law_without_the_input_values_suppresses_everything():
 
 
 class TestOutputLawsBoundary:
+    def test_no_modes(self):
+        laws = output_laws([], [[], [], []])
+        assert laws.distributions == ((), (), ()) and laws.boson.tolist() == [False] * 3
+        assert laws.distributions[0] is laws.distributions[1] is laws.distributions[2]
+
     def test_no_outputs(self):
         laws = output_laws(WORKED_D, [], WORKED_PERM, WORKED_INPUT, w=1)
         assert laws.distributions == ()
