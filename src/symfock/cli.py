@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
@@ -177,7 +176,6 @@ def cmd_experiment(args) -> int:
             num_bases=payload.get("bases", 100),
             seed=payload.get("seed", 0),
             types=types,
-            workers=args.threads,
         )
         result = run_mean_probabilities(cfg)
         for kind_, table in result.tables.items():
@@ -284,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="optional SVG path")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--bases", type=int, default=None, help="override the eigenbasis count")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: all cores)")
+    # parsed and ignored (the benchmark's command lines still pass it): one process per run
+    p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_experiment)
     return parser
 
@@ -294,8 +292,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "command", "") == "experiment" and args.threads is None:
-            args.threads = os.cpu_count() or 1
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,24 +11,26 @@ Three families:
   distinguishability, fitted on a log-log grid
 
 Every runner is deterministic given its seed: per-task generators are
-derived from (seed, task index), reductions run in task order with
-compensated summation, and worker processes only change wall time, never a
-single output bit.
+derived from (seed, task index), and reductions run in task order with
+compensated summation, in one process.
 
 Probabilities come from :func:`scattering.probabilities`, which checks the
-unitary, the input and the outputs once: all outputs of one unitary in the
-census and the DFT comparison (one polynomial expansion per unitary), all
-noise samples of one grid point in the unitary robustness fit (one permanent
-per sample, in stacks of ``scattering.CHUNK``). The distinguishability fit sends
-its Gram matrices to :func:`scattering.prob_partial` in sub-stacks of
-:data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
-B * N! deviation terms of a sub-stack near 2^13. Each sub-stack of noise
-samples takes one random call (:meth:`scattering.PerturbationModel.sample`
-on a (B, n, n) shape, :func:`sample_distinguishability` with a count), laid
-out so that it equals the samples' lone draws in sample order bit for bit;
-the drawn Gram matrices are PSD-repaired with one stacked ``eigh``, and the
-probabilities of a grid point are reduced in one compensated loop, in
-sample order.
+unitaries, the input and the outputs once per call. The census stacks its
+eigenbases the way the fits stack their noise samples: one
+:func:`unitaries.build_unitary` per basis, then one call per particle kind
+for each sub-stack of at most ``scattering.CHUNK`` bases, with all outputs
+of every basis (one polynomial expansion per unitary). The DFT comparison
+makes one call per kind for its one unitary, the unitary robustness fit one
+per sub-stack of ``scattering.CHUNK`` noise samples (one permanent per
+sample). The distinguishability fit sends its Gram matrices to
+:func:`scattering.prob_partial` in sub-stacks of :data:`GRAM_STACK_TERMS`
+// N! matrices (at least one), which keeps the B * N! deviation terms of a
+sub-stack near 2^13. Each sub-stack of noise samples takes one random call
+(:meth:`scattering.PerturbationModel.sample` on a (B, n, n) shape,
+:func:`sample_distinguishability` with a count), laid out so that it equals
+the samples' lone draws in sample order bit for bit; the drawn Gram matrices
+are PSD-repaired with one stacked ``eigh``, and the probabilities of a grid
+point are reduced in one compensated loop, in sample order.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -100,13 +102,16 @@ class _KahanMean:
         self.peak = np.zeros(width)
         self.count = 0
 
-    def add(self, row: np.ndarray) -> None:
-        y = row - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-        np.maximum(self.peak, row, out=self.peak)
-        self.count += 1
+    def add(self, rows: np.ndarray) -> None:
+        """Add a (b, width) block, one row at a time in order: a block's
+        bits equal those of its rows added alone."""
+        for row in rows:
+            y = row - self._comp
+            t = self.total + y
+            self._comp = (t - self.total) - y
+            self.total = t
+            np.maximum(self.peak, row, out=self.peak)
+        self.count += len(rows)
 
     def mean(self) -> np.ndarray:
         return self.total / self.count
@@ -141,7 +146,6 @@ class CensusConfig:
     )
     theta_phases: tuple[float, ...] | None = None
     sigma_phases: tuple[float, ...] | None = None
-    workers: int = 1
 
     def __post_init__(self):
         if self.num_bases < 1:
@@ -159,31 +163,15 @@ class CensusResult:
     metadata: dict
 
 
-def _census_basis(cfg: CensusConfig, basis_index: int,
-                  boson_outputs, fermion_outputs) -> tuple[np.ndarray, ...]:
-    spec = UnitarySpec(
+def _census_unitaries(cfg: CensusConfig, bases: range) -> np.ndarray:
+    """The (b, n, n) stack of the rotated unitaries of ``bases``, one
+    :func:`unitaries.build_unitary` each."""
+    return np.stack([build_unitary(UnitarySpec(
         cfg.permutation,
         theta_phases=cfg.theta_phases,
         sigma_phases=cfg.sigma_phases,
-        rotation_seed=derive_seed(cfg.seed, basis_index),
-    )
-    u = build_unitary(spec).matrix
-    r = cfg.input_state
-    types = cfg.types
-    pb = pd = pf = pdf = np.empty(0)
-    if ParticleType.BOSON in types:
-        pb = probabilities(u, r, boson_outputs, ParticleType.BOSON)
-    if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
-        pd = probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE)
-    if ParticleType.FERMION in types:
-        pf = probabilities(u, r, fermion_outputs, ParticleType.FERMION)
-        pdf = probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
-        pdf = pdf / pdf.sum()  # distinguishable reference on singly occupied outputs
-    return pb, pd, pf, pdf
-
-
-def _census_basis_star(args):
-    return _census_basis(*args)
+        rotation_seed=derive_seed(cfg.seed, index),
+    )).matrix for index in bases])
 
 
 def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
@@ -192,8 +180,9 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     Returns one verdict table per particle type, with mean probabilities,
     the exact law verdicts (identical for every basis, since rotations never
     touch the eigenvalue diagonal) and the empirical event class derived
-    from the means. Each basis computes only the probabilities its tables
-    use.
+    from the means. The bases go through in sub-stacks of at most
+    ``scattering.CHUNK``, each with one :func:`scattering.probabilities`
+    call per probability its tables use, and are reduced in basis order.
     """
     started = time.perf_counter()
     p = cfg.permutation
@@ -206,29 +195,20 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
                        if ParticleType.FERMION in cfg.types else np.zeros((0, p.n), dtype=np.intp))
 
-    acc = {
-        "pb": _KahanMean(len(boson_outputs)),
-        "pd": _KahanMean(len(boson_outputs)),
-        "pf": _KahanMean(len(fermion_outputs)),
-        "pdf": _KahanMean(len(fermion_outputs)),
-    }
-    tasks = ((cfg, b, boson_outputs, fermion_outputs) for b in range(cfg.num_bases))
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # about 20 ms of start-up, so only here
-
-        chunk = max(1, cfg.num_bases // (cfg.workers * 8))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = pool.map(_census_basis_star, tasks, chunksize=chunk)
-            for pb, pd, pf, pdf in results:
-                for key, row in zip(("pb", "pd", "pf", "pdf"), (pb, pd, pf, pdf)):
-                    if row.size:
-                        acc[key].add(row)
-    else:
-        for task in tasks:
-            pb, pd, pf, pdf = _census_basis_star(task)
-            for key, row in zip(("pb", "pd", "pf", "pdf"), (pb, pd, pf, pdf)):
-                if row.size:
-                    acc[key].add(row)
+    acc = {key: _KahanMean(len(outputs)) for key, outputs in (
+        ("pb", boson_outputs), ("pd", boson_outputs), ("pf", fermion_outputs), ("pdf", fermion_outputs))}
+    for start in range(0, cfg.num_bases, CHUNK):
+        stack = _census_unitaries(cfg, range(start, min(start + CHUNK, cfg.num_bases)))
+        if ParticleType.BOSON in cfg.types:
+            acc["pb"].add(probabilities(stack, r, boson_outputs, ParticleType.BOSON))
+        if ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types:
+            acc["pd"].add(probabilities(stack, r, boson_outputs, ParticleType.DISTINGUISHABLE))
+        if ParticleType.FERMION in cfg.types:
+            acc["pf"].add(probabilities(stack, r, fermion_outputs, ParticleType.FERMION))
+            pdf = probabilities(stack, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
+            # distinguishable reference on singly occupied outputs, normalised
+            # by one 1-D sum per basis (a sum over axis 1 rounds differently)
+            acc["pdf"].add(pdf / np.array([row.sum() for row in pdf])[:, None])
 
     tables: dict[ParticleType, VerdictTable] = {}
     max_suppressed: dict[ParticleType, float] = {}

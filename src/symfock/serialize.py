@@ -14,7 +14,7 @@ its own: occupations come from one digit buffer per block, floats from one
 from __future__ import annotations
 
 import json
-import math
+import sys
 from itertools import chain, repeat
 
 import numpy as np
@@ -75,7 +75,8 @@ def _is_number(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return _is_number(value) and (isinstance(value, int) or math.isfinite(value))
+    """A number that converts to a finite float (no NaN, infinity or huge integer)."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 # --- occupations and permutations --------------------------------------------
@@ -86,45 +87,61 @@ def parse_occupation(text: str) -> tuple[int, ...]:
         values = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"cannot parse occupation list {text!r}: {exc}") from exc
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(map(_is_int, values)):
         raise ValueError(f"occupation list must be a JSON array of integers: {text!r}")
     return tuple(values)
 
 
 def parse_permutation(value, n: int | None = None) -> Permutation:
-    """Accept cycle notation ``"(1 2 3)(4 5)"`` or a 1-based one-line array."""
+    """Accept cycle notation ``"(1 2 3)(4 5)"`` or a 1-based one-line array
+    of integers, as a list or as its JSON text."""
     if isinstance(value, str):
         text = value.strip()
-        if text.startswith("["):
-            return Permutation.from_one_line(json.loads(text))
-        return Permutation.parse(text, n=n)
+        if not text.startswith("["):
+            return Permutation.parse(text, n=n)
+        try:
+            value = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"cannot parse one-line permutation {text!r}: {exc}") from exc
+    if not (isinstance(value, (list, tuple)) and all(map(_is_int, value))):
+        raise ValueError(f"one-line permutation must be an array of integers, got {value!r}")
     return Permutation.from_one_line(value)
 
 
 # --- unitary specs -----------------------------------------------------------
+
+_PHASES = (lambda v: isinstance(v, list) and all(map(_is_finite, v)), "a list of finite numbers")
+#: Optional spec keys: the test a non-null value must pass, and what it has to be.
+_SPEC_KEYS = {
+    "theta": _PHASES,
+    "sigma": _PHASES,
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer or null"),
+    "column_order": (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers"),
+}
+
 
 def spec_from_json(payload: dict, n: int | None = None) -> UnitarySpec:
     """UnitarySpec from its JSON form.
 
     Keys: ``permutation`` (required), ``theta``, ``sigma`` (phase angle
     lists), ``seed`` (degenerate-rotation seed), ``column_order`` (1-based).
+    The optional keys may be null; otherwise their types are checked here.
     """
+    if not isinstance(payload, dict):
+        raise ValueError("unitary spec JSON must be an object")
     if "permutation" not in payload:
         raise ValueError("unitary spec JSON needs a 'permutation' key")
-    known = {"permutation", "theta", "sigma", "seed", "column_order"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {"permutation", *_SPEC_KEYS}
     if unknown:
         raise ValueError(f"unknown unitary spec keys: {sorted(unknown)}")
-    perm = parse_permutation(payload["permutation"], n=n)
-    return UnitarySpec(
-        permutation=perm,
-        theta_phases=tuple(payload["theta"]) if payload.get("theta") is not None else None,
-        sigma_phases=tuple(payload["sigma"]) if payload.get("sigma") is not None else None,
-        rotation_seed=payload.get("seed"),
-        column_order=tuple(payload["column_order"])
-        if payload.get("column_order") is not None
-        else None,
-    )
+    for key, (valid, what) in _SPEC_KEYS.items():
+        if payload.get(key) is not None and not valid(payload[key]):
+            raise ValueError(f"unitary spec key {key!r} must be {what}, got {payload[key]!r}")
+    lists = {key: None if payload.get(key) is None else tuple(payload[key])
+             for key in ("theta", "sigma", "column_order")}
+    return UnitarySpec(parse_permutation(payload["permutation"], n=n),
+                       theta_phases=lists["theta"], sigma_phases=lists["sigma"],
+                       rotation_seed=payload.get("seed"), column_order=lists["column_order"])
 
 
 def spec_to_json(spec: UnitarySpec) -> dict:
@@ -360,8 +377,14 @@ def check_experiment_config(payload: dict) -> list[str]:
         if isinstance(value, list) and not all(_is_int(v) and v >= 0 for v in value):
             problems.append(f"key {key!r} must hold non-negative integers")
 
-    if kind == "mean-probabilities":
+    def permutation_ok():
         need("permutation", (str, list))
+        value = payload.get("permutation")
+        if isinstance(value, list) and not all(map(_is_int, value)):
+            problems.append("key 'permutation' must hold integers in one-line form")
+
+    if kind == "mean-probabilities":
+        permutation_ok()
         need("input_state", list)
         occupation_ok("input_state")
         if "types" in payload:
@@ -403,7 +426,7 @@ def check_experiment_config(payload: dict) -> list[str]:
         elif "permutation" not in payload:
             problems.append("robustness config needs 'permutation' or 'fourier'")
         else:
-            need("permutation", (str, list))
+            permutation_ok()
         if "particle" in payload and payload["particle"] not in ("boson", "fermion"):
             problems.append("'particle' must be 'boson' or 'fermion'")
     return problems

@@ -5,16 +5,26 @@
 * :func:`reference_verdict_lines`: the verdict CSV formatted row by row,
   one cell at a time, the way the writer worked before it formatted whole
   columns. Its bytes are the contract of ``serialize.write_verdict_csv``.
-* :func:`assert_same_table`: two verdict tables agree in every column.
+* :func:`assert_same_table`: two verdict tables agree in every column,
+  floats to the bit.
+* :class:`KahanMean` and :func:`reference_census`: the census as it ran
+  before it stacked its eigenbases, one unitary and four lone
+  ``probabilities`` calls per basis, reduced row by row with a streaming
+  compensated mean. Their bits are the contract of
+  ``experiments.run_mean_probabilities``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from symfock.fock import ParticleType
+from symfock.experiments import derive_seed
+from symfock.fock import ParticleType, output_array, particle_count
 from symfock.linalg import permutation_signs, permutation_table
+from symfock.scattering import probabilities
 from symfock.serialize import VERDICT_COLUMNS
+from symfock.suppression import verdict_table
+from symfock.unitaries import UnitarySpec, build_unitary
 
 
 def leibniz_determinant(matrix) -> complex:
@@ -71,3 +81,69 @@ def assert_same_table(a, b) -> None:
             assert x is None and y is None, name
         else:
             assert x.shape == y.shape and x.tolist() == y.tolist(), name
+            if x.dtype.kind == "f":  # to the bit: -0.0 is not 0.0
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+class KahanMean:
+    """Streaming compensated mean/max over equally shaped rows, one row per
+    call, in arrival order."""
+
+    def __init__(self, width: int):
+        self.total = np.zeros(width)
+        self._comp = np.zeros(width)
+        self.peak = np.zeros(width)
+        self.count = 0
+
+    def add(self, row) -> None:
+        y = row - self._comp
+        t = self.total + y
+        self._comp = (t - self.total) - y
+        self.total = t
+        np.maximum(self.peak, row, out=self.peak)
+        self.count += 1
+
+    def mean(self) -> np.ndarray:
+        return self.total / self.count
+
+
+def reference_census(cfg) -> tuple[dict, dict]:
+    """The tables and ``max_suppressed`` of a census config, one basis at a
+    time."""
+    p, r, types = cfg.permutation, cfg.input_state, cfg.types
+    eigenvalues = build_unitary(UnitarySpec(p)).eigenvalues
+    boson_outputs = output_array(p.n, particle_count(r), ParticleType.BOSON)
+    fermion_outputs = (output_array(p.n, particle_count(r), ParticleType.FERMION)
+                       if ParticleType.FERMION in types else np.zeros((0, p.n), dtype=np.intp))
+    acc = {key: KahanMean(len(outputs)) for key, outputs in (
+        ("pb", boson_outputs), ("pd", boson_outputs),
+        ("pf", fermion_outputs), ("pdf", fermion_outputs))}
+    for index in range(cfg.num_bases):
+        u = build_unitary(UnitarySpec(p, theta_phases=cfg.theta_phases,
+                                      sigma_phases=cfg.sigma_phases,
+                                      rotation_seed=derive_seed(cfg.seed, index))).matrix
+        if ParticleType.BOSON in types:
+            acc["pb"].add(probabilities(u, r, boson_outputs, ParticleType.BOSON))
+        if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
+            acc["pd"].add(probabilities(u, r, boson_outputs, ParticleType.DISTINGUISHABLE))
+        if ParticleType.FERMION in types:
+            acc["pf"].add(probabilities(u, r, fermion_outputs, ParticleType.FERMION))
+            pdf = probabilities(u, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
+            acc["pdf"].add(pdf / pdf.sum())
+
+    tables, max_suppressed = {}, {}
+    if ParticleType.BOSON in types:
+        table = verdict_table(eigenvalues, boson_outputs, ParticleType.BOSON,
+                              acc["pb"].mean(), acc["pd"].mean())
+        tables[ParticleType.BOSON] = table
+        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[table.boson].max(initial=0.0))
+    if ParticleType.DISTINGUISHABLE in types:
+        mean_pd = acc["pd"].mean()
+        tables[ParticleType.DISTINGUISHABLE] = verdict_table(
+            eigenvalues, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
+    if ParticleType.FERMION in types:
+        table = verdict_table(eigenvalues, fermion_outputs, ParticleType.FERMION,
+                              acc["pf"].mean(), acc["pdf"].mean(), p, r)
+        tables[ParticleType.FERMION] = table
+        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[table.fermion].max(initial=0.0))
+    return tables, max_suppressed

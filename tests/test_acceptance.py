@@ -263,7 +263,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
     for label in ("first", "second"):
         code = main([
             "experiment", "--config", str(config),
-            "--out", str(tmp_path / label), "--threads", "2",
+            "--out", str(tmp_path / label),
         ])
         assert code == 0
     compared = []

@@ -128,6 +128,21 @@ class TestProb:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", [["build"], ["verdicts", "--input-state", "[1,1]"]])
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("seed", 1.5), ("column_order", [1.0, 2]),
+    ("theta", [0.0, float("nan")]), ("theta", [10**400, 0.0]), ("sigma", [False, 0.0]),
+])
+def test_bad_spec_value_is_one_line_error(tmp_path, capsys, command, key, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"permutation": "(1 2)", key: value}))
+    assert main([command[0], "--spec", str(spec), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unitary spec key '{key}' must be"), captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
 class TestVerdicts:
     def test_hom_three_rows(self, hom_spec_file, tmp_path):
         out = tmp_path / "verdicts.csv"
@@ -207,6 +222,28 @@ class TestExperiment:
         assert meta["max_suppressed"]["boson"] <= 1e-20
         assert meta["seed"] == 11
 
+    def test_threads_change_no_byte(self, tmp_path, capsys):
+        config = tmp_path / "census.json"
+        config.write_text(json.dumps({
+            "kind": "mean-probabilities",
+            "permutation": "(1 2 3)(4 5 6)(7 8)",
+            "input_state": [1, 1, 1, 0, 0, 0, 1, 1],
+            "bases": 3,
+        }))
+        outputs = {}
+        for label, threads in (("none", []), ("one", ["--threads", "1"]),
+                               ("three", ["--threads", "3"])):
+            out = tmp_path / label
+            assert main(["experiment", "--config", str(config), "--out", str(out), *threads]) == 0
+            meta = json.loads((tmp_path / f"{label}.meta.json").read_text())
+            del meta["timing_seconds"]
+            outputs[label] = [meta] + [(tmp_path / f"{label}.{kind}.csv").read_bytes()
+                                       for kind in ("boson", "fermion", "dist")]
+        assert outputs["none"] == outputs["one"] == outputs["three"]
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        assert "--threads" not in capsys.readouterr().out
+
     def test_census_seed_changes_bytes(self, tmp_path):
         self.run_census(tmp_path, 1, "a")
         self.run_census(tmp_path, 2, "b")
@@ -273,6 +310,9 @@ class TestExperiment:
         {"eta_scale": float("inf"), "kind": "distinguishability-robustness"},
         {"eta_scale": -1, "kind": "distinguishability-robustness"},
         {"grid": [0.1, float("inf")], "kind": "distinguishability-robustness"},
+        {"permutation": [2.9, 3.1, 1.5, 4, 5, 6, 7, 8], "input_state": [1, 1, 1, 0, 0, 0, 1, 1]},
+        {"eta_scale": 10**400, "kind": "distinguishability-robustness"},
+        {"grid": [0.1, 10**400], "kind": "distinguishability-robustness"},
     ])
     def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
         kind = extra.get("kind", "mean-probabilities")
@@ -313,8 +353,8 @@ class TestExperiment:
 
 def test_cli_import_loads_no_network_or_process_pool_modules():
     """``import symfock.cli`` in a fresh interpreter pulls in neither the
-    network stack (once loaded through ``xml.sax.saxutils``) nor the process
-    pool, which only a multi-worker census needs."""
+    network stack (once loaded through ``xml.sax.saxutils``) nor a process
+    pool: every run takes one process."""
     heavy = ("ssl", "http.client", "urllib.request", "concurrent.futures.process")
     code = f"import sys, symfock.cli; print([m for m in {heavy!r} if m in sys.modules])"
     package_root = os.path.dirname(os.path.dirname(symfock.__file__))

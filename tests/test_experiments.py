@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from symfock.serialize import write_verdict_csv
 from symfock.suppression import EventClass
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import assert_same_table
+from oracles import assert_same_table, reference_census
 
 HOM_PERM = Permutation.parse("(1 2)")
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
@@ -101,13 +102,6 @@ class TestMeanProbabilities:
         assert table_a.boson.tolist() == table_b.boson.tolist()
         assert (abs(table_a.p - table_b.p) > 1e-6).any()
 
-    def test_workers_change_nothing(self):
-        sequential = run_mean_probabilities(small_census())
-        parallel = run_mean_probabilities(small_census(workers=2))
-        assert sequential.tables.keys() == parallel.tables.keys()
-        for kind in sequential.tables:
-            assert_same_table(sequential.tables[kind], parallel.tables[kind])
-
     def test_distinguishable_only(self):
         cfg = small_census(types=(ParticleType.DISTINGUISHABLE,))
         result = run_mean_probabilities(cfg)
@@ -120,19 +114,36 @@ class TestMeanProbabilities:
         probabilities = experiments.probabilities
 
         def counted(u, r, outputs, kind):
-            calls[kind] += 1
+            calls[kind, len(u)] += 1
             return probabilities(u, r, outputs, kind)
 
         monkeypatch.setattr(experiments, "probabilities", counted)
+        monkeypatch.setattr(experiments, "CHUNK", 3)  # 4 bases: sub-stacks of 3 and 1
         dist_only = run_mean_probabilities(small_census(types=(ParticleType.DISTINGUISHABLE,)))
-        assert calls == {ParticleType.DISTINGUISHABLE: 4}
+        assert calls == {(ParticleType.DISTINGUISHABLE, 3): 1, (ParticleType.DISTINGUISHABLE, 1): 1}
         calls.clear()
         every = run_mean_probabilities(small_census())
-        assert calls == {ParticleType.BOSON: 4, ParticleType.FERMION: 4,
-                         ParticleType.DISTINGUISHABLE: 8}
+        assert calls == {(kind, b): 2 if kind is ParticleType.DISTINGUISHABLE else 1
+                         for kind in ParticleType for b in (3, 1)}
         for name, result in (("dist_only", dist_only), ("every", every)):
             write_verdict_csv(tmp_path / name, result.tables[ParticleType.DISTINGUISHABLE])
         assert (tmp_path / "dist_only").read_bytes() == (tmp_path / "every").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [2, 3])
+    @pytest.mark.parametrize("types", [
+        combo for size in (1, 2, 3) for combo in combinations(ParticleType, size)
+    ], ids=lambda types: "+".join(kind.value for kind in types))
+    def test_stacked_census_equals_per_basis_reference(self, monkeypatch, chunk, types):
+        monkeypatch.setattr(experiments, "CHUNK", chunk)  # bases cross sub-stack boundaries
+        for num_bases in range(1, 8):
+            cfg = small_census(num_bases=num_bases, types=types)
+            result = run_mean_probabilities(cfg)
+            tables, max_suppressed = reference_census(cfg)
+            assert result.tables.keys() == tables.keys() == set(types)
+            for kind, table in tables.items():
+                assert_same_table(result.tables[kind], table)
+            assert ({k: v.hex() for k, v in result.max_suppressed.items()}
+                    == {k: v.hex() for k, v in max_suppressed.items()})
 
     def test_rejects_non_invariant_input(self):
         with pytest.raises(ValueError, match="invariant"):

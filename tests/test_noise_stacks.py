@@ -3,7 +3,8 @@
 The oracles are the per-sample versions the fits used before they drew whole
 sub-stacks: two draws per sample for the gaussian and disk deviations and for
 the sampled Gram matrices, one ``eigh`` and one clip per Gram matrix, and a
-fit loop that draws every sample alone and reduces through ``_KahanMean``.
+fit loop that draws every sample alone and reduces through a streaming
+``oracles.KahanMean``.
 The stacked code has to give their bits, not just their values."""
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from symfock.experiments import (
     GRAM_STACK_TERMS,
-    _KahanMean,
     derive_seed,
     run_distinguishability_robustness,
     run_unitary_robustness,
@@ -30,6 +30,8 @@ from symfock.scattering import (
     repair_distinguishability,
 )
 from symfock.unitaries import UnitarySpec, build_unitary
+
+from oracles import KahanMean
 
 ENSEMBLES = ("independent", "gram")
 WORKED = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
@@ -92,7 +94,7 @@ def oracle_unitary_fit(u, r, s, particle, grid, samples, seed, distribution):
     for gi, g in enumerate(grid):
         model = PerturbationModel(g, distribution=distribution)
         rng = np.random.default_rng(derive_seed(seed, gi))
-        acc = _KahanMean(1)
+        acc = KahanMean(1)
         for start in range(0, samples, CHUNK):
             deltas = np.array([lone_deltas(model, u.shape, rng)
                                for _ in range(min(CHUNK, samples - start))])
@@ -108,7 +110,7 @@ def oracle_dist_fit(u, r, s, particle, grid, samples, seed, ensemble, eta_scale=
     repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
-        acc = _KahanMean(1)
+        acc = KahanMean(1)
         for start in range(0, samples, stack_size):
             grams = []
             for _ in range(min(stack_size, samples - start)):

@@ -86,6 +86,16 @@ class TestOccupationAndPermutationParsing:
     def test_permutation_list(self):
         assert parse_permutation([2, 1]).one_line() == (2, 1)
 
+    def test_occupation_rejects_booleans(self):
+        with pytest.raises(ValueError, match="integers"):
+            parse_occupation("[true,1,1]")
+
+    @pytest.mark.parametrize("value", ["[2.7,1.2]", [2.9, 3.1, 1.5, 4, 5, 6, 7, 8],
+                                       [True, 1], "[2, \"1\"]", 5, "[2,1"])
+    def test_one_line_permutation_must_hold_integers(self, value):
+        with pytest.raises(ValueError, match="one-line permutation"):
+            parse_permutation(value)
+
 
 class TestSpecJson:
     def test_minimal(self):
@@ -112,6 +122,26 @@ class TestSpecJson:
     def test_missing_permutation_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
             spec_from_json({"seed": 3})
+
+    def test_null_optional_keys_accepted(self):
+        spec = spec_from_json({"permutation": "(1 2)", "theta": None, "sigma": None,
+                               "seed": None, "column_order": None})
+        assert spec == UnitarySpec(Permutation.parse("(1 2)"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("column_order", [2.0, 1]), ("column_order", "21"),
+        ("theta", [0.0, float("nan")]), ("theta", [0.0, True]), ("theta", 0.5),
+        ("theta", [10**400, 0.0]),
+        ("sigma", [float("inf"), 0.0]), ("sigma", ["0", 0.0]),
+    ])
+    def test_bad_optional_values_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"unitary spec key '{key}' must be"):
+            spec_from_json({"permutation": "(1 2)", key: value})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="object"):
+            spec_from_json(["(1 2)"])
 
 
 class TestVerdictCsv:
