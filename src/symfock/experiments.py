@@ -22,10 +22,13 @@ for each sub-stack of at most ``scattering.CHUNK`` bases, with all outputs
 of every basis (one polynomial expansion per unitary). The DFT comparison
 makes one call per kind for its one unitary, the unitary robustness fit one
 per sub-stack of ``scattering.CHUNK`` noise samples (one permanent per
-sample). The distinguishability fit sends its Gram matrices to
-:func:`scattering.prob_partial` in sub-stacks of :data:`GRAM_STACK_TERMS`
-// N! matrices (at least one), which keeps the B * N! deviation terms of a
-sub-stack near 2^13. Each sub-stack of noise samples takes one random call
+sample). The distinguishability fit splits :func:`scattering.prob_partial`
+in its two halves: it computes the N! weight permanents of its one
+transition once, with :func:`scattering.partial_weights`, and sends its Gram
+matrices to :func:`scattering.partial_probabilities` in sub-stacks of
+:data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
+B * N! deviation terms of a sub-stack near 2^13; every Gram matrix is still
+checked there. Each sub-stack of noise samples takes one random call
 (:meth:`scattering.PerturbationModel.sample` on a (B, n, n) shape,
 :func:`sample_distinguishability` with a count), laid out so that it equals
 the samples' lone draws in sample order bit for bit; the drawn Gram matrices
@@ -54,8 +57,9 @@ from .permutations import Permutation, RootOfUnity, cycle_decompose
 from .scattering import (
     CHUNK,
     PerturbationModel,
+    partial_probabilities,
+    partial_weights,
     prob_distinguishable,
-    prob_partial,
     probabilities,
     repair_distinguishability,
 )
@@ -435,8 +439,9 @@ def run_unitary_robustness(
 #: How the random Gram matrices for the distinguishability sweep are drawn.
 GRAM_ENSEMBLES = ("independent", "gram")
 
-#: Deviation terms (Gram matrices times N!) per ``prob_partial`` call of the
-#: distinguishability fit: small enough that a sub-stack adds no peak memory.
+#: Deviation terms (Gram matrices times N!) per ``partial_probabilities``
+#: call of the distinguishability fit: small enough that a sub-stack adds no
+#: peak memory.
 GRAM_STACK_TERMS = 1 << 13
 
 
@@ -472,7 +477,7 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
         eta = (eta - eta.swapaxes(-1, -2)) / 2.0
         s = (1.0 - eps) * np.exp(1j * eta)
         s[..., diagonal, diagonal] = 1.0
-        # one eigh decides and repairs; prob_partial checks every Gram it gets
+        # one eigh decides and repairs; the fit checks every Gram it evaluates
         repaired, mask = repair_distinguishability(s)
         if count is None:
             return (repaired, True) if mask else (s, False)
@@ -516,8 +521,7 @@ def run_distinguishability_robustness(
     if p_dist <= CLASSIFY_TOL:
         raise ValueError("distinguishable probability vanishes; prediction degenerate")
     predicted = particle_count(r) * p_dist
-    n = np.asarray(unitary).shape[0]
-
+    terms = partial_weights(unitary, r, s, particle)  # once per fit, for every grid point
     stack_size = max(1, GRAM_STACK_TERMS // factorial(particle_count(r)))
 
     measured = []
@@ -528,9 +532,9 @@ def run_distinguishability_robustness(
         for start in range(0, samples, stack_size):
             # one draw per sub-stack, equal to its samples' draws in sample order
             grams, repaired = sample_distinguishability(
-                n, g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
+                terms.modes, g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
             repairs += repaired
-            values += prob_partial(unitary, r, s, grams, particle).tolist()
+            values += partial_probabilities(terms, grams).tolist()
         measured.append(_compensated_mean(values))
 
     exponent, prefactor = _fit_loglog(grid, measured, 1.0)

@@ -86,8 +86,13 @@ class Permutation:
 
     @classmethod
     def from_one_line(cls, seq, one_based: bool = True) -> "Permutation":
+        """Build from the images of modes 1..n (``one_based``) or 0..n-1; a
+        list that is not a bijection is named as given."""
+        seq = [int(j) for j in seq]
         offset = 1 if one_based else 0
-        return cls(int(j) - offset for j in seq)
+        if sorted(seq) != list(range(offset, len(seq) + offset)):
+            raise ValueError(f"not a bijection on {offset}..{len(seq) - 1 + offset}: {seq}")
+        return cls(j - offset for j in seq)
 
     @classmethod
     def from_cycles(cls, cycles, n: int | None = None) -> "Permutation":

@@ -45,9 +45,15 @@ distinguishable) through the single sum over permutations tau
     w_tau = chi(tau) * perm(conj(M) o M[tau, :]),
 
 (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)). The N!
-weights depend on U, the input and the output only, so :func:`prob_partial`
-computes them once, at N! * 2^N * N cost, and then spends N! * N per Gram
-matrix of a stack.
+weights depend on U, the input and the output only. :func:`prob_partial` is
+two halves: :func:`partial_weights` checks U, the input and the output and
+computes the weights, at N! * 2^N * N cost; :func:`partial_probabilities`
+checks a Gram matrix or a stack of them and spends N! * N on each. A caller
+with many Gram stacks for one transition, such as the distinguishability
+fit, computes the weights once. Every Gram matrix is checked by
+:func:`validate_distinguishability`, whose PSD test is one stacked Cholesky
+factorisation of H + psd_tol * I (H the Hermitian part of S) rather than an
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,7 +317,10 @@ def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1
     """Check the Gram-matrix contract: Hermitian, unit diagonal, entries in
     the unit disc, positive semidefinite up to ``psd_tol``.
 
-    Takes one (n, n) matrix or a (B, n, n) stack, checked as a whole.
+    Takes one (n, n) matrix or a (B, n, n) stack, checked as a whole. The PSD
+    test is one stacked Cholesky factorisation of H + psd_tol * I, H the
+    Hermitian part: the factor exists exactly when the lowest eigenvalue of H
+    is above -``psd_tol``, and costs a fraction of an eigendecomposition.
     """
     s = as_complex_matrix(s_matrix, stack=True)
     if s.shape[-1] != s.shape[-2]:
@@ -324,8 +334,13 @@ def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1
         raise ValueError("distinguishability matrix diagonal must be all ones")
     if np.max(np.abs(s)) > 1.0 + tol:
         raise ValueError("distinguishability entries must satisfy |S_jk| <= 1")
-    if float(np.min(np.linalg.eigvalsh((s + adjoint) / 2.0))) < -psd_tol:
-        raise ValueError("distinguishability matrix is not positive semidefinite")
+    shifted = (s + adjoint) / 2.0
+    diagonal = np.arange(s.shape[-1])
+    shifted[..., diagonal, diagonal] += psd_tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError("distinguishability matrix is not positive semidefinite") from None
     return s
 
 
@@ -357,6 +372,71 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
     return (herm, mask) if herm.ndim == 3 else (herm, bool(mask[0]))
 
 
+class PartialWeights(NamedTuple):
+    """The terms of the single sum that depend on U, the input and the output
+    only, from :func:`partial_weights`: the size n of the Gram matrices, the
+    input mode d(j) of each particle, the (N!, N) permutation table, the N!
+    weights w_tau, |perm M|^2 or |det M|^2, and prod r! * prod s!."""
+
+    modes: int
+    rows: np.ndarray
+    perms: np.ndarray
+    weights: np.ndarray
+    indistinguishable: float
+    norm: int
+
+
+def partial_weights(u, occupation_in, occupation_out, kind: ParticleType) -> PartialWeights:
+    """Check U, the input and the output for :func:`prob_partial` and compute
+    the N! weights w_tau = chi(tau) * perm(conj(M) o M[tau, :]) through the
+    stack-aware permanent in stacks of :data:`CHUNK`, at N! * 2^N * N cost,
+    once for any number of Gram matrices.
+
+    Refuses N > :data:`PARTIAL_MAX` and kinds other than bosons and fermions.
+    """
+    if kind not in (ParticleType.BOSON, ParticleType.FERMION):
+        raise ValueError("partial distinguishability applies to bosons or fermions")
+    fermionic = kind is ParticleType.FERMION
+    u = as_complex_matrix(u)
+    r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic)
+    n_particles = sum(r)
+    if n_particles > PARTIAL_MAX:
+        raise ValueError(f"partial-distinguishability sum limited to N <= {PARTIAL_MAX}")
+    d = _assignment0(r)
+    m = u[np.ix_(d, _columns(s, n_particles)[0])]
+    perms = permutation_table(n_particles)
+    weights = np.concatenate([permanent_ryser(m.conj() * m[perms[start:start + CHUNK]])
+                              for start in range(0, len(perms), CHUNK)])
+    if fermionic:
+        weights *= permutation_signs(n_particles)
+    indistinguishable = abs(determinant(m) if fermionic else permanent_ryser(m)) ** 2
+    norm = prod(factorial(x) for x in r) * prod(factorial(x) for x in s[0])
+    return PartialWeights(u.shape[0], d, perms, weights, indistinguishable, norm)
+
+
+def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray:
+    """Check one Gram matrix or a (B, n, n) stack through
+    :func:`validate_distinguishability` and evaluate the single sum of
+    ``terms`` on it, at N! * N cost per Gram matrix: a ``float`` for one
+    matrix, a (B,) array for a stack."""
+    gram = validate_distinguishability(s_matrix)
+    if gram.shape[-2:] != (terms.modes, terms.modes):
+        raise ValueError("distinguishability matrix must match the unitary size")
+    stack = gram if gram.ndim == 3 else gram[None]
+    d, perms = terms.rows, terms.perms
+    deviation = stack[:, d[:, None], d[None, :]] - 1.0  # D on the occupied input modes
+    e = np.zeros((len(stack), len(perms)), dtype=complex)
+    for j in range(len(d)):
+        factor = deviation[:, j, perms[:, j]]
+        e = e + factor + e * factor
+    value = terms.indistinguishable + (e * terms.weights).sum(axis=1)
+    if np.any(np.abs(value.imag) > 1e-10):
+        raise ArithmeticError(
+            f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
+    result = _clamp_probability(value.real / terms.norm)
+    return result if gram.ndim == 3 else float(result[0])
+
+
 def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType) -> float | np.ndarray:
     """Transition probability for partially distinguishable particles.
 
@@ -369,10 +449,13 @@ def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType)
         w_tau = chi(tau) * perm(conj(M) o M[tau, :])
         e_tau = prod_j (1 + D[d(j), d(tau(j))]) - 1
 
-    The N! weights are computed once per call, through the stack-aware
-    permanent in stacks of :data:`CHUNK`: N! * 2^N * N work. Each Gram matrix
-    then costs N! * N: e_tau is built one factor at a time as
-    e <- e + d + e * d. The deviation form keeps the cancellation at
+    It is :func:`partial_probabilities` of :func:`partial_weights`: the
+    first half checks U, the input and the output and computes the N!
+    weights (N! * 2^N * N work), the second checks the Gram matrices and
+    spends N! * N on each, building e_tau one factor at a time as
+    e <- e + d + e * d. A caller with many Gram stacks for one transition,
+    such as the distinguishability fit, calls the halves itself and computes
+    the weights once. The deviation form keeps the cancellation at
     suppressed outputs at amplitude level: D is exact there, and
     sum_tau w_tau (the all-ones Gram) is the indistinguishable probability,
     taken from the same kernel and ``abs(z) ** 2`` as :func:`prob_boson` and
@@ -384,40 +467,7 @@ def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType)
 
     Refuses N > :data:`PARTIAL_MAX`.
     """
-    if kind not in (ParticleType.BOSON, ParticleType.FERMION):
-        raise ValueError("partial distinguishability applies to bosons or fermions")
-    fermionic = kind is ParticleType.FERMION
-    u = as_complex_matrix(u)
-    r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic)
-    n_particles = sum(r)
-    if n_particles > PARTIAL_MAX:
-        raise ValueError(f"partial-distinguishability sum limited to N <= {PARTIAL_MAX}")
-    gram = validate_distinguishability(s_matrix)
-    if gram.shape[-2:] != u.shape:
-        raise ValueError("distinguishability matrix must match the unitary size")
-    stack = gram if gram.ndim == 3 else gram[None]
-
-    d = _assignment0(r)
-    m = u[np.ix_(d, _columns(s, n_particles)[0])]
-    perms = permutation_table(n_particles)
-    weights = np.concatenate([permanent_ryser(m.conj() * m[perms[start:start + CHUNK]])
-                              for start in range(0, len(perms), CHUNK)])
-    if fermionic:
-        weights *= permutation_signs(n_particles)
-    indistinguishable = abs(determinant(m) if fermionic else permanent_ryser(m)) ** 2
-
-    deviation = stack[:, d[:, None], d[None, :]] - 1.0  # D on the occupied input modes
-    e = np.zeros((len(stack), len(perms)), dtype=complex)
-    for j in range(n_particles):
-        factor = deviation[:, j, perms[:, j]]
-        e = e + factor + e * factor
-    value = indistinguishable + (e * weights).sum(axis=1)
-    if np.any(np.abs(value.imag) > 1e-10):
-        raise ArithmeticError(
-            f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
-    norm = prod(factorial(x) for x in r) * prod(factorial(x) for x in s[0])
-    result = _clamp_probability(value.real / norm)
-    return result if gram.ndim == 3 else float(result[0])
+    return partial_probabilities(partial_weights(u, occupation_in, occupation_out, kind), s_matrix)
 
 
 # --- perturbed unitaries ----------------------------------------------------

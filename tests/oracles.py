@@ -12,16 +12,24 @@
   ``probabilities`` calls per basis, reduced row by row with a streaming
   compensated mean. Their bits are the contract of
   ``experiments.run_mean_probabilities``.
+* :func:`reference_dist_fit`: the distinguishability fit as it ran before it
+  computed its weights once per fit, one lone ``prob_partial`` call, N!
+  weight permanents included, per sub-stack of Gram matrices. Its bits and
+  repair count are the contract of
+  ``experiments.run_distinguishability_robustness``.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
 
-from symfock.experiments import derive_seed
+from symfock import experiments
+from symfock.experiments import derive_seed, sample_distinguishability
 from symfock.fock import ParticleType, output_array, particle_count
 from symfock.linalg import permutation_signs, permutation_table
-from symfock.scattering import probabilities
+from symfock.scattering import prob_partial, probabilities
 from symfock.serialize import VERDICT_COLUMNS
 from symfock.suppression import verdict_table
 from symfock.unitaries import UnitarySpec, build_unitary
@@ -147,3 +155,25 @@ def reference_census(cfg) -> tuple[dict, dict]:
         tables[ParticleType.FERMION] = table
         max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[table.fermion].max(initial=0.0))
     return tables, max_suppressed
+
+
+def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="independent",
+                       eta_scale=1.0) -> tuple[tuple[float, ...], int]:
+    """The measured means and the PSD repair count of a distinguishability
+    fit, with one ``prob_partial`` call per sub-stack of
+    ``experiments.GRAM_STACK_TERMS`` // N! Gram matrices (read at call time,
+    so a patched value applies here too)."""
+    stack_size = max(1, experiments.GRAM_STACK_TERMS // factorial(particle_count(r)))
+    measured = []
+    repairs = 0
+    for gi, g in enumerate(grid):
+        rng = np.random.default_rng(derive_seed(seed, gi))
+        acc = KahanMean(1)
+        for start in range(0, samples, stack_size):
+            grams, repaired = sample_distinguishability(
+                len(u), g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
+            repairs += repaired
+            for p in prob_partial(u, r, s, grams, particle):
+                acc.add(p)
+        measured.append(float(acc.mean()[0]))
+    return tuple(measured), repairs

@@ -143,6 +143,21 @@ def test_bad_spec_value_is_one_line_error(tmp_path, capsys, command, key, value)
     assert captured.err.count("\n") == 1, captured.err
 
 
+@pytest.mark.parametrize("command", [["build"], ["verdicts", "--input-state", "[1,1]"]])
+@pytest.mark.parametrize("permutation, message", [
+    ([0, 1], "not a bijection on 1..2: [0, 1]"),
+    ([1, 1], "not a bijection on 1..2: [1, 1]"),
+    ([], "one-line permutation must name at least one mode, got []"),
+])
+def test_bad_one_line_permutation_is_one_line_error(tmp_path, capsys, command, permutation, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"permutation": permutation}))
+    assert main([command[0], "--spec", str(spec), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 class TestVerdicts:
     def test_hom_three_rows(self, hom_spec_file, tmp_path):
         out = tmp_path / "verdicts.csv"
@@ -313,6 +328,7 @@ class TestExperiment:
         {"permutation": [2.9, 3.1, 1.5, 4, 5, 6, 7, 8], "input_state": [1, 1, 1, 0, 0, 0, 1, 1]},
         {"eta_scale": 10**400, "kind": "distinguishability-robustness"},
         {"grid": [0.1, 10**400], "kind": "distinguishability-robustness"},
+        {"permutation": [], "input_state": []},
     ])
     def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
         kind = extra.get("kind", "mean-probabilities")

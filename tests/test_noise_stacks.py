@@ -7,11 +7,14 @@ fit loop that draws every sample alone and reduces through a streaming
 ``oracles.KahanMean``.
 The stacked code has to give their bits, not just their values."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symfock import experiments, scattering
 from symfock.experiments import (
     GRAM_STACK_TERMS,
     derive_seed,
@@ -31,7 +34,7 @@ from symfock.scattering import (
 )
 from symfock.unitaries import UnitarySpec, build_unitary
 
-from oracles import KahanMean
+from oracles import KahanMean, reference_dist_fit
 
 ENSEMBLES = ("independent", "gram")
 WORKED = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
@@ -229,5 +232,35 @@ def test_dist_fit_matches_per_sample_oracle(ensemble, samples):
                                             WORKED_TARGET, ParticleType.BOSON, GRID,
                                             samples=samples, seed=12, ensemble=ensemble)
     measured, repairs = oracle_dist_fit(*args, ensemble)
+    assert fit.measured == measured
+    assert fit.metadata["psd_repairs"] == repairs
+
+
+@pytest.mark.parametrize("terms", [120, 250, 600])  # 1, 2 and 5 Gram matrices per sub-stack
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, terms):
+    # 7 samples per grid point make several sub-stacks per grid point: the
+    # N! = 120 weight permanents are still computed once for the whole fit
+    monkeypatch.setattr(experiments, "GRAM_STACK_TERMS", terms)
+    stacks = []
+    real_permanent = scattering.permanent_ryser
+
+    def counting_permanent(m):
+        stacks.append((m.shape, m.dtype.kind))
+        return real_permanent(m)
+
+    monkeypatch.setattr(scattering, "permanent_ryser", counting_permanent)
+    fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
+                                            WORKED_TARGET, ParticleType.BOSON, GRID,
+                                            samples=7, seed=13, ensemble=ensemble)
+    monkeypatch.setattr(scattering, "permanent_ryser", real_permanent)
+    # the weights are complex (b, 5, 5) stacks; the lone complex (5, 5) is
+    # |perm M|^2 and the real (1, 5, 5) stack the distinguishable reference
+    weights = [shape for shape, kind in stacks if len(shape) == 3 and kind == "c"]
+    assert sum(shape[0] for shape in weights) == factorial(5)
+    assert sorted(stacks) == sorted([*((shape, "c") for shape in weights),
+                                     ((5, 5), "c"), ((1, 5, 5), "f")])
+    measured, repairs = reference_dist_fit(WORKED.matrix, WORKED_INPUT, WORKED_TARGET,
+                                           ParticleType.BOSON, GRID, 7, 13, ensemble)
     assert fit.measured == measured
     assert fit.metadata["psd_repairs"] == repairs

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from symfock.fock import ParticleType, occupation_to_assignment
 from symfock.linalg import haar_random_unitary, permutation_signs, permutation_table
 from symfock.scattering import (
+    partial_probabilities,
+    partial_weights,
     prob_boson,
     prob_distinguishable,
     prob_fermion,
@@ -133,3 +135,66 @@ def test_stack_checks():
     with pytest.raises(ValueError, match="match the unitary size"):
         prob_partial(u, (1, 1, 0), (1, 0, 1), np.ones((2, 4, 4)), ParticleType.BOSON)
     assert prob_partial(u, (1, 1, 0), (1, 0, 1), np.ones((0, 3, 3)), ParticleType.BOSON).shape == (0,)
+
+
+# --- the PSD boundary of validate_distinguishability -----------------------
+
+PSD_MESSAGE = r"^distinguishability matrix is not positive semidefinite$"
+
+
+def gram_with_lowest(rng, n: int, lowest: float) -> np.ndarray:
+    """A unit-diagonal Hermitian matrix, entries inside the unit disc, with
+    lowest eigenvalue ``lowest`` <= 0: (1 + delta) G - delta I for the Gram
+    matrix G of n unit vectors in n - 1 dimensions (lowest eigenvalue 0)."""
+    v = rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    gram = v.conj() @ v.T
+    gram = (1.0 - lowest) * gram + lowest * np.eye(n)
+    gram = (gram + gram.conj().T) / 2.0
+    np.fill_diagonal(gram, 1.0)
+    return gram
+
+
+@pytest.mark.parametrize("lowest, refused", [(-1.2e-10, True), (-0.8e-10, False)])
+@pytest.mark.parametrize("n", [3, 8])
+def test_psd_boundary_alone_and_inside_a_stack(n, lowest, refused):
+    rng = np.random.default_rng(n)
+    bad = gram_with_lowest(rng, n, lowest)
+    assert abs(np.linalg.eigvalsh(bad)[0] - lowest) < 1e-14
+    stack = np.array([random_gram(rng, n, 0.3) for _ in range(5)])
+    stack[3] = bad  # the only matrix near the boundary
+    u = haar_random_unitary(n, rng)
+    r = s = (1, 1) + (0,) * (n - 2)
+    for grams in (bad, stack):
+        if refused:
+            with pytest.raises(ValueError, match=PSD_MESSAGE):
+                validate_distinguishability(grams)
+            with pytest.raises(ValueError, match=PSD_MESSAGE):
+                prob_partial(u, r, s, grams, ParticleType.BOSON)
+        else:
+            assert np.array_equal(validate_distinguishability(grams), grams)
+            prob_partial(u, r, s, grams, ParticleType.BOSON)
+
+
+def test_unrepaired_independent_draws_are_refused():
+    # the `independent` ensemble before its PSD repair, eight modes: every
+    # draw is further than 1e-10 from the PSD cone, so every one must fail
+    rng = np.random.default_rng(9)
+    n, mean_eps = 8, 1e-2
+    u = haar_random_unitary(n, rng)
+    r = s = (1, 1, 1) + (0,) * (n - 3)
+    draws = []
+    for _ in range(20):
+        eps = rng.uniform(0.0, 2.0 * mean_eps, size=(n, n))
+        eta = rng.uniform(-mean_eps, mean_eps, size=(n, n))
+        gram = (1.0 - (eps + eps.T) / 2.0) * np.exp(0.5j * (eta - eta.T))
+        np.fill_diagonal(gram, 1.0)
+        draws.append(gram)
+    for gram in draws:
+        assert np.linalg.eigvalsh(gram)[0] < -1e-10
+        with pytest.raises(ValueError, match=PSD_MESSAGE):
+            validate_distinguishability(gram)
+    with pytest.raises(ValueError, match=PSD_MESSAGE):
+        prob_partial(u, r, s, np.array(draws), ParticleType.BOSON)
+    with pytest.raises(ValueError, match=PSD_MESSAGE):
+        partial_probabilities(partial_weights(u, r, s, ParticleType.BOSON), draws[0])

@@ -107,6 +107,12 @@ class TestPermutationParsing:
         with pytest.raises(ValueError, match="bijection"):
             Permutation([0, 0, 1])
 
+    def test_one_line_non_bijection_named_as_given(self):
+        with pytest.raises(ValueError, match=r"^not a bijection on 1\.\.2: \[0, 1\]$"):
+            Permutation.from_one_line([0, 1])
+        with pytest.raises(ValueError, match=r"^not a bijection on 0\.\.1: \[1, 1\]$"):
+            Permutation.from_one_line([1, 1], one_based=False)
+
 
 class TestCycleDecompose:
     def test_worked_example(self):

@@ -1,11 +1,14 @@
 import importlib.util
 import json
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symfock.experiments import run_fourier_comparison, run_mean_probabilities, CensusConfig
 from symfock.fock import ParticleType
@@ -23,6 +26,7 @@ from symfock.serialize import (
     spec_to_json,
     verdict_lines,
     write_fit_csv,
+    write_metadata,
     write_verdict_csv,
 )
 from symfock.suppression import EventClass, VerdictTable
@@ -95,6 +99,18 @@ class TestOccupationAndPermutationParsing:
     def test_one_line_permutation_must_hold_integers(self, value):
         with pytest.raises(ValueError, match="one-line permutation"):
             parse_permutation(value)
+
+    @pytest.mark.parametrize("value", [[], "[]", " [ ] "])
+    def test_one_line_permutation_needs_a_mode(self, value):
+        with pytest.raises(ValueError, match=r"^one-line permutation must name at least one mode"):
+            parse_permutation(value)
+
+    @pytest.mark.parametrize("value", [[0, 1], "[1, 1]", [1, 3]])
+    def test_one_line_non_bijection_is_named_one_based(self, value):
+        given = json.loads(value) if isinstance(value, str) else value
+        with pytest.raises(ValueError) as error:
+            parse_permutation(value)
+        assert str(error.value) == f"not a bijection on 1..2: {given}"
 
 
 class TestSpecJson:
@@ -219,6 +235,37 @@ class TestVerdictCsv:
         grid, measured = read_fit_csv(path)
         assert grid == fit.grid
         assert measured == fit.measured
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_csv_roundtrip_to_the_bit(self, data):
+        from symfock.experiments import RobustnessFit
+        grid = data.draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                                  min_size=1, max_size=12, unique=True).map(sorted))
+        finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+            [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max])
+        measured = data.draw(st.lists(finite, min_size=len(grid), max_size=len(grid)))
+        fit = RobustnessFit(tuple(grid), tuple(measured), 1.0, 1.0, 1.0, 1.0, 1, {})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fit.csv"
+            write_fit_csv(path, fit)
+            got_grid, got_measured = read_fit_csv(path)
+        assert np.array(got_grid).tobytes() == np.array(grid, dtype=float).tobytes()
+        assert np.array(got_measured).tobytes() == np.array(measured, dtype=float).tobytes()
+
+    def test_metadata_bytes_are_those_of_json_dump(self, tmp_path):
+        census = run_mean_probabilities(CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
+                                                     (1, 1, 1, 0, 0, 0, 1, 1), num_bases=2))
+        fourier = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
+        for metadata in (census.metadata, fourier.metadata | {"counts": fourier.counts},
+                         {"nested": {"list": [1.5, -0.0, None, "\u00e9"]}, "empty": []}):
+            path = tmp_path / "meta.json"
+            write_metadata(path, metadata)
+            oracle = tmp_path / "oracle.json"
+            with open(oracle, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(metadata, fh, indent=2)
+                fh.write("\n")
+            assert path.read_bytes() == oracle.read_bytes()
 
 
 class TestExperimentConfigCheck:
