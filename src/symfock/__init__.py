@@ -50,6 +50,8 @@ from .suppression import (
 from .unitaries import (
     ConstructedUnitary,
     UnitarySpec,
+    UnitaryStack,
+    build_unitaries,
     build_unitary,
     fourier_symmetry,
     fourier_unitary,
@@ -92,6 +94,8 @@ __all__ = [
     "verdict_table",
     "ConstructedUnitary",
     "UnitarySpec",
+    "UnitaryStack",
+    "build_unitaries",
     "build_unitary",
     "fourier_symmetry",
     "fourier_unitary",

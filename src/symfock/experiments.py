@@ -17,9 +17,13 @@ compensated summation, in one process.
 Probabilities come from :func:`scattering.probabilities`, which checks the
 unitaries, the input and the outputs once per call. The census stacks its
 eigenbases the way the fits stack their noise samples: one
-:func:`unitaries.build_unitary` per basis, then one call per particle kind
-for each sub-stack of at most ``scattering.CHUNK`` bases, with all outputs
-of every basis (one polynomial expansion per unitary). The DFT comparison
+:func:`unitaries.build_unitaries` per sub-stack of at most
+``scattering.CHUNK`` bases (one eigenstructure, one stacked QR per
+degenerate eigenspace, both invariants checked over the stack), then one
+call per particle kind for each sub-stack, with all outputs of every basis
+(one polynomial expansion per unitary, its parents read from the cached
+lattice table of :func:`fock.lattice`, which :func:`fock.output_array`
+built). The DFT comparison
 makes one call per kind for its one unitary, the unitary robustness fit one
 per sub-stack of ``scattering.CHUNK`` noise samples (one permanent per
 sample). The distinguishability fit splits :func:`scattering.prob_partial`
@@ -71,7 +75,7 @@ from .suppression import (
     transposition_count,
     verdict_table,
 )
-from .unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
+from .unitaries import UnitarySpec, UnitaryStack, build_unitaries, fourier_symmetry, fourier_unitary
 
 RNG_DESCRIPTION = "numpy.random.default_rng (PCG64), per-task streams via SeedSequence(seed, index)"
 
@@ -167,15 +171,12 @@ class CensusResult:
     metadata: dict
 
 
-def _census_unitaries(cfg: CensusConfig, bases: range) -> np.ndarray:
-    """The (b, n, n) stack of the rotated unitaries of ``bases``, one
-    :func:`unitaries.build_unitary` each."""
-    return np.stack([build_unitary(UnitarySpec(
-        cfg.permutation,
-        theta_phases=cfg.theta_phases,
-        sigma_phases=cfg.sigma_phases,
-        rotation_seed=derive_seed(cfg.seed, index),
-    )).matrix for index in bases])
+def _census_unitaries(cfg: CensusConfig, bases: range) -> UnitaryStack:
+    """The rotated unitaries of ``bases``, basis i seeded by
+    ``derive_seed(cfg.seed, i)``, from one :func:`unitaries.build_unitaries`."""
+    spec = UnitarySpec(cfg.permutation, theta_phases=cfg.theta_phases,
+                       sigma_phases=cfg.sigma_phases)
+    return build_unitaries(spec, [derive_seed(cfg.seed, index) for index in bases])
 
 
 def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
@@ -185,15 +186,16 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     the exact law verdicts (identical for every basis, since rotations never
     touch the eigenvalue diagonal) and the empirical event class derived
     from the means. The bases go through in sub-stacks of at most
-    ``scattering.CHUNK``, each with one :func:`scattering.probabilities`
-    call per probability its tables use, and are reduced in basis order.
+    ``scattering.CHUNK``, each built by one :func:`unitaries.build_unitaries`
+    (which also gives the eigenvalues) and sent to one
+    :func:`scattering.probabilities` call per probability its tables use,
+    and are reduced in basis order.
     """
     started = time.perf_counter()
     p = cfg.permutation
     r = cfg.input_state
     n_particles = particle_count(r)
 
-    eigenvalues = build_unitary(UnitarySpec(p)).eigenvalues
     # one (K, n) array per output list, shared by the kernels and the laws
     boson_outputs = output_array(p.n, n_particles, ParticleType.BOSON)
     fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
@@ -202,7 +204,8 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     acc = {key: _KahanMean(len(outputs)) for key, outputs in (
         ("pb", boson_outputs), ("pd", boson_outputs), ("pf", fermion_outputs), ("pdf", fermion_outputs))}
     for start in range(0, cfg.num_bases, CHUNK):
-        stack = _census_unitaries(cfg, range(start, min(start + CHUNK, cfg.num_bases)))
+        built = _census_unitaries(cfg, range(start, min(start + CHUNK, cfg.num_bases)))
+        stack, eigenvalues = built.matrices, built.eigenvalues
         if ParticleType.BOSON in cfg.types:
             acc["pb"].add(probabilities(stack, r, boson_outputs, ParticleType.BOSON))
         if ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types:

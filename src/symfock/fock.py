@@ -6,13 +6,17 @@ assignment list names the mode of each particle, sorted non-decreasing.
 Assignment lists are 1-based like every user-facing mode index.
 
 :func:`enumerate_outputs` streams the outputs of one particle number as
-tuples, the reference order. :func:`outputs_up_to` and :func:`removal_ranks`
-are its array forms, the ones the polynomial expansion of ``scattering``
-walks: every output of each particle number up to a bound as one array, and
-where each output with one particle removed sits in the enumeration of one
-particle fewer. :func:`output_array`, the (K, n) outputs that verdict tables
-and probability calls take, is the top group of :func:`outputs_up_to`; no
-output goes through a tuple.
+tuples, the reference order. :func:`outputs_up_to`, :func:`output_ranks`
+and :func:`removal_ranks` are its array forms: every output of each
+particle number up to a bound as one array, the rank of each output in that
+order, and where each output with one particle removed sits among the
+outputs of one particle fewer. :func:`lattice` is the one cached table of
+an output lattice that the polynomial expansion of ``scattering`` walks:
+the outputs of the top particle number and the parents of every output of
+every particle number, from one :func:`outputs_up_to` run.
+:func:`output_array`, the (K, n) outputs that verdict tables and
+probability calls take, is the top group of that table; no output goes
+through a tuple.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -105,18 +109,18 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
 
 def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     """Every output of :func:`enumerate_outputs` as one (K, n) array, in its
-    order: the top group of :func:`outputs_up_to`, with the same checks."""
+    order, with the same checks: a fresh copy of the top group of the
+    :func:`lattice` table, which probability calls on it then reuse."""
     _check_output_count(n, particles, kind)
-    if particles == 0:
-        return np.zeros((1, n), dtype=np.intp)
-    occ, starts = outputs_up_to(n, particles, kind is ParticleType.FERMION)
-    return occ[starts[-2]:].copy()  # the lower groups are not kept alive
+    return lattice(n, particles, kind is ParticleType.FERMION).top.astype(np.intp)
 
 
 def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:
     """Every output of 1, 2, ..., ``particles`` particles in ``n`` modes as one
     (L, n) array, grouped by particle number, each group in
     :func:`enumerate_outputs` order; with the start of each group (and L).
+    The array takes the smallest unsigned dtype that holds ``particles``,
+    an eighth of the memory of ``intp`` for up to 255 particles.
 
     Each group is built from the last: the outputs of d + 1 particles are
     those of d particles, in order, each followed by its children t + e_k
@@ -127,8 +131,9 @@ def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.n
     starts = [0]
     for size in sizes:
         starts.append(starts[-1] + size)
-    occ = np.zeros((starts[-1], n), dtype=np.intp)
-    last = np.zeros((1, n), dtype=np.intp)
+    dtype = np.min_scalar_type(particles)
+    occ = np.zeros((starts[-1], n), dtype=dtype)
+    last = np.zeros((1, n), dtype=dtype)
     first = np.zeros(1, dtype=np.intp)  # lowest mode a child may fill
     for d in range(particles):
         counts = n - first
@@ -153,6 +158,31 @@ def _rank_terms(n: int, top: int, fermionic: bool) -> np.ndarray:
     return flat
 
 
+def _rank_parts(s: np.ndarray, fermionic: bool):
+    """For an (n, K) int64 array of outputs, one row per mode: the flat rank
+    terms, the index of term(m, R_m) in them (R_m the particles in the modes
+    after m) and those terms."""
+    n = len(s)
+    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
+    for m in range(n - 2, -1, -1):
+        np.add(after[m + 1], s[m + 1], out=after[m])
+    top = int((after[0] + s[0]).max(initial=0))
+    flat = _rank_terms(n, top, fermionic)
+    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
+    return flat, index, flat.take(index)
+
+
+def output_ranks(outputs, fermionic: bool = False) -> np.ndarray:
+    """The :func:`enumerate_outputs` rank of each row of a (K, n) array of
+    occupations (0/1 for ``fermionic``) among the outputs of its particle
+    number, as a (K,) int64 array: sum_m term(m, R_m, t_m), see
+    :func:`removal_ranks`. The rank is below the size of that lattice, so
+    it fits int64 whenever the lattice's rank terms do."""
+    s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")
+    _, _, here = _rank_parts(s, fermionic)
+    return ((here * (1 - s)) if fermionic else here).sum(axis=0)
+
+
 def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     """Where each output with one particle removed sits among the outputs of
     one particle fewer.
@@ -171,13 +201,8 @@ def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     """
     s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")  # (n, K): one row per mode
     n = len(s)
-    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
-    for m in range(n - 2, -1, -1):
-        np.add(after[m + 1], s[m + 1], out=after[m])
-    top = int((after[0] + s[0]).max(initial=0))
-    flat = _rank_terms(n, top, fermionic)
-    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
-    here = flat.take(index)  # term(m, R_m); for the emptied mode k, term(k, R_k, t_k - 1)
+    flat, index, here = _rank_parts(s, fermionic)
+    # for the emptied mode k, here is term(k, R_k, t_k - 1)
     step = flat.take(index - 1) - here  # term(m, R_m - 1) - term(m, R_m); wraps only where unused
     if fermionic:
         empty = 1 - s
@@ -193,3 +218,59 @@ def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
         ranks += here
     np.copyto(ranks, -1, where=s == 0)
     return ranks.T
+
+
+def odd_after(outputs: np.ndarray) -> np.ndarray:
+    """(n, K) mask of an odd number of particles after mode k, for a (K, n)
+    array of 0/1 outputs: the sign of a fermion's parent in the expansion."""
+    after = outputs[:, ::-1].cumsum(axis=1)[:, ::-1] - outputs
+    return (after % 2 == 1).T
+
+
+#: Outputs per block while :func:`lattice` ranks its rows, so the int64
+#: temporaries of :func:`removal_ranks` stay small.
+_RANK_BLOCK = 512
+
+
+class Lattice(NamedTuple):
+    """The output lattice of 1..N particles in n modes, from :func:`lattice`.
+
+    ``top`` holds the outputs of N particles in :func:`enumerate_outputs`
+    order (the one all-zero output for N = 0), in the dtype of
+    :func:`outputs_up_to`. ``starts`` gives the first row of each particle number 1..N in
+    the lattice, and its size L. ``parents`` is the (n, L) array of
+    :func:`removal_ranks`, transposed, and ``odd`` the (n, L) masks of
+    :func:`odd_after` for a 0/1 lattice ((n, 0) otherwise). All read-only.
+    """
+
+    top: np.ndarray
+    starts: tuple[int, ...]
+    parents: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def particles(self) -> int:
+        return len(self.starts) - 1
+
+
+@lru_cache(maxsize=4)
+def lattice(n: int, particles: int, single: bool) -> Lattice:
+    """The :class:`Lattice` of every output of 1..``particles`` particles in
+    ``n`` modes, 0/1 outputs only when ``single``: one
+    :func:`outputs_up_to` run, ranked in blocks. It depends on (n, N,
+    single) only, so :func:`output_array`, every basis of a census and
+    every particle kind on the same outputs share one table. Only the top
+    group of outputs is kept; the parents take the smallest signed dtype
+    that holds the lattice size."""
+    occ, starts = outputs_up_to(n, particles, single)
+    parents = np.empty((n, len(occ)), dtype=np.min_scalar_type(-len(occ) - 1))
+    odd = np.empty((n, len(occ) if single else 0), dtype=bool)
+    for start in range(0, len(occ), _RANK_BLOCK):
+        t = occ[start:start + _RANK_BLOCK]
+        parents[:, start:start + _RANK_BLOCK] = removal_ranks(t, single).T
+        if single:
+            odd[:, start:start + _RANK_BLOCK] = odd_after(t)
+    top = occ[starts[-2]:].copy() if particles else np.zeros((1, n), dtype=occ.dtype)
+    for array in (top, parents, odd):
+        array.flags.writeable = False
+    return Lattice(top, tuple(starts), parents, odd)

@@ -280,19 +280,22 @@ def symmetry_residual(p: Permutation, u, theta, eigenvalues) -> float:
     is the identity and the relation reduces to P U = U D. A residual at
     float precision certifies that permuting the input modes of U only
     shuffles local phases.
+
+    ``u`` is one (n, n) matrix or a (B, n, n) stack sharing ``theta`` and
+    the eigenvalues; a stack gives the largest residual over its matrices.
     """
-    u = as_complex_matrix(u)
+    u = as_complex_matrix(u, stack=True)
     n = p.n
-    if u.shape != (n, n):
+    if u.shape[-2:] != (n, n):
         raise ValueError(f"unitary shape {u.shape} does not match n={n}")
     theta_diag = _diagonal_vector(theta, n)
     d_diag = eigenvalues_to_complex(eigenvalues)
     if d_diag.shape[0] != n:
         raise ValueError("eigenvalue diagonal has wrong length")
-    permuted = u[list(p.image), :]
+    permuted = u[..., list(p.image), :]
     z_diag = theta_diag[list(p.image)] * np.conj(theta_diag)
     rhs = z_diag[:, None] * u * d_diag[None, :]
-    return float(np.max(np.abs(permuted - rhs)))
+    return float(np.max(np.abs(permuted - rhs), initial=0.0))
 
 
 def reconstruction_residual(p: Permutation, structure: EigenStructure) -> float:

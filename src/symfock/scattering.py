@@ -59,7 +59,6 @@ eigendecomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -68,8 +67,9 @@ import numpy as np
 from .fock import (
     ParticleType,
     check_occupation,
+    lattice,
     occupation_to_assignment,
-    outputs_up_to,
+    odd_after,
     removal_ranks,
 )
 from .linalg import (
@@ -157,33 +157,6 @@ def expansion_pays(n: int, particles: int, outputs: int, kind: ParticleType,
     return n * (lower + outputs) < outputs * per_output
 
 
-def _odd_after(t: np.ndarray) -> np.ndarray:
-    """(n, K) mask of an odd number of particles after mode k, for 0/1 rows t."""
-    after = t[:, ::-1].cumsum(axis=1)[:, ::-1] - t
-    return (after % 2 == 1).T
-
-
-@lru_cache(maxsize=4)
-def _lower_parents(n: int, particles: int, single: bool) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The parents of every output of 1..``particles`` particles, as (n, L)
-    ranks from :func:`fock.removal_ranks`, with the fermion signs for 0/1
-    outputs and the start of each particle number. They depend on the
-    lattice only, so every basis of a census and every kind reuses them.
-    One pass of blocks over all particle numbers: the rank terms do not
-    depend on the particle number.
-    """
-    lower, starts = outputs_up_to(n, particles, single)
-    ranked = np.empty((n, len(lower)), dtype=np.int32 if len(lower) < 2**31 else np.int64)
-    odd = np.empty((n, len(lower) if single else 0), dtype=bool)
-    for start in range(0, len(lower), CHUNK):
-        t = lower[start:start + CHUNK]
-        ranked[:, start:start + CHUNK] = removal_ranks(t, single).T
-        if single:
-            odd[:, start:start + CHUNK] = _odd_after(t)
-    ranked.flags.writeable = odd.flags.writeable = False
-    return ranked, odd, starts
-
-
 def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
               fermionic: bool = False) -> np.ndarray:
     """Coefficients of x^s in prod_j (sum_k W[rows[j], k] x_k), for a (B, n, n)
@@ -201,34 +174,41 @@ def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
     sign = (-1)^(particles of t after mode k) for fermions, else 1. Every
     degree below N is expanded in full, over all multisets, or over the 0/1
     outputs when every output is one (fermions included); the top degree
-    only for ``outputs``. The parents t - e_k come from
-    :func:`fock.removal_ranks`, whose -1 for an empty mode picks a zero row
-    appended to c_d; those of the degrees below N are cached per (n, N,
-    lattice). Rows go through in blocks of :data:`CHUNK` // B, one
-    multiply-add per mode k = 0..n-1 in that order, so a coefficient's bits
-    depend on neither B nor the block boundaries.
+    only for ``outputs``. The parents t - e_k, whose -1 for an empty mode
+    picks a zero row appended to c_d, come from the cached
+    :func:`fock.lattice` table: for every degree when ``outputs`` equal its
+    top group by value (the lattice of N particles, as
+    :func:`fock.output_array` gives it), else for the degrees below N, with
+    :func:`fock.removal_ranks` of the listed outputs block by block; both
+    give the same parents. Rows go through in blocks of :data:`CHUNK` // B,
+    one multiply-add per mode k = 0..n-1 in that order, so a coefficient's
+    bits depend on neither B, the block boundaries nor where its parents
+    came from.
     """
     b, n = weights.shape[0], weights.shape[-1]
-    if not (len(rows) and len(outputs) and b):
+    n_particles = len(rows)
+    if not (n_particles and len(outputs) and b):
         return np.ones((b, len(outputs)), dtype=weights.dtype)
     single = fermionic or not (outputs > 1).any()
-    ranked, odd, starts = _lower_parents(n, len(rows) - 1, single)
+    top_size = comb(n, n_particles) if single else comb(n + n_particles - 1, n_particles)
+    table = lattice(n, n_particles if len(outputs) == top_size else n_particles - 1, single)
+    on_lattice = table.particles == n_particles and np.array_equal(outputs, table.top)
     coeffs = np.ones((1, b), dtype=weights.dtype)  # degree 0: the constant 1
     block = max(1, CHUNK // b)
     for d, row in enumerate(rows):
-        top = d + 1 == len(rows)
-        size = len(outputs) if top else starts[d + 1] - starts[d]
+        listed = d + 1 == n_particles and not on_lattice
+        size = len(outputs) if listed else table.starts[d + 1] - table.starts[d]
         padded = np.concatenate([coeffs, np.zeros((1, b), dtype=weights.dtype)])
         coeffs = np.empty((size, b), dtype=weights.dtype)
         w = weights[:, row, :].T[:, None, :]
         for start in range(0, size, block):
             stop = min(start + block, size)
-            if top:
+            if listed:
                 t = outputs[start:stop]
-                parents, flip = removal_ranks(t, single).T, _odd_after(t) if fermionic else None
+                parents, flip = removal_ranks(t, single).T, odd_after(t) if fermionic else None
             else:
-                part = slice(starts[d] + start, starts[d] + stop)
-                parents, flip = ranked[:, part], odd[:, part]
+                part = slice(table.starts[d] + start, table.starts[d] + stop)
+                parents, flip = table.parents[:, part], table.odd[:, part]
             terms = padded[parents]  # (n, rows, B): c_d(t - e_k), zero where t_k = 0
             terms *= w
             if fermionic:

@@ -17,14 +17,19 @@ with int64 arithmetic only.
   the eigenvalue product over output s is exactly (s @ k) mod L L-ths of a
   turn. The boson law is (s @ k) % L != 0; the legacy DFT parity law
   compares the same number with (-1)^w, which is 0 or L/2.
-* Multisets as counts. Over the sorted distinct eigenvalues, s @ onehot
+* Multisets as counts. Over the D sorted distinct eigenvalues, s @ onehot
   counts how often each value is picked, and two multisets are equal iff
   their count rows are. The fermion law compares each count row with the
-  input's. One ``lexsort`` of the count rows puts equal rows next to each
-  other; each group becomes one distribution tuple, shared by its rows.
+  input's. Each count row is keyed by its rank among the multisets of D
+  values (:func:`fock.output_ranks`), offset past the multisets with fewer
+  particles; one ``unique`` of the keys groups equal rows, and each group
+  becomes one distribution tuple, shared by its rows.
 
 Both are exact as long as no sum leaves int64: s @ k < N * L for N
-particles, so :func:`output_laws` refuses N * L >= 2^63 up front. The
+particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
+below C(D + N, N), the number of multisets of at most N of D values; where
+that reaches 2^63 (dozens of distinct eigenvalues and particles at once)
+the count rows are grouped by ``unique`` over whole rows instead. The
 one-output predicates are wrappers over it.
 
 :func:`verdict_table` is the one builder of verdict tables: it joins one
@@ -37,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from math import lcm
+from math import comb, lcm
 
 import numpy as np
 
-from .fock import ParticleType, check_occupation
+from .fock import ParticleType, check_occupation, output_ranks
 from .permutations import Permutation, RootOfUnity, is_invariant
 
 #: Probabilities below this are treated as zero when classifying events.
@@ -122,7 +127,8 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
         initial = initial_distribution(permutation, occupation_in)
 
     turn = lcm(*(v.den for v in values))  # L: phases count in L-ths of a turn
-    n_particles = int(s.sum(axis=1).max(initial=0))
+    sizes = s.sum(axis=1)
+    n_particles = int(sizes.max(initial=0))
     if max(n_particles, 1) * turn >= _INT64_LIMIT:
         raise ValueError(f"phase sums overflow int64: {n_particles} particles times "
                          f"lcm of eigenvalue denominators {turn} >= 2^63")
@@ -146,17 +152,18 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
             initial_counts[column[v]] += 1
         fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
 
-    # equal count rows are adjacent once sorted; one tuple per group, shared by its rows
-    order = np.lexsort(counts.T[::-1]) if len(distinct) else np.arange(len(counts))
-    ranked = counts[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty(len(ranked), dtype=np.intp)
-    group[order] = np.cumsum(first) - 1
-    shared = [tuple(chain.from_iterable(map(repeat, distinct, key)))
-              for key in ranked[first].tolist()]
-    return OutputLaws(phase != 0, tuple(map(shared.__getitem__, group.tolist())), fermion,
-                      parity)
+    # one group per distinct count row; one tuple per group, shared by its rows
+    if comb(len(distinct) + n_particles, n_particles) < _INT64_LIMIT:
+        offsets = np.array([comb(len(distinct) + size - 1, size - 1) if size else 0
+                            for size in range(n_particles + 1)], dtype=np.int64)
+        key = (output_ranks(counts) if len(distinct) else 0) + offsets[sizes]
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    else:
+        _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    shared = [tuple(chain.from_iterable(map(repeat, distinct, row)))
+              for row in counts[first].tolist()]
+    return OutputLaws(phase != 0, tuple(map(shared.__getitem__, group.ravel().tolist())),
+                      fermion, parity)
 
 
 def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:

@@ -7,17 +7,22 @@ Haar-random rotations inside each degenerate eigenspace (seeded) and an
 explicit column reordering carried out in lockstep with the eigenvalue
 diagonal. The DFT matrix is the closed-form member of this class for cyclic
 mode shifts.
+
+:func:`build_unitaries` builds a stack of members that differ only in their
+rotation seeds, such as the eigenbases of a census: one eigenstructure, one
+stacked QR and matmul per degenerate eigenspace, and one check of each
+invariant over the whole stack. :func:`build_unitary` is its one-seed case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .linalg import STRUCT_TOL, haar_random_unitary, is_unitary
+from .linalg import STRUCT_TOL, haar_from_ginibre, unitarity_residual
 from .permutations import (
-    EigenStructure,
     Permutation,
     RootOfUnity,
     eigenstructure,
@@ -75,42 +80,89 @@ def _degenerate_groups(eigenvalues) -> list[list[int]]:
     return list(groups.values())
 
 
-def build_unitary(spec: UnitarySpec) -> ConstructedUnitary:
-    """Materialise U = Theta A Sigma for the given spec.
+@dataclass(frozen=True)
+class UnitaryStack:
+    """Members of one spec's class that differ only in their rotation seeds.
 
-    Degenerate blocks are located by exact eigenvalue equality, never by
-    float binning, and each block is rotated as a whole so every column keeps
-    its eigenvalue. The returned object is checked against both invariants
-    (unitarity and the mode-exchange relation) before it leaves.
+    ``matrices`` is the (B, n, n) stack, ``eigenvalues`` the eigenvalue of
+    each column (the same for every member), and the two residuals are the
+    largest over the stack of max|U†U - 1| and of the mode-exchange relation
+    P U = Z U D.
+    """
+
+    matrices: np.ndarray
+    eigenvalues: tuple[RootOfUnity, ...]
+    unitarity_residual: float
+    symmetry_residual: float
+
+
+def _rotate(basis: np.ndarray, values, seeds: Sequence[int]) -> None:
+    """Rotate each degenerate eigenspace of the (B, n, n) ``basis`` in place
+    by a Haar unitary; basis i draws every block, in group order, from its
+    own ``default_rng(seeds[i])``, real parts then imaginary parts."""
+    groups = _degenerate_groups(values)
+    sizes = [len(cols) ** 2 for cols in groups]
+    # one draw per basis: consecutive standard_normal calls give these values
+    draws = np.stack([np.random.default_rng(seed).standard_normal(2 * sum(sizes))
+                      for seed in seeds])
+    offset = 0
+    for cols, size in zip(groups, sizes):
+        shape = (len(seeds), len(cols), len(cols))
+        real = draws[:, offset:offset + size].reshape(shape)
+        imag = draws[:, offset + size:offset + 2 * size].reshape(shape)
+        offset += 2 * size
+        block = haar_from_ginibre((real + 1j * imag) / np.sqrt(2.0))
+        basis[:, :, cols] = basis[:, :, cols] @ block
+
+
+def build_unitaries(spec: UnitarySpec, rotation_seeds: Sequence[int] | None) -> UnitaryStack:
+    """Materialise U = Theta A Sigma for every rotation seed, as one stack.
+
+    ``spec`` gives the permutation, the phases and the column order; its own
+    ``rotation_seed`` is not read. With ``rotation_seeds`` None the stack
+    holds the one unrotated member. Degenerate blocks are located by exact
+    eigenvalue equality, never by float binning, and each block is rotated
+    as a whole so every column keeps its eigenvalue; each member has the
+    bits of its own one-seed build. Every member is checked against both
+    invariants (unitarity and the mode-exchange relation) before the stack
+    leaves, and the worst residual of each is returned with it.
     """
     p = spec.permutation
-    structure: EigenStructure = eigenstructure(p)
-    basis = structure.eigenvectors.copy()
+    structure = eigenstructure(p)
     values = list(structure.eigenvalues)
-
-    if spec.rotation_seed is not None:
-        rng = np.random.default_rng(spec.rotation_seed)
-        for cols in _degenerate_groups(values):
-            block = haar_random_unitary(len(cols), rng)
-            basis[:, cols] = basis[:, cols] @ block
+    count = 1 if rotation_seeds is None else len(rotation_seeds)
+    if not count:
+        raise ValueError("need at least one rotation seed")
+    basis = np.repeat(structure.eigenvectors[None], count, axis=0)
+    if rotation_seeds is not None:
+        _rotate(basis, values, rotation_seeds)
 
     if spec.column_order is not None:
         order = [c - 1 for c in spec.column_order]
         if sorted(order) != list(range(p.n)):
             raise ValueError(f"column_order is not a permutation of 1..{p.n}")
-        basis = basis[:, order]
+        basis = basis[:, :, order]
         values = [values[c] for c in order]
 
     theta = np.exp(1j * spec.phases("theta"))
     sigma = np.exp(1j * spec.phases("sigma"))
-    matrix = theta[:, None] * basis * sigma[None, :]
+    matrices = theta[:, None] * basis * sigma[None, :]
 
-    if not is_unitary(matrix, STRUCT_TOL):
+    unitarity = unitarity_residual(matrices)
+    if not unitarity <= STRUCT_TOL:
         raise SymmetryError("constructed matrix failed the unitarity check")
-    residual = symmetry_residual(p, matrix, theta, values)
+    residual = symmetry_residual(p, matrices, theta, values)
     if residual > STRUCT_TOL:
         raise SymmetryError(f"mode-exchange residual {residual} exceeds {STRUCT_TOL}")
-    return ConstructedUnitary(matrix, tuple(values), spec)
+    return UnitaryStack(matrices, tuple(values), unitarity, residual)
+
+
+def build_unitary(spec: UnitarySpec) -> ConstructedUnitary:
+    """Materialise U = Theta A Sigma for the given spec: the one-seed case of
+    :func:`build_unitaries`, with the same checks and messages."""
+    seeds = None if spec.rotation_seed is None else [spec.rotation_seed]
+    built = build_unitaries(spec, seeds)
+    return ConstructedUnitary(built.matrices[0], built.eigenvalues, spec)
 
 
 def eigenvalue_sorted_order(eigenvalues) -> tuple[int, ...]:

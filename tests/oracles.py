@@ -7,10 +7,15 @@
   columns. Its bytes are the contract of ``serialize.write_verdict_csv``.
 * :func:`assert_same_table`: two verdict tables agree in every column,
   floats to the bit.
+* :func:`reference_unitary`: one member of a symmetry class built alone,
+  the way ``unitaries.build_unitary`` worked before it became the one-seed
+  case of the stacked builder: its own eigenstructure, one Ginibre draw, QR
+  and matmul per degenerate block, and both invariant checks. Its bits are
+  the contract of ``unitaries.build_unitaries`` for every member of a stack.
 * :class:`KahanMean` and :func:`reference_census`: the census as it ran
-  before it stacked its eigenbases, one unitary and four lone
-  ``probabilities`` calls per basis, reduced row by row with a streaming
-  compensated mean. Their bits are the contract of
+  before it stacked its eigenbases, one :func:`reference_unitary` and four
+  lone ``probabilities`` calls per basis, reduced row by row with a
+  streaming compensated mean. Their bits are the contract of
   ``experiments.run_mean_probabilities``.
 * :func:`reference_dist_fit`: the distinguishability fit as it ran before it
   computed its weights once per fit, one lone ``prob_partial`` call, N!
@@ -28,11 +33,12 @@ import numpy as np
 from symfock import experiments
 from symfock.experiments import derive_seed, sample_distinguishability
 from symfock.fock import ParticleType, output_array, particle_count
-from symfock.linalg import permutation_signs, permutation_table
+from symfock.linalg import STRUCT_TOL, is_unitary, permutation_signs, permutation_table
+from symfock.permutations import eigenstructure, symmetry_residual
 from symfock.scattering import prob_partial, probabilities
 from symfock.serialize import VERDICT_COLUMNS
 from symfock.suppression import verdict_table
-from symfock.unitaries import UnitarySpec, build_unitary
+from symfock.unitaries import ConstructedUnitary, SymmetryError, UnitarySpec
 
 
 def leibniz_determinant(matrix) -> complex:
@@ -93,6 +99,45 @@ def assert_same_table(a, b) -> None:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
+def reference_unitary(spec) -> ConstructedUnitary:
+    """U = Theta A Sigma for one spec, built and checked on its own."""
+    p = spec.permutation
+    structure = eigenstructure(p)
+    basis = structure.eigenvectors.copy()
+    values = list(structure.eigenvalues)
+
+    if spec.rotation_seed is not None:
+        rng = np.random.default_rng(spec.rotation_seed)
+        groups: dict = {}
+        for idx, value in enumerate(values):
+            groups.setdefault(value, []).append(idx)
+        for cols in groups.values():
+            q = len(cols)
+            z = (rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))) / np.sqrt(2.0)
+            qmat, rmat = np.linalg.qr(z)
+            diag = np.diagonal(rmat).copy()
+            diag /= np.abs(diag)
+            basis[:, cols] = basis[:, cols] @ (qmat * diag)
+
+    if spec.column_order is not None:
+        order = [c - 1 for c in spec.column_order]
+        if sorted(order) != list(range(p.n)):
+            raise ValueError(f"column_order is not a permutation of 1..{p.n}")
+        basis = basis[:, order]
+        values = [values[c] for c in order]
+
+    theta = np.exp(1j * spec.phases("theta"))
+    sigma = np.exp(1j * spec.phases("sigma"))
+    matrix = theta[:, None] * basis * sigma[None, :]
+
+    if not is_unitary(matrix, STRUCT_TOL):
+        raise SymmetryError("constructed matrix failed the unitarity check")
+    residual = symmetry_residual(p, matrix, theta, values)
+    if residual > STRUCT_TOL:
+        raise SymmetryError(f"mode-exchange residual {residual} exceeds {STRUCT_TOL}")
+    return ConstructedUnitary(matrix, tuple(values), spec)
+
+
 class KahanMean:
     """Streaming compensated mean/max over equally shaped rows, one row per
     call, in arrival order."""
@@ -119,7 +164,7 @@ def reference_census(cfg) -> tuple[dict, dict]:
     """The tables and ``max_suppressed`` of a census config, one basis at a
     time."""
     p, r, types = cfg.permutation, cfg.input_state, cfg.types
-    eigenvalues = build_unitary(UnitarySpec(p)).eigenvalues
+    eigenvalues = reference_unitary(UnitarySpec(p)).eigenvalues
     boson_outputs = output_array(p.n, particle_count(r), ParticleType.BOSON)
     fermion_outputs = (output_array(p.n, particle_count(r), ParticleType.FERMION)
                        if ParticleType.FERMION in types else np.zeros((0, p.n), dtype=np.intp))
@@ -127,9 +172,9 @@ def reference_census(cfg) -> tuple[dict, dict]:
         ("pb", boson_outputs), ("pd", boson_outputs),
         ("pf", fermion_outputs), ("pdf", fermion_outputs))}
     for index in range(cfg.num_bases):
-        u = build_unitary(UnitarySpec(p, theta_phases=cfg.theta_phases,
-                                      sigma_phases=cfg.sigma_phases,
-                                      rotation_seed=derive_seed(cfg.seed, index))).matrix
+        u = reference_unitary(UnitarySpec(p, theta_phases=cfg.theta_phases,
+                                          sigma_phases=cfg.sigma_phases,
+                                          rotation_seed=derive_seed(cfg.seed, index))).matrix
         if ParticleType.BOSON in types:
             acc["pb"].add(probabilities(u, r, boson_outputs, ParticleType.BOSON))
         if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:

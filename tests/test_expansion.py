@@ -1,10 +1,11 @@
 """The polynomial expansion behind ``scattering.probabilities``: coefficients
 against the naive permanent and the Leibniz determinant, probabilities
 against the one-permanent-per-output path, bit-identity under stack
-splitting and block size, the rank arithmetic of ``fock``, and the zero
-census of the 12-mode DFT."""
+splitting and block size, the rank arithmetic of ``fock`` and its cached
+lattice table, and the zero census of the 12-mode DFT."""
 
 import tracemalloc
+from collections import Counter
 from math import factorial, prod
 
 import numpy as np
@@ -12,16 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symfock import scattering
-from symfock.experiments import run_fourier_comparison
+from symfock import experiments, fock, scattering
+from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
 from symfock.fock import (
     ParticleType,
     enumerate_outputs,
+    lattice,
     occupation_to_assignment,
+    odd_after,
+    output_array,
+    output_ranks,
     outputs_up_to,
     removal_ranks,
 )
 from symfock.linalg import haar_random_unitary, permanent_naive
+from symfock.permutations import Permutation
 from symfock.scattering import expansion, expansion_pays, probabilities
 from symfock.unitaries import fourier_unitary
 
@@ -174,6 +180,7 @@ def test_outputs_up_to_and_removal_ranks_follow_enumerate_outputs(fermionic):
         for d, group in enumerate(groups, start=1):
             every = list(enumerate_outputs(n, d, kind))
             assert group.tolist() == [list(s) for s in every]
+            assert output_ranks(group, fermionic).tolist() == list(range(len(every)))
             ranks = removal_ranks(group, fermionic)
             for s, row in zip(every, ranks.tolist()):
                 expected = [previous[s[:k] + (s[k] - 1,) + s[k + 1:]] if s[k] else -1
@@ -183,6 +190,84 @@ def test_outputs_up_to_and_removal_ranks_follow_enumerate_outputs(fermionic):
         # one call over several particle numbers ranks each within its own
         assert (removal_ranks(lower, fermionic)
                 == np.concatenate([removal_ranks(g, fermionic) for g in groups])).all()
+        assert (output_ranks(lower, fermionic)
+                == np.concatenate([output_ranks(g, fermionic) for g in groups])).all()
+        assert lower.dtype == np.uint8
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_lattice_table_holds_every_degree(single):
+    """The table is one ``outputs_up_to`` run: its top group is the output
+    array, its parents are ``removal_ranks`` of every degree, top included,
+    and its odd masks those of ``odd_after``."""
+    kind = ParticleType.FERMION if single else ParticleType.BOSON
+    for n, particles in ((1, 1), (3, 2), (5, 4), (6, 3), (4, 0)):
+        table = lattice(n, particles, single)
+        lower, starts = outputs_up_to(n, particles, single)
+        assert table.particles == particles and table.starts == tuple(starts)
+        assert table.top.tolist() == output_array(n, particles, kind).tolist()
+        assert (table.parents == removal_ranks(lower, single).T).all()
+        assert table.odd.shape == ((n, len(lower)) if single else (n, 0))
+        if single:
+            assert (table.odd == odd_after(lower)).all()
+        for array in table:
+            if isinstance(array, np.ndarray):
+                assert not array.flags.writeable
+
+
+def test_output_array_is_a_fresh_copy():
+    first = output_array(5, 3, ParticleType.BOSON)
+    assert first.dtype == np.intp and first.flags.writeable
+    first[:] = 0
+    assert output_array(5, 3, ParticleType.BOSON).tolist() == [
+        list(s) for s in enumerate_outputs(5, 3, ParticleType.BOSON)]
+
+
+@pytest.mark.parametrize("kind", list(ParticleType))
+def test_lattice_and_listed_parents_give_the_same_bits(kind):
+    """``expansion`` takes the top-degree parents from the lattice table
+    when its outputs are the lattice by value, else from ``removal_ranks``
+    of the listed rows: both give every row the same bits, whichever
+    rows are listed with it."""
+    rng = np.random.default_rng(23)
+    stack = np.array([haar_random_unitary(6, rng) for _ in range(3)])
+    r = (1, 1, 0, 1, 1, 0)
+    outputs = output_array(6, 4, kind)
+    whole = probabilities(stack, r, outputs, kind)
+    assert probabilities(stack, r, outputs.tolist(), kind).tobytes() == whole.tobytes()
+    for drop in (0, len(outputs) // 2, len(outputs) - 1):
+        keep = np.delete(np.arange(len(outputs)), drop)
+        part = probabilities(stack, r, outputs[keep], kind)
+        assert part.tobytes() == whole[:, keep].tobytes()
+    shuffled = rng.permutation(len(outputs))  # the lattice's size, not its order
+    assert probabilities(stack, r, outputs[shuffled], kind).tobytes() == whole[:, shuffled].tobytes()
+    weights = np.abs(stack) ** 2 if kind is ParticleType.DISTINGUISHABLE else stack
+    rows = np.array([0, 1, 3, 4])
+    fermionic = kind is ParticleType.FERMION
+    coeffs = expansion(weights, rows, outputs, fermionic)
+    listed = expansion(weights, rows, outputs[1:], fermionic)
+    assert listed.tobytes() == coeffs[:, 1:].tobytes()
+
+
+def test_a_census_builds_each_lattice_once(monkeypatch):
+    """``outputs_up_to`` runs once per (n, N, single) across the output
+    arrays and every probability call of a census, over several
+    sub-stacks."""
+    calls = Counter()
+    real = fock.outputs_up_to
+
+    def counted(n, particles, fermionic=False):
+        calls[n, particles, fermionic] += 1
+        return real(n, particles, fermionic)
+
+    monkeypatch.setattr(fock, "outputs_up_to", counted)
+    monkeypatch.setattr(experiments, "CHUNK", 4)
+    lattice.cache_clear()
+    cfg = CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
+                       num_bases=10, seed=3)
+    run_mean_probabilities(cfg)
+    assert calls == {(8, 5, False): 1, (8, 5, True): 1}
+    lattice.cache_clear()
 
 
 def test_dft_zero_census():

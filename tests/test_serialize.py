@@ -113,6 +113,56 @@ class TestOccupationAndPermutationParsing:
         assert str(error.value) == f"not a bijection on 1..2: {given}"
 
 
+#: Finite floats, -0.0 and subnormals included.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _write_read_write(to_json, from_json, value) -> tuple[str, str]:
+    """The JSON text of ``value``, and that of what reading it back gives."""
+    text = json.dumps(to_json(value))
+    return text, json.dumps(to_json(from_json(json.loads(text))))
+
+
+#: Matrix entries: any finite pair, or a unit-modulus phase exp(i a).
+ENTRIES = (st.tuples(FINITE, FINITE).map(lambda pair: complex(*pair))
+           | st.floats(0.0, 2 * np.pi).map(lambda a: complex(np.exp(1j * a))))
+
+
+@st.composite
+def complex_matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=complex).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complex_matrices())
+def test_matrix_json_round_trips_to_the_byte(matrix):
+    text, again = _write_read_write(matrix_to_json, matrix_from_json, matrix)
+    assert again == text
+    read = matrix_from_json(json.loads(text))
+    assert read.shape == matrix.shape and read.tobytes() == matrix.tobytes()
+
+
+@st.composite
+def unitary_specs(draw):
+    n = draw(st.integers(1, 8))
+    phases = st.none() | st.lists(FINITE, min_size=n, max_size=n).map(tuple)
+    order = st.none() | st.permutations(range(1, n + 1)).map(tuple)
+    return UnitarySpec(Permutation(draw(st.permutations(range(n)))),
+                       theta_phases=draw(phases), sigma_phases=draw(phases),
+                       rotation_seed=draw(st.none() | st.integers(0, 2**70)),
+                       column_order=draw(order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unitary_specs())
+def test_spec_json_round_trips_to_the_byte(spec):
+    text, again = _write_read_write(spec_to_json, spec_from_json, spec)
+    assert again == text
+    assert spec_from_json(json.loads(text)) == spec
+
+
 class TestSpecJson:
     def test_minimal(self):
         spec = spec_from_json({"permutation": "(1 2)"})

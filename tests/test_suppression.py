@@ -314,6 +314,41 @@ def test_equal_multisets_share_one_tuple(setup, particles, data):
                 assert da is db
 
 
+def _assert_grouped_like_the_oracle(values, outputs):
+    laws = output_laws(values, outputs)
+    expected = [oracle_distribution(values, s) for s in outputs]
+    assert laws.distributions == tuple(expected)
+    for i, a in enumerate(expected):
+        for j, b in enumerate(expected):
+            assert (laws.distributions[i] is laws.distributions[j]) == (a == b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_setups(), st.data())
+def test_outputs_of_several_particle_numbers_group_apart(setup, data):
+    """Count rows are keyed by their rank among the multisets of their own
+    size, offset past the smaller sizes: rows of different particle numbers
+    never share a key."""
+    _, values, _ = setup
+    outputs = [s for particles in range(5)
+               for s in _bunched_outputs(data.draw, len(values), particles, max_k=4)]
+    outputs = data.draw(st.permutations(outputs)) if outputs else outputs
+    _assert_grouped_like_the_oracle(values, outputs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_multiset_keys_beyond_int64_group_by_whole_rows(seed):
+    """40 distinct eigenvalues and 40 particles have C(80, 40) > 2^63
+    multisets, so no int64 rank keys them; equal rows still share one
+    tuple and every multiset is the oracle's."""
+    values = tuple(ROOT(k, 40) for k in range(40))
+    rng = np.random.default_rng(seed)
+    rows = [np.bincount(rng.integers(0, 40, 40), minlength=40) for _ in range(5)]
+    outputs = [tuple(int(x) for x in rows[i]) for i in rng.integers(0, 5, 12)]
+    _assert_grouped_like_the_oracle(values, outputs)
+
+
 def test_fermion_law_without_the_input_values_suppresses_everything():
     # the input's roots of unity (thirds) are missing from the diagonal
     p = Permutation.parse("(1 2 3)")

@@ -1,18 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from symfock import unitaries
+from symfock.experiments import derive_seed
 from symfock.fock import ParticleType, enumerate_outputs
 from symfock.linalg import is_unitary
 from symfock.permutations import Permutation, RootOfUnity, symmetry_residual
 from symfock.scattering import prob_boson, prob_distinguishable, prob_fermion
 from symfock.suppression import boson_suppressed
 from symfock.unitaries import (
+    SymmetryError,
     UnitarySpec,
+    build_unitaries,
     build_unitary,
     eigenvalue_sorted_order,
     fourier_symmetry,
     fourier_unitary,
 )
+
+from oracles import reference_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -167,3 +175,83 @@ class TestFourierSymmetry:
     def test_trivial_order_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             fourier_symmetry(6, 1)
+
+
+WORKED = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
+STACK_SPECS = {
+    "worked": UnitarySpec(WORKED),
+    "identity": UnitarySpec(Permutation.identity(5)),
+    "six-cycle": UnitarySpec(Permutation.parse("(1 2 3 4 5 6)")),
+    "phases": UnitarySpec(WORKED, theta_phases=tuple(np.linspace(0.3, 2.9, 8)),
+                          sigma_phases=tuple(np.linspace(-1.0, 4.0, 8))),
+    "column-order": UnitarySpec(WORKED, column_order=(1, 4, 7, 2, 5, 3, 6, 8)),
+}
+
+
+class TestBuildUnitaries:
+    """The stacked builder against the one-basis oracle, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 7, 100])
+    def test_every_member_is_the_lone_build(self, name, count):
+        spec = STACK_SPECS[name]
+        seeds = [derive_seed(11, index) for index in range(count)]
+        built = build_unitaries(spec, seeds)
+        assert built.matrices.shape == (count, spec.permutation.n, spec.permutation.n)
+        for seed, matrix in zip(seeds, built.matrices):
+            lone = reference_unitary(replace(spec, rotation_seed=seed))
+            assert matrix.tobytes() == lone.matrix.tobytes()
+            assert built.eigenvalues == lone.eigenvalues
+        worst = max(float(np.max(np.abs(m.conj().T @ m - np.eye(len(m))))) for m in built.matrices)
+        assert built.unitarity_residual == pytest.approx(worst, abs=1e-15)
+        assert 0 <= built.symmetry_residual <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2**64 - 1])
+    def test_build_unitary_is_the_one_seed_case(self, name, seed):
+        spec = replace(STACK_SPECS[name], rotation_seed=seed)
+        built, lone = build_unitary(spec), reference_unitary(spec)
+        assert built.matrix.tobytes() == lone.matrix.tobytes()
+        assert built.eigenvalues == lone.eigenvalues and built.spec == spec
+
+    def test_no_seeds_gives_the_unrotated_member(self):
+        built = build_unitaries(STACK_SPECS["worked"], None)
+        assert built.matrices.shape == (1, 8, 8)
+        assert built.matrices[0].tobytes() == reference_unitary(STACK_SPECS["worked"]).matrix.tobytes()
+
+    def test_a_broken_member_fails_the_unitarity_check(self, monkeypatch):
+        """A QR that spoils the block of one member in the middle of the
+        stack is caught: the check runs over every member."""
+        real_qr = np.linalg.qr
+
+        def spoiled_qr(z):
+            q, r = real_qr(z)
+            if q.ndim == 3:
+                q = q.copy()
+                q[3] *= 1.01
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", spoiled_qr)
+        with pytest.raises(SymmetryError, match="constructed matrix failed the unitarity check"):
+            build_unitaries(STACK_SPECS["worked"], list(range(6)))
+
+    def test_a_broken_member_fails_the_mode_exchange_check(self, monkeypatch):
+        """Swapping two columns of different eigenvalues in one member keeps
+        it unitary but breaks P U = Z U D for that member alone."""
+        real_rotate = unitaries._rotate
+
+        def rotate_then_swap(basis, values, seeds):
+            real_rotate(basis, values, seeds)
+            basis[4][:, [0, 1]] = basis[4][:, [1, 0]]  # eigenvalues 1 and exp(2 pi i / 3)
+
+        monkeypatch.setattr(unitaries, "_rotate", rotate_then_swap)
+        with pytest.raises(SymmetryError, match="mode-exchange residual .* exceeds 1e-12"):
+            build_unitaries(STACK_SPECS["worked"], list(range(6)))
+
+    def test_messages_are_those_of_the_lone_build(self):
+        with pytest.raises(ValueError, match=r"column_order is not a permutation of 1\.\.2"):
+            build_unitaries(UnitarySpec(Permutation.parse("(1 2)"), column_order=(2, 2)), [1, 2])
+        with pytest.raises(ValueError, match="theta phase list must have length 2"):
+            build_unitaries(UnitarySpec(Permutation.parse("(1 2)"), theta_phases=(0.0,)), [1])
+        with pytest.raises(ValueError, match="need at least one rotation seed"):
+            build_unitaries(UnitarySpec(Permutation.parse("(1 2)")), [])
