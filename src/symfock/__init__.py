@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .fock import (
     ParticleType,
-    assignment_to_occupation,
     enumerate_outputs,
     occupation_to_assignment,
 )
@@ -23,7 +22,6 @@ from .permutations import (
     cycle_decompose,
     eigenstructure,
     is_invariant,
-    operator_matrix,
     symmetry_residual,
 )
 from .scattering import (
@@ -59,7 +57,6 @@ from .unitaries import (
 
 __all__ = [
     "ParticleType",
-    "assignment_to_occupation",
     "enumerate_outputs",
     "occupation_to_assignment",
     "determinant",
@@ -73,7 +70,6 @@ __all__ = [
     "cycle_decompose",
     "eigenstructure",
     "is_invariant",
-    "operator_matrix",
     "symmetry_residual",
     "PerturbationModel",
     "perturb_unitary",

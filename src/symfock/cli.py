@@ -2,7 +2,8 @@
 
 Subcommands: decompose, build, verdicts, prob, experiment. Machine-readable
 results go to files or stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage or parse problem, 2 invariant failure during a run.
+1 usage or parse problem or an output that cannot be written, 2 invariant
+failure during a run.
 
 Fixing ``--seed`` makes every output byte-identical across runs except the
 timing field inside metadata JSON.
@@ -35,6 +36,7 @@ from .serialize import (
     parse_permutation,
     spec_from_json,
     spec_to_json,
+    verdict_cells,
     verdict_lines,
     write_fit_csv,
     write_metadata,
@@ -178,8 +180,9 @@ def cmd_experiment(args) -> int:
             types=types,
         )
         result = run_mean_probabilities(cfg)
+        cells = verdict_cells(result.tables.values())
         for kind_, table in result.tables.items():
-            write_verdict_csv(f"{out}.{kind_.value}.csv", table)
+            write_verdict_csv(f"{out}.{kind_.value}.csv", table, cells)
         write_metadata(f"{out}.meta.json", result.metadata | {
             "max_suppressed": {k.value: v for k, v in result.max_suppressed.items()},
         })
@@ -192,9 +195,12 @@ def cmd_experiment(args) -> int:
     if kind == "fourier-comparison":
         comparison = run_fourier_comparison(payload["modes"], payload["order"],
                                             tuple(payload["input_state"]))
-        write_verdict_csv(f"{out}.boson.csv", comparison.boson_table)
+        tables = {"boson": comparison.boson_table}
         if comparison.fermion_table is not None:
-            write_verdict_csv(f"{out}.fermion.csv", comparison.fermion_table)
+            tables["fermion"] = comparison.fermion_table
+        cells = verdict_cells(tables.values())
+        for name, table in tables.items():
+            write_verdict_csv(f"{out}.{name}.csv", table, cells)
         write_metadata(f"{out}.meta.json", comparison.metadata | {
             "counts": comparison.counts,
             "witnesses": [list(s) for s in comparison.witnesses],
@@ -293,7 +299,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SymmetryError, ArithmeticError) as exc:

@@ -67,16 +67,6 @@ def occupation_to_assignment(occupation) -> tuple[int, ...]:
     )
 
 
-def assignment_to_occupation(assignment, n: int) -> tuple[int, ...]:
-    """Count particles per mode; inverse of :func:`occupation_to_assignment`."""
-    counts = [0] * n
-    for mode in assignment:
-        if not 1 <= mode <= n:
-            raise ValueError(f"mode index {mode} outside 1..{n}")
-        counts[mode - 1] += 1
-    return tuple(counts)
-
-
 def _check_output_count(n: int, particles: int, kind: ParticleType) -> None:
     if n < 1:
         raise ValueError("need at least one mode")

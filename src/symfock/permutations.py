@@ -190,14 +190,6 @@ def cycle_decompose(p: Permutation):
     return tuple(tuple(j + 1 for j in c) for c in p.cycles0())
 
 
-def operator_matrix(p: Permutation) -> np.ndarray:
-    """The 0/1 operator with entry 1 at (j, pi(j)), so (Pv)_j = v_{pi(j)}."""
-    m = np.zeros((p.n, p.n), dtype=np.int64)
-    for j, k in enumerate(p.image):
-        m[j, k] = 1
-    return m
-
-
 def is_invariant(p: Permutation, occupation) -> bool:
     """True iff the occupation list is unchanged by the mode permutation,
     i.e. constant along every cycle."""
@@ -296,10 +288,3 @@ def symmetry_residual(p: Permutation, u, theta, eigenvalues) -> float:
     z_diag = theta_diag[list(p.image)] * np.conj(theta_diag)
     rhs = z_diag[:, None] * u * d_diag[None, :]
     return float(np.max(np.abs(permuted - rhs), initial=0.0))
-
-
-def reconstruction_residual(p: Permutation, structure: EigenStructure) -> float:
-    """Max-norm of A D A† minus the operator matrix (diagnostic)."""
-    a = structure.eigenvectors
-    d = eigenvalues_to_complex(structure.eigenvalues)
-    return float(np.max(np.abs((a * d[None, :]) @ a.conj().T - operator_matrix(p))))

@@ -1,20 +1,26 @@
 """File formats: matrix JSON, spec JSON, verdict CSV, experiment configs.
 
-Numbers cross the file boundary losslessly: floats are written with
-``repr`` (shortest round-trip form) and eigenvalue phases as exact "k/l"
-fractions. Verdict CSVs are semicolon separated because the s and phase
-columns contain commas. A verdict CSV is written from a
-:class:`suppression.VerdictTable` in row blocks of ``scattering.CHUNK``, one
-column at a time within a block, with empty cells for the columns its
-particle kind lacks, and reads back into one. No cell costs a Python call of
-its own: occupations come from one digit buffer per block, floats from one
-``repr`` per distinct bit pattern, flags and classes from lookup tables.
+Numbers cross the file boundary losslessly: floats are written as ``repr``
+writes them (the shortest decimal that reads back to the same double) and
+eigenvalue phases as exact "k/l" fractions. Verdict CSVs are semicolon
+separated because the s and phase columns contain commas. A verdict CSV is
+written from a :class:`suppression.VerdictTable` in row blocks of
+``scattering.CHUNK``, one column at a time within a block, with empty cells
+for the columns its particle kind lacks, and reads back into one. No cell
+costs a Python call of its own: occupations come from one digit buffer per
+block, flags and classes from lookup tables, and floats and eigenvalue
+distributions from :func:`verdict_cells`, which formats each distinct value
+of all the tables a command writes once. Its floats go through one
+:func:`float_reprs` call, Schubfach digits in numpy arithmetic laid out the
+way ``repr`` lays them out.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, repeat
 
 import numpy as np
@@ -199,61 +205,292 @@ def _occupation_cells(outputs: np.ndarray) -> list[str]:
     return line[mask].tobytes().decode("ascii").split("\n")[:-1]
 
 
-def _float_cells(column: np.ndarray) -> list[str]:
-    """The ``repr`` of each float, computed once per distinct bit pattern
-    (so -0.0 and 0.0 stay apart)."""
-    column = np.asarray(column, dtype=np.float64)
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    cells = list(map(repr, bits.view(np.float64).tolist()))
-    return list(map(cells.__getitem__, index.tolist()))
+# --- float cells ---------------------------------------------------------------
+#
+# The shortest decimal that reads back to the same double comes from Schubfach
+# (R. Giulietti, "The Schubfach way to render doubles", 2020), in uint64 array
+# arithmetic. Two steps differ from the Java original so that the digits are
+# Python's: a tiny subnormal keeps one digit (Java widens it to two), and the
+# one-digit-shorter candidate is tried whenever there are at least two digits.
+# The wrapping products stay arrays: numpy scalars warn on overflow.
+
+_U = np.uint64
+_LOW32, _LOW63 = _U(0xFFFFFFFF), _U((1 << 63) - 1)
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+#: Template slots of a cell's source row: the significand digits come first
+#: (20 bytes, the leading one at byte 3), then the exponent's four digits
+#: (the first is always 0), then single characters; ``_END`` is a NUL byte
+#: that ends a cell.
+_DIGIT0, _ZERO, _EXPONENT = 3, 20, 21
+_DOT, _MINUS, _E, _PLUS, _I, _N, _F, _A, _END = range(24, 33)
+_CELL_WIDTH = 25  # "-1.2345678901234567e-308" and its end
+#: Layout codes: 0..19 are the fixed form with the decimal point at -3..16;
+#: the exponent form is 20 + 2 * (exponent < 0) + (three exponent digits).
+_INF, _NAN, _CODES = 24, 25, 26
 
 
-def _verdict_blocks(table: VerdictTable):
-    """The lines of a verdict CSV in lists: the header, then one list per
-    block of rows (see :func:`verdict_lines`)."""
+@lru_cache(maxsize=None)
+def _digit_words():
+    """Each 4-digit group 0000..9999 as one uint32 of ASCII digits."""
+    group = np.arange(10000, dtype=np.uint32)
+    chars = np.empty((10000, 4), dtype=np.uint8)
+    for place in range(3, -1, -1):
+        chars[:, place] = group % 10 + ord("0")
+        group //= 10
+    return chars.view(np.uint32).ravel()
+
+
+@lru_cache(maxsize=None)
+def _power(k: int) -> tuple[int, int, int]:
+    """The 126-bit g = floor(10^-k 2^-r) + 1 with 2^125 <= 10^-k 2^-r < 2^126,
+    as its high and low 63 bits, and floor(log2(10^-k)) = r + 125."""
+    if k <= 0:
+        power = 10 ** -k
+        log2 = power.bit_length() - 1
+        shift = 125 - log2
+        g = (power << shift if shift >= 0 else power >> -shift) + 1
+    else:
+        log2 = -(10 ** k - 1).bit_length()
+        g = (1 << (125 - log2)) // 10 ** k + 1
+    return g >> 63, g & ((1 << 63) - 1), log2
+
+
+def _mul_high(a, b0, b1):
+    """The high 64 bits of each 128-bit product a (b1 2^32 + b0), for
+    a < 2^63 and b1 < 2^28, from 32-bit limbs (no partial sum can wrap)."""
+    a0, a1 = a & _LOW32, a >> _U(32)
+    middle = a0 * b1 + a1 * b0 + ((a0 * b0) >> _U(32))
+    return a1 * b1 + (middle >> _U(32))
+
+
+def _shortest(magnitude: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f, k) with f 10^k the shortest decimal that rounds to each positive
+    finite double, the closest such one, and an even f on a tie."""
+    bits = magnitude.view(np.uint64)
+    fraction = bits & _U((1 << 52) - 1)
+    biased = (bits >> _U(52)).astype(np.int64)
+    normal = biased != 0
+    c = np.where(normal, fraction | _U(1 << 52), fraction)
+    q = np.where(normal, biased - 1075, -1074)  # the double is c 2^q
+    # a power of two above the smallest normal has its lower neighbour half as far
+    irregular = (fraction == 0) & (biased > 1)
+    # k = floor(log10(2^q)), or floor(log10(3/4 2^q)) when irregular
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    low = int(k.min())
+    needed = np.flatnonzero(np.bincount(k - low)) + low
+    powers = np.zeros((3, int(k.max()) - low + 1), dtype=np.uint64)
+    powers[:, needed - low] = np.array([_power(int(e)) for e in needed.tolist()],
+                                       dtype=np.int64).T.view(np.uint64)
+    g1, g0, log2 = (row.take(k - low) for row in powers)
+    # 4 c and its two rounding bounds, scaled and multiplied by g: 4 v 10^-k
+    # rounded to odd, so comparisons of integers decide interval membership
+    # (cp < 2^60: 4 c < 2^55, shifted by 2..5)
+    cp = np.empty((3, len(c)), dtype=np.uint64)
+    cp[0] = c << _U(2)
+    cp[1] = cp[0] - _U(2) + irregular
+    cp[2] = cp[0] + _U(2)
+    cp <<= (q + log2.view(np.int64) + 2).astype(np.uint64)
+    cp0, cp1 = cp & _LOW32, cp >> _U(32)
+    z = ((g1 * cp) >> _U(1)) + _mul_high(g0, cp0, cp1)
+    vb, vbl, vbr = (_mul_high(g1, cp0, cp1) + (z >> _U(63))) | (((z & _LOW63) + _LOW63) >> _U(63))
+    out = c & _U(1)  # an odd significand excludes the interval's ends
+    s = vb >> _U(2)
+    t = s + _U(1)
+    # one digit shorter: u' = 10 floor(s / 10) or w' = u' + 10, if exactly one is in
+    u10 = s // _U(10) * _U(10)
+    u10_in = vbl + out <= u10 << _U(2)
+    shorter = (s >= 10) & (u10_in != (((u10 + _U(10)) << _U(2)) + out <= vbr))
+    u_in = vbl + out <= s << _U(2)
+    w_in = (t << _U(2)) + out <= vbr
+    above = vb.view(np.int64) - ((s + t) << _U(1)).view(np.int64)  # v - (s + t) / 2, in quarters
+    lower = np.where(u_in != w_in, u_in, (above < 0) | ((above == 0) & (s & _U(1) == 0)))
+    return np.where(shorter, np.where(u10_in, u10, u10 + _U(10)), np.where(lower, s, t)), k
+
+
+@lru_cache(maxsize=None)
+def _template(key: int) -> np.ndarray:
+    """The source slots of one cell layout, ``key = (sign 17 + digits - 1)
+    _CODES + code``, padded with ``_END``."""
+    rest, code = divmod(key, _CODES)
+    sign, digits = divmod(rest, 17)
+    digits += 1
+    d = list(range(_DIGIT0, _DIGIT0 + digits))
+    if code == _INF:
+        body = [_I, _N, _F]
+    elif code == _NAN:
+        body = [_N, _A, _N]
+    elif code >= 20:  # d.ddde-05
+        wide = 2 + (code & 1)
+        body = (d[:1] + [_DOT] * (digits > 1) + d[1:] + [_E, _MINUS if code >= 22 else _PLUS]
+                + list(range(_EXPONENT + 3 - wide, _EXPONENT + 3)))
+    elif code <= 3:  # 0.00ddd
+        body = [_ZERO, _DOT] + [_ZERO] * (3 - code) + d
+    elif code - 3 < digits:  # dd.ddd
+        body = d[:code - 3] + [_DOT] + d[code - 3:]
+    else:  # ddd00.0
+        body = d + [_ZERO] * (code - 3 - digits) + [_DOT, _ZERO]
+    cell = [_MINUS] * sign + body
+    return np.array(cell + [_END] * (_CELL_WIDTH - len(cell)), dtype=np.intp)
+
+
+def float_reprs(values) -> list[str]:
+    """``list(map(repr, values))`` for float64 values, with no Python call
+    per value: Schubfach digits, laid out the way ``repr`` lays them out.
+
+    The exponent form is used when the decimal point falls at or before the
+    fourth place left of the first digit or more than 16 places right of it
+    (``1e-05``, ``1.5e+16``, ``5e-324``), the fixed form otherwise, with
+    ``.0`` on integral values; ``-0.0``, ``inf``, ``-inf`` and ``nan`` as
+    ``repr`` writes them. Each value gets a source row of its digits and
+    characters; the rows are grouped by layout, and each group is gathered
+    through that layout's template of source slots in one ``take``.
+    """
+    x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    size = len(x)
+    if not size:
+        return []
+    magnitude = np.abs(x)
+    finite = np.isfinite(magnitude)
+    regular = finite & (magnitude != 0)
+    f, k = _shortest(np.where(regular, magnitude, 1.0))
+    length = np.searchsorted(_POW10, f, side="right")  # f has this many digits
+    point = np.where(regular, length + k, 1)  # the decimal point follows this many digits
+    zeros = np.zeros(size, dtype=np.int64)
+    for places in (16, 8, 4, 2, 1):  # strip f's trailing zeros, halving the step
+        power = _POW10[places]
+        quotient = f // power
+        whole = quotient * power == f
+        f = np.where(whole, quotient, f)
+        zeros += places * whole
+    digits = np.where(regular, length - zeros, 1)
+    groups = np.empty((size, 6), dtype=np.intp)  # the digits from the left in 4-digit groups
+    rest = f * _POW10[17 - digits]
+    for column in range(4, 0, -1):
+        quotient = rest // _U(10000)
+        groups[:, column] = rest - quotient * _U(10000)
+        rest = quotient
+    groups[:, 0] = np.where(finite & ~regular, 0, rest)  # a zero's digit
+    groups[:, 5] = np.abs(point - 1)  # the exponent of the exponent form
+    words = np.empty((size, 9), dtype=np.uint32)
+    words[:, :6] = _digit_words().take(groups)
+    words[:, 6:] = np.frombuffer(b".-e+infa\0\0\0\0", dtype=np.uint32)
+    code = np.where(~finite, np.where(np.isnan(x), _NAN, _INF),
+                    np.where((point <= -4) | (point > 16),
+                             20 + 2 * (point < 1) + (np.abs(point - 1) >= 100), point + 3))
+    sign = (x.view(np.int64) < 0) & (code != _NAN)
+    # the rows grouped by layout key, each group gathered through its template
+    key = (sign * 17 + digits - 1) * _CODES + code
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    counts = np.bincount(key)
+    present = np.flatnonzero(counts)
+    grouped = words.view(np.uint8)[order]
+    laid_out = np.empty((size, _CELL_WIDTH), dtype=np.uint8)
+    start = 0
+    for layout, end in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
+        np.take(grouped[start:end], _template(layout), axis=1, out=laid_out[start:end])
+        start = end
+    cells = np.empty_like(laid_out)
+    cells[order] = laid_out
+    return cells.astype(np.uint32).view(f"U{_CELL_WIDTH}").ravel().tolist()
+
+
+@dataclass(frozen=True)
+class VerdictCells:
+    """The float and eigenvalue cells of the verdict ``tables`` one command
+    writes (see :func:`verdict_cells`): ``bits`` holds every distinct float
+    bit pattern, sorted, ``floats`` its cell, and ``phases`` the cell of each
+    eigenvalue distribution by the distribution's id."""
+
+    tables: tuple
+    bits: np.ndarray
+    floats: np.ndarray
+    phases: dict
+
+    def float_cells(self, column: np.ndarray) -> list[str]:
+        bits = np.asarray(column, dtype=np.float64).view(np.int64)
+        return self.floats[np.searchsorted(self.bits, bits)].tolist()
+
+
+def verdict_cells(tables) -> VerdictCells:
+    """The cells that every float and eigenvalue column of ``tables`` needs,
+    each distinct value formatted once.
+
+    The floats of all tables go through one :func:`float_reprs` call: its
+    fixed cost (about a hundred numpy calls, 0.7 ms on a 2-core x86-64 host)
+    would exceed what it saves if it ran once per table or per block, and the
+    tables of one command share many values (the census boson and
+    distinguishable tables share p_dist).
+    Each distinct eigenvalue is written once, and each distribution joined
+    once: rows with equal multisets share one tuple (see ``output_laws``), and
+    the tables hold every tuple, so no id is reused.
+    """
+    tables = tuple(tables)
+    bits = np.sort(np.concatenate([np.asarray(column, dtype=np.float64).view(np.int64)
+                                   for table in tables for column in (table.p, table.p_dist)]))
+    first = np.ones(len(bits), dtype=bool)  # np.unique hashes on numpy 2, several times slower
+    first[1:] = bits[1:] != bits[:-1]
+    bits = bits[first]
+    distinct = {}
+    for table in tables:
+        distinct.update(zip(map(id, table.distributions), table.distributions))
+    roots = list(chain.from_iterable(distinct.values()))
+    by_id = dict(zip(map(id, roots), roots))
+    names = {root: str(root) for root in set(by_id.values())}
+    root_cells = {key: names[root] for key, root in by_id.items()}
+    return VerdictCells(
+        tables, bits, np.array(float_reprs(bits.view(np.float64)), dtype=object),
+        {key: ",".join(map(root_cells.__getitem__, map(id, dist))) for key, dist in distinct.items()})
+
+
+def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
+    """The lines of a verdict CSV, without their newlines, a block at a
+    time: the header, then each block of rows (see :func:`verdict_lines`)."""
+    if cells is None:
+        cells = verdict_cells([table])
+    elif not any(table is built for built in cells.tables):
+        raise ValueError("verdict cells must be built from every table they format")
     parity = table.parity is not None
-    yield [";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n"]
-    distinct = dict(zip(map(id, table.distributions), table.distributions))
-    phases = {key: ",".join(map(str, dist)) for key, dist in distinct.items()}
+    yield [";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity)]
     empty = repeat("")  # zip stops at the filled columns
     for start in range(0, len(table), CHUNK):
         rows = slice(start, start + CHUNK)
-        probs = None if table.kind is ParticleType.DISTINGUISHABLE else _float_cells(table.p[rows])
+        probs = (None if table.kind is ParticleType.DISTINGUISHABLE
+                 else cells.float_cells(table.p[rows]))
         columns = [
             _occupation_cells(table.outputs[rows]),
-            map(phases.__getitem__, map(id, table.distributions[rows])),
+            map(cells.phases.__getitem__, map(id, table.distributions[rows])),
             _flag_cells(table.boson[rows]),
             empty if table.fermion is None else _flag_cells(table.fermion[rows]),
             probs if table.kind is ParticleType.BOSON else empty,
             probs if table.kind is ParticleType.FERMION else empty,
-            _float_cells(table.p_dist[rows]),
+            cells.float_cells(table.p_dist[rows]),
             map(_CLASS_CELLS.__getitem__, map(id, table.classes[rows].tolist())),
         ]
         if parity:
             columns.append(_flag_cells(table.parity[rows]))
-        yield [line + "\n" for line in map(";".join, zip(*columns))]
+        yield map(";".join, zip(*columns))
 
 
-def verdict_lines(table: VerdictTable):
+def verdict_lines(table: VerdictTable, cells: VerdictCells | None = None):
     """The verdict CSV of a table, line by line: the header, then one line
     per output, with an ``old_fermion_suppressed`` column when the table has
     the parity law.
 
     The rows go in blocks of ``scattering.CHUNK``, so memory does not grow
     with the table; each block is formatted column by column. Occupations
-    come from one digit buffer, floats from one ``repr`` per distinct bit
-    pattern, flags and classes from lookups, and each eigenvalue
-    distribution is formatted once (rows with equal multisets share one
-    tuple, see ``output_laws``, and the table holds every tuple, so no id
-    is reused).
+    come from one digit buffer, flags and classes from lookups, and floats
+    and eigenvalue distributions from ``cells``: pass the
+    :func:`verdict_cells` of every table a command writes, or leave it out
+    to format this table's own.
     """
-    return chain.from_iterable(_verdict_blocks(table))
+    return (line + "\n" for line in chain.from_iterable(_verdict_blocks(table, cells)))
 
 
-def write_verdict_csv(path, table: VerdictTable) -> None:
+def write_verdict_csv(path, table: VerdictTable, cells: VerdictCells | None = None) -> None:
+    """Write :func:`verdict_lines` to ``path``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for block in _verdict_blocks(table):
-            fh.write("".join(block))
+        for block in _verdict_blocks(table, cells):
+            fh.write("\n".join(block) + "\n")
 
 
 def read_verdict_csv(path) -> VerdictTable:
@@ -296,10 +533,12 @@ def read_verdict_csv(path) -> VerdictTable:
 
 
 def write_fit_csv(path, fit) -> None:
+    cells = float_reprs(np.concatenate([np.asarray(fit.grid, dtype=np.float64),
+                                        np.asarray(fit.measured, dtype=np.float64)]))
+    grid, measured = cells[:len(fit.grid)], cells[len(fit.grid):]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value;mean_deviation\n")
-        for g, m in zip(fit.grid, fit.measured):
-            fh.write(f"{repr(float(g))};{repr(float(m))}\n")
+        fh.writelines(f"{g};{m}\n" for g, m in zip(grid, measured))
 
 
 def read_fit_csv(path) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -165,16 +165,6 @@ def build_unitary(spec: UnitarySpec) -> ConstructedUnitary:
     return ConstructedUnitary(built.matrices[0], built.eigenvalues, spec)
 
 
-def eigenvalue_sorted_order(eigenvalues) -> tuple[int, ...]:
-    """1-based column order that sorts columns by ascending phase fraction.
-
-    Stable, so columns sharing an eigenvalue keep their relative order.
-    """
-    return tuple(
-        idx + 1 for idx in sorted(range(len(eigenvalues)), key=lambda i: eigenvalues[i])
-    )
-
-
 def fourier_unitary(n: int) -> np.ndarray:
     """DFT matrix U_jk = exp(i*2*pi*(j-1)*(k-1)/n)/sqrt(n)."""
     if n < 1:

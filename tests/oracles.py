@@ -17,6 +17,10 @@
   lone ``probabilities`` calls per basis, reduced row by row with a
   streaming compensated mean. Their bits are the contract of
   ``experiments.run_mean_probabilities``.
+* :func:`assignment_to_occupation`, :func:`eigenvalue_sorted_order`,
+  :func:`operator_matrix` and :func:`reconstruction_residual`: small helpers
+  that only the tests use, kept here with their tests instead of in the
+  library.
 * :func:`reference_dist_fit`: the distinguishability fit as it ran before it
   computed its weights once per fit, one lone ``prob_partial`` call, N!
   weight permanents included, per sub-stack of Gram matrices. Its bits and
@@ -34,7 +38,13 @@ from symfock import experiments
 from symfock.experiments import derive_seed, sample_distinguishability
 from symfock.fock import ParticleType, output_array, particle_count
 from symfock.linalg import STRUCT_TOL, is_unitary, permutation_signs, permutation_table
-from symfock.permutations import eigenstructure, symmetry_residual
+from symfock.permutations import (
+    EigenStructure,
+    Permutation,
+    eigenstructure,
+    eigenvalues_to_complex,
+    symmetry_residual,
+)
 from symfock.scattering import prob_partial, probabilities
 from symfock.serialize import VERDICT_COLUMNS
 from symfock.suppression import verdict_table
@@ -222,3 +232,38 @@ def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="indepen
                 acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured), repairs
+
+
+def assignment_to_occupation(assignment, n: int) -> tuple[int, ...]:
+    """Count particles per mode; inverse of :func:`occupation_to_assignment`."""
+    counts = [0] * n
+    for mode in assignment:
+        if not 1 <= mode <= n:
+            raise ValueError(f"mode index {mode} outside 1..{n}")
+        counts[mode - 1] += 1
+    return tuple(counts)
+
+
+def eigenvalue_sorted_order(eigenvalues) -> tuple[int, ...]:
+    """1-based column order that sorts columns by ascending phase fraction.
+
+    Stable, so columns sharing an eigenvalue keep their relative order.
+    """
+    return tuple(
+        idx + 1 for idx in sorted(range(len(eigenvalues)), key=lambda i: eigenvalues[i])
+    )
+
+
+def operator_matrix(p: Permutation) -> np.ndarray:
+    """The 0/1 operator with entry 1 at (j, pi(j)), so (Pv)_j = v_{pi(j)}."""
+    m = np.zeros((p.n, p.n), dtype=np.int64)
+    for j, k in enumerate(p.image):
+        m[j, k] = 1
+    return m
+
+
+def reconstruction_residual(p: Permutation, structure: EigenStructure) -> float:
+    """Max-norm of A D A† minus the operator matrix (diagnostic)."""
+    a = structure.eigenvectors
+    d = eigenvalues_to_complex(structure.eigenvalues)
+    return float(np.max(np.abs((a * d[None, :]) @ a.conj().T - operator_matrix(p))))

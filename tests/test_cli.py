@@ -379,3 +379,39 @@ def test_cli_import_loads_no_network_or_process_pool_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+#: Every command line that writes a file, with ``{bad}`` for the one path
+#: that cannot be written and ``{tmp}`` for a writable directory.
+_CONFIGS = {
+    "census": {"kind": "mean-probabilities", "permutation": "(1 2)", "input_state": [1, 1],
+               "bases": 1},
+    "fourier": {"kind": "fourier-comparison", "modes": 4, "order": 2,
+                "input_state": [1, 0, 1, 0]},
+    "robustness": {"kind": "unitary-robustness", "permutation": "(1 2)", "input_state": [1, 1],
+                   "target_output": [1, 1], "grid": [1e-3, 2e-3, 5e-3, 1e-2], "samples": 4},
+}
+UNWRITABLE = {
+    "build --out": ["build", "--spec", "{tmp}/spec.json", "--out", "{bad}"],
+    "verdicts --out": ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[1,1]",
+                       "--out", "{bad}"],
+    "verdicts --svg": ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[1,1]",
+                       "--out", "{tmp}/v.csv", "--svg", "{bad}"],
+    **{f"experiment {kind} --out": ["experiment", "--config", f"{{tmp}}/{kind}.json",
+                                    "--out", "{bad}"] for kind in _CONFIGS},
+    **{f"experiment {kind} --svg": ["experiment", "--config", f"{{tmp}}/{kind}.json",
+                                    "--out", "{tmp}/x", "--svg", "{bad}"]
+       for kind in ("census", "robustness")},
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_is_one_line_and_exit_1(argv, tmp_path, capsys):
+    (tmp_path / "spec.json").write_text(json.dumps({"permutation": "(1 2)"}))
+    for kind, config in _CONFIGS.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps(config))
+    bad = str(tmp_path / "missing" / "out")
+    assert main([arg.format(tmp=tmp_path, bad=bad) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and "missing" in err[-1]
+    assert not any("Traceback" in line for line in err)

@@ -1,0 +1,138 @@
+"""The float formatter: ``serialize.float_reprs`` gives the bytes of
+``repr`` for every float64, and a command's tables share one formatting
+pass without changing a byte."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import symfock
+from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
+from symfock.permutations import Permutation, RootOfUnity
+from symfock.serialize import float_reprs, verdict_cells, verdict_lines, write_verdict_csv
+
+from oracles import reference_verdict_lines
+
+
+def _both_signs(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, -x])
+
+
+def _random_bits():
+    bits = np.random.default_rng(20201).integers(0, 2**64, 200_000, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def _subnormals():
+    return np.arange(1, 200_000, dtype=np.uint64).view(np.float64)
+
+
+def _powers_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    return np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0)])
+
+
+def _decimal_grid():
+    return np.array([float(f"{m}e{e}") for m in (1, 5, 9, 12, 123456789, 9999999999999999)
+                     for e in range(-330, 309)])
+
+
+def _specials():
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                     0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    extremes = [0.0, np.inf, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                sys.float_info.max, 1e-5, 1e-4, 9.999999999999999e-5, 1e16, 1e15,
+                9999999999999998.0, 1.5e16, 123456.789, 0.1, 0.3]
+    return np.concatenate([nans, extremes])
+
+
+SWEEPS = {
+    "random bit patterns": _random_bits,
+    "subnormals below 200000 ulps": _subnormals,
+    "powers of two and their neighbours": _powers_of_two,
+    "1, 5, 9, 12, 123456789, 9999999999999999 times 10^-330..308": _decimal_grid,
+    "zeros, infinities, NaN payloads and layout edges": _specials,
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+def test_cells_are_repr(sweep):
+    x = _both_signs(sweep())
+    cells = float_reprs(x)
+    expected = list(map(repr, x.tolist()))
+    wrong = [(e, c) for e, c in zip(expected, cells) if e != c]
+    assert len(cells) == len(expected) and not wrong, wrong[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_cells_are_repr_for_any_floats(values):
+    assert float_reprs(np.array(values, dtype=np.float64)) == list(map(repr, values))
+
+
+def test_any_shape_and_no_values():
+    assert float_reprs([]) == []
+    assert float_reprs([[0.5, -2.0], [1e100, 3]]) == ["0.5", "-2.0", "1e+100", "3.0"]
+
+
+@pytest.fixture(scope="module")
+def command_tables():
+    """The tables each command writes together: a census and a DFT comparison."""
+    census = run_mean_probabilities(
+        CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
+                     num_bases=2, seed=5))
+    fourier = run_fourier_comparison(8, 2, (1, 0) * 4)
+    return {"census": list(census.tables.values()),
+            "fourier": [fourier.boson_table, fourier.fermion_table]}
+
+
+@pytest.mark.parametrize("command", ["census", "fourier"])
+def test_tables_written_together_keep_their_bytes(command_tables, command, tmp_path):
+    tables = command_tables[command]
+    cells = verdict_cells(tables)
+    assert len(cells.bits) == len(np.unique(np.concatenate(
+        [t.p.view(np.int64) for t in tables] + [t.p_dist.view(np.int64) for t in tables])))
+    for index, table in enumerate(tables):
+        expected = "".join(reference_verdict_lines(table))
+        together, alone = tmp_path / f"together{index}.csv", tmp_path / f"alone{index}.csv"
+        write_verdict_csv(together, table, cells)
+        write_verdict_csv(alone, table)
+        assert together.read_text() == alone.read_text() == expected
+        assert "".join(verdict_lines(table, cells)) == expected
+
+
+def test_import_builds_no_table():
+    source = str(Path(symfock.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    probe = ("import symfock.cli; from symfock import serialize as s; "
+             "print(s._power.cache_info().currsize, s._digit_words.cache_info().currsize, "
+             "s._template.cache_info().currsize)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["0", "0", "0"]
+
+
+def test_cells_of_other_tables_are_refused(command_tables, tmp_path):
+    census, fourier = command_tables["census"], command_tables["fourier"]
+    with pytest.raises(ValueError, match="every table"):
+        write_verdict_csv(tmp_path / "x.csv", fourier[0], verdict_cells(census))
+
+
+def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch):
+    tables = command_tables["census"] + command_tables["fourier"]
+    roots = {root for table in tables for dist in table.distributions for root in dist}
+    formatted = []
+    monkeypatch.setattr(RootOfUnity, "__str__",
+                        lambda root: formatted.append(root) or f"{root.num}/{root.den}")
+    cells = verdict_cells(tables)
+    assert sorted(formatted) == sorted(roots)
+    for table in tables:
+        assert [cells.phases[id(d)] for d in table.distributions] == [
+            ",".join(f"{v.num}/{v.den}" for v in d) for d in table.distributions]

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from symfock.fock import (
     ParticleType,
-    assignment_to_occupation,
     check_occupation,
     enumerate_outputs,
     occupation_to_assignment,
     output_array,
     particle_count,
 )
+
+from oracles import assignment_to_occupation
 
 
 class TestConversions:

@@ -13,11 +13,11 @@ from symfock.permutations import (
     eigenstructure,
     eigenvalues_to_complex,
     is_invariant,
-    operator_matrix,
-    reconstruction_residual,
     symmetry_residual,
 )
 from symfock.unitaries import UnitarySpec, build_unitary
+
+from oracles import operator_matrix, reconstruction_residual
 
 
 def random_permutation(rng, n):

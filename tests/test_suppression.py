@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from symfock.fock import ParticleType, assignment_to_occupation, enumerate_outputs
+from symfock.fock import ParticleType, enumerate_outputs
 from symfock.fock import occupation_to_assignment
 from symfock.permutations import Permutation, RootOfUnity, eigenstructure
 from symfock.scattering import prob_boson, prob_fermion, probabilities
@@ -21,6 +21,8 @@ from symfock.suppression import (
     transposition_count,
 )
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
+
+from oracles import assignment_to_occupation
 
 
 # --- oracle: exact Fraction arithmetic, one output at a time -----------------

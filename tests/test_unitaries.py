@@ -15,12 +15,11 @@ from symfock.unitaries import (
     UnitarySpec,
     build_unitaries,
     build_unitary,
-    eigenvalue_sorted_order,
     fourier_symmetry,
     fourier_unitary,
 )
 
-from oracles import reference_unitary
+from oracles import eigenvalue_sorted_order, reference_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
