@@ -31,7 +31,7 @@ rows = {tuple(s): i for i, s in enumerate(fermion.outputs.tolist())}
 for witness in comparison.witnesses:
     i = rows[witness]
     print(f"    witness {witness}: eigenvalue multiset "
-          f"{[str(v) for v in fermion.distributions[i]]}, exact P_F = {fermion.p[i]:.2e}")
+          f"{[str(v) for v in fermion.groups[fermion.group[i]]]}, exact P_F = {fermion.p[i]:.2e}")
 print()
 print("both witnesses keep the eigenvalue product at +1, which is all the")
 print("parity test sees; the multiset test notices the wrong multiplicities")

@@ -4,15 +4,18 @@ Numbers cross the file boundary losslessly: floats are written as ``repr``
 writes them (the shortest decimal that reads back to the same double) and
 eigenvalue phases as exact "k/l" fractions. Verdict CSVs are semicolon
 separated because the s and phase columns contain commas. A verdict CSV is
-written from a :class:`suppression.VerdictTable` in row blocks of
-``scattering.CHUNK``, one column at a time within a block, with empty cells
-for the columns its particle kind lacks, and reads back into one. No cell
-costs a Python call of its own: occupations come from one digit buffer per
-block, flags and classes from lookup tables, and floats and eigenvalue
-distributions from :func:`verdict_cells`, which formats each distinct value
-of all the tables a command writes once. Its floats go through one
-:func:`float_reprs` call, Schubfach digits in numpy arithmetic laid out the
-way ``repr`` lays them out.
+written from a :class:`suppression.VerdictTable`, with empty cells for the
+columns its particle kind lacks, and reads back into one.
+
+The CSV is built as bytes, with no Python call per row or per cell. Every
+cell is a row of ASCII bytes padded with NULs to its column's width.
+:func:`verdict_cells` makes the float and eigenvalue cells once for all the
+tables a command writes: each distinct float through one Schubfach pass in
+numpy arithmetic, laid out the way ``repr`` lays it out, and each distinct
+eigenvalue distribution (a table's ``groups``) once. Each block of
+``scattering.CHUNK`` rows then becomes one uint8 matrix: the occupation
+digits, every other cell gathered by its row's index, and the separators.
+One pass deletes the NULs, and one write sends the block to the file.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -167,42 +169,38 @@ def spec_to_json(spec: UnitarySpec) -> dict:
 
 # --- verdict tables ---------------------------------------------------------
 
-_FLAG_CELLS = np.array(["false", "true"], dtype=object)
-#: Class cells by the member's id: members are singletons, and hashing one runs Python code.
-_CLASS_CELLS = {id(event): event.value for event in EventClass}
+
+def _cell_matrix(cells) -> np.ndarray:
+    """ASCII cells as the rows of a uint8 matrix, each padded with NUL bytes."""
+    fixed = np.array(cells, dtype="S")
+    return fixed.view(np.uint8).reshape(len(fixed), fixed.itemsize)
 
 
-def _flag_cells(column: np.ndarray) -> list[str]:
-    return _FLAG_CELLS[column.astype(np.intp)].tolist()
+#: Flag cells by the flag, and event class cells by the class's place in ``EventClass``.
+_FLAGS = _cell_matrix(["false", "true"])
+_MEMBERS = tuple(EventClass)
+_EVENTS = _cell_matrix([event.value for event in _MEMBERS])
 
 
-def _occupation_cells(outputs: np.ndarray) -> list[str]:
-    """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]".
-
-    Every entry takes a sign slot, ``width`` digit slots and its separator
-    in one uint8 buffer; a mask drops the unused slots, and the rows, ended
-    by newlines, are decoded and split once.
-    """
+def _occupations(outputs: np.ndarray) -> np.ndarray:
+    """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]",
+    in NUL-padded bytes: every entry has a sign slot, ``width`` digit slots
+    and its separator, and NULs stand for the sign of a non-negative entry,
+    leading zeros and the last entry's separator."""
     b, n = outputs.shape
-    if b == 0 or n == 0:
-        return ["[]"] * b
-    magnitude = np.abs(outputs.astype(np.int64))
-    width = len(str(int(magnitude.max())))
-    power = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    leading = magnitude[..., None] // power  # (B, n, width): the digits and all before them
-    chars = np.empty((b, n, width + 2), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[..., 0] = ord("-")
-    keep[..., 0] = outputs < 0
-    chars[..., 1:-1] = leading % 10 + ord("0")
-    keep[..., 1:-2] = leading[..., :-1] > 0  # no leading zeros; the units digit stays
-    chars[..., -1] = ord(",")
-    chars[:, -1, -1] = ord("]")
-    line = np.empty((b, 1 + n * (width + 2) + 1), dtype=np.uint8)
-    line[:, 0], line[:, 1:-1], line[:, -1] = ord("["), chars.reshape(b, -1), ord("\n")
-    mask = np.ones(line.shape, dtype=bool)
-    mask[:, 1:-1] = keep.reshape(b, -1)
-    return line[mask].tobytes().decode("ascii").split("\n")[:-1]
+    rest = np.abs(outputs.astype(np.int64))
+    width = len(str(int(rest.max(initial=0))))
+    line = np.zeros((b, n * (width + 2) + 2), dtype=np.uint8)
+    line[:, 0], line[:, -1] = ord("["), ord("]")
+    chars = line[:, 1:-1].reshape(b, n, width + 2)  # a view: one axis split in two
+    chars[..., 0][outputs < 0] = ord("-")
+    for place in range(width, 0, -1):  # from the units digit leftwards
+        quotient = rest // 10
+        digit = rest - quotient * 10 + ord("0")
+        chars[..., place] = digit if place == width else np.where(rest > 0, digit, 0)
+        rest = quotient
+    chars[:, :-1, -1] = ord(",")
+    return line
 
 
 # --- float cells ---------------------------------------------------------------
@@ -335,7 +333,14 @@ def _template(key: int) -> np.ndarray:
 
 def float_reprs(values) -> list[str]:
     """``list(map(repr, values))`` for float64 values, with no Python call
-    per value: Schubfach digits, laid out the way ``repr`` lays them out.
+    per value (see :func:`_float_cells`)."""
+    return _float_cells(values).astype(np.uint32).view(f"U{_CELL_WIDTH}").ravel().tolist()
+
+
+def _float_cells(values) -> np.ndarray:
+    """The ``repr`` of each float64 value as a row of ASCII bytes, padded
+    with NULs to ``_CELL_WIDTH``: Schubfach digits, laid out the way
+    ``repr`` lays them out.
 
     The exponent form is used when the decimal point falls at or before the
     fourth place left of the first digit or more than 16 places right of it
@@ -348,7 +353,7 @@ def float_reprs(values) -> list[str]:
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     size = len(x)
     if not size:
-        return []
+        return np.zeros((0, _CELL_WIDTH), dtype=np.uint8)
     magnitude = np.abs(x)
     finite = np.isfinite(magnitude)
     regular = finite & (magnitude != 0)
@@ -391,106 +396,126 @@ def float_reprs(values) -> list[str]:
         start = end
     cells = np.empty_like(laid_out)
     cells[order] = laid_out
-    return cells.astype(np.uint32).view(f"U{_CELL_WIDTH}").ravel().tolist()
+    return cells
 
 
 @dataclass(frozen=True)
 class VerdictCells:
     """The float and eigenvalue cells of the verdict ``tables`` one command
-    writes (see :func:`verdict_cells`): ``bits`` holds every distinct float
-    bit pattern, sorted, ``floats`` its cell, and ``phases`` the cell of each
-    eigenvalue distribution by the distribution's id."""
+    writes (see :func:`verdict_cells`), as NUL-padded rows of ASCII bytes.
+
+    ``floats`` holds one cell per distinct float of all the tables. For each
+    table, in order, ``columns`` holds the phase cell of each of its groups
+    and the index in ``floats`` of each of its ``p`` and ``p_dist`` values.
+    """
 
     tables: tuple
-    bits: np.ndarray
     floats: np.ndarray
-    phases: dict
+    columns: tuple
 
-    def float_cells(self, column: np.ndarray) -> list[str]:
-        bits = np.asarray(column, dtype=np.float64).view(np.int64)
-        return self.floats[np.searchsorted(self.bits, bits)].tolist()
+    def of(self, table: VerdictTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (phases, p, p_dist) cell columns of one of the tables."""
+        for built, columns in zip(self.tables, self.columns):
+            if built is table:
+                return columns
+        raise ValueError("verdict cells must be built from every table they format")
 
 
 def verdict_cells(tables) -> VerdictCells:
     """The cells that every float and eigenvalue column of ``tables`` needs,
     each distinct value formatted once.
 
-    The floats of all tables go through one :func:`float_reprs` call: its
+    The floats of all tables go through one :func:`_float_cells` call: its
     fixed cost (about a hundred numpy calls, 0.7 ms on a 2-core x86-64 host)
     would exceed what it saves if it ran once per table or per block, and the
     tables of one command share many values (the census boson and
-    distinguishable tables share p_dist).
-    Each distinct eigenvalue is written once, and each distribution joined
-    once: rows with equal multisets share one tuple (see ``output_laws``), and
-    the tables hold every tuple, so no id is reused.
+    distinguishable tables share p_dist). One sort of their bit patterns
+    gives the distinct values and each value's index among them.
+    Each distinct eigenvalue is written once, and each table's groups are
+    joined once each.
     """
     tables = tuple(tables)
-    bits = np.sort(np.concatenate([np.asarray(column, dtype=np.float64).view(np.int64)
-                                   for table in tables for column in (table.p, table.p_dist)]))
+    patterns = [np.asarray(column, dtype=np.float64).ravel().view(np.int64)
+                for table in tables for column in (table.p, table.p_dist)]
+    bits = np.concatenate(patterns)
+    order = np.argsort(bits)
+    ordered = bits[order]
     first = np.ones(len(bits), dtype=bool)  # np.unique hashes on numpy 2, several times slower
-    first[1:] = bits[1:] != bits[:-1]
-    bits = bits[first]
-    distinct = {}
-    for table in tables:
-        distinct.update(zip(map(id, table.distributions), table.distributions))
-    roots = list(chain.from_iterable(distinct.values()))
-    by_id = dict(zip(map(id, roots), roots))
+    first[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty(len(bits), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    per_column = np.split(index, np.cumsum([len(column) for column in patterns])[:-1])
+    # roots by id: the groups of one table repeat a few root objects, and
+    # hashing a root runs Python code
+    by_id = {id(root): root for table in tables for group in table.groups for root in group}
     names = {root: str(root) for root in set(by_id.values())}
     root_cells = {key: names[root] for key, root in by_id.items()}
-    return VerdictCells(
-        tables, bits, np.array(float_reprs(bits.view(np.float64)), dtype=object),
-        {key: ",".join(map(root_cells.__getitem__, map(id, dist))) for key, dist in distinct.items()})
+    phases = [_cell_matrix([",".join(map(root_cells.__getitem__, map(id, group)))
+                            for group in table.groups]) for table in tables]
+    return VerdictCells(tables, _float_cells(ordered[first].view(np.float64)),
+                        tuple(zip(phases, per_column[::2], per_column[1::2])))
+
+
+def _event_codes(classes: np.ndarray) -> np.ndarray:
+    """Each event's place in ``EventClass``, from one comparison of the
+    whole column per member instead of a lookup per row."""
+    codes = np.zeros(len(classes), dtype=np.intp)  # the first member, IV
+    for code, member in enumerate(_MEMBERS[1:], start=1):
+        codes[classes == member] = code
+    return codes
 
 
 def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
-    """The lines of a verdict CSV, without their newlines, a block at a
-    time: the header, then each block of rows (see :func:`verdict_lines`)."""
+    """The verdict CSV of a table as ASCII bytes: the header, then each
+    block of rows (see :func:`write_verdict_csv`)."""
     if cells is None:
         cells = verdict_cells([table])
-    elif not any(table is built for built in cells.tables):
-        raise ValueError("verdict cells must be built from every table they format")
+    phases, p, p_dist = cells.of(table)
     parity = table.parity is not None
-    yield [";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity)]
-    empty = repeat("")  # zip stops at the filled columns
+    yield (";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n").encode()
     for start in range(0, len(table), CHUNK):
         rows = slice(start, start + CHUNK)
         probs = (None if table.kind is ParticleType.DISTINGUISHABLE
-                 else cells.float_cells(table.p[rows]))
-        columns = [
-            _occupation_cells(table.outputs[rows]),
-            map(cells.phases.__getitem__, map(id, table.distributions[rows])),
-            _flag_cells(table.boson[rows]),
-            empty if table.fermion is None else _flag_cells(table.fermion[rows]),
-            probs if table.kind is ParticleType.BOSON else empty,
-            probs if table.kind is ParticleType.FERMION else empty,
-            cells.float_cells(table.p_dist[rows]),
-            map(_CLASS_CELLS.__getitem__, map(id, table.classes[rows].tolist())),
+                 else cells.floats[p[rows]])
+        pieces = [
+            _occupations(table.outputs[rows]),
+            phases[table.group[rows]],
+            _FLAGS[table.boson[rows].astype(np.intp)],
+            None if table.fermion is None else _FLAGS[table.fermion[rows].astype(np.intp)],
+            probs if table.kind is ParticleType.BOSON else None,
+            probs if table.kind is ParticleType.FERMION else None,
+            cells.floats[p_dist[rows]],
+            _EVENTS[_event_codes(table.classes[rows])],
         ]
         if parity:
-            columns.append(_flag_cells(table.parity[rows]))
-        yield map(";".join, zip(*columns))
+            pieces.append(_FLAGS[table.parity[rows].astype(np.intp)])
+        semicolon = np.full((len(pieces[0]), 1), ord(";"), dtype=np.uint8)
+        parts = [part for piece in pieces for part in (piece, semicolon) if part is not None]
+        parts[-1] = np.full_like(semicolon, ord("\n"))
+        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")  # drops the padding
 
 
 def verdict_lines(table: VerdictTable, cells: VerdictCells | None = None):
-    """The verdict CSV of a table, line by line: the header, then one line
-    per output, with an ``old_fermion_suppressed`` column when the table has
-    the parity law.
-
-    The rows go in blocks of ``scattering.CHUNK``, so memory does not grow
-    with the table; each block is formatted column by column. Occupations
-    come from one digit buffer, flags and classes from lookups, and floats
-    and eigenvalue distributions from ``cells``: pass the
-    :func:`verdict_cells` of every table a command writes, or leave it out
-    to format this table's own.
-    """
-    return (line + "\n" for line in chain.from_iterable(_verdict_blocks(table, cells)))
+    """The verdict CSV of a table, line by line: the bytes of
+    :func:`write_verdict_csv`, decoded."""
+    for block in _verdict_blocks(table, cells):
+        yield from block.decode("ascii").splitlines(keepends=True)
 
 
 def write_verdict_csv(path, table: VerdictTable, cells: VerdictCells | None = None) -> None:
-    """Write :func:`verdict_lines` to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for block in _verdict_blocks(table, cells):
-            fh.write("\n".join(block) + "\n")
+    """Write the verdict CSV of a table to ``path``: the header, then one
+    line per output, with an ``old_fermion_suppressed`` column when the
+    table has the parity law.
+
+    The rows go in blocks of ``scattering.CHUNK``, so memory does not grow
+    with the table. Each block is one uint8 matrix of NUL-padded cells and
+    separators; one pass deletes the NULs, and one write sends the rest to
+    the file. Floats and eigenvalue distributions come from ``cells``: pass
+    the :func:`verdict_cells` of every table a command writes, or leave it
+    out to format this table's own.
+    """
+    with open(path, "wb") as fh:
+        fh.writelines(_verdict_blocks(table, cells))
 
 
 def read_verdict_csv(path) -> VerdictTable:
@@ -515,13 +540,14 @@ def read_verdict_csv(path) -> VerdictTable:
 
     kind = (ParticleType.BOSON if any(cells["p_boson"]) else
             ParticleType.FERMION if any(cells["p_fermion"]) else ParticleType.DISTINGUISHABLE)
-    parsed = {cell: tuple(RootOfUnity.parse(tok) for tok in cell.split(",") if tok)
-              for cell in set(cells["lambda_phases"])}
+    phases, group = np.unique(np.array(cells["lambda_phases"], dtype=str), return_inverse=True)
     return VerdictTable(
         kind=kind,
         outputs=np.array([json.loads(cell) for cell in cells["s"]],
                          dtype=np.int64).reshape(len(rows), -1 if rows else 0),
-        distributions=tuple(parsed[cell] for cell in cells["lambda_phases"]),
+        groups=tuple(tuple(RootOfUnity.parse(tok) for tok in cell.split(",") if tok)
+                     for cell in phases.tolist()),
+        group=group.ravel(),
         boson=flags("boson_suppressed"),
         p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
                  .get(kind, "p_dist")),

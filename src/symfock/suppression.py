@@ -22,8 +22,8 @@ with int64 arithmetic only.
   their count rows are. The fermion law compares each count row with the
   input's. Each count row is keyed by its rank among the multisets of D
   values (:func:`fock.output_ranks`), offset past the multisets with fewer
-  particles; one ``unique`` of the keys groups equal rows, and each group
-  becomes one distribution tuple, shared by its rows.
+  particles; one ``unique`` of the keys groups equal rows. Each group
+  becomes one distribution tuple, and each row keeps its group's index.
 
 Both are exact as long as no sum leaves int64: s @ k < N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
@@ -89,13 +89,15 @@ def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistributio
 class OutputLaws:
     """Law verdicts for K outputs, one entry per output row.
 
-    ``distributions`` holds each output's eigenvalue multiset; outputs with
-    equal multisets share one tuple. ``fermion`` is set when a permutation
-    and an input were given, ``parity`` when a witness ``w`` was.
+    ``groups`` holds the distinct eigenvalue multisets of the outputs and
+    ``group`` each output's index into it, so row i's multiset is
+    ``groups[group[i]]``. ``fermion`` is set when a permutation and an input
+    were given, ``parity`` when a witness ``w`` was.
     """
 
     boson: np.ndarray
-    distributions: tuple[EigenvalueDistribution, ...]
+    groups: tuple[EigenvalueDistribution, ...]
+    group: np.ndarray
     fermion: np.ndarray | None = None
     parity: np.ndarray | None = None
 
@@ -152,7 +154,7 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
             initial_counts[column[v]] += 1
         fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
 
-    # one group per distinct count row; one tuple per group, shared by its rows
+    # one group per distinct count row, one tuple per group
     if comb(len(distinct) + n_particles, n_particles) < _INT64_LIMIT:
         offsets = np.array([comb(len(distinct) + size - 1, size - 1) if size else 0
                             for size in range(n_particles + 1)], dtype=np.int64)
@@ -160,15 +162,15 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
     else:
         _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    shared = [tuple(chain.from_iterable(map(repeat, distinct, row)))
-              for row in counts[first].tolist()]
-    return OutputLaws(phase != 0, tuple(map(shared.__getitem__, group.ravel().tolist())),
-                      fermion, parity)
+    groups = tuple(tuple(chain.from_iterable(map(repeat, distinct, row)))
+                   for row in counts[first].tolist())
+    return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)
 
 
 def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
     """Eigenvalue multiset picked out by the occupied output modes."""
-    return output_laws(eigenvalues, [occupation_out]).distributions[0]
+    laws = output_laws(eigenvalues, [occupation_out])
+    return laws.groups[laws.group[0]]
 
 
 def boson_suppressed(eigenvalues, occupation_out) -> bool:
@@ -239,8 +241,8 @@ def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL
 class VerdictTable:
     """Verdicts of K outputs for one particle kind, one array per column.
 
-    ``outputs`` is the (K, n) occupation array and ``distributions`` each
-    row's eigenvalue multiset (rows with equal multisets share one tuple).
+    ``outputs`` is the (K, n) occupation array; ``groups`` holds the
+    distinct eigenvalue multisets and ``group`` each row's index into it.
     ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
     only) and ``parity`` the legacy DFT law (when a parity witness was
     given). ``p`` is the kind's probability, which for distinguishable
@@ -249,7 +251,8 @@ class VerdictTable:
 
     kind: ParticleType
     outputs: np.ndarray
-    distributions: tuple[EigenvalueDistribution, ...]
+    groups: tuple[EigenvalueDistribution, ...]
+    group: np.ndarray
     boson: np.ndarray
     p: np.ndarray
     p_dist: np.ndarray
@@ -281,5 +284,5 @@ def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
         raise ValueError(f"need one probability per output: {len(laws.boson)} outputs, "
                          f"{p.shape} and {p_dist.shape} probabilities")
     law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
-    return VerdictTable(kind, np.asarray(outputs), laws.distributions, laws.boson, p, p_dist,
-                        classify_event(law, p, p_dist), laws.fermion, laws.parity)
+    return VerdictTable(kind, np.asarray(outputs), laws.groups, laws.group, laws.boson, p,
+                        p_dist, classify_event(law, p, p_dist), laws.fermion, laws.parity)

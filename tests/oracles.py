@@ -82,7 +82,7 @@ def reference_verdict_lines(table) -> list[str]:
         p = table.p[i]
         row = [
             _fmt_occupation(tuple(int(x) for x in table.outputs[i])),
-            ",".join(str(v) for v in table.distributions[i]),
+            ",".join(str(v) for v in table.groups[table.group[i]]),
             _fmt_optional_bool(bool(table.boson[i])),
             _fmt_optional_bool(None if table.fermion is None else bool(table.fermion[i])),
             _fmt_optional_float(p if table.kind is ParticleType.BOSON else None),
@@ -96,9 +96,15 @@ def reference_verdict_lines(table) -> list[str]:
     return lines
 
 
+def row_distributions(laws) -> tuple:
+    """Each row's eigenvalue multiset, ``groups[group[i]]``, of an
+    ``OutputLaws`` or a ``VerdictTable``."""
+    return tuple(laws.groups[g] for g in laws.group.tolist())
+
+
 def assert_same_table(a, b) -> None:
     assert a.kind is b.kind
-    assert a.distributions == b.distributions
+    assert row_distributions(a) == row_distributions(b)
     for name in ("outputs", "boson", "fermion", "parity", "p", "p_dist", "classes"):
         x, y = getattr(a, name), getattr(b, name)
         if x is None or y is None:

@@ -250,26 +250,53 @@ def test_criterion_10_oracle_equivalence():
     report(10, f"{checked} permanents matched, {limit_checks} limit instances matched")
 
 
-def test_criterion_11_byte_identical_reruns(tmp_path):
-    config = tmp_path / "census.json"
-    config.write_text(json.dumps({
+FIT_RERUN = {
+    "permutation": "(1 2 3)(4 5 6)(7 8)", "rotation_seed": 7,
+    "input_state": list(WORKED_INPUT), "target_output": [1, 1, 0, 1, 1, 0, 1, 0],
+    "particle": "boson", "grid": [0.001, 0.002, 0.005, 0.01], "samples": 40,
+}
+#: One config per experiment kind, and the files each run writes.
+RERUN_CONFIGS = {
+    "census": ({
         "kind": "mean-probabilities",
         "permutation": "(1 2 3)(4 5 6)(7 8)",
         "input_state": [1, 1, 1, 0, 0, 0, 1, 1],
         "bases": 5,
         "seed": 42,
         "types": ["boson", "fermion", "dist"],
-    }))
-    for label in ("first", "second"):
-        code = main([
-            "experiment", "--config", str(config),
-            "--out", str(tmp_path / label),
-        ])
-        assert code == 0
+    }, (".boson.csv", ".fermion.csv", ".dist.csv")),
+    "fourier": ({
+        "kind": "fourier-comparison", "modes": 8, "order": 2,
+        "input_state": [1, 0, 1, 0, 1, 0, 1, 0],
+    }, (".boson.csv", ".fermion.csv")),
+    "unitary": ({"kind": "unitary-robustness"} | FIT_RERUN, (".csv",)),
+    "distinguishability": ({"kind": "distinguishability-robustness"} | FIT_RERUN, (".csv",)),
+}
+
+
+def test_criterion_11_byte_identical_reruns(tmp_path):
+    """Every experiment kind, run twice, writes the same CSV bytes and the
+    same meta.json once its one volatile field, ``timing_seconds``, is gone."""
     compared = []
-    for suffix in (".boson.csv", ".fermion.csv", ".dist.csv"):
-        first = (tmp_path / ("first" + suffix)).read_bytes()
-        second = (tmp_path / ("second" + suffix)).read_bytes()
-        assert first == second
-        compared.append(suffix)
+    for name, (payload, suffixes) in RERUN_CONFIGS.items():
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(payload))
+        for label in ("first", "second"):
+            code = main([
+                "experiment", "--config", str(config),
+                "--out", str(tmp_path / f"{name}-{label}"),
+            ])
+            assert code == 0
+        for suffix in suffixes:
+            first = (tmp_path / f"{name}-first{suffix}").read_bytes()
+            second = (tmp_path / f"{name}-second{suffix}").read_bytes()
+            assert first == second, name + suffix
+            compared.append(name + suffix)
+        metas = []
+        for label in ("first", "second"):
+            meta = json.loads((tmp_path / f"{name}-{label}.meta.json").read_text())
+            assert isinstance(meta.pop("timing_seconds"), float)
+            metas.append(json.dumps(meta, indent=2))
+        assert metas[0] == metas[1], name
+        compared.append(f"{name}.meta.json")
     report(11, f"byte-identical reruns for {compared}")

@@ -17,7 +17,7 @@ from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_p
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import float_reprs, verdict_cells, verdict_lines, write_verdict_csv
 
-from oracles import reference_verdict_lines
+from oracles import reference_verdict_lines, row_distributions
 
 
 def _both_signs(x):
@@ -97,7 +97,7 @@ def command_tables():
 def test_tables_written_together_keep_their_bytes(command_tables, command, tmp_path):
     tables = command_tables[command]
     cells = verdict_cells(tables)
-    assert len(cells.bits) == len(np.unique(np.concatenate(
+    assert len(cells.floats) == len(np.unique(np.concatenate(
         [t.p.view(np.int64) for t in tables] + [t.p_dist.view(np.int64) for t in tables])))
     for index, table in enumerate(tables):
         expected = "".join(reference_verdict_lines(table))
@@ -127,12 +127,13 @@ def test_cells_of_other_tables_are_refused(command_tables, tmp_path):
 
 def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch):
     tables = command_tables["census"] + command_tables["fourier"]
-    roots = {root for table in tables for dist in table.distributions for root in dist}
+    roots = {root for table in tables for dist in table.groups for root in dist}
     formatted = []
     monkeypatch.setattr(RootOfUnity, "__str__",
                         lambda root: formatted.append(root) or f"{root.num}/{root.den}")
     cells = verdict_cells(tables)
     assert sorted(formatted) == sorted(roots)
     for table in tables:
-        assert [cells.phases[id(d)] for d in table.distributions] == [
-            ",".join(f"{v.num}/{v.den}" for v in d) for d in table.distributions]
+        phases = cells.of(table)[0]
+        assert [phases[g].tobytes().rstrip(b"\0").decode() for g in table.group.tolist()] == [
+            ",".join(f"{v.num}/{v.den}" for v in d) for d in row_distributions(table)]

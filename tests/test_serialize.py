@@ -253,8 +253,8 @@ class TestVerdictCsv:
                 yield (RootOfUnity(k, 7), RootOfUnity(1, 3), RootOfUnity(1, 2))
         column = np.full(200, 0.5)
         table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp),
-                             tuple(distributions()), np.zeros(200, dtype=bool), column, column,
-                             np.full(200, EventClass.ALLOWED, dtype=object))
+                             tuple(distributions()), np.arange(200), np.zeros(200, dtype=bool),
+                             column, column, np.full(200, EventClass.ALLOWED, dtype=object))
         cells = [line.split(";")[1] for line in list(verdict_lines(table))[1:]]
         assert cells == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
 

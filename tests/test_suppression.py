@@ -22,7 +22,7 @@ from symfock.suppression import (
 )
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import assignment_to_occupation
+from oracles import assignment_to_occupation, row_distributions
 
 
 # --- oracle: exact Fraction arithmetic, one output at a time -----------------
@@ -285,8 +285,8 @@ def test_output_laws_match_oracle_on_bunched_outputs(setup, particles, data):
     assert laws.fermion is None
     assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
     assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
-    assert laws.distributions == tuple(oracle_distribution(values, s) for s in outputs)
-    for dist, s in zip(laws.distributions, outputs):
+    assert row_distributions(laws) == tuple(oracle_distribution(values, s) for s in outputs)
+    for dist, s in zip(row_distributions(laws), outputs):
         assert ",".join(map(str, dist)) == ",".join(map(str, oracle_distribution(values, s)))
 
 
@@ -301,7 +301,7 @@ def test_output_laws_match_oracle_on_fermionic_outputs(setup, data):
     assert laws.fermion.tolist() == [oracle_fermion(p, r, values, s) for s in outputs]
     assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
     assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
-    assert laws.distributions == tuple(oracle_distribution(values, s) for s in outputs)
+    assert row_distributions(laws) == tuple(oracle_distribution(values, s) for s in outputs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -310,19 +310,19 @@ def test_equal_multisets_share_one_tuple(setup, particles, data):
     _, values, _ = setup
     outputs = _bunched_outputs(data.draw, len(values), particles)
     laws = output_laws(values, outputs)
-    for a, da in zip(outputs, laws.distributions):
-        for b, db in zip(outputs, laws.distributions):
+    for a, ga in zip(outputs, laws.group.tolist()):
+        for b, gb in zip(outputs, laws.group.tolist()):
             if oracle_distribution(values, a) == oracle_distribution(values, b):
-                assert da is db
+                assert laws.groups[ga] is laws.groups[gb]
 
 
 def _assert_grouped_like_the_oracle(values, outputs):
     laws = output_laws(values, outputs)
     expected = [oracle_distribution(values, s) for s in outputs]
-    assert laws.distributions == tuple(expected)
+    assert row_distributions(laws) == tuple(expected)
     for i, a in enumerate(expected):
         for j, b in enumerate(expected):
-            assert (laws.distributions[i] is laws.distributions[j]) == (a == b)
+            assert (laws.group[i] == laws.group[j]) == (a == b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,12 +362,12 @@ def test_fermion_law_without_the_input_values_suppresses_everything():
 class TestOutputLawsBoundary:
     def test_no_modes(self):
         laws = output_laws([], [[], [], []])
-        assert laws.distributions == ((), (), ()) and laws.boson.tolist() == [False] * 3
-        assert laws.distributions[0] is laws.distributions[1] is laws.distributions[2]
+        assert row_distributions(laws) == ((), (), ()) and laws.boson.tolist() == [False] * 3
+        assert laws.groups == ((),) and laws.group.tolist() == [0, 0, 0]
 
     def test_no_outputs(self):
         laws = output_laws(WORKED_D, [], WORKED_PERM, WORKED_INPUT, w=1)
-        assert laws.distributions == ()
+        assert laws.groups == () and laws.group.shape == (0,)
         for verdicts in (laws.boson, laws.fermion, laws.parity):
             assert verdicts.shape == (0,) and verdicts.dtype == bool
         assert output_laws(WORKED_D, np.zeros((0, 8), dtype=np.intp)).boson.shape == (0,)

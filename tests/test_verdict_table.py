@@ -3,11 +3,12 @@ reference bytes, and the array form of the event classification."""
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symfock import serialize
@@ -78,6 +79,31 @@ def test_cli_verdicts_keep_the_reference_bytes(kind, tmp_path, capsys):
     table = verdict_table(built.eigenvalues, outputs, kind, p, p_dist, *fermion_law)
     expected = "".join(reference_verdict_lines(table))
     assert out.read_text() == expected
+    assert stdout == expected
+
+
+def test_bunched_cli_verdicts_agree_byte_for_byte(tmp_path, capsys):
+    """Six bosons in each mode of (1 2): all twelve can leave through one
+    mode, so occupation cells take two digits. The command's stdout, its
+    --out file and the row-by-row reference agree byte for byte."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"permutation": "(1 2)"}))
+    out = tmp_path / "verdicts.csv"
+    argv = ["verdicts", "--spec", str(spec), "--input-state", "[6,6]"]
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+
+    built = build_unitary(UnitarySpec(Permutation.parse("(1 2)")))
+    outputs = output_array(2, 12, ParticleType.BOSON)
+    table = verdict_table(built.eigenvalues, outputs, ParticleType.BOSON,
+                          probabilities(built.matrix, (6, 6), outputs, ParticleType.BOSON),
+                          probabilities(built.matrix, (6, 6), outputs,
+                                        ParticleType.DISTINGUISHABLE))
+    expected = "".join(reference_verdict_lines(table))
+    assert "\n[12,0];" in expected and "\n[0,12];" in expected
+    assert out.read_bytes() == expected.encode()
     assert stdout == expected
 
 
@@ -171,9 +197,21 @@ def test_classify_event_arrays_match_the_one_event_rule(events):
 
 # --- generated tables --------------------------------------------------------
 
-#: Floats the byte contract must keep apart or keep whole, mixed with any float.
-cell_float = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e300, 0.1 + 0.2, 1.0]),
-                       st.floats(allow_nan=False))
+#: Floats that take every path of the cell formatter: both zeros, subnormals,
+#: 17 significant digits, and the fixed and exponent forms on either side of
+#: the thresholds between them.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0, 0.1 + 0.2, 1 / 3,
+               -2 ** 0.5, 1e-05, 0.0001, 0.00012345678901234567, 9999999999999998.0, 1e16,
+               1.5e16, 1.2345678901234567e19, 1e22, 1e-300, 1e300]
+SMALLEST_NORMAL = 2.2250738585072014e-308
+#: Any float but NaN (a CSV cell keeps no NaN payload), with the edges and
+#: the subnormals drawn often.
+cell_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False),
+                       st.floats(min_value=-SMALLEST_NORMAL, max_value=SMALLEST_NORMAL))
+#: Occupations of one to seven digits; the writer keeps the sign of a
+#: negative entry, though no output has one.
+occupation = st.one_of(st.integers(0, 3), st.integers(10, 150), st.integers(1000, 10**6),
+                       st.integers(-12, -1))
 root = st.builds(RootOfUnity, st.integers(0, 11), st.integers(1, 12))
 
 
@@ -188,10 +226,12 @@ def table_of(kind, outputs, distributions, floats, flags, classes, parity):
         return np.array([row[i] for row in flags], dtype=bool).reshape(k)
 
     p_dist = column(1)
+    groups = tuple(dict.fromkeys(distributions))
     return VerdictTable(
         kind=kind,
         outputs=np.array(outputs, dtype=np.intp).reshape(k, -1 if k else 3),
-        distributions=tuple(distributions),
+        groups=groups,
+        group=np.array([groups.index(d) for d in distributions], dtype=np.intp),
         boson=flag(0),
         p=p_dist if kind is ParticleType.DISTINGUISHABLE else column(0),
         p_dist=p_dist,
@@ -203,12 +243,13 @@ def table_of(kind, outputs, distributions, floats, flags, classes, parity):
 
 @st.composite
 def tables(draw):
-    """Tables of every kind, with and without the parity column: occupations
-    up to three digits, rows that share a distribution tuple, and any float."""
+    """Tables of every kind, with and without the parity column, of zero to
+    twelve rows over one to five modes: multi-digit occupations, rows that
+    share a distribution tuple, and any float."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(1, 5))
     k = draw(st.integers(0, 12))
-    rows = st.lists(st.integers(0, 150), min_size=n, max_size=n)
+    rows = st.lists(occupation, min_size=n, max_size=n)
     outputs = draw(st.lists(rows, min_size=k, max_size=k))
     pool = draw(st.lists(st.lists(root, max_size=4).map(lambda r: tuple(sorted(r))),
                          min_size=1, max_size=3))
@@ -260,8 +301,29 @@ def test_edge_tables_roundtrip(table, tmp_path):
 
 @settings(max_examples=150, deadline=None)
 @given(tables(), st.integers(1, 13))
+@example(table_of(ParticleType.BOSON, [[12], [0], [1000000]], [(), (RootOfUnity(1, 2),), ()],
+                  [(-0.0, 5e-324), (0.1 + 0.2, 1e-05), (1e16, 0.0001)],
+                  [(True, False, False)] * 3, [EventClass.CLASS_II] * 3, False), 2)
 def test_generated_tables_roundtrip(table, block):
-    """Any table, written in row blocks of any size."""
+    """Any table, written in row blocks of any size: the file and the lines
+    of the block writer are the row-by-row reference bytes."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(serialize, "CHUNK", block)
         assert_roundtrip(table, Path(tmp) / "table.csv")
+
+
+def test_writer_memory_stays_one_block(tmp_path):
+    """The row blocks bound the writer's memory: writing the 12 376 rows of
+    the 12-mode DFT boson table at N = 6 (a 1.3 MB file) allocates at most
+    0.5 MB at the peak, whatever the number of rows."""
+    table = run_fourier_comparison(12, 6, (1, 0) * 6).boson_table
+    cells = serialize.verdict_cells([table])
+    path = tmp_path / "boson.csv"
+    tracemalloc.start()
+    try:
+        write_verdict_csv(path, table, cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 1_300_000
+    assert peak <= 500_000
