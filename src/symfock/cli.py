@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 
 from . import __version__
 from .experiments import (
@@ -247,6 +248,7 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@cache  # once per process: argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="symfock", description=__doc__)
     parser.add_argument("--version", action="version", version=f"symfock {__version__}")
@@ -256,12 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--permutation", required=True,
                    help='cycle notation "(1 2 3)(4 5)" or one-line JSON array')
     p.add_argument("--modes", type=int, default=None, help="total mode count (pads fixed points)")
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("build", help="construct a symmetry-adapted unitary from a spec JSON")
     p.add_argument("--spec", required=True, help="UnitarySpec JSON file")
     p.add_argument("--out", default=None, help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verdicts", help="full verdict table for one input state")
     p.add_argument("--spec", required=True, help="UnitarySpec JSON file")
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default="boson", choices=["boson", "fermion", "dist"])
     p.add_argument("--out", default=None, help="CSV output path (default: stdout)")
     p.add_argument("--svg", default=None, help="optional bar-chart SVG path")
-    p.set_defaults(func=cmd_verdicts)
 
     p = sub.add_parser("prob", help="one transition probability")
     p.add_argument("--unitary", required=True, help="matrix JSON file")
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Gram matrix JSON (required for --type partial)")
     p.add_argument("--partial-statistics", default="boson", choices=["boson", "fermion"],
                    help="underlying statistics for --type partial")
-    p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("experiment", help="run an experiment config JSON")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bases", type=int, default=None, help="override the eigenbasis count")
     # parsed and ignored (the benchmark's command lines still pass it): one process per run
     p.add_argument("--threads", type=int, default=None, help=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_experiment)
     return parser
 
 
@@ -298,7 +295,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # by name at each call: the parser, built once, pins no command function
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # bad input, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

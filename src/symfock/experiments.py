@@ -23,21 +23,19 @@ degenerate eigenspace, both invariants checked over the stack), then one
 call per particle kind for each sub-stack, with all outputs of every basis
 (one polynomial expansion per unitary, its parents read from the cached
 lattice table of :func:`fock.lattice`, which :func:`fock.output_array`
-built). The DFT comparison
-makes one call per kind for its one unitary, the unitary robustness fit one
-per sub-stack of ``scattering.CHUNK`` noise samples (one permanent per
-sample). The distinguishability fit splits :func:`scattering.prob_partial`
-in its two halves: it computes the N! weight permanents of its one
-transition once, with :func:`scattering.partial_weights`, and sends its Gram
-matrices to :func:`scattering.partial_probabilities` in sub-stacks of
-:data:`GRAM_STACK_TERMS` // N! matrices (at least one), which keeps the
-B * N! deviation terms of a sub-stack near 2^13; every Gram matrix is still
-checked there. Each sub-stack of noise samples takes one random call
-(:meth:`scattering.PerturbationModel.sample` on a (B, n, n) shape,
-:func:`sample_distinguishability` with a count), laid out so that it equals
-the samples' lone draws in sample order bit for bit; the drawn Gram matrices
-are PSD-repaired with one stacked ``eigh``, and the probabilities of a grid
-point are reduced in one compensated loop, in sample order.
+built). The DFT comparison makes one call per kind for its one unitary.
+
+The robustness fits take one random call per sub-stack of noise samples,
+equal to the samples' lone draws in sample order bit for bit, and reduce a
+grid point in one compensated loop. The unitary fit forms the noise of its
+``scattering.CHUNK`` samples, and one permanent each, on the target's
+occupied rows and columns only. The distinguishability fit computes the N!
+weights of :func:`scattering.partial_weights` once and sends its Gram
+matrices to :func:`scattering.partial_probabilities`, which checks each, in
+sub-stacks of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms
+near 2^13. A sub-stack's Gram matrices come from one scaled ``rng.random``
+array and one stacked ``eigh`` repair, clipped in place when every matrix
+needs it, as every draw on the fits' grids does.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -410,6 +408,9 @@ def run_unitary_robustness(
         * p_dist
     )
 
+    # the permanent reads only the occupied rows and columns: noise on that block
+    rows, cols = np.flatnonzero(r), np.flatnonzero(s)
+    block, r_block, s_block = u[np.ix_(rows, cols)], [r[i] for i in rows], [s[i] for i in cols]
     measured = []
     for gi, g in enumerate(grid):
         model = PerturbationModel(g, distribution=distribution)
@@ -417,8 +418,10 @@ def run_unitary_robustness(
         values = []
         for start in range(0, samples, CHUNK):
             # one draw per sub-stack, equal to its samples' draws in sample order
-            deltas = model.sample((min(CHUNK, samples - start), *u.shape), rng)
-            values += probabilities(u * (1.0 + deltas), r, [s], particle)[:, 0].tolist()
+            deltas = model.sample((min(CHUNK, samples - start), *u.shape), rng, (rows, cols))
+            # block first: numpy's SIMD complex multiply is not bitwise commutative
+            perturbed = block * (1.0 + deltas)
+            values += probabilities(perturbed, r_block, [s_block], particle)[:, 0].tolist()
         measured.append(_compensated_mean(values))
 
     exponent, prefactor = _fit_loglog(grid, measured, 2.0)
@@ -468,14 +471,17 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     """
     if ensemble not in GRAM_ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
+    spread = eta_scale * mean_eps if ensemble == "independent" else 0.0  # gram: no eta
+    if not (0.0 <= 2.0 * mean_eps < np.inf and 0.0 <= 2.0 * spread < np.inf):
+        raise ValueError("mean_eps and eta_scale must be finite and non-negative")
     lead = () if count is None else (count,)
     diagonal = np.arange(n)
+    # rng.uniform(low, high) is low + (high - low) * U: rng.random scaled so has
+    # its bits and takes the same stream, without the broadcast of array bounds
     if ensemble == "independent":
-        spread = eta_scale * mean_eps
-        low = np.array([0.0, -spread])[:, None, None]  # (eps, eta) bounds per sample
-        high = np.array([2.0 * mean_eps, spread])[:, None, None]
-        draw = rng.uniform(low, high, size=(*lead, 2, n, n))
-        eps, eta = draw[..., 0, :, :], draw[..., 1, :, :]
+        draw = rng.random((*lead, 2, n, n))
+        draw *= np.array([2.0 * mean_eps, 2.0 * spread])[:, None, None]  # (eps, eta) ranges
+        eps, eta = draw[..., 0, :, :], draw[..., 1, :, :] - spread
         eps = (eps + eps.swapaxes(-1, -2)) / 2.0
         eta = (eta - eta.swapaxes(-1, -2)) / 2.0
         s = (1.0 - eps) * np.exp(1j * eta)
@@ -484,11 +490,12 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
         repaired, mask = repair_distinguishability(s)
         if count is None:
             return (repaired, True) if mask else (s, False)
+        if mask.all():  # every draw on the fits' grids: no gather or scatter
+            return repaired, count
         s[mask] = repaired[mask]
         return s, int(mask.sum())
     # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
-    high = np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # (eps_j, phi) bounds per sample
-    draw = rng.uniform(np.zeros((2, 1)), high, size=(*lead, 2, n))
+    draw = rng.random((*lead, 2, n)) * np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # eps_j, phi
     t = np.arcsin(np.sqrt(np.minimum(draw[..., 0, :], 1.0)))
     a = np.cos(t)
     b = np.sin(t) * np.exp(1j * draw[..., 1, :])

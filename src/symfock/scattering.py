@@ -332,7 +332,8 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
     and whether a repair happened, or a (B, n, n) stack, returning the stack
     of Hermitian parts and a (B,) mask of the repaired matrices. One ``eigh``
     runs over the whole stack; only the matrices with lowest eigenvalue below
-    -1e-10 are clipped and renormalised, each with the bits of a lone call.
+    -1e-10 are clipped and renormalised, each with the bits of a lone call;
+    in place, with no gather or scatter, when every matrix needs it.
     """
     s = as_complex_matrix(s_matrix, stack=True)
     herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
@@ -340,15 +341,21 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
     eigvals, eigvecs = np.linalg.eigh(stack)
     mask = eigvals[:, 0] < -1e-10
     if mask.any():
-        vecs = eigvecs[mask]
-        clipped = (vecs * np.maximum(eigvals[mask], 0.0)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-        scale = np.sqrt(np.real(np.diagonal(clipped, axis1=-2, axis2=-1)))
+        every = mask.all()
+        vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
+        adjoint = vecs.conj().swapaxes(-1, -2)
+        vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
+        repaired = vecs @ adjoint
+        scale = np.sqrt(np.real(np.diagonal(repaired, axis1=-2, axis2=-1)))
         if np.any(scale <= 0):
             raise ValueError("PSD repair collapsed a diagonal entry to zero")
-        repaired = clipped / (scale[:, :, None] * scale[:, None, :])
+        repaired /= scale[:, :, None] * scale[:, None, :]
         diagonal = np.arange(stack.shape[-1])
         repaired[:, diagonal, diagonal] = 1.0
-        stack[mask] = repaired
+        if every:
+            herm = repaired if herm.ndim == 3 else repaired[0]
+        else:
+            stack[mask] = repaired
     return (herm, mask) if herm.ndim == 3 else (herm, bool(mask[0]))
 
 
@@ -403,13 +410,18 @@ def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray
     if gram.shape[-2:] != (terms.modes, terms.modes):
         raise ValueError("distinguishability matrix must match the unitary size")
     stack = gram if gram.ndim == 3 else gram[None]
-    d, perms = terms.rows, terms.perms
-    deviation = stack[:, d[:, None], d[None, :]] - 1.0  # D on the occupied input modes
-    e = np.zeros((len(stack), len(perms)), dtype=complex)
-    for j in range(len(d)):
-        factor = deviation[:, j, perms[:, j]]
-        e = e + factor + e * factor
-    value = terms.indistinguishable + (e * terms.weights).sum(axis=1)
+    d, images = terms.rows, terms.perms.T.copy()  # images[j]: tau(j) for every tau
+    deviation = stack[:, d[:, None], d[None, :]]
+    deviation -= 1.0  # D on the occupied input modes
+    e = np.zeros((len(stack), len(terms.perms)), dtype=complex)
+    product = np.empty_like(e)  # reused: a fresh (B, N!) array per step costs as much as the step
+    for j in range(len(d)):  # e <- (e + factor) + e * factor, in place
+        factor = deviation[:, j, images[j]]
+        np.multiply(e, factor, out=product)
+        e += factor
+        e += product
+    e *= terms.weights
+    value = terms.indistinguishable + e.sum(axis=1)
     if np.any(np.abs(value.imag) > 1e-10):
         raise ArithmeticError(
             f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
@@ -476,32 +488,35 @@ class PerturbationModel:
         if self.distribution not in DELTA_DISTRIBUTIONS:
             raise ValueError(f"unknown deviation ensemble {self.distribution!r}")
 
-    def sample(self, shape, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, shape, rng: np.random.Generator, entries=None) -> np.ndarray:
         """Deviations for one (n, n) matrix or a (B, n, n) stack of B samples.
 
         A stack takes one random call, laid out so that each sample's arrays
         stay contiguous in the stream: it equals B successive (n, n) draws
         bit for bit. ``gaussian`` and ``disk`` draw two arrays per sample
-        (real and imaginary part; radius and phase).
+        (real and imaginary part; radius and phase). ``entries`` = (rows,
+        cols) keeps the block ``np.ix_(rows, cols)`` of the same draw, the
+        complex deviations formed on that block only.
         """
+        keep = (Ellipsis,) if entries is None else (Ellipsis, *np.ix_(*entries))
         if self.mean_abs == 0.0:
-            return np.zeros(shape, dtype=complex)
+            return np.zeros(shape, dtype=complex)[keep]
         # in place: a sub-stack of samples allocates one complex array, which
         # keeps the peak memory of a fit flat
         if self.distribution == "ring":
-            z = 1j * rng.uniform(0.0, 2.0 * np.pi, size=shape)
+            z = 1j * rng.uniform(0.0, 2.0 * np.pi, size=shape)[keep]
             np.exp(z, out=z)
             z *= self.mean_abs
             return z
         pairs = (*shape[:-2], 2, *shape[-2:])
         if self.distribution == "gaussian":
-            draw = rng.standard_normal(pairs)
+            draw = rng.standard_normal(pairs)[keep]
             z = draw[..., 0, :, :] + 1j * draw[..., 1, :, :]
             z /= np.sqrt(2.0)
             z *= self.mean_abs / (np.sqrt(np.pi) / 2.0)  # E|z| = sqrt(pi)/2
             return z
         high = np.array([1.0, 2.0 * np.pi])[:, None, None]  # (radius^2, phase) bounds per sample
-        draw = rng.uniform(np.zeros((2, 1, 1)), high, size=pairs)
+        draw = rng.uniform(np.zeros((2, 1, 1)), high, size=pairs)[keep]
         z = 1j * draw[..., 1, :, :]
         np.exp(z, out=z)
         z *= np.sqrt(draw[..., 0, :, :])  # radius, uniform over the disc

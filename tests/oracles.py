@@ -26,6 +26,10 @@
   weight permanents included, per sub-stack of Gram matrices. Its bits and
   repair count are the contract of
   ``experiments.run_distinguishability_robustness``.
+* :func:`reference_partial_sum`: the single sum of
+  ``scattering.partial_probabilities`` on a checked Gram stack, evaluated
+  the way it was before the sum ran in place, with a fresh array for every
+  step. Its bits are the contract of the in-place sum.
 """
 
 from __future__ import annotations
@@ -273,3 +277,23 @@ def reconstruction_residual(p: Permutation, structure: EigenStructure) -> float:
     a = structure.eigenvectors
     d = eigenvalues_to_complex(structure.eigenvalues)
     return float(np.max(np.abs((a * d[None, :]) @ a.conj().T - operator_matrix(p))))
+
+
+def reference_partial_sum(terms, grams) -> np.ndarray:
+    """The (B,) probabilities of the single sum of ``terms`` (a
+    ``scattering.PartialWeights``) on a checked (B, n, n) Gram stack:
+    e <- e + factor + e * factor into a new array per particle, then
+    indistinguishable + sum_tau w_tau e_tau, clamped at 0."""
+    d, perms = terms.rows, terms.perms
+    deviation = grams[:, d[:, None], d[None, :]] - 1.0
+    e = np.zeros((len(grams), len(perms)), dtype=complex)
+    for j in range(len(d)):
+        factor = deviation[:, j, perms[:, j]]
+        e = e + factor + e * factor
+    value = terms.indistinguishable + (e * terms.weights).sum(axis=1)
+    if np.any(np.abs(value.imag) > 1e-10):
+        raise ArithmeticError("partial probability has an imaginary part")
+    probability = value.real / terms.norm
+    if np.any(probability < -1e-12):
+        raise ArithmeticError("probability below the cancellation floor")
+    return np.where(probability < 0.0, 0.0, probability)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import symfock
-from symfock.cli import main
+from symfock import cli
+from symfock.cli import build_parser, main
 from symfock.linalg import haar_random_unitary
 from symfock.serialize import matrix_to_json, read_verdict_csv
 
@@ -415,3 +416,58 @@ def test_unwritable_output_is_one_line_and_exit_1(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("error: ") and "missing" in err[-1]
     assert not any("Traceback" in line for line in err)
+
+
+class TestParserBuiltOnce:
+    """``main`` parses with one parser per process; reusing it changes no output."""
+
+    ROBUSTNESS = {"permutation": "(1 2 3)(4 5 6)(7 8)", "rotation_seed": 7,
+                  "input_state": [1, 1, 1, 0, 0, 0, 1, 1], "target_output": [1, 1, 0, 1, 1, 0, 1, 0],
+                  "grid": [1e-3, 2e-3, 5e-3, 1e-2], "samples": 40, "seed": 2}
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_are_looked_up_at_each_call(self, monkeypatch):
+        # a command replaced after the parser was built (as a tracer does) runs
+        assert main(["decompose", "--permutation", "(1 2)"]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_decompose", lambda args: calls.append(args.permutation) or 0)
+        assert main(["decompose", "--permutation", "(1 3)"]) == 0
+        assert calls == ["(1 3)"]
+
+    @pytest.mark.parametrize("kind", ["unitary-robustness", "distinguishability-robustness"])
+    def test_two_calls_give_the_same_bytes(self, kind, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": kind, **self.ROBUSTNESS}))
+        outputs = []
+        for label in ("first", "second"):
+            assert main(["experiment", "--config", str(config), "--out", str(tmp_path / label)]) == 0
+            meta = json.loads((tmp_path / f"{label}.meta.json").read_text())
+            del meta["timing_seconds"]
+            outputs.append(((tmp_path / f"{label}.csv").read_bytes(), meta))
+        assert outputs[0] == outputs[1]
+
+    def test_usage_error_after_a_good_call(self, capsys):
+        assert main(["decompose", "--permutation", "(1 2)"]) == 0
+        capsys.readouterr()
+        for argv in (["decompose"], ["prob", "--type", "boson"], ["no-such-command"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["decompose", "--permutation", "(1 2)"]) == 0
+
+    @pytest.mark.parametrize("command", [[], ["decompose"], ["build"], ["verdicts"], ["prob"],
+                                         ["experiment"]])
+    def test_help_text_is_that_of_a_fresh_parser(self, command, capsys):
+        fresh = build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args([*command, "--help"])
+        expected = capsys.readouterr().out
+        assert main(["decompose", "--permutation", "(1 2)"]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--help"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == expected

@@ -6,6 +6,7 @@ import pytest
 
 from symfock import experiments
 from symfock.experiments import (
+    GRAM_ENSEMBLES,
     CensusConfig,
     derive_seed,
     require_invariant,
@@ -312,6 +313,19 @@ class TestDistinguishabilityRobustness:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="ensemble"):
             sample_distinguishability(3, 1e-3, rng, "legendre")
+
+    @pytest.mark.parametrize("ensemble, mean_eps, eta_scale", [
+        *((ensemble, mean_eps, 1.0) for ensemble in GRAM_ENSEMBLES
+          for mean_eps in (-1e-3, np.inf, np.nan, 1e308)),
+        *(("independent", 1e-3, eta_scale) for eta_scale in (-1.0, np.inf, np.nan)),
+    ])
+    def test_bad_noise_ranges_rejected(self, ensemble, mean_eps, eta_scale):
+        # the ranges rng.uniform refused; the gram ensemble has no eta
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="^mean_eps and eta_scale must be finite and non-negative$"):
+            sample_distinguishability(3, mean_eps, rng, ensemble, eta_scale, count=2)
+        if mean_eps == 1e-3:
+            sample_distinguishability(3, mean_eps, rng, "gram", eta_scale, count=2)
 
 
 class TestGracefulDegradation:

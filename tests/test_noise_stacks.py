@@ -32,7 +32,7 @@ from symfock.scattering import (
     probabilities,
     repair_distinguishability,
 )
-from symfock.unitaries import UnitarySpec, build_unitary
+from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
 from oracles import KahanMean, reference_dist_fit
 
@@ -145,6 +145,22 @@ def test_stacked_deviations_equal_lone_draws(seed, b, n, eps, distribution):
 
 
 @settings(max_examples=60, deadline=None)
+@given(seed=seeds, b=st.integers(0, 12), n=st.integers(1, 9), eps=st.sampled_from((0.0, 1e-3, 0.4)),
+       distribution=st.sampled_from(DELTA_DISTRIBUTIONS), data=st.data())
+def test_sampled_block_equals_the_block_of_the_full_sample(seed, b, n, eps, distribution, data):
+    model = PerturbationModel(eps, distribution=distribution)
+    modes = st.lists(st.integers(0, n - 1), max_size=n, unique=True).map(
+        lambda m: np.array(m, dtype=np.intp))
+    rows, cols = data.draw(modes), data.draw(modes)
+    rng, rng_full = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = model.sample((b, n, n), rng, (rows, cols))
+    full = model.sample((b, n, n), rng_full)
+    assert block.shape == (b, len(rows), len(cols))
+    assert block.tobytes() == full[:, rows[:, None], cols].tobytes()
+    assert rng.random() == rng_full.random()  # the block takes the full draw from the stream
+
+
+@settings(max_examples=60, deadline=None)
 @given(seed=seeds, b=st.integers(1, 12), n=st.integers(1, 9), eps=scales,
        ensemble=st.sampled_from(ENSEMBLES), eta_scale=st.sampled_from((0.5, 1.0, 3.0)))
 def test_stacked_grams_equal_lone_draws(seed, b, n, eps, ensemble, eta_scale):
@@ -160,18 +176,19 @@ def test_stacked_grams_equal_lone_draws(seed, b, n, eps, ensemble, eta_scale):
     assert np.array_equal(gram, lone[0][0]) and flag == lone[0][1]
 
 
-def mixed_stack(rng, b: int, n: int) -> np.ndarray:
-    """Hermitian unit-diagonal matrices, every other one pushed out of the PSD
-    cone by an off-diagonal pair of modulus above 1 (its 2 x 2 minor has
-    eigenvalue 1 - |a| < 0), the rest exact Gram matrices."""
+def mixed_stack(rng, b: int, n: int, bad=slice(None, None, 2)) -> np.ndarray:
+    """Hermitian unit-diagonal matrices, those at ``bad`` (every other one by
+    default) pushed out of the PSD cone by an off-diagonal pair of modulus
+    above 1 (its 2 x 2 minor has eigenvalue 1 - |a| < 0), the rest exact Gram
+    matrices."""
     v = np.ones((b, n, 2)) + 0.3 * (rng.standard_normal((b, n, 2)) + 1j * rng.standard_normal((b, n, 2)))
     v /= np.linalg.norm(v, axis=2)[:, :, None]
     stack = v.conj() @ v.swapaxes(-1, -2)
     diagonal = np.arange(n)
     stack[:, diagonal, diagonal] = 1.0
     a = rng.uniform(1.05, 1.5, size=b) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=b))
-    stack[::2, 0, 1] = a[::2]
-    stack[::2, 1, 0] = np.conj(a[::2])
+    stack[bad, 0, 1] = a[bad]
+    stack[bad, 1, 0] = np.conj(a[bad])
     return stack
 
 
@@ -188,6 +205,25 @@ def test_stacked_repair_equals_lone_calls(seed, b, n):
         got, got_flag = repair_distinguishability(m)
         assert type(got_flag) is bool and got_flag == flag
         assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("pattern", ["R", "K", "RRRRR", "KKKKK", "RKKRK", "KRRRR", "RRRRK", "R" * 68])
+def test_repair_equals_lone_repair(pattern):
+    # R: needs the repair, K: kept; every R, every K and mixed stacks, B = 1
+    # included, and the (matrix, bool) form of each matrix alone
+    bad = np.array([c == "R" for c in pattern])
+    stack = mixed_stack(np.random.default_rng(len(pattern)), len(pattern), 6, bad)
+    drawn = stack.copy()
+    repaired, mask = repair_distinguishability(stack)
+    lone = [lone_repair(m) for m in stack]
+    assert mask.tolist() == bad.tolist() == [flag for _, flag in lone]
+    assert repaired.shape == stack.shape
+    assert repaired.tobytes() == np.array([m for m, _ in lone]).tobytes()
+    assert stack.tobytes() == drawn.tobytes()  # the input is never written
+    for m, (expected, flag) in zip(stack, lone):
+        got, got_flag = repair_distinguishability(m)
+        assert type(got_flag) is bool and got_flag == flag
+        assert got.shape == m.shape and got.tobytes() == expected.tobytes()
 
 
 def test_repair_threshold_inside_a_stack():
@@ -221,6 +257,21 @@ def test_unitary_fit_matches_per_sample_oracle(distribution, samples):
                                  ParticleType.BOSON, GRID, samples=samples, seed=11,
                                  distribution=distribution)
     assert fit.measured == oracle_unitary_fit(*args, distribution)
+
+
+@pytest.mark.parametrize("particle, r, s", [
+    (ParticleType.BOSON, (2, 0, 2, 0), (3, 1, 0, 0)),  # repeated rows and columns
+    (ParticleType.FERMION, (1, 0, 1, 0), (1, 0, 1, 0)),
+])
+@pytest.mark.parametrize("distribution", DELTA_DISTRIBUTIONS)
+def test_unitary_fit_on_the_occupied_block_matches_the_full_matrix(distribution, particle, r, s):
+    # the fit forms noise and permanents on the occupied rows and columns only;
+    # the oracle perturbs the whole 4 x 4 DFT
+    perm, eigenvalues = fourier_symmetry(4, 2)
+    u = fourier_unitary(4)
+    fit = run_unitary_robustness(u, eigenvalues, r, s, particle, GRID, samples=70, seed=15,
+                                 distribution=distribution, permutation=perm)
+    assert fit.measured == oracle_unitary_fit(u, r, s, particle, GRID, 70, 15, distribution)
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)

@@ -1,6 +1,8 @@
 """Properties of the single-sum partial-distinguishability probability:
 agreement with the explicit (N!)^2 double sum, the two limits of the Gram
-matrix, and bit-identity between a Gram stack, its pieces and lone calls."""
+matrix, bit-identity between a Gram stack, its pieces and lone calls, the
+in-place sum against ``oracles.reference_partial_sum``, and every Gram check
+on the stacks the distinguishability fit draws."""
 
 from math import factorial, prod
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symfock.experiments import GRAM_ENSEMBLES, sample_distinguishability
 from symfock.fock import ParticleType, occupation_to_assignment
 from symfock.linalg import haar_random_unitary, permutation_signs, permutation_table
 from symfock.scattering import (
@@ -20,6 +23,8 @@ from symfock.scattering import (
     prob_partial,
     validate_distinguishability,
 )
+
+from oracles import reference_partial_sum
 
 KINDS = (ParticleType.BOSON, ParticleType.FERMION)
 
@@ -198,3 +203,76 @@ def test_unrepaired_independent_draws_are_refused():
         prob_partial(u, r, s, np.array(draws), ParticleType.BOSON)
     with pytest.raises(ValueError, match=PSD_MESSAGE):
         partial_probabilities(partial_weights(u, r, s, ParticleType.BOSON), draws[0])
+
+
+# --- the in-place sum and the checks of the fits' lean path ------------------
+
+@st.composite
+def drawn_stacks(draw):
+    """(terms, Gram stack): N = 1..5 bosons (bunched) or fermions on up to 6
+    modes, and 0..70 Gram matrices from one call of either ensemble of the
+    distinguishability fit."""
+    kind = draw(st.sampled_from(KINDS))
+    particles = draw(st.integers(1, 5))
+    n = draw(st.integers(particles if kind is ParticleType.FERMION else 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind is ParticleType.BOSON:
+        r = tuple(int(x) for x in rng.multinomial(particles, [1 / n] * n))
+        s = tuple(int(x) for x in rng.multinomial(particles, [1 / n] * n))
+    else:
+        r = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
+        s = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
+    grams, _ = sample_distinguishability(n, draw(st.sampled_from((1e-3, 1e-2, 0.1))), rng,
+                                         draw(st.sampled_from(GRAM_ENSEMBLES)),
+                                         count=draw(st.integers(0, 70)))
+    return partial_weights(haar_random_unitary(n, rng), r, s, kind), grams
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_stacks())
+def test_in_place_sum_gives_the_reference_bits(case):
+    terms, grams = case
+    expected = reference_partial_sum(terms, grams)
+    assert partial_probabilities(terms, grams).tobytes() == expected.tobytes()
+    for gram, value in zip(grams, expected):
+        assert partial_probabilities(terms, gram) == value
+
+
+def spoil(gram: np.ndarray, case: str) -> np.ndarray:
+    """A copy of a valid 8 x 8 Gram matrix with one contract broken."""
+    bad = gram.copy()
+    if case == "Hermitian":
+        bad[0, 1] += 1e-6
+    elif case == "diagonal":
+        bad[2, 2] = 1.0 + 1e-6
+    elif case == "<= 1":
+        bad[0, 1] = 1.01 * np.exp(0.3j)
+        bad[1, 0] = np.conj(bad[0, 1])
+    else:  # the leading 3 x 3 block has determinant 1 - 3a^2 - 2a^3 < 0
+        bad[:3, :3] = [[1.0, -0.9, 0.9], [-0.9, 1.0, 0.9], [0.9, 0.9, 1.0]]
+    return bad
+
+
+BAD_GRAMS = {
+    "Hermitian": "distinguishability matrix is not Hermitian",
+    "diagonal": "distinguishability matrix diagonal must be all ones",
+    "<= 1": r"distinguishability entries must satisfy \|S_jk\| <= 1",
+    "PSD": "distinguishability matrix is not positive semidefinite",
+}
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(sorted(BAD_GRAMS)), position=st.integers(0, 67),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_bad_gram_in_a_repaired_stack_is_refused(case, position, seed):
+    # a 68-stack as the fit draws it on its grid, every matrix repaired in place
+    grams, repairs = sample_distinguishability(8, 1e-3, np.random.default_rng(seed), count=68)
+    assert repairs == 68
+    grams[position] = spoil(grams[position], case)
+    u = haar_random_unitary(8, 3)
+    terms = partial_weights(u, (1, 1, 1, 0, 0, 0, 1, 1), (1, 1, 0, 1, 1, 0, 1, 0), ParticleType.BOSON)
+    message = f"^{BAD_GRAMS[case]}$"
+    for call in (validate_distinguishability, lambda s: partial_probabilities(terms, s)):
+        with pytest.raises(ValueError, match=message):
+            call(grams)
+        with pytest.raises(ValueError, match=message):
+            call(grams[position])
