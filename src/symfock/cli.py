@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from functools import cache
+
+import numpy as np
 
 from . import __version__
 from .experiments import (
@@ -43,7 +44,7 @@ from .serialize import (
     write_metadata,
     write_verdict_csv,
 )
-from .suppression import verdict_table
+from .suppression import EventClass, verdict_table
 from .svg import bar_chart, write_verdict_svg
 from .unitaries import (
     SymmetryError,
@@ -128,7 +129,8 @@ def cmd_verdicts(args) -> int:
         write_verdict_svg(args.svg, table, title=f"{kind.value} events, "
                           f"{spec.permutation.cycle_string()} r={list(input_state)}")
         print(f"wrote {args.svg}", file=sys.stderr)
-    classes = Counter(event.value for event in table.classes.tolist())
+    counts = np.bincount(table.codes, minlength=len(EventClass)).tolist()
+    classes = {event.value: n for event, n in zip(EventClass, counts) if n}
     print("class counts:", json.dumps(classes, sort_keys=True), file=sys.stderr)
     return 0
 

@@ -6,11 +6,11 @@ assignment list names the mode of each particle, sorted non-decreasing.
 Assignment lists are 1-based like every user-facing mode index.
 
 :func:`enumerate_outputs` streams the outputs of one particle number as
-tuples, the reference order. :func:`outputs_up_to`, :func:`output_ranks`
-and :func:`removal_ranks` are its array forms: every output of each
-particle number up to a bound as one array, the rank of each output in that
-order, and where each output with one particle removed sits among the
-outputs of one particle fewer. :func:`lattice` is the one cached table of
+tuples, the reference order. :func:`outputs_up_to` and
+:func:`removal_ranks` are its array forms: every output of each particle
+number up to a bound as one array, and where each output with one particle
+removed sits among the outputs of one particle fewer, by its rank in that
+order. :func:`lattice` is the one cached table of
 an output lattice that the polynomial expansion of ``scattering`` walks:
 the outputs of the top particle number and the parents of every output of
 every particle number, from one :func:`outputs_up_to` run.
@@ -148,31 +148,6 @@ def _rank_terms(n: int, top: int, fermionic: bool) -> np.ndarray:
     return flat
 
 
-def _rank_parts(s: np.ndarray, fermionic: bool):
-    """For an (n, K) int64 array of outputs, one row per mode: the flat rank
-    terms, the index of term(m, R_m) in them (R_m the particles in the modes
-    after m) and those terms."""
-    n = len(s)
-    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
-    for m in range(n - 2, -1, -1):
-        np.add(after[m + 1], s[m + 1], out=after[m])
-    top = int((after[0] + s[0]).max(initial=0))
-    flat = _rank_terms(n, top, fermionic)
-    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
-    return flat, index, flat.take(index)
-
-
-def output_ranks(outputs, fermionic: bool = False) -> np.ndarray:
-    """The :func:`enumerate_outputs` rank of each row of a (K, n) array of
-    occupations (0/1 for ``fermionic``) among the outputs of its particle
-    number, as a (K,) int64 array: sum_m term(m, R_m, t_m), see
-    :func:`removal_ranks`. The rank is below the size of that lattice, so
-    it fits int64 whenever the lattice's rank terms do."""
-    s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")
-    _, _, here = _rank_parts(s, fermionic)
-    return ((here * (1 - s)) if fermionic else here).sum(axis=0)
-
-
 def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     """Where each output with one particle removed sits among the outputs of
     one particle fewer.
@@ -191,7 +166,13 @@ def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     """
     s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")  # (n, K): one row per mode
     n = len(s)
-    flat, index, here = _rank_parts(s, fermionic)
+    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
+    for m in range(n - 2, -1, -1):
+        np.add(after[m + 1], s[m + 1], out=after[m])
+    top = int((after[0] + s[0]).max(initial=0))
+    flat = _rank_terms(n, top, fermionic)
+    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
+    here = flat.take(index)
     # for the emptied mode k, here is term(k, R_k, t_k - 1)
     step = flat.take(index - 1) - here  # term(m, R_m - 1) - term(m, R_m); wraps only where unused
     if fermionic:

@@ -178,8 +178,8 @@ def _cell_matrix(cells) -> np.ndarray:
 
 #: Flag cells by the flag, and event class cells by the class's place in ``EventClass``.
 _FLAGS = _cell_matrix(["false", "true"])
-_MEMBERS = tuple(EventClass)
-_EVENTS = _cell_matrix([event.value for event in _MEMBERS])
+_EVENTS = _cell_matrix([event.value for event in EventClass])
+_EVENT_CODES = {event: code for code, event in enumerate(EventClass)}
 
 
 def _occupations(outputs: np.ndarray) -> np.ndarray:
@@ -456,15 +456,6 @@ def verdict_cells(tables) -> VerdictCells:
                         tuple(zip(phases, per_column[::2], per_column[1::2])))
 
 
-def _event_codes(classes: np.ndarray) -> np.ndarray:
-    """Each event's place in ``EventClass``, from one comparison of the
-    whole column per member instead of a lookup per row."""
-    codes = np.zeros(len(classes), dtype=np.intp)  # the first member, IV
-    for code, member in enumerate(_MEMBERS[1:], start=1):
-        codes[classes == member] = code
-    return codes
-
-
 def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
     """The verdict CSV of a table as ASCII bytes: the header, then each
     block of rows (see :func:`write_verdict_csv`)."""
@@ -485,7 +476,7 @@ def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
             probs if table.kind is ParticleType.BOSON else None,
             probs if table.kind is ParticleType.FERMION else None,
             cells.floats[p_dist[rows]],
-            _EVENTS[_event_codes(table.classes[rows])],
+            _EVENTS[table.codes[rows]],
         ]
         if parity:
             pieces.append(_FLAGS[table.parity[rows].astype(np.intp)])
@@ -552,19 +543,18 @@ def read_verdict_csv(path) -> VerdictTable:
         p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
                  .get(kind, "p_dist")),
         p_dist=floats("p_dist"),
-        classes=np.array([EventClass(cell) for cell in cells["class"]], dtype=object),
+        codes=np.array([_EVENT_CODES[EventClass(cell)] for cell in cells["class"]], dtype=np.int8),
         fermion=flags("fermion_suppressed") if kind is ParticleType.FERMION else None,
         parity=flags("old_fermion_suppressed") if "old_fermion_suppressed" in header else None,
     )
 
 
 def write_fit_csv(path, fit) -> None:
-    cells = float_reprs(np.concatenate([np.asarray(fit.grid, dtype=np.float64),
-                                        np.asarray(fit.measured, dtype=np.float64)]))
-    grid, measured = cells[:len(fit.grid)], cells[len(fit.grid):]
+    """One line per grid value, each float as ``repr`` writes it: for a fit's
+    few values one ``repr`` each costs less than a :func:`float_reprs` pass."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value;mean_deviation\n")
-        fh.writelines(f"{g};{m}\n" for g, m in zip(grid, measured))
+        fh.writelines(f"{float(g)!r};{float(m)!r}\n" for g, m in zip(fit.grid, fit.measured))
 
 
 def read_fit_csv(path) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -13,24 +13,24 @@ member of the unitary class. No float ever enters a verdict:
 with int64 arithmetic only.
 
 * Phases as integers. With L the lcm of the eigenvalue denominators, the
-  eigenvalue num/den of column j is k_j = num * L / den L-ths of a turn, so
-  the eigenvalue product over output s is exactly (s @ k) mod L L-ths of a
-  turn. The boson law is (s @ k) % L != 0; the legacy DFT parity law
-  compares the same number with (-1)^w, which is 0 or L/2.
-* Multisets as counts. Over the D sorted distinct eigenvalues, s @ onehot
-  counts how often each value is picked, and two multisets are equal iff
-  their count rows are. The fermion law compares each count row with the
-  input's. Each count row is keyed by its rank among the multisets of D
-  values (:func:`fock.output_ranks`), offset past the multisets with fewer
-  particles; one ``unique`` of the keys groups equal rows. Each group
-  becomes one distribution tuple, and each row keeps its group's index.
+  eigenvalue num/den is k = num * L / den L-ths of a turn, so the
+  eigenvalue product over an output is exactly sum_c k_c * counts[c] mod L
+  L-ths of a turn. The boson law is that number != 0; the legacy DFT
+  parity law compares it with (-1)^w, which is 0 or L/2.
+* Multisets as counts. A (D, K) array, one row add per mode, counts how
+  often each output picks each of the D sorted distinct eigenvalues; equal
+  multisets have equal columns, and the fermion law compares each column
+  with the input's. With R = N + 1, the key size * R^D - sum_c counts[c] *
+  R^(D-1-c) orders them by particle number, then in
+  :func:`fock.enumerate_outputs` order. One int64 product with the counts
+  gives the phase sums and key digits; one sort of the keys groups the
+  columns, one tuple per group, each row its group's index.
 
-Both are exact as long as no sum leaves int64: s @ k < N * L for N
+Both are exact while no sum leaves int64: a phase sum is below N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
-below C(D + N, N), the number of multisets of at most N of D values; where
-that reaches 2^63 (dozens of distinct eigenvalues and particles at once)
-the count rows are grouped by ``unique`` over whole rows instead. The
-one-output predicates are wrappers over it.
+below R^(D+1); where that reaches 2^63 (some 20 distinct eigenvalues and
+particles) ``unique`` over the rows of (size, -counts) groups the columns
+in the same order. The one-output predicates are wrappers over it.
 
 :func:`verdict_table` is the one builder of verdict tables: it joins one
 :func:`output_laws` call with the probabilities of the same outputs and
@@ -41,12 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from math import comb, lcm
+from itertools import accumulate
+from math import lcm
 
 import numpy as np
 
-from .fock import ParticleType, check_occupation, output_ranks
+from .fock import ParticleType, check_occupation
 from .permutations import Permutation, RootOfUnity, is_invariant
 
 #: Probabilities below this are treated as zero when classifying events.
@@ -60,12 +60,11 @@ _INT64_LIMIT = 1 << 63
 
 
 def _as_roots(values) -> tuple[RootOfUnity, ...]:
-    out = []
+    values = tuple(values)
     for v in values:
         if not isinstance(v, RootOfUnity):
             raise TypeError(f"expected RootOfUnity entries, got {type(v).__name__}")
-        out.append(v)
-    return tuple(out)
+    return values
 
 
 def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistribution:
@@ -129,41 +128,57 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
         initial = initial_distribution(permutation, occupation_in)
 
     turn = lcm(*(v.den for v in values))  # L: phases count in L-ths of a turn
-    sizes = s.sum(axis=1)
+    sight: dict[RootOfUnity, int] = {}  # each root hashed once, in order of first sight
+    sighted = [sight.setdefault(v, len(sight)) for v in (*values, *initial)]
+    seen = list(sight)
+    by_value = sorted(range(len(seen)), key=seen.__getitem__)
+    distinct = [seen[i] for i in by_value]
+    row = sorted(range(len(seen)), key=by_value.__getitem__)  # by order of sight
+    counts = np.zeros((len(seen), len(s)), dtype=np.int64)  # (D, K)
+    views = list(counts)  # so that each row add is one ufunc call
+    for i, modes in zip(sighted, s.T):  # the input's values come last
+        views[row[i]] += modes
+    sizes = counts.sum(axis=0)
     n_particles = int(sizes.max(initial=0))
     if max(n_particles, 1) * turn >= _INT64_LIMIT:
         raise ValueError(f"phase sums overflow int64: {n_particles} particles times "
                          f"lcm of eigenvalue denominators {turn} >= 2^63")
-    k = np.array([v.num * (turn // v.den) for v in values], dtype=np.int64)
-    phase = (s @ k) % turn  # the output's eigenvalue product, exactly
+    # the phase sums and the key digits: one product of exact int64 weights
+    radix, depth = n_particles + 1, len(distinct)
+    keyed = radix ** (depth + 1) < _INT64_LIMIT
+    sums = np.array([[v.num * (turn // v.den) for v in distinct],
+                     [radix ** (depth - 1 - c) if keyed else 0 for c in range(depth)]],
+                    dtype=np.int64).reshape(2, depth) @ counts
+    phase = sums[0] % turn  # the output's eigenvalue product, exactly
     parity = None
     if w is not None:
         # (-1)^w is 0 or half a turn; an odd L never reaches half a turn
         target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
         parity = phase != target
-
-    distinct = sorted(set(values) | set(initial))
-    column = {v: c for c, v in enumerate(distinct)}
-    onehot = np.zeros((n, len(distinct)), dtype=np.int64)
-    onehot[np.arange(n), np.array([column[v] for v in values], dtype=np.intp)] = 1
-    counts = s @ onehot
     fermion = None
     if permutation is not None:
-        initial_counts = [0] * len(distinct)
-        for v in initial:
-            initial_counts[column[v]] += 1
-        fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
+        initial_counts = np.bincount([row[i] for i in sighted[n:]], minlength=depth)
+        fermion = (counts != initial_counts[:, None]).any(axis=0)
 
-    # one group per distinct count row, one tuple per group
-    if comb(len(distinct) + n_particles, n_particles) < _INT64_LIMIT:
-        offsets = np.array([comb(len(distinct) + size - 1, size - 1) if size else 0
-                            for size in range(n_particles + 1)], dtype=np.int64)
-        key = (output_ranks(counts) if len(distinct) else 0) + offsets[sizes]
-        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    # one group per distinct count column, fewer particles first, then in
+    # enumerate_outputs order (the most of the smallest value first)
+    if keyed:  # one argsort: np.unique costs more at any size
+        key = sizes * radix ** depth - sums[1]
+        order = np.argsort(key)
+        ordered = key[order]
+        new = np.ones(len(key), dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        first = order[new]
+        group = np.empty(len(key), dtype=np.intp)
+        group[order] = np.cumsum(new) - 1
     else:
-        _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    groups = tuple(tuple(chain.from_iterable(map(repeat, distinct, row)))
-                   for row in counts[first].tolist())
+        _, first, group = np.unique(np.vstack([sizes, -counts]).T, axis=0,
+                                    return_index=True, return_inverse=True)
+    # each group's roots, repeated by their counts, from one object array
+    picked = np.tile(np.array(distinct, dtype=object), len(first)).repeat(
+        counts[:, first].T.ravel()).tolist()
+    ends = list(accumulate(sizes[first].tolist()))
+    groups = tuple(tuple(picked[a:b]) for a, b in zip([0] + ends, ends))
     return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)
 
 
@@ -214,9 +229,15 @@ class EventClass(Enum):
     CLASS_III = "III"
 
 
-#: Event classes by the codes :func:`classify_event` computes.
-_CLASS_BY_CODE = np.array([EventClass.ALLOWED, EventClass.CLASS_I, EventClass.CLASS_II,
-                           EventClass.CLASS_III], dtype=object)
+#: Event classes by their codes, the members' places in :class:`EventClass`.
+_CLASS_BY_CODE = np.array(list(EventClass), dtype=object)
+
+
+def _class_codes(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL) -> np.ndarray:
+    """The int8 code of each event's class (see :func:`classify_event`)."""
+    p_dist = np.asarray(p_dist)
+    return np.where(law_suppressed, np.where(p_dist > tol, 3, 2), np.where(
+        (np.asarray(p_particle) <= tol) & (p_dist <= tol), 1, 0)).astype(np.int8)
 
 
 def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL):
@@ -231,10 +252,7 @@ def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL
     Scalars give one :class:`EventClass`; arrays (scalars broadcast) give an
     object array of them, one per event.
     """
-    p_dist = np.asarray(p_dist)
-    code = np.where(law_suppressed, np.where(p_dist > tol, 3, 2),
-                    np.where((np.asarray(p_particle) <= tol) & (p_dist <= tol), 1, 0))
-    return _CLASS_BY_CODE[code]
+    return _CLASS_BY_CODE[_class_codes(law_suppressed, p_particle, p_dist, tol)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +264,8 @@ class VerdictTable:
     ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
     only) and ``parity`` the legacy DFT law (when a parity witness was
     given). ``p`` is the kind's probability, which for distinguishable
-    particles is ``p_dist``; ``classes`` holds each row's :class:`EventClass`.
+    particles is ``p_dist``; ``codes`` holds each row's class as its int8
+    place in :class:`EventClass`, and ``classes`` the member.
     """
 
     kind: ParticleType
@@ -256,9 +275,14 @@ class VerdictTable:
     boson: np.ndarray
     p: np.ndarray
     p_dist: np.ndarray
-    classes: np.ndarray
+    codes: np.ndarray
     fermion: np.ndarray | None = None
     parity: np.ndarray | None = None
+
+    @property
+    def classes(self) -> np.ndarray:
+        """Each row's :class:`EventClass`, as an object array."""
+        return _CLASS_BY_CODE[self.codes]
 
     def __len__(self) -> int:
         return len(self.outputs)
@@ -285,4 +309,4 @@ def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
                          f"{p.shape} and {p_dist.shape} probabilities")
     law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
     return VerdictTable(kind, np.asarray(outputs), laws.groups, laws.group, laws.boson, p,
-                        p_dist, classify_event(law, p, p_dist), laws.fermion, laws.parity)
+                        p_dist, _class_codes(law, p, p_dist), laws.fermion, laws.parity)

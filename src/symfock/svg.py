@@ -10,8 +10,9 @@ CLASS_COLORS = {
     "": "#3c78d8",
 }
 
-#: Figure rank of the suppressed classes; transmitted events (IV) come last.
-_SUPPRESSED_FIRST = {"I": 0, "II": 1, "III": 2}
+#: Figure rank by class code (IV, I, II, III): the suppressed classes first,
+#: transmitted events last.
+_RANKS = (3, 0, 1, 2)
 
 _WIDTH, _HEIGHT = 900, 320
 _MARGIN_LEFT, _MARGIN_BOTTOM, _MARGIN_TOP = 50, 30, 30
@@ -75,7 +76,7 @@ def figure_order(table):
     """Display order for the rows of a verdict table: classes I, II, III
     first, in row order, then the transmitted events by increasing
     probability."""
-    ranks = [_SUPPRESSED_FIRST.get(event.value, 3) for event in table.classes.tolist()]
+    ranks = [_RANKS[code] for code in table.codes.tolist()]
     probs = table.p.tolist()
     return sorted(range(len(ranks)), key=lambda i: (ranks[i], probs[i] if ranks[i] == 3 else i))
 

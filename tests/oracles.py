@@ -30,17 +30,26 @@
   ``scattering.partial_probabilities`` on a checked Gram stack, evaluated
   the way it was before the sum ran in place, with a fresh array for every
   step. Its bits are the contract of the in-place sum.
+* :func:`output_ranks`: the ``fock.enumerate_outputs`` rank of each row of
+  an output array, which the lattice tests check ``fock.removal_ranks``
+  against; no library code needs it.
+* :func:`reference_output_laws`: ``suppression.output_laws`` as it was
+  before it keyed count rows by one mixed-radix integer: count rows from
+  ``s @ onehot``, keyed by :func:`output_ranks` offset past the smaller
+  particle numbers. Its columns, groups (by value and order) and group
+  indices are the contract of the mixed-radix key.
 """
 
 from __future__ import annotations
 
-from math import factorial
+from itertools import chain, repeat
+from math import comb, factorial, lcm
 
 import numpy as np
 
 from symfock import experiments
 from symfock.experiments import derive_seed, sample_distinguishability
-from symfock.fock import ParticleType, output_array, particle_count
+from symfock.fock import ParticleType, check_occupation, output_array, particle_count
 from symfock.linalg import STRUCT_TOL, is_unitary, permutation_signs, permutation_table
 from symfock.permutations import (
     EigenStructure,
@@ -51,7 +60,13 @@ from symfock.permutations import (
 )
 from symfock.scattering import prob_partial, probabilities
 from symfock.serialize import VERDICT_COLUMNS
-from symfock.suppression import verdict_table
+from symfock.suppression import (
+    EigenvalueDistribution,
+    OutputLaws,
+    _as_roots,
+    initial_distribution,
+    verdict_table,
+)
 from symfock.unitaries import ConstructedUnitary, SymmetryError, UnitarySpec
 
 
@@ -109,7 +124,8 @@ def row_distributions(laws) -> tuple:
 def assert_same_table(a, b) -> None:
     assert a.kind is b.kind
     assert row_distributions(a) == row_distributions(b)
-    for name in ("outputs", "boson", "fermion", "parity", "p", "p_dist", "classes"):
+    assert a.codes.dtype == b.codes.dtype == np.int8
+    for name in ("outputs", "boson", "fermion", "parity", "p", "p_dist", "codes"):
         x, y = getattr(a, name), getattr(b, name)
         if x is None or y is None:
             assert x is None and y is None, name
@@ -297,3 +313,79 @@ def reference_partial_sum(terms, grams) -> np.ndarray:
     if np.any(probability < -1e-12):
         raise ArithmeticError("probability below the cancellation floor")
     return np.where(probability < 0.0, 0.0, probability)
+
+
+def output_ranks(outputs, fermionic: bool = False) -> np.ndarray:
+    """The ``fock.enumerate_outputs`` rank of each row of a (K, n) array of
+    occupations (0/1 for ``fermionic``) among the outputs of its particle
+    number, as a (K,) int64 array: sum_m term(m, R_m, t_m) with R_m the
+    particles after mode m, term C(n-2-m+R, R-1) for bosons, and for
+    fermions C(n-1-m, R-1) on an empty mode and 0 on an occupied one (see
+    ``fock.removal_ranks``), one output at a time."""
+    ranks = []
+    for t in np.asarray(outputs).tolist():
+        n, rank, after = len(t), 0, sum(t)
+        for m, x in enumerate(t):
+            after -= x
+            if after and not (fermionic and x):
+                rank += comb(n - 1 - m, after - 1) if fermionic else comb(n - 2 - m + after, after - 1)
+        ranks.append(rank)
+    return np.array(ranks, dtype=np.int64)
+
+
+def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=None,
+                          w=None) -> OutputLaws:
+    """The law verdicts and eigenvalue groups of a (K, n) output array, with
+    the count rows keyed by their :func:`output_ranks` (or, past int64, by
+    whole rows)."""
+    values = _as_roots(eigenvalues)
+    n = len(values)
+    s = (np.asarray(outputs, dtype=np.int64).reshape(len(outputs), -1) if len(outputs)
+         else np.zeros((0, n), dtype=np.int64))
+    if (s < 0).any():
+        check_occupation(s[(s < 0).any(axis=1)][0])
+    if s.shape[1] != n:
+        raise ValueError(f"occupation over {s.shape[1]} modes but {n} eigenvalues")
+    initial: EigenvalueDistribution = ()
+    if (permutation is None) != (occupation_in is None):
+        raise ValueError("the fermion law needs both the permutation and the input occupation")
+    if permutation is not None:
+        if (s > 1).any():
+            check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
+        initial = initial_distribution(permutation, occupation_in)
+
+    turn = lcm(*(v.den for v in values))
+    sizes = s.sum(axis=1)
+    n_particles = int(sizes.max(initial=0))
+    if max(n_particles, 1) * turn >= 1 << 63:
+        raise ValueError(f"phase sums overflow int64: {n_particles} particles times "
+                         f"lcm of eigenvalue denominators {turn} >= 2^63")
+    k = np.array([v.num * (turn // v.den) for v in values], dtype=np.int64)
+    phase = (s @ k) % turn
+    parity = None
+    if w is not None:
+        target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
+        parity = phase != target
+
+    distinct = sorted(set(values) | set(initial))
+    column = {v: c for c, v in enumerate(distinct)}
+    onehot = np.zeros((n, len(distinct)), dtype=np.int64)
+    onehot[np.arange(n), np.array([column[v] for v in values], dtype=np.intp)] = 1
+    counts = s @ onehot
+    fermion = None
+    if permutation is not None:
+        initial_counts = [0] * len(distinct)
+        for v in initial:
+            initial_counts[column[v]] += 1
+        fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
+
+    if comb(len(distinct) + n_particles, n_particles) < 1 << 63:
+        offsets = np.array([comb(len(distinct) + size - 1, size - 1) if size else 0
+                            for size in range(n_particles + 1)], dtype=np.int64)
+        key = (output_ranks(counts) if len(distinct) else 0) + offsets[sizes]
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    else:
+        _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
+    groups = tuple(tuple(chain.from_iterable(map(repeat, distinct, row)))
+                   for row in counts[first].tolist())
+    return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)

@@ -22,7 +22,6 @@ from symfock.fock import (
     occupation_to_assignment,
     odd_after,
     output_array,
-    output_ranks,
     outputs_up_to,
     removal_ranks,
 )
@@ -31,7 +30,7 @@ from symfock.permutations import Permutation
 from symfock.scattering import expansion, expansion_pays, probabilities
 from symfock.unitaries import fourier_unitary
 
-from oracles import leibniz_determinant
+from oracles import leibniz_determinant, output_ranks
 
 
 def close(fast, slow) -> bool:

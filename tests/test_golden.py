@@ -1,0 +1,42 @@
+"""Golden digests of whole verdict CSVs.
+
+The byte tests of the writer compare it with the row-by-row oracle on the
+same table, so they cannot see a change in the laws, the eigenvalue groups
+or the event classes that fill that table. These digests can: they pin the
+SHA-256 of every verdict CSV of the 12-mode DFT comparison at m = 6 and of a
+2-basis census of the worked example, as the CLI writes them.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from symfock.cli import main
+
+CONFIGS = {
+    "fourier": {"kind": "fourier-comparison", "modes": 12, "order": 6,
+                "input_state": [1, 0] * 6},
+    "census": {"kind": "mean-probabilities", "permutation": "(1 2 3)(4 5 6)(7 8)",
+               "input_state": [1, 1, 1, 0, 0, 0, 1, 1], "bases": 2, "seed": 0,
+               "types": ["boson", "fermion", "dist"]},
+}
+
+DIGESTS = {
+    "fourier.boson.csv": "a6d730cf03acbef933e95dff65de1cc5961ebb7a4324dedf6503f8adb6aa81f6",
+    "fourier.fermion.csv": "9d9ab40d936a41babcf52c171e8e6879f464e4b967f18ce4b08f1cc8403e5b0e",
+    "census.boson.csv": "52b04b7e5c6f510444928a3724bd439176cab54f9821f4c8281981bd351b20a3",
+    "census.fermion.csv": "3dacb279e048ca30a8100ec57de184ee0325d01fc385c43e26d3f861c8537870",
+    "census.dist.csv": "6992cc1b78f657caf69edb82e98eaeaa4bf31fc9b48ab176525f7702c011eb92",
+}
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_verdict_csvs_match_their_golden_digests(name, tmp_path):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(CONFIGS[name]))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    written = sorted(path.name for path in tmp_path.glob(f"{name}.*.csv"))
+    assert written == sorted(key for key in DIGESTS if key.startswith(f"{name}."))
+    for csv in written:
+        assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == DIGESTS[csv], csv

@@ -16,6 +16,7 @@ from symfock.linalg import haar_random_unitary
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import (
     check_experiment_config,
+    float_reprs,
     matrix_from_json,
     matrix_to_json,
     parse_occupation,
@@ -29,7 +30,7 @@ from symfock.serialize import (
     write_metadata,
     write_verdict_csv,
 )
-from symfock.suppression import EventClass, VerdictTable
+from symfock.suppression import VerdictTable
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
@@ -254,7 +255,7 @@ class TestVerdictCsv:
         column = np.full(200, 0.5)
         table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp),
                              tuple(distributions()), np.arange(200), np.zeros(200, dtype=bool),
-                             column, column, np.full(200, EventClass.ALLOWED, dtype=object))
+                             column, column, np.zeros(200, dtype=np.int8))  # all class IV
         cells = [line.split(";")[1] for line in list(verdict_lines(table))[1:]]
         assert cells == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
 
@@ -302,6 +303,32 @@ class TestVerdictCsv:
             got_grid, got_measured = read_fit_csv(path)
         assert np.array(got_grid).tobytes() == np.array(grid, dtype=float).tobytes()
         assert np.array(got_measured).tobytes() == np.array(measured, dtype=float).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_fit_csv_bytes_are_those_of_float_reprs(self, data):
+        """A fit CSV holds the float_reprs cells of its grid and measured
+        values, integral grid values given as ints included."""
+        from symfock.experiments import RobustnessFit
+        number = st.floats() | st.integers(-2**70, 2**70) | st.sampled_from(
+            [-0.0, 5e-324, 1e16, 1e-05, 0.0001, 123456789012345678, 2**53 + 1])
+        grid = data.draw(st.lists(number, max_size=12))
+        measured = data.draw(st.lists(st.floats(), min_size=len(grid), max_size=len(grid)))
+        fit = RobustnessFit(tuple(grid), tuple(measured), 1.0, 1.0, 1.0, 1.0, 1, {})
+        cells = float_reprs(np.array([*grid, *measured], dtype=np.float64))
+        expected = "value;mean_deviation\n" + "".join(
+            f"{g};{m}\n" for g, m in zip(cells[:len(grid)], cells[len(grid):]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fit.csv"
+            write_fit_csv(path, fit)
+            assert path.read_bytes() == expected.encode()
+
+    def test_fit_csv_of_json_grid_ints(self, tmp_path):
+        from symfock.experiments import RobustnessFit
+        fit = RobustnessFit((1, 2, 0.005), (0.0, 1e-20, 3), 1.0, 1.0, 1.0, 1.0, 1, {})
+        write_fit_csv(tmp_path / "fit.csv", fit)
+        assert (tmp_path / "fit.csv").read_text() == (
+            "value;mean_deviation\n1.0;0.0\n2.0;1e-20\n0.005;3.0\n")
 
     def test_metadata_bytes_are_those_of_json_dump(self, tmp_path):
         census = run_mean_probabilities(CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),

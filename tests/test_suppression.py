@@ -22,7 +22,7 @@ from symfock.suppression import (
 )
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import assignment_to_occupation, row_distributions
+from oracles import assignment_to_occupation, reference_output_laws, row_distributions
 
 
 # --- oracle: exact Fraction arithmetic, one output at a time -----------------
@@ -349,6 +349,77 @@ def test_multiset_keys_beyond_int64_group_by_whole_rows(seed):
     rows = [np.bincount(rng.integers(0, 40, 40), minlength=40) for _ in range(5)]
     outputs = [tuple(int(x) for x in rows[i]) for i in rng.integers(0, 5, 12)]
     _assert_grouped_like_the_oracle(values, outputs)
+
+
+root_values = st.builds(RootOfUnity, st.integers(0, 11), st.integers(1, 12))
+
+
+@st.composite
+def law_cases(draw):
+    """Arguments of ``output_laws``: eigenvalue lists with repeated values and
+    denominators 1-12 over 0-7 modes, 0-12 outputs of mixed particle numbers
+    (N = 0 included) drawn from a small pool so that multisets repeat, the
+    parity witness or not, and for fermions a permutation and an input made
+    of whole cycles, whose roots need not be among the eigenvalues."""
+    n = draw(st.integers(0, 7))
+    values = tuple(draw(st.lists(root_values, min_size=n, max_size=n)))
+    fermionic = n > 0 and draw(st.booleans())
+    law = ()
+    if fermionic:
+        p = Permutation(draw(st.permutations(range(n))))
+        r = [0] * n
+        for cycle in p.cycles0():
+            if draw(st.booleans()):
+                for mode in cycle:
+                    r[mode] = 1
+        law = (p, tuple(r))
+    occupation = st.integers(0, 1 if fermionic else 4)
+    pool = draw(st.lists(st.lists(occupation, min_size=n, max_size=n), min_size=1, max_size=5))
+    k = draw(st.integers(0, 12))
+    outputs = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=k,
+                                              max_size=k))]
+    outputs = np.array(outputs, dtype=np.int64).reshape(k, n)
+    return values, outputs, law, draw(st.none() | st.integers(0, 9))
+
+
+def _assert_laws_match_the_oracle(values, outputs, law=(), w=None):
+    """Same law columns, the same groups by value and order, the same group
+    indices, and rows of one multiset on one tuple."""
+    laws = output_laws(values, outputs, *law, w=w)
+    expected = reference_output_laws(values, outputs, *law, w=w)
+    for name in ("boson", "fermion", "parity"):
+        got, want = getattr(laws, name), getattr(expected, name)
+        assert (got is None) == (want is None), name
+        if got is not None:
+            assert got.dtype == bool and got.tolist() == want.tolist(), name
+    assert laws.groups == expected.groups
+    assert laws.group.tolist() == expected.group.tolist()
+    assert len(set(laws.groups)) == len(laws.groups)
+    rows = row_distributions(laws)
+    for i, j in zip(range(len(rows)), laws.group.tolist()):
+        assert rows[i] is laws.groups[j]
+
+
+@settings(max_examples=300, deadline=None)
+@given(law_cases())
+def test_output_laws_match_the_rank_keyed_oracle(case):
+    values, outputs, law, w = case
+    _assert_laws_match_the_oracle(values, outputs, law, w)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([14, 20]), st.integers(0, 2**32 - 1))
+def test_count_rows_past_the_key_bound_keep_its_order(distinct, seed):
+    """14 or 20 distinct 20th roots and up to 20 particles: R^(D+1) = 21^15 or
+    21^21 >= 2^63 (while 21^14 < 2^63), so the count rows are grouped by
+    ``unique`` over whole rows, in the order the key would give."""
+    values = tuple(ROOT(k, 20) for k in range(distinct))
+    assert 21 ** (distinct + 1) >= 2**63
+    rng = np.random.default_rng(seed)
+    sizes = [20, 20, *rng.integers(0, 21, 6).tolist()]
+    pool = [np.bincount(rng.integers(0, distinct, size), minlength=distinct) for size in sizes]
+    outputs = np.array([pool[i] for i in rng.integers(0, len(pool), 16)] + pool[:1])
+    _assert_laws_match_the_oracle(values, outputs)
 
 
 def test_fermion_law_without_the_input_values_suppresses_everything():

@@ -215,8 +215,13 @@ occupation = st.one_of(st.integers(0, 3), st.integers(10, 150), st.integers(1000
 root = st.builds(RootOfUnity, st.integers(0, 11), st.integers(1, 12))
 
 
+#: Each class's code, its place in ``EventClass``.
+CODES = {event: code for code, event in enumerate(EventClass)}
+
+
 def table_of(kind, outputs, distributions, floats, flags, classes, parity):
-    """A verdict table from plain lists, one entry per row, as ``tables`` draws them."""
+    """A verdict table from plain lists, one entry per row, as ``tables`` draws
+    them; ``classes`` holds ``EventClass`` members, stored as their codes."""
     k = len(outputs)
 
     def column(i):
@@ -235,7 +240,7 @@ def table_of(kind, outputs, distributions, floats, flags, classes, parity):
         boson=flag(0),
         p=p_dist if kind is ParticleType.DISTINGUISHABLE else column(0),
         p_dist=p_dist,
-        classes=np.array(classes, dtype=object).reshape(k),
+        codes=np.array([CODES[event] for event in classes], dtype=np.int8).reshape(k),
         fermion=flag(1) if kind is ParticleType.FERMION else None,
         parity=flag(2) if parity else None,
     )
