@@ -10,8 +10,6 @@ from .fock import (
 )
 from .linalg import (
     determinant,
-    haar_random_unitary,
-    is_unitary,
     permanent_naive,
     permanent_ryser,
 )
@@ -26,7 +24,6 @@ from .permutations import (
 )
 from .scattering import (
     PerturbationModel,
-    perturb_unitary,
     prob_boson,
     prob_distinguishable,
     prob_fermion,
@@ -60,8 +57,6 @@ __all__ = [
     "enumerate_outputs",
     "occupation_to_assignment",
     "determinant",
-    "haar_random_unitary",
-    "is_unitary",
     "permanent_naive",
     "permanent_ryser",
     "EigenStructure",
@@ -72,7 +67,6 @@ __all__ = [
     "is_invariant",
     "symmetry_residual",
     "PerturbationModel",
-    "perturb_unitary",
     "prob_boson",
     "prob_distinguishable",
     "prob_fermion",

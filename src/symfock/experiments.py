@@ -482,9 +482,16 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
         draw = rng.random((*lead, 2, n, n))
         draw *= np.array([2.0 * mean_eps, 2.0 * spread])[:, None, None]  # (eps, eta) ranges
         eps, eta = draw[..., 0, :, :], draw[..., 1, :, :] - spread
-        eps = (eps + eps.swapaxes(-1, -2)) / 2.0
-        eta = (eta - eta.swapaxes(-1, -2)) / 2.0
-        s = (1.0 - eps) * np.exp(1j * eta)
+        # Hermitian by construction: eps symmetrised and eta antisymmetrised
+        # on the strict upper triangle, whose complex exp the lower one
+        # conjugates (exp(-i eta) is conj(exp(i eta)) bit for bit)
+        above = np.tri(n, k=-1, dtype=bool).T
+        eps = (eps[..., above] + eps.swapaxes(-1, -2)[..., above]) / 2.0
+        eta = (eta[..., above] - eta.swapaxes(-1, -2)[..., above]) / 2.0
+        entries = (1.0 - eps) * np.exp(1j * eta)
+        s = np.empty((*lead, n, n), dtype=complex)
+        s[..., above] = entries
+        s.swapaxes(-1, -2)[..., above] = entries.conj()
         s[..., diagonal, diagonal] = 1.0
         # one eigh decides and repairs; the fit checks every Gram it evaluates
         repaired, mask = repair_distinguishability(s)

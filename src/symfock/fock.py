@@ -6,17 +6,16 @@ assignment list names the mode of each particle, sorted non-decreasing.
 Assignment lists are 1-based like every user-facing mode index.
 
 :func:`enumerate_outputs` streams the outputs of one particle number as
-tuples, the reference order. :func:`outputs_up_to` and
-:func:`removal_ranks` are its array forms: every output of each particle
-number up to a bound as one array, and where each output with one particle
-removed sits among the outputs of one particle fewer, by its rank in that
-order. :func:`lattice` is the one cached table of
-an output lattice that the polynomial expansion of ``scattering`` walks:
-the outputs of the top particle number and the parents of every output of
-every particle number, from one :func:`outputs_up_to` run.
-:func:`output_array`, the (K, n) outputs that verdict tables and
-probability calls take, is the top group of that table; no output goes
-through a tuple.
+tuples, the reference order. :func:`lattice` is the one cached table of an
+output lattice that the polynomial expansion of ``scattering`` walks,
+built one particle number at a time: the outputs of the top particle
+number and, for every particle number, the :class:`Slots` of its outputs
+(each output's occupied modes, with the rank in that order of the output
+with one particle removed there). :func:`removal_ranks` gives those ranks
+for every mode of any array of outputs, and :func:`removal_slots` the
+slots of a listed array. :func:`output_array`, the (K, n) outputs that
+verdict tables and probability calls take, is the top group of the
+lattice table; no output goes through a tuple.
 """
 
 from __future__ import annotations
@@ -105,35 +104,30 @@ def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     return lattice(n, particles, kind is ParticleType.FERMION).top.astype(np.intp)
 
 
-def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Every output of 1, 2, ..., ``particles`` particles in ``n`` modes as one
-    (L, n) array, grouped by particle number, each group in
-    :func:`enumerate_outputs` order; with the start of each group (and L).
-    The array takes the smallest unsigned dtype that holds ``particles``,
-    an eighth of the memory of ``intp`` for up to 255 particles.
+def _generations(n: int, particles: int, fermionic: bool):
+    """The outputs of 1, 2, ..., ``particles`` particles in ``n`` modes, one
+    particle number at a time, each in :func:`enumerate_outputs` order, in
+    the smallest unsigned dtype that holds ``particles``; with each the
+    index ``parent`` of every output among those of one particle fewer, the
+    mode ``k`` it adds to that parent, and ``offset``: the rank of the child
+    t + e_k of the i-th output t of one particle fewer is offset[i] + k.
 
     Each group is built from the last: the outputs of d + 1 particles are
     those of d particles, in order, each followed by its children t + e_k
     for every mode k from the last occupied mode of t on (past it for
     fermions), in mode order.
     """
-    sizes = [comb(n, d) if fermionic else comb(n + d - 1, d) for d in range(1, particles + 1)]
-    starts = [0]
-    for size in sizes:
-        starts.append(starts[-1] + size)
-    dtype = np.min_scalar_type(particles)
-    occ = np.zeros((starts[-1], n), dtype=dtype)
-    last = np.zeros((1, n), dtype=dtype)
+    last = np.zeros((1, n), dtype=np.min_scalar_type(particles))
     first = np.zeros(1, dtype=np.intp)  # lowest mode a child may fill
-    for d in range(particles):
+    for _ in range(particles):
         counts = n - first
+        offset = np.cumsum(counts) - counts - first
         parent = np.repeat(np.arange(len(last)), counts)
-        k = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent] + first[parent]
-        group = occ[starts[d]:starts[d + 1]]
-        np.take(last, parent, axis=0, out=group)
+        k = np.arange(len(parent)) - offset[parent]
+        group = last.take(parent, axis=0)
         group[np.arange(len(group)), k] += 1
+        yield group, parent, k, offset
         last, first = group, k + fermionic
-    return occ, starts
 
 
 @lru_cache(maxsize=32)
@@ -191,57 +185,119 @@ def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     return ranks.T
 
 
-def odd_after(outputs: np.ndarray) -> np.ndarray:
-    """(n, K) mask of an odd number of particles after mode k, for a (K, n)
-    array of 0/1 outputs: the sign of a fermion's parent in the expansion."""
-    after = outputs[:, ::-1].cumsum(axis=1)[:, ::-1] - outputs
-    return (after % 2 == 1).T
+class Slots(NamedTuple):
+    """The outputs of one particle number d in the form the expansion of
+    ``scattering`` walks, from :func:`lattice` or :func:`removal_slots`.
+
+    Both arrays are (S, K) for K outputs, S = min(d, n) slots each. Slot j
+    of output t is its j-th occupied mode in ascending order, ``modes[j]``,
+    and ``parents[j]`` is the :func:`enumerate_outputs` rank of t - e_k, k
+    that mode, among the outputs of d - 1 particles. An output with fewer
+    occupied modes than slots (bosons only) ends in padding slots of mode -1
+    and parent -1, which the expansion points at zero rows. In a lattice
+    ``modes`` takes the smallest signed dtype that holds n, ``parents`` the
+    smallest that holds the number of outputs of d - 1 particles.
+    """
+
+    parents: np.ndarray
+    modes: np.ndarray
 
 
-#: Outputs per block while :func:`lattice` ranks its rows, so the int64
-#: temporaries of :func:`removal_ranks` stay small.
-_RANK_BLOCK = 512
+def odd_slots(particles: int) -> np.ndarray:
+    """The fermion sign flip of each slot of a 0/1 output of ``particles``
+    particles: slot j has particles - 1 - j particles after its mode, and
+    the term of its parent changes sign where that number is odd. The same
+    for every 0/1 output, which has no padding; a (particles,) mask."""
+    return (particles - 1 - np.arange(particles)) % 2 == 1
+
+
+def removal_slots(outputs, fermionic: bool = False) -> Slots:
+    """:func:`removal_ranks` of a (K, n) array of outputs of one particle
+    number N, in the :class:`Slots` form of :func:`lattice`.
+
+    The ranks fall as the emptied mode rises (t - e_k comes later in
+    :func:`enumerate_outputs` order than t - e_k' for k < k'), and an empty
+    mode holds -1. So the keys rank * n + (n - 1 - k), sorted in descending
+    order, list each output's occupied modes first and in ascending order,
+    each key holding its rank and its mode, and the empty ones after them,
+    whose keys give rank -1.
+    """
+    s = np.asarray(outputs)
+    n = s.shape[1]
+    width = min(int(s[:1].sum()), n)
+    keys = np.multiply(removal_ranks(s, fermionic), n, order="C")  # rows contiguous to sort
+    keys += np.arange(n - 1, -1, -1)
+    keys.sort(axis=1)
+    parents, modes = np.divmod(keys[:, :-width - 1:-1].T, n, order="C")
+    np.subtract(n - 1, modes, out=modes)
+    modes[parents < 0] = -1
+    return Slots(parents, modes)
 
 
 class Lattice(NamedTuple):
     """The output lattice of 1..N particles in n modes, from :func:`lattice`.
 
     ``top`` holds the outputs of N particles in :func:`enumerate_outputs`
-    order (the one all-zero output for N = 0), in the dtype of
-    :func:`outputs_up_to`. ``starts`` gives the first row of each particle number 1..N in
-    the lattice, and its size L. ``parents`` is the (n, L) array of
-    :func:`removal_ranks`, transposed, and ``odd`` the (n, L) masks of
-    :func:`odd_after` for a 0/1 lattice ((n, 0) otherwise). All read-only.
+    order (the one all-zero output for N = 0), in the smallest unsigned
+    dtype that holds N, an eighth of the memory of ``intp`` for up to 255
+    particles. ``slots`` holds the :class:`Slots` of every
+    particle number 1..N, Σ_d min(d, n) * K_d entries against the n * L of
+    a dense table of parents. All read-only.
     """
 
     top: np.ndarray
-    starts: tuple[int, ...]
-    parents: np.ndarray
-    odd: np.ndarray
+    slots: tuple[Slots, ...]
 
     @property
     def particles(self) -> int:
-        return len(self.starts) - 1
+        return len(self.slots)
 
 
 @lru_cache(maxsize=4)
 def lattice(n: int, particles: int, single: bool) -> Lattice:
     """The :class:`Lattice` of every output of 1..``particles`` particles in
-    ``n`` modes, 0/1 outputs only when ``single``: one
-    :func:`outputs_up_to` run, ranked in blocks. It depends on (n, N,
+    ``n`` modes, 0/1 outputs only when ``single``. It depends on (n, N,
     single) only, so :func:`output_array`, every basis of a census and
     every particle kind on the same outputs share one table. Only the top
-    group of outputs is kept; the parents take the smallest signed dtype
-    that holds the lattice size."""
-    occ, starts = outputs_up_to(n, particles, single)
-    parents = np.empty((n, len(occ)), dtype=np.min_scalar_type(-len(occ) - 1))
-    odd = np.empty((n, len(occ) if single else 0), dtype=bool)
-    for start in range(0, len(occ), _RANK_BLOCK):
-        t = occ[start:start + _RANK_BLOCK]
-        parents[:, start:start + _RANK_BLOCK] = removal_ranks(t, single).T
-        if single:
-            odd[:, start:start + _RANK_BLOCK] = odd_after(t)
-    top = occ[starts[-2]:].copy() if particles else np.zeros((1, n), dtype=occ.dtype)
-    for array in (top, parents, odd):
-        array.flags.writeable = False
-    return Lattice(top, tuple(starts), parents, odd)
+    group of outputs is kept.
+
+    The slots come with the outputs, one particle number at a time: a child
+    t + e_k of parent t has the slots of t, whose parents t - e_m become
+    t - e_m + e_k, ranked by the ``offset`` of :func:`_generations`, and
+    the slot of mode k, whose parent is t: a new slot after those of t,
+    unless k is already the last occupied mode of t. So no rank is computed
+    from the occupations, as :func:`removal_ranks` does, and the slots equal
+    :func:`removal_slots` of each group.
+    """
+    top = np.zeros((1, n), dtype=np.min_scalar_type(particles))
+    slots = []
+    # the output of no particles: no slot, no occupied mode
+    parents = modes = np.zeros((0, 1), dtype=np.int8)
+    used = np.zeros(1, dtype=np.intp)  # occupied modes of each output
+    offset_before = last_mode = np.zeros(1, dtype=np.intp)
+    for d, (top, parent, k, offset) in enumerate(_generations(n, particles, single)):
+        inherited = parents.take(parent, axis=1)  # the ranks of t - e_m
+        dtype = np.min_scalar_type(-max(len(used), n) - 1)  # ranks, offsets, -1
+        child_parents = np.full((min(d + 1, n), len(parent)), -1, dtype=dtype)
+        kept = child_parents[:len(inherited)]
+        # into place, with no temporaries: "wrap" reads padding (-1) from
+        # the last offset, and the copyto puts it back
+        np.take(offset_before.astype(dtype), inherited, out=kept, mode="wrap")
+        np.add(kept, k, out=kept, casting="unsafe")
+        np.copyto(kept, -1, where=inherited < 0)
+        child_modes = np.full(child_parents.shape, -1, dtype=np.min_scalar_type(-n))
+        np.take(modes, parent, axis=1, out=child_modes[:len(inherited)], mode="wrap")
+        # the slot of mode k: after those of t, or the last of them when t
+        # already holds a boson there (its last occupied mode, the k of t)
+        slot = used.take(parent)
+        if d and not single:
+            slot -= k == last_mode.take(parent)
+        columns = np.arange(len(parent))
+        child_parents[slot, columns] = parent
+        child_modes[slot, columns] = k
+        for array in (child_parents, child_modes):
+            array.flags.writeable = False
+        slots.append(Slots(child_parents, child_modes))
+        parents, modes, used, offset_before, last_mode = child_parents, child_modes, slot + 1, offset, k
+    top.flags.writeable = False
+    return Lattice(top, tuple(slots))

@@ -182,14 +182,6 @@ def unitarity_residual(matrix) -> float:
     return float(np.max(np.abs(gram - np.eye(m.shape[-1])), initial=0.0))
 
 
-def is_unitary(matrix, tol: float = STRUCT_TOL) -> bool:
-    """True iff the max-norm of M†M - 1 is within ``tol``. Non-square is False."""
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        return False
-    return unitarity_residual(m) <= tol
-
-
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from one (q, q) complex Ginibre matrix or a (B, q, q)
     stack of them: the Q factor of one (stacked) QR, each column's phase
@@ -200,18 +192,3 @@ def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(rmat, axis1=-2, axis2=-1).copy()
     diag /= np.abs(diag)
     return qmat * diag[..., None, :]
-
-
-def haar_random_unitary(q: int, rng) -> np.ndarray:
-    """Haar-distributed q x q unitary from QR of a complex Ginibre matrix.
-
-    ``rng`` is an integer seed or a ``numpy.random.Generator``; the same seed
-    always reproduces the same matrix bit for bit. The matrix is
-    :func:`haar_from_ginibre` of the real parts, then the imaginary parts,
-    drawn in row-major order.
-    """
-    if q < 1:
-        raise ValueError("dimension must be at least 1")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    z = (gen.standard_normal((q, q)) + 1j * gen.standard_normal((q, q))) / np.sqrt(2.0)
-    return haar_from_ginibre(z)

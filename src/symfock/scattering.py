@@ -23,7 +23,8 @@ its entry, and then takes one of two kernels.
   N x N minor, det(M_T)) and |U|^2 in place of U for distinguishable
   particles. :func:`expansion` builds the product one particle at a time:
   the degrees below N in full, the top degree only for the listed outputs,
-  n * (sum_{d<N} K_d + K) multiply-adds in all.
+  one term per occupied mode of each output, sum_d min(d, n) * K_d
+  multiply-adds in all (K_N = K, the listed outputs).
 * One permanent or determinant per output: the scattering matrices,
   gathered by row and column index into stacks of at most :data:`CHUNK` (a
   module constant), go to the stack-aware Ryser permanent or LU
@@ -69,8 +70,8 @@ from .fock import (
     check_occupation,
     lattice,
     occupation_to_assignment,
-    odd_after,
-    removal_ranks,
+    odd_slots,
+    removal_slots,
 )
 from .linalg import (
     RYSER_MAX,
@@ -140,14 +141,18 @@ def expansion_pays(n: int, particles: int, outputs: int, kind: ParticleType,
     """Whether :func:`probabilities` expands the product of the input's linear
     forms rather than computing one permanent or determinant per output.
 
-    The expansion costs n * (sum_{d<N} K_d + K) multiply-adds for K outputs,
-    K_d being the C(n+d-1, d) multisets of d particles, or the C(n, d)
-    subsets when ``single`` (every output has at most one particle per
-    mode, which fermion outputs always have). One output costs 2^N * N by
-    Ryser, N^3 by LU. A lone output always takes the permanent or the
-    determinant, and so do more than :data:`linalg.RYSER_MAX` bosons or
-    distinguishable particles, which the Ryser refuses: the expansion
-    accepts no input the permanent would not.
+    The rule prices the expansion at n * (sum_{d<N} K_d + K) multiply-adds
+    for K outputs, K_d being the C(n+d-1, d) multisets of d particles, or
+    the C(n, d) subsets when ``single`` (every output has at most one
+    particle per mode, which fermion outputs always have). That is one term
+    per mode; :func:`expansion` now adds one per occupied mode only, sum_d
+    min(d, n) * K_d, so the rule is conservative: it keeps the choices (and
+    so the bits) it made when the expansion cost what it charges, and may
+    send to the permanent an output list the expansion would now score
+    faster. One output costs 2^N * N by Ryser, N^3 by LU. A lone output
+    always takes the permanent or the determinant, and so do more than
+    :data:`linalg.RYSER_MAX` bosons or distinguishable particles, which the
+    Ryser refuses: the expansion accepts no input the permanent would not.
     """
     if outputs < 2 or (particles > RYSER_MAX and kind is not ParticleType.FERMION):
         return False
@@ -171,19 +176,27 @@ def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
 
         c_{d+1}(t) = sum_{k: t_k > 0} sign * W[rows[d], k] * c_d(t - e_k),
 
-    sign = (-1)^(particles of t after mode k) for fermions, else 1. Every
-    degree below N is expanded in full, over all multisets, or over the 0/1
-    outputs when every output is one (fermions included); the top degree
-    only for ``outputs``. The parents t - e_k, whose -1 for an empty mode
-    picks a zero row appended to c_d, come from the cached
-    :func:`fock.lattice` table: for every degree when ``outputs`` equal its
-    top group by value (the lattice of N particles, as
-    :func:`fock.output_array` gives it), else for the degrees below N, with
-    :func:`fock.removal_ranks` of the listed outputs block by block; both
-    give the same parents. Rows go through in blocks of :data:`CHUNK` // B,
-    one multiply-add per mode k = 0..n-1 in that order, so a coefficient's
-    bits depend on neither B, the block boundaries nor where its parents
-    came from.
+    sign = (-1)^(particles of t after mode k) for fermions, else 1: one term
+    per occupied mode, at most min(d + 1, n), so sum_d min(d, n) * K_d
+    multiply-adds in all. Every degree below N is expanded in full, over all
+    multisets, or over the 0/1 outputs when every output is one (fermions
+    included); the top degree only for ``outputs``. The terms come from the
+    :class:`fock.Slots` of each degree: from the cached :func:`fock.lattice`
+    table for every degree when ``outputs`` equal its top group by value
+    (the lattice of N particles, as :func:`fock.output_array` gives it),
+    else for the degrees below N, with :func:`fock.removal_slots` of the
+    listed outputs block by block; both give the same slots. A padding slot
+    takes the zero row appended to the weights and to c_d.
+
+    Rows go through in blocks of :data:`CHUNK` // B. Per block: one gather
+    of parent coefficients and one of weights, one multiply, the fermion
+    signs, and one sum over the slots in ascending mode order, so a
+    coefficient's bits depend on neither B, the block boundaries nor where
+    its slots came from. Every nonzero term is added in the order of a sum
+    over all n modes, k = 0..n-1, with a zero term for each empty mode, and
+    the coefficients equal that sum's under ``==``: only an exactly zero
+    coefficient may differ, in its sign, which no probability shows (|c|^2
+    is +0 either way, and distinguishable terms are never negative).
     """
     b, n = weights.shape[0], weights.shape[-1]
     n_particles = len(rows)
@@ -193,31 +206,42 @@ def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
     top_size = comb(n, n_particles) if single else comb(n + n_particles - 1, n_particles)
     table = lattice(n, n_particles if len(outputs) == top_size else n_particles - 1, single)
     on_lattice = table.particles == n_particles and np.array_equal(outputs, table.top)
-    coeffs = np.ones((1, b), dtype=weights.dtype)  # degree 0: the constant 1
+    coeffs = np.zeros((2, b), dtype=weights.dtype)  # degree 0: the constant 1, and the zero row
+    coeffs[0] = 1.0
+    w = np.zeros((n + 1, b), dtype=weights.dtype)  # weights of one particle, and the zero row
     block = max(1, CHUNK // b)
     for d, row in enumerate(rows):
         listed = d + 1 == n_particles and not on_lattice
-        size = len(outputs) if listed else table.starts[d + 1] - table.starts[d]
-        padded = np.concatenate([coeffs, np.zeros((1, b), dtype=weights.dtype)])
-        coeffs = np.empty((size, b), dtype=weights.dtype)
-        w = weights[:, row, :].T[:, None, :]
+        size = len(outputs) if listed else table.slots[d].parents.shape[1]
+        parent_coeffs, coeffs = coeffs, np.empty((size + 1, b), dtype=weights.dtype)
+        coeffs[size] = 0.0
+        w[:n] = weights[:, row, :].T
+        flip = odd_slots(d + 1)[:, None, None] if fermionic else None
         for start in range(0, size, block):
             stop = min(start + block, size)
             if listed:
-                t = outputs[start:stop]
-                parents, flip = removal_ranks(t, single).T, odd_after(t) if fermionic else None
+                parents, modes = removal_slots(outputs[start:stop], single)
             else:
-                part = slice(table.starts[d] + start, table.starts[d] + stop)
-                parents, flip = table.parents[:, part], table.odd[:, part]
-            terms = padded[parents]  # (n, rows, B): c_d(t - e_k), zero where t_k = 0
-            terms *= w
+                parents, modes = (array[:, start:stop] for array in table.slots[d])
+            terms = parent_coeffs.take(parents, axis=0)  # (slots, rows, B)
+            terms *= w.take(modes, axis=0)
             if fermionic:
-                np.negative(terms, out=terms, where=flip[:, :, None])
-            acc = coeffs[start:stop]
-            acc[...] = terms[0]
-            for k in range(1, n):
-                acc += terms[k]
-    return coeffs.T
+                np.negative(terms, out=terms, where=flip)
+            _sum_slots(terms, coeffs[start:stop])
+    return coeffs[:-1].T
+
+
+def _sum_slots(terms: np.ndarray, out: np.ndarray) -> None:
+    """out = terms[0] + terms[1] + ..., added in that order. ``np.add.reduce``
+    over the leading axis adds whole rows in index order, except when a row
+    is one number: its inner loop then sums the column pairwise, which
+    groups the terms differently."""
+    if out.size > 1:
+        np.add.reduce(terms, axis=0, out=out)
+    else:
+        out[...] = terms[0]
+        for term in terms[1:]:
+            out += term
 
 
 def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
@@ -522,12 +546,3 @@ class PerturbationModel:
         z *= np.sqrt(draw[..., 0, :, :])  # radius, uniform over the disc
         z *= self.mean_abs * 1.5  # E radius = 2/3
         return z
-
-
-def perturb_unitary(u, model: PerturbationModel, rng=None) -> np.ndarray:
-    """Apply fresh entrywise deviations; the result is generally not unitary
-    and is meant only for deviation studies."""
-    u = as_complex_matrix(u)
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
-    return u * (1.0 + model.sample(u.shape, rng))

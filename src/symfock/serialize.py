@@ -331,12 +331,6 @@ def _template(key: int) -> np.ndarray:
     return np.array(cell + [_END] * (_CELL_WIDTH - len(cell)), dtype=np.intp)
 
 
-def float_reprs(values) -> list[str]:
-    """``list(map(repr, values))`` for float64 values, with no Python call
-    per value (see :func:`_float_cells`)."""
-    return _float_cells(values).astype(np.uint32).view(f"U{_CELL_WIDTH}").ravel().tolist()
-
-
 def _float_cells(values) -> np.ndarray:
     """The ``repr`` of each float64 value as a row of ASCII bytes, padded
     with NULs to ``_CELL_WIDTH``: Schubfach digits, laid out the way
@@ -551,19 +545,10 @@ def read_verdict_csv(path) -> VerdictTable:
 
 def write_fit_csv(path, fit) -> None:
     """One line per grid value, each float as ``repr`` writes it: for a fit's
-    few values one ``repr`` each costs less than a :func:`float_reprs` pass."""
+    few values one ``repr`` each costs less than a :func:`_float_cells` pass."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value;mean_deviation\n")
         fh.writelines(f"{float(g)!r};{float(m)!r}\n" for g, m in zip(fit.grid, fit.measured))
-
-
-def read_fit_csv(path) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if lines[0] != "value;mean_deviation":
-        raise ValueError(f"unexpected fit CSV header: {lines[0]!r}")
-    pairs = [tuple(float(cell) for cell in line.split(";")) for line in lines[1:]]
-    return tuple(g for g, _ in pairs), tuple(m for _, m in pairs)
 
 
 def write_metadata(path, metadata: dict) -> None:

@@ -38,6 +38,15 @@
   ``s @ onehot``, keyed by :func:`output_ranks` offset past the smaller
   particle numbers. Its columns, groups (by value and order) and group
   indices are the contract of the mixed-radix key.
+* :func:`reference_expansion` and :func:`odd_after`: ``scattering.expansion``
+  as it was before it walked the occupied modes only, one multiply-add per
+  mode over a dense table of parents, with the fermion signs of
+  :func:`odd_after`. Its coefficients equal the slot kernel's under ``==``,
+  and the probabilities from them are the slot kernel's bit for bit.
+* :func:`outputs_up_to`, :func:`is_unitary`, :func:`haar_random_unitary`,
+  :func:`perturb_unitary`, :func:`float_reprs` and :func:`read_fit_csv`:
+  helpers that only the tests use, moved here from ``fock``, ``linalg``,
+  ``scattering`` and ``serialize``.
 """
 
 from __future__ import annotations
@@ -49,8 +58,22 @@ import numpy as np
 
 from symfock import experiments
 from symfock.experiments import derive_seed, sample_distinguishability
-from symfock.fock import ParticleType, check_occupation, output_array, particle_count
-from symfock.linalg import STRUCT_TOL, is_unitary, permutation_signs, permutation_table
+from symfock.fock import (
+    ParticleType,
+    _generations,
+    check_occupation,
+    output_array,
+    particle_count,
+    removal_ranks,
+)
+from symfock.linalg import (
+    STRUCT_TOL,
+    as_complex_matrix,
+    haar_from_ginibre,
+    permutation_signs,
+    permutation_table,
+    unitarity_residual,
+)
 from symfock.permutations import (
     EigenStructure,
     Permutation,
@@ -58,8 +81,8 @@ from symfock.permutations import (
     eigenvalues_to_complex,
     symmetry_residual,
 )
-from symfock.scattering import prob_partial, probabilities
-from symfock.serialize import VERDICT_COLUMNS
+from symfock.scattering import PerturbationModel, prob_partial, probabilities
+from symfock.serialize import _CELL_WIDTH, VERDICT_COLUMNS, _float_cells
 from symfock.suppression import (
     EigenvalueDistribution,
     OutputLaws,
@@ -389,3 +412,95 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
     groups = tuple(tuple(chain.from_iterable(map(repeat, distinct, row)))
                    for row in counts[first].tolist())
     return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)
+
+
+def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Every output of 1, 2, ..., ``particles`` particles in ``n`` modes as one
+    (L, n) array, grouped by particle number, each group as the lattice
+    recurrence ``fock._generations`` builds it; with the start of each group
+    (and L)."""
+    groups = [group for group, *_ in _generations(n, particles, fermionic)]
+    starts = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    if not groups:
+        return np.zeros((0, n), dtype=np.min_scalar_type(particles)), starts
+    return np.concatenate(groups), starts
+
+
+def odd_after(outputs: np.ndarray) -> np.ndarray:
+    """(n, K) mask of an odd number of particles after mode k, for a (K, n)
+    array of 0/1 outputs: the sign of a fermion's parent in the expansion."""
+    after = outputs[:, ::-1].cumsum(axis=1)[:, ::-1] - outputs
+    return (after % 2 == 1).T
+
+
+def reference_expansion(weights, rows, outputs, fermionic: bool = False) -> np.ndarray:
+    """The (B, K) coefficients of ``scattering.expansion`` by the dense
+    recurrence: for every degree, the parents t - e_k of every mode k from
+    ``fock.removal_ranks`` (-1, the zero row appended to c_d, where t_k = 0),
+    the signs from :func:`odd_after`, and one multiply-add per mode
+    k = 0..n-1 in that order."""
+    b, n = weights.shape[0], weights.shape[-1]
+    n_particles = len(rows)
+    if not (n_particles and len(outputs) and b):
+        return np.ones((b, len(outputs)), dtype=weights.dtype)
+    single = fermionic or not (outputs > 1).any()
+    lower, starts = outputs_up_to(n, n_particles - 1, single)
+    coeffs = np.ones((1, b), dtype=weights.dtype)
+    for d, row in enumerate(rows):
+        t = outputs if d + 1 == n_particles else lower[starts[d]:starts[d + 1]]
+        padded = np.concatenate([coeffs, np.zeros((1, b), dtype=weights.dtype)])
+        terms = padded[removal_ranks(t, single).T]  # (n, K, B)
+        terms *= weights[:, row, :].T[:, None, :]
+        if fermionic:
+            np.negative(terms, out=terms, where=odd_after(t)[:, :, None])
+        coeffs = terms[0].copy()
+        for k in range(1, n):
+            coeffs += terms[k]
+    return coeffs.T
+
+
+def is_unitary(matrix, tol: float = STRUCT_TOL) -> bool:
+    """True iff the max-norm of M†M - 1 is within ``tol``. Non-square is False."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        return False
+    return unitarity_residual(m) <= tol
+
+
+def haar_random_unitary(q: int, rng) -> np.ndarray:
+    """Haar-distributed q x q unitary from QR of a complex Ginibre matrix.
+
+    ``rng`` is an integer seed or a ``numpy.random.Generator``; the same seed
+    always reproduces the same matrix bit for bit. The matrix is
+    ``linalg.haar_from_ginibre`` of the real parts, then the imaginary
+    parts, drawn in row-major order.
+    """
+    if q < 1:
+        raise ValueError("dimension must be at least 1")
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    z = (gen.standard_normal((q, q)) + 1j * gen.standard_normal((q, q))) / np.sqrt(2.0)
+    return haar_from_ginibre(z)
+
+
+def perturb_unitary(u, model: PerturbationModel, rng=None) -> np.ndarray:
+    """Apply fresh entrywise deviations; the result is generally not unitary
+    and is meant only for deviation studies."""
+    u = as_complex_matrix(u)
+    if rng is None:
+        rng = np.random.default_rng(model.seed)
+    return u * (1.0 + model.sample(u.shape, rng))
+
+
+def float_reprs(values) -> list[str]:
+    """``list(map(repr, values))`` for float64 values, through the
+    vectorised cells of ``serialize._float_cells``."""
+    return _float_cells(values).astype(np.uint32).view(f"U{_CELL_WIDTH}").ravel().tolist()
+
+
+def read_fit_csv(path) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if lines[0] != "value;mean_deviation":
+        raise ValueError(f"unexpected fit CSV header: {lines[0]!r}")
+    pairs = [tuple(float(cell) for cell in line.split(";")) for line in lines[1:]]
+    return tuple(g for g, _ in pairs), tuple(m for _, m in pairs)

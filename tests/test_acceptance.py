@@ -17,7 +17,7 @@ from symfock.experiments import (
     run_unitary_robustness,
 )
 from symfock.fock import ParticleType, enumerate_outputs
-from symfock.linalg import haar_random_unitary, permanent_naive, permanent_ryser
+from symfock.linalg import permanent_naive, permanent_ryser
 from symfock.permutations import Permutation, RootOfUnity, eigenstructure
 from symfock.scattering import (
     prob_boson,
@@ -36,6 +36,8 @@ from symfock.unitaries import (
     fourier_symmetry,
     fourier_unitary,
 )
+
+from oracles import haar_random_unitary
 
 ROOT = RootOfUnity
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")

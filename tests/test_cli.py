@@ -9,8 +9,9 @@ import pytest
 import symfock
 from symfock import cli
 from symfock.cli import build_parser, main
-from symfock.linalg import haar_random_unitary
 from symfock.serialize import matrix_to_json, read_verdict_csv
+
+from oracles import haar_random_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

@@ -1,8 +1,9 @@
 """The polynomial expansion behind ``scattering.probabilities``: coefficients
-against the naive permanent and the Leibniz determinant, probabilities
-against the one-permanent-per-output path, bit-identity under stack
-splitting and block size, the rank arithmetic of ``fock`` and its cached
-lattice table, and the zero census of the 12-mode DFT."""
+against the naive permanent and the Leibniz determinant, the slot kernel
+against the dense recurrence it replaced, probabilities against the
+one-permanent-per-output path, bit-identity under stack splitting and block
+size, the rank arithmetic of ``fock`` and the slots of its cached lattice
+table, and the zero census of the 12-mode DFT."""
 
 import tracemalloc
 from collections import Counter
@@ -20,17 +21,24 @@ from symfock.fock import (
     enumerate_outputs,
     lattice,
     occupation_to_assignment,
-    odd_after,
+    odd_slots,
     output_array,
-    outputs_up_to,
     removal_ranks,
+    removal_slots,
 )
-from symfock.linalg import haar_random_unitary, permanent_naive
+from symfock.linalg import permanent_naive
 from symfock.permutations import Permutation
 from symfock.scattering import expansion, expansion_pays, probabilities
 from symfock.unitaries import fourier_unitary
 
-from oracles import leibniz_determinant, output_ranks
+from oracles import (
+    haar_random_unitary,
+    leibniz_determinant,
+    odd_after,
+    output_ranks,
+    outputs_up_to,
+    reference_expansion,
+)
 
 
 def close(fast, slow) -> bool:
@@ -94,6 +102,50 @@ def test_fermionic_coefficients_are_signed_determinants(case):
     amplitudes = expansion(u[None], rows_of(r), array_of(outputs, len(r)), fermionic=True)[0]
     for out, amp in zip(outputs, amplitudes):
         assert close(amp, leibniz_determinant(submatrix(u, r, out)))
+
+
+@st.composite
+def slot_cases(draw):
+    """A stack of 1 or 3 random complex matrices, a particle kind, an input
+    of up to 6 particles (bunched unless fermionic), the outputs (the whole
+    lattice, or a list of distinct outputs in any order, possibly all of
+    them) and the block size of the kernel."""
+    kind = draw(st.sampled_from(list(ParticleType)))
+    fermionic = kind is ParticleType.FERMION
+    n = draw(st.integers(1, 7))
+    particles = draw(st.integers(0, min(n, 6) if fermionic else 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = (rng.permutation([1] * particles + [0] * (n - particles)) if fermionic
+         else rng.multinomial(particles, rng.dirichlet(np.ones(n))))
+    every = output_array(n, particles, kind)
+    if draw(st.booleans()):
+        outputs = every
+    else:
+        count = draw(st.integers(1, len(every)))
+        outputs = every[rng.permutation(len(every))[:count]]
+    b = draw(st.sampled_from([1, 3]))
+    stack = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
+    return stack, tuple(int(x) for x in r), outputs, kind, draw(st.sampled_from([1, 2, 5, 512]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_cases())
+def test_slot_kernel_matches_the_dense_recurrence(case):
+    """Coefficients equal the dense recurrence's under ``==`` (only an exact
+    zero may differ, in its sign), and the probabilities from them are the
+    same bit for bit, for every block size."""
+    stack, r, outputs, kind, chunk = case
+    rows = rows_of(r)
+    fermionic = kind is ParticleType.FERMION
+    weights = np.abs(stack) ** 2 if kind is ParticleType.DISTINGUISHABLE else stack
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scattering, "CHUNK", chunk)
+        fast = expansion(weights, rows, outputs, fermionic)
+        assert (fast == reference_expansion(weights, rows, outputs, fermionic)).all()
+        slot = scattering._expanded_probabilities(stack, r, rows, outputs, kind)
+        patch.setattr(scattering, "expansion", reference_expansion)
+        dense = scattering._expanded_probabilities(stack, r, rows, outputs, kind)
+    assert slot.tobytes() == dense.tobytes()
 
 
 def test_sign_convention_on_two_fermions():
@@ -196,22 +248,36 @@ def test_outputs_up_to_and_removal_ranks_follow_enumerate_outputs(fermionic):
 
 @pytest.mark.parametrize("single", [False, True])
 def test_lattice_table_holds_every_degree(single):
-    """The table is one ``outputs_up_to`` run: its top group is the output
-    array, its parents are ``removal_ranks`` of every degree, top included,
-    and its odd masks those of ``odd_after``."""
+    """The slots of every degree are each output's occupied modes in
+    ascending order, min(d, n) of them; each parent is ``removal_ranks`` at
+    that mode, each fermion flip ``odd_after`` there, and the slots past an
+    output's occupied modes are padding, mode and parent -1: the zero rows
+    the expansion appends. ``removal_slots`` of each group gives the same
+    slots, and the top group is the output array."""
     kind = ParticleType.FERMION if single else ParticleType.BOSON
-    for n, particles in ((1, 1), (3, 2), (5, 4), (6, 3), (4, 0)):
+    cases = ((1, 1), (3, 2), (5, 4), (6, 3), (4, 0), (7, 6)) + (() if single else ((2, 5), (1, 3)))
+    for n, particles in cases:
         table = lattice(n, particles, single)
         lower, starts = outputs_up_to(n, particles, single)
-        assert table.particles == particles and table.starts == tuple(starts)
+        assert table.particles == particles
         assert table.top.tolist() == output_array(n, particles, kind).tolist()
-        assert (table.parents == removal_ranks(lower, single).T).all()
-        assert table.odd.shape == ((n, len(lower)) if single else (n, 0))
-        if single:
-            assert (table.odd == odd_after(lower)).all()
-        for array in table:
-            if isinstance(array, np.ndarray):
-                assert not array.flags.writeable
+        assert not table.top.flags.writeable
+        for d, slots in enumerate(table.slots, start=1):
+            group = lower[starts[d - 1]:starts[d]]
+            ranks = removal_ranks(group, single)
+            odd = odd_after(group).T if single else None
+            assert slots.parents.shape == slots.modes.shape == (min(d, n), len(group))
+            for i, t in enumerate(group):
+                occupied = np.flatnonzero(t)
+                used = len(occupied)
+                assert slots.modes[:used, i].tolist() == occupied.tolist()
+                assert slots.parents[:used, i].tolist() == ranks[i, occupied].tolist()
+                assert (slots.modes[used:, i] == -1).all() and (slots.parents[used:, i] == -1).all()
+                if single:
+                    assert used == d and odd_slots(d).tolist() == odd[i, occupied].tolist()
+            listed = removal_slots(group, single)
+            assert (listed.parents == slots.parents).all() and (listed.modes == slots.modes).all()
+            assert not slots.parents.flags.writeable and not slots.modes.flags.writeable
 
 
 def test_output_array_is_a_fresh_copy():
@@ -224,8 +290,8 @@ def test_output_array_is_a_fresh_copy():
 
 @pytest.mark.parametrize("kind", list(ParticleType))
 def test_lattice_and_listed_parents_give_the_same_bits(kind):
-    """``expansion`` takes the top-degree parents from the lattice table
-    when its outputs are the lattice by value, else from ``removal_ranks``
+    """``expansion`` takes the top-degree slots from the lattice table
+    when its outputs are the lattice by value, else from ``removal_slots``
     of the listed rows: both give every row the same bits, whichever
     rows are listed with it."""
     rng = np.random.default_rng(23)
@@ -249,17 +315,17 @@ def test_lattice_and_listed_parents_give_the_same_bits(kind):
 
 
 def test_a_census_builds_each_lattice_once(monkeypatch):
-    """``outputs_up_to`` runs once per (n, N, single) across the output
+    """The lattice recurrence runs once per (n, N, single) across the output
     arrays and every probability call of a census, over several
     sub-stacks."""
     calls = Counter()
-    real = fock.outputs_up_to
+    real = fock._generations
 
-    def counted(n, particles, fermionic=False):
+    def counted(n, particles, fermionic):
         calls[n, particles, fermionic] += 1
         return real(n, particles, fermionic)
 
-    monkeypatch.setattr(fock, "outputs_up_to", counted)
+    monkeypatch.setattr(fock, "_generations", counted)
     monkeypatch.setattr(experiments, "CHUNK", 4)
     lattice.cache_clear()
     cfg = CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),

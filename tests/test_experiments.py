@@ -23,7 +23,7 @@ from symfock.serialize import write_verdict_csv
 from symfock.suppression import EventClass
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import assert_same_table, reference_census
+from oracles import assert_same_table, perturb_unitary, reference_census
 
 HOM_PERM = Permutation.parse("(1 2)")
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
@@ -208,7 +208,7 @@ class TestUnitaryRobustness:
         assert fit.predicted_prefactor == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_noise_leaves_suppression_perfect(self):
-        from symfock.scattering import PerturbationModel, perturb_unitary, prob_boson
+        from symfock.scattering import PerturbationModel, prob_boson
         built = build_unitary(UnitarySpec(HOM_PERM))
         model = PerturbationModel(0.0, seed=1)
         assert prob_boson(perturb_unitary(built.matrix, model), (1, 1), (1, 1)) <= 1e-20

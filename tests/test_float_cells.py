@@ -1,5 +1,5 @@
-"""The float formatter: ``serialize.float_reprs`` gives the bytes of
-``repr`` for every float64, and a command's tables share one formatting
+"""The float formatter: ``serialize._float_cells`` (read through the
+oracle ``float_reprs``) gives the bytes of ``repr`` for every float64, and a command's tables share one formatting
 pass without changing a byte."""
 
 import os
@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 import symfock
 from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
 from symfock.permutations import Permutation, RootOfUnity
-from symfock.serialize import float_reprs, verdict_cells, verdict_lines, write_verdict_csv
+from symfock.serialize import verdict_cells, verdict_lines, write_verdict_csv
 
-from oracles import reference_verdict_lines, row_distributions
+from oracles import float_reprs, reference_verdict_lines, row_distributions
 
 
 def _both_signs(x):

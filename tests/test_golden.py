@@ -1,10 +1,13 @@
-"""Golden digests of whole verdict CSVs.
+"""Golden digests of whole verdict and fit CSVs.
 
 The byte tests of the writer compare it with the row-by-row oracle on the
 same table, so they cannot see a change in the laws, the eigenvalue groups
 or the event classes that fill that table. These digests can: they pin the
 SHA-256 of every verdict CSV of the 12-mode DFT comparison at m = 6 and of a
-2-basis census of the worked example, as the CLI writes them.
+2-basis census of the worked example, as the CLI writes them. Likewise the
+fit CSVs of a 40-sample ``independent`` distinguishability fit and a
+40-sample ``ring`` unitary fit on the worked example pin the noise draws,
+the PSD repair and the reductions of both robustness fits.
 """
 
 import hashlib
@@ -21,6 +24,14 @@ CONFIGS = {
                "input_state": [1, 1, 1, 0, 0, 0, 1, 1], "bases": 2, "seed": 0,
                "types": ["boson", "fermion", "dist"]},
 }
+ROBUSTNESS = {"permutation": "(1 2 3)(4 5 6)(7 8)", "rotation_seed": 7,
+              "input_state": [1, 1, 1, 0, 0, 0, 1, 1], "target_output": [1, 1, 0, 1, 1, 0, 1, 0],
+              "particle": "boson", "grid": [0.001, 0.002, 0.005, 0.01], "samples": 40}
+FIT_CONFIGS = {
+    "independent": {"kind": "distinguishability-robustness", "ensemble": "independent",
+                    **ROBUSTNESS},
+    "ring": {"kind": "unitary-robustness", "delta_distribution": "ring", **ROBUSTNESS},
+}
 
 DIGESTS = {
     "fourier.boson.csv": "a6d730cf03acbef933e95dff65de1cc5961ebb7a4324dedf6503f8adb6aa81f6",
@@ -28,6 +39,8 @@ DIGESTS = {
     "census.boson.csv": "52b04b7e5c6f510444928a3724bd439176cab54f9821f4c8281981bd351b20a3",
     "census.fermion.csv": "3dacb279e048ca30a8100ec57de184ee0325d01fc385c43e26d3f861c8537870",
     "census.dist.csv": "6992cc1b78f657caf69edb82e98eaeaa4bf31fc9b48ab176525f7702c011eb92",
+    "independent.csv": "11923496933f28d77c3e82a2e2ca00f4373529006a20890a9794a54d7daa97aa",
+    "ring.csv": "463e786e8d7030ba42e7b4bb6afe9c7a28f0dde5448e446004984989a80462b6",
 }
 
 
@@ -40,3 +53,12 @@ def test_verdict_csvs_match_their_golden_digests(name, tmp_path):
     assert written == sorted(key for key in DIGESTS if key.startswith(f"{name}."))
     for csv in written:
         assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == DIGESTS[csv], csv
+
+
+@pytest.mark.parametrize("name", FIT_CONFIGS)
+def test_fit_csvs_match_their_golden_digests(name, tmp_path):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(FIT_CONFIGS[name]))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    csv = tmp_path / f"{name}.csv"
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == DIGESTS[csv.name]

@@ -3,13 +3,11 @@ import pytest
 
 from symfock.linalg import (
     determinant,
-    haar_random_unitary,
-    is_unitary,
     permanent_naive,
     permanent_ryser,
 )
 
-from oracles import leibniz_determinant
+from oracles import haar_random_unitary, is_unitary, leibniz_determinant
 
 
 def random_complex(rng, n):

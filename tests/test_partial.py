@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from symfock.experiments import GRAM_ENSEMBLES, sample_distinguishability
 from symfock.fock import ParticleType, occupation_to_assignment
-from symfock.linalg import haar_random_unitary, permutation_signs, permutation_table
+from symfock.linalg import permutation_signs, permutation_table
 from symfock.scattering import (
     partial_probabilities,
     partial_weights,
@@ -24,7 +24,7 @@ from symfock.scattering import (
     validate_distinguishability,
 )
 
-from oracles import reference_partial_sum
+from oracles import haar_random_unitary, reference_partial_sum
 
 KINDS = (ParticleType.BOSON, ParticleType.FERMION)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symfock.linalg import haar_random_unitary, is_unitary
 from symfock.permutations import (
     Permutation,
     RootOfUnity,
@@ -17,7 +16,7 @@ from symfock.permutations import (
 )
 from symfock.unitaries import UnitarySpec, build_unitary
 
-from oracles import operator_matrix, reconstruction_residual
+from oracles import haar_random_unitary, is_unitary, operator_matrix, reconstruction_residual
 
 
 def random_permutation(rng, n):

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from symfock.fock import ParticleType, enumerate_outputs, occupation_to_assignment
-from symfock.linalg import haar_random_unitary, is_unitary, permanent_naive
+from symfock.linalg import permanent_naive
 from symfock.scattering import (
     PARTIAL_MAX,
     PerturbationModel,
-    perturb_unitary,
     prob_boson,
     prob_distinguishable,
     prob_fermion,
@@ -18,6 +17,8 @@ from symfock.scattering import (
     scattering_matrix,
     validate_distinguishability,
 )
+
+from oracles import haar_random_unitary, is_unitary, perturb_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

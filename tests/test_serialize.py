@@ -12,16 +12,13 @@ from hypothesis import strategies as st
 
 from symfock.experiments import run_fourier_comparison, run_mean_probabilities, CensusConfig
 from symfock.fock import ParticleType
-from symfock.linalg import haar_random_unitary
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import (
     check_experiment_config,
-    float_reprs,
     matrix_from_json,
     matrix_to_json,
     parse_occupation,
     parse_permutation,
-    read_fit_csv,
     read_verdict_csv,
     spec_from_json,
     spec_to_json,
@@ -34,7 +31,7 @@ from symfock.suppression import VerdictTable
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
-from oracles import assert_same_table
+from oracles import assert_same_table, float_reprs, haar_random_unitary, read_fit_csv
 
 
 class TestMatrixJson:

@@ -6,7 +6,6 @@ import pytest
 from symfock import unitaries
 from symfock.experiments import derive_seed
 from symfock.fock import ParticleType, enumerate_outputs
-from symfock.linalg import is_unitary
 from symfock.permutations import Permutation, RootOfUnity, symmetry_residual
 from symfock.scattering import prob_boson, prob_distinguishable, prob_fermion
 from symfock.suppression import boson_suppressed
@@ -19,7 +18,7 @@ from symfock.unitaries import (
     fourier_unitary,
 )
 
-from oracles import eigenvalue_sorted_order, reference_unitary
+from oracles import eigenvalue_sorted_order, is_unitary, reference_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
