@@ -7,15 +7,14 @@ Assignment lists are 1-based like every user-facing mode index.
 
 :func:`enumerate_outputs` streams the outputs of one particle number as
 tuples, the reference order. :func:`lattice` is the one cached table of an
-output lattice that the polynomial expansion of ``scattering`` walks,
-built one particle number at a time: the outputs of the top particle
-number and, for every particle number, the :class:`Slots` of its outputs
-(each output's occupied modes, with the rank in that order of the output
-with one particle removed there). :func:`removal_ranks` gives those ranks
-for every mode of any array of outputs, and :func:`removal_slots` the
-slots of a listed array. :func:`output_array`, the (K, n) outputs that
-verdict tables and probability calls take, is the top group of the
-lattice table; no output goes through a tuple.
+output lattice, and the only source of the terms that the polynomial
+expansion of ``scattering`` walks, built one particle number at a time:
+the outputs of the top particle number and, for every particle number,
+the :class:`Slots` of its outputs (each output's occupied modes, with the
+rank in that order of the output with one particle removed there).
+:func:`output_array`, the (K, n) outputs that verdict tables and
+probability calls take, is the top group of the lattice table; no output
+goes through a tuple.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
-from math import comb
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -130,73 +128,18 @@ def _generations(n: int, particles: int, fermionic: bool):
         last, first = group, k + fermionic
 
 
-@lru_cache(maxsize=32)
-def _rank_terms(n: int, top: int, fermionic: bool) -> np.ndarray:
-    """term(m, R) of :func:`removal_ranks` for R = 0..top, flattened by mode."""
-    if fermionic:
-        table = [[comb(n - 1 - m, x - 1) if x else 0 for x in range(top + 1)] for m in range(n)]
-    else:
-        table = [[comb(n - 2 - m + x, x - 1) if x else 0 for x in range(top + 1)] for m in range(n)]
-    flat = np.array(table, dtype=np.int64).ravel()
-    flat.flags.writeable = False
-    return flat
-
-
-def removal_ranks(outputs, fermionic: bool = False) -> np.ndarray:
-    """Where each output with one particle removed sits among the outputs of
-    one particle fewer.
-
-    ``outputs`` is a (K, n) array of occupations (0/1 for ``fermionic``),
-    of one or several particle numbers. Returns the (K, n) int64 array whose
-    entry (i, k) is the :func:`enumerate_outputs` rank of s_i - e_k among
-    the outputs of its particle number, or -1 where mode k of s_i is empty.
-
-    No loop over outputs. The rank of t is sum_m term(m, R_m, t_m), with R_m
-    the particles in the modes after m and term the number of outputs that
-    agree with t before mode m and put more particles on it: C(n-2-m+R, R-1)
-    for bosons; for fermions C(n-1-m, R-1) on an empty mode and 0 on an
-    occupied one. Removing a particle from mode k lowers R_m by one for
-    every m < k and t_k by one.
-    """
-    s = np.array(np.asarray(outputs).T, dtype=np.int64, order="C")  # (n, K): one row per mode
-    n = len(s)
-    after = np.zeros_like(s)  # R_m; running sums over rows beat cumsum here
-    for m in range(n - 2, -1, -1):
-        np.add(after[m + 1], s[m + 1], out=after[m])
-    top = int((after[0] + s[0]).max(initial=0))
-    flat = _rank_terms(n, top, fermionic)
-    index = after + (top + 1) * np.arange(n)[:, None]  # of term(m, R_m) in flat
-    here = flat.take(index)
-    # for the emptied mode k, here is term(k, R_k, t_k - 1)
-    step = flat.take(index - 1) - here  # term(m, R_m - 1) - term(m, R_m); wraps only where unused
-    if fermionic:
-        empty = 1 - s
-        step *= empty
-        total = (here * empty).sum(axis=0)
-    else:
-        total = here.sum(axis=0)
-    ranks = np.empty_like(s)  # rank(t - e_k) = total + sum_{m<k} step_m (+ here_k, fermions)
-    ranks[0] = total
-    for m in range(1, n):
-        np.add(ranks[m - 1], step[m - 1], out=ranks[m])
-    if fermionic:
-        ranks += here
-    np.copyto(ranks, -1, where=s == 0)
-    return ranks.T
-
-
 class Slots(NamedTuple):
-    """The outputs of one particle number d in the form the expansion of
-    ``scattering`` walks, from :func:`lattice` or :func:`removal_slots`.
+    """The outputs of one particle number d of a :func:`lattice` in the form
+    the expansion of ``scattering`` walks.
 
     Both arrays are (S, K) for K outputs, S = min(d, n) slots each. Slot j
     of output t is its j-th occupied mode in ascending order, ``modes[j]``,
     and ``parents[j]`` is the :func:`enumerate_outputs` rank of t - e_k, k
     that mode, among the outputs of d - 1 particles. An output with fewer
     occupied modes than slots (bosons only) ends in padding slots of mode -1
-    and parent -1, which the expansion points at zero rows. In a lattice
-    ``modes`` takes the smallest signed dtype that holds n, ``parents`` the
-    smallest that holds the number of outputs of d - 1 particles.
+    and parent -1, which the expansion points at zero rows. ``modes`` takes
+    the smallest signed dtype that holds n, ``parents`` the smallest that
+    holds the number of outputs of d - 1 particles.
     """
 
     parents: np.ndarray
@@ -209,29 +152,6 @@ def odd_slots(particles: int) -> np.ndarray:
     the term of its parent changes sign where that number is odd. The same
     for every 0/1 output, which has no padding; a (particles,) mask."""
     return (particles - 1 - np.arange(particles)) % 2 == 1
-
-
-def removal_slots(outputs, fermionic: bool = False) -> Slots:
-    """:func:`removal_ranks` of a (K, n) array of outputs of one particle
-    number N, in the :class:`Slots` form of :func:`lattice`.
-
-    The ranks fall as the emptied mode rises (t - e_k comes later in
-    :func:`enumerate_outputs` order than t - e_k' for k < k'), and an empty
-    mode holds -1. So the keys rank * n + (n - 1 - k), sorted in descending
-    order, list each output's occupied modes first and in ascending order,
-    each key holding its rank and its mode, and the empty ones after them,
-    whose keys give rank -1.
-    """
-    s = np.asarray(outputs)
-    n = s.shape[1]
-    width = min(int(s[:1].sum()), n)
-    keys = np.multiply(removal_ranks(s, fermionic), n, order="C")  # rows contiguous to sort
-    keys += np.arange(n - 1, -1, -1)
-    keys.sort(axis=1)
-    parents, modes = np.divmod(keys[:, :-width - 1:-1].T, n, order="C")
-    np.subtract(n - 1, modes, out=modes)
-    modes[parents < 0] = -1
-    return Slots(parents, modes)
 
 
 class Lattice(NamedTuple):
@@ -248,10 +168,6 @@ class Lattice(NamedTuple):
     top: np.ndarray
     slots: tuple[Slots, ...]
 
-    @property
-    def particles(self) -> int:
-        return len(self.slots)
-
 
 @lru_cache(maxsize=4)
 def lattice(n: int, particles: int, single: bool) -> Lattice:
@@ -266,8 +182,7 @@ def lattice(n: int, particles: int, single: bool) -> Lattice:
     t - e_m + e_k, ranked by the ``offset`` of :func:`_generations`, and
     the slot of mode k, whose parent is t: a new slot after those of t,
     unless k is already the last occupied mode of t. So no rank is computed
-    from the occupations, as :func:`removal_ranks` does, and the slots equal
-    :func:`removal_slots` of each group.
+    from the occupations.
     """
     top = np.zeros((1, n), dtype=np.min_scalar_type(particles))
     slots = []

@@ -13,30 +13,31 @@ suite pins them with the sum-to-one oracle over the full output enumeration.
 :func:`probabilities` checks U, the input and the list of outputs once, at
 its entry, and then takes one of two kernels.
 
-* The expansion. The amplitudes of all outputs of one input are the
-  coefficients of one product of linear forms,
+* The expansion, for the whole output lattice. The amplitudes of all
+  outputs of one input are the coefficients of one product of linear forms,
 
       prod_j (sum_k U[d(j), k] x_k) = sum_s perm(M_s) / prod s_k! * x^s,
 
   (Scheel, quant-ph/0406127 (2004); Aaronson & Arkhipov, Theory of
   Computing 9, 143 (2013)), with anticommuting x_k for fermions (every
   N x N minor, det(M_T)) and |U|^2 in place of U for distinguishable
-  particles. :func:`expansion` builds the product one particle at a time:
-  the degrees below N in full, the top degree only for the listed outputs,
-  one term per occupied mode of each output, sum_d min(d, n) * K_d
-  multiply-adds in all (K_N = K, the listed outputs).
+  particles. :func:`expansion` builds the product one particle at a time
+  over the slots of the cached :func:`fock.lattice` table, one term per
+  occupied mode of each output, sum_d min(d, n) * K_d multiply-adds in all.
 * One permanent or determinant per output: the scattering matrices,
   gathered by row and column index into stacks of at most :data:`CHUNK` (a
   module constant), go to the stack-aware Ryser permanent or LU
   determinant, K * 2^N * N or K * N^3 work.
 
-:func:`expansion_pays` picks the cheaper from (n, N, K) alone. A lone
-output always takes the permanent or the determinant, so the one-output
+The expansion serves a list of outputs that is the lattice of N particles,
+by value and in :func:`fock.output_array` order, where
+:func:`expansion_pays`; the census, the DFT comparison and the verdict
+tables list it so. Every other list (a lone output, as in the one-output
 wrappers ``prob_boson``, ``prob_fermion`` and ``prob_distinguishable`` and
-the robustness fits keep the bits of a lone Ryser or LU call; the census,
-the DFT comparison and the verdict tables take the expansion. Either way a
-probability's bits depend on neither the stack it came in nor the block
-boundaries.
+the robustness fits, a subset, a reordering, repeated rows) takes one
+permanent or determinant per output, with the bits of a lone Ryser or LU
+call per output, and builds no lattice. Either way a probability's bits
+depend on neither the stack it came in nor the block boundaries.
 
 Partial distinguishability is handled by a Gram matrix S of internal states
 on the n modes (all-ones = indistinguishable, identity = fully
@@ -71,7 +72,6 @@ from .fock import (
     lattice,
     occupation_to_assignment,
     odd_slots,
-    removal_slots,
 )
 from .linalg import (
     RYSER_MAX,
@@ -136,95 +136,86 @@ def scattering_matrix(u, occupation_in, occupation_out) -> np.ndarray:
     return u[np.ix_(_assignment0(r), _columns(s, sum(r))[0])]
 
 
-def expansion_pays(n: int, particles: int, outputs: int, kind: ParticleType,
-                   single: bool = False) -> bool:
-    """Whether :func:`probabilities` expands the product of the input's linear
-    forms rather than computing one permanent or determinant per output.
+def _lattice_size(n: int, particles: int, single: bool) -> int:
+    """K_N: the C(n+N-1, N) multisets of N particles in n modes, or the
+    C(n, N) subsets when ``single``."""
+    return comb(n, particles) if single else comb(n + particles - 1, particles)
 
-    The rule prices the expansion at n * (sum_{d<N} K_d + K) multiply-adds
-    for K outputs, K_d being the C(n+d-1, d) multisets of d particles, or
-    the C(n, d) subsets when ``single`` (every output has at most one
-    particle per mode, which fermion outputs always have). That is one term
-    per mode; :func:`expansion` now adds one per occupied mode only, sum_d
-    min(d, n) * K_d, so the rule is conservative: it keeps the choices (and
-    so the bits) it made when the expansion cost what it charges, and may
-    send to the permanent an output list the expansion would now score
-    faster. One output costs 2^N * N by Ryser, N^3 by LU. A lone output
+
+def expansion_pays(n: int, particles: int, kind: ParticleType, single: bool = False) -> bool:
+    """Whether :func:`probabilities` expands the product of the input's linear
+    forms over the whole lattice of ``particles`` particles in ``n`` modes
+    rather than computing one permanent or determinant per output.
+
+    The rule prices the expansion at n * sum_{d<=N} K_d multiply-adds, K_d
+    being the C(n+d-1, d) multisets of d particles, or the C(n, d) subsets
+    when ``single`` (every output has at most one particle per mode, which
+    fermion outputs always have). That is one term per mode; :func:`expansion`
+    adds one per occupied mode only, sum_d min(d, n) * K_d, so the rule is
+    conservative: it keeps the choices (and so the bits) it made when the
+    expansion cost what it charges. One output costs 2^N * N by Ryser, N^3
+    by LU, so K_N outputs cost K_N times that. A lattice of one output
     always takes the permanent or the determinant, and so do more than
     :data:`linalg.RYSER_MAX` bosons or distinguishable particles, which the
     Ryser refuses: the expansion accepts no input the permanent would not.
     """
+    single = single or kind is ParticleType.FERMION
+    outputs = _lattice_size(n, particles, single)
     if outputs < 2 or (particles > RYSER_MAX and kind is not ParticleType.FERMION):
         return False
-    single = single or kind is ParticleType.FERMION
-    lower = sum(comb(n, d) if single else comb(n + d - 1, d) for d in range(particles))
+    every = sum(_lattice_size(n, d, single) for d in range(particles + 1))
     per_output = particles ** 3 if kind is ParticleType.FERMION else 2 ** particles * particles
-    return n * (lower + outputs) < outputs * per_output
+    return n * every < outputs * per_output
 
 
-def expansion(weights: np.ndarray, rows: np.ndarray, outputs: np.ndarray,
+def expansion(weights: np.ndarray, rows: np.ndarray, single: bool = False,
               fermionic: bool = False) -> np.ndarray:
     """Coefficients of x^s in prod_j (sum_k W[rows[j], k] x_k), for a (B, n, n)
-    stack of checked matrices W, the (N,) input modes ``rows`` of the
-    particles and a checked (K, n) array of outputs; a (B, K) array.
+    stack of checked matrices W and the (N,) input modes ``rows`` of the
+    particles, for every output s of the lattice :func:`fock.lattice` (n, N,
+    ``single`` or ``fermionic``) in its order: a (B, K_N) array.
 
     With W = U the coefficient of s is perm(M_s) / prod s_k!; with W = |U|^2
     it is the distinguishable probability. With ``fermionic`` the linear
     forms anticommute and the coefficient of a 0/1 output T is det(M_T),
     rows in input order and columns ascending. The product is built one
-    particle at a time,
+    particle at a time, over all multisets of each degree, or over the 0/1
+    outputs when ``single`` (fermions included),
 
         c_{d+1}(t) = sum_{k: t_k > 0} sign * W[rows[d], k] * c_d(t - e_k),
 
     sign = (-1)^(particles of t after mode k) for fermions, else 1: one term
     per occupied mode, at most min(d + 1, n), so sum_d min(d, n) * K_d
-    multiply-adds in all. Every degree below N is expanded in full, over all
-    multisets, or over the 0/1 outputs when every output is one (fermions
-    included); the top degree only for ``outputs``. The terms come from the
-    :class:`fock.Slots` of each degree: from the cached :func:`fock.lattice`
-    table for every degree when ``outputs`` equal its top group by value
-    (the lattice of N particles, as :func:`fock.output_array` gives it),
-    else for the degrees below N, with :func:`fock.removal_slots` of the
-    listed outputs block by block; both give the same slots. A padding slot
-    takes the zero row appended to the weights and to c_d.
+    multiply-adds in all. The terms come from the :class:`fock.Slots` of
+    each degree of the cached lattice table; a padding slot takes the zero
+    row appended to the weights and to c_d.
 
     Rows go through in blocks of :data:`CHUNK` // B. Per block: one gather
     of parent coefficients and one of weights, one multiply, the fermion
     signs, and one sum over the slots in ascending mode order, so a
-    coefficient's bits depend on neither B, the block boundaries nor where
-    its slots came from. Every nonzero term is added in the order of a sum
-    over all n modes, k = 0..n-1, with a zero term for each empty mode, and
-    the coefficients equal that sum's under ``==``: only an exactly zero
-    coefficient may differ, in its sign, which no probability shows (|c|^2
-    is +0 either way, and distinguishable terms are never negative).
+    coefficient's bits depend on neither B nor the block boundaries. Every
+    nonzero term is added in the order of a sum over all n modes,
+    k = 0..n-1, with a zero term for each empty mode, and the coefficients
+    equal that sum's under ``==``: only an exactly zero coefficient may
+    differ, in its sign, which no probability shows (|c|^2 is +0 either way,
+    and distinguishable terms are never negative).
     """
     b, n = weights.shape[0], weights.shape[-1]
-    n_particles = len(rows)
-    if not (n_particles and len(outputs) and b):
-        return np.ones((b, len(outputs)), dtype=weights.dtype)
-    single = fermionic or not (outputs > 1).any()
-    top_size = comb(n, n_particles) if single else comb(n + n_particles - 1, n_particles)
-    table = lattice(n, n_particles if len(outputs) == top_size else n_particles - 1, single)
-    on_lattice = table.particles == n_particles and np.array_equal(outputs, table.top)
+    table = lattice(n, len(rows), single or fermionic)
     coeffs = np.zeros((2, b), dtype=weights.dtype)  # degree 0: the constant 1, and the zero row
     coeffs[0] = 1.0
     w = np.zeros((n + 1, b), dtype=weights.dtype)  # weights of one particle, and the zero row
-    block = max(1, CHUNK // b)
-    for d, row in enumerate(rows):
-        listed = d + 1 == n_particles and not on_lattice
-        size = len(outputs) if listed else table.slots[d].parents.shape[1]
+    block = max(1, CHUNK // max(b, 1))
+    for d, (row, slots) in enumerate(zip(rows, table.slots)):
+        size = slots.parents.shape[1]
         parent_coeffs, coeffs = coeffs, np.empty((size + 1, b), dtype=weights.dtype)
         coeffs[size] = 0.0
         w[:n] = weights[:, row, :].T
         flip = odd_slots(d + 1)[:, None, None] if fermionic else None
         for start in range(0, size, block):
             stop = min(start + block, size)
-            if listed:
-                parents, modes = removal_slots(outputs[start:stop], single)
-            else:
-                parents, modes = (array[:, start:stop] for array in table.slots[d])
-            terms = parent_coeffs.take(parents, axis=0)  # (slots, rows, B)
-            terms *= w.take(modes, axis=0)
+            terms = parent_coeffs.take(slots.parents[:, start:stop], axis=0)  # (slots, rows, B)
+            terms *= w.take(slots.modes[:, start:stop], axis=0)
             if fermionic:
                 np.negative(terms, out=terms, where=flip)
             _sum_slots(terms, coeffs[start:stop])
@@ -249,29 +240,38 @@ def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
 
     ``u`` is one (n, n) matrix, giving a (K,) array for K outputs, or a
     (B, n, n) stack, giving a (B, K) array. ``u``, the input and the outputs
-    are checked once, here. Where :func:`expansion_pays`, every output comes
-    from one :func:`expansion` per matrix; otherwise the (matrix, output)
-    pairs go through the stack-aware permanent or determinant in stacks of
-    at most :data:`CHUNK` scattering matrices, gathered by row and column
-    indices. Either way every probability has the bits of a call on its own
-    matrix with the same outputs.
+    are checked once, here. Outputs that are the whole lattice of N
+    particles, K_N of them in :func:`fock.output_array` order (the 0/1
+    lattice when every output is 0/1 or the kind is fermionic), come from
+    one :func:`expansion` per matrix where :func:`expansion_pays`; the
+    count is checked first, so a shorter list never builds the lattice.
+    Any other list goes through the stack-aware permanent or determinant in
+    stacks of at most :data:`CHUNK` scattering matrices, gathered by row and
+    column indices. Either way every probability has the bits of a call on
+    its own matrix with the same outputs; off the lattice, those of a lone
+    call on its output too.
     """
     u = as_complex_matrix(u, stack=True)
     stack = u if u.ndim == 3 else u[None]
-    r, s = _check_outputs(stack, occupation_in, outputs, kind is ParticleType.FERMION)
+    fermionic = kind is ParticleType.FERMION
+    r, s = _check_outputs(stack, occupation_in, outputs, fermionic)
     rows = _assignment0(r)
-    if expansion_pays(len(r), len(rows), len(s), kind, not (s > 1).any()):
-        result = _expanded_probabilities(stack, r, rows, s, kind)
+    n, single = s.shape[1], fermionic or not (s > 1).any()
+    if (len(s) == _lattice_size(n, len(rows), single) and expansion_pays(n, len(rows), kind, single)
+            and np.array_equal(s, lattice(n, len(rows), single).top)):
+        result = _expanded_probabilities(stack, r, rows, s, kind, single)
     else:
         result = _per_output_probabilities(stack, r, rows, s, kind)
     result = _clamp_probability(result)
     return result if u.ndim == 3 else result[0]
 
 
-def _expanded_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarray:
+def _expanded_probabilities(stack, r, rows, s, kind: ParticleType, single: bool) -> np.ndarray:
+    """The probabilities of :func:`probabilities` from :func:`expansion`, for
+    outputs ``s`` that are the lattice (n, N, ``single``)."""
     if kind is ParticleType.DISTINGUISHABLE:
-        return expansion(np.abs(stack) ** 2, rows, s)
-    c = expansion(stack, rows, s, kind is ParticleType.FERMION)
+        return expansion(np.abs(stack) ** 2, rows, single)
+    c = expansion(stack, rows, single, kind is ParticleType.FERMION)
     result = c.real ** 2 + c.imag ** 2
     if kind is ParticleType.BOSON:  # |perm M|^2 / (prod r! prod s!) = |c|^2 prod s! / prod r!
         factorials = np.array([float(factorial(k)) for k in range(len(rows) + 1)])

@@ -508,6 +508,8 @@ def read_verdict_csv(path) -> VerdictTable:
     column is filled; a table without rows reads as distinguishable."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"verdict CSV {path} is empty: no header")
     header = tuple(lines[0].split(";"))
     if header[: len(VERDICT_COLUMNS)] != VERDICT_COLUMNS:
         raise ValueError(f"unexpected verdict CSV header: {header}")

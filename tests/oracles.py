@@ -31,18 +31,22 @@
   the way it was before the sum ran in place, with a fresh array for every
   step. Its bits are the contract of the in-place sum.
 * :func:`output_ranks`: the ``fock.enumerate_outputs`` rank of each row of
-  an output array, which the lattice tests check ``fock.removal_ranks``
-  against; no library code needs it.
+  an output array by the rank arithmetic of the combinatorial number
+  system; no library code needs it.
 * :func:`reference_output_laws`: ``suppression.output_laws`` as it was
   before it keyed count rows by one mixed-radix integer: count rows from
   ``s @ onehot``, keyed by :func:`output_ranks` offset past the smaller
   particle numbers. Its columns, groups (by value and order) and group
   indices are the contract of the mixed-radix key.
-* :func:`reference_expansion` and :func:`odd_after`: ``scattering.expansion``
-  as it was before it walked the occupied modes only, one multiply-add per
-  mode over a dense table of parents, with the fermion signs of
-  :func:`odd_after`. Its coefficients equal the slot kernel's under ``==``,
-  and the probabilities from them are the slot kernel's bit for bit.
+* :func:`reference_expansion`, :func:`parent_ranks` and :func:`odd_after`:
+  ``scattering.expansion`` as it was before it walked the occupied modes
+  of the cached lattice only: the outputs of every degree from
+  ``fock.enumerate_outputs``, one multiply-add per mode over a dense table
+  of parents that :func:`parent_ranks` looks up in a dict of the outputs of
+  one particle fewer, with the fermion signs of :func:`odd_after`. It
+  shares no code with ``fock.lattice``. Its coefficients equal the slot
+  kernel's under ``==``, and the probabilities from them are the slot
+  kernel's bit for bit.
 * :func:`outputs_up_to`, :func:`is_unitary`, :func:`haar_random_unitary`,
   :func:`perturb_unitary`, :func:`float_reprs` and :func:`read_fit_csv`:
   helpers that only the tests use, moved here from ``fock``, ``linalg``,
@@ -62,9 +66,9 @@ from symfock.fock import (
     ParticleType,
     _generations,
     check_occupation,
+    enumerate_outputs,
     output_array,
     particle_count,
-    removal_ranks,
 )
 from symfock.linalg import (
     STRUCT_TOL,
@@ -343,8 +347,8 @@ def output_ranks(outputs, fermionic: bool = False) -> np.ndarray:
     occupations (0/1 for ``fermionic``) among the outputs of its particle
     number, as a (K,) int64 array: sum_m term(m, R_m, t_m) with R_m the
     particles after mode m, term C(n-2-m+R, R-1) for bosons, and for
-    fermions C(n-1-m, R-1) on an empty mode and 0 on an occupied one (see
-    ``fock.removal_ranks``), one output at a time."""
+    fermions C(n-1-m, R-1) on an empty mode and 0 on an occupied one, one
+    output at a time."""
     ranks = []
     for t in np.asarray(outputs).tolist():
         n, rank, after = len(t), 0, sum(t)
@@ -433,23 +437,35 @@ def odd_after(outputs: np.ndarray) -> np.ndarray:
     return (after % 2 == 1).T
 
 
-def reference_expansion(weights, rows, outputs, fermionic: bool = False) -> np.ndarray:
-    """The (B, K) coefficients of ``scattering.expansion`` by the dense
-    recurrence: for every degree, the parents t - e_k of every mode k from
-    ``fock.removal_ranks`` (-1, the zero row appended to c_d, where t_k = 0),
-    the signs from :func:`odd_after`, and one multiply-add per mode
-    k = 0..n-1 in that order."""
+def parent_ranks(outputs, fermionic: bool = False) -> np.ndarray:
+    """(K, n) int64 array whose entry (i, k) is the ``fock.enumerate_outputs``
+    rank of s_i - e_k among the outputs of one particle fewer, or -1 where
+    mode k of s_i is empty, for a (K, n) array of outputs of one particle
+    number N >= 1 (0/1 outputs for ``fermionic``): looked up in a dict from
+    each output of N - 1 particles to its index, with no rank arithmetic."""
+    s = np.asarray(outputs).tolist()
+    n, particles = len(s[0]), sum(s[0])
+    kind = ParticleType.FERMION if fermionic else ParticleType.BOSON
+    previous = {t: i for i, t in enumerate(enumerate_outputs(n, particles - 1, kind))}
+    return np.array([[previous[(*t[:k], t[k] - 1, *t[k + 1:])] if t[k] else -1 for k in range(n)]
+                     for t in s], dtype=np.int64)
+
+
+def reference_expansion(weights, rows, single: bool = False, fermionic: bool = False) -> np.ndarray:
+    """The (B, K_N) coefficients of ``scattering.expansion`` by the dense
+    recurrence: for every degree, the outputs from ``fock.enumerate_outputs``
+    (0/1 outputs when ``single`` or ``fermionic``), the parents t - e_k of
+    every mode k from :func:`parent_ranks` (-1, the zero row appended to
+    c_d, where t_k = 0), the signs from :func:`odd_after`, and one
+    multiply-add per mode k = 0..n-1 in that order."""
     b, n = weights.shape[0], weights.shape[-1]
-    n_particles = len(rows)
-    if not (n_particles and len(outputs) and b):
-        return np.ones((b, len(outputs)), dtype=weights.dtype)
-    single = fermionic or not (outputs > 1).any()
-    lower, starts = outputs_up_to(n, n_particles - 1, single)
+    single = single or fermionic
+    kind = ParticleType.FERMION if single else ParticleType.BOSON
     coeffs = np.ones((1, b), dtype=weights.dtype)
-    for d, row in enumerate(rows):
-        t = outputs if d + 1 == n_particles else lower[starts[d]:starts[d + 1]]
+    for d, row in enumerate(rows, start=1):
+        t = np.array(list(enumerate_outputs(n, d, kind)), dtype=np.intp).reshape(-1, n)
         padded = np.concatenate([coeffs, np.zeros((1, b), dtype=weights.dtype)])
-        terms = padded[removal_ranks(t, single).T]  # (n, K, B)
+        terms = padded[parent_ranks(t, single).T]  # (n, K, B)
         terms *= weights[:, row, :].T[:, None, :]
         if fermionic:
             np.negative(terms, out=terms, where=odd_after(t)[:, :, None])

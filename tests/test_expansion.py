@@ -1,12 +1,14 @@
 """The polynomial expansion behind ``scattering.probabilities``: coefficients
-against the naive permanent and the Leibniz determinant, the slot kernel
-against the dense recurrence it replaced, probabilities against the
-one-permanent-per-output path, bit-identity under stack splitting and block
-size, the rank arithmetic of ``fock`` and the slots of its cached lattice
-table, and the zero census of the 12-mode DFT."""
+of whole lattices against the naive permanent and the Leibniz determinant,
+the slot kernel against the dense recurrence it replaced, probabilities
+against the one-permanent-per-output path, which lists take which path,
+bit-identity under stack splitting and block size, the slots of the cached
+lattice table of ``fock``, and the zero census of the 12-mode DFT."""
 
+import json
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import factorial, prod
 
 import numpy as np
@@ -15,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfock import experiments, fock, scattering
-from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
+from symfock.cli import main
+from symfock.experiments import (
+    CensusConfig,
+    run_fourier_comparison,
+    run_mean_probabilities,
+    run_unitary_robustness,
+)
 from symfock.fock import (
     ParticleType,
     enumerate_outputs,
@@ -23,13 +31,12 @@ from symfock.fock import (
     occupation_to_assignment,
     odd_slots,
     output_array,
-    removal_ranks,
-    removal_slots,
 )
 from symfock.linalg import permanent_naive
 from symfock.permutations import Permutation
 from symfock.scattering import expansion, expansion_pays, probabilities
-from symfock.unitaries import fourier_unitary
+from symfock.serialize import matrix_to_json
+from symfock.unitaries import UnitarySpec, build_unitary, fourier_unitary
 
 from oracles import (
     haar_random_unitary,
@@ -37,6 +44,7 @@ from oracles import (
     odd_after,
     output_ranks,
     outputs_up_to,
+    parent_ranks,
     reference_expansion,
 )
 
@@ -54,52 +62,51 @@ def submatrix(u, r, s):
 
 @st.composite
 def cases(draw, fermionic=False):
-    """A random complex (not unitary) matrix, an input of up to 6 particles,
-    bunched unless ``fermionic``, and an arbitrary list of distinct outputs
-    in arbitrary order."""
+    """A random complex (not unitary) matrix and an input of up to 6
+    particles, bunched unless ``fermionic``."""
     n = draw(st.integers(1, 6))
     if fermionic:
         r = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     else:
         r = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
                        .filter(lambda occ: sum(occ) <= 6)))
-    kind = ParticleType.FERMION if fermionic else ParticleType.BOSON
-    every = list(enumerate_outputs(n, sum(r), kind))
-    picked = draw(st.lists(st.sampled_from(every), unique=True, max_size=len(every)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return u, r, picked
+    return u, r
 
 
 def rows_of(r):
     return np.array(occupation_to_assignment(r), dtype=np.intp) - 1
 
 
-def array_of(outputs, n):
-    return np.array(outputs, dtype=np.intp).reshape(len(outputs), n)
-
-
 @settings(max_examples=150, deadline=None)
 @given(cases())
 def test_coefficients_are_permanents(case):
-    u, r, outputs = case
-    s = array_of(outputs, len(r))
-    amplitudes = expansion(u[None], rows_of(r), s)[0]
-    weights = expansion((np.abs(u) ** 2)[None], rows_of(r), s)[0]
-    assert amplitudes.shape == weights.shape == (len(outputs),)
-    for out, amp, weight in zip(outputs, amplitudes, weights):
-        m = submatrix(u, r, out)
-        norm = prod(factorial(x) for x in out)
-        assert close(amp, permanent_naive(m) / norm)
-        assert close(weight, permanent_naive(np.abs(m) ** 2).real / norm)
+    """Every row of the lattice of multisets, and of the 0/1 lattice where
+    there is one, in ``enumerate_outputs`` order."""
+    u, r = case
+    n, particles = len(r), sum(r)
+    for single, order in ((False, ParticleType.BOSON), (True, ParticleType.FERMION))[:1 + (particles <= n)]:
+        outputs = list(enumerate_outputs(n, particles, order))
+        amplitudes = expansion(u[None], rows_of(r), single)[0]
+        weights = expansion((np.abs(u) ** 2)[None], rows_of(r), single)[0]
+        assert amplitudes.shape == weights.shape == (len(outputs),)
+        for out, amp, weight in zip(outputs, amplitudes, weights):
+            m = submatrix(u, r, out)
+            norm = prod(factorial(x) for x in out)
+            assert close(amp, permanent_naive(m) / norm)
+            assert close(weight, permanent_naive(np.abs(m) ** 2).real / norm)
 
 
 @settings(max_examples=150, deadline=None)
 @given(cases(fermionic=True))
 def test_fermionic_coefficients_are_signed_determinants(case):
-    """Rows in input order, columns ascending: the Leibniz sign, not just |det|."""
-    u, r, outputs = case
-    amplitudes = expansion(u[None], rows_of(r), array_of(outputs, len(r)), fermionic=True)[0]
+    """Rows in input order, columns ascending: the Leibniz sign, not just
+    |det|, for every row of the 0/1 lattice."""
+    u, r = case
+    outputs = list(enumerate_outputs(len(r), sum(r), ParticleType.FERMION))
+    amplitudes = expansion(u[None], rows_of(r), fermionic=True)[0]
+    assert amplitudes.shape == (len(outputs),)
     for out, amp in zip(outputs, amplitudes):
         assert close(amp, leibniz_determinant(submatrix(u, r, out)))
 
@@ -107,9 +114,9 @@ def test_fermionic_coefficients_are_signed_determinants(case):
 @st.composite
 def slot_cases(draw):
     """A stack of 1 or 3 random complex matrices, a particle kind, an input
-    of up to 6 particles (bunched unless fermionic), the outputs (the whole
-    lattice, or a list of distinct outputs in any order, possibly all of
-    them) and the block size of the kernel."""
+    of up to 6 particles (bunched unless fermionic), whether the lattice is
+    the 0/1 one (always for fermions; for the others only where it exists)
+    and the block size of the kernel."""
     kind = draw(st.sampled_from(list(ParticleType)))
     fermionic = kind is ParticleType.FERMION
     n = draw(st.integers(1, 7))
@@ -117,61 +124,61 @@ def slot_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     r = (rng.permutation([1] * particles + [0] * (n - particles)) if fermionic
          else rng.multinomial(particles, rng.dirichlet(np.ones(n))))
-    every = output_array(n, particles, kind)
-    if draw(st.booleans()):
-        outputs = every
-    else:
-        count = draw(st.integers(1, len(every)))
-        outputs = every[rng.permutation(len(every))[:count]]
+    single = fermionic or (particles <= n and draw(st.booleans()))
     b = draw(st.sampled_from([1, 3]))
     stack = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
-    return stack, tuple(int(x) for x in r), outputs, kind, draw(st.sampled_from([1, 2, 5, 512]))
+    return stack, tuple(int(x) for x in r), kind, single, draw(st.sampled_from([1, 2, 5, 512]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(slot_cases())
 def test_slot_kernel_matches_the_dense_recurrence(case):
-    """Coefficients equal the dense recurrence's under ``==`` (only an exact
-    zero may differ, in its sign), and the probabilities from them are the
-    same bit for bit, for every block size."""
-    stack, r, outputs, kind, chunk = case
+    """Coefficients of every row of the lattice equal the dense recurrence's
+    under ``==`` (only an exact zero may differ, in its sign), and the
+    probabilities from them are the same bit for bit, for every block
+    size."""
+    stack, r, kind, single, chunk = case
     rows = rows_of(r)
     fermionic = kind is ParticleType.FERMION
     weights = np.abs(stack) ** 2 if kind is ParticleType.DISTINGUISHABLE else stack
+    outputs = output_array(len(r), len(rows), ParticleType.FERMION if single else ParticleType.BOSON)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scattering, "CHUNK", chunk)
-        fast = expansion(weights, rows, outputs, fermionic)
-        assert (fast == reference_expansion(weights, rows, outputs, fermionic)).all()
-        slot = scattering._expanded_probabilities(stack, r, rows, outputs, kind)
+        fast = expansion(weights, rows, single, fermionic)
+        assert fast.shape == (len(stack), len(outputs))
+        assert (fast == reference_expansion(weights, rows, single, fermionic)).all()
+        slot = scattering._expanded_probabilities(stack, r, rows, outputs, kind, single)
         patch.setattr(scattering, "expansion", reference_expansion)
-        dense = scattering._expanded_probabilities(stack, r, rows, outputs, kind)
+        dense = scattering._expanded_probabilities(stack, r, rows, outputs, kind, single)
     assert slot.tobytes() == dense.tobytes()
 
 
 def test_sign_convention_on_two_fermions():
     u = np.array([[1.0, 2.0], [3.0, 5.0]], dtype=complex)
-    assert expansion(u[None], np.array([0, 1]), np.array([[1, 1]]), fermionic=True)[0, 0] == -1
-    assert expansion(u[None], np.array([1, 0]), np.array([[1, 1]]), fermionic=True)[0, 0] == 1
+    assert expansion(u[None], np.array([0, 1]), fermionic=True).tolist() == [[-1]]
+    assert expansion(u[None], np.array([1, 0]), fermionic=True).tolist() == [[1]]
 
 
 def test_degenerate_sizes():
     u = haar_random_unitary(3, 4)[None].repeat(2, axis=0)
-    no_particles = expansion(u, np.zeros(0, dtype=np.intp), np.zeros((1, 3), dtype=np.intp))
+    no_particles = expansion(u, np.zeros(0, dtype=np.intp))
     assert no_particles.shape == (2, 1) and (no_particles == 1).all()
-    assert expansion(u, np.array([0, 2]), np.zeros((0, 3), dtype=np.intp)).shape == (2, 0)
+    none = np.zeros((0, 3), dtype=np.intp)
+    assert probabilities(u, (1, 0, 1), none, ParticleType.BOSON).shape == (2, 0)
     one_mode = np.array([[[0.6 + 0.8j]]])
-    assert close(expansion(one_mode, np.array([0, 0, 0]), np.array([[3]]))[0, 0],
-                 (0.6 + 0.8j) ** 3)
+    assert close(expansion(one_mode, np.array([0, 0, 0]))[0, 0], (0.6 + 0.8j) ** 3)
     both = probabilities(one_mode[0], (3,), [(3,), (3,)], ParticleType.BOSON)
-    assert expansion_pays(1, 3, 2, ParticleType.BOSON) and np.allclose(both, 1.0, rtol=0, atol=1e-15)
+    assert not expansion_pays(1, 3, ParticleType.BOSON)  # a lattice of one output
+    assert np.allclose(both, 1.0, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 2**32 - 1),
        st.sampled_from(list(ParticleType)), st.booleans())
 def test_expansion_agrees_with_one_permanent_per_output(n, particles, seed, kind, subset):
-    """The same unitary, input and outputs through both branches: a list
-    takes the expansion where it pays, a lone output the Ryser or LU path."""
+    """The same unitary, input and outputs through both branches: the whole
+    lattice takes the expansion where it pays, a lone output the Ryser or LU
+    path."""
     fermionic = kind is ParticleType.FERMION
     if fermionic and particles > n:
         particles = n
@@ -189,14 +196,14 @@ def test_expansion_agrees_with_one_permanent_per_output(n, particles, seed, kind
 
 def test_dispatch():
     boson, fermion, dist = ParticleType.BOSON, ParticleType.FERMION, ParticleType.DISTINGUISHABLE
-    assert not expansion_pays(8, 5, 1, boson)  # lone outputs: robustness fits, `prob`
-    assert not expansion_pays(2, 10, 1, boson)
-    assert expansion_pays(8, 5, 792, boson) and expansion_pays(8, 5, 792, dist)  # census
-    assert expansion_pays(8, 5, 56, fermion) and expansion_pays(8, 5, 56, dist, single=True)
-    assert expansion_pays(12, 6, 12376, boson) and expansion_pays(12, 6, 924, fermion)  # DFT
-    assert not expansion_pays(100, 2, 4950, fermion)  # n multiply-adds per output lose to N^3
-    assert not expansion_pays(16, 8, 100, boson)  # few outputs over a large lattice
-    assert not expansion_pays(2, 21, 22, boson)  # beyond the Ryser's limit, refused as before
+    assert not expansion_pays(1, 5, boson)  # a lattice of one output
+    assert not expansion_pays(1, 10, dist) and not expansion_pays(3, 3, fermion)
+    assert expansion_pays(8, 5, boson) and expansion_pays(8, 5, dist)  # census
+    assert expansion_pays(8, 5, fermion) and expansion_pays(8, 5, dist, single=True)
+    assert expansion_pays(12, 6, boson) and expansion_pays(12, 6, fermion)  # DFT
+    assert expansion_pays(16, 8, boson)  # the 16-mode census
+    assert not expansion_pays(100, 2, fermion)  # n multiply-adds per output lose to N^3
+    assert not expansion_pays(2, 21, boson)  # beyond the Ryser's limit, refused as before
     with pytest.raises(ValueError, match="limited to n <= 20"):
         probabilities(np.eye(2), (11, 10), [(21, 0), (0, 21)], ParticleType.DISTINGUISHABLE)
 
@@ -209,7 +216,7 @@ def test_splitting_a_stack_or_the_blocks_changes_no_bit(chunk, cut, seed, kind):
     stack = np.array([haar_random_unitary(6, rng) for _ in range(6)])
     r = (1, 0, 1, 1, 0, 1)
     outputs = list(enumerate_outputs(6, 4, kind))
-    assert expansion_pays(6, 4, len(outputs), kind)
+    assert expansion_pays(6, 4, kind)
     whole = probabilities(stack, r, outputs, kind)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scattering, "CHUNK", chunk)
@@ -220,27 +227,18 @@ def test_splitting_a_stack_or_the_blocks_changes_no_bit(chunk, cut, seed, kind):
 
 
 @pytest.mark.parametrize("fermionic", [False, True])
-def test_outputs_up_to_and_removal_ranks_follow_enumerate_outputs(fermionic):
+def test_outputs_up_to_and_output_ranks_follow_enumerate_outputs(fermionic):
     kind = ParticleType.FERMION if fermionic else ParticleType.BOSON
     for n in range(1, 7):
         top = min(n, 5) if fermionic else 5
         lower, starts = outputs_up_to(n, top, fermionic)
         groups = [lower[a:b] for a, b in zip(starts, starts[1:])]
         assert len(lower) == starts[-1] and len(groups) == top
-        previous = {(0,) * n: 0}
         for d, group in enumerate(groups, start=1):
             every = list(enumerate_outputs(n, d, kind))
             assert group.tolist() == [list(s) for s in every]
             assert output_ranks(group, fermionic).tolist() == list(range(len(every)))
-            ranks = removal_ranks(group, fermionic)
-            for s, row in zip(every, ranks.tolist()):
-                expected = [previous[s[:k] + (s[k] - 1,) + s[k + 1:]] if s[k] else -1
-                            for k in range(n)]
-                assert row == expected
-            previous = {s: i for i, s in enumerate(every)}
         # one call over several particle numbers ranks each within its own
-        assert (removal_ranks(lower, fermionic)
-                == np.concatenate([removal_ranks(g, fermionic) for g in groups])).all()
         assert (output_ranks(lower, fermionic)
                 == np.concatenate([output_ranks(g, fermionic) for g in groups])).all()
         assert lower.dtype == np.uint8
@@ -249,22 +247,22 @@ def test_outputs_up_to_and_removal_ranks_follow_enumerate_outputs(fermionic):
 @pytest.mark.parametrize("single", [False, True])
 def test_lattice_table_holds_every_degree(single):
     """The slots of every degree are each output's occupied modes in
-    ascending order, min(d, n) of them; each parent is ``removal_ranks`` at
-    that mode, each fermion flip ``odd_after`` there, and the slots past an
-    output's occupied modes are padding, mode and parent -1: the zero rows
-    the expansion appends. ``removal_slots`` of each group gives the same
-    slots, and the top group is the output array."""
+    ascending order, min(d, n) of them; each parent is the rank of the
+    output with one particle removed there, looked up by ``parent_ranks``,
+    each fermion flip ``odd_after`` there, and the slots past an output's
+    occupied modes are padding, mode and parent -1: the zero rows the
+    expansion appends. The top group is the output array."""
     kind = ParticleType.FERMION if single else ParticleType.BOSON
     cases = ((1, 1), (3, 2), (5, 4), (6, 3), (4, 0), (7, 6)) + (() if single else ((2, 5), (1, 3)))
     for n, particles in cases:
         table = lattice(n, particles, single)
         lower, starts = outputs_up_to(n, particles, single)
-        assert table.particles == particles
+        assert len(table.slots) == particles
         assert table.top.tolist() == output_array(n, particles, kind).tolist()
         assert not table.top.flags.writeable
         for d, slots in enumerate(table.slots, start=1):
             group = lower[starts[d - 1]:starts[d]]
-            ranks = removal_ranks(group, single)
+            ranks = parent_ranks(group, single)
             odd = odd_after(group).T if single else None
             assert slots.parents.shape == slots.modes.shape == (min(d, n), len(group))
             for i, t in enumerate(group):
@@ -275,8 +273,6 @@ def test_lattice_table_holds_every_degree(single):
                 assert (slots.modes[used:, i] == -1).all() and (slots.parents[used:, i] == -1).all()
                 if single:
                     assert used == d and odd_slots(d).tolist() == odd[i, occupied].tolist()
-            listed = removal_slots(group, single)
-            assert (listed.parents == slots.parents).all() and (listed.modes == slots.modes).all()
             assert not slots.parents.flags.writeable and not slots.modes.flags.writeable
 
 
@@ -289,29 +285,53 @@ def test_output_array_is_a_fresh_copy():
 
 
 @pytest.mark.parametrize("kind", list(ParticleType))
-def test_lattice_and_listed_parents_give_the_same_bits(kind):
-    """``expansion`` takes the top-degree slots from the lattice table
-    when its outputs are the lattice by value, else from ``removal_slots``
-    of the listed rows: both give every row the same bits, whichever
-    rows are listed with it."""
+def test_lists_off_the_lattice_get_the_bits_of_lone_calls(kind):
+    """Only the whole lattice, by value and in order, takes the expansion:
+    a subset, a shuffle of the lattice and a lattice-sized list with a
+    repeated row give each output the bits of a lone call on it, and the
+    lattice as a list of lists gives the lattice's bits."""
     rng = np.random.default_rng(23)
     stack = np.array([haar_random_unitary(6, rng) for _ in range(3)])
     r = (1, 1, 0, 1, 1, 0)
     outputs = output_array(6, 4, kind)
+    assert expansion_pays(6, 4, kind)
     whole = probabilities(stack, r, outputs, kind)
     assert probabilities(stack, r, outputs.tolist(), kind).tobytes() == whole.tobytes()
-    for drop in (0, len(outputs) // 2, len(outputs) - 1):
-        keep = np.delete(np.arange(len(outputs)), drop)
-        part = probabilities(stack, r, outputs[keep], kind)
-        assert part.tobytes() == whole[:, keep].tobytes()
-    shuffled = rng.permutation(len(outputs))  # the lattice's size, not its order
-    assert probabilities(stack, r, outputs[shuffled], kind).tobytes() == whole[:, shuffled].tobytes()
-    weights = np.abs(stack) ** 2 if kind is ParticleType.DISTINGUISHABLE else stack
-    rows = np.array([0, 1, 3, 4])
-    fermionic = kind is ParticleType.FERMION
-    coeffs = expansion(weights, rows, outputs, fermionic)
-    listed = expansion(weights, rows, outputs[1:], fermionic)
-    assert listed.tobytes() == coeffs[:, 1:].tobytes()
+    lone = np.concatenate([probabilities(stack, r, [s], kind) for s in outputs], axis=1)
+    assert np.abs(whole - lone).max() <= 1e-12
+    repeated = np.arange(len(outputs))
+    repeated[-1] = 0
+    for picked in (np.delete(np.arange(len(outputs)), len(outputs) // 2),
+                   rng.permutation(len(outputs)), repeated, [len(outputs) // 3]):
+        assert probabilities(stack, r, outputs[picked], kind).tobytes() == lone[:, picked].tobytes()
+
+
+def test_lone_outputs_never_build_a_lattice(monkeypatch, tmp_path):
+    """A unitary robustness fit, a ``symfock prob`` run and a short list
+    (fewer outputs than the lattice holds) never run the lattice
+    recurrence."""
+    calls = Counter()
+    real = fock._generations
+
+    def counted(n, particles, fermionic):
+        calls[n, particles, fermionic] += 1
+        return real(n, particles, fermionic)
+
+    monkeypatch.setattr(fock, "_generations", counted)
+    lattice.cache_clear()
+    built = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
+    run_unitary_robustness(built.matrix, built.eigenvalues, (1, 1, 1, 0, 0, 0, 1, 1),
+                           (1, 1, 0, 1, 1, 0, 1, 0), ParticleType.BOSON, (0.001, 0.002, 0.005, 0.01),
+                           samples=20, seed=0)
+    unitary = tmp_path / "u.json"
+    unitary.write_text(json.dumps(matrix_to_json(built.matrix)))
+    for kind in ("boson", "fermion", "dist"):
+        assert main(["prob", "--unitary", str(unitary), "--input-state", "[1,1,1,0,0,0,1,1]",
+                     "--output-state", "[1,1,0,1,1,0,1,0]", "--type", kind]) == 0
+    short = list(islice(enumerate_outputs(8, 5, ParticleType.BOSON), 100))
+    probabilities(built.matrix, (1, 1, 1, 0, 0, 0, 1, 1), short, ParticleType.BOSON)
+    assert not calls
+    lattice.cache_clear()
 
 
 def test_a_census_builds_each_lattice_once(monkeypatch):

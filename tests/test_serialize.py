@@ -271,6 +271,12 @@ class TestVerdictCsv:
         with pytest.raises(ValueError, match="row 2 has 7 cells, expected 8"):
             read_verdict_csv(path)
 
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "verdicts.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="is empty: no header"):
+            read_verdict_csv(path)
+
     def test_fit_csv_roundtrip(self, tmp_path):
         from symfock.experiments import RobustnessFit
         fit = RobustnessFit(
