@@ -136,7 +136,10 @@ def cmd_verdicts(args) -> int:
 
 
 def cmd_prob(args) -> int:
-    u = matrix_from_json(_load_json(args.unitary))
+    payload = _load_json(args.unitary)
+    if isinstance(payload, dict) and "unitary" in payload:  # the file ``build --out`` writes
+        payload = payload["unitary"]
+    u = matrix_from_json(payload)
     r = parse_occupation(args.input_state)
     s = parse_occupation(args.output_state)
     if args.type == "partial":
@@ -273,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", default=None, help="optional bar-chart SVG path")
 
     p = sub.add_parser("prob", help="one transition probability")
-    p.add_argument("--unitary", required=True, help="matrix JSON file")
+    p.add_argument("--unitary", required=True,
+                   help="matrix JSON file, or the JSON that build --out writes")
     p.add_argument("--input-state", required=True)
     p.add_argument("--output-state", required=True)
     p.add_argument("--type", default="boson", choices=["boson", "fermion", "dist", "partial"])

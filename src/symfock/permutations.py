@@ -15,13 +15,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from functools import total_ordering
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import as_complex_matrix
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @total_ordering
@@ -43,7 +46,11 @@ class RootOfUnity:
 
     @property
     def turns(self) -> Fraction:
-        """Phase as an exact fraction of a full turn, in [0, 1)."""
+        """Phase as an exact fraction of a full turn, in [0, 1). ``fractions``
+        is imported here: it loads ``decimal`` too, about 2.7 ms of every
+        command-line start, and only this property needs it."""
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def to_complex(self) -> complex:

@@ -111,13 +111,15 @@ def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     n_in, n_out = u.shape[-2:]
     s = (np.asarray(outputs, dtype=np.intp).reshape(len(outputs), -1) if len(outputs)
          else np.zeros((0, n_out), dtype=np.intp))
-    bad = (s < 0) | (s > 1) if fermionic else s < 0
-    if bad.any():
+    # reductions first; the per-row masks only to name the first bad row
+    if s.min(initial=0) < 0 or (fermionic and s.max(initial=0) > 1):
+        bad = (s < 0) | (s > 1) if fermionic else s < 0
         check_occupation(s[bad.any(axis=1)][0], fermionic)  # raises the usual message
-    totals = s.sum(axis=1)
-    if (totals != sum(r)).any():
-        first = tuple(int(x) for x in s[totals != sum(r)][0])
-        raise ValueError(f"particle numbers differ: sum{r}={sum(r)} vs sum{first}={sum(first)}")
+    particles = sum(r)
+    totals = s @ np.ones(s.shape[1], dtype=np.intp)
+    if totals.min(initial=particles) != particles or totals.max(initial=particles) != particles:
+        first = tuple(int(x) for x in s[totals != particles][0])
+        raise ValueError(f"particle numbers differ: sum{r}={particles} vs sum{first}={sum(first)}")
     if len(r) != n_in or s.shape[1] != n_out:
         raise ValueError("occupation lists do not match the matrix dimensions")
     return r, s
@@ -256,7 +258,7 @@ def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
     fermionic = kind is ParticleType.FERMION
     r, s = _check_outputs(stack, occupation_in, outputs, fermionic)
     rows = _assignment0(r)
-    n, single = s.shape[1], fermionic or not (s > 1).any()
+    n, single = s.shape[1], fermionic or s.max(initial=0) <= 1
     if (len(s) == _lattice_size(n, len(rows), single) and expansion_pays(n, len(rows), kind, single)
             and np.array_equal(s, lattice(n, len(rows), single).top)):
         result = _expanded_probabilities(stack, r, rows, s, kind, single)

@@ -8,14 +8,22 @@ written from a :class:`suppression.VerdictTable`, with empty cells for the
 columns its particle kind lacks, and reads back into one.
 
 The CSV is built as bytes, with no Python call per row or per cell. Every
-cell is a row of ASCII bytes padded with NULs to its column's width.
-:func:`verdict_cells` makes the float and eigenvalue cells once for all the
-tables a command writes: each distinct float through one Schubfach pass in
-numpy arithmetic, laid out the way ``repr`` lays it out, and each distinct
-eigenvalue distribution (a table's ``groups``) once. Each block of
-``scattering.CHUNK`` rows then becomes one uint8 matrix: the occupation
-digits, every other cell gathered by its row's index, and the separators.
-One pass deletes the NULs, and one write sends the block to the file.
+cell is a row of ASCII bytes of its column's width, with NULs in the slots
+its text leaves empty. :func:`verdict_cells` makes the float and eigenvalue
+cells once for all the tables a command writes: each distinct float
+through one Schubfach pass in numpy arithmetic, laid out the way ``repr``
+lays it out, and each table's eigenvalue distributions from its
+``root_counts``, the text of each distinct root written once and gathered
+into every distribution. Each block of ``scattering.CHUNK`` rows then
+becomes one uint8 matrix: the occupations (fixed-width "[d,d,...,d]" when
+every count is a single digit, a digit loop otherwise), every other cell
+gathered by its row's index, and the separators. One pass deletes the NULs,
+and one write sends the block to the file.
+
+A run's ``meta.json`` holds the bytes of ``json.dumps(metadata, indent=2)``
+and a newline. :func:`write_metadata` makes them with one join per list of
+integers and C-level formatting of each other scalar, not with the
+pure-Python encoder that an indent selects.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from functools import lru_cache
 
 import numpy as np
@@ -30,7 +39,7 @@ import numpy as np
 from .fock import ParticleType
 from .permutations import Permutation, RootOfUnity
 from .scattering import CHUNK
-from .suppression import EventClass, VerdictTable
+from .suppression import EventClass, VerdictTable, count_roots
 from .unitaries import UnitarySpec
 
 VERDICT_COLUMNS = (
@@ -184,10 +193,21 @@ _EVENT_CODES = {event: code for code, event in enumerate(EventClass)}
 
 def _occupations(outputs: np.ndarray) -> np.ndarray:
     """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]",
-    in NUL-padded bytes: every entry has a sign slot, ``width`` digit slots
-    and its separator, and NULs stand for the sign of a non-negative entry,
-    leading zeros and the last entry's separator."""
+    in NUL-padded bytes.
+
+    When every entry is a single digit (0-9), each row is "[d,d,...,d]" of
+    fixed width 2n + 1, written with strided stores and no NULs. Otherwise
+    every entry has a sign slot, ``width`` digit slots and its separator,
+    and NULs stand for the sign of a non-negative entry, leading zeros and
+    the last entry's separator.
+    """
     b, n = outputs.shape
+    if n and outputs.min(initial=0) >= 0 and outputs.max(initial=0) <= 9:
+        line = np.empty((b, 2 * n + 1), dtype=np.uint8)
+        line[:, 2::2] = ord(",")
+        line[:, 0], line[:, -1] = ord("["), ord("]")
+        np.add(outputs, ord("0"), out=line[:, 1::2], casting="unsafe")  # every other byte
+        return line
     rest = np.abs(outputs.astype(np.int64))
     width = len(str(int(rest.max(initial=0))))
     line = np.zeros((b, n * (width + 2) + 2), dtype=np.uint8)
@@ -425,8 +445,9 @@ def verdict_cells(tables) -> VerdictCells:
     tables of one command share many values (the census boson and
     distinguishable tables share p_dist). One sort of their bit patterns
     gives the distinct values and each value's index among them.
-    Each distinct eigenvalue is written once, and each table's groups are
-    joined once each.
+    Each distinct eigenvalue is written once. A table's phase cells come
+    from its ``root_counts`` in one gather of its roots' texts
+    (:func:`_phase_cells`), with no Python step per group or per root.
     """
     tables = tuple(tables)
     patterns = [np.asarray(column, dtype=np.float64).ravel().view(np.int64)
@@ -439,15 +460,28 @@ def verdict_cells(tables) -> VerdictCells:
     index = np.empty(len(bits), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     per_column = np.split(index, np.cumsum([len(column) for column in patterns])[:-1])
-    # roots by id: the groups of one table repeat a few root objects, and
-    # hashing a root runs Python code
-    by_id = {id(root): root for table in tables for group in table.groups for root in group}
-    names = {root: str(root) for root in set(by_id.values())}
-    root_cells = {key: names[root] for key, root in by_id.items()}
-    phases = [_cell_matrix([",".join(map(root_cells.__getitem__, map(id, group)))
-                            for group in table.groups]) for table in tables]
+    names = {root: str(root) for root in {root for table in tables for root in table.roots}}
+    phases = [_phase_cells([names[root] for root in table.roots], table.root_counts)
+              for table in tables]
     return VerdictCells(tables, _float_cells(ordered[first].view(np.float64)),
                         tuple(zip(phases, per_column[::2], per_column[1::2])))
+
+
+def _phase_cells(texts, root_counts: np.ndarray) -> np.ndarray:
+    """The phase cell of each column of a (D, G) ``root_counts``, as NUL
+    padded bytes: the texts of the D roots, each repeated by its count and
+    joined by commas. Slot j of cell g is the j-th root of multiset g as
+    ",k/l" padded to the widest root, or NULs past the multiset's size; the
+    cell's first byte, the leading comma, is cleared."""
+    d, g = root_counts.shape
+    sizes = root_counts.sum(axis=0)
+    index = np.full((g, int(sizes.max(initial=0))), d)  # row d of ``slots`` is all NULs
+    index[np.arange(index.shape[1]) < sizes[:, None]] = np.tile(np.arange(d), g).repeat(
+        root_counts.T.ravel())
+    slots = _cell_matrix(["," + text for text in texts] + [""])
+    cells = slots[index].reshape(g, index.shape[1] * slots.shape[1])
+    cells[:, :1] = 0
+    return cells
 
 
 def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
@@ -528,12 +562,14 @@ def read_verdict_csv(path) -> VerdictTable:
     kind = (ParticleType.BOSON if any(cells["p_boson"]) else
             ParticleType.FERMION if any(cells["p_fermion"]) else ParticleType.DISTINGUISHABLE)
     phases, group = np.unique(np.array(cells["lambda_phases"], dtype=str), return_inverse=True)
+    roots, root_counts = count_roots([RootOfUnity.parse(tok) for tok in cell.split(",") if tok]
+                                     for cell in phases.tolist())
     return VerdictTable(
         kind=kind,
         outputs=np.array([json.loads(cell) for cell in cells["s"]],
                          dtype=np.int64).reshape(len(rows), -1 if rows else 0),
-        groups=tuple(tuple(RootOfUnity.parse(tok) for tok in cell.split(",") if tok)
-                     for cell in phases.tolist()),
+        roots=roots,
+        root_counts=root_counts,
         group=group.ravel(),
         boson=flags("boson_suppressed"),
         p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
@@ -553,11 +589,47 @@ def write_fit_csv(path, fit) -> None:
         fh.writelines(f"{float(g)!r};{float(m)!r}\n" for g, m in zip(fit.grid, fit.measured))
 
 
+def _indented_json(value, indent: str = "") -> str:
+    """The text of ``json.dumps(value, indent=2)`` for a value nested at
+    ``indent``, with no pure-Python encoder pass over its scalars.
+
+    A str goes through json's C string encoder, and an int or a finite float
+    is its ``repr``, as json writes them; a non-empty list or tuple of plain
+    ints is one join of their ``repr``s. Other non-empty lists, tuples and
+    dicts with str keys recurse; every other value (bools, None, NaN and the
+    infinities, empty containers, other types) is one ``json.dumps``. A dict
+    with a key that is not a str goes to ``json.dumps(indent=2)`` itself,
+    which converts the keys its own way; a nested value's text is the
+    top-level one with ``indent`` after each newline, since strings hold no
+    raw newlines.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and _is_finite(value)):
+        return repr(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        items = (map(repr, value) if set(map(type, value)) == {int}
+                 else [_indented_json(item, inner) for item in value])
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict) and value:
+        if not all(isinstance(key, str) for key in value):
+            return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        items = [f"{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
+                 for key, item in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value)
+
+
 def write_metadata(path, metadata: dict) -> None:
-    """Indented JSON and a newline, in one write (``json.dump`` writes each
-    token on its own, about 1500 calls for a DFT comparison)."""
+    """Write the bytes of ``json.dumps(metadata, indent=2) + "\\n"`` in one
+    write. ``json.dumps`` with an indent runs the pure-Python encoder, one
+    call per token (a DFT comparison's 96 witness outputs alone are over a
+    thousand integers); :func:`_indented_json` gives the same text with one
+    join per list of integers and no encoder pass for the common scalars."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(metadata, indent=2) + "\n")
+        fh.write(_indented_json(metadata) + "\n")
 
 
 # --- experiment configs ------------------------------------------------------

@@ -24,7 +24,8 @@ with int64 arithmetic only.
   R^(D-1-c) orders them by particle number, then in
   :func:`fock.enumerate_outputs` order. One int64 product with the counts
   gives the phase sums and key digits; one sort of the keys groups the
-  columns, one tuple per group, each row its group's index.
+  columns. Each group keeps its count column and each row its group's
+  index; the tuples of roots are built only when ``groups`` is read.
 
 Both are exact while no sum leaves int64: a phase sum is below N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -84,18 +86,48 @@ def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistributio
     return tuple(sorted(values))
 
 
+class _Grouped:
+    """The eigenvalue multisets of a class that keeps them as counts:
+    ``roots``, D sorted distinct roots of unity, and ``root_counts``, a
+    (D, G) int array whose column g counts each root in multiset g."""
+
+    @cached_property
+    def groups(self) -> tuple[EigenvalueDistribution, ...]:
+        """The G multisets as sorted tuples of roots, built on first use:
+        the roots repeated by each column's counts, from one object array."""
+        picked = np.tile(np.array(self.roots, dtype=object), self.root_counts.shape[1]).repeat(
+            self.root_counts.T.ravel()).tolist()
+        ends = list(accumulate(self.root_counts.sum(axis=0).tolist()))
+        return tuple(tuple(picked[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def count_roots(groups) -> tuple[tuple[RootOfUnity, ...], np.ndarray]:
+    """The ``roots`` and ``root_counts`` of a sequence of eigenvalue
+    multisets (see :class:`OutputLaws`), one Python step per root."""
+    groups = [tuple(group) for group in groups]
+    roots = tuple(sorted({root for group in groups for root in group}))
+    place = {root: c for c, root in enumerate(roots)}
+    root_counts = np.zeros((len(roots), len(groups)), dtype=np.int64)
+    np.add.at(root_counts, ([place[root] for group in groups for root in group],
+                            [g for g, group in enumerate(groups) for _ in group]), 1)
+    return roots, root_counts
+
+
 @dataclass(frozen=True)
-class OutputLaws:
+class OutputLaws(_Grouped):
     """Law verdicts for K outputs, one entry per output row.
 
-    ``groups`` holds the distinct eigenvalue multisets of the outputs and
-    ``group`` each output's index into it, so row i's multiset is
-    ``groups[group[i]]``. ``fermion`` is set when a permutation and an input
-    were given, ``parity`` when a witness ``w`` was.
+    The distinct eigenvalue multisets of the outputs are kept as counts:
+    ``roots`` holds the D sorted distinct roots and column g of the (D, G)
+    ``root_counts`` how often multiset g holds each. ``groups`` is the same
+    multisets as tuples, and ``group`` each output's index into them, so row
+    i's multiset is ``groups[group[i]]``. ``fermion`` is set when a
+    permutation and an input were given, ``parity`` when a witness ``w`` was.
     """
 
     boson: np.ndarray
-    groups: tuple[EigenvalueDistribution, ...]
+    roots: tuple[RootOfUnity, ...]
+    root_counts: np.ndarray
     group: np.ndarray
     fermion: np.ndarray | None = None
     parity: np.ndarray | None = None
@@ -115,7 +147,7 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     n = len(values)
     s = (np.asarray(outputs, dtype=np.int64).reshape(len(outputs), -1) if len(outputs)
          else np.zeros((0, n), dtype=np.int64))
-    if (s < 0).any():
+    if s.min(initial=0) < 0:
         check_occupation(s[(s < 0).any(axis=1)][0])  # raises the usual message
     if s.shape[1] != n:
         raise ValueError(f"occupation over {s.shape[1]} modes but {n} eigenvalues")
@@ -123,7 +155,7 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     if (permutation is None) != (occupation_in is None):
         raise ValueError("the fermion law needs both the permutation and the input occupation")
     if permutation is not None:
-        if (s > 1).any():
+        if s.max(initial=0) > 1:
             check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
         initial = initial_distribution(permutation, occupation_in)
 
@@ -174,12 +206,8 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     else:
         _, first, group = np.unique(np.vstack([sizes, -counts]).T, axis=0,
                                     return_index=True, return_inverse=True)
-    # each group's roots, repeated by their counts, from one object array
-    picked = np.tile(np.array(distinct, dtype=object), len(first)).repeat(
-        counts[:, first].T.ravel()).tolist()
-    ends = list(accumulate(sizes[first].tolist()))
-    groups = tuple(tuple(picked[a:b]) for a, b in zip([0] + ends, ends))
-    return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)
+    return OutputLaws(phase != 0, tuple(distinct), counts[:, first], group.ravel(), fermion,
+                      parity)
 
 
 def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
@@ -256,11 +284,13 @@ def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL
 
 
 @dataclass(frozen=True, eq=False)
-class VerdictTable:
+class VerdictTable(_Grouped):
     """Verdicts of K outputs for one particle kind, one array per column.
 
-    ``outputs`` is the (K, n) occupation array; ``groups`` holds the
-    distinct eigenvalue multisets and ``group`` each row's index into it.
+    ``outputs`` is the (K, n) occupation array. The distinct eigenvalue
+    multisets are ``roots`` and ``root_counts``, as in :class:`OutputLaws`
+    (:func:`count_roots` makes them from tuples), with the tuples as
+    ``groups``; ``group`` holds each row's index into them.
     ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
     only) and ``parity`` the legacy DFT law (when a parity witness was
     given). ``p`` is the kind's probability, which for distinguishable
@@ -270,7 +300,8 @@ class VerdictTable:
 
     kind: ParticleType
     outputs: np.ndarray
-    groups: tuple[EigenvalueDistribution, ...]
+    roots: tuple[RootOfUnity, ...]
+    root_counts: np.ndarray
     group: np.ndarray
     boson: np.ndarray
     p: np.ndarray
@@ -308,5 +339,6 @@ def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
         raise ValueError(f"need one probability per output: {len(laws.boson)} outputs, "
                          f"{p.shape} and {p_dist.shape} probabilities")
     law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
-    return VerdictTable(kind, np.asarray(outputs), laws.groups, laws.group, laws.boson, p,
-                        p_dist, _class_codes(law, p, p_dist), laws.fermion, laws.parity)
+    return VerdictTable(kind, np.asarray(outputs), laws.roots, laws.root_counts, laws.group,
+                        laws.boson, p, p_dist, _class_codes(law, p, p_dist), laws.fermion,
+                        laws.parity)

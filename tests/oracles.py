@@ -362,7 +362,7 @@ def output_ranks(outputs, fermionic: bool = False) -> np.ndarray:
 
 def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=None,
                           w=None) -> OutputLaws:
-    """The law verdicts and eigenvalue groups of a (K, n) output array, with
+    """The law verdicts and eigenvalue counts of a (K, n) output array, with
     the count rows keyed by their :func:`output_ranks` (or, past int64, by
     whole rows)."""
     values = _as_roots(eigenvalues)
@@ -413,9 +413,15 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
     else:
         _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    groups = tuple(tuple(chain.from_iterable(map(repeat, distinct, row)))
-                   for row in counts[first].tolist())
-    return OutputLaws(phase != 0, groups, group.ravel(), fermion, parity)
+    return OutputLaws(phase != 0, tuple(distinct), counts[first].T, group.ravel(), fermion,
+                      parity)
+
+
+def reference_groups(laws) -> tuple:
+    """The eigenvalue multisets of an ``OutputLaws`` or a ``VerdictTable``
+    from its ``roots`` and ``root_counts``, one group and one root at a time."""
+    return tuple(tuple(chain.from_iterable(map(repeat, laws.roots, column)))
+                 for column in laws.root_counts.T.tolist())
 
 
 def outputs_up_to(n: int, particles: int, fermionic: bool = False) -> tuple[np.ndarray, list[int]]:

@@ -122,6 +122,24 @@ class TestProb:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("kind", ["boson", "dist"])
+    def test_reads_the_file_build_writes(self, tmp_path, capsys, kind):
+        """``prob --unitary`` takes the ``build --out`` JSON, with the matrix
+        under "unitary", and prints what it prints for the bare matrix."""
+        spec, built, bare = tmp_path / "spec.json", tmp_path / "u.json", tmp_path / "matrix.json"
+        spec.write_text(json.dumps({"permutation": "(1 2 3)(4 5 6)(7 8)", "seed": 1}))
+        assert main(["build", "--spec", str(spec), "--out", str(built)]) == 0
+        bare.write_text(json.dumps(json.loads(built.read_text())["unitary"]))
+        capsys.readouterr()
+        printed = []
+        for path in (built, bare):
+            assert main(["prob", "--unitary", str(path), "--input-state", "[1,1,1,0,0,0,1,1]",
+                         "--output-state", "[1,1,0,1,1,0,1,0]", "--type", kind]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        # a class-III output: zero for bosons, not for distinguishable particles
+        assert (float(printed[0]) == 0) == (kind == "boson")
+
     def test_dimension_mismatch(self, hom_unitary_file, capsys):
         code = main([
             "prob", "--unitary", hom_unitary_file,

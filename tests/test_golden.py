@@ -7,7 +7,10 @@ SHA-256 of every verdict CSV of the 12-mode DFT comparison at m = 6 and of a
 2-basis census of the worked example, as the CLI writes them. Likewise the
 fit CSVs of a 40-sample ``independent`` distinguishability fit and a
 40-sample ``ring`` unitary fit on the worked example pin the noise draws,
-the PSD repair and the reductions of both robustness fits.
+the PSD repair and the reductions of both robustness fits. The
+``meta.json`` of each of the four runs is pinned too, with its one field
+that changes between runs, ``timing_seconds``, masked: the line that holds
+it is dropped before hashing.
 """
 
 import hashlib
@@ -42,13 +45,23 @@ DIGESTS = {
     "independent.csv": "11923496933f28d77c3e82a2e2ca00f4373529006a20890a9794a54d7daa97aa",
     "ring.csv": "463e786e8d7030ba42e7b4bb6afe9c7a28f0dde5448e446004984989a80462b6",
 }
+META_DIGESTS = {
+    "fourier": "0b9fe651a49b0e12932872f10b4b0653e19a549525574941b49e4d909359b828",
+    "census": "279bb99ccc394ebfa23bd11fbe1ae1bb9ea0053b8d422db4afeeff88f5beb83c",
+    "independent": "4d27e8c4fa0943c5bbd47e1c58e05df1b5fa33e1aac5bb291715bd61dfab093f",
+    "ring": "1bd0ec22be5cc1afbc6c9ee3c32e8317b2bc29d45a6f30c139ccd46c2390ba6d",
+}
+
+
+def _run(name, payload, tmp_path):
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(payload))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_verdict_csvs_match_their_golden_digests(name, tmp_path):
-    config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(CONFIGS[name]))
-    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    _run(name, CONFIGS[name], tmp_path)
     written = sorted(path.name for path in tmp_path.glob(f"{name}.*.csv"))
     assert written == sorted(key for key in DIGESTS if key.startswith(f"{name}."))
     for csv in written:
@@ -57,8 +70,15 @@ def test_verdict_csvs_match_their_golden_digests(name, tmp_path):
 
 @pytest.mark.parametrize("name", FIT_CONFIGS)
 def test_fit_csvs_match_their_golden_digests(name, tmp_path):
-    config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(FIT_CONFIGS[name]))
-    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+    _run(name, FIT_CONFIGS[name], tmp_path)
     csv = tmp_path / f"{name}.csv"
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == DIGESTS[csv.name]
+
+
+@pytest.mark.parametrize("name", META_DIGESTS)
+def test_metadata_matches_its_golden_digest(name, tmp_path):
+    _run(name, (CONFIGS | FIT_CONFIGS)[name], tmp_path)
+    lines = (tmp_path / f"{name}.meta.json").read_bytes().splitlines(keepends=True)
+    kept = [line for line in lines if b'"timing_seconds": ' not in line]
+    assert len(kept) == len(lines) - 1  # exactly the one timing line is masked
+    assert hashlib.sha256(b"".join(kept)).hexdigest() == META_DIGESTS[name]

@@ -9,10 +9,12 @@ from symfock.linalg import permanent_naive
 from symfock.scattering import (
     PARTIAL_MAX,
     PerturbationModel,
+    _check_outputs,
     prob_boson,
     prob_distinguishable,
     prob_fermion,
     prob_partial,
+    probabilities,
     repair_distinguishability,
     scattering_matrix,
     validate_distinguishability,
@@ -321,3 +323,45 @@ class TestPerturbUnitary:
     def test_rejects_unknown_distribution(self):
         with pytest.raises(ValueError):
             PerturbationModel(0.1, distribution="cauchy")
+
+
+UNITARY = haar_random_unitary(4, 5)
+#: (kind, outputs, the message): each list's first bad row is named, as
+#: ``fock.check_occupation`` or the particle count names it.
+BAD_OUTPUTS = [
+    (ParticleType.BOSON, [(1, 1, 0, 0), (2, -1, 1, 0), (0, -2, 2, 2)],
+     "negative occupation in (2, -1, 1, 0)"),
+    (ParticleType.DISTINGUISHABLE, [(-1, 2, 1, 0)], "negative occupation in (-1, 2, 1, 0)"),
+    (ParticleType.FERMION, [(1, 1, 0, 0), (0, 0, 1, 1), (2, 0, 0, 0), (0, 0, 0, 2)],
+     "fermionic occupation exceeds 1 in (2, 0, 0, 0)"),
+    (ParticleType.FERMION, [(1, 1, 0, 0), (1, -1, 1, 1)],
+     "negative occupation in (1, -1, 1, 1)"),
+    (ParticleType.BOSON, [(1, 1, 0, 0), (3, 0, 0, 0), (1, 0, 0, 0)],
+     "particle numbers differ: sum(1, 1, 0, 0)=2 vs sum(3, 0, 0, 0)=3"),
+    (ParticleType.FERMION, [(0, 0, 1, 0)],
+     "particle numbers differ: sum(1, 1, 0, 0)=2 vs sum(0, 0, 1, 0)=1"),
+    (ParticleType.BOSON, [(1, 1, 0)], "occupation lists do not match the matrix dimensions"),
+]
+
+
+@pytest.mark.parametrize("kind, outputs, message", BAD_OUTPUTS)
+def test_bad_outputs_raise_the_usual_messages(kind, outputs, message):
+    """The reductions that check a list of outputs find every bad list, and
+    the error names the same first bad row as a row-by-row check would."""
+    fermionic = kind is ParticleType.FERMION
+    with pytest.raises(ValueError) as checked:
+        _check_outputs(UNITARY[None], (1, 1, 0, 0), outputs, fermionic)
+    assert str(checked.value) == message
+    for u in (UNITARY, np.stack([UNITARY, UNITARY])):
+        with pytest.raises(ValueError) as computed:
+            probabilities(u, (1, 1, 0, 0), outputs, kind)
+        assert str(computed.value) == message
+
+
+def test_good_outputs_pass_the_checks():
+    """Empty lists, rows at the bounds and a bunched boson output pass."""
+    for kind, outputs in ((ParticleType.BOSON, [(2, 0, 0, 0), (0, 0, 0, 2), (1, 0, 0, 1)]),
+                          (ParticleType.FERMION, [(1, 1, 0, 0), (0, 0, 1, 1)]),
+                          (ParticleType.DISTINGUISHABLE, [])):
+        p = probabilities(UNITARY, (1, 1, 0, 0), outputs, kind)
+        assert p.shape == (len(outputs),) and (p >= 0).all()

@@ -14,6 +14,7 @@ from symfock.experiments import run_fourier_comparison, run_mean_probabilities, 
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import (
+    _occupations,
     check_experiment_config,
     matrix_from_json,
     matrix_to_json,
@@ -27,11 +28,27 @@ from symfock.serialize import (
     write_metadata,
     write_verdict_csv,
 )
-from symfock.suppression import VerdictTable
+from symfock.suppression import VerdictTable, count_roots
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
 from oracles import assert_same_table, float_reprs, haar_random_unitary, read_fit_csv
+
+
+#: JSON scalars of every kind: the floats repr writes in exponent form or
+#: json spells its own way, non-ASCII and control characters.
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([-0.0, float("inf"), float("-inf"), float("nan"), 1e16, 1e-05,
+                                   "\u00e9\u4e2d\U0001f600", "\x00\n\t\"\\\x7f"])
+                | st.text())
+#: Trees of them: lists (of plain ints too, or ints mixed with bools),
+#: tuples, dicts with str keys, nested or empty.
+JSON_TREES = st.recursive(
+    JSON_SCALARS | st.just(()) | st.lists(st.integers(), min_size=1)
+    | st.lists(st.integers() | st.booleans()),
+    lambda children: (st.lists(children, max_size=4) | st.tuples(children, children)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=4)),
+    max_leaves=20)
 
 
 class TestMatrixJson:
@@ -245,16 +262,36 @@ class TestVerdictCsv:
 
     def test_phase_cells_of_short_lived_distributions(self):
         # every row's multiset is a tuple of its own, made by a generator,
-        # and each row's cell must be its own tuple's phases
+        # and each row's cell must be its own multiset's phases, in order
         def distributions():
             for k in range(200):
-                yield (RootOfUnity(k, 7), RootOfUnity(1, 3), RootOfUnity(1, 2))
+                yield tuple(sorted((RootOfUnity(k, 7), RootOfUnity(1, 3), RootOfUnity(1, 2))))
         column = np.full(200, 0.5)
         table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp),
-                             tuple(distributions()), np.arange(200), np.zeros(200, dtype=bool),
-                             column, column, np.zeros(200, dtype=np.int8))  # all class IV
+                             *count_roots(distributions()), np.arange(200),
+                             np.zeros(200, dtype=bool), column, column,
+                             np.zeros(200, dtype=np.int8))  # all class IV
         cells = [line.split(";")[1] for line in list(verdict_lines(table))[1:]]
-        assert cells == [f"{RootOfUnity(k, 7)},1/3,1/2" for k in range(200)]
+        assert cells == [",".join(map(str, group)) for group in distributions()]
+        assert cells[:3] == ["0/1,1/3,1/2", "1/7,1/3,1/2", "2/7,1/3,1/2"]
+        assert cells[6] == "1/3,1/2,6/7"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 8), st.sampled_from([1, 9, 10, 12, 10**6]), st.data())
+    def test_occupation_cells_of_both_paths_agree(self, n, k, high, data):
+        """Counts 0-9 take the fixed-width path, any larger count the digit
+        loop; one appended row of 100s sends the same rows through the loop.
+        Both give each row's compact JSON array once the NULs are gone."""
+        rows = st.lists(st.integers(0, high), min_size=n, max_size=n)
+        outputs = np.array(data.draw(st.lists(rows, min_size=k, max_size=k)),
+                           dtype=np.intp).reshape(k, n)
+        fixed = _occupations(outputs)
+        looped = _occupations(np.vstack([outputs, np.full((1, n), 100)]))[:-1]
+        expected = [("[" + ",".join(map(str, row)) + "]").encode() for row in outputs.tolist()]
+        for cells in (fixed, looped):
+            assert [row.tobytes().replace(b"\0", b"") for row in cells] == expected
+        if outputs.max(initial=0) <= 9:
+            assert fixed.shape == (k, 2 * n + 1) and not (fixed == 0).any()
 
     def test_float_cells_roundtrip_exactly(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
@@ -346,6 +383,23 @@ class TestVerdictCsv:
                 json.dump(metadata, fh, indent=2)
                 fh.write("\n")
             assert path.read_bytes() == oracle.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(), JSON_TREES))
+    def test_metadata_bytes_are_those_of_json_dumps_on_any_tree(self, metadata):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "meta.json"
+            write_metadata(path, metadata)
+            assert path.read_bytes() == (json.dumps(metadata, indent=2) + "\n").encode()
+
+    def test_metadata_with_keys_that_are_not_str(self, tmp_path):
+        """json converts int, float, bool and None keys to strings its own
+        way; such a dict, at any depth, is written as json writes it."""
+        nan = float("nan")
+        for metadata in ({"a": {1: [2, 3], 1.5: {}, True: None, None: nan, "b": [{2: []}]}},
+                         {"k": [{-0.0: {"x": [1, 2]}}, (1, {"y": ()})]}):
+            write_metadata(tmp_path / "meta.json", metadata)
+            assert (tmp_path / "meta.json").read_text() == json.dumps(metadata, indent=2) + "\n"
 
 
 class TestExperimentConfigCheck:

@@ -22,7 +22,12 @@ from symfock.suppression import (
 )
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import assignment_to_occupation, reference_output_laws, row_distributions
+from oracles import (
+    assignment_to_occupation,
+    reference_groups,
+    reference_output_laws,
+    row_distributions,
+)
 
 
 # --- oracle: exact Fraction arithmetic, one output at a time -----------------
@@ -383,8 +388,9 @@ def law_cases(draw):
 
 
 def _assert_laws_match_the_oracle(values, outputs, law=(), w=None):
-    """Same law columns, the same groups by value and order, the same group
-    indices, and rows of one multiset on one tuple."""
+    """Same law columns, the same roots and group counts (so the same groups
+    by value and order), the same group indices, and rows of one multiset on
+    one tuple."""
     laws = output_laws(values, outputs, *law, w=w)
     expected = reference_output_laws(values, outputs, *law, w=w)
     for name in ("boson", "fermion", "parity"):
@@ -392,7 +398,10 @@ def _assert_laws_match_the_oracle(values, outputs, law=(), w=None):
         assert (got is None) == (want is None), name
         if got is not None:
             assert got.dtype == bool and got.tolist() == want.tolist(), name
-    assert laws.groups == expected.groups
+    assert laws.roots == expected.roots
+    assert laws.root_counts.dtype == np.int64
+    assert laws.root_counts.tolist() == expected.root_counts.tolist()
+    assert laws.groups == reference_groups(expected)
     assert laws.group.tolist() == expected.group.tolist()
     assert len(set(laws.groups)) == len(laws.groups)
     rows = row_distributions(laws)
@@ -466,6 +475,23 @@ class TestOutputLawsBoundary:
                         WORKED_PERM, WORKED_INPUT)
         with pytest.raises(ValueError, match="needs both"):
             output_laws(WORKED_D, [(1, 1, 1, 1, 1, 0, 0, 0)], WORKED_PERM)
+
+    @pytest.mark.parametrize("outputs, law, message", [
+        ([(1, 1, 1, 0, 0, 0, 1, 1), (0, 3, 2, 0, 0, 0, 1, -1), (-1, 0, 0, 0, 0, 0, 0, 6)], (),
+         "negative occupation in (0, 3, 2, 0, 0, 0, 1, -1)"),
+        ([(1, 1, 1, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0, 1, 2), (2, 1, 1, 1, 0, 0, 0, 0)],
+         (WORKED_PERM, WORKED_INPUT), "fermionic occupation exceeds 1 in (0, 0, 1, 1, 1, 0, 1, 2)"),
+        ([(1, 1, 1, 1, 1, 0, 0, 0), (1, 1, 1, 1, -1, 1, 1, 0)], (WORKED_PERM, WORKED_INPUT),
+         "negative occupation in (1, 1, 1, 1, -1, 1, 1, 0)"),
+    ])
+    def test_bad_outputs_name_the_first_bad_row(self, outputs, law, message):
+        """The sign and occupancy checks are reductions; the error still names
+        the first bad row, as ``fock.check_occupation`` words it. Rows of
+        other particle numbers are no error here: they group apart."""
+        with pytest.raises(ValueError) as error:
+            output_laws(WORKED_D, outputs, *law)
+        assert str(error.value) == message
+        assert len(output_laws(WORKED_D, [(1,) * 8, (0,) * 8, (5, 0, 0, 0, 0, 0, 0, 0)]).boson) == 3
 
 
 @st.composite

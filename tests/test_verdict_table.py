@@ -18,7 +18,13 @@ from symfock.fock import ParticleType, output_array
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.scattering import probabilities
 from symfock.serialize import read_verdict_csv, verdict_lines, write_verdict_csv
-from symfock.suppression import EventClass, VerdictTable, classify_event, verdict_table
+from symfock.suppression import (
+    EventClass,
+    VerdictTable,
+    classify_event,
+    count_roots,
+    verdict_table,
+)
 from symfock.unitaries import UnitarySpec, build_unitary
 
 from oracles import assert_same_table, reference_verdict_lines
@@ -232,10 +238,12 @@ def table_of(kind, outputs, distributions, floats, flags, classes, parity):
 
     p_dist = column(1)
     groups = tuple(dict.fromkeys(distributions))
+    roots, root_counts = count_roots(groups)
     return VerdictTable(
         kind=kind,
         outputs=np.array(outputs, dtype=np.intp).reshape(k, -1 if k else 3),
-        groups=groups,
+        roots=roots,
+        root_counts=root_counts,
         group=np.array([groups.index(d) for d in distributions], dtype=np.intp),
         boson=flag(0),
         p=p_dist if kind is ParticleType.DISTINGUISHABLE else column(0),
