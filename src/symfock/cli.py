@@ -22,6 +22,7 @@ from . import __version__
 from .experiments import (
     CensusConfig,
     require_invariant,
+    require_modes,
     run_distinguishability_robustness,
     run_fourier_comparison,
     run_mean_probabilities,
@@ -38,11 +39,10 @@ from .serialize import (
     parse_permutation,
     spec_from_json,
     spec_to_json,
-    verdict_cells,
     verdict_lines,
     write_fit_csv,
     write_metadata,
-    write_verdict_csv,
+    write_verdict_csvs,
 )
 from .suppression import EventClass, verdict_table
 from .svg import bar_chart, write_verdict_svg
@@ -121,7 +121,7 @@ def cmd_verdicts(args) -> int:
     fermion_law = (spec.permutation, input_state) if kind is ParticleType.FERMION else ()
     table = verdict_table(built.eigenvalues, outputs, kind, p, p_dist, *fermion_law)
     if args.out:
-        write_verdict_csv(args.out, table)
+        write_verdict_csvs({args.out: table})
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.writelines(verdict_lines(table))
@@ -158,11 +158,19 @@ def _experiment_unitary(payload):
     """Resolve the unitary + eigenvalue diagonal for robustness configs."""
     if "fourier" in payload:
         n, m = payload["fourier"]
+        require_modes(payload["input_state"], n)  # before the n-mode permutation and n x n DFT
         perm, eigenvalues = fourier_symmetry(n, m)
         return fourier_unitary(n), eigenvalues, perm
     perm = parse_permutation(payload["permutation"], n=len(payload["input_state"]))
     built = build_unitary(UnitarySpec(perm, rotation_seed=payload.get("rotation_seed")))
     return built.matrix, built.eigenvalues, perm
+
+
+#: The runner argument each optional config key sets. The runners hold the
+#: defaults: a key the config leaves out is not passed.
+_RUNNER_ARGS = {"bases": "num_bases", "seed": "seed", "types": "types", "samples": "samples",
+                "delta_distribution": "distribution", "ensemble": "ensemble",
+                "eta_scale": "eta_scale"}
 
 
 def cmd_experiment(args) -> int:
@@ -175,38 +183,35 @@ def cmd_experiment(args) -> int:
         raise UsageError("invalid experiment config: " + "; ".join(problems))
     kind = payload["kind"]
     out = args.out or "experiment"
+    options = {name: payload[key] for key, name in _RUNNER_ARGS.items() if key in payload}
 
     if kind == "mean-probabilities":
-        types = tuple(ParticleType.parse(t) for t in payload.get("types", ["boson", "fermion", "dist"]))
+        if "types" in options:
+            options["types"] = tuple(map(ParticleType.parse, options["types"]))
         cfg = CensusConfig(
             permutation=parse_permutation(payload["permutation"], n=len(payload["input_state"])),
             input_state=tuple(payload["input_state"]),
-            num_bases=payload.get("bases", 100),
-            seed=payload.get("seed", 0),
-            types=types,
+            **options,
         )
         result = run_mean_probabilities(cfg)
-        cells = verdict_cells(result.tables.values())
-        for kind_, table in result.tables.items():
-            write_verdict_csv(f"{out}.{kind_.value}.csv", table, cells)
+        write_verdict_csvs({f"{out}.{kind_.value}.csv": table
+                            for kind_, table in result.tables.items()})
         write_metadata(f"{out}.meta.json", result.metadata | {
             "max_suppressed": {k.value: v for k, v in result.max_suppressed.items()},
         })
         if args.svg:
-            write_verdict_svg(args.svg, result.tables[types[0]],
-                              title=f"mean probabilities ({types[0].value})")
+            write_verdict_svg(args.svg, result.tables[cfg.types[0]],
+                              title=f"mean probabilities ({cfg.types[0].value})")
         print(f"wrote {out}.*.csv and {out}.meta.json", file=sys.stderr)
         return 0
 
     if kind == "fourier-comparison":
         comparison = run_fourier_comparison(payload["modes"], payload["order"],
                                             tuple(payload["input_state"]))
-        tables = {"boson": comparison.boson_table}
+        tables = {f"{out}.boson.csv": comparison.boson_table}
         if comparison.fermion_table is not None:
-            tables["fermion"] = comparison.fermion_table
-        cells = verdict_cells(tables.values())
-        for name, table in tables.items():
-            write_verdict_csv(f"{out}.{name}.csv", table, cells)
+            tables[f"{out}.fermion.csv"] = comparison.fermion_table
+        write_verdict_csvs(tables)
         write_metadata(f"{out}.meta.json", comparison.metadata | {
             "counts": comparison.counts,
             "witnesses": [list(s) for s in comparison.witnesses],
@@ -215,27 +220,16 @@ def cmd_experiment(args) -> int:
         return 0
 
     unitary, eigenvalues, perm = _experiment_unitary(payload)
-    particle = ParticleType.parse(payload.get("particle", "boson"))
-    common = dict(
+    run = run_unitary_robustness if kind == "unitary-robustness" else run_distinguishability_robustness
+    fit = run(
+        unitary, eigenvalues,
         input_state=tuple(payload["input_state"]),
         target_output=tuple(payload["target_output"]),
-        particle=particle,
+        particle=ParticleType.parse(payload.get("particle", "boson")),
         grid=payload["grid"],
-        samples=payload.get("samples", 2000),
-        seed=payload.get("seed", 0),
         permutation=perm,
+        **options,
     )
-    if kind == "unitary-robustness":
-        fit = run_unitary_robustness(
-            unitary, eigenvalues,
-            distribution=payload.get("delta_distribution", "ring"), **common,
-        )
-    else:
-        fit = run_distinguishability_robustness(
-            unitary, eigenvalues,
-            ensemble=payload.get("ensemble", "independent"),
-            eta_scale=payload.get("eta_scale", 1.0), **common,
-        )
     write_fit_csv(f"{out}.csv", fit)
     write_metadata(f"{out}.meta.json", fit.metadata | {
         "exponent": fit.exponent,

@@ -12,7 +12,10 @@ Three families:
 
 Every runner is deterministic given its seed: per-task generators are
 derived from (seed, task index), and reductions run in task order with
-compensated summation, in one process.
+compensated summation, in one process. The runners hold the defaults of
+their settings (100 bases, seed 0, all three particle types, 2 000
+samples, the ``ring`` and ``independent`` ensembles, ``eta_scale`` 1.0);
+the command line passes a setting only when a config holds its key.
 
 Probabilities come from :func:`scattering.probabilities`, which checks the
 unitaries, the input and the outputs once per call. The census stacks its
@@ -23,19 +26,24 @@ degenerate eigenspace, both invariants checked over the stack), then one
 call per particle kind for each sub-stack, with all outputs of every basis
 (one polynomial expansion per unitary, its parents read from the cached
 lattice table of :func:`fock.lattice`, which :func:`fock.output_array`
-built). The DFT comparison makes one call per kind for its one unitary.
+built; a census builds only the lattices its types read). The DFT
+comparison checks the input's length before it builds the DFT, and makes
+one call per kind for its one unitary.
 
-The robustness fits take one random call per sub-stack of noise samples,
-equal to the samples' lone draws in sample order bit for bit, and reduce a
-grid point in one compensated loop. The unitary fit forms the noise of its
-``scattering.CHUNK`` samples, and one permanent each, on the target's
-occupied rows and columns only. The distinguishability fit computes the N!
-weights of :func:`scattering.partial_weights` once and sends its Gram
-matrices to :func:`scattering.partial_probabilities`, which checks each, in
-sub-stacks of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms
-near 2^13. A sub-stack's Gram matrices come from one scaled ``rng.random``
-array and one stacked ``eigh`` repair, clipped in place when every matrix
-needs it, as every draw on the fits' grids does.
+The two robustness fits share one loop, :func:`_fit_noise`: the checks, one
+generator per grid point, the sub-stacks, the compensated mean and the
+log-log fit. Each fit supplies only its noise step, its sub-stack size and
+its first-order prediction. A step takes one random call per sub-stack of
+noise samples, equal to the samples' lone draws in sample order bit for
+bit. The unitary fit forms the noise of its ``scattering.CHUNK`` samples,
+and one permanent each, on the target's occupied rows and columns only.
+The distinguishability fit computes the N! weights of
+:func:`scattering.partial_weights` once and sends its Gram matrices to
+:func:`scattering.partial_probabilities`, which checks each, in sub-stacks
+of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms near 2^13.
+A sub-stack's Gram matrices come from one scaled ``rng.random`` array and
+one stacked ``eigh`` repair, clipped in place when every matrix needs it,
+as every draw on the fits' grids does.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -87,11 +95,16 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(state[0])
 
 
+def require_modes(occupation, n: int) -> None:
+    """Raise unless the occupation spans the ``n`` modes of the symmetry."""
+    if len(occupation) != n:
+        raise ValueError(f"occupation over {len(occupation)} modes, permutation over {n}")
+
+
 def require_invariant(p: Permutation, occupation) -> None:
     """Raise with the offending cycle named if the occupation breaks the symmetry."""
     occ = check_occupation(occupation)
-    if len(occ) != p.n:
-        raise ValueError(f"occupation over {len(occ)} modes, permutation over {p.n}")
+    require_modes(occ, p.n)
     for cycle in cycle_decompose(p):
         values = {occ[mode - 1] for mode in cycle}
         if len(values) > 1:
@@ -150,8 +163,6 @@ class CensusConfig:
         ParticleType.FERMION,
         ParticleType.DISTINGUISHABLE,
     )
-    theta_phases: tuple[float, ...] | None = None
-    sigma_phases: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.num_bases < 1:
@@ -172,9 +183,8 @@ class CensusResult:
 def _census_unitaries(cfg: CensusConfig, bases: range) -> UnitaryStack:
     """The rotated unitaries of ``bases``, basis i seeded by
     ``derive_seed(cfg.seed, i)``, from one :func:`unitaries.build_unitaries`."""
-    spec = UnitarySpec(cfg.permutation, theta_phases=cfg.theta_phases,
-                       sigma_phases=cfg.sigma_phases)
-    return build_unitaries(spec, [derive_seed(cfg.seed, index) for index in bases])
+    return build_unitaries(UnitarySpec(cfg.permutation),
+                           [derive_seed(cfg.seed, index) for index in bases])
 
 
 def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
@@ -194,10 +204,13 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     r = cfg.input_state
     n_particles = particle_count(r)
 
-    # one (K, n) array per output list, shared by the kernels and the laws
-    boson_outputs = output_array(p.n, n_particles, ParticleType.BOSON)
+    # one (K, n) array per output list, shared by the kernels and the laws;
+    # no lattice for a list that no table reads
+    none = np.zeros((0, p.n), dtype=np.intp)
+    boson_outputs = (output_array(p.n, n_particles, ParticleType.BOSON)
+                     if {ParticleType.BOSON, ParticleType.DISTINGUISHABLE} & set(cfg.types) else none)
     fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
-                       if ParticleType.FERMION in cfg.types else np.zeros((0, p.n), dtype=np.intp))
+                       if ParticleType.FERMION in cfg.types else none)
 
     acc = {key: _KahanMean(len(outputs)) for key, outputs in (
         ("pb", boson_outputs), ("pd", boson_outputs), ("pf", fermion_outputs), ("pdf", fermion_outputs))}
@@ -280,6 +293,7 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     multiset test suppresses that the parity test misses.
     """
     started = time.perf_counter()
+    require_modes(input_state, n)  # before the n-mode permutation and n x n DFT
     perm, eigenvalues = fourier_symmetry(n, m)
     require_invariant(perm, input_state)
     r = check_occupation(input_state)
@@ -337,17 +351,6 @@ class RobustnessFit:
     metadata: dict
 
 
-def _check_grid(grid, samples: int) -> tuple[float, ...]:
-    if samples < 1:
-        raise ValueError("need at least one sample per grid point")
-    grid = tuple(float(g) for g in grid)
-    if len(grid) < 4:
-        raise ValueError("need at least four grid points for a fit")
-    if any(g <= 0 for g in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly positive and ascending")
-    return grid
-
-
 def _fit_loglog(grid, measured, theory_exponent):
     points = [(g, m) for g, m in zip(grid, measured) if m > FIT_FLOOR]
     if len(points) < 2:
@@ -359,18 +362,72 @@ def _fit_loglog(grid, measured, theory_exponent):
     return exponent, prefactor
 
 
-def _suppressed_target(eigenvalues, permutation, input_state, target_output,
-                       particle: ParticleType) -> None:
+def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenvalues,
+               input_state, target_output, particle: ParticleType, grid, samples: int,
+               seed: int, permutation: Permutation | None) -> RobustnessFit:
+    """The loop both robustness fits share.
+
+    After the checks (grid, occupations, a law-suppressed target, a
+    non-vanishing P_D), ``prepare(u, r, s, p_dist)`` gives the fit's noise
+    step ``draw``, its sub-stack size, its predicted prefactor and its own
+    metadata keys, which ``draw`` may update. ``draw(g, rng, count)`` gives
+    the target's probabilities under ``count`` fresh noise samples of scale
+    g, from one random call equal to the samples' lone draws in sample
+    order. Each grid point takes its own generator, seeded by
+    ``derive_seed(seed, index)``; its samples are reduced in order with
+    compensated summation, and the means fitted on a log-log scale.
+    """
+    started = time.perf_counter()
+    if samples < 1:
+        raise ValueError("need at least one sample per grid point")
+    grid = tuple(float(g) for g in grid)
+    if len(grid) < 4:
+        raise ValueError("need at least four grid points for a fit")
+    if any(g <= 0 for g in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be strictly positive and ascending")
+    u = as_complex_matrix(unitary)
+    r = check_occupation(input_state)
+    s = check_occupation(target_output)
     if particle is ParticleType.BOSON:
-        if not boson_suppressed(eigenvalues, target_output):
+        if not boson_suppressed(eigenvalues, s):
             raise ValueError("target output is not law-suppressed for bosons")
     elif particle is ParticleType.FERMION:
         if permutation is None:
             raise ValueError("fermionic target needs the symmetry permutation")
-        if not fermion_suppressed(permutation, input_state, eigenvalues, target_output):
+        if not fermion_suppressed(permutation, r, eigenvalues, s):
             raise ValueError("target output is not law-suppressed for fermions")
     else:
         raise ValueError("robustness targets are bosonic or fermionic")
+    p_dist = prob_distinguishable(u, r, s)
+    if p_dist <= CLASSIFY_TOL:
+        raise ValueError("distinguishable probability vanishes; prediction degenerate")
+    draw, stack, predicted, settings = prepare(u, r, s, p_dist)
+
+    measured = []
+    for gi, g in enumerate(grid):
+        rng = np.random.default_rng(derive_seed(seed, gi))
+        values = []
+        for start in range(0, samples, stack):
+            values += draw(g, rng, min(stack, samples - start))
+        measured.append(_compensated_mean(values))
+
+    exponent, prefactor = _fit_loglog(grid, measured, theory_exponent)
+    metadata = {
+        "experiment": experiment,
+        "particle": particle.value,
+        "input_state": list(r),
+        "target_output": list(s),
+        "grid": list(grid),
+        **settings,
+        "p_dist": p_dist,
+        "seed": seed,
+        "samples": samples,
+        "library_version": __version__,
+        "rng": RNG_DESCRIPTION,
+        "timing_seconds": time.perf_counter() - started,
+    }
+    return RobustnessFit(grid, tuple(measured), exponent, prefactor, predicted, theory_exponent,
+                         samples, metadata)
 
 
 def run_unitary_robustness(
@@ -380,7 +437,7 @@ def run_unitary_robustness(
     target_output,
     particle: ParticleType,
     grid,
-    samples: int = 10_000,
+    samples: int = 2_000,
     seed: int = 0,
     distribution: str = "ring",
     permutation: Permutation | None = None,
@@ -392,54 +449,28 @@ def run_unitary_robustness(
     law-suppressed target. First-order theory: quadratic in the noise with
     coefficient N * (prod s_j!/prod r_k!) * P_D.
     """
-    started = time.perf_counter()
-    grid = _check_grid(grid, samples)
-    u = as_complex_matrix(unitary)
-    r = check_occupation(input_state)
-    s = check_occupation(target_output)
-    _suppressed_target(eigenvalues, permutation, r, s, particle)
-    p_dist = prob_distinguishable(u, r, s)
-    if p_dist <= CLASSIFY_TOL:
-        raise ValueError("distinguishable probability vanishes; prediction degenerate")
-    predicted = (
-        particle_count(r)
-        * prod(factorial(x) for x in s)
-        / prod(factorial(x) for x in r)
-        * p_dist
-    )
+    def prepare(u, r, s, p_dist):
+        # the permanent reads only the occupied rows and columns: noise on that block
+        rows, cols = np.flatnonzero(r), np.flatnonzero(s)
+        block, r_block, s_block = u[np.ix_(rows, cols)], [r[i] for i in rows], [s[i] for i in cols]
 
-    # the permanent reads only the occupied rows and columns: noise on that block
-    rows, cols = np.flatnonzero(r), np.flatnonzero(s)
-    block, r_block, s_block = u[np.ix_(rows, cols)], [r[i] for i in rows], [s[i] for i in cols]
-    measured = []
-    for gi, g in enumerate(grid):
-        model = PerturbationModel(g, distribution=distribution)
-        rng = np.random.default_rng(derive_seed(seed, gi))
-        values = []
-        for start in range(0, samples, CHUNK):
-            # one draw per sub-stack, equal to its samples' draws in sample order
-            deltas = model.sample((min(CHUNK, samples - start), *u.shape), rng, (rows, cols))
+        def draw(g, rng, count):
+            deltas = PerturbationModel(g, distribution=distribution).sample(
+                (count, *u.shape), rng, (rows, cols))
             # block first: numpy's SIMD complex multiply is not bitwise commutative
             perturbed = block * (1.0 + deltas)
-            values += probabilities(perturbed, r_block, [s_block], particle)[:, 0].tolist()
-        measured.append(_compensated_mean(values))
+            return probabilities(perturbed, r_block, [s_block], particle)[:, 0].tolist()
 
-    exponent, prefactor = _fit_loglog(grid, measured, 2.0)
-    metadata = {
-        "experiment": "unitary-robustness",
-        "particle": particle.value,
-        "input_state": list(r),
-        "target_output": list(s),
-        "grid": list(grid),
-        "delta_distribution": distribution,
-        "p_dist": p_dist,
-        "seed": seed,
-        "samples": samples,
-        "library_version": __version__,
-        "rng": RNG_DESCRIPTION,
-        "timing_seconds": time.perf_counter() - started,
-    }
-    return RobustnessFit(grid, tuple(measured), exponent, prefactor, predicted, 2.0, samples, metadata)
+        predicted = (
+            particle_count(r)
+            * prod(factorial(x) for x in s)
+            / prod(factorial(x) for x in r)
+            * p_dist
+        )
+        return draw, CHUNK, predicted, {"delta_distribution": distribution}
+
+    return _fit_noise("unitary-robustness", 2.0, prepare, unitary, eigenvalues, input_state,
+                      target_output, particle, grid, samples, seed, permutation)
 
 
 #: How the random Gram matrices for the distinguishability sweep are drawn.
@@ -529,46 +560,18 @@ def run_distinguishability_robustness(
     First-order theory: linear in the mean deficit with coefficient N * P_D.
     PSD repairs of the sampled Gram matrices are counted in the metadata.
     """
-    started = time.perf_counter()
-    grid = _check_grid(grid, samples)
-    r = check_occupation(input_state)
-    s = check_occupation(target_output)
-    _suppressed_target(eigenvalues, permutation, r, s, particle)
-    p_dist = prob_distinguishable(unitary, r, s)
-    if p_dist <= CLASSIFY_TOL:
-        raise ValueError("distinguishable probability vanishes; prediction degenerate")
-    predicted = particle_count(r) * p_dist
-    terms = partial_weights(unitary, r, s, particle)  # once per fit, for every grid point
-    stack_size = max(1, GRAM_STACK_TERMS // factorial(particle_count(r)))
+    def prepare(u, r, s, p_dist):
+        terms = partial_weights(u, r, s, particle)  # once per fit, for every grid point
+        settings = {"ensemble": ensemble, "eta_scale": eta_scale, "psd_repairs": 0}
 
-    measured = []
-    repairs = 0
-    for gi, g in enumerate(grid):
-        rng = np.random.default_rng(derive_seed(seed, gi))
-        values = []
-        for start in range(0, samples, stack_size):
-            # one draw per sub-stack, equal to its samples' draws in sample order
-            grams, repaired = sample_distinguishability(
-                terms.modes, g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
-            repairs += repaired
-            values += partial_probabilities(terms, grams).tolist()
-        measured.append(_compensated_mean(values))
+        def draw(g, rng, count):
+            grams, repaired = sample_distinguishability(terms.modes, g, rng, ensemble, eta_scale,
+                                                        count=count)
+            settings["psd_repairs"] += repaired
+            return partial_probabilities(terms, grams).tolist()
 
-    exponent, prefactor = _fit_loglog(grid, measured, 1.0)
-    metadata = {
-        "experiment": "distinguishability-robustness",
-        "particle": particle.value,
-        "input_state": list(r),
-        "target_output": list(s),
-        "grid": list(grid),
-        "ensemble": ensemble,
-        "eta_scale": eta_scale,
-        "psd_repairs": repairs,
-        "p_dist": p_dist,
-        "seed": seed,
-        "samples": samples,
-        "library_version": __version__,
-        "rng": RNG_DESCRIPTION,
-        "timing_seconds": time.perf_counter() - started,
-    }
-    return RobustnessFit(grid, tuple(measured), exponent, prefactor, predicted, 1.0, samples, metadata)
+        stack = max(1, GRAM_STACK_TERMS // factorial(particle_count(r)))
+        return draw, stack, particle_count(r) * p_dist, settings
+
+    return _fit_noise("distinguishability-robustness", 1.0, prepare, unitary, eigenvalues,
+                      input_state, target_output, particle, grid, samples, seed, permutation)

@@ -26,6 +26,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .linalg import RYSER_MAX
+
 
 class ParticleType(Enum):
     BOSON = "boson"
@@ -97,8 +99,12 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
 def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     """Every output of :func:`enumerate_outputs` as one (K, n) array, in its
     order, with the same checks: a fresh copy of the top group of the
-    :func:`lattice` table, which probability calls on it then reuse."""
+    :func:`lattice` table, which probability calls on it then reuse. More
+    than :data:`linalg.RYSER_MAX` bosons or distinguishable particles, whose
+    every probability is a permanent of that size, are refused first."""
     _check_output_count(n, particles, kind)
+    if particles > RYSER_MAX and kind is not ParticleType.FERMION:
+        raise ValueError(f"Ryser permanent limited to n <= {RYSER_MAX}, got {particles}")
     return lattice(n, particles, kind is ParticleType.FERMION).top.astype(np.intp)
 
 

@@ -19,8 +19,6 @@ RYSER_MAX = 20
 
 #: Default tolerance for structural checks (unitarity, symmetry residuals).
 STRUCT_TOL = 1e-12
-#: Default tolerance for probability comparisons.
-PROB_TOL = 1e-10
 
 
 def as_complex_matrix(matrix, stack: bool = False) -> np.ndarray:

@@ -92,14 +92,13 @@ class Permutation:
         return cls(range(n))
 
     @classmethod
-    def from_one_line(cls, seq, one_based: bool = True) -> "Permutation":
-        """Build from the images of modes 1..n (``one_based``) or 0..n-1; a
-        list that is not a bijection is named as given."""
+    def from_one_line(cls, seq) -> "Permutation":
+        """Build from the images of modes 1..n; a list that is not a
+        bijection is named as given."""
         seq = [int(j) for j in seq]
-        offset = 1 if one_based else 0
-        if sorted(seq) != list(range(offset, len(seq) + offset)):
-            raise ValueError(f"not a bijection on {offset}..{len(seq) - 1 + offset}: {seq}")
-        return cls(j - offset for j in seq)
+        if sorted(seq) != list(range(1, len(seq) + 1)):
+            raise ValueError(f"not a bijection on 1..{len(seq)}: {seq}")
+        return cls(j - 1 for j in seq)
 
     @classmethod
     def from_cycles(cls, cycles, n: int | None = None) -> "Permutation":
@@ -156,12 +155,9 @@ class Permutation:
     def __repr__(self) -> str:
         return f"Permutation({list(self.image)})"
 
-    def one_line(self, one_based: bool = True):
-        offset = 1 if one_based else 0
-        return tuple(j + offset for j in self.image)
-
-    def is_identity(self) -> bool:
-        return all(j == k for j, k in enumerate(self.image))
+    def one_line(self):
+        """The images of modes 1..n, 1-based."""
+        return tuple(j + 1 for j in self.image)
 
     def cycles0(self):
         """Canonical cycles, 0-based: smallest element first, sorted by it."""

@@ -54,7 +54,7 @@ checks a Gram matrix or a stack of them and spends N! * N on each. A caller
 with many Gram stacks for one transition, such as the distinguishability
 fit, computes the weights once. Every Gram matrix is checked by
 :func:`validate_distinguishability`, whose PSD test is one stacked Cholesky
-factorisation of H + psd_tol * I (H the Hermitian part of S) rather than an
+factorisation of H + PSD_TOL * I (H the Hermitian part of S) rather than an
 eigendecomposition.
 """
 
@@ -319,14 +319,21 @@ def prob_distinguishable(u, occupation_in, occupation_out) -> float:
 
 # --- partial distinguishability -------------------------------------------
 
-def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1e-10) -> np.ndarray:
+#: Entrywise tolerance of the Gram-matrix checks (Hermitian, unit diagonal,
+#: unit disc), and how far below zero the lowest eigenvalue may fall.
+GRAM_TOL = 1e-12
+PSD_TOL = 1e-10
+
+
+def validate_distinguishability(s_matrix) -> np.ndarray:
     """Check the Gram-matrix contract: Hermitian, unit diagonal, entries in
-    the unit disc, positive semidefinite up to ``psd_tol``.
+    the unit disc (each up to :data:`GRAM_TOL`), positive semidefinite up to
+    :data:`PSD_TOL`.
 
     Takes one (n, n) matrix or a (B, n, n) stack, checked as a whole. The PSD
-    test is one stacked Cholesky factorisation of H + psd_tol * I, H the
+    test is one stacked Cholesky factorisation of H + PSD_TOL * I, H the
     Hermitian part: the factor exists exactly when the lowest eigenvalue of H
-    is above -``psd_tol``, and costs a fraction of an eigendecomposition.
+    is above -PSD_TOL, and costs a fraction of an eigendecomposition.
     """
     s = as_complex_matrix(s_matrix, stack=True)
     if s.shape[-1] != s.shape[-2]:
@@ -334,15 +341,15 @@ def validate_distinguishability(s_matrix, tol: float = 1e-12, psd_tol: float = 1
     if not s.size:
         return s
     adjoint = s.conj().swapaxes(-1, -2)
-    if np.max(np.abs(s - adjoint)) > tol:
+    if np.max(np.abs(s - adjoint)) > GRAM_TOL:
         raise ValueError("distinguishability matrix is not Hermitian")
-    if np.max(np.abs(np.diagonal(s, axis1=-2, axis2=-1) - 1.0)) > tol:
+    if np.max(np.abs(np.diagonal(s, axis1=-2, axis2=-1) - 1.0)) > GRAM_TOL:
         raise ValueError("distinguishability matrix diagonal must be all ones")
-    if np.max(np.abs(s)) > 1.0 + tol:
+    if np.max(np.abs(s)) > 1.0 + GRAM_TOL:
         raise ValueError("distinguishability entries must satisfy |S_jk| <= 1")
     shifted = (s + adjoint) / 2.0
     diagonal = np.arange(s.shape[-1])
-    shifted[..., diagonal, diagonal] += psd_tol
+    shifted[..., diagonal, diagonal] += PSD_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
@@ -358,14 +365,14 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
     and whether a repair happened, or a (B, n, n) stack, returning the stack
     of Hermitian parts and a (B,) mask of the repaired matrices. One ``eigh``
     runs over the whole stack; only the matrices with lowest eigenvalue below
-    -1e-10 are clipped and renormalised, each with the bits of a lone call;
+    -:data:`PSD_TOL` are clipped and renormalised, each with the bits of a lone call;
     in place, with no gather or scatter, when every matrix needs it.
     """
     s = as_complex_matrix(s_matrix, stack=True)
     herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
     stack = herm if herm.ndim == 3 else herm[None]
     eigvals, eigvecs = np.linalg.eigh(stack)
-    mask = eigvals[:, 0] < -1e-10
+    mask = eigvals[:, 0] < -PSD_TOL
     if mask.any():
         every = mask.all()
         vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
@@ -505,7 +512,6 @@ class PerturbationModel:
     """
 
     mean_abs: float
-    seed: int | None = None
     distribution: str = "ring"
 
     def __post_init__(self):

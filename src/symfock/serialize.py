@@ -9,16 +9,17 @@ columns its particle kind lacks, and reads back into one.
 
 The CSV is built as bytes, with no Python call per row or per cell. Every
 cell is a row of ASCII bytes of its column's width, with NULs in the slots
-its text leaves empty. :func:`verdict_cells` makes the float and eigenvalue
-cells once for all the tables a command writes: each distinct float
-through one Schubfach pass in numpy arithmetic, laid out the way ``repr``
-lays it out, and each table's eigenvalue distributions from its
-``root_counts``, the text of each distinct root written once and gathered
-into every distribution. Each block of ``scattering.CHUNK`` rows then
-becomes one uint8 matrix: the occupations (fixed-width "[d,d,...,d]" when
-every count is a single digit, a digit loop otherwise), every other cell
-gathered by its row's index, and the separators. One pass deletes the NULs,
-and one write sends the block to the file.
+its text leaves empty. A command writes all its tables with one
+:func:`write_verdict_csvs` call, which makes the float and eigenvalue cells
+once for all of them: each distinct float through one Schubfach pass in
+numpy arithmetic, laid out the way ``repr`` lays it out, and each table's
+eigenvalue distributions from its ``root_counts``, the text of each
+distinct root written once and gathered into every distribution. Each
+block of ``scattering.CHUNK`` rows then becomes one uint8 matrix: the
+occupations (fixed-width "[d,d,...,d]" when every count is a single digit,
+a digit loop otherwise), every other cell gathered by its row's index, and
+the separators. One pass deletes the NULs, and one write sends the block to
+the file.
 
 A run's ``meta.json`` holds the bytes of ``json.dumps(metadata, indent=2)``
 and a newline. :func:`write_metadata` makes them with one join per list of
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
 
@@ -139,7 +139,7 @@ _SPEC_KEYS = {
 }
 
 
-def spec_from_json(payload: dict, n: int | None = None) -> UnitarySpec:
+def spec_from_json(payload: dict) -> UnitarySpec:
     """UnitarySpec from its JSON form.
 
     Keys: ``permutation`` (required), ``theta``, ``sigma`` (phase angle
@@ -158,7 +158,7 @@ def spec_from_json(payload: dict, n: int | None = None) -> UnitarySpec:
             raise ValueError(f"unitary spec key {key!r} must be {what}, got {payload[key]!r}")
     lists = {key: None if payload.get(key) is None else tuple(payload[key])
              for key in ("theta", "sigma", "column_order")}
-    return UnitarySpec(parse_permutation(payload["permutation"], n=n),
+    return UnitarySpec(parse_permutation(payload["permutation"]),
                        theta_phases=lists["theta"], sigma_phases=lists["sigma"],
                        rotation_seed=payload.get("seed"), column_order=lists["column_order"])
 
@@ -413,41 +413,21 @@ def _float_cells(values) -> np.ndarray:
     return cells
 
 
-@dataclass(frozen=True)
-class VerdictCells:
-    """The float and eigenvalue cells of the verdict ``tables`` one command
-    writes (see :func:`verdict_cells`), as NUL-padded rows of ASCII bytes.
-
-    ``floats`` holds one cell per distinct float of all the tables. For each
-    table, in order, ``columns`` holds the phase cell of each of its groups
-    and the index in ``floats`` of each of its ``p`` and ``p_dist`` values.
-    """
-
-    tables: tuple
-    floats: np.ndarray
-    columns: tuple
-
-    def of(self, table: VerdictTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (phases, p, p_dist) cell columns of one of the tables."""
-        for built, columns in zip(self.tables, self.columns):
-            if built is table:
-                return columns
-        raise ValueError("verdict cells must be built from every table they format")
-
-
-def verdict_cells(tables) -> VerdictCells:
-    """The cells that every float and eigenvalue column of ``tables`` needs,
-    each distinct value formatted once.
+def _cell_columns(tables) -> tuple[np.ndarray, list]:
+    """The float and eigenvalue cells of ``tables``, each distinct value
+    formatted once: one NUL-padded cell per distinct float of all the
+    tables, and for each table, in order, the phase cell of each of its
+    groups and the index among those floats of each of its ``p`` and
+    ``p_dist`` values.
 
     The floats of all tables go through one :func:`_float_cells` call: its
     fixed cost (about a hundred numpy calls, 0.7 ms on a 2-core x86-64 host)
     would exceed what it saves if it ran once per table or per block, and the
     tables of one command share many values (the census boson and
     distinguishable tables share p_dist). One sort of their bit patterns
-    gives the distinct values and each value's index among them.
-    Each distinct eigenvalue is written once. A table's phase cells come
-    from its ``root_counts`` in one gather of its roots' texts
-    (:func:`_phase_cells`), with no Python step per group or per root.
+    gives the distinct values and each value's index among them. A table's
+    phase cells come from its ``root_counts`` in one gather of its roots'
+    texts (:func:`_phase_cells`), with no Python step per group or per root.
     """
     tables = tuple(tables)
     patterns = [np.asarray(column, dtype=np.float64).ravel().view(np.int64)
@@ -463,8 +443,8 @@ def verdict_cells(tables) -> VerdictCells:
     names = {root: str(root) for root in {root for table in tables for root in table.roots}}
     phases = [_phase_cells([names[root] for root in table.roots], table.root_counts)
               for table in tables]
-    return VerdictCells(tables, _float_cells(ordered[first].view(np.float64)),
-                        tuple(zip(phases, per_column[::2], per_column[1::2])))
+    return (_float_cells(ordered[first].view(np.float64)),
+            list(zip(phases, per_column[::2], per_column[1::2])))
 
 
 def _phase_cells(texts, root_counts: np.ndarray) -> np.ndarray:
@@ -484,18 +464,16 @@ def _phase_cells(texts, root_counts: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
+def _verdict_blocks(table: VerdictTable, floats: np.ndarray, phases: np.ndarray,
+                    p: np.ndarray, p_dist: np.ndarray):
     """The verdict CSV of a table as ASCII bytes: the header, then each
-    block of rows (see :func:`write_verdict_csv`)."""
-    if cells is None:
-        cells = verdict_cells([table])
-    phases, p, p_dist = cells.of(table)
+    block of rows (see :func:`write_verdict_csvs`), from the table's cells
+    of :func:`_cell_columns`."""
     parity = table.parity is not None
     yield (";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n").encode()
     for start in range(0, len(table), CHUNK):
         rows = slice(start, start + CHUNK)
-        probs = (None if table.kind is ParticleType.DISTINGUISHABLE
-                 else cells.floats[p[rows]])
+        probs = None if table.kind is ParticleType.DISTINGUISHABLE else floats[p[rows]]
         pieces = [
             _occupations(table.outputs[rows]),
             phases[table.group[rows]],
@@ -503,7 +481,7 @@ def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
             None if table.fermion is None else _FLAGS[table.fermion[rows].astype(np.intp)],
             probs if table.kind is ParticleType.BOSON else None,
             probs if table.kind is ParticleType.FERMION else None,
-            cells.floats[p_dist[rows]],
+            floats[p_dist[rows]],
             _EVENTS[table.codes[rows]],
         ]
         if parity:
@@ -514,27 +492,30 @@ def _verdict_blocks(table: VerdictTable, cells: VerdictCells | None):
         yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")  # drops the padding
 
 
-def verdict_lines(table: VerdictTable, cells: VerdictCells | None = None):
-    """The verdict CSV of a table, line by line: the bytes of
-    :func:`write_verdict_csv`, decoded."""
-    for block in _verdict_blocks(table, cells):
+def verdict_lines(table: VerdictTable):
+    """The verdict CSV of a table, line by line: the bytes
+    :func:`write_verdict_csvs` writes for it, decoded."""
+    floats, (columns,) = _cell_columns([table])
+    for block in _verdict_blocks(table, floats, *columns):
         yield from block.decode("ascii").splitlines(keepends=True)
 
 
-def write_verdict_csv(path, table: VerdictTable, cells: VerdictCells | None = None) -> None:
-    """Write the verdict CSV of a table to ``path``: the header, then one
-    line per output, with an ``old_fermion_suppressed`` column when the
-    table has the parity law.
+def write_verdict_csvs(tables: dict) -> None:
+    """Write the verdict CSV of each table of ``{path: table}``: the header,
+    then one line per output, with an ``old_fermion_suppressed`` column when
+    the table has the parity law.
 
-    The rows go in blocks of ``scattering.CHUNK``, so memory does not grow
-    with the table. Each block is one uint8 matrix of NUL-padded cells and
-    separators; one pass deletes the NULs, and one write sends the rest to
-    the file. Floats and eigenvalue distributions come from ``cells``: pass
-    the :func:`verdict_cells` of every table a command writes, or leave it
-    out to format this table's own.
+    The cells of all the tables come from one :func:`_cell_columns` call, so
+    a command that writes several tables formats each distinct float and
+    eigenvalue once. The rows go in blocks of ``scattering.CHUNK``, so memory
+    does not grow with a table. Each block is one uint8 matrix of NUL-padded
+    cells and separators; one pass deletes the NULs, and one write sends the
+    rest to the file.
     """
-    with open(path, "wb") as fh:
-        fh.writelines(_verdict_blocks(table, cells))
+    floats, columns = _cell_columns(tables.values())
+    for (path, table), cells in zip(tables.items(), columns):
+        with open(path, "wb") as fh:
+            fh.writelines(_verdict_blocks(table, floats, *cells))
 
 
 def read_verdict_csv(path) -> VerdictTable:

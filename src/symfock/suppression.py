@@ -261,26 +261,26 @@ class EventClass(Enum):
 _CLASS_BY_CODE = np.array(list(EventClass), dtype=object)
 
 
-def _class_codes(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL) -> np.ndarray:
+def _class_codes(law_suppressed, p_particle, p_dist) -> np.ndarray:
     """The int8 code of each event's class (see :func:`classify_event`)."""
     p_dist = np.asarray(p_dist)
-    return np.where(law_suppressed, np.where(p_dist > tol, 3, 2), np.where(
-        (np.asarray(p_particle) <= tol) & (p_dist <= tol), 1, 0)).astype(np.int8)
+    return np.where(law_suppressed, np.where(p_dist > CLASSIFY_TOL, 3, 2), np.where(
+        (np.asarray(p_particle) <= CLASSIFY_TOL) & (p_dist <= CLASSIFY_TOL), 1, 0)).astype(np.int8)
 
 
-def classify_event(law_suppressed, p_particle, p_dist, tol: float = CLASSIFY_TOL):
+def classify_event(law_suppressed, p_particle, p_dist):
     """Sort output events into classes I/II/III/IV.
 
     Law-suppressed events split on the distinguishable probability: above
-    ``tol`` the vanishing needs many-particle interference (III), below it
-    the single-particle dynamics already forbids the event (II). Events that
-    vanish for both the coherent and the distinguishable case without a law
-    verdict are class I; everything else is transmitted (IV).
+    :data:`CLASSIFY_TOL` the vanishing needs many-particle interference (III),
+    below it the single-particle dynamics already forbids the event (II).
+    Events that vanish for both the coherent and the distinguishable case
+    without a law verdict are class I; everything else is transmitted (IV).
 
     Scalars give one :class:`EventClass`; arrays (scalars broadcast) give an
     object array of them, one per event.
     """
-    return _CLASS_BY_CODE[_class_codes(law_suppressed, p_particle, p_dist, tol)]
+    return _CLASS_BY_CODE[_class_codes(law_suppressed, p_particle, p_dist)]
 
 
 @dataclass(frozen=True, eq=False)

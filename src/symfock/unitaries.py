@@ -68,10 +68,6 @@ class ConstructedUnitary:
     eigenvalues: tuple[RootOfUnity, ...]
     spec: UnitarySpec = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
 
 def _degenerate_groups(eigenvalues) -> list[list[int]]:
     groups: dict[RootOfUnity, list[int]] = {}

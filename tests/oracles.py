@@ -4,7 +4,7 @@
   n! permutations, the oracle for the elimination-based determinant.
 * :func:`reference_verdict_lines`: the verdict CSV formatted row by row,
   one cell at a time, the way the writer worked before it formatted whole
-  columns. Its bytes are the contract of ``serialize.write_verdict_csv``.
+  columns. Its bytes are the contract of ``serialize.write_verdict_csvs``.
 * :func:`assert_same_table`: two verdict tables agree in every column,
   floats to the bit.
 * :func:`reference_unitary`: one member of a symmetry class built alone,
@@ -235,9 +235,7 @@ def reference_census(cfg) -> tuple[dict, dict]:
         ("pb", boson_outputs), ("pd", boson_outputs),
         ("pf", fermion_outputs), ("pdf", fermion_outputs))}
     for index in range(cfg.num_bases):
-        u = reference_unitary(UnitarySpec(p, theta_phases=cfg.theta_phases,
-                                          sigma_phases=cfg.sigma_phases,
-                                          rotation_seed=derive_seed(cfg.seed, index))).matrix
+        u = reference_unitary(UnitarySpec(p, rotation_seed=derive_seed(cfg.seed, index))).matrix
         if ParticleType.BOSON in types:
             acc["pb"].add(probabilities(u, r, boson_outputs, ParticleType.BOSON))
         if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
@@ -504,12 +502,10 @@ def haar_random_unitary(q: int, rng) -> np.ndarray:
     return haar_from_ginibre(z)
 
 
-def perturb_unitary(u, model: PerturbationModel, rng=None) -> np.ndarray:
-    """Apply fresh entrywise deviations; the result is generally not unitary
-    and is meant only for deviation studies."""
+def perturb_unitary(u, model: PerturbationModel, rng: np.random.Generator) -> np.ndarray:
+    """Apply fresh entrywise deviations drawn from ``rng``; the result is
+    generally not unitary and is meant only for deviation studies."""
     u = as_complex_matrix(u)
-    if rng is None:
-        rng = np.random.default_rng(model.seed)
     return u * (1.0 + model.sample(u.shape, rng))
 
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import symfock
-from symfock import cli
+from symfock import cli, experiments, fock, serialize, unitaries
 from symfock.cli import build_parser, main
-from symfock.serialize import matrix_to_json, read_verdict_csv
+from symfock.serialize import EXPERIMENT_KEYS, matrix_to_json, read_verdict_csv
 
 from oracles import haar_random_unitary
 
@@ -490,3 +490,122 @@ class TestParserBuiltOnce:
                 main([*command, "--help"])
             assert exit_info.value.code == 0
             assert capsys.readouterr().out == expected
+
+
+# --- one CSV pass per command, defaults in the runners, refusals up front ----
+
+WORKED = {"permutation": "(1 2 3)(4 5 6)(7 8)", "input_state": [1, 1, 1, 0, 0, 0, 1, 1]}
+
+
+@pytest.mark.parametrize("config, tables", [
+    ({"kind": "mean-probabilities", **WORKED, "bases": 2}, ("boson", "fermion", "dist")),
+    ({"kind": "mean-probabilities", **WORKED, "bases": 2, "types": ["fermion"]}, ("fermion",)),
+    ({"kind": "fourier-comparison", "modes": 8, "order": 2, "input_state": [1, 0] * 4},
+     ("boson", "fermion")),
+    ({"kind": "fourier-comparison", "modes": 4, "order": 2, "input_state": [2, 0, 2, 0]},
+     ("boson",)),
+], ids=["census", "census-fermion", "fourier", "fourier-bunched"])
+def test_each_verdict_command_formats_its_floats_once(config, tables, tmp_path, monkeypatch):
+    """A command's verdict CSVs, one or several, take one float pass."""
+    calls = []
+    real = serialize._float_cells
+    monkeypatch.setattr(serialize, "_float_cells", lambda values: calls.append(1) or real(values))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert calls == [1]
+    assert sorted(p.name for p in tmp_path.glob("run.*.csv")) == sorted(
+        f"run.{name}.csv" for name in tables)
+
+
+#: Today's values of the optional keys that set a runner argument, by kind.
+#: The DFT comparison has none.
+SPELLED_OUT = {
+    "mean-probabilities": {"bases": 100, "seed": 0, "types": ["boson", "fermion", "dist"]},
+    "fourier-comparison": {},
+    "unitary-robustness": {"samples": 2000, "seed": 0, "delta_distribution": "ring"},
+    "distinguishability-robustness": {"samples": 2000, "seed": 0, "ensemble": "independent",
+                                      "eta_scale": 1.0},
+}
+#: The required keys of a small config of each kind.
+BARE = {
+    "mean-probabilities": {"permutation": "(1 2)", "input_state": [1, 1]},
+    "fourier-comparison": {"modes": 4, "order": 2, "input_state": [1, 0, 1, 0]},
+    "unitary-robustness": {"permutation": "(1 2)", "input_state": [1, 1],
+                           "target_output": [1, 1], "grid": [1e-3, 2e-3, 5e-3, 1e-2]},
+    "distinguishability-robustness": {"permutation": "(1 2)", "input_state": [1, 1],
+                                      "target_output": [1, 1], "grid": [1e-3, 2e-3, 5e-3, 1e-2]},
+}
+
+
+@pytest.mark.parametrize("kind", SPELLED_OUT)
+def test_left_out_keys_take_the_runners_defaults(kind, tmp_path):
+    """A config without its optional keys writes the bytes of one that
+    spells out their defaults (``timing_seconds`` aside)."""
+    assert set(SPELLED_OUT[kind]) == set(cli._RUNNER_ARGS) & EXPERIMENT_KEYS[kind]
+    outputs = []
+    for label, extra in (("bare", {}), ("spelled", SPELLED_OUT[kind])):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"kind": kind, **BARE[kind], **extra}))
+        assert main(["experiment", "--config", str(path), "--out", str(tmp_path / label)]) == 0
+        meta = [line for line in (tmp_path / f"{label}.meta.json").read_bytes().splitlines()
+                if b'"timing_seconds": ' not in line]
+        csvs = {p.name.split(".", 1)[1]: p.read_bytes() for p in tmp_path.glob(f"{label}.*csv")}
+        outputs.append((meta, csvs))
+    assert outputs[0] == outputs[1] and outputs[0][1]
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "fourier-comparison", "modes": 10**20, "order": 2, "input_state": [1, 0]},
+    {"kind": "fourier-comparison", "modes": 100000, "order": 2, "input_state": [1, 0]},
+    {"kind": "unitary-robustness", "fourier": [10**20, 2], "input_state": [1, 0],
+     "target_output": [1, 0], "grid": [1e-3, 2e-3, 5e-3, 1e-2]},
+], ids=["fourier-1e20", "fourier-1e5", "robustness-1e20"])
+def test_dft_input_length_is_checked_before_the_dft(config, tmp_path, capsys, monkeypatch):
+    """A DFT input of the wrong length is refused before anything of the
+    DFT's size is built: the guards stand in for the builders, so a missing
+    check fails here instead of allocating n x n entries."""
+    built = []
+
+    def refuse(*args):
+        built.append(args)
+        raise AssertionError("DFT built before the input length was checked")
+
+    for module in (cli, experiments, unitaries):
+        for name in ("fourier_unitary", "fourier_symmetry"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    n = config.get("modes") or config["fourier"][0]
+    assert capsys.readouterr().err == f"error: occupation over 2 modes, permutation over {n}\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--config", "{tmp}/census.json", "--out", "{tmp}/run"],
+    ["experiment", "--config", "{tmp}/fourier.json", "--out", "{tmp}/run"],
+    ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]"],
+    ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]", "--type", "dist"],
+], ids=["census", "fourier", "verdicts-boson", "verdicts-dist"])
+def test_too_many_bosons_are_refused_before_any_lattice(argv, tmp_path, capsys, monkeypatch):
+    """22 bosons on two modes: the permanent's limit is met before the
+    output lattice is built."""
+    (tmp_path / "census.json").write_text(json.dumps(
+        {"kind": "mean-probabilities", "permutation": "(1 2)", "input_state": [11, 11],
+         "types": ["boson", "dist"]}))
+    (tmp_path / "fourier.json").write_text(json.dumps(
+        {"kind": "fourier-comparison", "modes": 2, "order": 2, "input_state": [11, 11]}))
+    (tmp_path / "spec.json").write_text(json.dumps({"permutation": "(1 2)"}))
+    generations = []
+    real = fock._generations
+    monkeypatch.setattr(fock, "_generations", lambda *args: generations.append(args)
+                        or real(*args))
+    fock.lattice.cache_clear()
+    try:
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    finally:
+        fock.lattice.cache_clear()
+    assert capsys.readouterr().err == "error: Ryser permanent limited to n <= 20, got 22\n"
+    assert generations == []

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from symfock import experiments
+from symfock import experiments, fock
 from symfock.experiments import (
     GRAM_ENSEMBLES,
     CensusConfig,
@@ -19,7 +19,7 @@ from symfock.experiments import (
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation
 from symfock.scattering import validate_distinguishability
-from symfock.serialize import write_verdict_csv
+from symfock.serialize import write_verdict_csvs
 from symfock.suppression import EventClass
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
@@ -110,6 +110,22 @@ class TestMeanProbabilities:
         total = sum(result.tables[ParticleType.DISTINGUISHABLE].p_dist)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_fermion_only_census_builds_no_boson_lattice(self, monkeypatch, tmp_path):
+        every = run_mean_probabilities(small_census())
+        built = []
+        generations = fock._generations
+        monkeypatch.setattr(fock, "_generations",
+                            lambda *args: built.append(args) or generations(*args))
+        fock.lattice.cache_clear()
+        try:
+            fermions = run_mean_probabilities(small_census(types=(ParticleType.FERMION,)))
+        finally:
+            fock.lattice.cache_clear()
+        assert built == [(8, 5, True)]
+        for name, result in (("fermions", fermions), ("every", every)):
+            write_verdict_csvs({tmp_path / name: result.tables[ParticleType.FERMION]})
+        assert (tmp_path / "fermions").read_bytes() == (tmp_path / "every").read_bytes()
+
     def test_computes_only_what_its_tables_use(self, monkeypatch, tmp_path):
         calls = Counter()
         probabilities = experiments.probabilities
@@ -127,7 +143,7 @@ class TestMeanProbabilities:
         assert calls == {(kind, b): 2 if kind is ParticleType.DISTINGUISHABLE else 1
                          for kind in ParticleType for b in (3, 1)}
         for name, result in (("dist_only", dist_only), ("every", every)):
-            write_verdict_csv(tmp_path / name, result.tables[ParticleType.DISTINGUISHABLE])
+            write_verdict_csvs({tmp_path / name: result.tables[ParticleType.DISTINGUISHABLE]})
         assert (tmp_path / "dist_only").read_bytes() == (tmp_path / "every").read_bytes()
 
     @pytest.mark.parametrize("chunk", [2, 3])
@@ -210,8 +226,9 @@ class TestUnitaryRobustness:
     def test_zero_noise_leaves_suppression_perfect(self):
         from symfock.scattering import PerturbationModel, prob_boson
         built = build_unitary(UnitarySpec(HOM_PERM))
-        model = PerturbationModel(0.0, seed=1)
-        assert prob_boson(perturb_unitary(built.matrix, model), (1, 1), (1, 1)) <= 1e-20
+        model = PerturbationModel(0.0)
+        noisy = perturb_unitary(built.matrix, model, np.random.default_rng(1))
+        assert prob_boson(noisy, (1, 1), (1, 1)) <= 1e-20
 
     def test_deterministic(self):
         built = build_unitary(UnitarySpec(HOM_PERM))

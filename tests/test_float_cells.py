@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import symfock
 from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
 from symfock.permutations import Permutation, RootOfUnity
-from symfock.serialize import verdict_cells, verdict_lines, write_verdict_csv
+from symfock import serialize
+from symfock.serialize import verdict_lines, write_verdict_csvs
 
 from oracles import float_reprs, reference_verdict_lines, row_distributions
 
@@ -94,18 +95,25 @@ def command_tables():
 
 
 @pytest.mark.parametrize("command", ["census", "fourier"])
-def test_tables_written_together_keep_their_bytes(command_tables, command, tmp_path):
+def test_tables_written_together_keep_their_bytes(command_tables, command, tmp_path, monkeypatch):
+    """Tables written in one call share one float pass over their distinct
+    values, and each file has the bytes of the table written alone and of
+    the row-by-row reference."""
     tables = command_tables[command]
-    cells = verdict_cells(tables)
-    assert len(cells.floats) == len(np.unique(np.concatenate(
-        [t.p.view(np.int64) for t in tables] + [t.p_dist.view(np.int64) for t in tables])))
-    for index, table in enumerate(tables):
+    formatted = []
+    real = serialize._float_cells
+    monkeypatch.setattr(serialize, "_float_cells",
+                        lambda values: formatted.append(len(values)) or real(values))
+    together = {tmp_path / f"together{index}.csv": table for index, table in enumerate(tables)}
+    write_verdict_csvs(together)
+    assert formatted == [len(np.unique(np.concatenate(
+        [t.p.view(np.int64) for t in tables] + [t.p_dist.view(np.int64) for t in tables])))]
+    for index, (path, table) in enumerate(together.items()):
         expected = "".join(reference_verdict_lines(table))
-        together, alone = tmp_path / f"together{index}.csv", tmp_path / f"alone{index}.csv"
-        write_verdict_csv(together, table, cells)
-        write_verdict_csv(alone, table)
-        assert together.read_text() == alone.read_text() == expected
-        assert "".join(verdict_lines(table, cells)) == expected
+        alone = tmp_path / f"alone{index}.csv"
+        write_verdict_csvs({alone: table})
+        assert path.read_text() == alone.read_text() == expected
+        assert "".join(verdict_lines(table)) == expected
 
 
 def test_import_builds_no_table():
@@ -119,22 +127,16 @@ def test_import_builds_no_table():
     assert result.stdout.split() == ["0", "0", "0"]
 
 
-def test_cells_of_other_tables_are_refused(command_tables, tmp_path):
-    census, fourier = command_tables["census"], command_tables["fourier"]
-    with pytest.raises(ValueError, match="every table"):
-        write_verdict_csv(tmp_path / "x.csv", fourier[0], verdict_cells(census))
-
-
-def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch):
+def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch, tmp_path):
     tables = command_tables["census"] + command_tables["fourier"]
     roots = {root for table in tables for dist in table.groups for root in dist}
     formatted = []
     monkeypatch.setattr(RootOfUnity, "__str__",
                         lambda root: formatted.append(root) or f"{root.num}/{root.den}")
-    cells = verdict_cells(tables)
+    paths = {tmp_path / f"table{index}.csv": table for index, table in enumerate(tables)}
+    write_verdict_csvs(paths)
     assert sorted(formatted) == sorted(roots)
-    for table in tables:
-        phases = cells.of(table)[0]
-        # NULs stand in any slot a cell's text leaves empty, not only at its end
-        assert [phases[g].tobytes().replace(b"\0", b"").decode() for g in table.group.tolist()] == [
-            ",".join(f"{v.num}/{v.den}" for v in d) for d in row_distributions(table)]
+    for path, table in paths.items():
+        # the NULs of the slots a cell's text leaves empty, at its end or not, are gone
+        phases = [line.split(";")[1] for line in path.read_text().splitlines()[1:]]
+        assert phases == [",".join(f"{v.num}/{v.den}" for v in d) for d in row_distributions(table)]

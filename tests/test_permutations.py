@@ -109,8 +109,6 @@ class TestPermutationParsing:
     def test_one_line_non_bijection_named_as_given(self):
         with pytest.raises(ValueError, match=r"^not a bijection on 1\.\.2: \[0, 1\]$"):
             Permutation.from_one_line([0, 1])
-        with pytest.raises(ValueError, match=r"^not a bijection on 0\.\.1: \[1, 1\]$"):
-            Permutation.from_one_line([1, 1], one_based=False)
 
 
 class TestCycleDecompose:

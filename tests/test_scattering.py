@@ -280,8 +280,8 @@ class TestPerturbUnitary:
     def test_zero_amplitude_is_identity_map(self):
         rng = np.random.default_rng(50)
         u = haar_random_unitary(3, rng)
-        model = PerturbationModel(0.0, seed=1)
-        assert np.array_equal(perturb_unitary(u, model), u)
+        model = PerturbationModel(0.0)
+        assert np.array_equal(perturb_unitary(u, model, np.random.default_rng(1)), u)
 
     @pytest.mark.parametrize("distribution", ["ring", "gaussian", "disk"])
     def test_sample_mean_modulus(self, distribution):
@@ -311,10 +311,11 @@ class TestPerturbUnitary:
             assert residual > amp / 10
             assert not is_unitary(v, amp / 10)
 
-    def test_seeded_model_reproducible(self):
+    def test_seeded_generator_reproducible(self):
         u = np.eye(3, dtype=complex)
-        model = PerturbationModel(1e-2, seed=7)
-        assert np.array_equal(perturb_unitary(u, model), perturb_unitary(u, model))
+        model = PerturbationModel(1e-2)
+        assert np.array_equal(perturb_unitary(u, model, np.random.default_rng(7)),
+                              perturb_unitary(u, model, np.random.default_rng(7)))
 
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from symfock.serialize import (
     verdict_lines,
     write_fit_csv,
     write_metadata,
-    write_verdict_csv,
+    write_verdict_csvs,
 )
 from symfock.suppression import VerdictTable, count_roots
 from symfock.svg import bar_chart, write_verdict_svg
@@ -233,14 +233,14 @@ class TestVerdictCsv:
 
     def test_roundtrip(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_table)
+        write_verdict_csvs({path: census_table})
         table = read_verdict_csv(path)
         assert_same_table(table, census_table)
         assert table.parity is None
 
     def test_header_and_separator(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_table)
+        write_verdict_csvs({path: census_table})
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "s;lambda_phases;boson_suppressed;fermion_suppressed;"
@@ -255,7 +255,7 @@ class TestVerdictCsv:
     def test_old_law_column_roundtrip(self, tmp_path):
         comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
         path = tmp_path / "fermion.csv"
-        write_verdict_csv(path, comparison.fermion_table)
+        write_verdict_csvs({path: comparison.fermion_table})
         table = read_verdict_csv(path)
         assert table.parity.tolist() == comparison.fermion_table.parity.tolist()
         assert_same_table(table, comparison.fermion_table)
@@ -295,14 +295,14 @@ class TestVerdictCsv:
 
     def test_float_cells_roundtrip_exactly(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_table)
+        write_verdict_csvs({path: census_table})
         table = read_verdict_csv(path)
         assert table.p.tolist() == census_table.p.tolist()  # bitwise through repr
         assert list(map(repr, table.p.tolist())) == list(map(repr, census_table.p.tolist()))
 
     def test_row_with_missing_cells_rejected(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
-        write_verdict_csv(path, census_table)
+        write_verdict_csvs({path: census_table})
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + [lines[2].rsplit(";", 1)[0]]) + "\n")
         with pytest.raises(ValueError, match="row 2 has 7 cells, expected 8"):
