@@ -27,11 +27,13 @@ from .experiments import (
     run_fourier_comparison,
     run_mean_probabilities,
     run_unitary_robustness,
+    unitary_table,
 )
-from .fock import ParticleType, output_array, particle_count
+from .fock import ParticleType
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
+    EXPERIMENT_KEYS,
     check_experiment_config,
     matrix_from_json,
     matrix_to_json,
@@ -44,7 +46,7 @@ from .serialize import (
     write_metadata,
     write_verdict_csvs,
 )
-from .suppression import EventClass, verdict_table
+from .suppression import EventClass
 from .svg import bar_chart, write_verdict_svg
 from .unitaries import (
     SymmetryError,
@@ -114,12 +116,8 @@ def cmd_verdicts(args) -> int:
     if kind is ParticleType.FERMION and any(x > 1 for x in input_state):
         raise UsageError("fermionic verdicts need a singly occupied input state")
     built = build_unitary(spec)
-    outputs = output_array(spec.permutation.n, particle_count(input_state), kind)
-    p_dist = probabilities(built.matrix, input_state, outputs, ParticleType.DISTINGUISHABLE)
-    p = (p_dist if kind is ParticleType.DISTINGUISHABLE
-         else probabilities(built.matrix, input_state, outputs, kind))
-    fermion_law = (spec.permutation, input_state) if kind is ParticleType.FERMION else ()
-    table = verdict_table(built.eigenvalues, outputs, kind, p, p_dist, *fermion_law)
+    table = unitary_table(built.matrix, built.eigenvalues, spec.permutation, input_state,
+                          kind, None)
     if args.out:
         write_verdict_csvs({args.out: table})
         print(f"wrote {args.out}", file=sys.stderr)
@@ -166,13 +164,6 @@ def _experiment_unitary(payload):
     return built.matrix, built.eigenvalues, perm
 
 
-#: The runner argument each optional config key sets. The runners hold the
-#: defaults: a key the config leaves out is not passed.
-_RUNNER_ARGS = {"bases": "num_bases", "seed": "seed", "types": "types", "samples": "samples",
-                "delta_distribution": "distribution", "ensemble": "ensemble",
-                "eta_scale": "eta_scale"}
-
-
 def cmd_experiment(args) -> int:
     payload = _load_json(args.config)
     if isinstance(payload, dict):  # overrides pass the same checks as the config's own keys
@@ -183,7 +174,8 @@ def cmd_experiment(args) -> int:
         raise UsageError("invalid experiment config: " + "; ".join(problems))
     kind = payload["kind"]
     out = args.out or "experiment"
-    options = {name: payload[key] for key, name in _RUNNER_ARGS.items() if key in payload}
+    options = {entry.arg: payload[key] for key, entry in EXPERIMENT_KEYS[kind].items()
+               if entry.arg and key in payload}
 
     if kind == "mean-probabilities":
         if "types" in options:
@@ -206,8 +198,7 @@ def cmd_experiment(args) -> int:
         return 0
 
     if kind == "fourier-comparison":
-        comparison = run_fourier_comparison(payload["modes"], payload["order"],
-                                            tuple(payload["input_state"]))
+        comparison = run_fourier_comparison(**options)
         tables = {f"{out}.boson.csv": comparison.boson_table}
         if comparison.fermion_table is not None:
             tables[f"{out}.fermion.csv"] = comparison.fermion_table
@@ -216,20 +207,16 @@ def cmd_experiment(args) -> int:
             "counts": comparison.counts,
             "witnesses": [list(s) for s in comparison.witnesses],
         })
+        if args.svg:
+            write_verdict_svg(args.svg, comparison.boson_table,
+                              title=f"fourier comparison n={comparison.n} m={comparison.m} (boson)")
         print(f"wrote {out}.*.csv and {out}.meta.json", file=sys.stderr)
         return 0
 
     unitary, eigenvalues, perm = _experiment_unitary(payload)
     run = run_unitary_robustness if kind == "unitary-robustness" else run_distinguishability_robustness
-    fit = run(
-        unitary, eigenvalues,
-        input_state=tuple(payload["input_state"]),
-        target_output=tuple(payload["target_output"]),
-        particle=ParticleType.parse(payload.get("particle", "boson")),
-        grid=payload["grid"],
-        permutation=perm,
-        **options,
-    )
+    fit = run(unitary, eigenvalues, particle=ParticleType.parse(payload.get("particle", "boson")),
+              permutation=perm, **options)
     write_fit_csv(f"{out}.csv", fit)
     write_metadata(f"{out}.meta.json", fit.metadata | {
         "exponent": fit.exponent,

@@ -27,13 +27,20 @@ call per particle kind for each sub-stack, with all outputs of every basis
 (one polynomial expansion per unitary, its parents read from the cached
 lattice table of :func:`fock.lattice`, which :func:`fock.output_array`
 built; a census builds only the lattices its types read). The DFT
-comparison checks the input's length before it builds the DFT, and makes
-one call per kind for its one unitary.
+comparison checks the input's length before it builds the DFT.
+
+A table of one unitary, the DFT comparison's and the ``verdicts``
+command's, comes from :func:`unitary_table`: the output array, one
+probability call for the distinguishable reference and one for the kind,
+then the verdicts. The census keeps its own path: it averages each
+probability over its bases before any verdict, and normalises its
+fermion table's distinguishable reference basis by basis.
 
 The two robustness fits share one loop, :func:`_fit_noise`: the checks, one
-generator per grid point, the sub-stacks, the compensated mean and the
-log-log fit. Each fit supplies only its noise step, its sub-stack size and
-its first-order prediction. A step takes one random call per sub-stack of
+generator per grid point, the sub-stacks, the compensated mean (the
+census's reducer, fed one float per sample) and the log-log fit. Each fit
+supplies only its noise step, its sub-stack size and its first-order
+prediction. A step takes one random call per sub-stack of
 noise samples, equal to the samples' lone draws in sample order bit for
 bit. The unitary fit forms the noise of its ``scattering.CHUNK`` samples,
 and one permanent each, on the target's occupied rows and columns only.
@@ -113,39 +120,29 @@ def require_invariant(p: Permutation, occupation) -> None:
 
 class _KahanMean:
     """Streaming compensated mean/max over equally shaped rows, in arrival
-    order (the census: one row of outputs per eigenbasis)."""
+    order: one row of outputs per eigenbasis for the census, one float per
+    noise sample for the fits."""
 
-    def __init__(self, width: int):
-        self.total = np.zeros(width)
-        self._comp = np.zeros(width)
-        self.peak = np.zeros(width)
+    def __init__(self):
+        self.total = self._comp = self.peak = 0.0
         self.count = 0
 
-    def add(self, rows: np.ndarray) -> None:
-        """Add a (b, width) block, one row at a time in order: a block's
-        bits equal those of its rows added alone."""
+    def add(self, rows) -> None:
+        """Add a block of rows, one at a time in order: a block's bits equal
+        those of its rows added alone. The sums run on locals, so a float
+        row costs no numpy call; the peak takes one per block."""
+        total, comp = self.total, self._comp
         for row in rows:
-            y = row - self._comp
-            t = self.total + y
-            self._comp = (t - self.total) - y
-            self.total = t
-            np.maximum(self.peak, row, out=self.peak)
+            y = row - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        self.total, self._comp = total, comp
+        self.peak = np.maximum(self.peak, np.max(rows, axis=0))
         self.count += len(rows)
 
-    def mean(self) -> np.ndarray:
+    def mean(self):
         return self.total / self.count
-
-
-def _compensated_mean(values: list[float]) -> float:
-    """Mean of a list of floats, summed in order with Kahan compensation:
-    the operations, and so the bits, of ``_KahanMean(1)``."""
-    total = compensation = 0.0
-    for value in values:
-        y = value - compensation
-        t = total + y
-        compensation = (t - total) - y
-        total = t
-    return total / len(values)
 
 
 # --- random-eigenbasis census ------------------------------------------------
@@ -212,8 +209,7 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
                        if ParticleType.FERMION in cfg.types else none)
 
-    acc = {key: _KahanMean(len(outputs)) for key, outputs in (
-        ("pb", boson_outputs), ("pd", boson_outputs), ("pf", fermion_outputs), ("pdf", fermion_outputs))}
+    acc = {key: _KahanMean() for key in ("pb", "pd", "pf", "pdf")}
     for start in range(0, cfg.num_bases, CHUNK):
         built = _census_unitaries(cfg, range(start, min(start + CHUNK, cfg.num_bases)))
         stack, eigenvalues = built.matrices, built.eigenvalues
@@ -259,6 +255,24 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
     return CensusResult(eigenvalues, tables, max_suppressed, metadata)
 
 
+# --- one-unitary tables ---------------------------------------------------------
+
+def unitary_table(u, eigenvalues, permutation: Permutation, input_state, kind: ParticleType,
+                  w: int | None) -> VerdictTable:
+    """The verdict table of every output of ``input_state`` under one
+    unitary, for one particle kind: the output array, the distinguishable
+    reference and the kind's probabilities, one call each, then
+    :func:`suppression.verdict_table`. A fermion table takes the symmetry
+    ``permutation`` and the parity witness ``w`` (None for no legacy law);
+    other kinds ignore both."""
+    r = input_state
+    outputs = output_array(len(r), particle_count(r), kind)
+    p_dist = probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE)
+    p = p_dist if kind is ParticleType.DISTINGUISHABLE else probabilities(u, r, outputs, kind)
+    law = (permutation, r, w) if kind is ParticleType.FERMION else ()
+    return verdict_table(eigenvalues, outputs, kind, p, p_dist, *law)
+
+
 # --- DFT comparison ------------------------------------------------------------
 
 @dataclass
@@ -298,24 +312,15 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     require_invariant(perm, input_state)
     r = check_occupation(input_state)
     u = fourier_unitary(n)
-    n_particles = sum(r)
-
-    outputs = output_array(n, n_particles, ParticleType.BOSON)
-    boson_table = verdict_table(eigenvalues, outputs, ParticleType.BOSON,
-                                probabilities(u, r, outputs, ParticleType.BOSON),
-                                probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE))
+    boson_table = unitary_table(u, eigenvalues, perm, r, ParticleType.BOSON, None)
     fermion_table = None
     witnesses: list[tuple[int, ...]] = []
     w = None
-    if n_particles <= n and all(x <= 1 for x in r):
+    if all(x <= 1 for x in r):
         w = transposition_count(perm, r)
-        outputs = output_array(n, n_particles, ParticleType.FERMION)
-        fermion_table = verdict_table(eigenvalues, outputs, ParticleType.FERMION,
-                                      probabilities(u, r, outputs, ParticleType.FERMION),
-                                      probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE),
-                                      perm, r, w)
+        fermion_table = unitary_table(u, eigenvalues, perm, r, ParticleType.FERMION, w)
         new_not_old = fermion_table.fermion & ~fermion_table.parity
-        witnesses = list(map(tuple, outputs[new_not_old].tolist()))
+        witnesses = list(map(tuple, fermion_table.outputs[new_not_old].tolist()))
 
     metadata = {
         "experiment": "fourier-comparison",
@@ -406,10 +411,10 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
     measured = []
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
-        values = []
+        acc = _KahanMean()
         for start in range(0, samples, stack):
-            values += draw(g, rng, min(stack, samples - start))
-        measured.append(_compensated_mean(values))
+            acc.add(draw(g, rng, min(stack, samples - start)))
+        measured.append(acc.mean())
 
     exponent, prefactor = _fit_loglog(grid, measured, theory_exponent)
     metadata = {

@@ -100,10 +100,10 @@ def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     """Every output of :func:`enumerate_outputs` as one (K, n) array, in its
     order, with the same checks: a fresh copy of the top group of the
     :func:`lattice` table, which probability calls on it then reuse. More
-    than :data:`linalg.RYSER_MAX` bosons or distinguishable particles, whose
-    every probability is a permanent of that size, are refused first."""
+    than :data:`linalg.RYSER_MAX` particles of any kind are refused first:
+    every table's distinguishable reference is a permanent of that size."""
     _check_output_count(n, particles, kind)
-    if particles > RYSER_MAX and kind is not ParticleType.FERMION:
+    if particles > RYSER_MAX:
         raise ValueError(f"Ryser permanent limited to n <= {RYSER_MAX}, got {particles}")
     return lattice(n, particles, kind is ParticleType.FERMION).top.astype(np.intp)
 

@@ -25,6 +25,12 @@ A run's ``meta.json`` holds the bytes of ``json.dumps(metadata, indent=2)``
 and a newline. :func:`write_metadata` makes them with one join per list of
 integers and C-level formatting of each other scalar, not with the
 pure-Python encoder that an indent selects.
+
+Each key of an experiment config is declared once, in
+:data:`EXPERIMENT_KEYS` (kind, then key): whether a config must hold it,
+the test its value must pass, and the runner argument it sets. The check
+of a config and the arguments the command line hands the runners both
+read that one table.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -615,118 +622,96 @@ def write_metadata(path, metadata: dict) -> None:
 
 # --- experiment configs ------------------------------------------------------
 
-EXPERIMENT_KINDS = (
-    "mean-probabilities",
-    "fourier-comparison",
-    "unitary-robustness",
-    "distinguishability-robustness",
-)
+class ConfigKey(NamedTuple):
+    """One key of one experiment kind: whether a config must hold it, the
+    ``(valid, what)`` test its value must pass, and the runner argument it
+    sets (None where ``cli.cmd_experiment`` reads the key itself)."""
 
-_ROBUSTNESS_KEYS = frozenset({
-    "kind", "permutation", "fourier", "rotation_seed", "input_state", "target_output",
-    "particle", "grid", "samples", "seed",
-})
+    required: bool
+    test: tuple
+    arg: str | None
+
+
+_OCCUPATION = (lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
+               "a list of non-negative integers")
+_PERMUTATION = (lambda v: isinstance(v, str) or (isinstance(v, list) and len(v) > 0
+                                                 and all(map(_is_int, v))),
+                "cycle notation or a non-empty one-line list of integers")
+_INTEGER = (_is_int, "an integer")
+_POSITIVE = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_SEED = (lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+_STRING = (lambda v: isinstance(v, str), "a string")
+#: The keys both robustness fits read.
+_FITS = {
+    "permutation": ConfigKey(False, _PERMUTATION, None),
+    "fourier": ConfigKey(False, (lambda v: isinstance(v, list) and len(v) == 2
+                                 and all(map(_is_int, v)), "[modes, order]"), None),
+    "rotation_seed": ConfigKey(False, (lambda v: v is None or (_is_int(v) and v >= 0),
+                                       "a non-negative integer or null"), None),
+    "input_state": ConfigKey(True, _OCCUPATION, "input_state"),
+    "target_output": ConfigKey(True, _OCCUPATION, "target_output"),
+    "particle": ConfigKey(False, (lambda v: v in ("boson", "fermion"), "'boson' or 'fermion'"),
+                          None),
+    "grid": ConfigKey(True, (lambda v: isinstance(v, list) and all(_is_finite(g) and g > 0
+                                                                   for g in v),
+                             "a list of finite positive numbers"), "grid"),
+    "samples": ConfigKey(False, _POSITIVE, "samples"),
+    "seed": ConfigKey(False, _SEED, "seed"),
+}
 #: Every key the command line reads, per experiment kind; others are refused.
+#: The runners hold the defaults: a key the config leaves out is not passed.
 EXPERIMENT_KEYS = {
-    "mean-probabilities": frozenset({"kind", "permutation", "input_state", "types", "bases",
-                                     "seed"}),
-    "fourier-comparison": frozenset({"kind", "modes", "order", "input_state"}),
-    "unitary-robustness": _ROBUSTNESS_KEYS | {"delta_distribution"},
-    "distinguishability-robustness": _ROBUSTNESS_KEYS | {"ensemble", "eta_scale"},
+    "mean-probabilities": {
+        "permutation": ConfigKey(True, _PERMUTATION, None),
+        "input_state": ConfigKey(True, _OCCUPATION, None),
+        "types": ConfigKey(False, (lambda v: isinstance(v, list) and len(v) > 0,
+                                   "a non-empty list"), "types"),
+        "bases": ConfigKey(False, _POSITIVE, "num_bases"),
+        "seed": ConfigKey(False, _SEED, "seed"),
+    },
+    "fourier-comparison": {
+        "modes": ConfigKey(True, _INTEGER, "n"),
+        "order": ConfigKey(True, _INTEGER, "m"),
+        "input_state": ConfigKey(True, _OCCUPATION, "input_state"),
+    },
+    "unitary-robustness": _FITS | {"delta_distribution": ConfigKey(False, _STRING, "distribution")},
+    "distinguishability-robustness": _FITS | {
+        "ensemble": ConfigKey(False, _STRING, "ensemble"),
+        "eta_scale": ConfigKey(False, (lambda v: _is_finite(v) and v >= 0,
+                                       "a finite non-negative number"), "eta_scale"),
+    },
 }
-
-#: Optional keys: the test their value must pass, and what it has to be.
-_OPTIONAL_KEYS = {
-    "bases": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "samples": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-    "rotation_seed": (lambda v: v is None or (_is_int(v) and v >= 0),
-                      "a non-negative integer or null"),
-    "eta_scale": (lambda v: _is_finite(v) and v >= 0, "a finite non-negative number"),
-    "delta_distribution": (lambda v: isinstance(v, str), "a string"),
-    "ensemble": (lambda v: isinstance(v, str), "a string"),
-}
+EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
 
 
 def check_experiment_config(payload: dict) -> list[str]:
     """Collect every schema problem instead of stopping at the first one."""
-    problems = []
     if not isinstance(payload, dict):
         return ["experiment config must be a JSON object"]
     kind = payload.get("kind")
-    if kind not in EXPERIMENT_KINDS:
-        problems.append(f"'kind' must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-        return problems
-    unknown = set(payload) - EXPERIMENT_KEYS[kind]
-    if unknown:
-        problems.append(f"unknown keys for {kind}: {sorted(unknown)}")
-    for key, (valid, what) in _OPTIONAL_KEYS.items():
-        if key in payload and key in EXPERIMENT_KEYS[kind] and not valid(payload[key]):
-            problems.append(f"key {key!r} must be {what}, got {payload[key]!r}")
-
-    def need(key, types):
+    if kind not in EXPERIMENT_KINDS:  # a tuple: an unhashable kind is refused too
+        return [f"'kind' must be one of {EXPERIMENT_KINDS}, got {kind!r}"]
+    keys = EXPERIMENT_KEYS[kind]
+    unknown = set(payload) - {"kind", *keys}
+    problems = [f"unknown keys for {kind}: {sorted(unknown)}"] if unknown else []
+    for key, (required, (valid, what), _) in keys.items():
         if key not in payload:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(payload[key], types) or isinstance(payload[key], bool):
-            problems.append(f"key {key!r} has wrong type {type(payload[key]).__name__}")
-
-    def occupation_ok(key):
-        value = payload.get(key)
-        if isinstance(value, list) and not all(_is_int(v) and v >= 0 for v in value):
-            problems.append(f"key {key!r} must hold non-negative integers")
-
-    def permutation_ok():
-        need("permutation", (str, list))
-        value = payload.get("permutation")
-        if isinstance(value, list) and not all(map(_is_int, value)):
-            problems.append("key 'permutation' must hold integers in one-line form")
-        elif value == []:
-            problems.append("key 'permutation' must name at least one mode")
-
-    if kind == "mean-probabilities":
-        permutation_ok()
-        need("input_state", list)
-        occupation_ok("input_state")
-        if "types" in payload:
-            if not isinstance(payload["types"], list) or not payload["types"]:
-                problems.append("'types' must be a non-empty list")
-            else:
-                seen = set()
-                for t in payload["types"]:
-                    try:
-                        particle = ParticleType.parse(t)
-                    except (ValueError, TypeError, AttributeError):
-                        problems.append(f"unknown particle type {t!r}")
-                        continue
-                    if particle in seen:
-                        problems.append(f"'types' names {particle.value!r} twice")
-                    seen.add(particle)
-    elif kind == "fourier-comparison":
-        need("modes", int)
-        need("order", int)
-        need("input_state", list)
-        occupation_ok("input_state")
-    else:
-        need("input_state", list)
-        need("target_output", list)
-        occupation_ok("input_state")
-        occupation_ok("target_output")
-        need("grid", list)
-        if isinstance(payload.get("grid"), list) and not all(
-            _is_finite(g) and g > 0 for g in payload["grid"]
-        ):
-            problems.append("'grid' must hold finite positive numbers")
-        if "fourier" in payload:
-            if not (
-                isinstance(payload["fourier"], list)
-                and len(payload["fourier"]) == 2
-                and all(_is_int(x) for x in payload["fourier"])
-            ):
-                problems.append("'fourier' must be [modes, order]")
-        elif "permutation" not in payload:
-            problems.append("robustness config needs 'permutation' or 'fourier'")
-        else:
-            permutation_ok()
-        if "particle" in payload and payload["particle"] not in ("boson", "fermion"):
-            problems.append("'particle' must be 'boson' or 'fermion'")
+            if required:
+                problems.append(f"missing key {key!r}")
+        elif not valid(payload[key]):
+            problems.append(f"key {key!r} must be {what}, got {payload[key]!r}")
+    # the two rules that span keys or entries
+    if "fourier" in keys and "fourier" not in payload and "permutation" not in payload:
+        problems.append("robustness config needs 'permutation' or 'fourier'")
+    if "types" in keys and isinstance(payload.get("types"), list):
+        seen = set()
+        for t in payload["types"]:
+            try:
+                particle = ParticleType.parse(t)
+            except (ValueError, TypeError, AttributeError):
+                problems.append(f"unknown particle type {t!r}")
+                continue
+            if particle in seen:
+                problems.append(f"'types' names {particle.value!r} twice")
+            seen.add(particle)
     return problems

@@ -1,7 +1,9 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -201,7 +203,6 @@ class TestVerdicts:
         ])
         assert code == 0
         assert len(read_verdict_csv(out)) == 792
-        import xml.etree.ElementTree as ET
         bars = [
             el for el in ET.parse(svg).getroot().iter()
             if el.tag.endswith("rect") and el.get("class") == "bar"
@@ -291,12 +292,17 @@ class TestExperiment:
             "modes": 8, "order": 2,
             "input_state": [1, 0, 1, 0, 1, 0, 1, 0],
         }))
-        out = tmp_path / "ft"
-        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        out, svg = tmp_path / "ft", tmp_path / "ft.svg"
+        assert main(["experiment", "--config", str(config), "--out", str(out),
+                     "--svg", str(svg)]) == 0
         meta = json.loads((tmp_path / "ft.meta.json").read_text())
         assert meta["counts"]["fermion_new_not_old"] == len(meta["witnesses"]) > 0
         table = read_verdict_csv(tmp_path / "ft.fermion.csv")
         assert table.parity is not None
+        # the chart is the boson table's: one bar per boson output
+        bars = [el for el in ET.parse(svg).getroot().iter()
+                if el.tag.endswith("rect") and el.get("class") == "bar"]
+        assert len(bars) == len(read_verdict_csv(tmp_path / "ft.boson.csv"))
 
     def test_robustness_run(self, tmp_path):
         config = tmp_path / "rob.json"
@@ -421,7 +427,7 @@ UNWRITABLE = {
                                     "--out", "{bad}"] for kind in _CONFIGS},
     **{f"experiment {kind} --svg": ["experiment", "--config", f"{{tmp}}/{kind}.json",
                                     "--out", "{tmp}/x", "--svg", "{bad}"]
-       for kind in ("census", "robustness")},
+       for kind in ("census", "fourier", "robustness")},
 }
 
 
@@ -542,7 +548,8 @@ BARE = {
 def test_left_out_keys_take_the_runners_defaults(kind, tmp_path):
     """A config without its optional keys writes the bytes of one that
     spells out their defaults (``timing_seconds`` aside)."""
-    assert set(SPELLED_OUT[kind]) == set(cli._RUNNER_ARGS) & EXPERIMENT_KEYS[kind]
+    assert set(SPELLED_OUT[kind]) == {key for key, entry in EXPERIMENT_KEYS[kind].items()
+                                      if entry.arg and not entry.required}
     outputs = []
     for label, extra in (("bare", {}), ("spelled", SPELLED_OUT[kind])):
         path = tmp_path / f"{label}.json"
@@ -583,21 +590,36 @@ def test_dft_input_length_is_checked_before_the_dft(config, tmp_path, capsys, mo
     assert built == []
 
 
-@pytest.mark.parametrize("argv", [
-    ["experiment", "--config", "{tmp}/census.json", "--out", "{tmp}/run"],
-    ["experiment", "--config", "{tmp}/fourier.json", "--out", "{tmp}/run"],
-    ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]"],
-    ["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]", "--type", "dist"],
-], ids=["census", "fourier", "verdicts-boson", "verdicts-dist"])
-def test_too_many_bosons_are_refused_before_any_lattice(argv, tmp_path, capsys, monkeypatch):
-    """22 bosons on two modes: the permanent's limit is met before the
+#: (1 2) over 22 modes in one-line form, and 21 fermions invariant under it.
+SWAP_22 = [2, 1, *range(3, 23)]
+FERMIONS_21 = [1] * 21 + [0]
+
+
+@pytest.mark.parametrize("argv, particles", [
+    (["experiment", "--config", "{tmp}/census.json", "--out", "{tmp}/run"], 22),
+    (["experiment", "--config", "{tmp}/fourier.json", "--out", "{tmp}/run"], 22),
+    (["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]"], 22),
+    (["verdicts", "--spec", "{tmp}/spec.json", "--input-state", "[11,11]", "--type", "dist"], 22),
+    (["experiment", "--config", "{tmp}/fermions.json", "--out", "{tmp}/run"], 21),
+    (["verdicts", "--spec", "{tmp}/spec22.json", "--input-state", json.dumps(FERMIONS_21),
+      "--type", "fermion"], 21),
+], ids=["census", "fourier", "verdicts-boson", "verdicts-dist", "census-fermion",
+        "verdicts-fermion"])
+def test_too_many_bosons_are_refused_before_any_lattice(argv, particles, tmp_path, capsys,
+                                                        monkeypatch):
+    """22 bosons on two modes, or 21 fermions on 22: the permanent's limit
+    (every table's distinguishable reference is one) is met before the
     output lattice is built."""
     (tmp_path / "census.json").write_text(json.dumps(
         {"kind": "mean-probabilities", "permutation": "(1 2)", "input_state": [11, 11],
          "types": ["boson", "dist"]}))
     (tmp_path / "fourier.json").write_text(json.dumps(
         {"kind": "fourier-comparison", "modes": 2, "order": 2, "input_state": [11, 11]}))
+    (tmp_path / "fermions.json").write_text(json.dumps(
+        {"kind": "mean-probabilities", "permutation": SWAP_22, "input_state": FERMIONS_21,
+         "types": ["fermion"]}))
     (tmp_path / "spec.json").write_text(json.dumps({"permutation": "(1 2)"}))
+    (tmp_path / "spec22.json").write_text(json.dumps({"permutation": SWAP_22}))
     generations = []
     real = fock._generations
     monkeypatch.setattr(fock, "_generations", lambda *args: generations.append(args)
@@ -607,5 +629,23 @@ def test_too_many_bosons_are_refused_before_any_lattice(argv, tmp_path, capsys, 
         assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     finally:
         fock.lattice.cache_clear()
-    assert capsys.readouterr().err == "error: Ryser permanent limited to n <= 20, got 22\n"
+    assert capsys.readouterr().err == (
+        f"error: Ryser permanent limited to n <= 20, got {particles}\n")
     assert generations == []
+
+
+def test_runner_arguments_of_the_config_table_exist():
+    """Every runner argument that ``EXPERIMENT_KEYS`` names is a parameter of
+    the runner of its kind (for the census, a ``CensusConfig`` field)."""
+    runners = {
+        "mean-probabilities": experiments.CensusConfig,
+        "fourier-comparison": experiments.run_fourier_comparison,
+        "unitary-robustness": experiments.run_unitary_robustness,
+        "distinguishability-robustness": experiments.run_distinguishability_robustness,
+    }
+    assert set(runners) == set(EXPERIMENT_KEYS)
+    for kind, keys in EXPERIMENT_KEYS.items():
+        parameters = inspect.signature(runners[kind]).parameters
+        named = [entry.arg for entry in keys.values() if entry.arg]
+        assert named and set(named) <= set(parameters), (kind, named)
+        assert len(set(named)) == len(named), kind

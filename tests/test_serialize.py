@@ -460,6 +460,12 @@ class TestExperimentConfigCheck:
         problems = check_experiment_config(self.complete(kind) | {key: 1})
         assert problems == [f"unknown keys for {kind}: [{key!r}]"]
 
+    def test_permutation_beside_fourier_is_checked(self):
+        payload = self.complete("unitary-robustness") | {"fourier": [2, 2], "permutation": 5}
+        assert check_experiment_config(payload) == [
+            "key 'permutation' must be cycle notation or a non-empty one-line list of integers, "
+            "got 5"]
+
     def test_rotation_seed_may_be_null(self):
         payload = self.complete("unitary-robustness") | {"rotation_seed": None}
         assert check_experiment_config(payload) == []
