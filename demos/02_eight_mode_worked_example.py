@@ -17,8 +17,6 @@ from symfock import (
     UnitarySpec,
     build_unitary,
     cycle_decompose,
-    enumerate_outputs,
-    final_distribution,
     initial_distribution,
     fermion_suppressed,
     occupation_to_assignment,
@@ -26,6 +24,7 @@ from symfock import (
     prob_boson,
     prob_fermion,
 )
+from symfock.fock import output_array
 
 perm = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
 r = (1, 1, 1, 0, 0, 0, 1, 1)
@@ -42,8 +41,10 @@ print()
 
 s = (0, 2, 0, 1, 1, 1, 0, 0)
 assignment = occupation_to_assignment(s)
-final = final_distribution(built.eigenvalues, s)
-total = sum((v.turns for v in final), Fraction(0)) % 1
+laws = output_laws(built.eigenvalues, [s])  # the multiset as counts of each distinct root
+final = [v for v, count in zip(laws.roots, laws.root_counts[:, laws.group[0]].tolist())
+         for _ in range(count)]
+total = sum((Fraction(v.num, v.den) for v in final), Fraction(0)) % 1
 print(f"output {s}: assignment list {assignment}")
 print("final distribution:", [str(v) for v in final])
 print(f"phase sum = {total} of a turn -> "
@@ -61,6 +62,5 @@ verdict = fermion_suppressed(perm, r, rotated.eigenvalues, s_fermi)
 print(f"  fermionic output {s_fermi}: multisets differ = {verdict},",
       f"P_F = {prob_fermion(rotated.matrix, r, s_fermi):.3e}")
 
-boson_zeros = int(output_laws(
-    built.eigenvalues, list(enumerate_outputs(8, 5, ParticleType.BOSON))).boson.sum())
+boson_zeros = int(output_laws(built.eigenvalues, output_array(8, 5, ParticleType.BOSON)).boson.sum())
 print(f"\nthe law certifies {boson_zeros} of 792 bosonic outputs as exact zeros")

@@ -30,8 +30,9 @@ print(f"  strictly new: {counts['fermion_new_not_old']}")
 rows = {tuple(s): i for i, s in enumerate(fermion.outputs.tolist())}
 for witness in comparison.witnesses:
     i = rows[witness]
-    print(f"    witness {witness}: eigenvalue multiset "
-          f"{[str(v) for v in fermion.groups[fermion.group[i]]]}, exact P_F = {fermion.p[i]:.2e}")
+    column = fermion.root_counts[:, fermion.group[i]].tolist()  # the multiset as root counts
+    multiset = [str(v) for v, count in zip(fermion.roots, column) for _ in range(count)]
+    print(f"    witness {witness}: eigenvalue multiset {multiset}, exact P_F = {fermion.p[i]:.2e}")
 print()
 print("both witnesses keep the eigenvalue product at +1, which is all the")
 print("parity test sees; the multiset test notices the wrong multiplicities")

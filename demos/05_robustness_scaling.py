@@ -8,7 +8,7 @@ Partial distinguishability with mean overlap deficit e leaks linearly,
 8-mode class-III event. A minute or so at the default sample counts.
 """
 
-from symfock import ParticleType, Permutation, UnitarySpec, build_unitary
+from symfock import Permutation, UnitarySpec, build_unitary
 from symfock.experiments import (
     run_distinguishability_robustness,
     run_unitary_robustness,
@@ -32,7 +32,7 @@ def show(fit, label):
 dip = build_unitary(UnitarySpec(Permutation.parse("(1 2)")))
 show(
     run_unitary_robustness(dip.matrix, dip.eigenvalues, (1, 1), (1, 1),
-                           ParticleType.BOSON, GRID, samples=5000, seed=1),
+                           GRID, samples=5000, seed=1),
     "two-mode dip under entrywise matrix disorder",
 )
 
@@ -41,13 +41,13 @@ eight = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
 show(
     run_unitary_robustness(eight.matrix, eight.eigenvalues,
                            (1, 1, 1, 0, 0, 0, 1, 1), (1, 1, 0, 1, 1, 0, 1, 0),
-                           ParticleType.BOSON, GRID, samples=5000, seed=2),
+                           GRID, samples=5000, seed=2),
     "8-mode class-III event under entrywise matrix disorder",
 )
 
 show(
     run_distinguishability_robustness(dip.matrix, dip.eigenvalues, (1, 1), (1, 1),
-                                      ParticleType.BOSON, GRID, samples=3000, seed=3),
+                                      GRID, samples=3000, seed=3),
     "two-mode dip under partial distinguishability",
 )
 

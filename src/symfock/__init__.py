@@ -10,7 +10,6 @@ from .fock import (
 )
 from .linalg import (
     determinant,
-    permanent_naive,
     permanent_ryser,
 )
 from .permutations import (
@@ -34,11 +33,8 @@ from .suppression import (
     EventClass,
     VerdictTable,
     boson_suppressed,
-    classify_event,
     fermion_suppressed,
-    final_distribution,
     initial_distribution,
-    old_fourier_fermion_suppressed,
     output_laws,
     verdict_table,
 )
@@ -57,7 +53,6 @@ __all__ = [
     "enumerate_outputs",
     "occupation_to_assignment",
     "determinant",
-    "permanent_naive",
     "permanent_ryser",
     "EigenStructure",
     "Permutation",
@@ -75,11 +70,8 @@ __all__ = [
     "EventClass",
     "VerdictTable",
     "boson_suppressed",
-    "classify_event",
     "fermion_suppressed",
-    "final_distribution",
     "initial_distribution",
-    "old_fourier_fermion_suppressed",
     "output_laws",
     "verdict_table",
     "ConstructedUnitary",

@@ -3,7 +3,7 @@
 Subcommands: decompose, build, verdicts, prob, experiment. Machine-readable
 results go to files or stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage or parse problem or an output that cannot be written, 2 invariant
-failure during a run.
+failure during a run (a float that overflows or turns NaN is one).
 
 Fixing ``--seed`` makes every output byte-identical across runs except the
 timing field inside metadata JSON.
@@ -33,8 +33,8 @@ from .fock import ParticleType
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
-    EXPERIMENT_KEYS,
     check_experiment_config,
+    experiment_options,
     matrix_from_json,
     matrix_to_json,
     parse_occupation,
@@ -174,15 +174,11 @@ def cmd_experiment(args) -> int:
         raise UsageError("invalid experiment config: " + "; ".join(problems))
     kind = payload["kind"]
     out = args.out or "experiment"
-    options = {entry.arg: payload[key] for key, entry in EXPERIMENT_KEYS[kind].items()
-               if entry.arg and key in payload}
+    options = experiment_options(payload)
 
     if kind == "mean-probabilities":
-        if "types" in options:
-            options["types"] = tuple(map(ParticleType.parse, options["types"]))
         cfg = CensusConfig(
             permutation=parse_permutation(payload["permutation"], n=len(payload["input_state"])),
-            input_state=tuple(payload["input_state"]),
             **options,
         )
         result = run_mean_probabilities(cfg)
@@ -215,8 +211,7 @@ def cmd_experiment(args) -> int:
 
     unitary, eigenvalues, perm = _experiment_unitary(payload)
     run = run_unitary_robustness if kind == "unitary-robustness" else run_distinguishability_robustness
-    fit = run(unitary, eigenvalues, particle=ParticleType.parse(payload.get("particle", "boson")),
-              permutation=perm, **options)
+    fit = run(unitary, eigenvalues, permutation=perm, **options)
     write_fit_csv(f"{out}.csv", fit)
     write_metadata(f"{out}.meta.json", fit.metadata | {
         "exponent": fit.exponent,
@@ -282,8 +277,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # by name at each call: the parser, built once, pins no command function
-        return globals()[f"cmd_{args.command}"](args)
+        # a float that overflows or turns NaN is an invariant failure, not a number to print
+        with np.errstate(over="raise", invalid="raise"):
+            # by name at each call: the parser, built once, pins no command function
+            return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:  # bad input, or a path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1

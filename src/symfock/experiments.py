@@ -13,9 +13,10 @@ Three families:
 Every runner is deterministic given its seed: per-task generators are
 derived from (seed, task index), and reductions run in task order with
 compensated summation, in one process. The runners hold the defaults of
-their settings (100 bases, seed 0, all three particle types, 2 000
-samples, the ``ring`` and ``independent`` ensembles, ``eta_scale`` 1.0);
-the command line passes a setting only when a config holds its key.
+their settings (100 bases, seed 0, all three particle types, bosonic fit
+targets, 2 000 samples, the ``ring`` and ``independent`` ensembles,
+``eta_scale`` 1.0); the command line passes a setting only when a config
+holds its key.
 
 Probabilities come from :func:`scattering.probabilities`, which checks the
 unitaries, the input and the outputs once per call. The census stacks its
@@ -440,8 +441,8 @@ def run_unitary_robustness(
     eigenvalues,
     input_state,
     target_output,
-    particle: ParticleType,
     grid,
+    particle: ParticleType = ParticleType.BOSON,
     samples: int = 2_000,
     seed: int = 0,
     distribution: str = "ring",
@@ -552,8 +553,8 @@ def run_distinguishability_robustness(
     eigenvalues,
     input_state,
     target_output,
-    particle: ParticleType,
     grid,
+    particle: ParticleType = ParticleType.BOSON,
     samples: int = 2_000,
     seed: int = 0,
     ensemble: str = "independent",

@@ -12,7 +12,6 @@ from math import factorial
 
 import numpy as np
 
-NAIVE_MAX = 10
 #: One Ryser call doubles in time per extra row; at n = 20 it takes 6.3 s
 #: (n = 16: 0.33 s, n = 18: 1.6 s, n = 22: 29 s, one matrix, 2-core x86-64).
 RYSER_MAX = 20
@@ -31,13 +30,6 @@ def as_complex_matrix(matrix, stack: bool = False) -> np.ndarray:
         raise ValueError(f"expected a 2-D matrix{' or a 3-D stack' if stack else ''}, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix contains NaN or Inf entries")
-    return m
-
-
-def _as_square(matrix) -> np.ndarray:
-    m = as_complex_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
@@ -85,26 +77,11 @@ def permutation_signs(n: int) -> np.ndarray:
     return _SIGN_TABLES[n]
 
 
-def permanent_naive(matrix) -> complex:
-    """Permanent by explicit enumeration of all n! permutations.
-
-    Only sensible for n <= 10.
-    """
-    m = _as_square(matrix)
-    n = m.shape[0]
-    if n > NAIVE_MAX:
-        raise ValueError(f"naive permanent limited to n <= {NAIVE_MAX}, got {n}")
-    if n == 0:
-        return 1.0 + 0.0j
-    table = permutation_table(n)
-    return complex(np.prod(m[np.arange(n)[None, :], table], axis=1).sum())
-
-
 def permanent_ryser(matrix):
     """Permanent via Ryser's inclusion-exclusion with Gray-code subset order.
 
     One column add/subtract updates the running row sums per subset step,
-    giving O(2^n * n) work per matrix. Agrees with :func:`permanent_naive`.
+    giving O(2^n * n) work per matrix.
 
     One (n, n) matrix gives a ``complex``; a (B, n, n) stack gives a (B,)
     complex array. Each numpy call runs one step on all B matrices at once,

@@ -17,14 +17,10 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 from functools import total_ordering
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import as_complex_matrix
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 @total_ordering
@@ -44,36 +40,14 @@ class RootOfUnity:
         object.__setattr__(self, "num", num // g)
         object.__setattr__(self, "den", self.den // g)
 
-    @property
-    def turns(self) -> Fraction:
-        """Phase as an exact fraction of a full turn, in [0, 1). ``fractions``
-        is imported here: it loads ``decimal`` too, about 2.7 ms of every
-        command-line start, and only this property needs it."""
-        from fractions import Fraction
-
-        return Fraction(self.num, self.den)
-
     def to_complex(self) -> complex:
         return np.exp(2j * np.pi * self.num / self.den)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        return RootOfUnity(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity(-self.num, self.den)
 
     def __lt__(self, other: "RootOfUnity") -> bool:
         return self.num * other.den < other.num * self.den
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-    @classmethod
-    def parse(cls, text: str) -> "RootOfUnity":
-        num, _, den = text.partition("/")
-        return cls(int(num), int(den if den else 1))
 
 
 class Permutation:
@@ -86,10 +60,6 @@ class Permutation:
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"not a bijection on 0..{len(image) - 1}: {image}")
         self.image = image
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
 
     @classmethod
     def from_one_line(cls, seq) -> "Permutation":
@@ -209,13 +179,11 @@ class EigenStructure:
     """Exact eigendata of a permutation operator.
 
     ``eigenvalues[k]`` is the root of unity attached to column k of
-    ``eigenvectors``; ``column_origin[k]`` records which cycle and which root
-    index produced that column.
+    ``eigenvectors``.
     """
 
     eigenvalues: tuple[RootOfUnity, ...]
     eigenvectors: np.ndarray
-    column_origin: tuple[tuple[int, int], ...]
 
 
 def eigenstructure(p: Permutation) -> EigenStructure:
@@ -230,18 +198,16 @@ def eigenstructure(p: Permutation) -> EigenStructure:
     n = p.n
     vectors = np.zeros((n, n), dtype=complex)
     values = []
-    origin = []
     col = 0
-    for ci, cycle in enumerate(p.cycles0()):
+    for cycle in p.cycles0():
         l = len(cycle)
         norm = 1.0 / np.sqrt(l)
         for k in range(l):
             values.append(RootOfUnity(k, l))
-            origin.append((ci, k))
             for j, mode in enumerate(cycle):
                 vectors[mode, col] = np.exp(2j * np.pi * k * j / l) * norm
             col += 1
-    return EigenStructure(tuple(values), vectors, tuple(origin))
+    return EigenStructure(tuple(values), vectors)
 
 
 def _diagonal_vector(diag, n: int) -> np.ndarray:

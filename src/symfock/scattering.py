@@ -99,6 +99,8 @@ def _assignment0(occupation) -> np.ndarray:
 
 
 def _clamp_probability(value):
+    if not np.isfinite(value).all():  # an overflow upstream: no probability to give
+        raise ArithmeticError(f"probability {value[~np.isfinite(value)][0]} is not finite")
     if np.any(value < _NEGATIVE_FLOOR):
         raise ArithmeticError(f"probability {np.min(value)} below the cancellation floor")
     return np.where(value < 0.0, 0.0, value)  # keeps -0.0, as max(-0.0, 0.0) does
@@ -172,15 +174,19 @@ def expansion_pays(n: int, particles: int, kind: ParticleType, single: bool = Fa
 
 def expansion(weights: np.ndarray, rows: np.ndarray, single: bool = False,
               fermionic: bool = False) -> np.ndarray:
-    """Coefficients of x^s in prod_j (sum_k W[rows[j], k] x_k), for a (B, n, n)
-    stack of checked matrices W and the (N,) input modes ``rows`` of the
-    particles, for every output s of the lattice :func:`fock.lattice` (n, N,
-    ``single`` or ``fermionic``) in its order: a (B, K_N) array.
+    """Coefficients of x^s in prod_j (sum_k W[rows[j], k] x_k), for a (B, R, n)
+    stack of checked weights W, R linear forms over n modes, and the (N,)
+    form ``rows[j]`` of each particle, for every output s of the lattice
+    :func:`fock.lattice` (n, N, ``single`` or ``fermionic``) in its order: a
+    (B, K_N) array. R need not be n, and a form may serve several particles
+    or none.
 
-    With W = U the coefficient of s is perm(M_s) / prod s_k!; with W = |U|^2
-    it is the distinguishable probability. With ``fermionic`` the linear
-    forms anticommute and the coefficient of a 0/1 output T is det(M_T),
-    rows in input order and columns ascending. The product is built one
+    The coefficient of s is perm(W[rows][:, cols(s)]) / prod s_k!, cols(s)
+    listing mode k s_k times: with W = U and the input modes as ``rows``,
+    perm(M_s) / prod s_k!; with W = |U|^2, the distinguishable probability.
+    With ``fermionic`` the linear forms anticommute and the coefficient of a
+    0/1 output T is det(W[rows][:, T]), rows in ``rows`` order and columns
+    ascending. The product is built one
     particle at a time, over all multisets of each degree, or over the 0/1
     outputs when ``single`` (fermions included),
 
@@ -444,15 +450,16 @@ def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray
         raise ValueError("distinguishability matrix must match the unitary size")
     stack = gram if gram.ndim == 3 else gram[None]
     d, images = terms.rows, terms.perms.T.copy()  # images[j]: tau(j) for every tau
-    deviation = stack[:, d[:, None], d[None, :]]
+    deviation = stack[:, d[:, None], d[None, :]].transpose(1, 2, 0)  # (N, N, B)
     deviation -= 1.0  # D on the occupied input modes
-    e = np.zeros((len(stack), len(terms.perms)), dtype=complex)
-    product = np.empty_like(e)  # reused: a fresh (B, N!) array per step costs as much as the step
-    for j in range(len(d)):  # e <- (e + factor) + e * factor, in place
-        factor = deviation[:, j, images[j]]
+    e = np.zeros((len(terms.perms), len(stack)), dtype=complex)  # (N!, B), C order
+    product = np.empty_like(e)  # reused: a fresh (N!, B) array per step costs as much as the step
+    for j in range(len(d)):  # e <- (e + factor) + e * factor, in place, on contiguous rows
+        factor = deviation[j].take(images[j], axis=0)
         np.multiply(e, factor, out=product)
         e += factor
         e += product
+    e = np.ascontiguousarray(e.T)  # (B, N!): the weights and the sum run along each row
     e *= terms.weights
     value = terms.indistinguishable + e.sum(axis=1)
     if np.any(np.abs(value.imag) > 1e-10):

@@ -5,7 +5,7 @@ writes them (the shortest decimal that reads back to the same double) and
 eigenvalue phases as exact "k/l" fractions. Verdict CSVs are semicolon
 separated because the s and phase columns contain commas. A verdict CSV is
 written from a :class:`suppression.VerdictTable`, with empty cells for the
-columns its particle kind lacks, and reads back into one.
+columns its particle kind lacks; ``tests/oracles.py`` holds a reader.
 
 The CSV is built as bytes, with no Python call per row or per cell. Every
 cell is a row of ASCII bytes of its column's width, with NULs in the slots
@@ -28,9 +28,11 @@ pure-Python encoder that an indent selects.
 
 Each key of an experiment config is declared once, in
 :data:`EXPERIMENT_KEYS` (kind, then key): whether a config must hold it,
-the test its value must pass, and the runner argument it sets. The check
-of a config and the arguments the command line hands the runners both
-read that one table.
+the test its value must pass, the runner argument it sets and how its
+value becomes that argument (particle names become ``ParticleType``
+members here and nowhere else). The check of a config and
+:func:`experiment_options`, the arguments the command line hands the
+runners, both read that one table.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ import json
 import sys
 from json.encoder import encode_basestring_ascii
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .fock import ParticleType
-from .permutations import Permutation, RootOfUnity
+from .permutations import Permutation
 from .scattering import CHUNK
-from .suppression import EventClass, VerdictTable, count_roots
+from .suppression import EventClass, VerdictTable
 from .unitaries import UnitarySpec
 
 VERDICT_COLUMNS = (
@@ -195,7 +197,6 @@ def _cell_matrix(cells) -> np.ndarray:
 #: Flag cells by the flag, and event class cells by the class's place in ``EventClass``.
 _FLAGS = _cell_matrix(["false", "true"])
 _EVENTS = _cell_matrix([event.value for event in EventClass])
-_EVENT_CODES = {event: code for code, event in enumerate(EventClass)}
 
 
 def _occupations(outputs: np.ndarray) -> np.ndarray:
@@ -525,50 +526,6 @@ def write_verdict_csvs(tables: dict) -> None:
             fh.writelines(_verdict_blocks(table, floats, *cells))
 
 
-def read_verdict_csv(path) -> VerdictTable:
-    """The table of a verdict CSV. Its kind is the one whose probability
-    column is filled; a table without rows reads as distinguishable."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"verdict CSV {path} is empty: no header")
-    header = tuple(lines[0].split(";"))
-    if header[: len(VERDICT_COLUMNS)] != VERDICT_COLUMNS:
-        raise ValueError(f"unexpected verdict CSV header: {header}")
-    rows = [line.split(";") for line in lines[1:]]
-    for number, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValueError(f"verdict CSV row {number} has {len(row)} cells, expected {len(header)}")
-    cells = {name: [row[i] for row in rows] for i, name in enumerate(header)}
-
-    def floats(name):
-        return np.array(list(map(float, cells[name])), dtype=float)
-
-    def flags(name):
-        return np.array([cell == "true" for cell in cells[name]], dtype=bool)
-
-    kind = (ParticleType.BOSON if any(cells["p_boson"]) else
-            ParticleType.FERMION if any(cells["p_fermion"]) else ParticleType.DISTINGUISHABLE)
-    phases, group = np.unique(np.array(cells["lambda_phases"], dtype=str), return_inverse=True)
-    roots, root_counts = count_roots([RootOfUnity.parse(tok) for tok in cell.split(",") if tok]
-                                     for cell in phases.tolist())
-    return VerdictTable(
-        kind=kind,
-        outputs=np.array([json.loads(cell) for cell in cells["s"]],
-                         dtype=np.int64).reshape(len(rows), -1 if rows else 0),
-        roots=roots,
-        root_counts=root_counts,
-        group=group.ravel(),
-        boson=flags("boson_suppressed"),
-        p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
-                 .get(kind, "p_dist")),
-        p_dist=floats("p_dist"),
-        codes=np.array([_EVENT_CODES[EventClass(cell)] for cell in cells["class"]], dtype=np.int8),
-        fermion=flags("fermion_suppressed") if kind is ParticleType.FERMION else None,
-        parity=flags("old_fermion_suppressed") if "old_fermion_suppressed" in header else None,
-    )
-
-
 def write_fit_csv(path, fit) -> None:
     """One line per grid value, each float as ``repr`` writes it: for a fit's
     few values one ``repr`` each costs less than a :func:`_float_cells` pass."""
@@ -624,12 +581,14 @@ def write_metadata(path, metadata: dict) -> None:
 
 class ConfigKey(NamedTuple):
     """One key of one experiment kind: whether a config must hold it, the
-    ``(valid, what)`` test its value must pass, and the runner argument it
-    sets (None where ``cli.cmd_experiment`` reads the key itself)."""
+    ``(valid, what)`` test its value must pass, the runner argument it sets
+    (None where ``cli.cmd_experiment`` reads the key itself), and the
+    function that makes the argument of a valid value (None: the value)."""
 
     required: bool
     test: tuple
     arg: str | None
+    parse: Callable | None = None
 
 
 _OCCUPATION = (lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
@@ -651,7 +610,7 @@ _FITS = {
     "input_state": ConfigKey(True, _OCCUPATION, "input_state"),
     "target_output": ConfigKey(True, _OCCUPATION, "target_output"),
     "particle": ConfigKey(False, (lambda v: v in ("boson", "fermion"), "'boson' or 'fermion'"),
-                          None),
+                          "particle", ParticleType.parse),
     "grid": ConfigKey(True, (lambda v: isinstance(v, list) and all(_is_finite(g) and g > 0
                                                                    for g in v),
                              "a list of finite positive numbers"), "grid"),
@@ -663,9 +622,10 @@ _FITS = {
 EXPERIMENT_KEYS = {
     "mean-probabilities": {
         "permutation": ConfigKey(True, _PERMUTATION, None),
-        "input_state": ConfigKey(True, _OCCUPATION, None),
+        "input_state": ConfigKey(True, _OCCUPATION, "input_state", tuple),
         "types": ConfigKey(False, (lambda v: isinstance(v, list) and len(v) > 0,
-                                   "a non-empty list"), "types"),
+                                   "a non-empty list"), "types",
+                           lambda names: tuple(map(ParticleType.parse, names))),
         "bases": ConfigKey(False, _POSITIVE, "num_bases"),
         "seed": ConfigKey(False, _SEED, "seed"),
     },
@@ -694,7 +654,7 @@ def check_experiment_config(payload: dict) -> list[str]:
     keys = EXPERIMENT_KEYS[kind]
     unknown = set(payload) - {"kind", *keys}
     problems = [f"unknown keys for {kind}: {sorted(unknown)}"] if unknown else []
-    for key, (required, (valid, what), _) in keys.items():
+    for key, (required, (valid, what), *_) in keys.items():
         if key not in payload:
             if required:
                 problems.append(f"missing key {key!r}")
@@ -715,3 +675,11 @@ def check_experiment_config(payload: dict) -> list[str]:
                 problems.append(f"'types' names {particle.value!r} twice")
             seen.add(particle)
     return problems
+
+
+def experiment_options(payload: dict) -> dict:
+    """The runner arguments of a config that :func:`check_experiment_config`
+    passed: each present key with an ``arg`` gives its value, parsed."""
+    return {entry.arg: entry.parse(payload[key]) if entry.parse else payload[key]
+            for key, entry in EXPERIMENT_KEYS[payload["kind"]].items()
+            if entry.arg and key in payload}

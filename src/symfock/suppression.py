@@ -25,7 +25,7 @@ with int64 arithmetic only.
   :func:`fock.enumerate_outputs` order. One int64 product with the counts
   gives the phase sums and key digits; one sort of the keys groups the
   columns. Each group keeps its count column and each row its group's
-  index; the tuples of roots are built only when ``groups`` is read.
+  index; no tuple of roots is built.
 
 Both are exact while no sum leaves int64: a phase sum is below N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -86,42 +84,15 @@ def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistributio
     return tuple(sorted(values))
 
 
-class _Grouped:
-    """The eigenvalue multisets of a class that keeps them as counts:
-    ``roots``, D sorted distinct roots of unity, and ``root_counts``, a
-    (D, G) int array whose column g counts each root in multiset g."""
-
-    @cached_property
-    def groups(self) -> tuple[EigenvalueDistribution, ...]:
-        """The G multisets as sorted tuples of roots, built on first use:
-        the roots repeated by each column's counts, from one object array."""
-        picked = np.tile(np.array(self.roots, dtype=object), self.root_counts.shape[1]).repeat(
-            self.root_counts.T.ravel()).tolist()
-        ends = list(accumulate(self.root_counts.sum(axis=0).tolist()))
-        return tuple(tuple(picked[a:b]) for a, b in zip([0] + ends, ends))
-
-
-def count_roots(groups) -> tuple[tuple[RootOfUnity, ...], np.ndarray]:
-    """The ``roots`` and ``root_counts`` of a sequence of eigenvalue
-    multisets (see :class:`OutputLaws`), one Python step per root."""
-    groups = [tuple(group) for group in groups]
-    roots = tuple(sorted({root for group in groups for root in group}))
-    place = {root: c for c, root in enumerate(roots)}
-    root_counts = np.zeros((len(roots), len(groups)), dtype=np.int64)
-    np.add.at(root_counts, ([place[root] for group in groups for root in group],
-                            [g for g, group in enumerate(groups) for _ in group]), 1)
-    return roots, root_counts
-
-
 @dataclass(frozen=True)
-class OutputLaws(_Grouped):
+class OutputLaws:
     """Law verdicts for K outputs, one entry per output row.
 
     The distinct eigenvalue multisets of the outputs are kept as counts:
     ``roots`` holds the D sorted distinct roots and column g of the (D, G)
-    ``root_counts`` how often multiset g holds each. ``groups`` is the same
-    multisets as tuples, and ``group`` each output's index into them, so row
-    i's multiset is ``groups[group[i]]``. ``fermion`` is set when a
+    ``root_counts`` how often multiset g holds each, and ``group`` each
+    output's index into the G multisets, so row i's multiset holds
+    ``root_counts[c, group[i]]`` of ``roots[c]``. ``fermion`` is set when a
     permutation and an input were given, ``parity`` when a witness ``w`` was.
     """
 
@@ -210,12 +181,6 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
                       parity)
 
 
-def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
-    """Eigenvalue multiset picked out by the occupied output modes."""
-    laws = output_laws(eigenvalues, [occupation_out])
-    return laws.groups[laws.group[0]]
-
-
 def boson_suppressed(eigenvalues, occupation_out) -> bool:
     """True iff the eigenvalue product over the output differs from 1,
     certifying an exactly vanishing bosonic probability."""
@@ -239,13 +204,6 @@ def transposition_count(p: Permutation, occupation_in) -> int:
     return sum(r) - populated
 
 
-def old_fourier_fermion_suppressed(eigenvalues, occupation_out, w: int) -> bool:
-    """The older DFT fermion criterion: product of the output eigenvalues
-    differs from (-1)^w. Kept for comparison; it predicts only a subset of
-    the events the multiset test catches."""
-    return bool(output_laws(eigenvalues, [occupation_out], w=w).parity[0])
-
-
 class EventClass(Enum):
     """Empirical event classes: IV is transmitted; I and II vanish through
     single-particle dynamics (II law-predicted, I not); III vanishes through
@@ -262,35 +220,26 @@ _CLASS_BY_CODE = np.array(list(EventClass), dtype=object)
 
 
 def _class_codes(law_suppressed, p_particle, p_dist) -> np.ndarray:
-    """The int8 code of each event's class (see :func:`classify_event`)."""
-    p_dist = np.asarray(p_dist)
-    return np.where(law_suppressed, np.where(p_dist > CLASSIFY_TOL, 3, 2), np.where(
-        (np.asarray(p_particle) <= CLASSIFY_TOL) & (p_dist <= CLASSIFY_TOL), 1, 0)).astype(np.int8)
-
-
-def classify_event(law_suppressed, p_particle, p_dist):
-    """Sort output events into classes I/II/III/IV.
+    """The int8 code of each event's class, arrays and scalars broadcast.
 
     Law-suppressed events split on the distinguishable probability: above
     :data:`CLASSIFY_TOL` the vanishing needs many-particle interference (III),
     below it the single-particle dynamics already forbids the event (II).
     Events that vanish for both the coherent and the distinguishable case
     without a law verdict are class I; everything else is transmitted (IV).
-
-    Scalars give one :class:`EventClass`; arrays (scalars broadcast) give an
-    object array of them, one per event.
     """
-    return _CLASS_BY_CODE[_class_codes(law_suppressed, p_particle, p_dist)]
+    p_dist = np.asarray(p_dist)
+    return np.where(law_suppressed, np.where(p_dist > CLASSIFY_TOL, 3, 2), np.where(
+        (np.asarray(p_particle) <= CLASSIFY_TOL) & (p_dist <= CLASSIFY_TOL), 1, 0)).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
-class VerdictTable(_Grouped):
+class VerdictTable:
     """Verdicts of K outputs for one particle kind, one array per column.
 
     ``outputs`` is the (K, n) occupation array. The distinct eigenvalue
-    multisets are ``roots`` and ``root_counts``, as in :class:`OutputLaws`
-    (:func:`count_roots` makes them from tuples), with the tuples as
-    ``groups``; ``group`` holds each row's index into them.
+    multisets are ``roots`` and ``root_counts``, as in :class:`OutputLaws`;
+    ``group`` holds each row's index into them.
     ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
     only) and ``parity`` the legacy DFT law (when a parity witness was
     given). ``p`` is the kind's probability, which for distinguishable

@@ -51,10 +51,17 @@
   :func:`perturb_unitary`, :func:`float_reprs` and :func:`read_fit_csv`:
   helpers that only the tests use, moved here from ``fock``, ``linalg``,
   ``scattering`` and ``serialize``.
+* :func:`permanent_naive` (from ``linalg``, with :data:`NAIVE_MAX`),
+  :func:`final_distribution`, :func:`old_fourier_fermion_suppressed`,
+  :func:`classify_event` and :func:`count_roots` (from ``suppression``),
+  :func:`parse_root` (``RootOfUnity.parse``) and :func:`read_verdict_csv`
+  (from ``serialize``): references that no library code calls. The verdict
+  CSV reader lives here: the library writes the CSV and never reads it.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import chain, repeat
 from math import comb, factorial, lcm
 
@@ -81,6 +88,7 @@ from symfock.linalg import (
 from symfock.permutations import (
     EigenStructure,
     Permutation,
+    RootOfUnity,
     eigenstructure,
     eigenvalues_to_complex,
     symmetry_residual,
@@ -89,9 +97,13 @@ from symfock.scattering import PerturbationModel, prob_partial, probabilities
 from symfock.serialize import _CELL_WIDTH, VERDICT_COLUMNS, _float_cells
 from symfock.suppression import (
     EigenvalueDistribution,
+    EventClass,
     OutputLaws,
+    VerdictTable,
     _as_roots,
+    _class_codes,
     initial_distribution,
+    output_laws,
     verdict_table,
 )
 from symfock.unitaries import ConstructedUnitary, SymmetryError, UnitarySpec
@@ -124,11 +136,12 @@ def reference_verdict_lines(table) -> list[str]:
     if table.parity is not None:
         header.append("old_fermion_suppressed")
     lines = [";".join(header) + "\n"]
+    groups = reference_groups(table)
     for i in range(len(table)):
         p = table.p[i]
         row = [
             _fmt_occupation(tuple(int(x) for x in table.outputs[i])),
-            ",".join(str(v) for v in table.groups[table.group[i]]),
+            ",".join(str(v) for v in groups[table.group[i]]),
             _fmt_optional_bool(bool(table.boson[i])),
             _fmt_optional_bool(None if table.fermion is None else bool(table.fermion[i])),
             _fmt_optional_float(p if table.kind is ParticleType.BOSON else None),
@@ -143,9 +156,10 @@ def reference_verdict_lines(table) -> list[str]:
 
 
 def row_distributions(laws) -> tuple:
-    """Each row's eigenvalue multiset, ``groups[group[i]]``, of an
-    ``OutputLaws`` or a ``VerdictTable``."""
-    return tuple(laws.groups[g] for g in laws.group.tolist())
+    """Each row's eigenvalue multiset, the :func:`reference_groups` entry
+    of its group, of an ``OutputLaws`` or a ``VerdictTable``."""
+    groups = reference_groups(laws)
+    return tuple(groups[g] for g in laws.group.tolist())
 
 
 def assert_same_table(a, b) -> None:
@@ -522,3 +536,102 @@ def read_fit_csv(path) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise ValueError(f"unexpected fit CSV header: {lines[0]!r}")
     pairs = [tuple(float(cell) for cell in line.split(";")) for line in lines[1:]]
     return tuple(g for g, _ in pairs), tuple(m for _, m in pairs)
+
+
+NAIVE_MAX = 10
+
+
+def permanent_naive(matrix) -> complex:
+    """Permanent by explicit enumeration of all n! permutations, for one
+    square matrix of n <= :data:`NAIVE_MAX`."""
+    m = as_complex_matrix(matrix)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    n = m.shape[0]
+    if n > NAIVE_MAX:
+        raise ValueError(f"naive permanent limited to n <= {NAIVE_MAX}, got {n}")
+    if n == 0:
+        return 1.0 + 0.0j
+    return complex(np.prod(m[np.arange(n)[None, :], permutation_table(n)], axis=1).sum())
+
+
+def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
+    """Eigenvalue multiset picked out by the occupied output modes."""
+    laws = output_laws(eigenvalues, [occupation_out])
+    return reference_groups(laws)[laws.group[0]]
+
+
+def old_fourier_fermion_suppressed(eigenvalues, occupation_out, w: int) -> bool:
+    """The legacy DFT fermion criterion for one output: the product of its
+    eigenvalues differs from (-1)^w."""
+    return bool(output_laws(eigenvalues, [occupation_out], w=w).parity[0])
+
+
+def classify_event(law_suppressed, p_particle, p_dist):
+    """The :class:`EventClass` of one event, or an object array of them for
+    arrays (scalars broadcast), by ``suppression._class_codes``."""
+    return np.array(list(EventClass), dtype=object)[_class_codes(law_suppressed, p_particle,
+                                                                 p_dist)]
+
+
+def parse_root(text: str) -> RootOfUnity:
+    """The root of unity of a "k/l" cell; "k" alone is k/1."""
+    num, _, den = text.partition("/")
+    return RootOfUnity(int(num), int(den if den else 1))
+
+
+def count_roots(groups) -> tuple[tuple[RootOfUnity, ...], np.ndarray]:
+    """The ``roots`` and ``root_counts`` of a sequence of eigenvalue
+    multisets (see ``suppression.OutputLaws``)."""
+    groups = [tuple(group) for group in groups]
+    roots = tuple(sorted({root for group in groups for root in group}))
+    place = {root: c for c, root in enumerate(roots)}
+    root_counts = np.zeros((len(roots), len(groups)), dtype=np.int64)
+    np.add.at(root_counts, ([place[root] for group in groups for root in group],
+                            [g for g, group in enumerate(groups) for _ in group]), 1)
+    return roots, root_counts
+
+
+def read_verdict_csv(path) -> VerdictTable:
+    """The table of a verdict CSV. Its kind is the one whose probability
+    column is filled; a table without rows reads as distinguishable."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"verdict CSV {path} is empty: no header")
+    header = tuple(lines[0].split(";"))
+    if header[: len(VERDICT_COLUMNS)] != VERDICT_COLUMNS:
+        raise ValueError(f"unexpected verdict CSV header: {header}")
+    rows = [line.split(";") for line in lines[1:]]
+    for number, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"verdict CSV row {number} has {len(row)} cells, expected {len(header)}")
+    cells = {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+    def floats(name):
+        return np.array(list(map(float, cells[name])), dtype=float)
+
+    def flags(name):
+        return np.array([cell == "true" for cell in cells[name]], dtype=bool)
+
+    kind = (ParticleType.BOSON if any(cells["p_boson"]) else
+            ParticleType.FERMION if any(cells["p_fermion"]) else ParticleType.DISTINGUISHABLE)
+    phases, group = np.unique(np.array(cells["lambda_phases"], dtype=str), return_inverse=True)
+    roots, root_counts = count_roots([parse_root(tok) for tok in cell.split(",") if tok]
+                                     for cell in phases.tolist())
+    codes = {event: code for code, event in enumerate(EventClass)}
+    return VerdictTable(
+        kind=kind,
+        outputs=np.array([json.loads(cell) for cell in cells["s"]],
+                         dtype=np.int64).reshape(len(rows), -1 if rows else 0),
+        roots=roots,
+        root_counts=root_counts,
+        group=group.ravel(),
+        boson=flags("boson_suppressed"),
+        p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
+                 .get(kind, "p_dist")),
+        p_dist=floats("p_dist"),
+        codes=np.array([codes[EventClass(cell)] for cell in cells["class"]], dtype=np.int8),
+        fermion=flags("fermion_suppressed") if kind is ParticleType.FERMION else None,
+        parity=flags("old_fermion_suppressed") if "old_fermion_suppressed" in header else None,
+    )

@@ -17,7 +17,7 @@ from symfock.experiments import (
     run_unitary_robustness,
 )
 from symfock.fock import ParticleType, enumerate_outputs
-from symfock.linalg import permanent_naive, permanent_ryser
+from symfock.linalg import permanent_ryser
 from symfock.permutations import Permutation, RootOfUnity, eigenstructure
 from symfock.scattering import (
     prob_boson,
@@ -25,11 +25,7 @@ from symfock.scattering import (
     prob_fermion,
     prob_partial,
 )
-from symfock.suppression import (
-    boson_suppressed,
-    final_distribution,
-    initial_distribution,
-)
+from symfock.suppression import boson_suppressed, initial_distribution
 from symfock.unitaries import (
     UnitarySpec,
     build_unitary,
@@ -37,7 +33,7 @@ from symfock.unitaries import (
     fourier_unitary,
 )
 
-from oracles import haar_random_unitary
+from oracles import final_distribution, haar_random_unitary, permanent_naive
 
 ROOT = RootOfUnity
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
@@ -170,7 +166,7 @@ def test_criterion_08_unitary_disorder_scaling():
     built = build_unitary(UnitarySpec(Permutation.parse("(1 2)")))
     fit_hom = run_unitary_robustness(
         built.matrix, built.eigenvalues, (1, 1), (1, 1),
-        ParticleType.BOSON, grid, samples=10_000, seed=88,
+        grid, samples=10_000, seed=88,
     )
     assert fit_hom.exponent == pytest.approx(2.0, abs=0.1)
     assert fit_hom.prefactor == pytest.approx(fit_hom.predicted_prefactor, rel=0.2)
@@ -181,7 +177,7 @@ def test_criterion_08_unitary_disorder_scaling():
     assert prob_distinguishable(eight.matrix, WORKED_INPUT, target) > 1e-10  # class III
     fit_eight = run_unitary_robustness(
         eight.matrix, eight.eigenvalues, WORKED_INPUT, target,
-        ParticleType.BOSON, grid, samples=10_000, seed=99,
+        grid, samples=10_000, seed=99,
     )
     elapsed = time.perf_counter() - started
     assert fit_eight.exponent == pytest.approx(2.0, abs=0.1)
@@ -198,7 +194,7 @@ def test_criterion_09_distinguishability_scaling():
     built = build_unitary(UnitarySpec(Permutation.parse("(1 2)")))
     fit_hom = run_distinguishability_robustness(
         built.matrix, built.eigenvalues, (1, 1), (1, 1),
-        ParticleType.BOSON, grid, samples=4000, seed=17,
+        grid, samples=4000, seed=17,
     )
     assert fit_hom.exponent == pytest.approx(1.0, abs=0.1)
     assert fit_hom.prefactor == pytest.approx(fit_hom.predicted_prefactor, rel=0.2)
@@ -206,7 +202,7 @@ def test_criterion_09_distinguishability_scaling():
     perm4, values4 = fourier_symmetry(4, 2)
     fit_four = run_distinguishability_robustness(
         fourier_unitary(4), values4, (1, 0, 1, 0), (1, 1, 0, 0),
-        ParticleType.BOSON, grid, samples=4000, seed=18, permutation=perm4,
+        grid, samples=4000, seed=18, permutation=perm4,
     )
     assert fit_four.exponent == pytest.approx(1.0, abs=0.1)
     assert fit_four.prefactor == pytest.approx(fit_four.predicted_prefactor, rel=0.2)

@@ -11,9 +11,9 @@ import pytest
 import symfock
 from symfock import cli, experiments, fock, serialize, unitaries
 from symfock.cli import build_parser, main
-from symfock.serialize import EXPERIMENT_KEYS, matrix_to_json, read_verdict_csv
+from symfock.serialize import EXPERIMENT_KEYS, matrix_to_json
 
-from oracles import haar_random_unitary
+from oracles import haar_random_unitary, read_verdict_csv
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -529,9 +529,10 @@ def test_each_verdict_command_formats_its_floats_once(config, tables, tmp_path, 
 SPELLED_OUT = {
     "mean-probabilities": {"bases": 100, "seed": 0, "types": ["boson", "fermion", "dist"]},
     "fourier-comparison": {},
-    "unitary-robustness": {"samples": 2000, "seed": 0, "delta_distribution": "ring"},
-    "distinguishability-robustness": {"samples": 2000, "seed": 0, "ensemble": "independent",
-                                      "eta_scale": 1.0},
+    "unitary-robustness": {"particle": "boson", "samples": 2000, "seed": 0,
+                           "delta_distribution": "ring"},
+    "distinguishability-robustness": {"particle": "boson", "samples": 2000, "seed": 0,
+                                      "ensemble": "independent", "eta_scale": 1.0},
 }
 #: The required keys of a small config of each kind.
 BARE = {
@@ -649,3 +650,154 @@ def test_runner_arguments_of_the_config_table_exist():
         named = [entry.arg for entry in keys.values() if entry.arg]
         assert named and set(named) <= set(parameters), (kind, named)
         assert len(set(named)) == len(named), kind
+
+
+# --- fresh processes: reruns, a refused wide DFT, non-finite probabilities ---
+
+def _run_cli(argv, cwd, hash_seed="1", timeout=None) -> subprocess.CompletedProcess:
+    """``python -m symfock.cli`` with ``argv`` in a fresh process in ``cwd``."""
+    package_root = os.path.dirname(os.path.dirname(symfock.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "symfock.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+_WORKED_TARGET = {"rotation_seed": 7, "target_output": [1, 1, 0, 1, 1, 0, 1, 0],
+                  "grid": [0.001, 0.002, 0.005, 0.01]}
+#: The configs and specs the rerun checks read, by file name.
+RERUN_FILES = {
+    "census.json": {"kind": "mean-probabilities", **WORKED, "bases": 2},
+    "census100.json": {"kind": "mean-probabilities", **WORKED, "bases": 100},
+    "census-bare.json": {"kind": "mean-probabilities", **WORKED},
+    "census-spelled.json": {"kind": "mean-probabilities", **WORKED, "bases": 100, "seed": 0,
+                            "types": ["boson", "fermion", "dist"]},
+    "census-fermion.json": {"kind": "mean-probabilities", **WORKED, "bases": 2,
+                            "types": ["fermion"]},
+    "unitary-bare.json": {"kind": "unitary-robustness", **WORKED, **_WORKED_TARGET},
+    "unitary-spelled.json": {"kind": "unitary-robustness", **WORKED, **_WORKED_TARGET,
+                             "particle": "boson", "samples": 2000, "seed": 0,
+                             "delta_distribution": "ring"},
+    "unitary.json": {"kind": "unitary-robustness", "delta_distribution": "ring", **WORKED,
+                     **_WORKED_TARGET, "particle": "boson", "samples": 40},
+    "dist.json": {"kind": "distinguishability-robustness", **WORKED, **_WORKED_TARGET,
+                  "particle": "boson", "samples": 40},
+    "fourier.json": {"kind": "fourier-comparison", "modes": 12, "order": 6,
+                     "input_state": [1, 0] * 6},
+    "fermion10.json": {"kind": "fourier-comparison", "modes": 10, "order": 5,
+                       "input_state": [1, 0] * 5},
+    "spec.json": {"permutation": "(1 2 3)(4 5 6)(7 8)", "seed": 1},
+    "bunched.json": {"permutation": "(1 2)"},
+}
+
+
+def _experiment(config, *extra):
+    return ["experiment", "--config", config, "--out", "{run}", *extra]
+
+
+def _same(*suffixes):
+    """The files ``a<suffix>`` and ``b<suffix>`` of the two runs, per suffix."""
+    return tuple((f"a{suffix}", f"b{suffix}") for suffix in suffixes)
+
+
+_CENSUS_CSVS = (".boson.csv", ".fermion.csv", ".dist.csv")
+_FOURIER_CSVS = (".boson.csv", ".fermion.csv")
+_PROB = ["prob", "--unitary", "u.json", "--input-state", "[1,1,1,0,0,0,1,1]",
+         "--output-state", "[1,1,0,1,1,0,1,0]", "--type"]
+_VERDICTS = ["verdicts", "--spec", "spec.json", "--input-state", "[1,1,1,0,0,0,1,1]"]
+#: Two command lines, each run in a fresh process with its own hash seed,
+#: ``{run}`` being "a" in the first and "b" in the second, and the pairs of
+#: their files that must hold the same bytes: ``a.stdout`` and ``b.stdout``
+#: are the standard outputs, and a ``meta.json`` pair is compared without its
+#: ``timing_seconds`` line.
+RERUNS = {
+    "census-threads": (_experiment("census.json"), _experiment("census.json", "--threads", "2"),
+                       _same(*_CENSUS_CSVS)),
+    "census-100": (_experiment("census100.json"), _experiment("census100.json"),
+                   _same(*_CENSUS_CSVS, ".meta.json")),
+    "census-defaults": (_experiment("census-bare.json"), _experiment("census-spelled.json"),
+                        _same(*_CENSUS_CSVS, ".meta.json")),
+    "unitary-defaults": (_experiment("unitary-bare.json"), _experiment("unitary-spelled.json"),
+                         _same(".csv", ".meta.json")),
+    "census-fermion-only": (_experiment("census.json"), _experiment("census-fermion.json"),
+                            _same(".fermion.csv")),
+    "dist-fit": (_experiment("dist.json"), _experiment("dist.json"), _same(".csv", ".meta.json")),
+    "unitary-fit": (_experiment("unitary.json"), _experiment("unitary.json"),
+                    _same(".csv", ".meta.json")),
+    "fourier-svg": (_experiment("fourier.json", "--svg", "{run}.svg"),
+                    _experiment("fourier.json", "--svg", "{run}.svg"),
+                    _same(*_FOURIER_CSVS, ".meta.json", ".svg")),
+    "fourier-fermion10": (_experiment("fermion10.json"), _experiment("fermion10.json"),
+                          _same(*_FOURIER_CSVS, ".meta.json")),
+    "decompose": (["decompose", "--permutation", "(1 2 3)(4 5 6)(7 8)"],) * 2 + (_same(".stdout"),),
+    "build": (["build", "--spec", "spec.json", "--out", "{run}.json"],) * 2 + (_same(".json"),),
+    "prob-boson": ([*_PROB, "boson"],) * 2 + (_same(".stdout"),),
+    "prob-dist": ([*_PROB, "dist"],) * 2 + (_same(".stdout"),),
+    "verdicts-stdout-file": (_VERDICTS, [*_VERDICTS, "--out", "{run}.csv"],
+                             (("a.stdout", "b.csv"),)),
+    "verdicts-bunched-stdout-file": (
+        ["verdicts", "--spec", "bunched.json", "--input-state", "[6,6]"],
+        ["verdicts", "--spec", "bunched.json", "--input-state", "[6,6]", "--out", "{run}.csv"],
+        (("a.stdout", "b.csv"),)),
+    "verdicts-fermion-stdout-file": ([*_VERDICTS, "--type", "fermion"],
+                                     [*_VERDICTS, "--type", "fermion", "--out", "{run}.csv"],
+                                     (("a.stdout", "b.csv"),)),
+    "verdicts-svg": ([*_VERDICTS, "--out", "{run}.csv", "--svg", "{run}.svg"],) * 2
+                    + (_same(".svg"),),
+}
+
+
+@pytest.mark.parametrize("first, second, pairs", RERUNS.values(), ids=RERUNS.keys())
+def test_rerun_in_a_fresh_process_gives_the_same_bytes(first, second, pairs, tmp_path):
+    for name, content in RERUN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    assert main(["build", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path / "u.json")]) == 0
+    for run, argv, hash_seed in (("a", first, "1"), ("b", second, "2")):
+        result = _run_cli([arg.format(run=run) for arg in argv], tmp_path, hash_seed)
+        assert result.returncode == 0, result.stderr
+        (tmp_path / f"{run}.stdout").write_text(result.stdout)
+    for a, b in pairs:
+        left, right = (tmp_path / a).read_bytes(), (tmp_path / b).read_bytes()
+        if a.endswith("meta.json"):
+            left, right = ([line for line in text.splitlines() if b'"timing_seconds": ' not in line]
+                           for text in (left, right))
+        assert left == right, (a, b)
+
+
+def test_wide_dft_config_exits_1_in_a_fresh_process(tmp_path):
+    """An input of the wrong length is refused before the 100000-mode DFT is
+    built: one line, exit 1, well within 10 s."""
+    config = {"kind": "fourier-comparison", "modes": 100000, "order": 2, "input_state": [1, 0]}
+    (tmp_path / "wide.json").write_text(json.dumps(config))
+    result = _run_cli(["experiment", "--config", "wide.json", "--out", "wide"], tmp_path,
+                      timeout=10)
+    assert result.returncode == 1
+    assert result.stderr == "error: occupation over 2 modes, permutation over 100000\n"
+
+
+#: A 2 x 2 matrix with finite entries whose permanent, determinant and
+#: squared moduli overflow.
+HUGE = [[1e200, 1e200], [1e200, -1e200]]
+
+
+def _one_invariant_failure(result) -> None:
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("invariant failure: overflow encountered")
+
+
+@pytest.mark.parametrize("kind", ["boson", "fermion", "dist"])
+def test_overflowing_probability_is_one_invariant_failure(kind, tmp_path):
+    (tmp_path / "u.json").write_text(json.dumps(matrix_to_json(np.array(HUGE))))
+    _one_invariant_failure(_run_cli(["prob", "--unitary", "u.json", "--input-state", "[1,1]",
+                                     "--output-state", "[1,1]", "--type", kind], tmp_path))
+
+
+def test_overflowing_robustness_grid_point_is_one_invariant_failure(tmp_path):
+    config = {**RERUN_FILES["unitary.json"], "grid": [0.001, 0.002, 0.005, 1e300]}
+    (tmp_path / "huge.json").write_text(json.dumps(config))
+    _one_invariant_failure(_run_cli(["experiment", "--config", "huge.json", "--out", "huge"],
+                                    tmp_path))
+    assert not (tmp_path / "huge.csv").exists()

@@ -32,7 +32,6 @@ from symfock.fock import (
     odd_slots,
     output_array,
 )
-from symfock.linalg import permanent_naive
 from symfock.permutations import Permutation
 from symfock.scattering import expansion, expansion_pays, probabilities
 from symfock.serialize import matrix_to_json
@@ -45,6 +44,7 @@ from oracles import (
     output_ranks,
     outputs_up_to,
     parent_ranks,
+    permanent_naive,
     reference_expansion,
 )
 
@@ -109,6 +109,41 @@ def test_fermionic_coefficients_are_signed_determinants(case):
     assert amplitudes.shape == (len(outputs),)
     for out, amp in zip(outputs, amplitudes):
         assert close(amp, leibniz_determinant(submatrix(u, r, out)))
+
+
+@st.composite
+def linear_forms(draw):
+    """A (B, R, m) stack of R random complex linear forms over m modes and
+    the form of each of N particles: forms may repeat or go unused, and R
+    need not be m."""
+    forms, modes, particles = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.sampled_from([1, 2]))
+    weights = (rng.standard_normal((b, forms, modes))
+               + 1j * rng.standard_normal((b, forms, modes)))
+    rows = draw(st.lists(st.integers(0, forms - 1), min_size=particles, max_size=particles))
+    return weights, np.array(rows, dtype=np.intp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_forms())
+def test_coefficients_of_linear_forms_are_permanents(case):
+    """Each coefficient of prod_j (sum_k W[rows[j], k] x_k) is
+    perm(W[rows][:, cols(s)]) / prod s!, and with anticommuting x_k the
+    determinant of the same matrix, for every matrix of the stack."""
+    weights, rows = case
+    b, modes, particles = weights.shape[0], weights.shape[-1], len(rows)
+    kinds = ((False, ParticleType.BOSON), (True, ParticleType.FERMION))
+    for fermionic, order in kinds[:1 + (particles <= modes)]:
+        outputs = list(enumerate_outputs(modes, particles, order))
+        coeffs = expansion(weights, rows, fermionic=fermionic)
+        assert coeffs.shape == (b, len(outputs))
+        for w, row in zip(weights, coeffs):
+            for out, c in zip(outputs, row):
+                m = w[rows][:, [k - 1 for k in occupation_to_assignment(out)]]
+                expected = (leibniz_determinant(m) if fermionic
+                            else permanent_naive(m) / prod(factorial(x) for x in out))
+                assert close(c, expected)
 
 
 @st.composite
@@ -321,7 +356,7 @@ def test_lone_outputs_never_build_a_lattice(monkeypatch, tmp_path):
     lattice.cache_clear()
     built = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
     run_unitary_robustness(built.matrix, built.eigenvalues, (1, 1, 1, 0, 0, 0, 1, 1),
-                           (1, 1, 0, 1, 1, 0, 1, 0), ParticleType.BOSON, (0.001, 0.002, 0.005, 0.01),
+                           (1, 1, 0, 1, 1, 0, 1, 0), (0.001, 0.002, 0.005, 0.01),
                            samples=20, seed=0)
     unitary = tmp_path / "u.json"
     unitary.write_text(json.dumps(matrix_to_json(built.matrix)))

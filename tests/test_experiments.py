@@ -217,7 +217,7 @@ class TestUnitaryRobustness:
         built = build_unitary(UnitarySpec(HOM_PERM))
         fit = run_unitary_robustness(
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
-            ParticleType.BOSON, self.GRID, samples=2000, seed=5,
+            self.GRID, samples=2000, seed=5,
         )
         assert fit.exponent == pytest.approx(2.0, abs=0.1)
         assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
@@ -235,7 +235,7 @@ class TestUnitaryRobustness:
         fits = [
             run_unitary_robustness(
                 built.matrix, built.eigenvalues, (1, 1), (1, 1),
-                ParticleType.BOSON, self.GRID, samples=200, seed=9,
+                self.GRID, samples=200, seed=9,
             )
             for _ in range(2)
         ]
@@ -246,7 +246,7 @@ class TestUnitaryRobustness:
         with pytest.raises(ValueError, match="not law-suppressed"):
             run_unitary_robustness(
                 built.matrix, built.eigenvalues, (1, 1), (2, 0),
-                ParticleType.BOSON, self.GRID,
+                self.GRID,
             )
 
     def test_rejects_short_grid(self):
@@ -254,7 +254,7 @@ class TestUnitaryRobustness:
         with pytest.raises(ValueError, match="four grid points"):
             run_unitary_robustness(
                 built.matrix, built.eigenvalues, (1, 1), (1, 1),
-                ParticleType.BOSON, (1e-3, 1e-2),
+                (1e-3, 1e-2),
             )
 
     def test_rejects_unsorted_grid(self):
@@ -262,7 +262,7 @@ class TestUnitaryRobustness:
         with pytest.raises(ValueError, match="ascending"):
             run_unitary_robustness(
                 built.matrix, built.eigenvalues, (1, 1), (1, 1),
-                ParticleType.BOSON, (1e-2, 1e-3, 5e-3, 2e-3),
+                (1e-2, 1e-3, 5e-3, 2e-3),
             )
 
     def test_rejects_zero_samples(self):
@@ -270,14 +270,14 @@ class TestUnitaryRobustness:
         for fit in (run_unitary_robustness, run_distinguishability_robustness):
             with pytest.raises(ValueError, match="at least one sample"):
                 fit(built.matrix, built.eigenvalues, (1, 1), (1, 1),
-                    ParticleType.BOSON, self.GRID, samples=0)
+                    self.GRID, samples=0)
 
     def test_fermionic_target(self):
         perm, values = fourier_symmetry(4, 2)
         u = fourier_unitary(4)
         fit = run_unitary_robustness(
             u, values, (1, 0, 1, 0), (1, 0, 1, 0),
-            ParticleType.FERMION, self.GRID, samples=1500, seed=2, permutation=perm,
+            self.GRID, ParticleType.FERMION, samples=1500, seed=2, permutation=perm,
         )
         assert fit.exponent == pytest.approx(2.0, abs=0.15)
 
@@ -289,7 +289,7 @@ class TestDistinguishabilityRobustness:
         built = build_unitary(UnitarySpec(HOM_PERM))
         fit = run_distinguishability_robustness(
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
-            ParticleType.BOSON, self.GRID, samples=800, seed=3,
+            self.GRID, samples=800, seed=3,
         )
         assert fit.exponent == pytest.approx(1.0, abs=0.1)
         assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
@@ -299,7 +299,7 @@ class TestDistinguishabilityRobustness:
         perm, values = fourier_symmetry(4, 2)
         fit = run_distinguishability_robustness(
             fourier_unitary(4), values, (1, 0, 1, 0), (1, 1, 0, 0),
-            ParticleType.BOSON, self.GRID, samples=800, seed=4, permutation=perm,
+            self.GRID, samples=800, seed=4, permutation=perm,
         )
         assert fit.exponent == pytest.approx(1.0, abs=0.1)
         assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
@@ -321,7 +321,7 @@ class TestDistinguishabilityRobustness:
         perm, values = fourier_symmetry(4, 2)
         fit = run_distinguishability_robustness(
             fourier_unitary(4), values, (1, 0, 1, 0), (1, 1, 0, 0),
-            ParticleType.BOSON, self.GRID, samples=100, seed=5, permutation=perm,
+            self.GRID, samples=100, seed=5, permutation=perm,
         )
         assert fit.metadata["psd_repairs"] >= 0
         assert fit.metadata["ensemble"] == "independent"
@@ -353,7 +353,7 @@ class TestGracefulDegradation:
         grid = (1e-3, 1e-2, 1e-1, 3e-1)
         fit = run_unitary_robustness(
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
-            ParticleType.BOSON, grid, samples=1500, seed=14,
+            grid, samples=1500, seed=14,
         )
         ratios = [m / (fit.predicted_prefactor * g**2) for g, m in zip(grid, fit.measured)]
         print("first-order ratio per grid point:",

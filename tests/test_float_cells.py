@@ -18,7 +18,7 @@ from symfock.permutations import Permutation, RootOfUnity
 from symfock import serialize
 from symfock.serialize import verdict_lines, write_verdict_csvs
 
-from oracles import float_reprs, reference_verdict_lines, row_distributions
+from oracles import float_reprs, reference_groups, reference_verdict_lines, row_distributions
 
 
 def _both_signs(x):
@@ -129,7 +129,7 @@ def test_import_builds_no_table():
 
 def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch, tmp_path):
     tables = command_tables["census"] + command_tables["fourier"]
-    roots = {root for table in tables for dist in table.groups for root in dist}
+    roots = {root for table in tables for dist in reference_groups(table) for root in dist}
     formatted = []
     monkeypatch.setattr(RootOfUnity, "__str__",
                         lambda root: formatted.append(root) or f"{root.num}/{root.den}")

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from symfock.linalg import (
-    determinant,
-    permanent_naive,
-    permanent_ryser,
-)
+from symfock.linalg import determinant, permanent_ryser
 
-from oracles import haar_random_unitary, is_unitary, leibniz_determinant
+from oracles import haar_random_unitary, is_unitary, leibniz_determinant, permanent_naive
 
 
 def random_complex(rng, n):

@@ -286,7 +286,7 @@ SAMPLE_COUNTS = (1, 67, 68, 69, 513, 1025)  # around the Gram sub-stack (68) and
 def test_unitary_fit_matches_per_sample_oracle(distribution, samples):
     args = (WORKED.matrix, WORKED_INPUT, WORKED_TARGET, ParticleType.BOSON, GRID, samples, 11)
     fit = run_unitary_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT, WORKED_TARGET,
-                                 ParticleType.BOSON, GRID, samples=samples, seed=11,
+                                 GRID, samples=samples, seed=11,
                                  distribution=distribution)
     assert fit.measured == oracle_unitary_fit(*args, distribution)
 
@@ -301,7 +301,7 @@ def test_unitary_fit_on_the_occupied_block_matches_the_full_matrix(distribution,
     # the oracle perturbs the whole 4 x 4 DFT
     perm, eigenvalues = fourier_symmetry(4, 2)
     u = fourier_unitary(4)
-    fit = run_unitary_robustness(u, eigenvalues, r, s, particle, GRID, samples=70, seed=15,
+    fit = run_unitary_robustness(u, eigenvalues, r, s, GRID, particle, samples=70, seed=15,
                                  distribution=distribution, permutation=perm)
     assert fit.measured == oracle_unitary_fit(u, r, s, particle, GRID, 70, 15, distribution)
 
@@ -312,7 +312,7 @@ def test_dist_fit_matches_per_sample_oracle(ensemble, samples):
     assert GRAM_STACK_TERMS // 120 == 68
     args = (WORKED.matrix, WORKED_INPUT, WORKED_TARGET, ParticleType.BOSON, GRID, samples, 12)
     fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
-                                            WORKED_TARGET, ParticleType.BOSON, GRID,
+                                            WORKED_TARGET, GRID,
                                             samples=samples, seed=12, ensemble=ensemble)
     measured, repairs = oracle_dist_fit(*args, ensemble)
     assert fit.measured == measured
@@ -334,7 +334,7 @@ def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, terms):
 
     monkeypatch.setattr(scattering, "permanent_ryser", counting_permanent)
     fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
-                                            WORKED_TARGET, ParticleType.BOSON, GRID,
+                                            WORKED_TARGET, GRID,
                                             samples=7, seed=13, ensemble=ensemble)
     monkeypatch.setattr(scattering, "permanent_ryser", real_permanent)
     # the weights are complex (b, 5, 5) stacks; the lone complex (5, 5) is

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from symfock.fock import ParticleType, enumerate_outputs, occupation_to_assignment
-from symfock.linalg import permanent_naive
 from symfock.scattering import (
     PARTIAL_MAX,
     PerturbationModel,
@@ -20,7 +19,7 @@ from symfock.scattering import (
     validate_distinguishability,
 )
 
-from oracles import haar_random_unitary, is_unitary, perturb_unitary
+from oracles import haar_random_unitary, is_unitary, permanent_naive, perturb_unitary
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -366,3 +365,17 @@ def test_good_outputs_pass_the_checks():
                           (ParticleType.DISTINGUISHABLE, [])):
         p = probabilities(UNITARY, (1, 1, 0, 0), outputs, kind)
         assert p.shape == (len(outputs),) and (p >= 0).all()
+
+
+@pytest.mark.parametrize("kind, outputs", [
+    (ParticleType.BOSON, [(1, 1)]),
+    (ParticleType.FERMION, [(1, 1)]),
+    (ParticleType.DISTINGUISHABLE, [(2, 0), (1, 1), (0, 2)]),  # the lattice: the expansion
+])
+def test_non_finite_probability_is_an_arithmetic_error(kind, outputs):
+    """Finite entries whose products overflow give no probability, even
+    where numpy only warns."""
+    huge = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="not finite"):
+            probabilities(huge, (1, 1), outputs, kind)

@@ -20,7 +20,6 @@ from symfock.serialize import (
     matrix_to_json,
     parse_occupation,
     parse_permutation,
-    read_verdict_csv,
     spec_from_json,
     spec_to_json,
     verdict_lines,
@@ -28,11 +27,18 @@ from symfock.serialize import (
     write_metadata,
     write_verdict_csvs,
 )
-from symfock.suppression import VerdictTable, count_roots
+from symfock.suppression import VerdictTable
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
-from oracles import assert_same_table, float_reprs, haar_random_unitary, read_fit_csv
+from oracles import (
+    assert_same_table,
+    count_roots,
+    float_reprs,
+    haar_random_unitary,
+    read_fit_csv,
+    read_verdict_csv,
+)
 
 
 #: JSON scalars of every kind: the floats repr writes in exponent form or

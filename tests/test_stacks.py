@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from symfock import scattering
 from symfock.fock import ParticleType, enumerate_outputs
-from symfock.linalg import determinant, permanent_naive, permanent_ryser
+from symfock.linalg import determinant, permanent_ryser
 from symfock.scattering import probabilities
 
-from oracles import haar_random_unitary, leibniz_determinant
+from oracles import haar_random_unitary, leibniz_determinant, permanent_naive
 
 SHAPES = ("gaussian", "repeated_columns", "zero_column", "nonnegative")
 

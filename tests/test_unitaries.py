@@ -38,7 +38,7 @@ class TestBuildUnitary:
             assert symmetry_residual(p, built.matrix, theta, built.eigenvalues) <= 1e-12
 
     def test_identity_permutation_predicts_nothing(self):
-        built = build_unitary(UnitarySpec(Permutation.identity(3), rotation_seed=5))
+        built = build_unitary(UnitarySpec(Permutation(range(3)), rotation_seed=5))
         assert all(v == RootOfUnity(0, 1) for v in built.eigenvalues)
         assert is_unitary(built.matrix, 1e-12)
         for s in enumerate_outputs(3, 2, ParticleType.BOSON):
@@ -178,7 +178,7 @@ class TestFourierSymmetry:
 WORKED = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
 STACK_SPECS = {
     "worked": UnitarySpec(WORKED),
-    "identity": UnitarySpec(Permutation.identity(5)),
+    "identity": UnitarySpec(Permutation(range(5))),
     "six-cycle": UnitarySpec(Permutation.parse("(1 2 3 4 5 6)")),
     "phases": UnitarySpec(WORKED, theta_phases=tuple(np.linspace(0.3, 2.9, 8)),
                           sigma_phases=tuple(np.linspace(-1.0, 4.0, 8))),

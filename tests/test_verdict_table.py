@@ -17,17 +17,21 @@ from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_p
 from symfock.fock import ParticleType, output_array
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.scattering import probabilities
-from symfock.serialize import read_verdict_csv, verdict_lines, write_verdict_csvs
+from symfock.serialize import verdict_lines, write_verdict_csvs
 from symfock.suppression import (
     EventClass,
     VerdictTable,
-    classify_event,
-    count_roots,
     verdict_table,
 )
 from symfock.unitaries import UnitarySpec, build_unitary
 
-from oracles import assert_same_table, reference_verdict_lines
+from oracles import (
+    assert_same_table,
+    classify_event,
+    count_roots,
+    read_verdict_csv,
+    reference_verdict_lines,
+)
 
 WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
 WORKED_INPUT = (1, 1, 1, 0, 0, 0, 1, 1)
@@ -117,7 +121,7 @@ def hand_table(kind, p, p_dist):
     k = len(p)
     fermion_law = ()
     if kind is ParticleType.FERMION:
-        fermion_law = (Permutation.identity(k), (1,) + (0,) * (k - 1), 0)
+        fermion_law = (Permutation(range(k)), (1,) + (0,) * (k - 1), 0)
     outputs = np.eye(k, dtype=np.intp)
     eigenvalues = [RootOfUnity(0, 1)] * k
     return verdict_table(eigenvalues, outputs, kind, p, p_dist, *fermion_law)
