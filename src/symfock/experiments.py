@@ -488,10 +488,19 @@ GRAM_ENSEMBLES = ("independent", "gram")
 GRAM_STACK_TERMS = 1 << 13
 
 
+def _check_mean_deficit(mean_eps: float) -> None:
+    """Refuse a mean deficit above 0.5: the deficits are drawn uniform on
+    [0, 2 mean_eps], and none may exceed 1."""
+    if mean_eps > 0.5:
+        raise ValueError(f"mean distinguishability deficit {mean_eps!r} is above 0.5: "
+                         "deficits uniform on [0, 2 * mean] would exceed 1")
+
+
 def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
                               ensemble: str = "independent", eta_scale: float = 1.0,
                               count: int | None = None) -> tuple[np.ndarray, bool | int]:
-    """Random distinguishability matrices with average deficit ``mean_eps``.
+    """Random distinguishability matrices with average deficit ``mean_eps``,
+    at most 0.5.
 
     ``independent`` perturbs every off-diagonal entry as (1-eps)*exp(i*eta)
     with eps uniform of mean ``mean_eps`` and eta zero-mean, bounded by
@@ -511,6 +520,7 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     spread = eta_scale * mean_eps if ensemble == "independent" else 0.0  # gram: no eta
     if not (0.0 <= 2.0 * mean_eps < np.inf and 0.0 <= 2.0 * spread < np.inf):
         raise ValueError("mean_eps and eta_scale must be finite and non-negative")
+    _check_mean_deficit(mean_eps)
     lead = () if count is None else (count,)
     diagonal = np.arange(n)
     # rng.uniform(low, high) is low + (high - low) * U: rng.random scaled so has
@@ -540,7 +550,7 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
         return s, int(mask.sum())
     # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
     draw = rng.random((*lead, 2, n)) * np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # eps_j, phi
-    t = np.arcsin(np.sqrt(np.minimum(draw[..., 0, :], 1.0)))
+    t = np.arcsin(np.sqrt(draw[..., 0, :]))  # eps_j < 2 mean_eps <= 1
     a = np.cos(t)
     b = np.sin(t) * np.exp(1j * draw[..., 1, :])
     s = a[..., :, None] * a[..., None, :] + b[..., :, None] * np.conj(b)[..., None, :]
@@ -564,9 +574,12 @@ def run_distinguishability_robustness(
     """Mean deviation from perfect suppression under partial distinguishability.
 
     First-order theory: linear in the mean deficit with coefficient N * P_D.
-    PSD repairs of the sampled Gram matrices are counted in the metadata.
+    A grid value above 0.5 is refused before the first sample (see
+    :func:`sample_distinguishability`). PSD repairs of the sampled Gram
+    matrices are counted in the metadata.
     """
     def prepare(u, r, s, p_dist):
+        _check_mean_deficit(max(grid))  # before the first sample
         terms = partial_weights(u, r, s, particle)  # once per fit, for every grid point
         settings = {"ensemble": ensemble, "eta_scale": eta_scale, "psd_repairs": 0}
 

@@ -98,9 +98,13 @@ def _assignment0(occupation) -> np.ndarray:
     return np.array(occupation_to_assignment(occupation), dtype=np.intp) - 1
 
 
-def _clamp_probability(value):
+def _check_finite(value) -> None:
     if not np.isfinite(value).all():  # an overflow upstream: no probability to give
         raise ArithmeticError(f"probability {value[~np.isfinite(value)][0]} is not finite")
+
+
+def _clamp_probability(value):
+    _check_finite(value)
     if np.any(value < _NEGATIVE_FLOOR):
         raise ArithmeticError(f"probability {np.min(value)} below the cancellation floor")
     return np.where(value < 0.0, 0.0, value)  # keeps -0.0, as max(-0.0, 0.0) does
@@ -300,7 +304,11 @@ def _per_output_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarr
         b, k = np.divmod(pair, len(s))
         m = stack[b[:, None, None], rows[None, :, None], _columns(s[k], len(rows))[:, None, :]]
         if kind is ParticleType.DISTINGUISHABLE:
-            values = permanent_ryser(np.abs(m) ** 2).real
+            weights = np.abs(m) ** 2
+            # squares of checked entries may overflow: the error of the
+            # lattice path, before permanent_ryser refuses them as input
+            _check_finite(weights)
+            values = permanent_ryser(weights).real
         else:
             amp = determinant(m) if kind is ParticleType.FERMION else permanent_ryser(m)
             # Python's pow(|z|, 2), not numpy's |z| * |z|: they differ in the

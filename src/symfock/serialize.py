@@ -15,10 +15,12 @@ once for all of them: each distinct float through one Schubfach pass in
 numpy arithmetic, laid out the way ``repr`` lays it out, and each table's
 eigenvalue distributions from its ``root_counts``, the text of each
 distinct root written once and gathered into every distribution. Each
-block of ``scattering.CHUNK`` rows then becomes one uint8 matrix: the
-occupations (fixed-width "[d,d,...,d]" when every count is a single digit,
-a digit loop otherwise), every other cell gathered by its row's index, and
-the separators. One pass deletes the NULs, and one write sends the block to
+table then has one uint8 row buffer of ``scattering.CHUNK`` rows, its
+cells at fixed offsets and the separators between them set once. Each
+block of rows writes into it its occupations (fixed-width "[d,d,...,d]"
+when every count is a single digit, whose brackets and commas stay in the
+buffer, a digit loop otherwise) and every other cell, gathered by its
+row's index. One pass deletes the NULs, and one write sends the block to
 the file.
 
 A run's ``meta.json`` holds the bytes of ``json.dumps(metadata, indent=2)``
@@ -199,25 +201,35 @@ _FLAGS = _cell_matrix(["false", "true"])
 _EVENTS = _cell_matrix([event.value for event in EventClass])
 
 
-def _occupations(outputs: np.ndarray) -> np.ndarray:
-    """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]",
-    in NUL-padded bytes.
+def _digit_slots(outputs: np.ndarray) -> int:
+    """The digit slots of each entry of the occupation cells of a (B, n)
+    integer array: 0 when every entry is a single digit (0-9), for the
+    fixed-width form, else the digit count of the largest magnitude."""
+    if outputs.shape[1] and outputs.min(initial=0) >= 0 and outputs.max(initial=0) <= 9:
+        return 0
+    return len(str(int(np.abs(outputs.astype(np.int64)).max(initial=0))))
 
-    When every entry is a single digit (0-9), each row is "[d,d,...,d]" of
-    fixed width 2n + 1, written with strided stores and no NULs. Otherwise
-    every entry has a sign slot, ``width`` digit slots and its separator,
-    and NULs stand for the sign of a non-negative entry, leading zeros and
-    the last entry's separator.
+
+def _occupations(outputs: np.ndarray, digits: int | None = None) -> np.ndarray:
+    """Each row of a (B, n) integer array as a compact JSON array, "[0,12,1]",
+    in NUL-padded bytes, with ``digits`` slots per entry (default: those of
+    :func:`_digit_slots`, which a block of a table takes from the whole table).
+
+    With 0 digit slots each row is "[d,d,...,d]" of fixed width 2n + 1,
+    written with strided stores and no NULs. Otherwise every entry has a
+    sign slot, ``digits`` digit slots and its separator, and NULs stand for
+    the sign of a non-negative entry, leading zeros and the last entry's
+    separator.
     """
     b, n = outputs.shape
-    if n and outputs.min(initial=0) >= 0 and outputs.max(initial=0) <= 9:
+    width = _digit_slots(outputs) if digits is None else digits
+    if not width:
         line = np.empty((b, 2 * n + 1), dtype=np.uint8)
         line[:, 2::2] = ord(",")
         line[:, 0], line[:, -1] = ord("["), ord("]")
         np.add(outputs, ord("0"), out=line[:, 1::2], casting="unsafe")  # every other byte
         return line
     rest = np.abs(outputs.astype(np.int64))
-    width = len(str(int(rest.max(initial=0))))
     line = np.zeros((b, n * (width + 2) + 2), dtype=np.uint8)
     line[:, 0], line[:, -1] = ord("["), ord("]")
     chars = line[:, 1:-1].reshape(b, n, width + 2)  # a view: one axis split in two
@@ -369,13 +381,27 @@ def _float_cells(values) -> np.ndarray:
     (``1e-05``, ``1.5e+16``, ``5e-324``), the fixed form otherwise, with
     ``.0`` on integral values; ``-0.0``, ``inf``, ``-inf`` and ``nan`` as
     ``repr`` writes them. Each value gets a source row of its digits and
-    characters; the rows are grouped by layout, and each group is gathered
-    through that layout's template of source slots in one ``take``.
+    characters and a layout key; one gather through the stacked templates of
+    the layouts present (:func:`_template`), each value's found by its key,
+    lays out every cell.
+
+    The values go in blocks of 8 ``CHUNK`` (:func:`_lay_out`), so that no
+    temporary outgrows about 200 kB, memory the allocator reuses: with
+    arrays over all the 10 510 distinct floats of a 12-mode DFT command,
+    glibc maps fresh pages for them, about a thousand page faults per call.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    cells = np.empty((len(x), _CELL_WIDTH), dtype=np.uint8)
+    block = 8 * CHUNK
+    for start in range(0, len(x), block):
+        _lay_out(x[start:start + block], cells[start:start + block])
+    return cells
+
+
+def _lay_out(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write the cells of :func:`_float_cells` for a non-empty block of
+    values into ``cells``."""
     size = len(x)
-    if not size:
-        return np.zeros((0, _CELL_WIDTH), dtype=np.uint8)
     magnitude = np.abs(x)
     finite = np.isfinite(magnitude)
     regular = finite & (magnitude != 0)
@@ -405,20 +431,21 @@ def _float_cells(values) -> np.ndarray:
                     np.where((point <= -4) | (point > 16),
                              20 + 2 * (point < 1) + (np.abs(point - 1) >= 100), point + 3))
     sign = (x.view(np.int64) < 0) & (code != _NAN)
-    # the rows grouped by layout key, each group gathered through its template
+    # the templates of the layouts present, stacked, and each value's row
+    # among them through a lookup over the keys (all below 2 * 17 * _CODES)
     key = (sign * 17 + digits - 1) * _CODES + code
-    order = np.argsort(key.astype(np.uint16), kind="stable")
-    counts = np.bincount(key)
-    present = np.flatnonzero(counts)
-    grouped = words.view(np.uint8)[order]
-    laid_out = np.empty((size, _CELL_WIDTH), dtype=np.uint8)
-    start = 0
-    for layout, end in zip(present.tolist(), np.cumsum(counts[present]).tolist()):
-        np.take(grouped[start:end], _template(layout), axis=1, out=laid_out[start:end])
-        start = end
-    cells = np.empty_like(laid_out)
-    cells[order] = laid_out
-    return cells
+    present = np.flatnonzero(np.bincount(key))
+    lookup = np.zeros(present[-1] + 1, dtype=np.intp)
+    lookup[present] = np.arange(len(present))
+    row = lookup.take(key)
+    templates = np.stack([_template(layout) for layout in present.tolist()])
+    source = words.view(np.uint8).ravel()
+    stride = words.strides[0]  # the bytes of one value's source row
+    for start in range(0, size, CHUNK):  # in blocks: the index is 8 bytes per cell byte
+        index = templates.take(row[start:start + CHUNK], axis=0)
+        index += np.arange(start, start + len(index))[:, None] * stride
+        # "clip" (no index is out of range) writes ``out`` in place; "raise" buffers it
+        np.take(source, index, out=cells[start:start + CHUNK], mode="clip")
 
 
 def _cell_columns(tables) -> tuple[np.ndarray, list]:
@@ -429,9 +456,9 @@ def _cell_columns(tables) -> tuple[np.ndarray, list]:
     ``p_dist`` values.
 
     The floats of all tables go through one :func:`_float_cells` call: its
-    fixed cost (about a hundred numpy calls, 0.7 ms on a 2-core x86-64 host)
-    would exceed what it saves if it ran once per table or per block, and the
-    tables of one command share many values (the census boson and
+    fixed cost (over a hundred numpy calls, 0.25 ms on a 2-core x86-64 host)
+    would exceed what it saves if it ran once per table or per row block, and
+    the tables of one command share many values (the census boson and
     distinguishable tables share p_dist). One sort of their bit patterns
     gives the distinct values and each value's index among them. A table's
     phase cells come from its ``root_counts`` in one gather of its roots'
@@ -476,28 +503,48 @@ def _verdict_blocks(table: VerdictTable, floats: np.ndarray, phases: np.ndarray,
                     p: np.ndarray, p_dist: np.ndarray):
     """The verdict CSV of a table as ASCII bytes: the header, then each
     block of rows (see :func:`write_verdict_csvs`), from the table's cells
-    of :func:`_cell_columns`."""
+    of :func:`_cell_columns`.
+
+    The table has one uint8 row buffer of up to ``CHUNK`` rows, each row
+    its cells at fixed offsets with the separators between them, set once.
+    Each block writes its occupations and then each other column, gathered
+    by its rows' indices, into its slices of the buffer; one pass deletes
+    the NULs."""
     parity = table.parity is not None
     yield (";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n").encode()
+    probs = None if table.kind is ParticleType.DISTINGUISHABLE else (floats, p)
+    # (source cells, each row's index into them) per column after the
+    # occupations, and None for a column the table's kind leaves empty
+    columns = [
+        (phases, table.group),
+        (_FLAGS, table.boson),
+        None if table.fermion is None else (_FLAGS, table.fermion),
+        probs if table.kind is ParticleType.BOSON else None,
+        probs if table.kind is ParticleType.FERMION else None,
+        (floats, p_dist),
+        (_EVENTS, table.codes),
+    ] + [(_FLAGS, table.parity)] * parity
+    digits = _digit_slots(table.outputs)
+    first = _occupations(table.outputs[:CHUNK], digits)  # the first block's cells fix the width
+    widths = [first.shape[1]] + [0 if column is None else column[0].shape[1] for column in columns]
+    ends = np.cumsum(np.add(widths, 1)).tolist()  # each cell is followed by its separator
+    buffer = np.empty((len(first), ends[-1]), dtype=np.uint8)
+    buffer[:, np.subtract(ends, 1)] = ord(";")
+    buffer[:, -1] = ord("\n")
+    buffer[:, :widths[0]] = first
     for start in range(0, len(table), CHUNK):
         rows = slice(start, start + CHUNK)
-        probs = None if table.kind is ParticleType.DISTINGUISHABLE else floats[p[rows]]
-        pieces = [
-            _occupations(table.outputs[rows]),
-            phases[table.group[rows]],
-            _FLAGS[table.boson[rows].astype(np.intp)],
-            None if table.fermion is None else _FLAGS[table.fermion[rows].astype(np.intp)],
-            probs if table.kind is ParticleType.BOSON else None,
-            probs if table.kind is ParticleType.FERMION else None,
-            floats[p_dist[rows]],
-            _EVENTS[table.codes[rows]],
-        ]
-        if parity:
-            pieces.append(_FLAGS[table.parity[rows].astype(np.intp)])
-        semicolon = np.full((len(pieces[0]), 1), ord(";"), dtype=np.uint8)
-        parts = [part for piece in pieces for part in (piece, semicolon) if part is not None]
-        parts[-1] = np.full_like(semicolon, ord("\n"))
-        yield np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")  # drops the padding
+        outputs = table.outputs[rows]
+        block = buffer[:len(outputs)]
+        if digits:
+            block[:, :widths[0]] = _occupations(outputs, digits)
+        else:  # fixed width: every row keeps the first block's brackets and commas
+            np.add(outputs, ord("0"), out=block[:, 1:widths[0]:2], casting="unsafe")
+        for column, begin, end in zip(columns, ends, ends[1:]):
+            if column is not None:
+                cells, index = column
+                block[:, begin:end - 1] = cells.take(index[rows], axis=0)
+        yield block.tobytes().translate(None, b"\0")  # drops the padding
 
 
 def verdict_lines(table: VerdictTable):
@@ -515,10 +562,10 @@ def write_verdict_csvs(tables: dict) -> None:
 
     The cells of all the tables come from one :func:`_cell_columns` call, so
     a command that writes several tables formats each distinct float and
-    eigenvalue once. The rows go in blocks of ``scattering.CHUNK``, so memory
-    does not grow with a table. Each block is one uint8 matrix of NUL-padded
-    cells and separators; one pass deletes the NULs, and one write sends the
-    rest to the file.
+    eigenvalue once. The rows go in blocks of ``scattering.CHUNK`` through
+    one reused row buffer per table (:func:`_verdict_blocks`), so memory does
+    not grow with a table. Each block fills the buffer's NUL-padded cells;
+    one pass deletes the NULs, and one write sends the rest to the file.
     """
     floats, columns = _cell_columns(tables.values())
     for (path, table), cells in zip(tables.items(), columns):

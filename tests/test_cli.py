@@ -795,6 +795,25 @@ def test_overflowing_probability_is_one_invariant_failure(kind, tmp_path):
                                      "--output-state", "[1,1]", "--type", kind], tmp_path))
 
 
+@pytest.mark.parametrize("ensemble, grid", [
+    ("independent", [0.1, 0.2, 0.4, 0.8]),
+    ("gram", [0.1, 0.2, 0.4, 0.8]),
+    ("independent", [1e300, 2e300, 3e300, 4e300]),
+])
+def test_mean_deficit_above_half_exits_1(ensemble, grid, tmp_path, capsys, monkeypatch):
+    """A distinguishability grid value above 0.5 is refused before the first
+    sample, with one line and no output file."""
+    monkeypatch.setattr(experiments, "sample_distinguishability",
+                        lambda *args, **kwargs: pytest.fail("sampled"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**RERUN_FILES["dist.json"], "grid": grid, "ensemble": ensemble}))
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "dist")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: mean distinguishability deficit {grid[-1]!r} is above 0.5: ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.glob("dist.*"))
+
+
 def test_overflowing_robustness_grid_point_is_one_invariant_failure(tmp_path):
     config = {**RERUN_FILES["unitary.json"], "grid": [0.001, 0.002, 0.005, 1e300]}
     (tmp_path / "huge.json").write_text(json.dumps(config))

@@ -304,6 +304,30 @@ class TestDistinguishabilityRobustness:
         assert fit.exponent == pytest.approx(1.0, abs=0.1)
         assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
 
+    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
+    @pytest.mark.parametrize("mean_eps", [0.5000000000000001, 0.8, 1e300])
+    def test_mean_deficit_above_half_rejected(self, ensemble, mean_eps):
+        """Deficits are uniform on [0, 2 mean_eps]: above 0.5 some would exceed 1."""
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match=r"^mean distinguishability deficit .* is above 0\.5"):
+            sample_distinguishability(3, mean_eps, rng, ensemble, count=2)
+
+    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
+    def test_mean_deficit_of_half_draws_valid_matrices(self, ensemble):
+        grams, _ = sample_distinguishability(4, 0.5, np.random.default_rng(2), ensemble, count=300)
+        for gram in grams:
+            validate_distinguishability(gram)
+
+    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
+    @pytest.mark.parametrize("grid", [(0.1, 0.2, 0.4, 0.8), (1e300, 2e300, 3e300, 4e300)])
+    def test_grid_above_half_rejected_before_any_sample(self, ensemble, grid, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_distinguishability",
+                            lambda *args, **kwargs: pytest.fail("sampled"))
+        built = build_unitary(UnitarySpec(HOM_PERM))
+        with pytest.raises(ValueError, match=r"is above 0\.5"):
+            run_distinguishability_robustness(built.matrix, built.eigenvalues, (1, 1), (1, 1),
+                                              grid, samples=10, ensemble=ensemble)
+
     @pytest.mark.parametrize("ensemble", ["independent", "gram"])
     def test_sampled_matrices_are_valid(self, ensemble):
         rng = np.random.default_rng(6)

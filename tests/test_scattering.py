@@ -379,3 +379,14 @@ def test_non_finite_probability_is_an_arithmetic_error(kind, outputs):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="not finite"):
             probabilities(huge, (1, 1), outputs, kind)
+
+
+@pytest.mark.parametrize("outputs", [[(1, 1)], [(2, 0), (1, 1), (0, 2)]], ids=["lone", "lattice"])
+def test_overflowing_squares_are_an_arithmetic_error_on_any_list(outputs):
+    """|M|^2 of finite entries that overflows is no usage error: a lone output
+    (one permanent per output) raises what the lattice (the expansion)
+    raises."""
+    u = np.array([[1e200, -1e200], [1e200, 1e200]])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ArithmeticError, match="^probability inf is not finite$"):
+            probabilities(u, [1, 1], outputs, ParticleType.DISTINGUISHABLE)
