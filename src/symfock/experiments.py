@@ -26,12 +26,13 @@ eigenbases the way the fits stack their noise samples: one
 degenerate eigenspace, both invariants checked over the stack), then one
 call per particle kind for each sub-stack, with all outputs of every basis
 (one polynomial expansion per unitary, its parents read from the cached
-lattice table of :func:`fock.lattice`, which :func:`fock.output_array`
-built; a census builds only the lattices its types read). The DFT
+lattice table of :func:`fock.lattice`, whose cached read-only rows, in the
+lattice's dtype, :func:`fock.output_array` hands out uncopied; a census
+builds only the lattices its types read). The DFT
 comparison checks the input's length before it builds the DFT.
 
 A table of one unitary, the DFT comparison's and the ``verdicts``
-command's, comes from :func:`unitary_table`: the output array, one
+command's, comes from :func:`unitary_table`: the cached output rows, one
 probability call for the distinguishable reference and one for the kind,
 then the verdicts. The census keeps its own path: it averages each
 probability over its bases before any verdict, and normalises its

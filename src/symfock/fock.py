@@ -13,12 +13,18 @@ the outputs of the top particle number and, for every particle number,
 the :class:`Slots` of its outputs (each output's occupied modes, with the
 rank in that order of the output with one particle removed there).
 :func:`output_array`, the (K, n) outputs that verdict tables and
-probability calls take, is the top group of the lattice table; no output
-goes through a tuple.
+probability calls take, is the top group of the lattice table itself: the
+cached read-only rows in the lattice's smallest unsigned dtype, not a copy;
+no output goes through a tuple. :func:`output_rows` is the one conversion
+of a caller's outputs into rows: integer arrays pass through in their own
+dtype, anything else becomes checked ``intp`` rows.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -42,8 +48,23 @@ class ParticleType(Enum):
         raise ValueError(f"unknown particle type {text!r}")
 
 
+def _entry(x) -> int:
+    """One occupation entry as an int: an integer or an integral real
+    number. Bools, strings and every other value are refused, not
+    truncated."""
+    if type(x) is int:  # the common case, first; type(True) is bool, not int
+        return x
+    if not isinstance(x, (bool, np.bool_)):
+        try:
+            return operator.index(x)
+        except TypeError:
+            if isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x):
+                return int(x)
+    raise ValueError(f"occupation entries must be integers, got {x!r}")
+
+
 def check_occupation(occupation, fermionic: bool = False) -> tuple[int, ...]:
-    occ = tuple(int(x) for x in occupation)
+    occ = tuple(map(_entry, occupation))
     if any(x < 0 for x in occ):
         raise ValueError(f"negative occupation in {occ}")
     if fermionic and any(x > 1 for x in occ):
@@ -98,14 +119,33 @@ def enumerate_outputs(n: int, particles: int, kind: ParticleType) -> Iterator[tu
 
 def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     """Every output of :func:`enumerate_outputs` as one (K, n) array, in its
-    order, with the same checks: a fresh copy of the top group of the
-    :func:`lattice` table, which probability calls on it then reuse. More
-    than :data:`linalg.RYSER_MAX` particles of any kind are refused first:
-    every table's distinguishable reference is a permanent of that size."""
+    order, with the same checks: the top group of the :func:`lattice` table
+    itself, read-only, in the smallest unsigned dtype that holds
+    ``particles`` and not copied, which probability calls on it then reuse.
+    More than :data:`linalg.RYSER_MAX` particles of any kind are refused
+    first: every table's distinguishable reference is a permanent of that
+    size."""
     _check_output_count(n, particles, kind)
     if particles > RYSER_MAX:
         raise ValueError(f"Ryser permanent limited to n <= {RYSER_MAX}, got {particles}")
-    return lattice(n, particles, kind is ParticleType.FERMION).top.astype(np.intp)
+    return lattice(n, particles, kind is ParticleType.FERMION).top
+
+
+def output_rows(outputs, n: int) -> np.ndarray:
+    """A list of K outputs as (K, m) integer rows, (0, n) for no output. A
+    (K, m) array of an integer dtype that casts safely to ``intp`` passes
+    through as it is, not copied, so the cached rows of
+    :func:`output_array` stay what they are. A list, or an array of any
+    other dtype, becomes ``intp`` rows, every entry checked as
+    :func:`check_occupation` checks it. The caller checks signs, particle
+    numbers and widths; arithmetic on the rows must hold in any integer
+    dtype, and may accumulate in ``intp``."""
+    if not len(outputs):
+        return np.zeros((0, n), dtype=np.intp)
+    if (isinstance(outputs, np.ndarray) and outputs.dtype.kind in "iu"
+            and np.can_cast(outputs.dtype, np.intp)):
+        return outputs if outputs.ndim == 2 else outputs.reshape(len(outputs), -1)
+    return np.array([tuple(map(_entry, row)) for row in outputs], dtype=np.intp)
 
 
 def _generations(n: int, particles: int, fermionic: bool):

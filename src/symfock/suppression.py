@@ -46,7 +46,7 @@ from math import lcm
 
 import numpy as np
 
-from .fock import ParticleType, check_occupation
+from .fock import ParticleType, check_occupation, output_rows
 from .permutations import Permutation, RootOfUnity, is_invariant
 
 #: Probabilities below this are treated as zero when classifying events.
@@ -116,8 +116,7 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     """
     values = _as_roots(eigenvalues)
     n = len(values)
-    s = (np.asarray(outputs, dtype=np.int64).reshape(len(outputs), -1) if len(outputs)
-         else np.zeros((0, n), dtype=np.int64))
+    s = output_rows(outputs, n)
     if s.min(initial=0) < 0:
         check_occupation(s[(s < 0).any(axis=1)][0])  # raises the usual message
     if s.shape[1] != n:
@@ -237,9 +236,11 @@ def _class_codes(law_suppressed, p_particle, p_dist) -> np.ndarray:
 class VerdictTable:
     """Verdicts of K outputs for one particle kind, one array per column.
 
-    ``outputs`` is the (K, n) occupation array. The distinct eigenvalue
-    multisets are ``roots`` and ``root_counts``, as in :class:`OutputLaws`;
-    ``group`` holds each row's index into them.
+    ``outputs`` is the (K, n) occupation array, the checked rows of
+    :func:`fock.output_rows`: for outputs from :func:`fock.output_array`,
+    the cached read-only lattice rows in their own dtype. The distinct
+    eigenvalue multisets are ``roots`` and ``root_counts``, as in
+    :class:`OutputLaws`; ``group`` holds each row's index into them.
     ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
     only) and ``parity`` the legacy DFT law (when a parity witness was
     given). ``p`` is the kind's probability, which for distinguishable
@@ -282,12 +283,14 @@ def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
     """
     if (kind is ParticleType.FERMION) != (permutation is not None):
         raise ValueError("fermion tables, and only they, take the permutation and the input")
+    eigenvalues = tuple(eigenvalues)
+    outputs = output_rows(outputs, len(eigenvalues))  # the table keeps the checked rows
     laws = output_laws(eigenvalues, outputs, permutation, occupation_in, w)
     p, p_dist = np.asarray(p, dtype=float), np.asarray(p_dist, dtype=float)
     if p.shape != laws.boson.shape or p_dist.shape != laws.boson.shape:
         raise ValueError(f"need one probability per output: {len(laws.boson)} outputs, "
                          f"{p.shape} and {p_dist.shape} probabilities")
     law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
-    return VerdictTable(kind, np.asarray(outputs), laws.roots, laws.root_counts, laws.group,
+    return VerdictTable(kind, outputs, laws.roots, laws.root_counts, laws.group,
                         laws.boson, p, p_dist, _class_codes(law, p, p_dist), laws.fermion,
                         laws.parity)

@@ -311,12 +311,17 @@ def test_lattice_table_holds_every_degree(single):
             assert not slots.parents.flags.writeable and not slots.modes.flags.writeable
 
 
-def test_output_array_is_a_fresh_copy():
-    first = output_array(5, 3, ParticleType.BOSON)
-    assert first.dtype == np.intp and first.flags.writeable
-    first[:] = 0
-    assert output_array(5, 3, ParticleType.BOSON).tolist() == [
-        list(s) for s in enumerate_outputs(5, 3, ParticleType.BOSON)]
+@pytest.mark.parametrize("kind", list(ParticleType))
+def test_output_array_is_the_cached_lattice_rows(kind):
+    """The outputs are the lattice table's own top group: not copied, in its
+    smallest unsigned dtype, and read-only, so a write is refused and the
+    cache keeps the enumeration."""
+    rows = output_array(5, 3, kind)
+    assert rows is lattice(5, 3, kind is ParticleType.FERMION).top
+    assert rows.dtype == np.min_scalar_type(3)
+    with pytest.raises(ValueError):
+        rows[:] = 0
+    assert output_array(5, 3, kind).tolist() == [list(s) for s in enumerate_outputs(5, 3, kind)]
 
 
 @pytest.mark.parametrize("kind", list(ParticleType))

@@ -51,6 +51,20 @@ class TestConversions:
         with pytest.raises(ValueError, match="fermionic"):
             check_occupation((2, 0), fermionic=True)
 
+    @pytest.mark.parametrize("entry", [1.9, 0.5, float("nan"), float("inf"), "2", b"2",
+                                       True, np.True_, None, 1 + 0j, np.float64(1.5)],
+                             ids=repr)
+    def test_entries_that_are_not_integers_are_refused(self, entry):
+        """No entry is truncated: int(1.9) == 1, int('2') == 2 and
+        int(True) == 1 would each give some other occupation."""
+        with pytest.raises(ValueError, match="must be integers") as refused:
+            check_occupation((entry, 1))
+        assert "\n" not in str(refused.value)
+
+    def test_integers_and_integral_reals_are_taken(self):
+        assert check_occupation((np.uint8(3), np.int64(2), 2.0, np.float32(1.0), 0)) == (3, 2, 2, 1, 0)
+        assert all(type(x) is int for x in check_occupation((np.uint8(3), 2.0)))
+
 
 class TestEnumerateOutputs:
     def test_worked_example_counts(self):
@@ -116,7 +130,8 @@ class TestOutputArray:
                     continue
                 expected = np.array(list(enumerate_outputs(n, particles, kind)))
                 got = output_array(n, particles, kind)
-                assert got.dtype == np.intp and got.shape == expected.shape, (n, particles)
+                assert got.dtype == np.min_scalar_type(particles), (n, particles)
+                assert got.shape == expected.shape, (n, particles)
                 assert (got == expected).all(), (n, particles)
 
     def test_no_particles_is_one_empty_output(self):
