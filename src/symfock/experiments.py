@@ -50,9 +50,10 @@ The distinguishability fit computes the N! weights of
 :func:`scattering.partial_weights` once and sends its Gram matrices to
 :func:`scattering.partial_probabilities`, which checks each, in sub-stacks
 of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms near 2^13.
-A sub-stack's Gram matrices come from one scaled ``rng.random`` array and
-one stacked ``eigh`` repair, clipped in place when every matrix needs it,
-as every draw on the fits' grids does.
+A sub-stack's Gram matrices come from one scaled ``rng.random`` array taken
+by cached flat indices, Hermitian bit for bit, so they skip the repair's
+symmetrisation: one stacked ``eigh``, the only heavy step, clipped in place
+when every matrix needs it, as every draw on the fits' grids does.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import factorial, prod
 
 import numpy as np
@@ -80,7 +82,7 @@ from .scattering import (
     partial_weights,
     prob_distinguishable,
     probabilities,
-    repair_distinguishability,
+    _repair_hermitian,
 )
 from .suppression import (
     CLASSIFY_TOL,
@@ -497,6 +499,15 @@ def _check_mean_deficit(mean_eps: float) -> None:
                          "deficits uniform on [0, 2 * mean] would exceed 1")
 
 
+@cache
+def _hermitian_takes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cached flat indices of a sample's eps and eta at the strict upper triangle
+    of its (2, n, n) draw, then at the transposed places; and of both places."""
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = rows * n + cols, cols * n + rows
+    return np.concatenate([upper, upper + n * n, lower, lower + n * n]), upper, lower
+
+
 def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
                               ensemble: str = "independent", eta_scale: float = 1.0,
                               count: int | None = None) -> tuple[np.ndarray, bool | int]:
@@ -505,9 +516,11 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
 
     ``independent`` perturbs every off-diagonal entry as (1-eps)*exp(i*eta)
     with eps uniform of mean ``mean_eps`` and eta zero-mean, bounded by
-    ``eta_scale * mean_eps``; the result generically violates positivity at
-    first order and is projected back through
-    :func:`scattering.repair_distinguishability`. Matrices that need no
+    ``eta_scale * mean_eps``, eps symmetrised and eta antisymmetrised by
+    cached flat index takes into a flat (count, n * n) buffer. The draw
+    generically violates positivity at first order; Hermitian bit for bit,
+    it goes to the repair step of :func:`scattering.repair_distinguishability`
+    (one stacked ``eigh``) with no symmetrisation. Matrices that need no
     repair come back as drawn. ``gram`` builds an exact Gram matrix of
     almost-parallel unit vectors, which needs no repair by construction.
 
@@ -522,41 +535,31 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     if not (0.0 <= 2.0 * mean_eps < np.inf and 0.0 <= 2.0 * spread < np.inf):
         raise ValueError("mean_eps and eta_scale must be finite and non-negative")
     _check_mean_deficit(mean_eps)
-    lead = () if count is None else (count,)
-    diagonal = np.arange(n)
+    k = 1 if count is None else count  # a lone draw takes the stream of a stack of one
     # rng.uniform(low, high) is low + (high - low) * U: rng.random scaled so has
     # its bits and takes the same stream, without the broadcast of array bounds
     if ensemble == "independent":
-        draw = rng.random((*lead, 2, n, n))
-        draw *= np.array([2.0 * mean_eps, 2.0 * spread])[:, None, None]  # (eps, eta) ranges
-        eps, eta = draw[..., 0, :, :], draw[..., 1, :, :] - spread
-        # Hermitian by construction: eps symmetrised and eta antisymmetrised
-        # on the strict upper triangle, whose complex exp the lower one
-        # conjugates (exp(-i eta) is conj(exp(i eta)) bit for bit)
-        above = np.tri(n, k=-1, dtype=bool).T
-        eps = (eps[..., above] + eps.swapaxes(-1, -2)[..., above]) / 2.0
-        eta = (eta[..., above] - eta.swapaxes(-1, -2)[..., above]) / 2.0
+        takes, upper, lower = _hermitian_takes(n)
+        # (k, upper or transposed place, eps or eta, entry)
+        draw = rng.random((k, 2 * n * n)).take(takes, axis=1).reshape(k, 2, 2, len(upper))
+        draw *= np.array([2.0 * mean_eps, 2.0 * spread])[:, None]  # (eps, eta) ranges
+        eps = (draw[:, 0, 0] + draw[:, 1, 0]) / 2.0
+        eta = (draw[:, 0, 1] - spread - (draw[:, 1, 1] - spread)) / 2.0
         entries = (1.0 - eps) * np.exp(1j * eta)
-        s = np.empty((*lead, n, n), dtype=complex)
-        s[..., above] = entries
-        s.swapaxes(-1, -2)[..., above] = entries.conj()
-        s[..., diagonal, diagonal] = 1.0
-        # one eigh decides and repairs; the fit checks every Gram it evaluates
-        repaired, mask = repair_distinguishability(s)
-        if count is None:
-            return (repaired, True) if mask else (s, False)
-        if mask.all():  # every draw on the fits' grids: no gather or scatter
-            return repaired, count
-        s[mask] = repaired[mask]
-        return s, int(mask.sum())
+        s = np.empty((k, n * n), dtype=complex)
+        s[:, upper] = entries
+        s[:, lower] = entries.conj()  # exp(-i eta) is conj(exp(i eta)) bit for bit
+        s[:, ::n + 1] = 1.0
+        grams, mask = _repair_hermitian(s.reshape(k, n, n))
+        return (grams[0], bool(mask[0])) if count is None else (grams, int(mask.sum()))
     # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
-    draw = rng.random((*lead, 2, n)) * np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # eps_j, phi
-    t = np.arcsin(np.sqrt(draw[..., 0, :]))  # eps_j < 2 mean_eps <= 1
+    draw = rng.random((k, 2, n)) * np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # eps_j, phi
+    t = np.arcsin(np.sqrt(draw[:, 0]))  # eps_j < 2 mean_eps <= 1
     a = np.cos(t)
-    b = np.sin(t) * np.exp(1j * draw[..., 1, :])
-    s = a[..., :, None] * a[..., None, :] + b[..., :, None] * np.conj(b)[..., None, :]
-    s[..., diagonal, diagonal] = 1.0
-    return (s, False) if count is None else (s, 0)
+    b = np.sin(t) * np.exp(1j * draw[:, 1])
+    s = a[:, :, None] * a[:, None, :] + b[:, :, None] * np.conj(b)[:, None, :]
+    s.reshape(k, n * n)[:, ::n + 1] = 1.0
+    return (s[0], False) if count is None else (s, 0)
 
 
 def run_distinguishability_robustness(

@@ -28,7 +28,7 @@ def as_complex_matrix(matrix, stack: bool = False) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 and not (stack and m.ndim == 3):
         raise ValueError(f"expected a 2-D matrix{' or a 3-D stack' if stack else ''}, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # a complex entry is finite when both its parts are
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 

@@ -54,12 +54,12 @@ distinguishable) through the single sum over permutations tau
 weights depend on U, the input and the output only. :func:`prob_partial` is
 two halves: :func:`partial_weights` checks U, the input and the output and
 computes the weights, at N! * 2^N * N cost; :func:`partial_probabilities`
-checks a Gram matrix or a stack of them and spends N! * N on each. A caller
-with many Gram stacks for one transition, such as the distinguishability
-fit, computes the weights once. Every Gram matrix is checked by
-:func:`validate_distinguishability`, whose PSD test is one stacked Cholesky
-factorisation of H + PSD_TOL * I (H the Hermitian part of S) rather than an
-eigendecomposition.
+checks a Gram matrix or a stack of them and spends at most N! * N on each.
+A caller with many Gram stacks for one transition, such as the
+distinguishability fit, computes the weights once. Every Gram matrix is
+checked by :func:`validate_distinguishability`, whose PSD test is one
+stacked Cholesky factorisation of H + PSD_TOL * I (H the Hermitian part of
+S) rather than an eigendecomposition.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def _check_finite(value) -> None:
 
 def _clamp_probability(value):
     _check_finite(value)
-    if np.any(value < _NEGATIVE_FLOOR):
+    if (value < _NEGATIVE_FLOOR).any():
         raise ArithmeticError(f"probability {np.min(value)} below the cancellation floor")
     return np.where(value < 0.0, 0.0, value)  # keeps -0.0, as max(-0.0, 0.0) does
 
@@ -306,6 +306,7 @@ def _expanded_probabilities(stack, r, rows, s, kind: ParticleType, single: bool)
 def _per_output_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarray:
     factorials = np.array([factorial(k) for k in range(len(rows) + 1)], dtype=object)
     input_norm = prod(factorials[list(r)]) if kind is ParticleType.BOSON else 1
+    norms = (factorials[s].prod(axis=1) * input_norm).astype(float)  # exact, rounded once each
     n_pairs = len(stack) * len(s)
     result = np.empty(n_pairs)
     for start in range(0, n_pairs, CHUNK):
@@ -323,8 +324,7 @@ def _per_output_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarr
             # Python's pow(|z|, 2), not numpy's |z| * |z|: they differ in the
             # last bit for about one value in a thousand
             values = np.array([abs(z) ** 2 for z in amp.tolist()])
-        norm = factorials[s[k]].prod(axis=1) * input_norm  # exact integers, rounded once
-        result[pair] = values / norm.astype(float)
+        result[pair] = values / norms.take(k)
     return result.reshape(len(stack), len(s))
 
 
@@ -364,14 +364,16 @@ def validate_distinguishability(s_matrix) -> np.ndarray:
     if not s.size:
         return s
     adjoint = s.conj().swapaxes(-1, -2)
-    if np.max(np.abs(s - adjoint)) > GRAM_TOL:
+    work = s - adjoint
+    if np.abs(work).max() > GRAM_TOL:
         raise ValueError("distinguishability matrix is not Hermitian")
-    if np.max(np.abs(np.diagonal(s, axis1=-2, axis2=-1) - 1.0)) > GRAM_TOL:
-        raise ValueError("distinguishability matrix diagonal must be all ones")
-    if np.max(np.abs(s)) > 1.0 + GRAM_TOL:
-        raise ValueError("distinguishability entries must satisfy |S_jk| <= 1")
-    shifted = (s + adjoint) / 2.0
     diagonal = np.arange(s.shape[-1])
+    if np.abs(s[..., diagonal, diagonal] - 1.0).max() > GRAM_TOL:
+        raise ValueError("distinguishability matrix diagonal must be all ones")
+    if np.abs(s).max() > 1.0 + GRAM_TOL:
+        raise ValueError("distinguishability entries must satisfy |S_jk| <= 1")
+    shifted = np.add(s, adjoint, out=work)  # the Hermitian part, in the difference's buffer
+    shifted /= 2.0
     shifted[..., diagonal, diagonal] += PSD_TOL
     try:
         np.linalg.cholesky(shifted)
@@ -386,33 +388,40 @@ def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
 
     Takes one (n, n) matrix, returning its Hermitian part (repaired or not)
     and whether a repair happened, or a (B, n, n) stack, returning the stack
-    of Hermitian parts and a (B,) mask of the repaired matrices. One ``eigh``
-    runs over the whole stack; only the matrices with lowest eigenvalue below
-    -:data:`PSD_TOL` are clipped and renormalised, each with the bits of a lone call;
-    in place, with no gather or scatter, when every matrix needs it.
+    of Hermitian parts and a (B,) mask of the repaired matrices. After the
+    finite check and (S + S^H) / 2, one ``eigh`` runs over the whole stack;
+    only the matrices with lowest eigenvalue below -:data:`PSD_TOL` are
+    clipped and renormalised, each with the bits of a lone call; in place,
+    with no gather or scatter, when every matrix needs it.
     """
     s = as_complex_matrix(s_matrix, stack=True)
     herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
-    stack = herm if herm.ndim == 3 else herm[None]
+    repaired, mask = _repair_hermitian(herm if herm.ndim == 3 else herm[None])
+    return (repaired, mask) if herm.ndim == 3 else (repaired[0], bool(mask[0]))
+
+
+def _repair_hermitian(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`repair_distinguishability` after its symmetrisation, on a
+    Hermitian (B, n, n) stack that it may write: the repaired stack and the
+    (B,) mask. The ``independent`` Gram sampler calls it on its draws."""
     eigvals, eigvecs = np.linalg.eigh(stack)
     mask = eigvals[:, 0] < -PSD_TOL
-    if mask.any():
-        every = mask.all()
-        vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
-        adjoint = vecs.conj().swapaxes(-1, -2)
-        vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
-        repaired = vecs @ adjoint
-        scale = np.sqrt(np.real(np.diagonal(repaired, axis1=-2, axis2=-1)))
-        if np.any(scale <= 0):
-            raise ValueError("PSD repair collapsed a diagonal entry to zero")
-        repaired /= scale[:, :, None] * scale[:, None, :]
-        diagonal = np.arange(stack.shape[-1])
-        repaired[:, diagonal, diagonal] = 1.0
-        if every:
-            herm = repaired if herm.ndim == 3 else repaired[0]
-        else:
-            stack[mask] = repaired
-    return (herm, mask) if herm.ndim == 3 else (herm, bool(mask[0]))
+    if not mask.any():
+        return stack, mask
+    every = mask.all()
+    vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
+    repaired = vecs @ adjoint
+    scale = np.sqrt(repaired.diagonal(0, -2, -1).real)
+    if (scale <= 0).any():
+        raise ValueError("PSD repair collapsed a diagonal entry to zero")
+    repaired /= scale[:, :, None] * scale[:, None, :]
+    repaired.reshape(len(repaired), -1)[:, ::stack.shape[-1] + 1] = 1.0  # the diagonal
+    if every:
+        return repaired, mask
+    stack[mask] = repaired
+    return stack, mask
 
 
 class PartialWeights(NamedTuple):
@@ -460,26 +469,30 @@ def partial_weights(u, occupation_in, occupation_out, kind: ParticleType) -> Par
 def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray:
     """Check one Gram matrix or a (B, n, n) stack through
     :func:`validate_distinguishability` and evaluate the single sum of
-    ``terms`` on it, at N! * N cost per Gram matrix: a ``float`` for one
+    ``terms`` on it, at most N! * N work per Gram matrix: a ``float`` for one
     matrix, a (B,) array for a stack."""
     gram = validate_distinguishability(s_matrix)
     if gram.shape[-2:] != (terms.modes, terms.modes):
         raise ValueError("distinguishability matrix must match the unitary size")
     stack = gram if gram.ndim == 3 else gram[None]
-    d, images = terms.rows, terms.perms.T.copy()  # images[j]: tau(j) for every tau
+    d, perms, n = terms.rows, terms.perms, len(terms.rows)
     deviation = stack[:, d[:, None], d[None, :]].transpose(1, 2, 0)  # (N, N, B)
     deviation -= 1.0  # D on the occupied input modes
-    e = np.zeros((len(terms.perms), len(stack)), dtype=complex)  # (N!, B), C order
-    product = np.empty_like(e)  # reused: a fresh (N!, B) array per step costs as much as the step
-    for j in range(len(d)):  # e <- (e + factor) + e * factor, in place, on contiguous rows
-        factor = deviation[j].take(images[j], axis=0)
-        np.multiply(e, factor, out=product)
+    # e <- (e + factor) + e * factor on contiguous rows, one row per prefix
+    # tau(0..j): the table is lexicographic, so the (N-1-j)! rows of a prefix
+    # share its e, repeated once per extension before the next factor
+    e = np.zeros((1, len(stack)), dtype=complex)
+    for j in range(n):
+        if j < n - 1:
+            e = e.repeat(n - j, axis=0)
+        factor = deviation[j].take(perms[::factorial(n - 1 - j), j], axis=0)
+        product = e * factor
         e += factor
         e += product
     e = np.ascontiguousarray(e.T)  # (B, N!): the weights and the sum run along each row
     e *= terms.weights
     value = terms.indistinguishable + e.sum(axis=1)
-    if np.any(np.abs(value.imag) > 1e-10):
+    if (np.abs(value.imag) > 1e-10).any():
         raise ArithmeticError(
             f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
     result = _clamp_probability(value.real / terms.norm)

@@ -23,15 +23,16 @@ with int64 arithmetic only.
   with the input's. With R = N + 1, the key size * R^D - sum_c counts[c] *
   R^(D-1-c) orders them by particle number, then in
   :func:`fock.enumerate_outputs` order. One int64 product with the counts
-  gives the phase sums and key digits; one sort of the keys groups the
-  columns. Each group keeps its count column and each row its group's
+  gives the phase sums, another the key digits; one sort of the keys groups
+  the columns. Each group keeps its count column and each row its group's
   index; no tuple of roots is built.
 
 Both are exact while no sum leaves int64: a phase sum is below N * L for N
 particles, so :func:`output_laws` refuses N * L >= 2^63 up front. A key is
 below R^(D+1); where that reaches 2^63 (some 20 distinct eigenvalues and
 particles) ``unique`` over the rows of (size, -counts) groups the columns
-in the same order. The one-output predicates are wrappers over it.
+in the same order. The one-output predicates compute the law columns
+only: no key digits, sort or groups.
 
 :func:`verdict_table` is the one builder of verdict tables: it joins one
 :func:`output_laws` call with the probabilities of the same outputs and
@@ -104,16 +105,11 @@ class OutputLaws:
     parity: np.ndarray | None = None
 
 
-def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
-                occupation_in=None, w: int | None = None) -> OutputLaws:
-    """Decide the suppression laws for every row of a (K, n) output array.
-
-    Always gives the boson law and the eigenvalue distributions. With the
-    symmetry ``permutation`` and the fermionic ``occupation_in`` it also
-    gives the fermion law (the outputs must then be singly occupied); with
-    the parity witness ``w`` (:func:`transposition_count`) the legacy DFT
-    law. Everything is checked once, here; the arithmetic is int64 only.
-    """
+def _law_columns(eigenvalues, outputs, permutation: Permutation | None = None,
+                 occupation_in=None, w: int | None = None) -> tuple:
+    """:func:`output_laws` without its grouping, all that a one-output
+    predicate reads: the boson, fermion and parity laws, then the sorted
+    distinct roots, their (D, K) counts and the particle numbers."""
     values = _as_roots(eigenvalues)
     n = len(values)
     s = output_rows(outputs, n)
@@ -145,13 +141,8 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     if max(n_particles, 1) * turn >= _INT64_LIMIT:
         raise ValueError(f"phase sums overflow int64: {n_particles} particles times "
                          f"lcm of eigenvalue denominators {turn} >= 2^63")
-    # the phase sums and the key digits: one product of exact int64 weights
-    radix, depth = n_particles + 1, len(distinct)
-    keyed = radix ** (depth + 1) < _INT64_LIMIT
-    sums = np.array([[v.num * (turn // v.den) for v in distinct],
-                     [radix ** (depth - 1 - c) if keyed else 0 for c in range(depth)]],
-                    dtype=np.int64).reshape(2, depth) @ counts
-    phase = sums[0] % turn  # the output's eigenvalue product, exactly
+    # the output's eigenvalue product, exactly: one product of int64 weights
+    phase = (np.array([v.num * (turn // v.den) for v in distinct], dtype=np.int64) @ counts) % turn
     parity = None
     if w is not None:
         # (-1)^w is 0 or half a turn; an odd L never reaches half a turn
@@ -159,13 +150,29 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
         parity = phase != target
     fermion = None
     if permutation is not None:
-        initial_counts = np.bincount([row[i] for i in sighted[n:]], minlength=depth)
+        initial_counts = np.bincount([row[i] for i in sighted[n:]], minlength=len(distinct))
         fermion = (counts != initial_counts[:, None]).any(axis=0)
+    return phase != 0, fermion, parity, tuple(distinct), counts, sizes
 
+
+def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
+                occupation_in=None, w: int | None = None) -> OutputLaws:
+    """Decide the suppression laws for every row of a (K, n) output array.
+
+    Always gives the boson law and the eigenvalue distributions. With the
+    symmetry ``permutation`` and the fermionic ``occupation_in`` it also
+    gives the fermion law (the outputs must then be singly occupied); with
+    the parity witness ``w`` (:func:`transposition_count`) the legacy DFT
+    law. Everything is checked once, here; the arithmetic is int64 only.
+    """
+    boson, fermion, parity, roots, counts, sizes = _law_columns(
+        eigenvalues, outputs, permutation, occupation_in, w)
     # one group per distinct count column, fewer particles first, then in
     # enumerate_outputs order (the most of the smallest value first)
-    if keyed:  # one argsort: np.unique costs more at any size
-        key = sizes * radix ** depth - sums[1]
+    radix, depth = int(sizes.max(initial=0)) + 1, len(roots)
+    if radix ** (depth + 1) < _INT64_LIMIT:  # one argsort: np.unique costs more at any size
+        digits = np.array([radix ** (depth - 1 - c) for c in range(depth)], dtype=np.int64)
+        key = sizes * radix ** depth - digits @ counts
         order = np.argsort(key)
         ordered = key[order]
         new = np.ones(len(key), dtype=bool)
@@ -176,20 +183,19 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     else:
         _, first, group = np.unique(np.vstack([sizes, -counts]).T, axis=0,
                                     return_index=True, return_inverse=True)
-    return OutputLaws(phase != 0, tuple(distinct), counts[:, first], group.ravel(), fermion,
-                      parity)
+    return OutputLaws(boson, roots, counts[:, first], group.ravel(), fermion, parity)
 
 
 def boson_suppressed(eigenvalues, occupation_out) -> bool:
     """True iff the eigenvalue product over the output differs from 1,
     certifying an exactly vanishing bosonic probability."""
-    return bool(output_laws(eigenvalues, [occupation_out]).boson[0])
+    return bool(_law_columns(eigenvalues, [occupation_out])[0][0])
 
 
 def fermion_suppressed(p: Permutation, occupation_in, eigenvalues, occupation_out) -> bool:
     """True iff the output eigenvalue multiset differs from the input one,
     certifying an exactly vanishing fermionic probability."""
-    return bool(output_laws(eigenvalues, [occupation_out], p, occupation_in).fermion[0])
+    return bool(_law_columns(eigenvalues, [occupation_out], p, occupation_in)[1][0])
 
 
 def transposition_count(p: Permutation, occupation_in) -> int:

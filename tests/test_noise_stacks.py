@@ -208,6 +208,33 @@ def test_unrepaired_independent_grams_are_hermitian_by_construction(seed, b, n, 
             assert gram[lower, upper].tobytes() == gram[upper, lower].conj().tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, count=st.none() | st.integers(0, 12), n=st.integers(1, 9),
+       eps=st.sampled_from((0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.4)),
+       eta_scale=st.sampled_from((0.0, 0.5, 1.0, 3.0)))
+def test_independent_draws_skip_the_symmetrisation_of_the_repair(seed, count, n, eps, eta_scale):
+    """The ``independent`` sampler sends its raw draw to the repair step with
+    no (S + S^H) / 2. That is sound because the raw draw equals its
+    Hermitian part bit for bit, so the sampler gives the bits of
+    ``repair_distinguishability`` of the same draw, lone or stacked."""
+    raw = []
+    real_step = experiments._repair_hermitian
+
+    def keep_raw(stack):
+        raw.append(stack.copy())  # the step repairs in place
+        return real_step(stack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_repair_hermitian", keep_raw)
+        grams, repairs = sample_distinguishability(n, eps, np.random.default_rng(seed), "independent",
+                                                   eta_scale, count=count)
+    [s] = raw
+    assert ((s + s.conj().swapaxes(-1, -2)) / 2.0).tobytes() == s.tobytes()
+    expected, mask = repair_distinguishability(s if count is not None else s[0])
+    assert grams.shape == expected.shape and grams.tobytes() == expected.tobytes()
+    assert repairs == (mask if count is None else int(mask.sum()))
+
+
 def mixed_stack(rng, b: int, n: int, bad=slice(None, None, 2)) -> np.ndarray:
     """Hermitian unit-diagonal matrices, those at ``bad`` (every other one by
     default) pushed out of the PSD cone by an off-diagonal pair of modulus

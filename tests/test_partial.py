@@ -248,6 +248,14 @@ def spoil(gram: np.ndarray, case: str) -> np.ndarray:
     elif case == "<= 1":
         bad[0, 1] = 1.01 * np.exp(0.3j)
         bad[1, 0] = np.conj(bad[0, 1])
+    elif case == "NaN":
+        bad[0, 1] = np.nan
+    elif case == "Inf":
+        bad[5, 5] = -np.inf
+    elif case == "imaginary NaN":  # a real part that passes every other check
+        bad[3, 6] = complex(bad[3, 6].real, np.nan)
+    elif case == "imaginary Inf":
+        bad[6, 3] = complex(bad[6, 3].real, np.inf)
     else:  # the leading 3 x 3 block has determinant 1 - 3a^2 - 2a^3 < 0
         bad[:3, :3] = [[1.0, -0.9, 0.9], [-0.9, 1.0, 0.9], [0.9, 0.9, 1.0]]
     return bad
@@ -258,9 +266,12 @@ BAD_GRAMS = {
     "diagonal": "distinguishability matrix diagonal must be all ones",
     "<= 1": r"distinguishability entries must satisfy \|S_jk\| <= 1",
     "PSD": "distinguishability matrix is not positive semidefinite",
+    # one test of finiteness on the complex entries, both parts at once
+    **dict.fromkeys(("NaN", "Inf", "imaginary NaN", "imaginary Inf"),
+                    "matrix contains NaN or Inf entries"),
 }
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(case=st.sampled_from(sorted(BAD_GRAMS)), position=st.integers(0, 67),
        seed=st.integers(0, 2**32 - 1))
 def test_one_bad_gram_in_a_repaired_stack_is_refused(case, position, seed):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from symfock import suppression
 from symfock.fock import ParticleType, enumerate_outputs
 from symfock.fock import occupation_to_assignment
 from symfock.permutations import Permutation, RootOfUnity, eigenstructure
@@ -307,6 +308,34 @@ def test_output_laws_match_oracle_on_fermionic_outputs(setup, data):
     assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
     assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
     assert row_distributions(laws) == tuple(oracle_distribution(values, s) for s in outputs)
+
+
+def _grouping(*args, **kwargs):
+    raise AssertionError("a one-output predicate reached the grouping")
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_setups(), st.data())
+def test_lone_predicates_decide_without_the_grouping(setup, data):
+    """``boson_suppressed`` and ``fermion_suppressed`` compute the law columns
+    only: with ``output_laws`` and the sorts of its grouping made to fail,
+    they still give the oracle's verdicts, and raise its usual messages."""
+    p, values, r = setup
+    bunched = _bunched_outputs(data.draw, len(values), sum(r), max_k=4)
+    single = _fermionic_outputs(data.draw, len(values), sum(r), max_k=4)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("argsort", "unique", "cumsum"):
+            patch.setattr(np, name, _grouping)
+        patch.setattr(suppression, "output_laws", _grouping)
+        boson = [boson_suppressed(values, s) for s in bunched]
+        fermion = [fermion_suppressed(p, r, values, s) for s in single]
+        with pytest.raises(ValueError, match="eigenvalues"):
+            boson_suppressed(values, (*r, 0))
+        if sum(r) > 1:
+            with pytest.raises(ValueError, match="fermionic occupation exceeds 1"):
+                fermion_suppressed(p, r, values, (sum(r), *[0] * (len(r) - 1)))
+    assert boson == [oracle_boson(values, s) for s in bunched]
+    assert fermion == [oracle_fermion(p, r, values, s) for s in single]
 
 
 @settings(max_examples=100, deadline=None)
