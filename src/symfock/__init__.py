@@ -3,6 +3,7 @@ the permutation-symmetry suppression laws that predict their zeros."""
 
 __version__ = "0.1.0"
 
+from .experiments import PerturbationModel
 from .fock import (
     ParticleType,
     enumerate_outputs,
@@ -22,7 +23,6 @@ from .permutations import (
     symmetry_residual,
 )
 from .scattering import (
-    PerturbationModel,
     prob_boson,
     prob_distinguishable,
     prob_fermion,

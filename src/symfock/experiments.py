@@ -42,7 +42,10 @@ The two robustness fits share one loop, :func:`_fit_noise`: the checks, one
 generator per grid point, the sub-stacks, the compensated mean (the
 census's reducer, fed one float per sample) and the log-log fit. Each fit
 supplies only its noise step, its sub-stack size and its first-order
-prediction. A step takes one random call per sub-stack of
+prediction. The noise lives here, beside the fits that draw it: the
+entrywise unitary perturbations of :class:`PerturbationModel` and the random
+Gram matrices of :func:`sample_distinguishability` with their PSD repair,
+:func:`_repair_hermitian`. A step takes one random call per sub-stack of
 noise samples, equal to the samples' lone draws in sample order bit for
 bit. The unitary fit forms the noise of its ``scattering.CHUNK`` samples,
 and one permanent each, on the target's occupied rows and columns only.
@@ -51,9 +54,9 @@ The distinguishability fit computes the N! weights of
 :func:`scattering.partial_probabilities`, which checks each, in sub-stacks
 of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms near 2^13.
 A sub-stack's Gram matrices come from one scaled ``rng.random`` array taken
-by cached flat indices, Hermitian bit for bit, so they skip the repair's
-symmetrisation: one stacked ``eigh``, the only heavy step, clipped in place
-when every matrix needs it, as every draw on the fits' grids does.
+by cached flat indices, Hermitian bit for bit, so the repair takes them
+with no symmetrisation: one stacked ``eigh``, the only heavy step, clipped
+in place when every matrix needs it, as every draw on the fits' grids does.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -77,12 +80,11 @@ from .linalg import as_complex_matrix
 from .permutations import Permutation, RootOfUnity, cycle_decompose
 from .scattering import (
     CHUNK,
-    PerturbationModel,
+    PSD_TOL,
     partial_probabilities,
     partial_weights,
     prob_distinguishable,
     probabilities,
-    _repair_hermitian,
 )
 from .suppression import (
     CLASSIFY_TOL,
@@ -439,6 +441,65 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
                          samples, metadata)
 
 
+#: Mean-modulus-preserving deviation ensembles for entrywise perturbations.
+DELTA_DISTRIBUTIONS = ("ring", "gaussian", "disk")
+
+
+@dataclass(frozen=True)
+class PerturbationModel:
+    """Entrywise multiplicative noise U_jk -> U_jk (1 + Delta_jk).
+
+    ``mean_abs`` fixes the average modulus E|Delta|; all ensembles have zero
+    mean. ``ring`` draws a fixed modulus with uniform phase, ``gaussian`` a
+    complex normal scaled to the requested mean modulus, ``disk`` a uniform
+    draw from a disc.
+    """
+
+    mean_abs: float
+    distribution: str = "ring"
+
+    def __post_init__(self):
+        if self.mean_abs < 0:
+            raise ValueError("mean_abs must be non-negative")
+        if self.distribution not in DELTA_DISTRIBUTIONS:
+            raise ValueError(f"unknown deviation ensemble {self.distribution!r}")
+
+    def sample(self, shape, rng: np.random.Generator, entries=None) -> np.ndarray:
+        """Deviations for one (n, n) matrix or a (B, n, n) stack of B samples.
+
+        A stack takes one random call, laid out so that each sample's arrays
+        stay contiguous in the stream: it equals B successive (n, n) draws
+        bit for bit. ``gaussian`` and ``disk`` draw two arrays per sample
+        (real and imaginary part; radius and phase). ``entries`` = (rows,
+        cols) keeps the block ``np.ix_(rows, cols)`` of the same draw, the
+        complex deviations formed on that block only.
+        """
+        keep = (Ellipsis,) if entries is None else (Ellipsis, *np.ix_(*entries))
+        if self.mean_abs == 0.0:
+            return np.zeros(shape, dtype=complex)[keep]
+        # in place: a sub-stack of samples allocates one complex array, which
+        # keeps the peak memory of a fit flat
+        if self.distribution == "ring":
+            z = 1j * rng.uniform(0.0, 2.0 * np.pi, size=shape)[keep]
+            np.exp(z, out=z)
+            z *= self.mean_abs
+            return z
+        pairs = (*shape[:-2], 2, *shape[-2:])
+        if self.distribution == "gaussian":
+            draw = rng.standard_normal(pairs)[keep]
+            z = draw[..., 0, :, :] + 1j * draw[..., 1, :, :]
+            z /= np.sqrt(2.0)
+            z *= self.mean_abs / (np.sqrt(np.pi) / 2.0)  # E|z| = sqrt(pi)/2
+            return z
+        high = np.array([1.0, 2.0 * np.pi])[:, None, None]  # (radius^2, phase) bounds per sample
+        draw = rng.uniform(np.zeros((2, 1, 1)), high, size=pairs)[keep]
+        z = 1j * draw[..., 1, :, :]
+        np.exp(z, out=z)
+        z *= np.sqrt(draw[..., 0, :, :])  # radius, uniform over the disc
+        z *= self.mean_abs * 1.5  # E radius = 2/3
+        return z
+
+
 def run_unitary_robustness(
     unitary,
     eigenvalues,
@@ -519,9 +580,8 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     ``eta_scale * mean_eps``, eps symmetrised and eta antisymmetrised by
     cached flat index takes into a flat (count, n * n) buffer. The draw
     generically violates positivity at first order; Hermitian bit for bit,
-    it goes to the repair step of :func:`scattering.repair_distinguishability`
-    (one stacked ``eigh``) with no symmetrisation. Matrices that need no
-    repair come back as drawn. ``gram`` builds an exact Gram matrix of
+    it goes to :func:`_repair_hermitian` (one stacked ``eigh``) with no
+    symmetrisation. Matrices that need no repair come back as drawn. ``gram`` builds an exact Gram matrix of
     almost-parallel unit vectors, which needs no repair by construction.
 
     Without ``count``: one (n, n) matrix and whether it was repaired. With
@@ -560,6 +620,35 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     s = a[:, :, None] * a[:, None, :] + b[:, :, None] * np.conj(b)[:, None, :]
     s.reshape(k, n * n)[:, ::n + 1] = 1.0
     return (s[0], False) if count is None else (s, 0)
+
+
+def _repair_hermitian(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project a Hermitian (B, n, n) stack, which it may write, onto the
+    valid Gram matrices: the repaired stack and the (B,) mask of the repaired
+    matrices. One ``eigh`` runs over the whole stack; only the matrices with
+    lowest eigenvalue below -``scattering.PSD_TOL`` have their negative
+    eigenvalues clipped and their diagonal renormalised back to one, each
+    with the bits of a lone call; in place, with no gather or scatter, when
+    every matrix needs it."""
+    eigvals, eigvecs = np.linalg.eigh(stack)
+    # ascending eigenvalues; the initial 0 lets a 0 x 0 matrix need no repair
+    mask = eigvals.min(axis=1, initial=0.0) < -PSD_TOL
+    if not mask.any():
+        return stack, mask
+    every = mask.all()
+    vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
+    repaired = vecs @ adjoint
+    scale = np.sqrt(repaired.diagonal(0, -2, -1).real)
+    if (scale <= 0).any():
+        raise ValueError("PSD repair collapsed a diagonal entry to zero")
+    repaired /= scale[:, :, None] * scale[:, None, :]
+    repaired.reshape(len(repaired), -1)[:, ::stack.shape[-1] + 1] = 1.0  # the diagonal
+    if every:
+        return repaired, mask
+    stack[mask] = repaired
+    return stack, mask
 
 
 def run_distinguishability_robustness(

@@ -2,11 +2,14 @@
 
 All matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``.
 Inputs are validated for finiteness once, on entry; NaN/Inf never propagate
-into the kernels.
+into the kernels. The lexicographic table of the permutations of N objects,
+over which the single sum of partial distinguishability runs, and its
+signs, the parity of each row's inversion count, are cached per N.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import factorial
 
@@ -41,40 +44,20 @@ def _as_square_stack(matrix) -> tuple[np.ndarray, bool]:
     return (m, False) if m.ndim == 3 else (m[None], True)
 
 
-_PERM_TABLES: dict[int, np.ndarray] = {}
-_SIGN_TABLES: dict[int, np.ndarray] = {}
-
-
+@cache
 def permutation_table(n: int) -> np.ndarray:
     """All permutations of range(n) as an (n!, n) int array, lexicographic."""
-    if n not in _PERM_TABLES:
-        _PERM_TABLES[n] = np.array(list(permutations(range(n))), dtype=np.intp).reshape(
-            factorial(n), n
-        )
-    return _PERM_TABLES[n]
+    return np.array(list(permutations(range(n))), dtype=np.intp).reshape(factorial(n), n)
 
 
+@cache
 def permutation_signs(n: int) -> np.ndarray:
-    """Signatures (+1/-1) aligned with :func:`permutation_table`."""
-    if n not in _SIGN_TABLES:
-        table = permutation_table(n)
-        signs = np.empty(len(table), dtype=np.float64)
-        for i, row in enumerate(table):
-            seen = [False] * n
-            transpositions = 0
-            for start in range(n):
-                if seen[start]:
-                    continue
-                j = start
-                length = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = row[j]
-                    length += 1
-                transpositions += length - 1
-            signs[i] = -1.0 if transpositions % 2 else 1.0
-        _SIGN_TABLES[n] = signs
-    return _SIGN_TABLES[n]
+    """Signatures (+1.0/-1.0) aligned with :func:`permutation_table`: the
+    parity of each row's inversion count."""
+    table = permutation_table(n)
+    first, second = np.triu_indices(n, 1)
+    inversions = (table[:, first] > table[:, second]).sum(axis=1)
+    return 1.0 - 2.0 * (inversions % 2)
 
 
 def permanent_ryser(matrix):

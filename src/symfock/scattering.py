@@ -60,11 +60,15 @@ distinguishability fit, computes the weights once. Every Gram matrix is
 checked by :func:`validate_distinguishability`, whose PSD test is one
 stacked Cholesky factorisation of H + PSD_TOL * I (H the Hermitian part of
 S) rather than an eigendecomposition.
+
+Every probability here is exact for the matrices it is given: the module
+draws no random number. The noise of the robustness fits, the entrywise
+unitary perturbations and the random Gram matrices with their PSD repair,
+lives in :mod:`experiments`, beside the fits that draw it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from typing import NamedTuple
 
@@ -144,12 +148,19 @@ def _columns(s: np.ndarray, n_particles: int) -> np.ndarray:
     return np.repeat(np.tile(np.arange(s.shape[1]), len(s)), s.ravel()).reshape(len(s), n_particles)
 
 
+def _gather(u: np.ndarray, r, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The input mode of each particle and the scattering matrix of a checked
+    input ``r`` and one checked (1, n) output row ``s``."""
+    rows = _assignment0(r)
+    return rows, u[np.ix_(rows, _columns(s, len(rows))[0])]
+
+
 def scattering_matrix(u, occupation_in, occupation_out) -> np.ndarray:
     """Submatrix of U with rows from occupied input modes and columns from
     occupied output modes, repeated per multiplicity."""
     u = as_complex_matrix(u)
     r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic=False)
-    return u[np.ix_(_assignment0(r), _columns(s, sum(r))[0])]
+    return _gather(u, r, s)[1]
 
 
 def _lattice_size(n: int, particles: int, single: bool) -> int:
@@ -382,48 +393,6 @@ def validate_distinguishability(s_matrix) -> np.ndarray:
     return s
 
 
-def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Project onto the valid set by clipping negative eigenvalues and
-    renormalising the diagonal back to one.
-
-    Takes one (n, n) matrix, returning its Hermitian part (repaired or not)
-    and whether a repair happened, or a (B, n, n) stack, returning the stack
-    of Hermitian parts and a (B,) mask of the repaired matrices. After the
-    finite check and (S + S^H) / 2, one ``eigh`` runs over the whole stack;
-    only the matrices with lowest eigenvalue below -:data:`PSD_TOL` are
-    clipped and renormalised, each with the bits of a lone call; in place,
-    with no gather or scatter, when every matrix needs it.
-    """
-    s = as_complex_matrix(s_matrix, stack=True)
-    herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
-    repaired, mask = _repair_hermitian(herm if herm.ndim == 3 else herm[None])
-    return (repaired, mask) if herm.ndim == 3 else (repaired[0], bool(mask[0]))
-
-
-def _repair_hermitian(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`repair_distinguishability` after its symmetrisation, on a
-    Hermitian (B, n, n) stack that it may write: the repaired stack and the
-    (B,) mask. The ``independent`` Gram sampler calls it on its draws."""
-    eigvals, eigvecs = np.linalg.eigh(stack)
-    mask = eigvals[:, 0] < -PSD_TOL
-    if not mask.any():
-        return stack, mask
-    every = mask.all()
-    vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
-    adjoint = vecs.conj().swapaxes(-1, -2)
-    vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
-    repaired = vecs @ adjoint
-    scale = np.sqrt(repaired.diagonal(0, -2, -1).real)
-    if (scale <= 0).any():
-        raise ValueError("PSD repair collapsed a diagonal entry to zero")
-    repaired /= scale[:, :, None] * scale[:, None, :]
-    repaired.reshape(len(repaired), -1)[:, ::stack.shape[-1] + 1] = 1.0  # the diagonal
-    if every:
-        return repaired, mask
-    stack[mask] = repaired
-    return stack, mask
-
-
 class PartialWeights(NamedTuple):
     """The terms of the single sum that depend on U, the input and the output
     only, from :func:`partial_weights`: the size n of the Gram matrices, the
@@ -454,8 +423,7 @@ def partial_weights(u, occupation_in, occupation_out, kind: ParticleType) -> Par
     n_particles = sum(r)
     if n_particles > PARTIAL_MAX:
         raise ValueError(f"partial-distinguishability sum limited to N <= {PARTIAL_MAX}")
-    d = _assignment0(r)
-    m = u[np.ix_(d, _columns(s, n_particles)[0])]
+    d, m = _gather(u, r, s)
     perms = permutation_table(n_particles)
     weights = np.concatenate([permanent_ryser(m.conj() * m[perms[start:start + CHUNK]])
                               for start in range(0, len(perms), CHUNK)])
@@ -530,64 +498,3 @@ def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType)
     Refuses N > :data:`PARTIAL_MAX`.
     """
     return partial_probabilities(partial_weights(u, occupation_in, occupation_out, kind), s_matrix)
-
-
-# --- perturbed unitaries ----------------------------------------------------
-
-#: Mean-modulus-preserving deviation ensembles for entrywise perturbations.
-DELTA_DISTRIBUTIONS = ("ring", "gaussian", "disk")
-
-
-@dataclass(frozen=True)
-class PerturbationModel:
-    """Entrywise multiplicative noise U_jk -> U_jk (1 + Delta_jk).
-
-    ``mean_abs`` fixes the average modulus E|Delta|; all ensembles have zero
-    mean. ``ring`` draws a fixed modulus with uniform phase, ``gaussian`` a
-    complex normal scaled to the requested mean modulus, ``disk`` a uniform
-    draw from a disc.
-    """
-
-    mean_abs: float
-    distribution: str = "ring"
-
-    def __post_init__(self):
-        if self.mean_abs < 0:
-            raise ValueError("mean_abs must be non-negative")
-        if self.distribution not in DELTA_DISTRIBUTIONS:
-            raise ValueError(f"unknown deviation ensemble {self.distribution!r}")
-
-    def sample(self, shape, rng: np.random.Generator, entries=None) -> np.ndarray:
-        """Deviations for one (n, n) matrix or a (B, n, n) stack of B samples.
-
-        A stack takes one random call, laid out so that each sample's arrays
-        stay contiguous in the stream: it equals B successive (n, n) draws
-        bit for bit. ``gaussian`` and ``disk`` draw two arrays per sample
-        (real and imaginary part; radius and phase). ``entries`` = (rows,
-        cols) keeps the block ``np.ix_(rows, cols)`` of the same draw, the
-        complex deviations formed on that block only.
-        """
-        keep = (Ellipsis,) if entries is None else (Ellipsis, *np.ix_(*entries))
-        if self.mean_abs == 0.0:
-            return np.zeros(shape, dtype=complex)[keep]
-        # in place: a sub-stack of samples allocates one complex array, which
-        # keeps the peak memory of a fit flat
-        if self.distribution == "ring":
-            z = 1j * rng.uniform(0.0, 2.0 * np.pi, size=shape)[keep]
-            np.exp(z, out=z)
-            z *= self.mean_abs
-            return z
-        pairs = (*shape[:-2], 2, *shape[-2:])
-        if self.distribution == "gaussian":
-            draw = rng.standard_normal(pairs)[keep]
-            z = draw[..., 0, :, :] + 1j * draw[..., 1, :, :]
-            z /= np.sqrt(2.0)
-            z *= self.mean_abs / (np.sqrt(np.pi) / 2.0)  # E|z| = sqrt(pi)/2
-            return z
-        high = np.array([1.0, 2.0 * np.pi])[:, None, None]  # (radius^2, phase) bounds per sample
-        draw = rng.uniform(np.zeros((2, 1, 1)), high, size=pairs)[keep]
-        z = 1j * draw[..., 1, :, :]
-        np.exp(z, out=z)
-        z *= np.sqrt(draw[..., 0, :, :])  # radius, uniform over the disc
-        z *= self.mean_abs * 1.5  # E radius = 2/3
-        return z

@@ -1,7 +1,18 @@
 """Reference implementations that the tests hold the library to.
 
 * :func:`leibniz_determinant`: the determinant as the signed sum over all
-  n! permutations, the oracle for the elimination-based determinant.
+  n! permutations, the oracle for the elimination-based determinant, its
+  signs from :func:`reference_permutation_signs`.
+* :func:`reference_permutation_signs`: the signature of each row of
+  ``linalg.permutation_table`` by walking its cycles, the way
+  ``linalg.permutation_signs`` worked before it counted inversions. It
+  shares no code with the library's signs.
+* :func:`repair_distinguishability`: the finite check and the Hermitian part
+  (S + S^H) / 2 of one Gram matrix or a stack, then the PSD repair step
+  ``experiments._repair_hermitian``. Formerly in ``scattering``; no library
+  code calls it. Its bits and repair flags are the contract of
+  ``experiments.sample_distinguishability``, whose ``independent`` draws go
+  to the repair step with no symmetrisation.
 * :func:`reference_verdict_lines`: the verdict CSV formatted row by row,
   one cell at a time, the way the writer worked before it formatted whole
   columns. Its bytes are the contract of ``serialize.write_verdict_csvs``.
@@ -68,7 +79,12 @@ from math import comb, factorial, lcm
 import numpy as np
 
 from symfock import experiments
-from symfock.experiments import derive_seed, sample_distinguishability
+from symfock.experiments import (
+    PerturbationModel,
+    _repair_hermitian,
+    derive_seed,
+    sample_distinguishability,
+)
 from symfock.fock import (
     ParticleType,
     _generations,
@@ -81,7 +97,6 @@ from symfock.linalg import (
     STRUCT_TOL,
     as_complex_matrix,
     haar_from_ginibre,
-    permutation_signs,
     permutation_table,
     unitarity_residual,
 )
@@ -93,7 +108,7 @@ from symfock.permutations import (
     eigenvalues_to_complex,
     symmetry_residual,
 )
-from symfock.scattering import PerturbationModel, prob_partial, probabilities
+from symfock.scattering import prob_partial, probabilities
 from symfock.serialize import _CELL_WIDTH, VERDICT_COLUMNS, _float_cells
 from symfock.suppression import (
     EigenvalueDistribution,
@@ -115,7 +130,45 @@ def leibniz_determinant(matrix) -> complex:
     if n == 0:
         return 1.0 + 0.0j
     terms = np.prod(m[np.arange(n)[None, :], permutation_table(n)], axis=1)
-    return complex((terms * permutation_signs(n)).sum())
+    return complex((terms * reference_permutation_signs(n)).sum())
+
+
+def reference_permutation_signs(n: int) -> np.ndarray:
+    """Signatures (+1/-1) aligned with ``linalg.permutation_table``, each from
+    the number of transpositions in the row's cycle decomposition."""
+    table = permutation_table(n)
+    signs = np.empty(len(table), dtype=np.float64)
+    for i, row in enumerate(table):
+        seen = [False] * n
+        transpositions = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            j = start
+            length = 0
+            while not seen[j]:
+                seen[j] = True
+                j = row[j]
+                length += 1
+            transpositions += length - 1
+        signs[i] = -1.0 if transpositions % 2 else 1.0
+    return signs
+
+
+def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
+    """Project onto the valid set by clipping negative eigenvalues and
+    renormalising the diagonal back to one.
+
+    Takes one (n, n) matrix, returning its Hermitian part (repaired or not)
+    and whether a repair happened, or a (B, n, n) stack, returning the stack
+    of Hermitian parts and a (B,) mask of the repaired matrices. After the
+    finite check and (S + S^H) / 2, the whole stack goes to
+    ``experiments._repair_hermitian``.
+    """
+    s = as_complex_matrix(s_matrix, stack=True)
+    herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
+    repaired, mask = _repair_hermitian(herm if herm.ndim == 3 else herm[None])
+    return (repaired, mask) if herm.ndim == 3 else (repaired[0], bool(mask[0]))
 
 
 def _fmt_occupation(s) -> str:

@@ -224,7 +224,8 @@ class TestUnitaryRobustness:
         assert fit.predicted_prefactor == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_noise_leaves_suppression_perfect(self):
-        from symfock.scattering import PerturbationModel, prob_boson
+        from symfock.experiments import PerturbationModel
+        from symfock.scattering import prob_boson
         built = build_unitary(UnitarySpec(HOM_PERM))
         model = PerturbationModel(0.0)
         noisy = perturb_unitary(built.matrix, model, np.random.default_rng(1))

@@ -1,9 +1,17 @@
+from math import factorial
+
 import numpy as np
 import pytest
 
-from symfock.linalg import determinant, permanent_ryser
+from symfock.linalg import determinant, permanent_ryser, permutation_signs, permutation_table
 
-from oracles import haar_random_unitary, is_unitary, leibniz_determinant, permanent_naive
+from oracles import (
+    haar_random_unitary,
+    is_unitary,
+    leibniz_determinant,
+    permanent_naive,
+    reference_permutation_signs,
+)
 
 
 def random_complex(rng, n):
@@ -114,6 +122,18 @@ class TestDeterminant:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             determinant(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_permutation_signs_match_the_cycle_walk_and_the_determinant(n):
+    signs = permutation_signs(n)
+    assert signs.dtype == np.float64 and signs.shape == (factorial(n),)
+    assert signs.tobytes() == reference_permutation_signs(n).tobytes()
+    # the LU determinant of each permutation matrix is exactly +1.0 or -1.0
+    table = permutation_table(n)
+    for start in range(0, len(table), 5040):
+        matrices = np.eye(n)[table[start:start + 5040]]
+        assert (determinant(matrices) == signs[start:start + 5040]).all()
 
 
 class TestIsUnitary:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from symfock import experiments, scattering
 from symfock.experiments import (
+    DELTA_DISTRIBUTIONS,
     GRAM_STACK_TERMS,
+    PerturbationModel,
     derive_seed,
     run_distinguishability_robustness,
     run_unitary_robustness,
@@ -24,17 +26,10 @@ from symfock.experiments import (
 )
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation
-from symfock.scattering import (
-    CHUNK,
-    DELTA_DISTRIBUTIONS,
-    PerturbationModel,
-    prob_partial,
-    probabilities,
-    repair_distinguishability,
-)
+from symfock.scattering import CHUNK, prob_partial, probabilities
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import KahanMean, reference_dist_fit
+from oracles import KahanMean, reference_dist_fit, repair_distinguishability
 
 ENSEMBLES = ("independent", "gram")
 WORKED = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
@@ -249,6 +244,18 @@ def mixed_stack(rng, b: int, n: int, bad=slice(None, None, 2)) -> np.ndarray:
     stack[bad, 0, 1] = a[bad]
     stack[bad, 1, 0] = np.conj(a[bad])
     return stack
+
+
+@pytest.mark.parametrize("count", [None, 2])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_zero_and_one_mode_draws_need_no_repair(ensemble, n, count):
+    # a 0 x 0 Gram matrix has no eigenvalue to clip, a 1 x 1 one is [[1]]
+    grams, repairs = sample_distinguishability(n, 0.1, np.random.default_rng(5), ensemble,
+                                               count=count)
+    shape = (n, n) if count is None else (count, n, n)
+    assert grams.shape == shape and np.array_equal(grams, np.ones(shape))
+    assert type(repairs) is (bool if count is None else int) and repairs == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,22 +4,27 @@ from math import prod
 import numpy as np
 import pytest
 
+from symfock.experiments import PerturbationModel
 from symfock.fock import ParticleType, enumerate_outputs, occupation_to_assignment
 from symfock.scattering import (
     PARTIAL_MAX,
-    PerturbationModel,
     _check_outputs,
     prob_boson,
     prob_distinguishable,
     prob_fermion,
     prob_partial,
     probabilities,
-    repair_distinguishability,
     scattering_matrix,
     validate_distinguishability,
 )
 
-from oracles import haar_random_unitary, is_unitary, permanent_naive, perturb_unitary
+from oracles import (
+    haar_random_unitary,
+    is_unitary,
+    permanent_naive,
+    perturb_unitary,
+    repair_distinguishability,
+)
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
