@@ -62,5 +62,6 @@ verdict = fermion_suppressed(perm, r, rotated.eigenvalues, s_fermi)
 print(f"  fermionic output {s_fermi}: multisets differ = {verdict},",
       f"P_F = {prob_fermion(rotated.matrix, r, s_fermi):.3e}")
 
-boson_zeros = int(output_laws(built.eigenvalues, output_array(8, 5, ParticleType.BOSON)).boson.sum())
+laws = output_laws(built.eigenvalues, output_array(8, 5, ParticleType.BOSON))
+boson_zeros = int(laws.columns["boson_suppressed"].sum())
 print(f"\nthe law certifies {boson_zeros} of 792 bosonic outputs as exact zeros")

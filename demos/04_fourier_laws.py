@@ -14,7 +14,7 @@ from symfock.experiments import run_fourier_comparison
 print("n=6 bosons, shift of order 3, input (1,0,1,0,1,0)")
 comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
 boson = comparison.boson_table
-agree = bool((boson.boson == (boson.p <= 1e-20)).all())
+agree = bool((boson.laws.columns["boson_suppressed"] == (boson.p <= 1e-20)).all())
 print(f"  verdict == (permanent vanishes) on all {len(boson)} outputs: {agree}")
 print(f"  fermion counts: multiset law {comparison.counts['fermion_new_law']}, "
       f"parity law {comparison.counts['fermion_old_law']} (identical sets here)")
@@ -24,14 +24,15 @@ print("n=8 fermions, shift of order 2, input (1,0,1,0,1,0,1,0)")
 comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
 counts = comparison.counts
 fermion = comparison.fermion_table
+laws = fermion.laws  # the eigenvalue multisets as counts of each distinct root
 print(f"  multiset law suppresses {counts['fermion_new_law']} of {len(fermion)} outputs")
 print(f"  parity law suppresses   {counts['fermion_old_law']}")
 print(f"  strictly new: {counts['fermion_new_not_old']}")
 rows = {tuple(s): i for i, s in enumerate(fermion.outputs.tolist())}
 for witness in comparison.witnesses:
     i = rows[witness]
-    column = fermion.root_counts[:, fermion.group[i]].tolist()  # the multiset as root counts
-    multiset = [str(v) for v, count in zip(fermion.roots, column) for _ in range(count)]
+    column = laws.root_counts[:, laws.group[i]].tolist()
+    multiset = [str(v) for v, count in zip(laws.roots, column) for _ in range(count)]
     print(f"    witness {witness}: eigenvalue multiset {multiset}, exact P_F = {fermion.p[i]:.2e}")
 print()
 print("both witnesses keep the eigenvalue product at +1, which is all the")

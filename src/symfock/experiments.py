@@ -60,9 +60,11 @@ in place when every matrix needs it, as every draw on the fits' grids does.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
-from the (K, n) output array the probabilities are computed from and the two
-probability columns: one :func:`suppression.output_laws` call per table, and
-every row's event class at once.
+from the (K, n) output array the probabilities are computed from, its
+:class:`suppression.OutputLaws` and the two probability columns, with every
+row's event class at once. One :func:`suppression.output_laws` call decides
+the laws of each output list: the census boson and distinguishable tables
+share theirs. The law columns are read by their verdict-CSV names.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ from .suppression import (
     VerdictTable,
     boson_suppressed,
     fermion_suppressed,
+    output_laws,
     transposition_count,
     verdict_table,
 )
@@ -232,20 +235,23 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
 
     tables: dict[ParticleType, VerdictTable] = {}
     max_suppressed: dict[ParticleType, float] = {}
+    laws = output_laws(eigenvalues, boson_outputs)  # the boson and distinguishable tables share it
     if ParticleType.BOSON in cfg.types:
-        table = verdict_table(eigenvalues, boson_outputs, ParticleType.BOSON,
-                              acc["pb"].mean(), acc["pd"].mean())
-        tables[ParticleType.BOSON] = table
-        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[table.boson].max(initial=0.0))
+        tables[ParticleType.BOSON] = verdict_table(laws, boson_outputs, ParticleType.BOSON,
+                                                   acc["pb"].mean(), acc["pd"].mean())
+        suppressed = laws.columns["boson_suppressed"]
+        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[suppressed].max(initial=0.0))
     if ParticleType.DISTINGUISHABLE in cfg.types:
         mean_pd = acc["pd"].mean()
         tables[ParticleType.DISTINGUISHABLE] = verdict_table(
-            eigenvalues, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
+            laws, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
     if ParticleType.FERMION in cfg.types:
-        table = verdict_table(eigenvalues, fermion_outputs, ParticleType.FERMION,
-                              acc["pf"].mean(), acc["pdf"].mean(), p, r)
-        tables[ParticleType.FERMION] = table
-        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[table.fermion].max(initial=0.0))
+        fermion_laws = output_laws(eigenvalues, fermion_outputs, p, r)
+        tables[ParticleType.FERMION] = verdict_table(fermion_laws, fermion_outputs,
+                                                     ParticleType.FERMION, acc["pf"].mean(),
+                                                     acc["pdf"].mean())
+        suppressed = fermion_laws.columns["fermion_suppressed"]
+        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[suppressed].max(initial=0.0))
 
     metadata = {
         "experiment": "mean-probabilities",
@@ -267,7 +273,7 @@ def unitary_table(u, eigenvalues, permutation: Permutation, input_state, kind: P
                   w: int | None) -> VerdictTable:
     """The verdict table of every output of ``input_state`` under one
     unitary, for one particle kind: the output array, the distinguishable
-    reference and the kind's probabilities, one call each, then
+    reference, the kind's probabilities and the laws, one call each, then
     :func:`suppression.verdict_table`. A fermion table takes the symmetry
     ``permutation`` and the parity witness ``w`` (None for no legacy law);
     other kinds ignore both."""
@@ -276,7 +282,7 @@ def unitary_table(u, eigenvalues, permutation: Permutation, input_state, kind: P
     p_dist = probabilities(u, r, outputs, ParticleType.DISTINGUISHABLE)
     p = p_dist if kind is ParticleType.DISTINGUISHABLE else probabilities(u, r, outputs, kind)
     law = (permutation, r, w) if kind is ParticleType.FERMION else ()
-    return verdict_table(eigenvalues, outputs, kind, p, p_dist, *law)
+    return verdict_table(output_laws(eigenvalues, outputs, *law), outputs, kind, p, p_dist)
 
 
 # --- DFT comparison ------------------------------------------------------------
@@ -295,12 +301,12 @@ class FourierComparison:
 
     @property
     def counts(self) -> dict:
-        fermion = self.fermion_table
+        fermion = {} if self.fermion_table is None else self.fermion_table.laws.columns
         return {
-            "fermion_new_law": 0 if fermion is None else int(fermion.fermion.sum()),
-            "fermion_old_law": 0 if fermion is None else int(fermion.parity.sum()),
+            "fermion_new_law": int(fermion["fermion_suppressed"].sum()) if fermion else 0,
+            "fermion_old_law": int(fermion["old_fermion_suppressed"].sum()) if fermion else 0,
             "fermion_new_not_old": len(self.witnesses),
-            "boson_law": int(self.boson_table.boson.sum()),
+            "boson_law": int(self.boson_table.laws.columns["boson_suppressed"].sum()),
         }
 
 
@@ -325,7 +331,8 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     if all(x <= 1 for x in r):
         w = transposition_count(perm, r)
         fermion_table = unitary_table(u, eigenvalues, perm, r, ParticleType.FERMION, w)
-        new_not_old = fermion_table.fermion & ~fermion_table.parity
+        laws = fermion_table.laws.columns
+        new_not_old = laws["fermion_suppressed"] & ~laws["old_fermion_suppressed"]
         witnesses = list(map(tuple, fermion_table.outputs[new_not_old].tolist()))
 
     metadata = {

@@ -4,8 +4,10 @@ Numbers cross the file boundary losslessly: floats are written as ``repr``
 writes them (the shortest decimal that reads back to the same double) and
 eigenvalue phases as exact "k/l" fractions. Verdict CSVs are semicolon
 separated because the s and phase columns contain commas. A verdict CSV is
-written from a :class:`suppression.VerdictTable`, with empty cells for the
-columns its particle kind lacks; ``tests/oracles.py`` holds a reader.
+written from a :class:`suppression.VerdictTable`: the fixed
+:data:`VERDICT_COLUMNS`, with empty cells for the columns the table lacks,
+then every other law column of the table, by name and in its order;
+``tests/oracles.py`` holds a reader.
 
 The CSV is built as bytes, with no Python call per row or per cell. Every
 cell is a row of ASCII bytes of its column's width, with NULs in the slots
@@ -475,9 +477,9 @@ def _cell_columns(tables) -> tuple[np.ndarray, list]:
     index = np.empty(len(bits), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     per_column = np.split(index, np.cumsum([len(column) for column in patterns])[:-1])
-    names = {root: str(root) for root in {root for table in tables for root in table.roots}}
-    phases = [_phase_cells([names[root] for root in table.roots], table.root_counts)
-              for table in tables]
+    laws = [table.laws for table in tables]
+    names = {root: str(root) for root in {root for law in laws for root in law.roots}}
+    phases = [_phase_cells([names[root] for root in law.roots], law.root_counts) for law in laws]
     return (_float_cells(ordered[first].view(np.float64)),
             list(zip(phases, per_column[::2], per_column[1::2])))
 
@@ -509,21 +511,19 @@ def _verdict_blocks(table: VerdictTable, floats: np.ndarray, phases: np.ndarray,
     its cells at fixed offsets with the separators between them, set once.
     Each block writes its occupations and then each other column, gathered
     by its rows' indices, into its slices of the buffer; one pass deletes
-    the NULs."""
-    parity = table.parity is not None
-    yield (";".join(VERDICT_COLUMNS + ("old_fermion_suppressed",) * parity) + "\n").encode()
-    probs = None if table.kind is ParticleType.DISTINGUISHABLE else (floats, p)
-    # (source cells, each row's index into them) per column after the
-    # occupations, and None for a column the table's kind leaves empty
-    columns = [
-        (phases, table.group),
-        (_FLAGS, table.boson),
-        None if table.fermion is None else (_FLAGS, table.fermion),
-        probs if table.kind is ParticleType.BOSON else None,
-        probs if table.kind is ParticleType.FERMION else None,
-        (floats, p_dist),
-        (_EVENTS, table.codes),
-    ] + [(_FLAGS, table.parity)] * parity
+    the NULs. The columns are :data:`VERDICT_COLUMNS`, then each law column
+    of the table that is not among them, in the table's order."""
+    laws = table.laws.columns
+    header = VERDICT_COLUMNS + tuple(name for name in laws if name not in VERDICT_COLUMNS)
+    yield (";".join(header) + "\n").encode()
+    # (source cells, each row's index into them) by column name; a column
+    # the table lacks stays empty
+    named = {name: (_FLAGS, column) for name, column in laws.items()}
+    named.update({"lambda_phases": (phases, table.laws.group), "p_dist": (floats, p_dist),
+                  "class": (_EVENTS, table.codes)})
+    if table.kind is not ParticleType.DISTINGUISHABLE:
+        named["p_boson" if table.kind is ParticleType.BOSON else "p_fermion"] = (floats, p)
+    columns = [named.get(name) for name in header[1:]]  # after the occupations
     digits = _digit_slots(table.outputs)
     first = _occupations(table.outputs[:CHUNK], digits)  # the first block's cells fix the width
     widths = [first.shape[1]] + [0 if column is None else column[0].shape[1] for column in columns]
@@ -557,8 +557,9 @@ def verdict_lines(table: VerdictTable):
 
 def write_verdict_csvs(tables: dict) -> None:
     """Write the verdict CSV of each table of ``{path: table}``: the header,
-    then one line per output, with an ``old_fermion_suppressed`` column when
-    the table has the parity law.
+    then one line per output. The columns are :data:`VERDICT_COLUMNS`, with
+    empty cells where the table has no such column, then every other law
+    column of the table (``old_fermion_suppressed`` today), in its order.
 
     The cells of all the tables come from one :func:`_cell_columns` call, so
     a command that writes several tables formats each distinct float and

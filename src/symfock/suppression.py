@@ -10,7 +10,11 @@ modes. Two exact tests follow:
 Either verdict certifies a transition probability of exactly zero for every
 member of the unitary class. No float ever enters a verdict:
 :func:`output_laws` decides every law for a whole (K, n) array of outputs
-with int64 arithmetic only.
+with int64 arithmetic only. The laws are one ordered mapping from the
+verdict-CSV column name to its boolean column, decided here and read by
+name everywhere else: ``boson_suppressed`` always, ``fermion_suppressed``
+with a permutation and an input, and ``old_fermion_suppressed`` (the legacy
+DFT parity law) with a parity witness.
 
 * Phases as integers. With L the lcm of the eigenvalue denominators, the
   eigenvalue num/den is k = num * L / den L-ths of a turn, so the
@@ -34,9 +38,11 @@ particles) ``unique`` over the rows of (size, -counts) groups the columns
 in the same order. The one-output predicates compute the law columns
 only: no key digits, sort or groups.
 
-:func:`verdict_table` is the one builder of verdict tables: it joins one
-:func:`output_laws` call with the probabilities of the same outputs and
-classifies every row at once into a column-oriented :class:`VerdictTable`.
+:func:`verdict_table` makes every verdict table: it joins the
+:class:`OutputLaws` of some outputs with their probabilities and classifies
+every row at once, by the law column its particle kind names, into a
+column-oriented :class:`VerdictTable`. Tables of the same outputs share
+one :class:`OutputLaws`.
 """
 
 from __future__ import annotations
@@ -93,23 +99,24 @@ class OutputLaws:
     ``roots`` holds the D sorted distinct roots and column g of the (D, G)
     ``root_counts`` how often multiset g holds each, and ``group`` each
     output's index into the G multisets, so row i's multiset holds
-    ``root_counts[c, group[i]]`` of ``roots[c]``. ``fermion`` is set when a
-    permutation and an input were given, ``parity`` when a witness ``w`` was.
+    ``root_counts[c, group[i]]`` of ``roots[c]``. ``columns`` maps each
+    law's verdict-CSV column name to its boolean column, in this order:
+    ``boson_suppressed`` always, then ``fermion_suppressed`` when a
+    permutation and an input were given, then ``old_fermion_suppressed``
+    (the legacy DFT parity law) when a witness ``w`` was.
     """
 
-    boson: np.ndarray
     roots: tuple[RootOfUnity, ...]
     root_counts: np.ndarray
     group: np.ndarray
-    fermion: np.ndarray | None = None
-    parity: np.ndarray | None = None
+    columns: dict[str, np.ndarray]
 
 
 def _law_columns(eigenvalues, outputs, permutation: Permutation | None = None,
                  occupation_in=None, w: int | None = None) -> tuple:
     """:func:`output_laws` without its grouping, all that a one-output
-    predicate reads: the boson, fermion and parity laws, then the sorted
-    distinct roots, their (D, K) counts and the particle numbers."""
+    predicate reads: the law columns by name, then the sorted distinct
+    roots, their (D, K) counts and the particle numbers."""
     values = _as_roots(eigenvalues)
     n = len(values)
     s = output_rows(outputs, n)
@@ -121,6 +128,8 @@ def _law_columns(eigenvalues, outputs, permutation: Permutation | None = None,
     if (permutation is None) != (occupation_in is None):
         raise ValueError("the fermion law needs both the permutation and the input occupation")
     if permutation is not None:
+        if permutation.n != n:
+            raise ValueError(f"permutation over {permutation.n} modes but {n} eigenvalues")
         if s.max(initial=0) > 1:
             check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
         initial = initial_distribution(permutation, occupation_in)
@@ -143,16 +152,15 @@ def _law_columns(eigenvalues, outputs, permutation: Permutation | None = None,
                          f"lcm of eigenvalue denominators {turn} >= 2^63")
     # the output's eigenvalue product, exactly: one product of int64 weights
     phase = (np.array([v.num * (turn // v.den) for v in distinct], dtype=np.int64) @ counts) % turn
-    parity = None
+    columns = {"boson_suppressed": phase != 0}
+    if permutation is not None:
+        initial_counts = np.bincount([row[i] for i in sighted[n:]], minlength=len(distinct))
+        columns["fermion_suppressed"] = (counts != initial_counts[:, None]).any(axis=0)
     if w is not None:
         # (-1)^w is 0 or half a turn; an odd L never reaches half a turn
         target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
-        parity = phase != target
-    fermion = None
-    if permutation is not None:
-        initial_counts = np.bincount([row[i] for i in sighted[n:]], minlength=len(distinct))
-        fermion = (counts != initial_counts[:, None]).any(axis=0)
-    return phase != 0, fermion, parity, tuple(distinct), counts, sizes
+        columns["old_fermion_suppressed"] = phase != target
+    return columns, tuple(distinct), counts, sizes
 
 
 def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
@@ -160,13 +168,14 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     """Decide the suppression laws for every row of a (K, n) output array.
 
     Always gives the boson law and the eigenvalue distributions. With the
-    symmetry ``permutation`` and the fermionic ``occupation_in`` it also
-    gives the fermion law (the outputs must then be singly occupied); with
-    the parity witness ``w`` (:func:`transposition_count`) the legacy DFT
-    law. Everything is checked once, here; the arithmetic is int64 only.
+    symmetry ``permutation`` (over as many modes as there are eigenvalues)
+    and the fermionic ``occupation_in`` it also gives the fermion law (the
+    outputs must then be singly occupied); with the parity witness ``w``
+    (:func:`transposition_count`) the legacy DFT law. Everything is checked
+    once, here; the arithmetic is int64 only.
     """
-    boson, fermion, parity, roots, counts, sizes = _law_columns(
-        eigenvalues, outputs, permutation, occupation_in, w)
+    columns, roots, counts, sizes = _law_columns(eigenvalues, outputs, permutation,
+                                                 occupation_in, w)
     # one group per distinct count column, fewer particles first, then in
     # enumerate_outputs order (the most of the smallest value first)
     radix, depth = int(sizes.max(initial=0)) + 1, len(roots)
@@ -183,19 +192,20 @@ def output_laws(eigenvalues, outputs, permutation: Permutation | None = None,
     else:
         _, first, group = np.unique(np.vstack([sizes, -counts]).T, axis=0,
                                     return_index=True, return_inverse=True)
-    return OutputLaws(boson, roots, counts[:, first], group.ravel(), fermion, parity)
+    return OutputLaws(roots, counts[:, first], group.ravel(), columns)
 
 
 def boson_suppressed(eigenvalues, occupation_out) -> bool:
     """True iff the eigenvalue product over the output differs from 1,
     certifying an exactly vanishing bosonic probability."""
-    return bool(_law_columns(eigenvalues, [occupation_out])[0][0])
+    return bool(_law_columns(eigenvalues, [occupation_out])[0]["boson_suppressed"][0])
 
 
 def fermion_suppressed(p: Permutation, occupation_in, eigenvalues, occupation_out) -> bool:
     """True iff the output eigenvalue multiset differs from the input one,
     certifying an exactly vanishing fermionic probability."""
-    return bool(_law_columns(eigenvalues, [occupation_out], p, occupation_in)[1][0])
+    columns = _law_columns(eigenvalues, [occupation_out], p, occupation_in)[0]
+    return bool(columns["fermion_suppressed"][0])
 
 
 def transposition_count(p: Permutation, occupation_in) -> int:
@@ -244,27 +254,21 @@ class VerdictTable:
 
     ``outputs`` is the (K, n) occupation array, the checked rows of
     :func:`fock.output_rows`: for outputs from :func:`fock.output_array`,
-    the cached read-only lattice rows in their own dtype. The distinct
-    eigenvalue multisets are ``roots`` and ``root_counts``, as in
-    :class:`OutputLaws`; ``group`` holds each row's index into them.
-    ``boson`` is the boson law, ``fermion`` the fermion law (fermion tables
-    only) and ``parity`` the legacy DFT law (when a parity witness was
-    given). ``p`` is the kind's probability, which for distinguishable
-    particles is ``p_dist``; ``codes`` holds each row's class as its int8
-    place in :class:`EventClass`, and ``classes`` the member.
+    the cached read-only lattice rows in their own dtype. ``laws`` is their
+    :class:`OutputLaws`: the distinct eigenvalue multisets, each row's
+    index into them and the law columns by name, which tables of the same
+    outputs share. ``p`` is the kind's probability, which for
+    distinguishable particles is ``p_dist``; ``codes`` holds each row's
+    class as its int8 place in :class:`EventClass`, and ``classes`` the
+    member.
     """
 
     kind: ParticleType
     outputs: np.ndarray
-    roots: tuple[RootOfUnity, ...]
-    root_counts: np.ndarray
-    group: np.ndarray
-    boson: np.ndarray
+    laws: OutputLaws
     p: np.ndarray
     p_dist: np.ndarray
     codes: np.ndarray
-    fermion: np.ndarray | None = None
-    parity: np.ndarray | None = None
 
     @property
     def classes(self) -> np.ndarray:
@@ -275,28 +279,29 @@ class VerdictTable:
         return len(self.outputs)
 
 
-def verdict_table(eigenvalues, outputs, kind: ParticleType, p, p_dist,
-                  permutation: Permutation | None = None, occupation_in=None,
-                  w: int | None = None) -> VerdictTable:
+def verdict_table(laws: OutputLaws, outputs, kind: ParticleType, p, p_dist) -> VerdictTable:
     """The verdict table of a (K, n) output array for one particle kind.
 
-    ``p`` and ``p_dist`` hold each output's probability for ``kind`` and for
-    distinguishable particles (a distinguishable table passes ``p_dist``
-    twice). Fermion tables, and only they, take the symmetry ``permutation``
-    and the input, plus the parity witness ``w`` for the legacy DFT law. One
-    :func:`output_laws` call decides every law; each class follows from the
-    row's own law (none for distinguishable particles) and probabilities.
+    ``laws`` is the :func:`output_laws` of ``outputs``. ``p`` and ``p_dist``
+    hold each output's probability for ``kind`` and for distinguishable
+    particles (a distinguishable table passes ``p_dist`` twice). Fermion
+    tables, and only they, carry law columns beyond ``boson_suppressed``:
+    the fermion law, which they need, and the legacy DFT law, which they
+    may have. Each class follows from the row's probabilities and the law
+    column that decides ``kind`` (none for distinguishable particles).
     """
-    if (kind is ParticleType.FERMION) != (permutation is not None):
+    fermion = kind is ParticleType.FERMION
+    if fermion != ("fermion_suppressed" in laws.columns) or not fermion and len(laws.columns) > 1:
         raise ValueError("fermion tables, and only they, take the permutation and the input")
-    eigenvalues = tuple(eigenvalues)
-    outputs = output_rows(outputs, len(eigenvalues))  # the table keeps the checked rows
-    laws = output_laws(eigenvalues, outputs, permutation, occupation_in, w)
+    outputs = output_rows(outputs, np.shape(outputs)[-1])  # the table keeps the checked rows
     p, p_dist = np.asarray(p, dtype=float), np.asarray(p_dist, dtype=float)
-    if p.shape != laws.boson.shape or p_dist.shape != laws.boson.shape:
-        raise ValueError(f"need one probability per output: {len(laws.boson)} outputs, "
+    rows = laws.columns["boson_suppressed"].shape
+    if len(outputs) != rows[0]:
+        raise ValueError(f"need the laws of the outputs: {rows[0]} law rows, {len(outputs)} outputs")
+    if p.shape != rows or p_dist.shape != rows:
+        raise ValueError(f"need one probability per output: {rows[0]} outputs, "
                          f"{p.shape} and {p_dist.shape} probabilities")
-    law = {ParticleType.BOSON: laws.boson, ParticleType.FERMION: laws.fermion}.get(kind, False)
-    return VerdictTable(kind, outputs, laws.roots, laws.root_counts, laws.group,
-                        laws.boson, p, p_dist, _class_codes(law, p, p_dist), laws.fermion,
-                        laws.parity)
+    # the law column that decides the class: none for distinguishable particles
+    name = {ParticleType.BOSON: "boson_suppressed", ParticleType.FERMION: "fermion_suppressed"}
+    law = laws.columns[name[kind]] if kind in name else False
+    return VerdictTable(kind, outputs, laws, p, p_dist, _class_codes(law, p, p_dist))

@@ -184,49 +184,51 @@ def _fmt_optional_bool(value) -> str:
 
 
 def reference_verdict_lines(table) -> list[str]:
-    """The verdict CSV of ``table``, one row and one cell at a time."""
-    header = list(VERDICT_COLUMNS)
-    if table.parity is not None:
-        header.append("old_fermion_suppressed")
-    lines = [";".join(header) + "\n"]
-    groups = reference_groups(table)
+    """The verdict CSV of ``table``, one row and one cell at a time: the
+    fixed columns, then the table's other law columns in its order."""
+    laws = table.laws.columns
+    extra = [name for name in laws if name not in VERDICT_COLUMNS]
+    lines = [";".join([*VERDICT_COLUMNS, *extra]) + "\n"]
+    groups = reference_groups(table.laws)
+
+    def flag(name, i):
+        return _fmt_optional_bool(bool(laws[name][i]) if name in laws else None)
+
     for i in range(len(table)):
         p = table.p[i]
         row = [
             _fmt_occupation(tuple(int(x) for x in table.outputs[i])),
-            ",".join(str(v) for v in groups[table.group[i]]),
-            _fmt_optional_bool(bool(table.boson[i])),
-            _fmt_optional_bool(None if table.fermion is None else bool(table.fermion[i])),
+            ",".join(str(v) for v in groups[table.laws.group[i]]),
+            flag("boson_suppressed", i),
+            flag("fermion_suppressed", i),
             _fmt_optional_float(p if table.kind is ParticleType.BOSON else None),
             _fmt_optional_float(p if table.kind is ParticleType.FERMION else None),
             _fmt_optional_float(table.p_dist[i]),
             table.classes[i].value,
-        ]
-        if table.parity is not None:
-            row.append(_fmt_optional_bool(bool(table.parity[i])))
+        ] + [flag(name, i) for name in extra]
         lines.append(";".join(row) + "\n")
     return lines
 
 
 def row_distributions(laws) -> tuple:
     """Each row's eigenvalue multiset, the :func:`reference_groups` entry
-    of its group, of an ``OutputLaws`` or a ``VerdictTable``."""
+    of its group, of an ``OutputLaws``."""
     groups = reference_groups(laws)
     return tuple(groups[g] for g in laws.group.tolist())
 
 
 def assert_same_table(a, b) -> None:
     assert a.kind is b.kind
-    assert row_distributions(a) == row_distributions(b)
+    assert row_distributions(a.laws) == row_distributions(b.laws)
     assert a.codes.dtype == b.codes.dtype == np.int8
-    for name in ("outputs", "boson", "fermion", "parity", "p", "p_dist", "codes"):
-        x, y = getattr(a, name), getattr(b, name)
-        if x is None or y is None:
-            assert x is None and y is None, name
-        else:
-            assert x.shape == y.shape and x.tolist() == y.tolist(), name
-            if x.dtype.kind == "f":  # to the bit: -0.0 is not 0.0
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert list(a.laws.columns) == list(b.laws.columns)  # the same law names, in order
+    columns = [(name, getattr(a, name), getattr(b, name))
+               for name in ("outputs", "p", "p_dist", "codes")]
+    for name, x, y in columns + [(name, column, b.laws.columns[name])
+                                 for name, column in a.laws.columns.items()]:
+        assert x.shape == y.shape and x.tolist() == y.tolist(), name
+        if x.dtype.kind == "f":  # to the bit: -0.0 is not 0.0
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
 
 
 def reference_unitary(spec) -> ConstructedUnitary:
@@ -314,19 +316,22 @@ def reference_census(cfg) -> tuple[dict, dict]:
 
     tables, max_suppressed = {}, {}
     if ParticleType.BOSON in types:
-        table = verdict_table(eigenvalues, boson_outputs, ParticleType.BOSON,
-                              acc["pb"].mean(), acc["pd"].mean())
+        table = verdict_table(output_laws(eigenvalues, boson_outputs), boson_outputs,
+                              ParticleType.BOSON, acc["pb"].mean(), acc["pd"].mean())
         tables[ParticleType.BOSON] = table
-        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[table.boson].max(initial=0.0))
+        suppressed = table.laws.columns["boson_suppressed"]
+        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[suppressed].max(initial=0.0))
     if ParticleType.DISTINGUISHABLE in types:
         mean_pd = acc["pd"].mean()
         tables[ParticleType.DISTINGUISHABLE] = verdict_table(
-            eigenvalues, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
+            output_laws(eigenvalues, boson_outputs), boson_outputs,
+            ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
     if ParticleType.FERMION in types:
-        table = verdict_table(eigenvalues, fermion_outputs, ParticleType.FERMION,
-                              acc["pf"].mean(), acc["pdf"].mean(), p, r)
+        table = verdict_table(output_laws(eigenvalues, fermion_outputs, p, r), fermion_outputs,
+                              ParticleType.FERMION, acc["pf"].mean(), acc["pdf"].mean())
         tables[ParticleType.FERMION] = table
-        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[table.fermion].max(initial=0.0))
+        suppressed = table.laws.columns["fermion_suppressed"]
+        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[suppressed].max(initial=0.0))
     return tables, max_suppressed
 
 
@@ -442,6 +447,8 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
     if (permutation is None) != (occupation_in is None):
         raise ValueError("the fermion law needs both the permutation and the input occupation")
     if permutation is not None:
+        if permutation.n != n:
+            raise ValueError(f"permutation over {permutation.n} modes but {n} eigenvalues")
         if (s > 1).any():
             check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
         initial = initial_distribution(permutation, occupation_in)
@@ -454,22 +461,22 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
                          f"lcm of eigenvalue denominators {turn} >= 2^63")
     k = np.array([v.num * (turn // v.den) for v in values], dtype=np.int64)
     phase = (s @ k) % turn
-    parity = None
-    if w is not None:
-        target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
-        parity = phase != target
+    columns = {"boson_suppressed": phase != 0}
 
     distinct = sorted(set(values) | set(initial))
     column = {v: c for c, v in enumerate(distinct)}
     onehot = np.zeros((n, len(distinct)), dtype=np.int64)
     onehot[np.arange(n), np.array([column[v] for v in values], dtype=np.intp)] = 1
     counts = s @ onehot
-    fermion = None
     if permutation is not None:
         initial_counts = [0] * len(distinct)
         for v in initial:
             initial_counts[column[v]] += 1
-        fermion = (counts != np.array(initial_counts, dtype=np.int64)).any(axis=1)
+        columns["fermion_suppressed"] = (counts != np.array(initial_counts,
+                                                           dtype=np.int64)).any(axis=1)
+    if w is not None:
+        target = 0 if w % 2 == 0 else (turn // 2 if turn % 2 == 0 else -1)
+        columns["old_fermion_suppressed"] = phase != target
 
     if comb(len(distinct) + n_particles, n_particles) < 1 << 63:
         offsets = np.array([comb(len(distinct) + size - 1, size - 1) if size else 0
@@ -478,13 +485,12 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
         _, first, group = np.unique(key, return_index=True, return_inverse=True)
     else:
         _, first, group = np.unique(counts, axis=0, return_index=True, return_inverse=True)
-    return OutputLaws(phase != 0, tuple(distinct), counts[first].T, group.ravel(), fermion,
-                      parity)
+    return OutputLaws(tuple(distinct), counts[first].T, group.ravel(), columns)
 
 
 def reference_groups(laws) -> tuple:
-    """The eigenvalue multisets of an ``OutputLaws`` or a ``VerdictTable``
-    from its ``roots`` and ``root_counts``, one group and one root at a time."""
+    """The eigenvalue multisets of an ``OutputLaws`` from its ``roots`` and
+    ``root_counts``, one group and one root at a time."""
     return tuple(tuple(chain.from_iterable(map(repeat, laws.roots, column)))
                  for column in laws.root_counts.T.tolist())
 
@@ -617,7 +623,8 @@ def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:
 def old_fourier_fermion_suppressed(eigenvalues, occupation_out, w: int) -> bool:
     """The legacy DFT fermion criterion for one output: the product of its
     eigenvalues differs from (-1)^w."""
-    return bool(output_laws(eigenvalues, [occupation_out], w=w).parity[0])
+    laws = output_laws(eigenvalues, [occupation_out], w=w)
+    return bool(laws.columns["old_fermion_suppressed"][0])
 
 
 def classify_event(law_suppressed, p_particle, p_dist):
@@ -647,7 +654,10 @@ def count_roots(groups) -> tuple[tuple[RootOfUnity, ...], np.ndarray]:
 
 def read_verdict_csv(path) -> VerdictTable:
     """The table of a verdict CSV. Its kind is the one whose probability
-    column is filled; a table without rows reads as distinguishable."""
+    column is filled; a table without rows reads as distinguishable. Its
+    law columns are ``boson_suppressed``, ``fermion_suppressed`` for a
+    fermion table, then every column after ``class``, in the header's
+    order."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if not lines:
@@ -673,18 +683,15 @@ def read_verdict_csv(path) -> VerdictTable:
     roots, root_counts = count_roots([parse_root(tok) for tok in cell.split(",") if tok]
                                      for cell in phases.tolist())
     codes = {event: code for code, event in enumerate(EventClass)}
+    laws = ["boson_suppressed", *["fermion_suppressed"] * (kind is ParticleType.FERMION),
+            *header[len(VERDICT_COLUMNS):]]
     return VerdictTable(
         kind=kind,
         outputs=np.array([json.loads(cell) for cell in cells["s"]],
                          dtype=np.int64).reshape(len(rows), -1 if rows else 0),
-        roots=roots,
-        root_counts=root_counts,
-        group=group.ravel(),
-        boson=flags("boson_suppressed"),
+        laws=OutputLaws(roots, root_counts, group.ravel(), {name: flags(name) for name in laws}),
         p=floats({ParticleType.BOSON: "p_boson", ParticleType.FERMION: "p_fermion"}
                  .get(kind, "p_dist")),
         p_dist=floats("p_dist"),
         codes=np.array([codes[EventClass(cell)] for cell in cells["class"]], dtype=np.int8),
-        fermion=flags("fermion_suppressed") if kind is ParticleType.FERMION else None,
-        parity=flags("old_fermion_suppressed") if "old_fermion_suppressed" in header else None,
     )

@@ -98,10 +98,11 @@ def test_criterion_04_law_soundness_at_scale():
 
     # completeness for many-particle suppression: every event that vanished
     # while staying classically reachable carries a law verdict
-    for kind, law_field in [(ParticleType.BOSON, "boson"), (ParticleType.FERMION, "fermion")]:
+    for kind, law in [(ParticleType.BOSON, "boson_suppressed"),
+                      (ParticleType.FERMION, "fermion_suppressed")]:
         table = result.tables[kind]
         vanished = (table.p <= 1e-20) & (table.p_dist > 1e-10)
-        assert getattr(table, law_field)[vanished].all(), table.outputs[vanished]
+        assert table.laws.columns[law][vanished].all(), table.outputs[vanished]
     counts = {
         kind.value: sum(1 for event in table.classes if event.value in ("II", "III"))
         for kind, table in result.tables.items()
@@ -142,7 +143,8 @@ def test_criterion_06_fourier_bosons_match_permanent_zeros():
     for m, r in [(2, (1, 0, 0, 1, 0, 0)), (2, (2, 0, 0, 2, 0, 0)), (3, (1, 0, 1, 0, 1, 0))]:
         comparison = run_fourier_comparison(6, m, r)
         table = comparison.boson_table
-        assert table.boson.tolist() == (table.p <= 1e-20).tolist(), (m, r)
+        suppressed = table.laws.columns["boson_suppressed"]
+        assert suppressed.tolist() == (table.p <= 1e-20).tolist(), (m, r)
         tested += len(table)
     report(6, f"n=6, m in {{2,3}}: verdicts match permanent zeros on {tested} outputs")
 
@@ -153,7 +155,7 @@ def test_criterion_07_fourier_fermion_strict_extension():
     assert counts["fermion_new_law"] > counts["fermion_old_law"]
     assert comparison.witnesses
     table = comparison.fermion_table
-    assert (table.p[table.fermion] <= 1e-20).all()
+    assert (table.p[table.laws.columns["fermion_suppressed"]] <= 1e-20).all()
     witness = comparison.witnesses[0]
     report(7, f"n=8 m=2: multiset law {counts['fermion_new_law']} > parity law "
               f"{counts['fermion_old_law']}, witness {list(witness)} verified at det level")

@@ -298,7 +298,7 @@ class TestExperiment:
         meta = json.loads((tmp_path / "ft.meta.json").read_text())
         assert meta["counts"]["fermion_new_not_old"] == len(meta["witnesses"]) > 0
         table = read_verdict_csv(tmp_path / "ft.fermion.csv")
-        assert table.parity is not None
+        assert "old_fermion_suppressed" in table.laws.columns
         # the chart is the boson table's: one bar per boson output
         bars = [el for el in ET.parse(svg).getroot().iter()
                 if el.tag.endswith("rect") and el.get("class") == "bar"]

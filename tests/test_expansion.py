@@ -401,8 +401,10 @@ def test_dft_zero_census():
     least 1e-6: a stronger law, or a kernel that blurs the gap, changes a
     number here."""
     result = run_fourier_comparison(12, 6, (1, 0) * 6)
-    boson = list(zip(result.boson_table.boson.tolist(), result.boson_table.p.tolist()))
-    fermion = list(zip(result.fermion_table.fermion.tolist(), result.fermion_table.p.tolist()))
+    boson = list(zip(result.boson_table.laws.columns["boson_suppressed"].tolist(),
+                     result.boson_table.p.tolist()))
+    fermion = list(zip(result.fermion_table.laws.columns["fermion_suppressed"].tolist(),
+                       result.fermion_table.p.tolist()))
     assert (len(boson), len(fermion)) == (12376, 924)
     boson_zeros = [law for law, p in boson if p <= 1e-20]
     assert (len(boson_zeros), sum(boson_zeros)) == (10804, 10300)

@@ -65,7 +65,7 @@ class TestMeanProbabilities:
         result = run_mean_probabilities(cfg)
         table = result.tables[ParticleType.BOSON]
         assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
-        assert table.boson[1]
+        assert table.laws.columns["boson_suppressed"][1]
         assert table.p[1] <= 1e-20
         assert table.classes[1] is EventClass.CLASS_III
         assert table.p[0] == pytest.approx(0.5, abs=1e-12)
@@ -100,7 +100,8 @@ class TestMeanProbabilities:
         b = run_mean_probabilities(small_census(seed=2))
         table_a = a.tables[ParticleType.BOSON]
         table_b = b.tables[ParticleType.BOSON]
-        assert table_a.boson.tolist() == table_b.boson.tolist()
+        assert (table_a.laws.columns["boson_suppressed"].tolist()
+                == table_b.laws.columns["boson_suppressed"].tolist())
         assert (abs(table_a.p - table_b.p) > 1e-6).any()
 
     def test_distinguishable_only(self):
@@ -179,13 +180,13 @@ class TestFourierComparison:
         comparison = run_fourier_comparison(2, 2, (1, 1))
         table = comparison.boson_table
         assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
-        assert table.boson[1]
+        assert table.laws.columns["boson_suppressed"][1]
         assert table.p[1] <= 1e-20
 
     def test_n6_m3_verdicts_match_permanent_zeros(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
         table = comparison.boson_table
-        assert table.boson.tolist() == (table.p <= 1e-20).tolist()
+        assert table.laws.columns["boson_suppressed"].tolist() == (table.p <= 1e-20).tolist()
 
     def test_n6_m3_fermion_laws_coincide(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
@@ -198,7 +199,7 @@ class TestFourierComparison:
         assert counts["fermion_new_law"] > counts["fermion_old_law"]
         assert counts["fermion_new_not_old"] == len(comparison.witnesses) > 0
         table = comparison.fermion_table
-        assert (table.p[table.fermion] <= 1e-20).all()
+        assert (table.p[table.laws.columns["fermion_suppressed"]] <= 1e-20).all()
 
     def test_bunched_input_skips_fermions(self):
         comparison = run_fourier_comparison(6, 3, (2, 0, 2, 0, 2, 0))

@@ -130,7 +130,8 @@ def test_import_builds_no_table():
 
 def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch, tmp_path):
     tables = command_tables["census"] + command_tables["fourier"]
-    roots = {root for table in tables for dist in reference_groups(table) for root in dist}
+    roots = {root for table in tables for dist in reference_groups(table.laws)
+             for root in dist}
     formatted = []
     monkeypatch.setattr(RootOfUnity, "__str__",
                         lambda root: formatted.append(root) or f"{root.num}/{root.den}")
@@ -140,7 +141,8 @@ def test_each_eigenvalue_is_formatted_once(command_tables, monkeypatch, tmp_path
     for path, table in paths.items():
         # the NULs of the slots a cell's text leaves empty, at its end or not, are gone
         phases = [line.split(";")[1] for line in path.read_text().splitlines()[1:]]
-        assert phases == [",".join(f"{v.num}/{v.den}" for v in d) for d in row_distributions(table)]
+        assert phases == [",".join(f"{v.num}/{v.den}" for v in d)
+                          for d in row_distributions(table.laws)]
 
 
 def test_formatter_memory_stays_near_its_source_rows():

@@ -27,7 +27,7 @@ from symfock.serialize import (
     write_metadata,
     write_verdict_csvs,
 )
-from symfock.suppression import VerdictTable
+from symfock.suppression import OutputLaws, VerdictTable
 from symfock.svg import bar_chart, write_verdict_svg
 from symfock.unitaries import UnitarySpec
 
@@ -242,7 +242,7 @@ class TestVerdictCsv:
         write_verdict_csvs({path: census_table})
         table = read_verdict_csv(path)
         assert_same_table(table, census_table)
-        assert table.parity is None
+        assert "old_fermion_suppressed" not in table.laws.columns
 
     def test_header_and_separator(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
@@ -263,7 +263,9 @@ class TestVerdictCsv:
         path = tmp_path / "fermion.csv"
         write_verdict_csvs({path: comparison.fermion_table})
         table = read_verdict_csv(path)
-        assert table.parity.tolist() == comparison.fermion_table.parity.tolist()
+        old = "old_fermion_suppressed"
+        assert (table.laws.columns[old].tolist()
+                == comparison.fermion_table.laws.columns[old].tolist())
         assert_same_table(table, comparison.fermion_table)
 
     def test_phase_cells_of_short_lived_distributions(self):
@@ -273,10 +275,10 @@ class TestVerdictCsv:
             for k in range(200):
                 yield tuple(sorted((RootOfUnity(k, 7), RootOfUnity(1, 3), RootOfUnity(1, 2))))
         column = np.full(200, 0.5)
-        table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp),
-                             *count_roots(distributions()), np.arange(200),
-                             np.zeros(200, dtype=bool), column, column,
-                             np.zeros(200, dtype=np.int8))  # all class IV
+        laws = OutputLaws(*count_roots(distributions()), np.arange(200),
+                          {"boson_suppressed": np.zeros(200, dtype=bool)})
+        table = VerdictTable(ParticleType.BOSON, np.ones((200, 1), dtype=np.intp), laws,
+                             column, column, np.zeros(200, dtype=np.int8))  # all class IV
         cells = [line.split(";")[1] for line in list(verdict_lines(table))[1:]]
         assert cells == [",".join(map(str, group)) for group in distributions()]
         assert cells[:3] == ["0/1,1/3,1/2", "1/7,1/3,1/2", "2/7,1/3,1/2"]

@@ -288,9 +288,11 @@ def test_output_laws_match_oracle_on_bunched_outputs(setup, particles, data):
     outputs = _bunched_outputs(data.draw, len(values), particles)
     w = data.draw(st.integers(0, 9))
     laws = output_laws(values, outputs, w=w)
-    assert laws.fermion is None
-    assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
-    assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
+    assert "fermion_suppressed" not in laws.columns
+    columns = laws.columns
+    assert columns["boson_suppressed"].tolist() == [oracle_boson(values, s) for s in outputs]
+    assert columns["old_fermion_suppressed"].tolist() == [
+        oracle_parity(values, s, w) for s in outputs]
     assert row_distributions(laws) == tuple(oracle_distribution(values, s) for s in outputs)
     for dist, s in zip(row_distributions(laws), outputs):
         assert ",".join(map(str, dist)) == ",".join(map(str, oracle_distribution(values, s)))
@@ -304,9 +306,12 @@ def test_output_laws_match_oracle_on_fermionic_outputs(setup, data):
     w = transposition_count(p, r)
     laws = output_laws(values, np.array(outputs, dtype=np.intp).reshape(-1, len(values)),
                        p, r, w)
-    assert laws.fermion.tolist() == [oracle_fermion(p, r, values, s) for s in outputs]
-    assert laws.boson.tolist() == [oracle_boson(values, s) for s in outputs]
-    assert laws.parity.tolist() == [oracle_parity(values, s, w) for s in outputs]
+    columns = laws.columns
+    assert columns["fermion_suppressed"].tolist() == [
+        oracle_fermion(p, r, values, s) for s in outputs]
+    assert columns["boson_suppressed"].tolist() == [oracle_boson(values, s) for s in outputs]
+    assert columns["old_fermion_suppressed"].tolist() == [
+        oracle_parity(values, s, w) for s in outputs]
     assert row_distributions(laws) == tuple(oracle_distribution(values, s) for s in outputs)
 
 
@@ -416,11 +421,9 @@ def _assert_laws_match_the_oracle(values, outputs, law=(), w=None):
     by value and order), the same group indices, and no multiset twice."""
     laws = output_laws(values, outputs, *law, w=w)
     expected = reference_output_laws(values, outputs, *law, w=w)
-    for name in ("boson", "fermion", "parity"):
-        got, want = getattr(laws, name), getattr(expected, name)
-        assert (got is None) == (want is None), name
-        if got is not None:
-            assert got.dtype == bool and got.tolist() == want.tolist(), name
+    assert list(laws.columns) == list(expected.columns)
+    for name, got in laws.columns.items():
+        assert got.dtype == bool and got.tolist() == expected.columns[name].tolist(), name
     assert laws.roots == expected.roots
     assert laws.root_counts.dtype == np.int64
     assert laws.root_counts.tolist() == expected.root_counts.tolist()
@@ -456,21 +459,26 @@ def test_fermion_law_without_the_input_values_suppresses_everything():
     p = Permutation.parse("(1 2 3)")
     values = (ROOT(0, 1), ROOT(1, 2), ROOT(1, 2))
     outputs = list(enumerate_outputs(3, 3, ParticleType.FERMION))
-    assert output_laws(values, outputs, p, (1, 1, 1)).fermion.tolist() == [True]
+    laws = output_laws(values, outputs, p, (1, 1, 1))
+    assert laws.columns["fermion_suppressed"].tolist() == [True]
 
 
 class TestOutputLawsBoundary:
     def test_no_modes(self):
         laws = output_laws([], [[], [], []])
-        assert row_distributions(laws) == ((), (), ()) and laws.boson.tolist() == [False] * 3
+        assert row_distributions(laws) == ((), (), ())
+        assert laws.columns["boson_suppressed"].tolist() == [False] * 3
         assert reference_groups(laws) == ((),) and laws.group.tolist() == [0, 0, 0]
 
     def test_no_outputs(self):
         laws = output_laws(WORKED_D, [], WORKED_PERM, WORKED_INPUT, w=1)
         assert reference_groups(laws) == () and laws.group.shape == (0,)
-        for verdicts in (laws.boson, laws.fermion, laws.parity):
+        assert list(laws.columns) == ["boson_suppressed", "fermion_suppressed",
+                                      "old_fermion_suppressed"]
+        for verdicts in laws.columns.values():
             assert verdicts.shape == (0,) and verdicts.dtype == bool
-        assert output_laws(WORKED_D, np.zeros((0, 8), dtype=np.intp)).boson.shape == (0,)
+        laws = output_laws(WORKED_D, np.zeros((0, 8), dtype=np.intp))
+        assert laws.columns["boson_suppressed"].shape == (0,)
 
     def test_refuses_phase_sums_beyond_int64(self):
         values = (ROOT(1, 2**61), ROOT(0, 1))
@@ -482,7 +490,7 @@ class TestOutputLawsBoundary:
     def test_largest_accepted_phase_sums_stay_exact(self):
         values = (ROOT(1, 2**61), ROOT(2**60 - 1, 2**61))  # 3 * 2^61 < 2^63
         outputs = [(3, 0), (2, 1), (1, 2), (0, 3)]
-        assert output_laws(values, outputs).boson.tolist() == [
+        assert output_laws(values, outputs).columns["boson_suppressed"].tolist() == [
             oracle_boson(values, s) for s in outputs]
 
     def test_rejects_bad_outputs_with_the_usual_messages(self):
@@ -495,6 +503,19 @@ class TestOutputLawsBoundary:
                         WORKED_PERM, WORKED_INPUT)
         with pytest.raises(ValueError, match="needs both"):
             output_laws(WORKED_D, [(1, 1, 1, 1, 1, 0, 0, 0)], WORKED_PERM)
+
+    def test_refuses_a_permutation_over_other_modes(self):
+        """The fermion law compares an output with the input multiset of the
+        eigenvalues' own permutation: one over four modes, with an input it
+        keeps, does not fit the eight eigenvalues of the worked example."""
+        other, r = Permutation.parse("(1 2)(3 4)"), (1, 1, 0, 0)
+        s = (1, 1, 0, 0, 0, 0, 1, 0)
+        message = "^permutation over 4 modes but 8 eigenvalues$"
+        with pytest.raises(ValueError, match=message):
+            output_laws(WORKED_D, [s], other, r)
+        with pytest.raises(ValueError, match=message):
+            fermion_suppressed(other, r, WORKED_D, s)
+        assert fermion_suppressed(WORKED_PERM, WORKED_INPUT, WORKED_D, s)
 
     @pytest.mark.parametrize("outputs, law, message", [
         ([(1, 1, 1, 0, 0, 0, 1, 1), (0, 3, 2, 0, 0, 0, 1, -1), (-1, 0, 0, 0, 0, 0, 0, 6)], (),
@@ -511,7 +532,8 @@ class TestOutputLawsBoundary:
         with pytest.raises(ValueError) as error:
             output_laws(WORKED_D, outputs, *law)
         assert str(error.value) == message
-        assert len(output_laws(WORKED_D, [(1,) * 8, (0,) * 8, (5, 0, 0, 0, 0, 0, 0, 0)]).boson) == 3
+        laws = output_laws(WORKED_D, [(1,) * 8, (0,) * 8, (5, 0, 0, 0, 0, 0, 0, 0)])
+        assert len(laws.columns["boson_suppressed"]) == 3
 
 
 @st.composite
@@ -534,7 +556,7 @@ def test_boson_law_suppressed_outputs_vanish(setup, rotation_seed):
     p, r = setup
     built = build_unitary(UnitarySpec(p, rotation_seed=rotation_seed))
     outputs = np.array(list(enumerate_outputs(p.n, sum(r), ParticleType.BOSON)))
-    suppressed = output_laws(built.eigenvalues, outputs).boson
+    suppressed = output_laws(built.eigenvalues, outputs).columns["boson_suppressed"]
     p_boson = probabilities(built.matrix, r, outputs, ParticleType.BOSON)
     assert np.all(p_boson[suppressed] <= 1e-20)
 
@@ -545,6 +567,6 @@ def test_fermion_law_suppressed_outputs_vanish(setup, rotation_seed):
     p, _, r = setup
     built = build_unitary(UnitarySpec(p, rotation_seed=rotation_seed))
     outputs = np.array(list(enumerate_outputs(p.n, sum(r), ParticleType.FERMION)))
-    suppressed = output_laws(built.eigenvalues, outputs, p, r).fermion
+    suppressed = output_laws(built.eigenvalues, outputs, p, r).columns["fermion_suppressed"]
     p_fermion = probabilities(built.matrix, r, outputs, ParticleType.FERMION)
     assert np.all(p_fermion[suppressed] <= 1e-20)

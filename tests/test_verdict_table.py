@@ -20,7 +20,9 @@ from symfock.scattering import probabilities
 from symfock.serialize import verdict_lines, write_verdict_csvs
 from symfock.suppression import (
     EventClass,
+    OutputLaws,
     VerdictTable,
+    output_laws,
     verdict_table,
 )
 from symfock.unitaries import UnitarySpec, build_unitary
@@ -59,8 +61,8 @@ def test_census_tables_keep_the_reference_bytes(census, kind, tmp_path):
 
 def test_dft_tables_keep_the_reference_bytes(tmp_path):
     comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
-    assert comparison.boson_table.parity is None
-    assert comparison.fermion_table.parity is not None
+    assert "old_fermion_suppressed" not in comparison.boson_table.laws.columns
+    assert "old_fermion_suppressed" in comparison.fermion_table.laws.columns
     assert_reference_bytes(comparison.boson_table, tmp_path / "boson.csv")
     assert_reference_bytes(comparison.fermion_table, tmp_path / "fermion.csv")
     header = (tmp_path / "fermion.csv").read_text().splitlines()[0]
@@ -86,7 +88,8 @@ def test_cli_verdicts_keep_the_reference_bytes(kind, tmp_path, capsys):
     p = p_dist if kind is ParticleType.DISTINGUISHABLE else probabilities(
         built.matrix, WORKED_INPUT, outputs, kind)
     fermion_law = (WORKED_PERM, WORKED_INPUT) if kind is ParticleType.FERMION else ()
-    table = verdict_table(built.eigenvalues, outputs, kind, p, p_dist, *fermion_law)
+    table = verdict_table(output_laws(built.eigenvalues, outputs, *fermion_law), outputs, kind,
+                          p, p_dist)
     expected = "".join(reference_verdict_lines(table))
     assert out.read_text() == expected
     assert stdout == expected
@@ -107,7 +110,7 @@ def test_bunched_cli_verdicts_agree_byte_for_byte(tmp_path, capsys):
 
     built = build_unitary(UnitarySpec(Permutation.parse("(1 2)")))
     outputs = output_array(2, 12, ParticleType.BOSON)
-    table = verdict_table(built.eigenvalues, outputs, ParticleType.BOSON,
+    table = verdict_table(output_laws(built.eigenvalues, outputs), outputs, ParticleType.BOSON,
                           probabilities(built.matrix, (6, 6), outputs, ParticleType.BOSON),
                           probabilities(built.matrix, (6, 6), outputs,
                                         ParticleType.DISTINGUISHABLE))
@@ -124,7 +127,8 @@ def hand_table(kind, p, p_dist):
         fermion_law = (Permutation(range(k)), (1,) + (0,) * (k - 1), 0)
     outputs = np.eye(k, dtype=np.intp)
     eigenvalues = [RootOfUnity(0, 1)] * k
-    return verdict_table(eigenvalues, outputs, kind, p, p_dist, *fermion_law)
+    return verdict_table(output_laws(eigenvalues, outputs, *fermion_law), outputs, kind, p,
+                         p_dist)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
@@ -148,7 +152,8 @@ def test_negative_zero_and_empty_cells(kind, tmp_path):
 
 
 def test_table_without_rows_roundtrips(tmp_path):
-    table = verdict_table([RootOfUnity(0, 1)] * 2, np.zeros((0, 2), dtype=np.intp),
+    outputs = np.zeros((0, 2), dtype=np.intp)
+    table = verdict_table(output_laws([RootOfUnity(0, 1)] * 2, outputs), outputs,
                           ParticleType.DISTINGUISHABLE, [], [])
     assert len(table) == 0
     write_verdict_csvs({tmp_path / "empty.csv": table})
@@ -162,22 +167,38 @@ def test_fermion_tables_and_only_they_take_the_permutation():
     perm = Permutation.parse("(1 2)")
     outputs = output_array(2, 1, ParticleType.FERMION)
     with pytest.raises(ValueError, match="only they"):
-        verdict_table(eigenvalues, outputs, ParticleType.FERMION, [0.5, 0.5], [0.5, 0.5])
+        verdict_table(output_laws(eigenvalues, outputs), outputs, ParticleType.FERMION,
+                      [0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError, match="only they"):
-        verdict_table(eigenvalues, outputs, ParticleType.BOSON, [0.5, 0.5], [0.5, 0.5],
-                      perm, (1, 0))
+        verdict_table(output_laws(eigenvalues, outputs, perm, (1, 1)), outputs,
+                      ParticleType.BOSON, [0.5, 0.5], [0.5, 0.5])
+    # the legacy DFT law is a fermion law too: no parity column on other tables
+    for kind in (ParticleType.BOSON, ParticleType.DISTINGUISHABLE):
+        with pytest.raises(ValueError, match="only they"):
+            verdict_table(output_laws(eigenvalues, outputs, w=1), outputs, kind,
+                          [0.5, 0.5], [0.5, 0.5])
+    table = verdict_table(output_laws(eigenvalues, outputs, perm, (1, 1), 1), outputs,
+                          ParticleType.FERMION, [0.5, 0.5], [0.5, 0.5])
+    assert list(table.laws.columns) == ["boson_suppressed", "fermion_suppressed",
+                                        "old_fermion_suppressed"]
 
 
 def test_probability_columns_must_match_the_outputs():
     eigenvalues = [RootOfUnity(0, 1), RootOfUnity(1, 2)]
     outputs = output_array(2, 1, ParticleType.BOSON)
     with pytest.raises(ValueError, match="one probability per output"):
-        verdict_table(eigenvalues, outputs, ParticleType.BOSON, [1.0], [0.5, 0.5])
+        verdict_table(output_laws(eigenvalues, outputs), outputs, ParticleType.BOSON, [1.0],
+                      [0.5, 0.5])
+    # the laws are those of the outputs: no table of two rows from the laws of three
+    more = output_array(2, 2, ParticleType.BOSON)
+    with pytest.raises(ValueError, match="^need the laws of the outputs: 3 law rows, 2 outputs$"):
+        verdict_table(output_laws(eigenvalues, more), outputs, ParticleType.BOSON, [0.5] * 3,
+                      [0.5] * 3)
 
 
 def test_distinguishable_tables_ignore_the_law(census):
     table = census.tables[ParticleType.DISTINGUISHABLE]
-    assert table.boson.any()
+    assert table.laws.columns["boson_suppressed"].any()
     assert not {EventClass.CLASS_II, EventClass.CLASS_III} & set(table.classes.tolist())
 
 
@@ -227,11 +248,16 @@ root = st.builds(RootOfUnity, st.integers(0, 11), st.integers(1, 12))
 
 #: Each class's code, its place in ``EventClass``.
 CODES = {event: code for code, event in enumerate(EventClass)}
+#: The law columns a table may have after ``class``: the legacy DFT law and
+#: two names that only these tests give a law, as a new law would add one.
+LATER_LAWS = ("old_fermion_suppressed", "test_law_a", "test_law_b")
 
 
-def table_of(kind, outputs, distributions, floats, flags, classes, parity):
+def table_of(kind, outputs, distributions, floats, flags, classes, later=()):
     """A verdict table from plain lists, one entry per row, as ``tables`` draws
-    them; ``classes`` holds ``EventClass`` members, stored as their codes."""
+    them; ``classes`` holds ``EventClass`` members, stored as their codes.
+    Row i's ``flags`` hold its boson and fermion laws, then one entry for
+    each name of ``later``, the table's law columns after the fixed ones."""
     k = len(outputs)
 
     def column(i):
@@ -243,26 +269,27 @@ def table_of(kind, outputs, distributions, floats, flags, classes, parity):
     p_dist = column(1)
     groups = tuple(dict.fromkeys(distributions))
     roots, root_counts = count_roots(groups)
+    laws = {"boson_suppressed": flag(0)}
+    if kind is ParticleType.FERMION:
+        laws["fermion_suppressed"] = flag(1)
+    laws.update((name, flag(2 + i)) for i, name in enumerate(later))
     return VerdictTable(
         kind=kind,
         outputs=np.array(outputs, dtype=np.intp).reshape(k, -1 if k else 3),
-        roots=roots,
-        root_counts=root_counts,
-        group=np.array([groups.index(d) for d in distributions], dtype=np.intp),
-        boson=flag(0),
+        laws=OutputLaws(roots, root_counts,
+                        np.array([groups.index(d) for d in distributions], dtype=np.intp), laws),
         p=p_dist if kind is ParticleType.DISTINGUISHABLE else column(0),
         p_dist=p_dist,
         codes=np.array([CODES[event] for event in classes], dtype=np.int8).reshape(k),
-        fermion=flag(1) if kind is ParticleType.FERMION else None,
-        parity=flag(2) if parity else None,
     )
 
 
 @st.composite
 def tables(draw):
-    """Tables of every kind, with and without the parity column, of zero to
-    twelve rows over one to five modes: multi-digit occupations, rows that
-    share a distribution tuple, and any float."""
+    """Tables of every kind, with any of the later law columns in any order
+    (the parity column and zero to two test-only ones), of zero to twelve
+    rows over one to five modes: multi-digit occupations, rows that share a
+    distribution tuple, and any float."""
     kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(1, 5))
     k = draw(st.integers(0, 12))
@@ -273,45 +300,63 @@ def tables(draw):
     distributions = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
                                                     min_size=k, max_size=k))]
     floats = draw(st.lists(st.tuples(cell_float, cell_float), min_size=k, max_size=k))
-    flags = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
-                          min_size=k, max_size=k))
+    later = draw(st.lists(st.sampled_from(LATER_LAWS), unique=True))
+    flags = draw(st.lists(st.lists(st.booleans(), min_size=2 + len(later),
+                                   max_size=2 + len(later)), min_size=k, max_size=k))
     classes = draw(st.lists(st.sampled_from(EventClass), min_size=k, max_size=k))
-    return table_of(kind, outputs, distributions, floats, flags, classes,
-                    draw(st.booleans()))
+    return table_of(kind, outputs, distributions, floats, flags, classes, later)
 
 
 def bits(column):
     return np.asarray(column, dtype=float).view(np.int64).tolist()
 
 
+#: Later law columns of the edge tables: none, the parity column, and the
+#: parity column between two test-only ones, out of name order.
+EDGE_LATER = ((), ("old_fermion_suppressed",), ("test_law_b", "old_fermion_suppressed",
+                                                "test_law_a"))
 #: An N = 0 row, multi-digit occupations, both zeros and the extreme floats in
 #: one column, a repeated value; and an empty table.
 EDGE_TABLES = [
     table_of(kind, [[0, 0, 0], [10, 0, 7], [0, 123, 1], [10, 0, 7]],
              [(), (RootOfUnity(1, 3),) * 2, (RootOfUnity(0, 1), RootOfUnity(1, 2)), ()],
              [(-0.0, 0.0), (0.0, -0.0), (5e-324, 1e300), (5e-324, 1e300)],
-             [(True, False, True), (False, True, False), (True, True, True),
-              (False, False, False)],
+             [(True, False, True, False, True), (False, True, False, True, True),
+              (True, True, True, False, False), (False, False, False, True, False)],
              [EventClass.ALLOWED, EventClass.CLASS_I, EventClass.CLASS_II, EventClass.CLASS_III],
-             parity)
-    for kind in KINDS for parity in (False, True)
-] + [table_of(kind, [], [], [], [], [], parity) for kind in KINDS for parity in (False, True)]
+             later)
+    for kind in KINDS for later in EDGE_LATER
+] + [table_of(kind, [], [], [], [], [], later) for kind in KINDS for later in EDGE_LATER]
+
+
+def later_laws(table) -> list:
+    """The table's law columns that are not among the fixed CSV columns."""
+    return [name for name in table.laws.columns if name not in serialize.VERDICT_COLUMNS]
 
 
 def assert_roundtrip(table, path):
-    """The written bytes are the reference bytes, and every column reads back,
-    floats to the bit."""
+    """The written bytes are the reference bytes, the later law columns follow
+    ``class`` in the table's order, and every column reads back, floats to
+    the bit."""
     assert_reference_bytes(table, path)
+    header = path.read_text().split("\n", 1)[0].split(";")
+    assert header == [*serialize.VERDICT_COLUMNS, *later_laws(table)]
     again = read_verdict_csv(path)
     if len(table) == 0:  # nothing tells the kind or the mode count of an empty table
-        assert len(again) == 0 and (again.parity is None) == (table.parity is None)
+        assert len(again) == 0 and later_laws(again) == later_laws(table)
         return
     assert_same_table(again, table)
     assert bits(again.p) == bits(table.p) and bits(again.p_dist) == bits(table.p_dist)
 
 
-@pytest.mark.parametrize("table", EDGE_TABLES,
-                         ids=lambda t: f"{t.kind.value}-{len(t)}rows-parity{t.parity is not None}")
+def edge_id(table) -> str:
+    later = later_laws(table)
+    return "-".join([table.kind.value, f"{len(table)}rows",
+                     f"parity{'old_fermion_suppressed' in later}",
+                     *(name for name in later if name.startswith("test_"))])
+
+
+@pytest.mark.parametrize("table", EDGE_TABLES, ids=edge_id)
 def test_edge_tables_roundtrip(table, tmp_path):
     assert_roundtrip(table, tmp_path / "table.csv")
 
@@ -320,10 +365,12 @@ def test_edge_tables_roundtrip(table, tmp_path):
 @given(tables(), st.integers(1, 13))
 @example(table_of(ParticleType.BOSON, [[12], [0], [1000000]], [(), (RootOfUnity(1, 2),), ()],
                   [(-0.0, 5e-324), (0.1 + 0.2, 1e-05), (1e16, 0.0001)],
-                  [(True, False, False)] * 3, [EventClass.CLASS_II] * 3, False), 2)
+                  [(True, False, False)] * 3, [EventClass.CLASS_II] * 3), 2)
 def test_generated_tables_roundtrip(table, block):
-    """Any table, written in row blocks of any size: the file and the lines
-    of the block writer are the row-by-row reference bytes."""
+    """Any table, with any later law columns, written in row blocks of any
+    size: the file and the lines of the block writer are the row-by-row
+    reference bytes, the later law columns follow ``class`` in the table's
+    order, and the reader reads every column back."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(serialize, "CHUNK", block)
         assert_roundtrip(table, Path(tmp) / "table.csv")
