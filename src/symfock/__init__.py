@@ -19,7 +19,6 @@ from .permutations import (
     RootOfUnity,
     cycle_decompose,
     eigenstructure,
-    is_invariant,
     symmetry_residual,
 )
 from .scattering import (
@@ -59,7 +58,6 @@ __all__ = [
     "RootOfUnity",
     "cycle_decompose",
     "eigenstructure",
-    "is_invariant",
     "symmetry_residual",
     "PerturbationModel",
     "prob_boson",

@@ -21,15 +21,13 @@ import numpy as np
 from . import __version__
 from .experiments import (
     CensusConfig,
-    require_invariant,
-    require_modes,
     run_distinguishability_robustness,
     run_fourier_comparison,
     run_mean_probabilities,
     run_unitary_robustness,
     unitary_table,
 )
-from .fock import ParticleType
+from .fock import ParticleType, require_invariant, require_modes
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
@@ -110,11 +108,9 @@ def cmd_build(args) -> int:
 
 def cmd_verdicts(args) -> int:
     spec = spec_from_json(_load_json(args.spec))
-    input_state = parse_occupation(args.input_state)
-    require_invariant(spec.permutation, input_state)
     kind = ParticleType.parse(args.type)
-    if kind is ParticleType.FERMION and any(x > 1 for x in input_state):
-        raise UsageError("fermionic verdicts need a singly occupied input state")
+    input_state = require_invariant(spec.permutation, parse_occupation(args.input_state),
+                                    kind is ParticleType.FERMION)
     built = build_unitary(spec)
     table = unitary_table(built.matrix, built.eigenvalues, spec.permutation, input_state,
                           kind, None)

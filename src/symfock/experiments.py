@@ -77,9 +77,16 @@ from math import factorial, prod
 import numpy as np
 
 from . import __version__
-from .fock import ParticleType, check_occupation, output_array, particle_count
+from .fock import (
+    ParticleType,
+    check_occupation,
+    output_array,
+    particle_count,
+    require_invariant,
+    require_modes,
+)
 from .linalg import as_complex_matrix
-from .permutations import Permutation, RootOfUnity, cycle_decompose
+from .permutations import Permutation, RootOfUnity
 from .scattering import (
     CHUNK,
     PSD_TOL,
@@ -109,22 +116,6 @@ def derive_seed(seed: int, *indices: int) -> int:
     """Stable per-task seed from the master seed and task indices."""
     state = np.random.SeedSequence([int(seed), *map(int, indices)]).generate_state(1, np.uint64)
     return int(state[0])
-
-
-def require_modes(occupation, n: int) -> None:
-    """Raise unless the occupation spans the ``n`` modes of the symmetry."""
-    if len(occupation) != n:
-        raise ValueError(f"occupation over {len(occupation)} modes, permutation over {n}")
-
-
-def require_invariant(p: Permutation, occupation) -> None:
-    """Raise with the offending cycle named if the occupation breaks the symmetry."""
-    occ = check_occupation(occupation)
-    require_modes(occ, p.n)
-    for cycle in cycle_decompose(p):
-        values = {occ[mode - 1] for mode in cycle}
-        if len(values) > 1:
-            raise ValueError(f"input state not invariant under cycle {cycle}")
 
 
 class _KahanMean:
@@ -173,9 +164,7 @@ class CensusConfig:
     def __post_init__(self):
         if self.num_bases < 1:
             raise ValueError("need at least one eigenbasis")
-        require_invariant(self.permutation, self.input_state)
-        if ParticleType.FERMION in self.types:
-            check_occupation(self.input_state, fermionic=True)
+        require_invariant(self.permutation, self.input_state, ParticleType.FERMION in self.types)
 
 
 @dataclass
@@ -321,8 +310,7 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     started = time.perf_counter()
     require_modes(input_state, n)  # before the n-mode permutation and n x n DFT
     perm, eigenvalues = fourier_symmetry(n, m)
-    require_invariant(perm, input_state)
-    r = check_occupation(input_state)
+    r = require_invariant(perm, input_state)
     u = fourier_unitary(n)
     boson_table = unitary_table(u, eigenvalues, perm, r, ParticleType.BOSON, None)
     fermion_table = None
@@ -385,7 +373,8 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
                seed: int, permutation: Permutation | None) -> RobustnessFit:
     """The loop both robustness fits share.
 
-    After the checks (grid, occupations, a law-suppressed target, a
+    After the checks (grid, occupations, an input the ``permutation``
+    leaves invariant when one is given, a law-suppressed target, a
     non-vanishing P_D), ``prepare(u, r, s, p_dist)`` gives the fit's noise
     step ``draw``, its sub-stack size, its predicted prefactor and its own
     metadata keys, which ``draw`` may update. ``draw(g, rng, count)`` gives
@@ -404,7 +393,9 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
     if any(g <= 0 for g in grid) or any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly positive and ascending")
     u = as_complex_matrix(unitary)
-    r = check_occupation(input_state)
+    # the laws hold only for an input the symmetry leaves invariant
+    r = (check_occupation(input_state) if permutation is None
+         else require_invariant(permutation, input_state))
     s = check_occupation(target_output)
     if particle is ParticleType.BOSON:
         if not boson_suppressed(eigenvalues, s):

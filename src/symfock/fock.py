@@ -18,6 +18,14 @@ cached read-only rows in the lattice's smallest unsigned dtype, not a copy;
 no output goes through a tuple. :func:`output_rows` is the one conversion
 of a caller's outputs into rows: integer arrays pass through in their own
 dtype, anything else becomes checked ``intp`` rows.
+
+This module holds the whole occupation contract, one message per rule:
+integral entries, no negative entry, at most one fermion per mode (the
+first bad row named as :func:`check_occupation` names it), the width
+(:func:`require_modes`) and, for an input under a mode permutation, its
+invariance (:func:`require_invariant`, which names the broken cycle). The
+kernels, the laws, the runners and the command line call these and test
+no occupation rule themselves.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .linalg import RYSER_MAX
+from .permutations import Permutation, cycle_decompose
 
 
 class ParticleType(Enum):
@@ -69,6 +78,23 @@ def check_occupation(occupation, fermionic: bool = False) -> tuple[int, ...]:
         raise ValueError(f"negative occupation in {occ}")
     if fermionic and any(x > 1 for x in occ):
         raise ValueError(f"fermionic occupation exceeds 1 in {occ}")
+    return occ
+
+
+def require_modes(occupation, n: int) -> None:
+    """Raise unless the occupation spans exactly ``n`` modes."""
+    if len(occupation) != n:
+        raise ValueError(f"occupation over {len(occupation)} modes, expected {n}")
+
+
+def require_invariant(p: Permutation, occupation, fermionic: bool = False) -> tuple[int, ...]:
+    """The checked occupation of an input over the modes of ``p``, refused
+    with the broken cycle named unless ``p`` leaves it unchanged."""
+    occ = check_occupation(occupation, fermionic)
+    require_modes(occ, p.n)
+    if any(occ[image] != x for image, x in zip(p.image, occ)):
+        cycle = next(c for c in cycle_decompose(p) if len({occ[mode - 1] for mode in c}) > 1)
+        raise ValueError(f"input state not invariant under cycle {cycle}")
     return occ
 
 
@@ -131,21 +157,33 @@ def output_array(n: int, particles: int, kind: ParticleType) -> np.ndarray:
     return lattice(n, particles, kind is ParticleType.FERMION).top
 
 
-def output_rows(outputs, n: int) -> np.ndarray:
-    """A list of K outputs as (K, m) integer rows, (0, n) for no output. A
-    (K, m) array of an integer dtype that casts safely to ``intp`` passes
+def output_rows(outputs, n: int, fermionic: bool = False) -> np.ndarray:
+    """A list of K outputs as (K, n) integer rows, (0, n) for no output,
+    under the whole row contract: integral entries, exactly ``n`` columns,
+    no negative entry and, when ``fermionic``, none above 1. A sign or 0/1
+    fault names the first bad row as :func:`check_occupation` does. A
+    (K, n) array of an integer dtype that casts safely to ``intp`` passes
     through as it is, not copied, so the cached rows of
     :func:`output_array` stay what they are. A list, or an array of any
-    other dtype, becomes ``intp`` rows, every entry checked as
-    :func:`check_occupation` checks it. The caller checks signs, particle
-    numbers and widths; arithmetic on the rows must hold in any integer
-    dtype, and may accumulate in ``intp``."""
+    other dtype, becomes ``intp`` rows. The caller checks particle numbers;
+    arithmetic on the rows must hold in any integer dtype, and may
+    accumulate in ``intp``."""
     if not len(outputs):
         return np.zeros((0, n), dtype=np.intp)
     if (isinstance(outputs, np.ndarray) and outputs.dtype.kind in "iu"
             and np.can_cast(outputs.dtype, np.intp)):
-        return outputs if outputs.ndim == 2 else outputs.reshape(len(outputs), -1)
-    return np.array([tuple(map(_entry, row)) for row in outputs], dtype=np.intp)
+        s = outputs if outputs.ndim == 2 else outputs.reshape(len(outputs), -1)
+        require_modes(s[0], n)
+    else:
+        rows = [tuple(map(_entry, row)) for row in outputs]
+        for row in rows:  # every row: a list may be ragged
+            require_modes(row, n)
+        s = np.array(rows, dtype=np.intp)
+    # reductions first; the per-row masks only to name the first bad row
+    if s.min(initial=0) < 0 or (fermionic and s.max(initial=0) > 1):
+        bad = (s < 0) | (s > 1) if fermionic else s < 0
+        check_occupation(s[bad.any(axis=1)][0], fermionic)  # raises the usual message
+    return s
 
 
 def _generations(n: int, particles: int, fermionic: bool):

@@ -163,17 +163,6 @@ def cycle_decompose(p: Permutation):
     return tuple(tuple(j + 1 for j in c) for c in p.cycles0())
 
 
-def is_invariant(p: Permutation, occupation) -> bool:
-    """True iff the occupation list is unchanged by the mode permutation,
-    i.e. constant along every cycle."""
-    occ = tuple(occupation)
-    if len(occ) != p.n:
-        raise ValueError(
-            f"occupation length {len(occ)} does not match permutation on {p.n} modes"
-        )
-    return all(occ[p.image[j]] == occ[j] for j in range(p.n))
-
-
 @dataclass(frozen=True)
 class EigenStructure:
     """Exact eigendata of a permutation operator.

@@ -81,6 +81,7 @@ from .fock import (
     occupation_to_assignment,
     odd_slots,
     output_rows,
+    require_modes,
 )
 from .linalg import (
     RYSER_MAX,
@@ -122,14 +123,13 @@ def _clamp_probability(value):
 def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     """Check one input and a list of outputs against ``u``; return the input
     occupation and the (K, n) array of output occupations, from
-    :func:`fock.output_rows`: integer rows in their own dtype, uncopied."""
+    :func:`fock.output_rows`: integer rows in their own dtype, uncopied.
+    The rules of an occupation are :mod:`fock`'s; the particle numbers are
+    checked here."""
     r = check_occupation(occupation_in, fermionic=fermionic)
     n_in, n_out = u.shape[-2:]
-    s = output_rows(outputs, n_out)
-    # reductions first; the per-row masks only to name the first bad row
-    if s.min(initial=0) < 0 or (fermionic and s.max(initial=0) > 1):
-        bad = (s < 0) | (s > 1) if fermionic else s < 0
-        check_occupation(s[bad.any(axis=1)][0], fermionic)  # raises the usual message
+    require_modes(r, n_in)
+    s = output_rows(outputs, n_out, fermionic)
     particles = sum(r)
     # intp sums with no intp copy of the rows: a product with ones casts them
     # all, and s.sum(axis=1) reduces each short row on its own, over twice
@@ -138,8 +138,6 @@ def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     if totals.min(initial=particles) != particles or totals.max(initial=particles) != particles:
         first = tuple(int(x) for x in s[totals != particles][0])
         raise ValueError(f"particle numbers differ: sum{r}={particles} vs sum{first}={sum(first)}")
-    if len(r) != n_in or s.shape[1] != n_out:
-        raise ValueError("occupation lists do not match the matrix dimensions")
     return r, s
 
 

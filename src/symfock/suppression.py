@@ -53,8 +53,8 @@ from math import lcm
 
 import numpy as np
 
-from .fock import ParticleType, check_occupation, output_rows
-from .permutations import Permutation, RootOfUnity, is_invariant
+from .fock import ParticleType, output_rows, require_invariant
+from .permutations import Permutation, RootOfUnity
 
 #: Probabilities below this are treated as zero when classifying events.
 CLASSIFY_TOL = 1e-10
@@ -81,9 +81,7 @@ def initial_distribution(p: Permutation, occupation_in) -> EigenvalueDistributio
     Requires single occupancy and invariance, which together force each cycle
     to be entirely filled or entirely empty.
     """
-    r = check_occupation(occupation_in, fermionic=True)
-    if not is_invariant(p, r):
-        raise ValueError("input occupation is not invariant under the permutation")
+    r = require_invariant(p, occupation_in, fermionic=True)
     values: list[RootOfUnity] = []
     for cycle in p.cycles0():
         if r[cycle[0]]:
@@ -119,19 +117,13 @@ def _law_columns(eigenvalues, outputs, permutation: Permutation | None = None,
     roots, their (D, K) counts and the particle numbers."""
     values = _as_roots(eigenvalues)
     n = len(values)
-    s = output_rows(outputs, n)
-    if s.min(initial=0) < 0:
-        check_occupation(s[(s < 0).any(axis=1)][0])  # raises the usual message
-    if s.shape[1] != n:
-        raise ValueError(f"occupation over {s.shape[1]} modes but {n} eigenvalues")
+    s = output_rows(outputs, n, fermionic=permutation is not None)
     initial: EigenvalueDistribution = ()
     if (permutation is None) != (occupation_in is None):
         raise ValueError("the fermion law needs both the permutation and the input occupation")
     if permutation is not None:
         if permutation.n != n:
             raise ValueError(f"permutation over {permutation.n} modes but {n} eigenvalues")
-        if s.max(initial=0) > 1:
-            check_occupation(s[(s > 1).any(axis=1)][0], fermionic=True)
         initial = initial_distribution(permutation, occupation_in)
 
     turn = lcm(*(v.den for v in values))  # L: phases count in L-ths of a turn
@@ -212,9 +204,7 @@ def transposition_count(p: Permutation, occupation_in) -> int:
     """Parity witness w for the legacy DFT law: particle number minus the
     number of populated cycles, i.e. the transpositions needed to realise the
     permutation restricted to the occupied modes."""
-    r = check_occupation(occupation_in, fermionic=True)
-    if not is_invariant(p, r):
-        raise ValueError("input occupation is not invariant under the permutation")
+    r = require_invariant(p, occupation_in, fermionic=True)
     populated = sum(1 for cycle in p.cycles0() if r[cycle[0]])
     return sum(r) - populated
 
@@ -290,10 +280,14 @@ def verdict_table(laws: OutputLaws, outputs, kind: ParticleType, p, p_dist) -> V
     may have. Each class follows from the row's probabilities and the law
     column that decides ``kind`` (none for distinguishable particles).
     """
-    fermion = kind is ParticleType.FERMION
-    if fermion != ("fermion_suppressed" in laws.columns) or not fermion and len(laws.columns) > 1:
-        raise ValueError("fermion tables, and only they, take the permutation and the input")
-    outputs = output_rows(outputs, np.shape(outputs)[-1])  # the table keeps the checked rows
+    if kind is ParticleType.FERMION:
+        if "fermion_suppressed" not in laws.columns:
+            raise ValueError(f"a fermion table needs fermion_suppressed, got {list(laws.columns)}")
+    elif len(laws.columns) > 1:
+        raise ValueError("boson and distinguishable tables carry only boson_suppressed, "
+                         f"got {list(laws.columns)}")
+    # the table keeps the checked rows, every one as wide as the first
+    outputs = output_rows(outputs, np.shape(outputs[:1])[-1], kind is ParticleType.FERMION)
     p, p_dist = np.asarray(p, dtype=float), np.asarray(p_dist, dtype=float)
     rows = laws.columns["boson_suppressed"].shape
     if len(outputs) != rows[0]:

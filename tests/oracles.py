@@ -442,7 +442,7 @@ def reference_output_laws(eigenvalues, outputs, permutation=None, occupation_in=
     if (s < 0).any():
         check_occupation(s[(s < 0).any(axis=1)][0])
     if s.shape[1] != n:
-        raise ValueError(f"occupation over {s.shape[1]} modes but {n} eigenvalues")
+        raise ValueError(f"occupation over {s.shape[1]} modes, expected {n}")
     initial: EigenvalueDistribution = ()
     if (permutation is None) != (occupation_in is None):
         raise ValueError("the fermion law needs both the permutation and the input occupation")

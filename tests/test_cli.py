@@ -217,7 +217,7 @@ class TestVerdicts:
             "--input-state", "[2,2]", "--type", "fermion",
         ])
         assert code == 1
-        assert "singly occupied" in capsys.readouterr().err
+        assert "fermionic occupation exceeds 1 in (2, 2)" in capsys.readouterr().err
 
     def test_invariance_violation_names_cycle(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -587,7 +587,7 @@ def test_dft_input_length_is_checked_before_the_dft(config, tmp_path, capsys, mo
     path.write_text(json.dumps(config))
     assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     n = config.get("modes") or config["fourier"][0]
-    assert capsys.readouterr().err == f"error: occupation over 2 modes, permutation over {n}\n"
+    assert capsys.readouterr().err == f"error: occupation over 2 modes, expected {n}\n"
     assert built == []
 
 
@@ -773,7 +773,7 @@ def test_wide_dft_config_exits_1_in_a_fresh_process(tmp_path):
     result = _run_cli(["experiment", "--config", "wide.json", "--out", "wide"], tmp_path,
                       timeout=10)
     assert result.returncode == 1
-    assert result.stderr == "error: occupation over 2 modes, permutation over 100000\n"
+    assert result.stderr == "error: occupation over 2 modes, expected 100000\n"
 
 
 #: A 2 x 2 matrix with finite entries whose permanent, determinant and

@@ -9,14 +9,13 @@ from symfock.experiments import (
     GRAM_ENSEMBLES,
     CensusConfig,
     derive_seed,
-    require_invariant,
     run_distinguishability_robustness,
     run_fourier_comparison,
     run_mean_probabilities,
     run_unitary_robustness,
     sample_distinguishability,
 )
-from symfock.fock import ParticleType
+from symfock.fock import ParticleType, require_invariant
 from symfock.permutations import Permutation
 from symfock.scattering import validate_distinguishability
 from symfock.serialize import write_verdict_csvs

@@ -13,7 +13,9 @@ from symfock.fock import (
     occupation_to_assignment,
     output_array,
     particle_count,
+    require_invariant,
 )
+from symfock.permutations import Permutation
 
 from oracles import assignment_to_occupation
 
@@ -64,6 +66,26 @@ class TestConversions:
     def test_integers_and_integral_reals_are_taken(self):
         assert check_occupation((np.uint8(3), np.int64(2), 2.0, np.float32(1.0), 0)) == (3, 2, 2, 1, 0)
         assert all(type(x) is int for x in check_occupation((np.uint8(3), 2.0)))
+
+
+class TestRequireInvariant:
+    """The invariance of an input under a mode permutation, the rule every
+    suppression law needs, checked in one place that names the broken cycle."""
+
+    def test_worked_example_input(self):
+        p = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
+        assert require_invariant(p, (1, 1, 1, 0, 0, 0, 1, 1)) == (1, 1, 1, 0, 0, 0, 1, 1)
+
+    def test_identity_fixes_everything(self):
+        assert require_invariant(Permutation(range(3)), (1, 0, 2)) == (1, 0, 2)
+
+    def test_unequal_within_cycle(self):
+        with pytest.raises(ValueError, match=r"^input state not invariant under cycle \(1, 2\)$"):
+            require_invariant(Permutation.parse("(1 2)"), (2, 1))
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="^occupation over 2 modes, expected 3$"):
+            require_invariant(Permutation(range(3)), (1, 0))
 
 
 class TestEnumerateOutputs:

@@ -11,9 +11,9 @@ from symfock.permutations import (
     cycle_decompose,
     eigenstructure,
     eigenvalues_to_complex,
-    is_invariant,
     symmetry_residual,
 )
+from symfock.fock import require_invariant
 from symfock.unitaries import UnitarySpec, build_unitary
 
 from oracles import (
@@ -135,23 +135,11 @@ class TestOperatorMatrix:
             p = random_permutation(rng, 6)
             occ = tuple(rng.integers(0, 3, size=6))
             acts = np.array_equal(operator_matrix(p) @ np.array(occ), np.array(occ))
-            assert acts == is_invariant(p, occ)
-
-
-class TestIsInvariant:
-    def test_worked_example_input(self):
-        p = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
-        assert is_invariant(p, (1, 1, 1, 0, 0, 0, 1, 1))
-
-    def test_identity_fixes_everything(self):
-        assert is_invariant(Permutation(range(3)), (1, 0, 2))
-
-    def test_unequal_within_cycle(self):
-        assert not is_invariant(Permutation.parse("(1 2)"), (2, 1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="match"):
-            is_invariant(Permutation(range(3)), (1, 0))
+            if acts:
+                assert require_invariant(p, occ) == occ
+            else:
+                with pytest.raises(ValueError, match="not invariant under cycle"):
+                    require_invariant(p, occ)
 
 
 class TestEigenstructure:

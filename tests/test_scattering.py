@@ -345,7 +345,7 @@ BAD_OUTPUTS = [
      "particle numbers differ: sum(1, 1, 0, 0)=2 vs sum(3, 0, 0, 0)=3"),
     (ParticleType.FERMION, [(0, 0, 1, 0)],
      "particle numbers differ: sum(1, 1, 0, 0)=2 vs sum(0, 0, 1, 0)=1"),
-    (ParticleType.BOSON, [(1, 1, 0)], "occupation lists do not match the matrix dimensions"),
+    (ParticleType.BOSON, [(1, 1, 0)], "occupation over 3 modes, expected 4"),
 ]
 
 

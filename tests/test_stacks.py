@@ -136,6 +136,6 @@ def test_entry_point_checks_every_output():
         probabilities(u, (1, 1, 0), [(1, 1, 0), (2, 0, 0)], ParticleType.FERMION)
     with pytest.raises(ValueError, match="negative"):
         probabilities(u, (1, 1, 0), [(3, -1, 0)], ParticleType.BOSON)
-    with pytest.raises(ValueError, match="dimensions"):
+    with pytest.raises(ValueError, match="^occupation over 4 modes, expected 3$"):
         probabilities(u, (1, 1, 0), [(1, 1, 0, 0)], ParticleType.BOSON)
     assert probabilities(u, (1, 1, 0), [], ParticleType.BOSON).shape == (0,)

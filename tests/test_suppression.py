@@ -76,7 +76,7 @@ class TestFinalDistribution:
         assert final_distribution(values, (0, 2, 1, 1)) == (ROOT(0, 1),) * 4
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="eigenvalues"):
+        with pytest.raises(ValueError, match="^occupation over 2 modes, expected 8$"):
             final_distribution(WORKED_D, (1, 0))
 
     def test_rejects_non_roots(self):
@@ -334,7 +334,7 @@ def test_lone_predicates_decide_without_the_grouping(setup, data):
         patch.setattr(suppression, "output_laws", _grouping)
         boson = [boson_suppressed(values, s) for s in bunched]
         fermion = [fermion_suppressed(p, r, values, s) for s in single]
-        with pytest.raises(ValueError, match="eigenvalues"):
+        with pytest.raises(ValueError, match="modes, expected"):
             boson_suppressed(values, (*r, 0))
         if sum(r) > 1:
             with pytest.raises(ValueError, match="fermionic occupation exceeds 1"):
@@ -496,7 +496,7 @@ class TestOutputLawsBoundary:
     def test_rejects_bad_outputs_with_the_usual_messages(self):
         with pytest.raises(ValueError, match="negative occupation"):
             output_laws(WORKED_D, [(1, 1, 1, 0, 0, 0, 1, 1), (0, -1, 2, 0, 0, 0, 1, 3)])
-        with pytest.raises(ValueError, match="eigenvalues"):
+        with pytest.raises(ValueError, match="^occupation over 2 modes, expected 8$"):
             output_laws(WORKED_D, [(1, 0), (0, 1)])
         with pytest.raises(ValueError, match="fermionic occupation exceeds 1"):
             output_laws(WORKED_D, [(1, 1, 1, 1, 1, 0, 0, 0), (2, 1, 1, 1, 0, 0, 0, 0)],

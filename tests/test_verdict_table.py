@@ -2,6 +2,7 @@
 reference bytes, and the array form of the event classification."""
 
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -166,15 +167,20 @@ def test_fermion_tables_and_only_they_take_the_permutation():
     eigenvalues = [RootOfUnity(0, 1), RootOfUnity(1, 2)]
     perm = Permutation.parse("(1 2)")
     outputs = output_array(2, 1, ParticleType.FERMION)
-    with pytest.raises(ValueError, match="only they"):
+    with pytest.raises(ValueError, match=re.escape(
+            "a fermion table needs fermion_suppressed, got ['boson_suppressed']")):
         verdict_table(output_laws(eigenvalues, outputs), outputs, ParticleType.FERMION,
                       [0.5, 0.5], [0.5, 0.5])
-    with pytest.raises(ValueError, match="only they"):
+    with pytest.raises(ValueError, match=re.escape(
+            "boson and distinguishable tables carry only boson_suppressed, "
+            "got ['boson_suppressed', 'fermion_suppressed']")):
         verdict_table(output_laws(eigenvalues, outputs, perm, (1, 1)), outputs,
                       ParticleType.BOSON, [0.5, 0.5], [0.5, 0.5])
     # the legacy DFT law is a fermion law too: no parity column on other tables
     for kind in (ParticleType.BOSON, ParticleType.DISTINGUISHABLE):
-        with pytest.raises(ValueError, match="only they"):
+        with pytest.raises(ValueError, match=re.escape(
+                "boson and distinguishable tables carry only boson_suppressed, "
+                "got ['boson_suppressed', 'old_fermion_suppressed']")):
             verdict_table(output_laws(eigenvalues, outputs, w=1), outputs, kind,
                           [0.5, 0.5], [0.5, 0.5])
     table = verdict_table(output_laws(eigenvalues, outputs, perm, (1, 1), 1), outputs,
