@@ -53,10 +53,15 @@ The distinguishability fit computes the N! weights of
 :func:`scattering.partial_weights` once and sends its Gram matrices to
 :func:`scattering.partial_probabilities`, which checks each, in sub-stacks
 of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms near 2^13.
+The single sum reads S only at the particles' input modes, so the fit's
+Gram matrices span the k occupied input modes, the weights' input rows
+renumbered into them: each is drawn, repaired and checked as k x k, and an
+input that occupies every mode draws as before. ``prob --partial`` still
+takes and checks an n x n matrix.
 A sub-stack's Gram matrices come from one scaled ``rng.random`` array taken
 by cached flat indices, Hermitian bit for bit, so the repair takes them
 with no symmetrisation: one stacked ``eigh``, the only heavy step, clipped
-in place when every matrix needs it, as every draw on the fits' grids does.
+in place when every matrix of the sub-stack needs it.
 
 Each census and DFT table is one column-oriented
 :class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
@@ -585,7 +590,9 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     Without ``count``: one (n, n) matrix and whether it was repaired. With
     ``count``: a (count, n, n) stack from one random call, each sample's
     arrays contiguous in the stream, so it equals ``count`` successive lone
-    draws bit for bit, and the number of repaired matrices.
+    draws bit for bit, and the number of repaired matrices. The
+    distinguishability fit passes the number of occupied input modes as
+    ``n``; ``prob --partial`` takes an n x n matrix over all modes.
     """
     if ensemble not in GRAM_ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")
@@ -666,12 +673,19 @@ def run_distinguishability_robustness(
 
     First-order theory: linear in the mean deficit with coefficient N * P_D.
     A grid value above 0.5 is refused before the first sample (see
-    :func:`sample_distinguishability`). PSD repairs of the sampled Gram
+    :func:`sample_distinguishability`). The Gram matrices span the k
+    occupied input modes, the only entries the single sum reads: a mode
+    with no particle is never drawn, and no overlap of the particles is
+    coupled to it by the PSD repair. PSD repairs of the sampled Gram
     matrices are counted in the metadata.
     """
     def prepare(u, r, s, p_dist):
         _check_mean_deficit(max(grid))  # before the first sample
         terms = partial_weights(u, r, s, particle)  # once per fit, for every grid point
+        # the sum reads S only at the particles' input modes: Gram matrices over the k
+        # occupied modes, each particle's row renumbered into them
+        occupied, rows = np.unique(terms.rows, return_inverse=True)
+        terms = terms._replace(modes=len(occupied), rows=rows)
         settings = {"ensemble": ensemble, "eta_scale": eta_scale, "psd_repairs": 0}
 
         def draw(g, rng, count):

@@ -639,8 +639,8 @@ class ConfigKey(NamedTuple):
     parse: Callable | None = None
 
 
-_OCCUPATION = (lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
-               "a list of non-negative integers")
+#: The type only: ``fock`` holds the occupation rules and their messages.
+_OCCUPATION = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
 _PERMUTATION = (lambda v: isinstance(v, str) or (isinstance(v, list) and len(v) > 0
                                                  and all(map(_is_int, v))),
                 "cycle notation or a non-empty one-line list of integers")

@@ -34,9 +34,10 @@
   library.
 * :func:`reference_dist_fit`: the distinguishability fit as it ran before it
   computed its weights once per fit, one lone ``prob_partial`` call, N!
-  weight permanents included, per sub-stack of Gram matrices. Its bits and
-  repair count are the contract of
-  ``experiments.run_distinguishability_robustness``.
+  weight permanents included, per sub-stack of Gram matrices. It draws each
+  Gram matrix over the occupied input modes and hands ``prob_partial`` its
+  n x n embedding, :func:`embed_occupied_grams`. Its bits and repair count
+  are the contract of ``experiments.run_distinguishability_robustness``.
 * :func:`reference_partial_sum`: the single sum of
   ``scattering.partial_probabilities`` on a checked Gram stack, evaluated
   the way it was before the sum ran in place, with a fresh array for every
@@ -335,12 +336,22 @@ def reference_census(cfg) -> tuple[dict, dict]:
     return tables, max_suppressed
 
 
+def embed_occupied_grams(grams: np.ndarray, r) -> np.ndarray:
+    """The n x n Gram matrices, n = len(r), that hold a (B, k, k) stack on the
+    k occupied modes of ``r``: unit diagonal, zero off the block elsewhere."""
+    occupied = np.flatnonzero(r)
+    full = np.tile(np.eye(len(r), dtype=complex), (len(grams), 1, 1))
+    full[:, occupied[:, None], occupied[None, :]] = grams
+    return full
+
+
 def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="independent",
                        eta_scale=1.0) -> tuple[tuple[float, ...], int]:
     """The measured means and the PSD repair count of a distinguishability
     fit, with one ``prob_partial`` call per sub-stack of
     ``experiments.GRAM_STACK_TERMS`` // N! Gram matrices (read at call time,
-    so a patched value applies here too)."""
+    so a patched value applies here too), each drawn over the occupied input
+    modes and embedded into n x n."""
     stack_size = max(1, experiments.GRAM_STACK_TERMS // factorial(particle_count(r)))
     measured = []
     repairs = 0
@@ -349,9 +360,10 @@ def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="indepen
         acc = KahanMean(1)
         for start in range(0, samples, stack_size):
             grams, repaired = sample_distinguishability(
-                len(u), g, rng, ensemble, eta_scale, count=min(stack_size, samples - start))
+                np.count_nonzero(r), g, rng, ensemble, eta_scale,
+                count=min(stack_size, samples - start))
             repairs += repaired
-            for p in prob_partial(u, r, s, grams, particle):
+            for p in prob_partial(u, r, s, embed_occupied_grams(grams, r), particle):
                 acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured), repairs

@@ -8,7 +8,10 @@ SHA-256 of every verdict CSV of the 12-mode DFT comparison at m = 6 and of a
 fit CSVs of a 40-sample ``independent`` distinguishability fit and a
 40-sample ``ring`` unitary fit on the worked example pin the noise draws,
 the PSD repair and the reductions of both robustness fits. The
-``meta.json`` of each of the four runs is pinned too, with its one field
+distinguishability fit draws its Gram matrices over the occupied input
+modes; a 300-sample fit on the two-mode dip, whose input occupies every
+mode, pins that such an input draws over all n modes as before. The
+``meta.json`` of each of the five runs is pinned too, with its one field
 that changes between runs, ``timing_seconds``, masked: the line that holds
 it is dropped before hashing.
 """
@@ -34,6 +37,9 @@ FIT_CONFIGS = {
     "independent": {"kind": "distinguishability-robustness", "ensemble": "independent",
                     **ROBUSTNESS},
     "ring": {"kind": "unitary-robustness", "delta_distribution": "ring", **ROBUSTNESS},
+    "dip": {"kind": "distinguishability-robustness", "permutation": "(1 2)",
+            "input_state": [1, 1], "target_output": [1, 1],
+            "grid": [0.001, 0.002, 0.005, 0.01], "samples": 300, "seed": 3},
 }
 
 DIGESTS = {
@@ -42,14 +48,16 @@ DIGESTS = {
     "census.boson.csv": "52b04b7e5c6f510444928a3724bd439176cab54f9821f4c8281981bd351b20a3",
     "census.fermion.csv": "3dacb279e048ca30a8100ec57de184ee0325d01fc385c43e26d3f861c8537870",
     "census.dist.csv": "6992cc1b78f657caf69edb82e98eaeaa4bf31fc9b48ab176525f7702c011eb92",
-    "independent.csv": "11923496933f28d77c3e82a2e2ca00f4373529006a20890a9794a54d7daa97aa",
+    "independent.csv": "500f250908d8fb4b2fb5fda6d310edd8040b0e54b05c4f8fcdc777db12686aa3",
     "ring.csv": "463e786e8d7030ba42e7b4bb6afe9c7a28f0dde5448e446004984989a80462b6",
+    "dip.csv": "1c78687d964b9d42857cdca0f1e95b2526c22c5038b85e35dd7582f2e6df8675",
 }
 META_DIGESTS = {
     "fourier": "0b9fe651a49b0e12932872f10b4b0653e19a549525574941b49e4d909359b828",
     "census": "279bb99ccc394ebfa23bd11fbe1ae1bb9ea0053b8d422db4afeeff88f5beb83c",
-    "independent": "4d27e8c4fa0943c5bbd47e1c58e05df1b5fa33e1aac5bb291715bd61dfab093f",
+    "independent": "fbaa3a88c020939c48ed4373ffb908fbd1b3cac7f46fc0054a4934212c8d7c7d",
     "ring": "1bd0ec22be5cc1afbc6c9ee3c32e8317b2bc29d45a6f30c139ccd46c2390ba6d",
+    "dip": "0f0df3682409f7326b391e03e78d449cca83438ff70761d4530055ab708932d6",
 }
 
 

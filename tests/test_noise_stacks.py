@@ -25,14 +25,15 @@ from symfock.experiments import (
     sample_distinguishability,
 )
 from symfock.fock import ParticleType
-from symfock.permutations import Permutation
+from symfock.permutations import Permutation, RootOfUnity
 from symfock.scattering import CHUNK, prob_partial, probabilities
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
-from oracles import KahanMean, reference_dist_fit, repair_distinguishability
+from oracles import KahanMean, embed_occupied_grams, reference_dist_fit, repair_distinguishability
 
 ENSEMBLES = ("independent", "gram")
-WORKED = build_unitary(UnitarySpec(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), rotation_seed=7))
+WORKED_PERM = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
+WORKED = build_unitary(UnitarySpec(WORKED_PERM, rotation_seed=7))
 WORKED_INPUT = (1, 1, 1, 0, 0, 0, 1, 1)
 WORKED_TARGET = (1, 1, 0, 1, 1, 0, 1, 0)
 GRID = (1e-3, 2e-3, 5e-3, 1e-2)
@@ -103,7 +104,8 @@ def oracle_unitary_fit(u, r, s, particle, grid, samples, seed, distribution):
 
 
 def oracle_dist_fit(u, r, s, particle, grid, samples, seed, ensemble, eta_scale=1.0):
-    stack_size = max(1, GRAM_STACK_TERMS // 120)  # N = 5 particles
+    """Lone Gram draws over the occupied input modes, embedded into n x n."""
+    stack_size = max(1, GRAM_STACK_TERMS // factorial(sum(r)))
     measured = []
     repairs = 0
     for gi, g in enumerate(grid):
@@ -112,10 +114,10 @@ def oracle_dist_fit(u, r, s, particle, grid, samples, seed, ensemble, eta_scale=
         for start in range(0, samples, stack_size):
             grams = []
             for _ in range(min(stack_size, samples - start)):
-                gram, repaired = lone_gram(u.shape[0], g, rng, ensemble, eta_scale)
+                gram, repaired = lone_gram(np.count_nonzero(r), g, rng, ensemble, eta_scale)
                 repairs += repaired
                 grams.append(gram)
-            for p in prob_partial(u, r, s, np.array(grams), particle):
+            for p in prob_partial(u, r, s, embed_occupied_grams(np.array(grams), r), particle):
                 acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured), repairs
@@ -340,17 +342,51 @@ def test_unitary_fit_on_the_occupied_block_matches_the_full_matrix(distribution,
     assert fit.measured == oracle_unitary_fit(u, r, s, particle, GRID, 70, 15, distribution)
 
 
-@pytest.mark.parametrize("samples", SAMPLE_COUNTS)
+#: The dist-fit oracle cases on the worked example, by test-id prefix:
+#: particle, input, target and sample counts. The class-III boson event; a
+#: fermion target; and a bunched input, repeated modes in both lists, whose
+#: 7! terms make one Gram matrix per sub-stack.
+DIST_FITS = {
+    "": (ParticleType.BOSON, WORKED_INPUT, WORKED_TARGET, SAMPLE_COUNTS),
+    "fermion-": (ParticleType.FERMION, WORKED_INPUT, (0, 1, 0, 1, 1, 0, 1, 1), (1, 69)),
+    "bunched-": (ParticleType.BOSON, (1, 1, 1, 0, 0, 0, 2, 2), (0, 0, 0, 1, 1, 0, 2, 3), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("particle, r, s, samples", [
+    pytest.param(particle, r, s, samples, id=f"{label}{samples}")
+    for label, (particle, r, s, counts) in DIST_FITS.items() for samples in counts])
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_dist_fit_matches_per_sample_oracle(ensemble, samples):
+def test_dist_fit_matches_per_sample_oracle(ensemble, particle, r, s, samples):
     assert GRAM_STACK_TERMS // 120 == 68
-    args = (WORKED.matrix, WORKED_INPUT, WORKED_TARGET, ParticleType.BOSON, GRID, samples, 12)
-    fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
-                                            WORKED_TARGET, GRID,
-                                            samples=samples, seed=12, ensemble=ensemble)
-    measured, repairs = oracle_dist_fit(*args, ensemble)
+    fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, r, s, GRID, particle,
+                                            samples=samples, seed=12, ensemble=ensemble,
+                                            permutation=WORKED_PERM)
+    measured, repairs = oracle_dist_fit(WORKED.matrix, r, s, particle, GRID, samples, 12, ensemble)
     assert fit.measured == measured
     assert fit.metadata["psd_repairs"] == repairs
+
+
+@pytest.mark.parametrize("ensemble", ENSEMBLES)
+def test_empty_modes_leave_the_dist_fit_unchanged(ensemble):
+    """The worked example padded with two empty modes, U + I_2 with two fixed
+    points of eigenvalue 1, gives the 8-mode fit's draws, repairs and means:
+    the Gram matrices span the occupied input modes only."""
+    padded = np.eye(10, dtype=complex)
+    padded[:8, :8] = WORKED.matrix
+    fit, padded_fit = (
+        run_distinguishability_robustness(u, eigenvalues, WORKED_INPUT + pad, WORKED_TARGET + pad,
+                                          GRID, samples=150, seed=9, ensemble=ensemble,
+                                          permutation=perm)
+        for u, eigenvalues, perm, pad in [
+            (WORKED.matrix, WORKED.eigenvalues, WORKED_PERM, ()),
+            (padded, WORKED.eigenvalues + (RootOfUnity(0, 1),) * 2,
+             Permutation.parse("(1 2 3)(4 5 6)(7 8)", n=10), (0, 0)),
+        ]
+    )
+    assert padded_fit.measured == fit.measured
+    assert padded_fit.metadata["psd_repairs"] == fit.metadata["psd_repairs"]
+    assert (ensemble == "gram") is (fit.metadata["psd_repairs"] == 0)
 
 
 @pytest.mark.parametrize("terms", [120, 250, 600])  # 1, 2 and 5 Gram matrices per sub-stack

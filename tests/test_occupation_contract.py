@@ -3,8 +3,9 @@
 ``fock`` holds the whole occupation contract: integral entries, no negative
 entry, at most one fermion per mode, the width, and an input's invariance
 under the mode permutation. Every entry point that takes an input state or
-a list of outputs raises the same one-line message for the same fault, and
-the ``verdicts`` command prints it and exits 1. The robustness fits given
+a list of outputs raises the same one-line message for the same fault; the
+``verdicts`` command, and the ``experiment`` command on a config that holds
+the faulty list, print it and exit 1. The robustness fits given
 the permutation refuse an input it does not leave invariant, as the other
 law-reading entry points do."""
 
@@ -144,6 +145,35 @@ def _verdicts(p, bad, kind: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _configs(n, m, p, r, fault, bad) -> list[dict]:
+    """An experiment config of each kind with the faulty list in it: every
+    kind's input_state, and the fits' target_output for a fault an output
+    can carry."""
+    grid = [1e-3, 2e-3, 5e-3, 1e-2]
+    fits = ("unitary-robustness", "distinguishability-robustness")
+    configs = [
+        {"kind": "mean-probabilities", "permutation": list(p.one_line()), "input_state": bad},
+        {"kind": "fourier-comparison", "modes": n, "order": m, "input_state": bad},
+        *({"kind": kind, "fourier": [n, m], "input_state": bad, "target_output": r, "grid": grid}
+          for kind in fits),
+    ]
+    if fault in ("negative", "width"):
+        configs += [{"kind": kind, "fourier": [n, m], "input_state": r, "target_output": bad,
+                     "grid": grid} for kind in fits]
+    return configs
+
+
+def _experiment(payload) -> tuple[int, str]:
+    """Exit code and stderr of the ``experiment`` command on ``payload``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["experiment", "--config", str(config), "--out", str(Path(tmp) / "run")])
+    return code, err.getvalue()
+
+
 @settings(max_examples=60, deadline=None)
 @given(faulty_states())
 def test_every_entry_point_raises_the_one_message_of_the_rule(state):
@@ -155,3 +185,6 @@ def test_every_entry_point_raises_the_one_message_of_the_rule(state):
         assert str(raised.value) == message, name
     for kind in ("fermion",) if fault == "double" else ("boson", "fermion"):
         assert _verdicts(p, bad, kind) == (1, f"error: {message}\n"), kind
+    if fault != "double":  # boson runs take doubly occupied inputs
+        for payload in _configs(n, m, p, list(r), fault, list(bad)):
+            assert _experiment(payload) == (1, f"error: {message}\n"), payload
