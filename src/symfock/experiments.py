@@ -51,8 +51,11 @@ bit. The unitary fit forms the noise of its ``scattering.CHUNK`` samples,
 and one permanent each, on the target's occupied rows and columns only.
 The distinguishability fit computes the N! weights of
 :func:`scattering.partial_weights` once and sends its Gram matrices to
-:func:`scattering.partial_probabilities`, which checks each, in sub-stacks
-of :data:`GRAM_STACK_TERMS` // N! (at least one): B * N! terms near 2^13.
+:func:`scattering.partial_probabilities`, which checks each. Both sizes
+follow the one budget of ``scattering.BLOCK_ENTRIES`` complex entries: a
+sub-stack holds that many // k^2 Gram matrices (at least one), 327 at
+k = 5, so a grid point of a few hundred samples is one draw, one repair and
+one check; ``partial_probabilities`` blocks its own single sum by N!.
 The single sum reads S only at the particles' input modes, so the fit's
 Gram matrices span the k occupied input modes, the weights' input rows
 renumbered into them: each is drawn, repaired and checked as k x k, and an
@@ -93,6 +96,7 @@ from .fock import (
 from .linalg import as_complex_matrix
 from .permutations import Permutation, RootOfUnity
 from .scattering import (
+    BLOCK_ENTRIES,
     CHUNK,
     PSD_TOL,
     partial_probabilities,
@@ -549,11 +553,6 @@ def run_unitary_robustness(
 #: How the random Gram matrices for the distinguishability sweep are drawn.
 GRAM_ENSEMBLES = ("independent", "gram")
 
-#: Deviation terms (Gram matrices times N!) per ``partial_probabilities``
-#: call of the distinguishability fit: small enough that a sub-stack adds no
-#: peak memory.
-GRAM_STACK_TERMS = 1 << 13
-
 
 def _check_mean_deficit(mean_eps: float) -> None:
     """Refuse a mean deficit above 0.5: the deficits are drawn uniform on
@@ -694,7 +693,7 @@ def run_distinguishability_robustness(
             settings["psd_repairs"] += repaired
             return partial_probabilities(terms, grams).tolist()
 
-        stack = max(1, GRAM_STACK_TERMS // factorial(particle_count(r)))
+        stack = max(1, BLOCK_ENTRIES // terms.modes ** 2)  # k x k entries per Gram matrix
         return draw, stack, particle_count(r) * p_dist, settings
 
     return _fit_noise("distinguishability-robustness", 1.0, prepare, unitary, eigenvalues,

@@ -23,7 +23,8 @@ its entry, and then takes one of two kernels.
   N x N minor, det(M_T)) and |U|^2 in place of U for distinguishable
   particles. :func:`expansion` builds the product one particle at a time
   over the slots of the cached :func:`fock.lattice` table, one term per
-  occupied mode of each output, sum_d min(d, n) * K_d multiply-adds in all.
+  occupied mode of each output, sum_d min(d, n) * K_d multiply-adds in all,
+  in row blocks whose terms hold at most :data:`BLOCK_ENTRIES` entries.
 * One permanent or determinant per output: the scattering matrices,
   gathered by row and column index into stacks of at most :data:`CHUNK` (a
   module constant), go to the stack-aware Ryser permanent or LU
@@ -54,7 +55,8 @@ distinguishable) through the single sum over permutations tau
 weights depend on U, the input and the output only. :func:`prob_partial` is
 two halves: :func:`partial_weights` checks U, the input and the output and
 computes the weights, at N! * 2^N * N cost; :func:`partial_probabilities`
-checks a Gram matrix or a stack of them and spends at most N! * N on each.
+checks a Gram matrix or a stack of them and spends at most N! * N on each,
+in blocks of :data:`BLOCK_ENTRIES` // N! matrices.
 A caller with many Gram stacks for one transition, such as the
 distinguishability fit, computes the weights once. Every Gram matrix is
 checked by :func:`validate_distinguishability`, whose PSD test is one
@@ -98,10 +100,17 @@ PARTIAL_MAX = 8
 
 _NEGATIVE_FLOOR = -1e-12
 
-#: Scattering matrices per stack, or (matrix, output) coefficients per
-#: expansion block. A constant, so a stack never grows with the run: 512
-#: matrices at N = 6 take 0.3 MB.
+#: Scattering matrices per stack. A constant, so a stack never grows with
+#: the run: 512 matrices at N = 6 take 0.3 MB.
 CHUNK = 512
+
+#: Complex entries (128 KiB) of the largest work array of an expansion block
+#: or a single-sum block, and of the Gram stacks the distinguishability fit
+#: draws: a block holds as many rows or matrices as fit, at least one, so
+#: its size follows the arrays it makes, not a count. Larger arrays come
+#: from freshly mapped pages: the single sum at N = 5 takes 1.4 us per Gram
+#: matrix in blocks of 68 and 5.0 us in blocks of 300 (2-core x86 host).
+BLOCK_ENTRIES = 1 << 13
 
 
 def _assignment0(occupation) -> np.ndarray:
@@ -219,7 +228,9 @@ def expansion(weights: np.ndarray, rows: np.ndarray, single: bool = False,
     each degree of the cached lattice table; a padding slot takes the zero
     row appended to the weights and to c_d.
 
-    Rows go through in blocks of :data:`CHUNK` // B. Per block: one gather
+    Rows go through in blocks of :data:`BLOCK_ENTRIES` // (slots * B), at
+    least one, so a block's (slots, rows, B) terms stay within the budget
+    at every degree. Per block: one gather
     of parent coefficients and one of weights, one multiply, the fermion
     signs, and one sum over the slots in ascending mode order, so a
     coefficient's bits depend on neither B nor the block boundaries. Every
@@ -234,9 +245,9 @@ def expansion(weights: np.ndarray, rows: np.ndarray, single: bool = False,
     coeffs = np.zeros((2, b), dtype=weights.dtype)  # degree 0: the constant 1, and the zero row
     coeffs[0] = 1.0
     w = np.zeros((n + 1, b), dtype=weights.dtype)  # weights of one particle, and the zero row
-    block = max(1, CHUNK // max(b, 1))
     for d, (row, slots) in enumerate(zip(rows, table.slots)):
-        size = slots.parents.shape[1]
+        width, size = slots.parents.shape
+        block = max(1, BLOCK_ENTRIES // max(width * b, 1))
         parent_coeffs, coeffs = coeffs, np.empty((size + 1, b), dtype=weights.dtype)
         coeffs[size] = 0.0
         w[:n] = weights[:, row, :].T
@@ -436,11 +447,32 @@ def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray
     """Check one Gram matrix or a (B, n, n) stack through
     :func:`validate_distinguishability` and evaluate the single sum of
     ``terms`` on it, at most N! * N work per Gram matrix: a ``float`` for one
-    matrix, a (B,) array for a stack."""
+    matrix, a (B,) array for a stack.
+
+    The whole stack is checked at once; the sum then runs in blocks of
+    :data:`BLOCK_ENTRIES` // N! Gram matrices (at least one), so its (N!,
+    block) arrays stay within the budget however long the stack. The sum
+    works per Gram matrix: a value's bits depend on neither the stack nor
+    the block boundaries.
+    """
     gram = validate_distinguishability(s_matrix)
     if gram.shape[-2:] != (terms.modes, terms.modes):
         raise ValueError("distinguishability matrix must match the unitary size")
     stack = gram if gram.ndim == 3 else gram[None]
+    value = np.empty(len(stack), dtype=complex)  # a (0, n, n) stack runs no block
+    block = max(1, BLOCK_ENTRIES // len(terms.perms))
+    for start in range(0, len(stack), block):
+        value[start:start + block] = _single_sum(terms, stack[start:start + block])
+    if (np.abs(value.imag) > 1e-10).any():
+        raise ArithmeticError(
+            f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
+    result = _clamp_probability(value.real / terms.norm)
+    return result if gram.ndim == 3 else float(result[0])
+
+
+def _single_sum(terms: PartialWeights, stack: np.ndarray) -> np.ndarray:
+    """The complex single sum of ``terms`` on each checked Gram matrix of a
+    (B, n, n) stack, before the norm: a (B,) array."""
     d, perms, n = terms.rows, terms.perms, len(terms.rows)
     deviation = stack[:, d[:, None], d[None, :]].transpose(1, 2, 0)  # (N, N, B)
     deviation -= 1.0  # D on the occupied input modes
@@ -457,12 +489,7 @@ def partial_probabilities(terms: PartialWeights, s_matrix) -> float | np.ndarray
         e += product
     e = np.ascontiguousarray(e.T)  # (B, N!): the weights and the sum run along each row
     e *= terms.weights
-    value = terms.indistinguishable + e.sum(axis=1)
-    if (np.abs(value.imag) > 1e-10).any():
-        raise ArithmeticError(
-            f"partial probability has imaginary part {value.imag[np.argmax(np.abs(value.imag))]}")
-    result = _clamp_probability(value.real / terms.norm)
-    return result if gram.ndim == 3 else float(result[0])
+    return terms.indistinguishable + e.sum(axis=1)
 
 
 def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType) -> float | np.ndarray:

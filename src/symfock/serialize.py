@@ -124,7 +124,9 @@ def parse_occupation(text: str) -> tuple[int, ...]:
 
 def parse_permutation(value, n: int | None = None) -> Permutation:
     """Accept cycle notation ``"(1 2 3)(4 5)"`` or a 1-based one-line array
-    of integers, as a list or as its JSON text."""
+    of integers, as a list or as its JSON text. Either form takes ``n`` the
+    same way: modes past the ones given are fixed points, and an ``n`` below
+    them is refused."""
     if isinstance(value, str):
         text = value.strip()
         if not text.startswith("["):
@@ -137,7 +139,10 @@ def parse_permutation(value, n: int | None = None) -> Permutation:
         raise ValueError(f"one-line permutation must be an array of integers, got {value!r}")
     if not value:
         raise ValueError("one-line permutation must name at least one mode, got []")
-    return Permutation.from_one_line(value)
+    perm = Permutation.from_one_line(value)
+    if n is not None and n < perm.n:
+        raise ValueError(f"n={n} smaller than one-line permutation length {perm.n}")
+    return perm if n is None else Permutation([*perm.image, *range(perm.n, n)])
 
 
 # --- unitary specs -----------------------------------------------------------

@@ -34,10 +34,11 @@
   library.
 * :func:`reference_dist_fit`: the distinguishability fit as it ran before it
   computed its weights once per fit, one lone ``prob_partial`` call, N!
-  weight permanents included, per sub-stack of Gram matrices. It draws each
-  Gram matrix over the occupied input modes and hands ``prob_partial`` its
-  n x n embedding, :func:`embed_occupied_grams`. Its bits and repair count
-  are the contract of ``experiments.run_distinguishability_robustness``.
+  weight permanents included, per grid point, whatever the fit's stacks.
+  It draws each Gram matrix over the occupied input modes and hands
+  ``prob_partial`` its n x n embedding, :func:`embed_occupied_grams`. Its
+  bits and repair count are the contract of
+  ``experiments.run_distinguishability_robustness``.
 * :func:`reference_partial_sum`: the single sum of
   ``scattering.partial_probabilities`` on a checked Gram stack, evaluated
   the way it was before the sum ran in place, with a fresh array for every
@@ -75,11 +76,10 @@ from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from math import comb, factorial, lcm
+from math import comb, lcm
 
 import numpy as np
 
-from symfock import experiments
 from symfock.experiments import (
     PerturbationModel,
     _repair_hermitian,
@@ -348,23 +348,19 @@ def embed_occupied_grams(grams: np.ndarray, r) -> np.ndarray:
 def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="independent",
                        eta_scale=1.0) -> tuple[tuple[float, ...], int]:
     """The measured means and the PSD repair count of a distinguishability
-    fit, with one ``prob_partial`` call per sub-stack of
-    ``experiments.GRAM_STACK_TERMS`` // N! Gram matrices (read at call time,
-    so a patched value applies here too), each drawn over the occupied input
-    modes and embedded into n x n."""
-    stack_size = max(1, experiments.GRAM_STACK_TERMS // factorial(particle_count(r)))
+    fit, with one draw and one ``prob_partial`` call per grid point: its
+    Gram matrices drawn over the occupied input modes and embedded into
+    n x n. The bits depend on no grouping of the draws or the sums."""
     measured = []
     repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
+        grams, repaired = sample_distinguishability(np.count_nonzero(r), g, rng, ensemble,
+                                                    eta_scale, count=samples)
+        repairs += repaired
         acc = KahanMean(1)
-        for start in range(0, samples, stack_size):
-            grams, repaired = sample_distinguishability(
-                np.count_nonzero(r), g, rng, ensemble, eta_scale,
-                count=min(stack_size, samples - start))
-            repairs += repaired
-            for p in prob_partial(u, r, s, embed_occupied_grams(grams, r), particle):
-                acc.add(p)
+        for p in prob_partial(u, r, s, embed_occupied_grams(grams, r), particle):
+            acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured), repairs
 

@@ -51,6 +51,24 @@ class TestDecompose:
     def test_missing_subcommand(self):
         assert main([]) == 1
 
+    def test_one_line_form_takes_modes_as_cycle_notation_does(self, capsys):
+        outs = []
+        for permutation in ("[2,1]", "(1 2)"):
+            assert main(["decompose", "--permutation", permutation, "--modes", "4"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "permutation: (1 2)(3)(4)\none-line: [2, 1, 3, 4]\n" in outs[0]
+
+    @pytest.mark.parametrize("permutation, message", [
+        ("[2,1]", "n=1 smaller than one-line permutation length 2"),
+        ("(1 2)", "n=1 smaller than largest cycle element 2"),
+    ])
+    def test_fewer_modes_than_the_permutation_is_usage_error(self, capsys, permutation, message):
+        assert main(["decompose", "--permutation", permutation, "--modes", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestBuild:
     def test_writes_unitary_and_eigenvalues(self, tmp_path, capsys):
@@ -279,6 +297,33 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "--help"])
         assert "--threads" not in capsys.readouterr().out
+
+    def test_one_line_census_permutation_pads_to_the_input(self, tmp_path):
+        # [2, 1] on a 4-mode input is (1 2)(3)(4), as the cycle form is
+        files = []
+        for name, permutation in (("line", [2, 1]), ("cycles", "(1 2)")):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"kind": "mean-probabilities", "permutation": permutation,
+                                          "input_state": [1, 1, 0, 0], "bases": 2}))
+            assert main(["experiment", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            files.append({suffix: (tmp_path / f"{name}{suffix}").read_bytes()
+                          for suffix in (".boson.csv", ".fermion.csv", ".dist.csv")})
+            meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+            files[-1]["meta"] = {key: value for key, value in meta.items()
+                                 if key != "timing_seconds"}
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("permutation, message", [
+        ([2, 1], "n=1 smaller than one-line permutation length 2"),
+        ("(1 2)", "n=1 smaller than largest cycle element 2"),
+    ])
+    def test_census_input_narrower_than_its_permutation_is_refused(self, tmp_path, capsys,
+                                                                    permutation, message):
+        config = tmp_path / "census.json"
+        config.write_text(json.dumps({"kind": "mean-probabilities", "permutation": permutation,
+                                      "input_state": [1]}))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_census_seed_changes_bytes(self, tmp_path):
         self.run_census(tmp_path, 1, "a")

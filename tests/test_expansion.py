@@ -162,7 +162,8 @@ def slot_cases(draw):
     single = fermionic or (particles <= n and draw(st.booleans()))
     b = draw(st.sampled_from([1, 3]))
     stack = rng.standard_normal((b, n, n)) + 1j * rng.standard_normal((b, n, n))
-    return stack, tuple(int(x) for x in r), kind, single, draw(st.sampled_from([1, 2, 5, 512]))
+    entries = draw(st.sampled_from([1, 16, 100, scattering.BLOCK_ENTRIES]))
+    return stack, tuple(int(x) for x in r), kind, single, entries
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,13 +173,13 @@ def test_slot_kernel_matches_the_dense_recurrence(case):
     under ``==`` (only an exact zero may differ, in its sign), and the
     probabilities from them are the same bit for bit, for every block
     size."""
-    stack, r, kind, single, chunk = case
+    stack, r, kind, single, entries = case
     rows = rows_of(r)
     fermionic = kind is ParticleType.FERMION
     weights = np.abs(stack) ** 2 if kind is ParticleType.DISTINGUISHABLE else stack
     outputs = output_array(len(r), len(rows), ParticleType.FERMION if single else ParticleType.BOSON)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scattering, "CHUNK", chunk)
+        patch.setattr(scattering, "BLOCK_ENTRIES", entries)
         fast = expansion(weights, rows, single, fermionic)
         assert fast.shape == (len(stack), len(outputs))
         assert (fast == reference_expansion(weights, rows, single, fermionic)).all()
@@ -244,9 +245,9 @@ def test_dispatch():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 40), st.integers(0, 6), st.integers(0, 2**32 - 1),
+@given(st.integers(1, 400), st.integers(0, 6), st.integers(0, 2**32 - 1),
        st.sampled_from(list(ParticleType)))
-def test_splitting_a_stack_or_the_blocks_changes_no_bit(chunk, cut, seed, kind):
+def test_splitting_a_stack_or_the_blocks_changes_no_bit(entries, cut, seed, kind):
     rng = np.random.default_rng(seed)
     stack = np.array([haar_random_unitary(6, rng) for _ in range(6)])
     r = (1, 0, 1, 1, 0, 1)
@@ -254,7 +255,7 @@ def test_splitting_a_stack_or_the_blocks_changes_no_bit(chunk, cut, seed, kind):
     assert expansion_pays(6, 4, kind)
     whole = probabilities(stack, r, outputs, kind)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scattering, "CHUNK", chunk)
+        patch.setattr(scattering, "BLOCK_ENTRIES", entries)
         parts = np.concatenate([probabilities(stack[:cut], r, outputs, kind),
                                 probabilities(stack[cut:], r, outputs, kind)])
         assert parts.tobytes() == whole.tobytes()

@@ -7,6 +7,7 @@ fit loop that draws every sample alone and reduces through a streaming
 ``oracles.KahanMean``.
 The stacked code has to give their bits, not just their values."""
 
+import tracemalloc
 from math import factorial
 
 import numpy as np
@@ -17,7 +18,6 @@ from hypothesis import strategies as st
 from symfock import experiments, scattering
 from symfock.experiments import (
     DELTA_DISTRIBUTIONS,
-    GRAM_STACK_TERMS,
     PerturbationModel,
     derive_seed,
     run_distinguishability_robustness,
@@ -26,7 +26,7 @@ from symfock.experiments import (
 )
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation, RootOfUnity
-from symfock.scattering import CHUNK, prob_partial, probabilities
+from symfock.scattering import BLOCK_ENTRIES, CHUNK, prob_partial, probabilities
 from symfock.unitaries import UnitarySpec, build_unitary, fourier_symmetry, fourier_unitary
 
 from oracles import KahanMean, embed_occupied_grams, reference_dist_fit, repair_distinguishability
@@ -104,21 +104,20 @@ def oracle_unitary_fit(u, r, s, particle, grid, samples, seed, distribution):
 
 
 def oracle_dist_fit(u, r, s, particle, grid, samples, seed, ensemble, eta_scale=1.0):
-    """Lone Gram draws over the occupied input modes, embedded into n x n."""
-    stack_size = max(1, GRAM_STACK_TERMS // factorial(sum(r)))
+    """Lone Gram draws over the occupied input modes, embedded into n x n,
+    one ``prob_partial`` call per grid point."""
     measured = []
     repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
+        grams = []
+        for _ in range(samples):
+            gram, repaired = lone_gram(np.count_nonzero(r), g, rng, ensemble, eta_scale)
+            repairs += repaired
+            grams.append(gram)
         acc = KahanMean(1)
-        for start in range(0, samples, stack_size):
-            grams = []
-            for _ in range(min(stack_size, samples - start)):
-                gram, repaired = lone_gram(np.count_nonzero(r), g, rng, ensemble, eta_scale)
-                repairs += repaired
-                grams.append(gram)
-            for p in prob_partial(u, r, s, embed_occupied_grams(np.array(grams), r), particle):
-                acc.add(p)
+        for p in prob_partial(u, r, s, embed_occupied_grams(np.array(grams), r), particle):
+            acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured), repairs
 
@@ -314,7 +313,9 @@ def test_collapsed_diagonal_raises_from_inside_a_stack():
         repair_distinguishability(stack)
 
 
-SAMPLE_COUNTS = (1, 67, 68, 69, 513, 1025)  # around the Gram sub-stack (68) and CHUNK (512)
+#: Around the single sum's blocks (68 Gram matrices at N = 5), the Gram
+#: stacks (327 at k = 5) and the unitary fit's CHUNK (512).
+SAMPLE_COUNTS = (1, 67, 68, 69, 326, 327, 328, 513, 1025)
 
 
 @pytest.mark.parametrize("samples", SAMPLE_COUNTS)
@@ -358,7 +359,7 @@ DIST_FITS = {
     for label, (particle, r, s, counts) in DIST_FITS.items() for samples in counts])
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
 def test_dist_fit_matches_per_sample_oracle(ensemble, particle, r, s, samples):
-    assert GRAM_STACK_TERMS // 120 == 68
+    assert (BLOCK_ENTRIES // 120, BLOCK_ENTRIES // 5**2) == (68, 327)  # what SAMPLE_COUNTS cross
     fit = run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, r, s, GRID, particle,
                                             samples=samples, seed=12, ensemble=ensemble,
                                             permutation=WORKED_PERM)
@@ -389,12 +390,20 @@ def test_empty_modes_leave_the_dist_fit_unchanged(ensemble):
     assert (ensemble == "gram") is (fit.metadata["psd_repairs"] == 0)
 
 
-@pytest.mark.parametrize("terms", [120, 250, 600])  # 1, 2 and 5 Gram matrices per sub-stack
+@pytest.mark.parametrize("entries", [25, 50, 125])  # 1, 2 and 5 5 x 5 Gram matrices per stack
 @pytest.mark.parametrize("ensemble", ENSEMBLES)
-def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, terms):
-    # 7 samples per grid point make several sub-stacks per grid point: the
+def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, entries):
+    # 7 samples per grid point make several Gram stacks per grid point: the
     # N! = 120 weight permanents are still computed once for the whole fit
-    monkeypatch.setattr(experiments, "GRAM_STACK_TERMS", terms)
+    monkeypatch.setattr(experiments, "BLOCK_ENTRIES", entries)
+    draws = []
+    real_draw = experiments.sample_distinguishability
+
+    def counting_draw(*args, count, **kwargs):
+        draws.append(count)
+        return real_draw(*args, count=count, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_distinguishability", counting_draw)
     stacks = []
     real_permanent = scattering.permanent_ryser
 
@@ -407,6 +416,8 @@ def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, terms):
                                             WORKED_TARGET, GRID,
                                             samples=7, seed=13, ensemble=ensemble)
     monkeypatch.setattr(scattering, "permanent_ryser", real_permanent)
+    per_stack = entries // 25
+    assert draws == [min(per_stack, 7 - start) for start in range(0, 7, per_stack)] * len(GRID)
     # the weights are complex (b, 5, 5) stacks; the lone complex (5, 5) is
     # |perm M|^2 and the real (1, 5, 5) stack the distinguishable reference
     weights = [shape for shape, kind in stacks if len(shape) == 3 and kind == "c"]
@@ -417,3 +428,24 @@ def test_dist_fit_computes_the_weights_once(monkeypatch, ensemble, terms):
                                            ParticleType.BOSON, GRID, 7, 13, ensemble)
     assert fit.measured == measured
     assert fit.metadata["psd_repairs"] == repairs
+
+
+def test_dist_fit_memory_follows_the_budget_not_the_samples():
+    """The traced peak of a worked-example dist fit at 3 000 samples is at
+    most 1.25 times that at 300 (a full Gram stack holds 327 matrices, 9 %
+    more than 300), and both stay under 1.5 MB: the stacks follow
+    BLOCK_ENTRIES, not ``samples``."""
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_distinguishability_robustness(WORKED.matrix, WORKED.eigenvalues, WORKED_INPUT,
+                                              WORKED_TARGET, GRID, samples=samples, seed=4,
+                                              permutation=WORKED_PERM)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the cached tables, outside the measurement
+    few, many = peak(300), peak(3_000)
+    assert many <= 1.25 * few
+    assert max(few, many) <= 1_500_000

@@ -15,6 +15,7 @@ from symfock.experiments import GRAM_ENSEMBLES, sample_distinguishability
 from symfock.fock import ParticleType, occupation_to_assignment
 from symfock.linalg import permutation_signs, permutation_table
 from symfock.scattering import (
+    BLOCK_ENTRIES,
     partial_probabilities,
     partial_weights,
     prob_boson,
@@ -238,6 +239,17 @@ def test_in_place_sum_gives_the_reference_bits(case):
         assert partial_probabilities(terms, gram) == value
 
 
+def test_sum_blocks_give_the_bits_of_lone_calls():
+    # 150 Gram matrices at N = 5 run the single sum in blocks of 68 + 68 + 14
+    assert BLOCK_ENTRIES // factorial(5) == 68
+    rng = np.random.default_rng(29)
+    grams, _ = sample_distinguishability(5, 1e-2, rng, count=150)
+    terms = partial_weights(haar_random_unitary(5, rng), (1, 1, 1, 1, 1), (2, 0, 1, 1, 1),
+                            ParticleType.BOSON)
+    lone = np.array([partial_probabilities(terms, gram) for gram in grams])
+    assert partial_probabilities(terms, grams).tobytes() == lone.tobytes()
+
+
 def spoil(gram: np.ndarray, case: str) -> np.ndarray:
     """A copy of a valid 8 x 8 Gram matrix with one contract broken."""
     bad = gram.copy()
@@ -275,7 +287,7 @@ BAD_GRAMS = {
 @given(case=st.sampled_from(sorted(BAD_GRAMS)), position=st.integers(0, 67),
        seed=st.integers(0, 2**32 - 1))
 def test_one_bad_gram_in_a_repaired_stack_is_refused(case, position, seed):
-    # a 68-stack as the fit draws it on its grid, every matrix repaired in place
+    # a stack of 68, one single-sum block at N = 5, every matrix repaired in place
     grams, repairs = sample_distinguishability(8, 1e-3, np.random.default_rng(seed), count=68)
     assert repairs == 68
     grams[position] = spoil(grams[position], case)

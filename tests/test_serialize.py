@@ -111,6 +111,15 @@ class TestOccupationAndPermutationParsing:
     def test_permutation_list(self):
         assert parse_permutation([2, 1]).one_line() == (2, 1)
 
+    @pytest.mark.parametrize("value", [[2, 1], "[2,1]", "(1 2)"])
+    def test_permutation_pads_to_n_in_either_form(self, value):
+        assert parse_permutation(value, n=4).one_line() == (2, 1, 3, 4)
+        assert parse_permutation(value, n=2).one_line() == (2, 1)
+
+    def test_one_line_permutation_refuses_a_smaller_n(self):
+        with pytest.raises(ValueError, match=r"^n=1 smaller than one-line permutation length 2$"):
+            parse_permutation([2, 1], n=1)
+
     def test_occupation_rejects_booleans(self):
         with pytest.raises(ValueError, match="integers"):
             parse_occupation("[true,1,1]")

@@ -110,6 +110,7 @@ def test_chunk_boundaries_change_no_probability_bit(chunk, seed, kind):
     whole = probabilities(u, r, outputs, kind)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scattering, "CHUNK", chunk)
+        patch.setattr(scattering, "BLOCK_ENTRIES", chunk)  # the expansion's blocks too
         assert probabilities(u, r, outputs, kind).tobytes() == whole.tobytes()
         stack = np.array([u, u.T, u.conj()])
         assert probabilities(stack, r, outputs, kind)[0].tobytes() == whole.tobytes()
