@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: decompose, build, verdicts, prob, experiment. Machine-readable
-results go to files or stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage or parse problem or an output that cannot be written, 2 invariant
-failure during a run (a float that overflows or turns NaN is one).
+Subcommands: decompose, build, verdicts, prob, experiment. Each parses its
+options, calls the library and writes what it returns: ``prob`` takes its
+statistics from ``--type``, with or without a ``--distinguishability`` Gram
+matrix, and ``experiment`` writes a runner's ``metadata`` as its
+``meta.json``, adding nothing. Machine-readable results go to files or
+stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage or parse
+problem or an output that cannot be written, 2 invariant failure during a
+run (a float that overflows or turns NaN is one).
 
 Fixing ``--seed`` makes every output byte-identical across runs except the
 timing field inside metadata JSON.
@@ -21,13 +25,14 @@ import numpy as np
 from . import __version__
 from .experiments import (
     CensusConfig,
+    dft_member,
     run_distinguishability_robustness,
     run_fourier_comparison,
     run_mean_probabilities,
     run_unitary_robustness,
     unitary_table,
 )
-from .fock import ParticleType, require_invariant, require_modes
+from .fock import ParticleType, require_invariant
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
@@ -46,13 +51,7 @@ from .serialize import (
 )
 from .suppression import EventClass
 from .svg import bar_chart, write_verdict_svg
-from .unitaries import (
-    SymmetryError,
-    UnitarySpec,
-    build_unitary,
-    fourier_symmetry,
-    fourier_unitary,
-)
+from .unitaries import SymmetryError, UnitarySpec, build_unitary
 
 
 class UsageError(ValueError):
@@ -136,14 +135,11 @@ def cmd_prob(args) -> int:
     u = matrix_from_json(payload)
     r = parse_occupation(args.input_state)
     s = parse_occupation(args.output_state)
-    if args.type == "partial":
-        if not args.distinguishability:
-            raise UsageError("--type partial needs --distinguishability S.json")
-        gram = matrix_from_json(_load_json(args.distinguishability))
-        base = ParticleType.parse(args.partial_statistics)
-        value = prob_partial(u, r, s, gram, base)
+    kind = ParticleType.parse(args.type)
+    if args.distinguishability:  # the single sum; partial_weights refuses ``dist``
+        value = prob_partial(u, r, s, matrix_from_json(_load_json(args.distinguishability)), kind)
     else:
-        value = probabilities(u, r, [s], ParticleType.parse(args.type))[0]
+        value = probabilities(u, r, [s], kind)[0]
     print(f"{value:.15f}")
     return 0
 
@@ -151,16 +147,16 @@ def cmd_prob(args) -> int:
 def _experiment_unitary(payload):
     """Resolve the unitary + eigenvalue diagonal for robustness configs."""
     if "fourier" in payload:
-        n, m = payload["fourier"]
-        require_modes(payload["input_state"], n)  # before the n-mode permutation and n x n DFT
-        perm, eigenvalues = fourier_symmetry(n, m)
-        return fourier_unitary(n), eigenvalues, perm
+        return dft_member(*payload["fourier"], payload["input_state"])
     perm = parse_permutation(payload["permutation"], n=len(payload["input_state"]))
     built = build_unitary(UnitarySpec(perm, rotation_seed=payload.get("rotation_seed")))
     return built.matrix, built.eigenvalues, perm
 
 
 def cmd_experiment(args) -> int:
+    """Check a config, with ``--seed`` and ``--bases`` laid over it, run its
+    kind's runner and write the tables or fit CSV, the runner's
+    ``metadata`` as it is and the optional SVG."""
     payload = _load_json(args.config)
     if isinstance(payload, dict):  # overrides pass the same checks as the config's own keys
         payload |= {key: value for key, value in (("seed", args.seed), ("bases", args.bases))
@@ -180,9 +176,7 @@ def cmd_experiment(args) -> int:
         result = run_mean_probabilities(cfg)
         write_verdict_csvs({f"{out}.{kind_.value}.csv": table
                             for kind_, table in result.tables.items()})
-        write_metadata(f"{out}.meta.json", result.metadata | {
-            "max_suppressed": {k.value: v for k, v in result.max_suppressed.items()},
-        })
+        write_metadata(f"{out}.meta.json", result.metadata)
         if args.svg:
             write_verdict_svg(args.svg, result.tables[cfg.types[0]],
                               title=f"mean probabilities ({cfg.types[0].value})")
@@ -195,10 +189,7 @@ def cmd_experiment(args) -> int:
         if comparison.fermion_table is not None:
             tables[f"{out}.fermion.csv"] = comparison.fermion_table
         write_verdict_csvs(tables)
-        write_metadata(f"{out}.meta.json", comparison.metadata | {
-            "counts": comparison.counts,
-            "witnesses": [list(s) for s in comparison.witnesses],
-        })
+        write_metadata(f"{out}.meta.json", comparison.metadata)
         if args.svg:
             write_verdict_svg(args.svg, comparison.boson_table,
                               title=f"fourier comparison n={comparison.n} m={comparison.m} (boson)")
@@ -209,12 +200,7 @@ def cmd_experiment(args) -> int:
     run = run_unitary_robustness if kind == "unitary-robustness" else run_distinguishability_robustness
     fit = run(unitary, eigenvalues, permutation=perm, **options)
     write_fit_csv(f"{out}.csv", fit)
-    write_metadata(f"{out}.meta.json", fit.metadata | {
-        "exponent": fit.exponent,
-        "prefactor": fit.prefactor,
-        "predicted_prefactor": fit.predicted_prefactor,
-        "theory_exponent": fit.theory_exponent,
-    })
+    write_metadata(f"{out}.meta.json", fit.metadata)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(bar_chart(fit.measured, title=f"mean deviation vs noise ({kind})"))
@@ -252,11 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matrix JSON file, or the JSON that build --out writes")
     p.add_argument("--input-state", required=True)
     p.add_argument("--output-state", required=True)
-    p.add_argument("--type", default="boson", choices=["boson", "fermion", "dist", "partial"])
+    p.add_argument("--type", default="boson", choices=["boson", "fermion", "dist"])
     p.add_argument("--distinguishability", default=None,
-                   help="Gram matrix JSON (required for --type partial)")
-    p.add_argument("--partial-statistics", default="boson", choices=["boson", "fermion"],
-                   help="underlying statistics for --type partial")
+                   help="Gram matrix JSON: partially distinguishable bosons or fermions")
 
     p = sub.add_parser("experiment", help="run an experiment config JSON")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")

@@ -28,8 +28,15 @@ call per particle kind for each sub-stack, with all outputs of every basis
 (one polynomial expansion per unitary, its parents read from the cached
 lattice table of :func:`fock.lattice`, whose cached read-only rows, in the
 lattice's dtype, :func:`fock.output_array` hands out uncopied; a census
-builds only the lattices its types read). The DFT
-comparison checks the input's length before it builds the DFT.
+builds only the lattices its types read). The DFT comparison and the fits'
+``fourier`` configs take their unitary from :func:`dft_member`, which checks
+the input's length before it builds the DFT.
+
+Each runner's ``metadata`` is the whole record of its run, in the order of
+the ``meta.json`` that the command line writes from it unchanged:
+``timing_seconds``, then what the run found (the census's
+``max_suppressed``, the comparison's ``counts`` and ``witnesses``, a fit's
+exponent and prefactors).
 
 A table of one unitary, the DFT comparison's and the ``verdicts``
 command's, comes from :func:`unitary_table`: the cached output rows, one
@@ -59,8 +66,8 @@ one check; ``partial_probabilities`` blocks its own single sum by N!.
 The single sum reads S only at the particles' input modes, so the fit's
 Gram matrices span the k occupied input modes, the weights' input rows
 renumbered into them: each is drawn, repaired and checked as k x k, and an
-input that occupies every mode draws as before. ``prob --partial`` still
-takes and checks an n x n matrix.
+input that occupies every mode draws as before. ``prob
+--distinguishability`` still takes and checks an n x n matrix.
 A sub-stack's Gram matrices come from one scaled ``rng.random`` array taken
 by cached flat indices, Hermitian bit for bit, so the repair takes them
 with no symmetrisation: one stacked ``eigh``, the only heavy step, clipped
@@ -261,6 +268,7 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "timing_seconds": time.perf_counter() - started,
+        "max_suppressed": {k.value: v for k, v in max_suppressed.items()},
     }
     return CensusResult(eigenvalues, tables, max_suppressed, metadata)
 
@@ -308,6 +316,15 @@ class FourierComparison:
         }
 
 
+def dft_member(n: int, m: int, input_state):
+    """The n-mode DFT, the eigenvalues of its shift symmetry of order m and
+    that permutation, as ``(u, eigenvalues, perm)``; ``input_state`` must
+    span n modes, checked before anything of the DFT's size is built."""
+    require_modes(input_state, n)
+    perm, eigenvalues = fourier_symmetry(n, m)
+    return fourier_unitary(n), eigenvalues, perm
+
+
 def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     """Exact verdict tables for the n-mode DFT under the shift symmetry of
     order m, with the legacy parity criterion alongside the multiset one.
@@ -317,10 +334,8 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
     multiset test suppresses that the parity test misses.
     """
     started = time.perf_counter()
-    require_modes(input_state, n)  # before the n-mode permutation and n x n DFT
-    perm, eigenvalues = fourier_symmetry(n, m)
+    u, eigenvalues, perm = dft_member(n, m, input_state)
     r = require_invariant(perm, input_state)
-    u = fourier_unitary(n)
     boson_table = unitary_table(u, eigenvalues, perm, r, ParticleType.BOSON, None)
     fermion_table = None
     witnesses: list[tuple[int, ...]] = []
@@ -341,8 +356,10 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
         "library_version": __version__,
         "timing_seconds": time.perf_counter() - started,
     }
-    return FourierComparison(n, m, r, eigenvalues, boson_table, fermion_table, w,
-                             tuple(witnesses), metadata)
+    comparison = FourierComparison(n, m, r, eigenvalues, boson_table, fermion_table, w,
+                                   tuple(witnesses), metadata)
+    metadata |= {"counts": comparison.counts, "witnesses": [list(s) for s in witnesses]}
+    return comparison
 
 
 # --- robustness fits -------------------------------------------------------
@@ -443,6 +460,10 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "timing_seconds": time.perf_counter() - started,
+        "exponent": exponent,
+        "prefactor": prefactor,
+        "predicted_prefactor": predicted,
+        "theory_exponent": theory_exponent,
     }
     return RobustnessFit(grid, tuple(measured), exponent, prefactor, predicted, theory_exponent,
                          samples, metadata)
@@ -591,7 +612,7 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     arrays contiguous in the stream, so it equals ``count`` successive lone
     draws bit for bit, and the number of repaired matrices. The
     distinguishability fit passes the number of occupied input modes as
-    ``n``; ``prob --partial`` takes an n x n matrix over all modes.
+    ``n``; ``prob --distinguishability`` takes an n x n matrix over all modes.
     """
     if ensemble not in GRAM_ENSEMBLES:
         raise ValueError(f"unknown ensemble {ensemble!r}")

@@ -714,8 +714,11 @@ def check_experiment_config(payload: dict) -> list[str]:
         elif not valid(payload[key]):
             problems.append(f"key {key!r} must be {what}, got {payload[key]!r}")
     # the two rules that span keys or entries
-    if "fourier" in keys and "fourier" not in payload and "permutation" not in payload:
-        problems.append("robustness config needs 'permutation' or 'fourier'")
+    if "fourier" in keys:  # a fit names its unitary one way: nothing it would drop
+        if ("fourier" in payload) == ("permutation" in payload):
+            problems.append("robustness config needs exactly one of 'permutation' and 'fourier'")
+        elif "rotation_seed" in payload and "fourier" in payload:
+            problems.append("'rotation_seed' goes only with 'permutation', not 'fourier'")
     if "types" in keys and isinstance(payload.get("types"), list):
         seen = set()
         for t in payload["types"]:

@@ -108,7 +108,7 @@ class TestProb:
         main([
             "prob", "--unitary", hom_unitary_file,
             "--input-state", "[1,1]", "--output-state", "[1,1]",
-            "--type", "partial", "--distinguishability", str(gram),
+            "--type", "boson", "--distinguishability", str(gram),
         ])
         assert capsys.readouterr().out.strip() == "0.500000000000000"
 
@@ -120,16 +120,59 @@ class TestProb:
                 "--output-state", "[2,0,1,1,1,0,2,0]"]
         assert main([*args, "--type", "boson"]) == 0
         boson = capsys.readouterr().out.strip()
-        assert main([*args, "--type", "partial", "--distinguishability", str(gram)]) == 0
+        assert main([*args, "--type", "boson", "--distinguishability", str(gram)]) == 0
         assert capsys.readouterr().out.strip() == boson
         assert float(boson) > 0
 
     def test_partial_without_gram_is_usage_error(self, hom_unitary_file, capsys):
+        """``partial`` is no choice of ``--type``: argparse refuses it."""
         code = main([
             "prob", "--unitary", hom_unitary_file,
             "--input-state", "[1,1]", "--output-state", "[1,1]", "--type", "partial",
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("gram, kind, expected", [
+        (np.eye(2), "boson", "0.500000000000000"),
+        (np.ones((2, 2)), "boson", "0.000000000000000"),
+        (np.eye(2), "fermion", "0.500000000000000"),
+        (np.ones((2, 2)), "fermion", "1.000000000000000"),
+    ], ids=["identity-boson", "ones-boson", "identity-fermion", "ones-fermion"])
+    def test_type_sets_the_statistics_of_a_gram_matrix(self, hom_unitary_file, tmp_path, capsys,
+                                                       gram, kind, expected):
+        """``--distinguishability`` runs the single sum for the ``--type``
+        given: the identity Gram matrix gives distinguishable particles, the
+        all-ones one the ideal bosons or fermions."""
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(matrix_to_json(gram.astype(complex))))
+        assert main(["prob", "--unitary", hom_unitary_file, "--input-state", "[1,1]",
+                     "--output-state", "[1,1]", "--type", kind,
+                     "--distinguishability", str(path)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
+
+    def test_dist_with_gram_is_one_line_error(self, hom_unitary_file, tmp_path, capsys):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
+        assert main(["prob", "--unitary", hom_unitary_file, "--input-state", "[1,1]",
+                     "--output-state", "[1,1]", "--type", "dist",
+                     "--distinguishability", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: partial distinguishability applies to bosons or "
+                                "fermions\n")
+
+    @pytest.mark.parametrize("retired", [["--type", "partial"],
+                                         ["--partial-statistics", "fermion"]])
+    def test_retired_partial_spellings_are_one_line_errors(self, hom_unitary_file, tmp_path,
+                                                           capsys, retired):
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(2, dtype=complex))))
+        assert main(["prob", "--unitary", hom_unitary_file, "--input-state", "[1,1]",
+                     "--output-state", "[1,1]", "--distinguishability", str(path),
+                     *retired]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
     def test_malformed_matrix_entry_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -606,6 +649,62 @@ def test_left_out_keys_take_the_runners_defaults(kind, tmp_path):
         csvs = {p.name.split(".", 1)[1]: p.read_bytes() for p in tmp_path.glob(f"{label}.*csv")}
         outputs.append((meta, csvs))
     assert outputs[0] == outputs[1] and outputs[0][1]
+
+
+def _library_run(kind):
+    """The runner of ``kind`` called as a library, on ``BARE[kind]`` with
+    ``SMALL[kind]``."""
+    perm = symfock.Permutation.parse("(1 2)")
+    if kind == "mean-probabilities":
+        return experiments.run_mean_probabilities(experiments.CensusConfig(perm, (1, 1), 2))
+    if kind == "fourier-comparison":
+        return experiments.run_fourier_comparison(4, 2, [1, 0, 1, 0])
+    built = symfock.build_unitary(symfock.UnitarySpec(perm))
+    run = (experiments.run_unitary_robustness if kind == "unitary-robustness"
+           else experiments.run_distinguishability_robustness)
+    return run(built.matrix, built.eigenvalues, [1, 1], [1, 1], BARE[kind]["grid"], samples=8,
+               permutation=perm)
+
+
+#: Small sizes for the optional keys of ``BARE``.
+SMALL = {"mean-probabilities": {"bases": 2}, "fourier-comparison": {},
+         "unitary-robustness": {"samples": 8}, "distinguishability-robustness": {"samples": 8}}
+
+
+@pytest.mark.parametrize("kind", SMALL)
+def test_meta_json_is_the_runners_metadata(kind, tmp_path):
+    """The command line writes a runner's ``metadata`` as it is: a library
+    run's record gives the bytes of the command's ``meta.json``, the
+    ``timing_seconds`` line masked."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": kind, **BARE[kind], **SMALL[kind]}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    serialize.write_metadata(tmp_path / "library.meta.json", _library_run(kind).metadata)
+    written = [[line for line in (tmp_path / f"{label}.meta.json").read_bytes().splitlines()
+                if b'"timing_seconds": ' not in line] for label in ("cli", "library")]
+    assert written[0] == written[1]
+    assert len(written[0]) > 5
+
+
+@pytest.mark.parametrize("kind", ["unitary-robustness", "distinguishability-robustness"])
+@pytest.mark.parametrize("keys, message", [
+    ({"fourier": [4, 2], "permutation": "(1 2 3 4)", "rotation_seed": 5},
+     "robustness config needs exactly one of 'permutation' and 'fourier'"),
+    ({"fourier": [4, 2], "rotation_seed": 5},
+     "'rotation_seed' goes only with 'permutation', not 'fourier'"),
+    ({"rotation_seed": 5}, "robustness config needs exactly one of 'permutation' and 'fourier'"),
+], ids=["fourier-and-permutation", "fourier-and-rotation-seed", "neither"])
+def test_fit_config_names_its_unitary_once(kind, keys, message, tmp_path, capsys):
+    """A fit config names its unitary by ``fourier`` or by ``permutation``
+    (with ``rotation_seed``), never both: a key the run would drop is
+    refused, in one line, before anything runs."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": kind, "input_state": [1, 0, 1, 0],
+                                "target_output": [1, 1, 0, 0],
+                                "grid": [1e-3, 2e-3, 5e-3, 1e-2], **keys}))
+    assert main(["experiment", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: invalid experiment config: {message}\n"
+    assert list(tmp_path.glob("run*")) == []
 
 
 @pytest.mark.parametrize("config", [

@@ -481,7 +481,8 @@ class TestExperimentConfigCheck:
         payload = self.complete("unitary-robustness") | {"fourier": [2, 2], "permutation": 5}
         assert check_experiment_config(payload) == [
             "key 'permutation' must be cycle notation or a non-empty one-line list of integers, "
-            "got 5"]
+            "got 5",
+            "robustness config needs exactly one of 'permutation' and 'fourier'"]
 
     def test_rotation_seed_may_be_null(self):
         payload = self.complete("unitary-robustness") | {"rotation_seed": None}
