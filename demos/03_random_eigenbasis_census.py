@@ -15,17 +15,16 @@ import sys
 from collections import Counter
 
 from symfock import ParticleType, Permutation
-from symfock.experiments import CensusConfig, run_mean_probabilities
+from symfock.experiments import run_mean_probabilities
 
 bases = int(sys.argv[1]) if len(sys.argv) > 1 else 50
 
-cfg = CensusConfig(
+result = run_mean_probabilities(
     permutation=Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
     input_state=(1, 1, 1, 0, 0, 0, 1, 1),
     num_bases=bases,
     seed=2024,
 )
-result = run_mean_probabilities(cfg)
 
 for kind in (ParticleType.BOSON, ParticleType.FERMION):
     table = result.tables[kind]
@@ -34,7 +33,7 @@ for kind in (ParticleType.BOSON, ParticleType.FERMION):
     print(f"  classes: I={classes['I']}  II={classes['II']}  "
           f"III={classes['III']}  transmitted={classes['IV']}")
     print(f"  worst suppressed probability across every basis: "
-          f"{result.max_suppressed[kind]:.2e}")
+          f"{result.metadata['max_suppressed'][kind.value]:.2e}")
     print(f"  transmitted probability sums to {sum(table.p):.12f}")
     transmitted = [i for i, event in enumerate(table.classes) if event.value == "IV"]
     for i in sorted(transmitted, key=lambda i: -table.p[i])[:3]:

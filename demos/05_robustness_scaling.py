@@ -18,14 +18,15 @@ GRID = (1e-3, 2e-3, 5e-3, 1e-2)
 
 
 def show(fit, label):
+    meta = fit.metadata
     print(f"{label}")
-    print(f"  grid {fit.grid}")
+    print(f"  grid {tuple(meta['grid'])}")
     print("  mean deviation per point:",
           " ".join(f"{m:.3e}" for m in fit.measured))
-    print(f"  fitted exponent {fit.exponent:.3f} (theory {fit.theory_exponent:.0f})")
-    print(f"  prefactor {fit.prefactor:.4g} vs predicted "
-          f"{fit.predicted_prefactor:.4g} "
-          f"(ratio {fit.prefactor / fit.predicted_prefactor:.3f})")
+    print(f"  fitted exponent {meta['exponent']:.3f} (theory {meta['theory_exponent']:.0f})")
+    print(f"  prefactor {meta['prefactor']:.4g} vs predicted "
+          f"{meta['predicted_prefactor']:.4g} "
+          f"(ratio {meta['prefactor'] / meta['predicted_prefactor']:.3f})")
     print()
 
 

@@ -1,13 +1,11 @@
 """Command-line front end.
 
 Subcommands: decompose, build, verdicts, prob, experiment. Each parses its
-options, calls the library and writes what it returns: ``prob`` takes its
-statistics from ``--type``, with or without a ``--distinguishability`` Gram
-matrix, and ``experiment`` writes a runner's ``metadata`` as its
-``meta.json``, adding nothing. Machine-readable results go to files or
-stdout, diagnostics to stderr. Exit codes: 0 success, 1 usage or parse
-problem or an output that cannot be written, 2 invariant failure during a
-run (a float that overflows or turns NaN is one).
+options, calls the library and writes what it returns, adding nothing.
+Machine-readable results go to files or stdout, diagnostics to stderr.
+Exit codes: 0 success, 1 usage or parse problem or an output that cannot
+be written, 2 invariant failure during a run (a float that overflows or
+turns NaN is one).
 
 Fixing ``--seed`` makes every output byte-identical across runs except the
 timing field inside metadata JSON.
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .experiments import (
-    CensusConfig,
+    TableRun,
     dft_member,
     run_distinguishability_robustness,
     run_fourier_comparison,
@@ -36,6 +34,8 @@ from .fock import ParticleType, require_invariant
 from .permutations import cycle_decompose, eigenstructure
 from .scattering import prob_partial, probabilities
 from .serialize import (
+    EXPERIMENT_KEYS,
+    EXPERIMENT_KINDS,
     check_experiment_config,
     experiment_options,
     matrix_from_json,
@@ -155,12 +155,17 @@ def _experiment_unitary(payload):
 
 def cmd_experiment(args) -> int:
     """Check a config, with ``--seed`` and ``--bases`` laid over it, run its
-    kind's runner and write the tables or fit CSV, the runner's
-    ``metadata`` as it is and the optional SVG."""
+    kind's runner and write what the run returns: a table run's verdict
+    CSVs and its first table's SVG, or a fit's CSV and bar chart; either
+    run's ``metadata`` as its ``meta.json``."""
     payload = _load_json(args.config)
     if isinstance(payload, dict):  # overrides pass the same checks as the config's own keys
-        payload |= {key: value for key, value in (("seed", args.seed), ("bases", args.bases))
-                    if value is not None}
+        kind = payload.get("kind")
+        for key, value in (("seed", args.seed), ("bases", args.bases)):
+            if value is not None:
+                if kind in EXPERIMENT_KINDS and key not in EXPERIMENT_KEYS[kind]:
+                    raise UsageError(f"--{key} does not apply to {kind} configs")
+                payload[key] = value
     problems = check_experiment_config(payload)
     if problems:
         raise UsageError("invalid experiment config: " + "; ".join(problems))
@@ -169,44 +174,34 @@ def cmd_experiment(args) -> int:
     options = experiment_options(payload)
 
     if kind == "mean-probabilities":
-        cfg = CensusConfig(
-            permutation=parse_permutation(payload["permutation"], n=len(payload["input_state"])),
-            **options,
-        )
-        result = run_mean_probabilities(cfg)
-        write_verdict_csvs({f"{out}.{kind_.value}.csv": table
-                            for kind_, table in result.tables.items()})
-        write_metadata(f"{out}.meta.json", result.metadata)
+        perm = parse_permutation(payload["permutation"], n=len(payload["input_state"]))
+        run, heading = run_mean_probabilities(perm, **options), "mean probabilities"
+    elif kind == "fourier-comparison":
+        run = run_fourier_comparison(**options)
+        heading = f"fourier comparison n={options['n']} m={options['m']}"
+    else:
+        unitary, eigenvalues, perm = _experiment_unitary(payload)
+        fit = (run_unitary_robustness if kind == "unitary-robustness"
+               else run_distinguishability_robustness)
+        run = fit(unitary, eigenvalues, permutation=perm, **options)
+    write_metadata(f"{out}.meta.json", run.metadata)
+
+    if isinstance(run, TableRun):
+        write_verdict_csvs({f"{out}.{particle.value}.csv": table
+                            for particle, table in run.tables.items()})
         if args.svg:
-            write_verdict_svg(args.svg, result.tables[cfg.types[0]],
-                              title=f"mean probabilities ({cfg.types[0].value})")
+            particle, table = next(iter(run.tables.items()))
+            write_verdict_svg(args.svg, table, title=f"{heading} ({particle.value})")
         print(f"wrote {out}.*.csv and {out}.meta.json", file=sys.stderr)
         return 0
-
-    if kind == "fourier-comparison":
-        comparison = run_fourier_comparison(**options)
-        tables = {f"{out}.boson.csv": comparison.boson_table}
-        if comparison.fermion_table is not None:
-            tables[f"{out}.fermion.csv"] = comparison.fermion_table
-        write_verdict_csvs(tables)
-        write_metadata(f"{out}.meta.json", comparison.metadata)
-        if args.svg:
-            write_verdict_svg(args.svg, comparison.boson_table,
-                              title=f"fourier comparison n={comparison.n} m={comparison.m} (boson)")
-        print(f"wrote {out}.*.csv and {out}.meta.json", file=sys.stderr)
-        return 0
-
-    unitary, eigenvalues, perm = _experiment_unitary(payload)
-    run = run_unitary_robustness if kind == "unitary-robustness" else run_distinguishability_robustness
-    fit = run(unitary, eigenvalues, permutation=perm, **options)
-    write_fit_csv(f"{out}.csv", fit)
-    write_metadata(f"{out}.meta.json", fit.metadata)
+    write_fit_csv(f"{out}.csv", run)
     if args.svg:
         with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(bar_chart(fit.measured, title=f"mean deviation vs noise ({kind})"))
+            fh.write(bar_chart(run.measured, title=f"mean deviation vs noise ({kind})"))
             fh.write("\n")
-    print(f"exponent={fit.exponent:.4f} prefactor={fit.prefactor:.6g} "
-          f"predicted={fit.predicted_prefactor:.6g}", file=sys.stderr)
+    meta = run.metadata
+    print(f"exponent={meta['exponent']:.4f} prefactor={meta['prefactor']:.6g} "
+          f"predicted={meta['predicted_prefactor']:.6g}", file=sys.stderr)
     print(f"wrote {out}.csv and {out}.meta.json", file=sys.stderr)
     return 0
 

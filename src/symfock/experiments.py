@@ -12,74 +12,37 @@ Three families:
 
 Every runner is deterministic given its seed: per-task generators are
 derived from (seed, task index), and reductions run in task order with
-compensated summation, in one process. The runners hold the defaults of
-their settings (100 bases, seed 0, all three particle types, bosonic fit
-targets, 2 000 samples, the ``ring`` and ``independent`` ensembles,
-``eta_scale`` 1.0); the command line passes a setting only when a config
-holds its key.
+compensated summation, in one process. The runners take their settings as
+keywords and hold their defaults (100 bases, seed 0, all three particle
+types, bosonic fit targets, 2 000 samples, the ``ring`` and
+``independent`` ensembles, ``eta_scale`` 1.0); the command line passes a
+setting only when a config holds its key.
 
-Probabilities come from :func:`scattering.probabilities`, which checks the
-unitaries, the input and the outputs once per call. The census stacks its
-eigenbases the way the fits stack their noise samples: one
-:func:`unitaries.build_unitaries` per sub-stack of at most
-``scattering.CHUNK`` bases (one eigenstructure, one stacked QR per
-degenerate eigenspace, both invariants checked over the stack), then one
-call per particle kind for each sub-stack, with all outputs of every basis
-(one polynomial expansion per unitary, its parents read from the cached
-lattice table of :func:`fock.lattice`, whose cached read-only rows, in the
-lattice's dtype, :func:`fock.output_array` hands out uncopied; a census
-builds only the lattices its types read). The DFT comparison and the fits'
-``fourier`` configs take their unitary from :func:`dft_member`, which checks
-the input's length before it builds the DFT.
-
-Each runner's ``metadata`` is the whole record of its run, in the order of
-the ``meta.json`` that the command line writes from it unchanged:
-``timing_seconds``, then what the run found (the census's
-``max_suppressed``, the comparison's ``counts`` and ``witnesses``, a fit's
-exponent and prefactors).
+A run has one of two shapes, and each holds its record once, as
+``metadata``: the whole ``meta.json`` that the command line writes from it
+unchanged, ``timing_seconds`` and then what the run found. The census and
+the DFT comparison return a :class:`TableRun`, their
+:class:`suppression.VerdictTable` per particle type beside that record; a
+fit returns a :class:`RobustnessFit`, its measured means (the one result
+``meta.json`` does not hold) beside it.
 
 A table of one unitary, the DFT comparison's and the ``verdicts``
-command's, comes from :func:`unitary_table`: the cached output rows, one
-probability call for the distinguishable reference and one for the kind,
-then the verdicts. The census keeps its own path: it averages each
-probability over its bases before any verdict, and normalises its
-fermion table's distinguishable reference basis by basis.
+command's, comes from :func:`unitary_table`. The census keeps its own
+path: it averages each probability over its bases before any verdict, and
+normalises its fermion table's distinguishable reference basis by basis.
 
-The two robustness fits share one loop, :func:`_fit_noise`: the checks, one
-generator per grid point, the sub-stacks, the compensated mean (the
-census's reducer, fed one float per sample) and the log-log fit. Each fit
-supplies only its noise step, its sub-stack size and its first-order
-prediction. The noise lives here, beside the fits that draw it: the
-entrywise unitary perturbations of :class:`PerturbationModel` and the random
-Gram matrices of :func:`sample_distinguishability` with their PSD repair,
+The two robustness fits share one loop, :func:`_fit_noise`; each supplies
+only its noise step, its sub-stack size and its first-order prediction.
+The noise lives here, beside the fits that draw it: the entrywise unitary
+perturbations of :class:`PerturbationModel` and the random Gram matrices
+of :func:`sample_distinguishability` with their PSD repair,
 :func:`_repair_hermitian`. A step takes one random call per sub-stack of
 noise samples, equal to the samples' lone draws in sample order bit for
-bit. The unitary fit forms the noise of its ``scattering.CHUNK`` samples,
-and one permanent each, on the target's occupied rows and columns only.
-The distinguishability fit computes the N! weights of
-:func:`scattering.partial_weights` once and sends its Gram matrices to
-:func:`scattering.partial_probabilities`, which checks each. Both sizes
-follow the one budget of ``scattering.BLOCK_ENTRIES`` complex entries: a
-sub-stack holds that many // k^2 Gram matrices (at least one), 327 at
+bit. The unitary fit's sub-stack holds ``scattering.CHUNK`` samples; the
+distinguishability fit's follows the budget of ``scattering.BLOCK_ENTRIES``
+complex entries, that many // k^2 Gram matrices (at least one), 327 at
 k = 5, so a grid point of a few hundred samples is one draw, one repair and
-one check; ``partial_probabilities`` blocks its own single sum by N!.
-The single sum reads S only at the particles' input modes, so the fit's
-Gram matrices span the k occupied input modes, the weights' input rows
-renumbered into them: each is drawn, repaired and checked as k x k, and an
-input that occupies every mode draws as before. ``prob
---distinguishability`` still takes and checks an n x n matrix.
-A sub-stack's Gram matrices come from one scaled ``rng.random`` array taken
-by cached flat indices, Hermitian bit for bit, so the repair takes them
-with no symmetrisation: one stacked ``eigh``, the only heavy step, clipped
-in place when every matrix of the sub-stack needs it.
-
-Each census and DFT table is one column-oriented
-:class:`suppression.VerdictTable`, built by :func:`suppression.verdict_table`
-from the (K, n) output array the probabilities are computed from, its
-:class:`suppression.OutputLaws` and the two probability columns, with every
-row's event class at once. One :func:`suppression.output_laws` call decides
-the laws of each output list: the census boson and distinguishable tables
-share theirs. The law columns are read by their verdict-CSV names.
+one check.
 """
 
 from __future__ import annotations
@@ -101,7 +64,7 @@ from .fock import (
     require_modes,
 )
 from .linalg import as_complex_matrix
-from .permutations import Permutation, RootOfUnity
+from .permutations import Permutation
 from .scattering import (
     BLOCK_ENTRIES,
     CHUNK,
@@ -120,7 +83,7 @@ from .suppression import (
     transposition_count,
     verdict_table,
 )
-from .unitaries import UnitarySpec, UnitaryStack, build_unitaries, fourier_symmetry, fourier_unitary
+from .unitaries import UnitarySpec, build_unitaries, fourier_symmetry, fourier_unitary
 
 RNG_DESCRIPTION = "numpy.random.default_rng (PCG64), per-task streams via SeedSequence(seed, index)"
 
@@ -161,77 +124,68 @@ class _KahanMean:
         return self.total / self.count
 
 
+# --- verdict-table runs ----------------------------------------------------------
+
+@dataclass
+class TableRun:
+    """A census or DFT comparison: its verdict tables, keyed by particle type
+    in the order the run made them, and the record of the run."""
+
+    tables: dict[ParticleType, VerdictTable]
+    metadata: dict
+
+
 # --- random-eigenbasis census ------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusConfig:
-    """Average probabilities for one symmetric input over random eigenbases."""
-
-    permutation: Permutation
-    input_state: tuple[int, ...]
-    num_bases: int = 100
-    seed: int = 0
+def run_mean_probabilities(
+    permutation: Permutation,
+    input_state,
+    num_bases: int = 100,
+    seed: int = 0,
     types: tuple[ParticleType, ...] = (
         ParticleType.BOSON,
         ParticleType.FERMION,
         ParticleType.DISTINGUISHABLE,
-    )
+    ),
+) -> TableRun:
+    """Average P over ``num_bases`` seeded eigenbasis rotations of
+    ``permutation``'s symmetric unitaries, basis i seeded by
+    ``derive_seed(seed, i)``.
 
-    def __post_init__(self):
-        if self.num_bases < 1:
-            raise ValueError("need at least one eigenbasis")
-        require_invariant(self.permutation, self.input_state, ParticleType.FERMION in self.types)
-
-
-@dataclass
-class CensusResult:
-    eigenvalues: tuple[RootOfUnity, ...]
-    tables: dict[ParticleType, VerdictTable]
-    max_suppressed: dict[ParticleType, float]
-    metadata: dict
-
-
-def _census_unitaries(cfg: CensusConfig, bases: range) -> UnitaryStack:
-    """The rotated unitaries of ``bases``, basis i seeded by
-    ``derive_seed(cfg.seed, i)``, from one :func:`unitaries.build_unitaries`."""
-    return build_unitaries(UnitarySpec(cfg.permutation),
-                           [derive_seed(cfg.seed, index) for index in bases])
-
-
-def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
-    """Average P over ``num_bases`` seeded eigenbasis rotations.
-
-    Returns one verdict table per particle type, with mean probabilities,
-    the exact law verdicts (identical for every basis, since rotations never
-    touch the eigenvalue diagonal) and the empirical event class derived
-    from the means. The bases go through in sub-stacks of at most
-    ``scattering.CHUNK``, each built by one :func:`unitaries.build_unitaries`
-    (which also gives the eigenvalues) and sent to one
-    :func:`scattering.probabilities` call per probability its tables use,
-    and are reduced in basis order.
+    Returns one verdict table per particle type, in the order of ``types``,
+    with mean probabilities, the exact law verdicts (identical for every
+    basis, since rotations never touch the eigenvalue diagonal) and the
+    empirical event class derived from the means. The bases go through in
+    sub-stacks of at most ``scattering.CHUNK``, each built by one
+    :func:`unitaries.build_unitaries` (which also gives the eigenvalues) and
+    sent to one :func:`scattering.probabilities` call per probability its
+    tables use, and are reduced in basis order.
     """
+    if num_bases < 1:
+        raise ValueError("need at least one eigenbasis")
+    p = permutation
+    r = require_invariant(p, input_state, ParticleType.FERMION in types)
     started = time.perf_counter()
-    p = cfg.permutation
-    r = cfg.input_state
     n_particles = particle_count(r)
 
     # one (K, n) array per output list, shared by the kernels and the laws;
     # no lattice for a list that no table reads
     none = np.zeros((0, p.n), dtype=np.intp)
     boson_outputs = (output_array(p.n, n_particles, ParticleType.BOSON)
-                     if {ParticleType.BOSON, ParticleType.DISTINGUISHABLE} & set(cfg.types) else none)
+                     if {ParticleType.BOSON, ParticleType.DISTINGUISHABLE} & set(types) else none)
     fermion_outputs = (output_array(p.n, n_particles, ParticleType.FERMION)
-                       if ParticleType.FERMION in cfg.types else none)
+                       if ParticleType.FERMION in types else none)
 
     acc = {key: _KahanMean() for key in ("pb", "pd", "pf", "pdf")}
-    for start in range(0, cfg.num_bases, CHUNK):
-        built = _census_unitaries(cfg, range(start, min(start + CHUNK, cfg.num_bases)))
+    for start in range(0, num_bases, CHUNK):
+        built = build_unitaries(UnitarySpec(p), [derive_seed(seed, index) for index
+                                                 in range(start, min(start + CHUNK, num_bases))])
         stack, eigenvalues = built.matrices, built.eigenvalues
-        if ParticleType.BOSON in cfg.types:
+        if ParticleType.BOSON in types:
             acc["pb"].add(probabilities(stack, r, boson_outputs, ParticleType.BOSON))
-        if ParticleType.BOSON in cfg.types or ParticleType.DISTINGUISHABLE in cfg.types:
+        if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
             acc["pd"].add(probabilities(stack, r, boson_outputs, ParticleType.DISTINGUISHABLE))
-        if ParticleType.FERMION in cfg.types:
+        if ParticleType.FERMION in types:
             acc["pf"].add(probabilities(stack, r, fermion_outputs, ParticleType.FERMION))
             pdf = probabilities(stack, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
             # distinguishable reference on singly occupied outputs, normalised
@@ -239,38 +193,38 @@ def run_mean_probabilities(cfg: CensusConfig) -> CensusResult:
             acc["pdf"].add(pdf / np.array([row.sum() for row in pdf])[:, None])
 
     tables: dict[ParticleType, VerdictTable] = {}
-    max_suppressed: dict[ParticleType, float] = {}
+    max_suppressed: dict[str, float] = {}
     laws = output_laws(eigenvalues, boson_outputs)  # the boson and distinguishable tables share it
-    if ParticleType.BOSON in cfg.types:
+    if ParticleType.BOSON in types:
         tables[ParticleType.BOSON] = verdict_table(laws, boson_outputs, ParticleType.BOSON,
                                                    acc["pb"].mean(), acc["pd"].mean())
         suppressed = laws.columns["boson_suppressed"]
-        max_suppressed[ParticleType.BOSON] = float(acc["pb"].peak[suppressed].max(initial=0.0))
-    if ParticleType.DISTINGUISHABLE in cfg.types:
+        max_suppressed["boson"] = float(acc["pb"].peak[suppressed].max(initial=0.0))
+    if ParticleType.DISTINGUISHABLE in types:
         mean_pd = acc["pd"].mean()
         tables[ParticleType.DISTINGUISHABLE] = verdict_table(
             laws, boson_outputs, ParticleType.DISTINGUISHABLE, mean_pd, mean_pd)
-    if ParticleType.FERMION in cfg.types:
+    if ParticleType.FERMION in types:
         fermion_laws = output_laws(eigenvalues, fermion_outputs, p, r)
         tables[ParticleType.FERMION] = verdict_table(fermion_laws, fermion_outputs,
                                                      ParticleType.FERMION, acc["pf"].mean(),
                                                      acc["pdf"].mean())
         suppressed = fermion_laws.columns["fermion_suppressed"]
-        max_suppressed[ParticleType.FERMION] = float(acc["pf"].peak[suppressed].max(initial=0.0))
+        max_suppressed["fermion"] = float(acc["pf"].peak[suppressed].max(initial=0.0))
 
     metadata = {
         "experiment": "mean-probabilities",
         "permutation": p.cycle_string(),
         "input_state": list(r),
-        "num_bases": cfg.num_bases,
-        "seed": cfg.seed,
-        "types": [t.value for t in cfg.types],
+        "num_bases": num_bases,
+        "seed": seed,
+        "types": [t.value for t in types],
         "library_version": __version__,
         "rng": RNG_DESCRIPTION,
         "timing_seconds": time.perf_counter() - started,
-        "max_suppressed": {k.value: v for k, v in max_suppressed.items()},
+        "max_suppressed": max_suppressed,  # boson first, whatever the order of ``types``
     }
-    return CensusResult(eigenvalues, tables, max_suppressed, metadata)
+    return TableRun({kind: tables[kind] for kind in types}, metadata)
 
 
 # --- one-unitary tables ---------------------------------------------------------
@@ -293,29 +247,6 @@ def unitary_table(u, eigenvalues, permutation: Permutation, input_state, kind: P
 
 # --- DFT comparison ------------------------------------------------------------
 
-@dataclass
-class FourierComparison:
-    n: int
-    m: int
-    input_state: tuple[int, ...]
-    eigenvalues: tuple[RootOfUnity, ...]
-    boson_table: VerdictTable
-    fermion_table: VerdictTable | None
-    transpositions: int | None
-    witnesses: tuple[tuple[int, ...], ...]
-    metadata: dict
-
-    @property
-    def counts(self) -> dict:
-        fermion = {} if self.fermion_table is None else self.fermion_table.laws.columns
-        return {
-            "fermion_new_law": int(fermion["fermion_suppressed"].sum()) if fermion else 0,
-            "fermion_old_law": int(fermion["old_fermion_suppressed"].sum()) if fermion else 0,
-            "fermion_new_not_old": len(self.witnesses),
-            "boson_law": int(self.boson_table.laws.columns["boson_suppressed"].sum()),
-        }
-
-
 def dft_member(n: int, m: int, input_state):
     """The n-mode DFT, the eigenvalues of its shift symmetry of order m and
     that permutation, as ``(u, eigenvalues, perm)``; ``input_state`` must
@@ -325,27 +256,29 @@ def dft_member(n: int, m: int, input_state):
     return fourier_unitary(n), eigenvalues, perm
 
 
-def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
+def run_fourier_comparison(n: int, m: int, input_state) -> TableRun:
     """Exact verdict tables for the n-mode DFT under the shift symmetry of
     order m, with the legacy parity criterion alongside the multiset one.
 
-    The fermionic comparison runs only for singly occupied inputs (otherwise
-    ``fermion_table`` is None); the witnesses list holds every output the
-    multiset test suppresses that the parity test misses.
+    The boson table always; the fermion table only for singly occupied
+    inputs. The record counts the outputs each law suppresses and lists as
+    ``witnesses`` every output the multiset test suppresses that the parity
+    test misses.
     """
     started = time.perf_counter()
     u, eigenvalues, perm = dft_member(n, m, input_state)
     r = require_invariant(perm, input_state)
-    boson_table = unitary_table(u, eigenvalues, perm, r, ParticleType.BOSON, None)
-    fermion_table = None
-    witnesses: list[tuple[int, ...]] = []
-    w = None
-    if all(x <= 1 for x in r):
-        w = transposition_count(perm, r)
-        fermion_table = unitary_table(u, eigenvalues, perm, r, ParticleType.FERMION, w)
-        laws = fermion_table.laws.columns
-        new_not_old = laws["fermion_suppressed"] & ~laws["old_fermion_suppressed"]
-        witnesses = list(map(tuple, fermion_table.outputs[new_not_old].tolist()))
+    singly = all(x <= 1 for x in r)
+    w = transposition_count(perm, r) if singly else None
+    tables = {ParticleType.BOSON: unitary_table(u, eigenvalues, perm, r, ParticleType.BOSON, None)}
+    new = old = np.zeros(0, dtype=bool)
+    witnesses = []
+    if singly:
+        fermion = tables[ParticleType.FERMION] = unitary_table(u, eigenvalues, perm, r,
+                                                              ParticleType.FERMION, w)
+        laws = fermion.laws.columns
+        new, old = laws["fermion_suppressed"], laws["old_fermion_suppressed"]
+        witnesses = fermion.outputs[new & ~old].tolist()
 
     metadata = {
         "experiment": "fourier-comparison",
@@ -355,31 +288,31 @@ def run_fourier_comparison(n: int, m: int, input_state) -> FourierComparison:
         "transpositions": w,
         "library_version": __version__,
         "timing_seconds": time.perf_counter() - started,
+        "counts": {
+            "fermion_new_law": int(new.sum()),
+            "fermion_old_law": int(old.sum()),
+            "fermion_new_not_old": len(witnesses),
+            "boson_law": int(tables[ParticleType.BOSON].laws.columns["boson_suppressed"].sum()),
+        },
+        "witnesses": witnesses,
     }
-    comparison = FourierComparison(n, m, r, eigenvalues, boson_table, fermion_table, w,
-                                   tuple(witnesses), metadata)
-    metadata |= {"counts": comparison.counts, "witnesses": [list(s) for s in witnesses]}
-    return comparison
+    return TableRun(tables, metadata)
 
 
 # --- robustness fits -------------------------------------------------------
 
 @dataclass
 class RobustnessFit:
-    """Log-log fit of the mean suppression deviation against the noise scale.
+    """Log-log fit of the mean suppression deviation against the noise scale:
+    the mean at each value of ``metadata["grid"]``, and the record of the run.
 
-    ``exponent`` is the free least-squares slope; ``prefactor`` is the
-    geometric mean of measured/grid**theory_exponent, i.e. the coefficient
-    under the first-order model, compared against ``predicted_prefactor``.
+    The record's ``exponent`` is the free least-squares slope; its
+    ``prefactor`` is the geometric mean of measured/grid**theory_exponent,
+    i.e. the coefficient under the first-order model, compared against
+    ``predicted_prefactor``.
     """
 
-    grid: tuple[float, ...]
     measured: tuple[float, ...]
-    exponent: float
-    prefactor: float
-    predicted_prefactor: float
-    theory_exponent: float
-    samples: int
     metadata: dict
 
 
@@ -465,8 +398,7 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
         "predicted_prefactor": predicted,
         "theory_exponent": theory_exponent,
     }
-    return RobustnessFit(grid, tuple(measured), exponent, prefactor, predicted, theory_exponent,
-                         samples, metadata)
+    return RobustnessFit(tuple(measured), metadata)
 
 
 #: Mean-modulus-preserving deviation ensembles for entrywise perturbations.

@@ -580,11 +580,13 @@ def write_verdict_csvs(tables: dict) -> None:
 
 
 def write_fit_csv(path, fit) -> None:
-    """One line per grid value, each float as ``repr`` writes it: for a fit's
-    few values one ``repr`` each costs less than a :func:`_float_cells` pass."""
+    """One line per value of ``fit.metadata["grid"]`` with its mean of
+    ``fit.measured``, each float as ``repr`` writes it: for a fit's few
+    values one ``repr`` each costs less than a :func:`_float_cells` pass."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("value;mean_deviation\n")
-        fh.writelines(f"{float(g)!r};{float(m)!r}\n" for g, m in zip(fit.grid, fit.measured))
+        fh.writelines(f"{float(g)!r};{float(m)!r}\n"
+                      for g, m in zip(fit.metadata["grid"], fit.measured))
 
 
 def _indented_json(value, indent: str = "") -> str:

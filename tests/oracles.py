@@ -293,10 +293,10 @@ class KahanMean:
         return self.total / self.count
 
 
-def reference_census(cfg) -> tuple[dict, dict]:
-    """The tables and ``max_suppressed`` of a census config, one basis at a
-    time."""
-    p, r, types = cfg.permutation, cfg.input_state, cfg.types
+def reference_census(permutation, input_state, num_bases, seed, types) -> tuple[dict, dict]:
+    """The tables and ``max_suppressed`` of a census with the arguments of
+    ``experiments.run_mean_probabilities``, one basis at a time."""
+    p, r = permutation, input_state
     eigenvalues = reference_unitary(UnitarySpec(p)).eigenvalues
     boson_outputs = output_array(p.n, particle_count(r), ParticleType.BOSON)
     fermion_outputs = (output_array(p.n, particle_count(r), ParticleType.FERMION)
@@ -304,8 +304,8 @@ def reference_census(cfg) -> tuple[dict, dict]:
     acc = {key: KahanMean(len(outputs)) for key, outputs in (
         ("pb", boson_outputs), ("pd", boson_outputs),
         ("pf", fermion_outputs), ("pdf", fermion_outputs))}
-    for index in range(cfg.num_bases):
-        u = reference_unitary(UnitarySpec(p, rotation_seed=derive_seed(cfg.seed, index))).matrix
+    for index in range(num_bases):
+        u = reference_unitary(UnitarySpec(p, rotation_seed=derive_seed(seed, index))).matrix
         if ParticleType.BOSON in types:
             acc["pb"].add(probabilities(u, r, boson_outputs, ParticleType.BOSON))
         if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:

@@ -10,7 +10,6 @@ import pytest
 
 from symfock.cli import main
 from symfock.experiments import (
-    CensusConfig,
     run_distinguishability_robustness,
     run_fourier_comparison,
     run_mean_probabilities,
@@ -88,13 +87,13 @@ def test_criterion_03_event_counts():
 
 def test_criterion_04_law_soundness_at_scale():
     started = time.perf_counter()
-    cfg = CensusConfig(WORKED_PERM, WORKED_INPUT, num_bases=100, seed=20180817)
-    result = run_mean_probabilities(cfg)
+    result = run_mean_probabilities(WORKED_PERM, WORKED_INPUT, num_bases=100, seed=20180817)
+    max_suppressed = result.metadata["max_suppressed"]
     elapsed = time.perf_counter() - started
 
     # soundness: worst suppressed probability over every basis and output
-    assert result.max_suppressed[ParticleType.BOSON] <= 1e-20
-    assert result.max_suppressed[ParticleType.FERMION] <= 1e-20
+    assert max_suppressed["boson"] <= 1e-20
+    assert max_suppressed["fermion"] <= 1e-20
 
     # completeness for many-particle suppression: every event that vanished
     # while staying classically reachable carries a law verdict
@@ -109,8 +108,8 @@ def test_criterion_04_law_soundness_at_scale():
     }
     assert elapsed < 300.0
     report(4, f"100 bases, max suppressed "
-              f"B={result.max_suppressed[ParticleType.BOSON]:.2e} "
-              f"F={result.max_suppressed[ParticleType.FERMION]:.2e}, "
+              f"B={max_suppressed['boson']:.2e} "
+              f"F={max_suppressed['fermion']:.2e}, "
               f"law-predicted counts {counts}, {elapsed:.1f}s")
 
 
@@ -142,7 +141,7 @@ def test_criterion_06_fourier_bosons_match_permanent_zeros():
     tested = 0
     for m, r in [(2, (1, 0, 0, 1, 0, 0)), (2, (2, 0, 0, 2, 0, 0)), (3, (1, 0, 1, 0, 1, 0))]:
         comparison = run_fourier_comparison(6, m, r)
-        table = comparison.boson_table
+        table = comparison.tables[ParticleType.BOSON]
         suppressed = table.laws.columns["boson_suppressed"]
         assert suppressed.tolist() == (table.p <= 1e-20).tolist(), (m, r)
         tested += len(table)
@@ -151,12 +150,12 @@ def test_criterion_06_fourier_bosons_match_permanent_zeros():
 
 def test_criterion_07_fourier_fermion_strict_extension():
     comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
-    counts = comparison.counts
+    counts = comparison.metadata["counts"]
     assert counts["fermion_new_law"] > counts["fermion_old_law"]
-    assert comparison.witnesses
-    table = comparison.fermion_table
+    assert comparison.metadata["witnesses"]
+    table = comparison.tables[ParticleType.FERMION]
     assert (table.p[table.laws.columns["fermion_suppressed"]] <= 1e-20).all()
-    witness = comparison.witnesses[0]
+    witness = comparison.metadata["witnesses"][0]
     report(7, f"n=8 m=2: multiset law {counts['fermion_new_law']} > parity law "
               f"{counts['fermion_old_law']}, witness {list(witness)} verified at det level")
 
@@ -169,9 +168,9 @@ def test_criterion_08_unitary_disorder_scaling():
     fit_hom = run_unitary_robustness(
         built.matrix, built.eigenvalues, (1, 1), (1, 1),
         grid, samples=10_000, seed=88,
-    )
-    assert fit_hom.exponent == pytest.approx(2.0, abs=0.1)
-    assert fit_hom.prefactor == pytest.approx(fit_hom.predicted_prefactor, rel=0.2)
+    ).metadata
+    assert fit_hom["exponent"] == pytest.approx(2.0, abs=0.1)
+    assert fit_hom["prefactor"] == pytest.approx(fit_hom["predicted_prefactor"], rel=0.2)
 
     eight = build_unitary(UnitarySpec(WORKED_PERM, rotation_seed=7))
     target = (1, 1, 0, 1, 1, 0, 1, 0)
@@ -180,14 +179,14 @@ def test_criterion_08_unitary_disorder_scaling():
     fit_eight = run_unitary_robustness(
         eight.matrix, eight.eigenvalues, WORKED_INPUT, target,
         grid, samples=10_000, seed=99,
-    )
+    ).metadata
     elapsed = time.perf_counter() - started
-    assert fit_eight.exponent == pytest.approx(2.0, abs=0.1)
-    assert fit_eight.prefactor == pytest.approx(fit_eight.predicted_prefactor, rel=0.2)
+    assert fit_eight["exponent"] == pytest.approx(2.0, abs=0.1)
+    assert fit_eight["prefactor"] == pytest.approx(fit_eight["predicted_prefactor"], rel=0.2)
     assert elapsed < 300.0
-    report(8, f"exponents {fit_hom.exponent:.3f}/{fit_eight.exponent:.3f}, prefactor ratios "
-              f"{fit_hom.prefactor / fit_hom.predicted_prefactor:.3f}/"
-              f"{fit_eight.prefactor / fit_eight.predicted_prefactor:.3f}, {elapsed:.1f}s")
+    report(8, f"exponents {fit_hom['exponent']:.3f}/{fit_eight['exponent']:.3f}, "
+              f"prefactor ratios {fit_hom['prefactor'] / fit_hom['predicted_prefactor']:.3f}/"
+              f"{fit_eight['prefactor'] / fit_eight['predicted_prefactor']:.3f}, {elapsed:.1f}s")
 
 
 def test_criterion_09_distinguishability_scaling():
@@ -197,20 +196,20 @@ def test_criterion_09_distinguishability_scaling():
     fit_hom = run_distinguishability_robustness(
         built.matrix, built.eigenvalues, (1, 1), (1, 1),
         grid, samples=4000, seed=17,
-    )
-    assert fit_hom.exponent == pytest.approx(1.0, abs=0.1)
-    assert fit_hom.prefactor == pytest.approx(fit_hom.predicted_prefactor, rel=0.2)
+    ).metadata
+    assert fit_hom["exponent"] == pytest.approx(1.0, abs=0.1)
+    assert fit_hom["prefactor"] == pytest.approx(fit_hom["predicted_prefactor"], rel=0.2)
 
     perm4, values4 = fourier_symmetry(4, 2)
     fit_four = run_distinguishability_robustness(
         fourier_unitary(4), values4, (1, 0, 1, 0), (1, 1, 0, 0),
         grid, samples=4000, seed=18, permutation=perm4,
-    )
-    assert fit_four.exponent == pytest.approx(1.0, abs=0.1)
-    assert fit_four.prefactor == pytest.approx(fit_four.predicted_prefactor, rel=0.2)
-    report(9, f"exponents {fit_hom.exponent:.3f}/{fit_four.exponent:.3f}, prefactor ratios "
-              f"{fit_hom.prefactor / fit_hom.predicted_prefactor:.3f}/"
-              f"{fit_four.prefactor / fit_four.predicted_prefactor:.3f}")
+    ).metadata
+    assert fit_four["exponent"] == pytest.approx(1.0, abs=0.1)
+    assert fit_four["prefactor"] == pytest.approx(fit_four["predicted_prefactor"], rel=0.2)
+    report(9, f"exponents {fit_hom['exponent']:.3f}/{fit_four['exponent']:.3f}, "
+              f"prefactor ratios {fit_hom['prefactor'] / fit_hom['predicted_prefactor']:.3f}/"
+              f"{fit_four['prefactor'] / fit_four['predicted_prefactor']:.3f}")
 
 
 def test_criterion_10_oracle_equivalence():

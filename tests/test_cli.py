@@ -473,6 +473,43 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err == f"error: invalid experiment config: {message}\n"
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("fourier-comparison", "--seed"),
+        ("fourier-comparison", "--bases"),
+        ("distinguishability-robustness", "--bases"),
+    ])
+    def test_override_that_does_not_apply_is_refused_by_its_name(self, tmp_path, capsys,
+                                                                  kind, flag):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kind": kind} | self.GOOD_CONFIGS[kind]))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run"),
+                     flag, "3"]) == 1
+        assert capsys.readouterr().err == f"error: {flag} does not apply to {kind} configs\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+    def test_census_tables_and_svg_follow_the_order_of_types(self, tmp_path):
+        """The first of ``types`` is the first table and the one the SVG draws."""
+        census = experiments.run_mean_probabilities(
+            symfock.Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
+            num_bases=2, types=(symfock.ParticleType.FERMION, symfock.ParticleType.BOSON))
+        assert list(census.tables) == [symfock.ParticleType.FERMION, symfock.ParticleType.BOSON]
+        config = tmp_path / "census.json"
+        config.write_text(json.dumps({
+            "kind": "mean-probabilities",
+            "permutation": "(1 2 3)(4 5 6)(7 8)",
+            "input_state": [1, 1, 1, 0, 0, 0, 1, 1],
+            "bases": 2,
+            "types": ["fermion", "boson"],
+        }))
+        svg = tmp_path / "census.svg"
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run"),
+                     "--svg", str(svg)]) == 0
+        root = ET.parse(svg).getroot()
+        bars = [el for el in root.iter() if el.tag.endswith("rect") and el.get("class") == "bar"]
+        assert len(bars) == 56  # the worked example's fermion outputs
+        assert next(el.text for el in root.iter() if el.tag.endswith("text")) == (
+            "mean probabilities (fermion)")
+
     def test_schema_problems_listed(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"kind": "unitary-robustness", "grid": [-1]}))
@@ -656,7 +693,7 @@ def _library_run(kind):
     ``SMALL[kind]``."""
     perm = symfock.Permutation.parse("(1 2)")
     if kind == "mean-probabilities":
-        return experiments.run_mean_probabilities(experiments.CensusConfig(perm, (1, 1), 2))
+        return experiments.run_mean_probabilities(perm, (1, 1), 2)
     if kind == "fourier-comparison":
         return experiments.run_fourier_comparison(4, 2, [1, 0, 1, 0])
     built = symfock.build_unitary(symfock.UnitarySpec(perm))
@@ -781,9 +818,9 @@ def test_too_many_bosons_are_refused_before_any_lattice(argv, particles, tmp_pat
 
 def test_runner_arguments_of_the_config_table_exist():
     """Every runner argument that ``EXPERIMENT_KEYS`` names is a parameter of
-    the runner of its kind (for the census, a ``CensusConfig`` field)."""
+    the runner of its kind."""
     runners = {
-        "mean-probabilities": experiments.CensusConfig,
+        "mean-probabilities": experiments.run_mean_probabilities,
         "fourier-comparison": experiments.run_fourier_comparison,
         "unitary-robustness": experiments.run_unitary_robustness,
         "distinguishability-robustness": experiments.run_distinguishability_robustness,

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from symfock import experiments, fock, scattering
 from symfock.cli import main
 from symfock.experiments import (
-    CensusConfig,
     run_fourier_comparison,
     run_mean_probabilities,
     run_unitary_robustness,
@@ -389,9 +388,8 @@ def test_a_census_builds_each_lattice_once(monkeypatch):
     monkeypatch.setattr(fock, "_generations", counted)
     monkeypatch.setattr(experiments, "CHUNK", 4)
     lattice.cache_clear()
-    cfg = CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
-                       num_bases=10, seed=3)
-    run_mean_probabilities(cfg)
+    run_mean_probabilities(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
+                           num_bases=10, seed=3)
     assert calls == {(8, 5, False): 1, (8, 5, True): 1}
     lattice.cache_clear()
 
@@ -401,11 +399,10 @@ def test_dft_zero_census():
     that the law explains, one of 504 boson zeros no law explains, or at
     least 1e-6: a stronger law, or a kernel that blurs the gap, changes a
     number here."""
-    result = run_fourier_comparison(12, 6, (1, 0) * 6)
-    boson = list(zip(result.boson_table.laws.columns["boson_suppressed"].tolist(),
-                     result.boson_table.p.tolist()))
-    fermion = list(zip(result.fermion_table.laws.columns["fermion_suppressed"].tolist(),
-                       result.fermion_table.p.tolist()))
+    tables = run_fourier_comparison(12, 6, (1, 0) * 6).tables
+    boson, fermion = (list(zip(tables[kind].laws.columns[law].tolist(), tables[kind].p.tolist()))
+                      for kind, law in ((ParticleType.BOSON, "boson_suppressed"),
+                                        (ParticleType.FERMION, "fermion_suppressed")))
     assert (len(boson), len(fermion)) == (12376, 924)
     boson_zeros = [law for law, p in boson if p <= 1e-20]
     assert (len(boson_zeros), sum(boson_zeros)) == (10804, 10300)

@@ -7,7 +7,6 @@ import pytest
 from symfock import experiments, fock
 from symfock.experiments import (
     GRAM_ENSEMBLES,
-    CensusConfig,
     derive_seed,
     run_distinguishability_robustness,
     run_fourier_comparison,
@@ -37,7 +36,7 @@ def small_census(**overrides):
         seed=7,
     )
     kwargs.update(overrides)
-    return CensusConfig(**kwargs)
+    return kwargs
 
 
 class TestDeriveSeed:
@@ -60,8 +59,7 @@ class TestRequireInvariant:
 
 class TestMeanProbabilities:
     def test_hom_single_basis(self):
-        cfg = CensusConfig(HOM_PERM, (1, 1), num_bases=1, seed=0)
-        result = run_mean_probabilities(cfg)
+        result = run_mean_probabilities(HOM_PERM, (1, 1), num_bases=1, seed=0)
         table = result.tables[ParticleType.BOSON]
         assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
         assert table.laws.columns["boson_suppressed"][1]
@@ -70,7 +68,7 @@ class TestMeanProbabilities:
         assert table.p[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_table_shapes_and_sums(self):
-        result = run_mean_probabilities(small_census())
+        result = run_mean_probabilities(**small_census())
         bos = result.tables[ParticleType.BOSON]
         fer = result.tables[ParticleType.FERMION]
         assert len(bos) == 792
@@ -83,20 +81,20 @@ class TestMeanProbabilities:
         assert dist_f == pytest.approx(1.0, abs=1e-9)  # renormalised reference
 
     def test_suppressed_rows_are_exact_zeros(self):
-        result = run_mean_probabilities(small_census())
-        assert result.max_suppressed[ParticleType.BOSON] <= 1e-20
-        assert result.max_suppressed[ParticleType.FERMION] <= 1e-20
+        result = run_mean_probabilities(**small_census())
+        assert result.metadata["max_suppressed"]["boson"] <= 1e-20
+        assert result.metadata["max_suppressed"]["fermion"] <= 1e-20
 
     def test_deterministic_given_seed(self):
-        a = run_mean_probabilities(small_census())
-        b = run_mean_probabilities(small_census())
+        a = run_mean_probabilities(**small_census())
+        b = run_mean_probabilities(**small_census())
         assert a.tables.keys() == b.tables.keys()
         for kind in a.tables:
             assert_same_table(a.tables[kind], b.tables[kind])
 
     def test_seed_changes_allowed_heights_not_verdicts(self):
-        a = run_mean_probabilities(small_census(seed=1))
-        b = run_mean_probabilities(small_census(seed=2))
+        a = run_mean_probabilities(**small_census(seed=1))
+        b = run_mean_probabilities(**small_census(seed=2))
         table_a = a.tables[ParticleType.BOSON]
         table_b = b.tables[ParticleType.BOSON]
         assert (table_a.laws.columns["boson_suppressed"].tolist()
@@ -105,20 +103,20 @@ class TestMeanProbabilities:
 
     def test_distinguishable_only(self):
         cfg = small_census(types=(ParticleType.DISTINGUISHABLE,))
-        result = run_mean_probabilities(cfg)
+        result = run_mean_probabilities(**cfg)
         assert set(result.tables) == {ParticleType.DISTINGUISHABLE}
         total = sum(result.tables[ParticleType.DISTINGUISHABLE].p_dist)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_fermion_only_census_builds_no_boson_lattice(self, monkeypatch, tmp_path):
-        every = run_mean_probabilities(small_census())
+        every = run_mean_probabilities(**small_census())
         built = []
         generations = fock._generations
         monkeypatch.setattr(fock, "_generations",
                             lambda *args: built.append(args) or generations(*args))
         fock.lattice.cache_clear()
         try:
-            fermions = run_mean_probabilities(small_census(types=(ParticleType.FERMION,)))
+            fermions = run_mean_probabilities(**small_census(types=(ParticleType.FERMION,)))
         finally:
             fock.lattice.cache_clear()
         assert built == [(8, 5, True)]
@@ -136,10 +134,10 @@ class TestMeanProbabilities:
 
         monkeypatch.setattr(experiments, "probabilities", counted)
         monkeypatch.setattr(experiments, "CHUNK", 3)  # 4 bases: sub-stacks of 3 and 1
-        dist_only = run_mean_probabilities(small_census(types=(ParticleType.DISTINGUISHABLE,)))
+        dist_only = run_mean_probabilities(**small_census(types=(ParticleType.DISTINGUISHABLE,)))
         assert calls == {(ParticleType.DISTINGUISHABLE, 3): 1, (ParticleType.DISTINGUISHABLE, 1): 1}
         calls.clear()
-        every = run_mean_probabilities(small_census())
+        every = run_mean_probabilities(**small_census())
         assert calls == {(kind, b): 2 if kind is ParticleType.DISTINGUISHABLE else 1
                          for kind in ParticleType for b in (3, 1)}
         for name, result in (("dist_only", dist_only), ("every", every)):
@@ -154,21 +152,22 @@ class TestMeanProbabilities:
         monkeypatch.setattr(experiments, "CHUNK", chunk)  # bases cross sub-stack boundaries
         for num_bases in range(1, 8):
             cfg = small_census(num_bases=num_bases, types=types)
-            result = run_mean_probabilities(cfg)
-            tables, max_suppressed = reference_census(cfg)
+            result = run_mean_probabilities(**cfg)
+            tables, max_suppressed = reference_census(**cfg)
             assert result.tables.keys() == tables.keys() == set(types)
+            assert list(result.tables) == list(types)
             for kind, table in tables.items():
                 assert_same_table(result.tables[kind], table)
-            assert ({k: v.hex() for k, v in result.max_suppressed.items()}
-                    == {k: v.hex() for k, v in max_suppressed.items()})
+            assert ({k: v.hex() for k, v in result.metadata["max_suppressed"].items()}
+                    == {k.value: v.hex() for k, v in max_suppressed.items()})
 
     def test_rejects_non_invariant_input(self):
         with pytest.raises(ValueError, match="invariant"):
-            CensusConfig(WORKED_PERM, (1, 1, 1, 1, 0, 0, 1, 1))
+            run_mean_probabilities(WORKED_PERM, (1, 1, 1, 1, 0, 0, 1, 1))
 
     def test_rejects_bunched_fermionic_input(self):
         with pytest.raises(ValueError, match="fermionic"):
-            CensusConfig(
+            run_mean_probabilities(
                 WORKED_PERM, (2, 2, 2, 0, 0, 0, 2, 2),
                 types=(ParticleType.FERMION,),
             )
@@ -177,33 +176,34 @@ class TestMeanProbabilities:
 class TestFourierComparison:
     def test_hom_limit(self):
         comparison = run_fourier_comparison(2, 2, (1, 1))
-        table = comparison.boson_table
+        table = comparison.tables[ParticleType.BOSON]
         assert table.outputs.tolist() == [[2, 0], [1, 1], [0, 2]]
         assert table.laws.columns["boson_suppressed"][1]
         assert table.p[1] <= 1e-20
 
     def test_n6_m3_verdicts_match_permanent_zeros(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
-        table = comparison.boson_table
+        table = comparison.tables[ParticleType.BOSON]
         assert table.laws.columns["boson_suppressed"].tolist() == (table.p <= 1e-20).tolist()
 
     def test_n6_m3_fermion_laws_coincide(self):
         comparison = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
-        assert comparison.counts["fermion_new_law"] == comparison.counts["fermion_old_law"]
-        assert not comparison.witnesses
+        counts = comparison.metadata["counts"]
+        assert counts["fermion_new_law"] == counts["fermion_old_law"]
+        assert not comparison.metadata["witnesses"]
 
     def test_n8_m2_strict_extension(self):
         comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
-        counts = comparison.counts
+        counts = comparison.metadata["counts"]
         assert counts["fermion_new_law"] > counts["fermion_old_law"]
-        assert counts["fermion_new_not_old"] == len(comparison.witnesses) > 0
-        table = comparison.fermion_table
+        assert counts["fermion_new_not_old"] == len(comparison.metadata["witnesses"]) > 0
+        table = comparison.tables[ParticleType.FERMION]
         assert (table.p[table.laws.columns["fermion_suppressed"]] <= 1e-20).all()
 
     def test_bunched_input_skips_fermions(self):
         comparison = run_fourier_comparison(6, 3, (2, 0, 2, 0, 2, 0))
-        assert comparison.fermion_table is None
-        assert comparison.transpositions is None
+        assert ParticleType.FERMION not in comparison.tables
+        assert comparison.metadata["transpositions"] is None
 
     def test_rejects_non_invariant(self):
         with pytest.raises(ValueError, match="invariant"):
@@ -219,9 +219,10 @@ class TestUnitaryRobustness:
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
             self.GRID, samples=2000, seed=5,
         )
-        assert fit.exponent == pytest.approx(2.0, abs=0.1)
-        assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
-        assert fit.predicted_prefactor == pytest.approx(1.0, abs=1e-9)
+        meta = fit.metadata
+        assert meta["exponent"] == pytest.approx(2.0, abs=0.1)
+        assert meta["prefactor"] == pytest.approx(meta["predicted_prefactor"], rel=0.2)
+        assert meta["predicted_prefactor"] == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_noise_leaves_suppression_perfect(self):
         from symfock.experiments import PerturbationModel
@@ -280,7 +281,7 @@ class TestUnitaryRobustness:
             u, values, (1, 0, 1, 0), (1, 0, 1, 0),
             self.GRID, ParticleType.FERMION, samples=1500, seed=2, permutation=perm,
         )
-        assert fit.exponent == pytest.approx(2.0, abs=0.15)
+        assert fit.metadata["exponent"] == pytest.approx(2.0, abs=0.15)
 
 
 class TestDistinguishabilityRobustness:
@@ -292,9 +293,10 @@ class TestDistinguishabilityRobustness:
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
             self.GRID, samples=800, seed=3,
         )
-        assert fit.exponent == pytest.approx(1.0, abs=0.1)
-        assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
-        assert fit.predicted_prefactor == pytest.approx(1.0, abs=1e-9)
+        meta = fit.metadata
+        assert meta["exponent"] == pytest.approx(1.0, abs=0.1)
+        assert meta["prefactor"] == pytest.approx(meta["predicted_prefactor"], rel=0.2)
+        assert meta["predicted_prefactor"] == pytest.approx(1.0, abs=1e-9)
 
     def test_n4_fourier_event(self):
         perm, values = fourier_symmetry(4, 2)
@@ -302,8 +304,9 @@ class TestDistinguishabilityRobustness:
             fourier_unitary(4), values, (1, 0, 1, 0), (1, 1, 0, 0),
             self.GRID, samples=800, seed=4, permutation=perm,
         )
-        assert fit.exponent == pytest.approx(1.0, abs=0.1)
-        assert fit.prefactor == pytest.approx(fit.predicted_prefactor, rel=0.2)
+        meta = fit.metadata
+        assert meta["exponent"] == pytest.approx(1.0, abs=0.1)
+        assert meta["prefactor"] == pytest.approx(meta["predicted_prefactor"], rel=0.2)
 
     @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
     @pytest.mark.parametrize("mean_eps", [0.5000000000000001, 0.8, 1e300])
@@ -380,7 +383,8 @@ class TestGracefulDegradation:
             built.matrix, built.eigenvalues, (1, 1), (1, 1),
             grid, samples=1500, seed=14,
         )
-        ratios = [m / (fit.predicted_prefactor * g**2) for g, m in zip(grid, fit.measured)]
+        predicted = fit.metadata["predicted_prefactor"]
+        ratios = [m / (predicted * g**2) for g, m in zip(grid, fit.measured)]
         print("first-order ratio per grid point:",
               " ".join(f"{g:g}:{r:.3f}" for g, r in zip(grid, ratios)))
         assert ratios[0] == pytest.approx(1.0, rel=0.2)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symfock
-from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
+from symfock.experiments import run_fourier_comparison, run_mean_probabilities
 from symfock.permutations import Permutation, RootOfUnity
 from symfock import serialize
 from symfock.serialize import verdict_lines, write_verdict_csvs
@@ -87,12 +87,11 @@ def test_any_shape_and_no_values():
 @pytest.fixture(scope="module")
 def command_tables():
     """The tables each command writes together: a census and a DFT comparison."""
-    census = run_mean_probabilities(
-        CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"), (1, 1, 1, 0, 0, 0, 1, 1),
-                     num_bases=2, seed=5))
+    census = run_mean_probabilities(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
+                                    (1, 1, 1, 0, 0, 0, 1, 1), num_bases=2, seed=5)
     fourier = run_fourier_comparison(8, 2, (1, 0) * 4)
     return {"census": list(census.tables.values()),
-            "fourier": [fourier.boson_table, fourier.fermion_table]}
+            "fourier": list(fourier.tables.values())}
 
 
 @pytest.mark.parametrize("command", ["census", "fourier"])
@@ -150,8 +149,7 @@ def test_formatter_memory_stays_near_its_source_rows():
     N = 6 (262 750 bytes of cells) peaks at most at 3.1 MB: a gather index
     of 8 bytes per cell byte, made for all the values at once, would not
     fit beside the source rows."""
-    comparison = run_fourier_comparison(12, 6, (1, 0) * 6)
-    tables = (comparison.boson_table, comparison.fermion_table)
+    tables = run_fourier_comparison(12, 6, (1, 0) * 6).tables.values()
     bits = np.concatenate([column.view(np.int64) for table in tables
                            for column in (table.p, table.p_dist)])
     values = np.unique(bits).view(np.float64)  # distinct bit patterns, as the writer takes them

@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 from symfock.cli import main
 from symfock.experiments import (
-    CensusConfig,
     run_distinguishability_robustness,
     run_fourier_comparison,
+    run_mean_probabilities,
     run_unitary_robustness,
 )
 from symfock.fock import ParticleType
@@ -119,7 +119,7 @@ def _entry_points(n, m, p, eigenvalues, r, fault, bad):
         ("fermion_suppressed input", lambda: fermion_suppressed(p, bad, eigenvalues, r)),
         ("initial_distribution", lambda: initial_distribution(p, bad)),
         ("transposition_count", lambda: transposition_count(p, bad)),
-        ("CensusConfig", lambda: CensusConfig(p, bad)),
+        ("run_mean_probabilities", lambda: run_mean_probabilities(p, bad)),
     ]
     if fault != "double":  # boson runs take doubly occupied inputs
         grid = [1e-3, 2e-3, 5e-3, 1e-2]

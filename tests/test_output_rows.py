@@ -202,5 +202,5 @@ def test_dft_comparison_memory_stays_below_a_lattice_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert comparison.boson_table.outputs is output_array(12, 6, ParticleType.BOSON)
+    assert comparison.tables[ParticleType.BOSON].outputs is output_array(12, 6, ParticleType.BOSON)
     assert peak < 2_400_000

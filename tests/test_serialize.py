@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symfock.experiments import run_fourier_comparison, run_mean_probabilities, CensusConfig
+from symfock.experiments import run_fourier_comparison, run_mean_probabilities
 from symfock.fock import ParticleType
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.serialize import (
@@ -243,8 +243,8 @@ class TestSpecJson:
 class TestVerdictCsv:
     @pytest.fixture()
     def census_table(self):
-        cfg = CensusConfig(Permutation.parse("(1 2)"), (1, 1), num_bases=2, seed=0)
-        return run_mean_probabilities(cfg).tables[ParticleType.BOSON]
+        census = run_mean_probabilities(Permutation.parse("(1 2)"), (1, 1), num_bases=2, seed=0)
+        return census.tables[ParticleType.BOSON]
 
     def test_roundtrip(self, tmp_path, census_table):
         path = tmp_path / "verdicts.csv"
@@ -269,13 +269,13 @@ class TestVerdictCsv:
 
     def test_old_law_column_roundtrip(self, tmp_path):
         comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
+        fermion = comparison.tables[ParticleType.FERMION]
         path = tmp_path / "fermion.csv"
-        write_verdict_csvs({path: comparison.fermion_table})
+        write_verdict_csvs({path: fermion})
         table = read_verdict_csv(path)
         old = "old_fermion_suppressed"
-        assert (table.laws.columns[old].tolist()
-                == comparison.fermion_table.laws.columns[old].tolist())
-        assert_same_table(table, comparison.fermion_table)
+        assert table.laws.columns[old].tolist() == fermion.laws.columns[old].tolist()
+        assert_same_table(table, fermion)
 
     def test_phase_cells_of_short_lived_distributions(self):
         # every row's multiset is a tuple of its own, made by a generator,
@@ -333,15 +333,11 @@ class TestVerdictCsv:
 
     def test_fit_csv_roundtrip(self, tmp_path):
         from symfock.experiments import RobustnessFit
-        fit = RobustnessFit(
-            grid=(1e-3, 2e-3), measured=(1.23e-6, 0.5e-5), exponent=2.0,
-            prefactor=1.0, predicted_prefactor=1.0, theory_exponent=2.0,
-            samples=10, metadata={},
-        )
+        fit = RobustnessFit(measured=(1.23e-6, 0.5e-5), metadata={"grid": (1e-3, 2e-3)})
         path = tmp_path / "fit.csv"
         write_fit_csv(path, fit)
         grid, measured = read_fit_csv(path)
-        assert grid == fit.grid
+        assert grid == fit.metadata["grid"]
         assert measured == fit.measured
 
     @settings(max_examples=200, deadline=None)
@@ -353,7 +349,7 @@ class TestVerdictCsv:
         finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
             [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, sys.float_info.max])
         measured = data.draw(st.lists(finite, min_size=len(grid), max_size=len(grid)))
-        fit = RobustnessFit(tuple(grid), tuple(measured), 1.0, 1.0, 1.0, 1.0, 1, {})
+        fit = RobustnessFit(tuple(measured), {"grid": grid})
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fit.csv"
             write_fit_csv(path, fit)
@@ -371,7 +367,7 @@ class TestVerdictCsv:
             [-0.0, 5e-324, 1e16, 1e-05, 0.0001, 123456789012345678, 2**53 + 1])
         grid = data.draw(st.lists(number, max_size=12))
         measured = data.draw(st.lists(st.floats(), min_size=len(grid), max_size=len(grid)))
-        fit = RobustnessFit(tuple(grid), tuple(measured), 1.0, 1.0, 1.0, 1.0, 1, {})
+        fit = RobustnessFit(tuple(measured), {"grid": grid})
         cells = float_reprs(np.array([*grid, *measured], dtype=np.float64))
         expected = "value;mean_deviation\n" + "".join(
             f"{g};{m}\n" for g, m in zip(cells[:len(grid)], cells[len(grid):]))
@@ -382,16 +378,16 @@ class TestVerdictCsv:
 
     def test_fit_csv_of_json_grid_ints(self, tmp_path):
         from symfock.experiments import RobustnessFit
-        fit = RobustnessFit((1, 2, 0.005), (0.0, 1e-20, 3), 1.0, 1.0, 1.0, 1.0, 1, {})
+        fit = RobustnessFit((0.0, 1e-20, 3), {"grid": [1, 2, 0.005]})
         write_fit_csv(tmp_path / "fit.csv", fit)
         assert (tmp_path / "fit.csv").read_text() == (
             "value;mean_deviation\n1.0;0.0\n2.0;1e-20\n0.005;3.0\n")
 
     def test_metadata_bytes_are_those_of_json_dump(self, tmp_path):
-        census = run_mean_probabilities(CensusConfig(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
-                                                     (1, 1, 1, 0, 0, 0, 1, 1), num_bases=2))
+        census = run_mean_probabilities(Permutation.parse("(1 2 3)(4 5 6)(7 8)"),
+                                        (1, 1, 1, 0, 0, 0, 1, 1), num_bases=2)
         fourier = run_fourier_comparison(6, 3, (1, 0, 1, 0, 1, 0))
-        for metadata in (census.metadata, fourier.metadata | {"counts": fourier.counts},
+        for metadata in (census.metadata, fourier.metadata,
                          {"nested": {"list": [1.5, -0.0, None, "\u00e9"]}, "empty": []}):
             path = tmp_path / "meta.json"
             write_metadata(path, metadata)
@@ -547,8 +543,8 @@ class TestSvg:
         assert len(bars) == 3
 
     def test_verdict_chart_orders_suppressed_first(self, tmp_path):
-        cfg = CensusConfig(Permutation.parse("(1 2)"), (1, 1), num_bases=1, seed=0)
-        table = run_mean_probabilities(cfg).tables[ParticleType.BOSON]
+        census = run_mean_probabilities(Permutation.parse("(1 2)"), (1, 1), num_bases=1, seed=0)
+        table = census.tables[ParticleType.BOSON]
         path = tmp_path / "chart.svg"
         write_verdict_svg(path, table, title="hom")
         root = ET.parse(path).getroot()

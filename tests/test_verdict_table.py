@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from symfock import serialize
 from symfock.cli import main
-from symfock.experiments import CensusConfig, run_fourier_comparison, run_mean_probabilities
+from symfock.experiments import run_fourier_comparison, run_mean_probabilities
 from symfock.fock import ParticleType, output_array
 from symfock.permutations import Permutation, RootOfUnity
 from symfock.scattering import probabilities
@@ -51,8 +51,7 @@ def assert_reference_bytes(table, path):
 
 @pytest.fixture(scope="module")
 def census():
-    cfg = CensusConfig(WORKED_PERM, WORKED_INPUT, num_bases=2, seed=3)
-    return run_mean_probabilities(cfg)
+    return run_mean_probabilities(WORKED_PERM, WORKED_INPUT, num_bases=2, seed=3)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
@@ -61,11 +60,11 @@ def test_census_tables_keep_the_reference_bytes(census, kind, tmp_path):
 
 
 def test_dft_tables_keep_the_reference_bytes(tmp_path):
-    comparison = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0))
-    assert "old_fermion_suppressed" not in comparison.boson_table.laws.columns
-    assert "old_fermion_suppressed" in comparison.fermion_table.laws.columns
-    assert_reference_bytes(comparison.boson_table, tmp_path / "boson.csv")
-    assert_reference_bytes(comparison.fermion_table, tmp_path / "fermion.csv")
+    tables = run_fourier_comparison(8, 2, (1, 0, 1, 0, 1, 0, 1, 0)).tables
+    assert "old_fermion_suppressed" not in tables[ParticleType.BOSON].laws.columns
+    assert "old_fermion_suppressed" in tables[ParticleType.FERMION].laws.columns
+    assert_reference_bytes(tables[ParticleType.BOSON], tmp_path / "boson.csv")
+    assert_reference_bytes(tables[ParticleType.FERMION], tmp_path / "fermion.csv")
     header = (tmp_path / "fermion.csv").read_text().splitlines()[0]
     assert header.endswith(";class;old_fermion_suppressed")
 
@@ -386,7 +385,7 @@ def test_writer_memory_stays_one_block(tmp_path, monkeypatch):
     """The row blocks bound the writer's memory: writing the 12 376 rows of
     the 12-mode DFT boson table at N = 6 (a 1.3 MB file) from its formatted
     cells allocates at most 0.5 MB at the peak, whatever the number of rows."""
-    table = run_fourier_comparison(12, 6, (1, 0) * 6).boson_table
+    table = run_fourier_comparison(12, 6, (1, 0) * 6).tables[ParticleType.BOSON]
     cells = serialize._cell_columns([table])
     monkeypatch.setattr(serialize, "_cell_columns", lambda tables: cells)
     path = tmp_path / "boson.csv"
