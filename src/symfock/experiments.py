@@ -14,9 +14,8 @@ Every runner is deterministic given its seed: per-task generators are
 derived from (seed, task index), and reductions run in task order with
 compensated summation, in one process. The runners take their settings as
 keywords and hold their defaults (100 bases, seed 0, all three particle
-types, bosonic fit targets, 2 000 samples, the ``ring`` and
-``independent`` ensembles, ``eta_scale`` 1.0); the command line passes a
-setting only when a config holds its key.
+types, bosonic fit targets, 2 000 samples, the ``ring`` deviations); the
+command line passes a setting only when a config holds its key.
 
 A run has one of two shapes, and each holds its record once, as
 ``metadata``: the whole ``meta.json`` that the command line writes from it
@@ -35,21 +34,19 @@ The two robustness fits share one loop, :func:`_fit_noise`; each supplies
 only its noise step, its sub-stack size and its first-order prediction.
 The noise lives here, beside the fits that draw it: the entrywise unitary
 perturbations of :class:`PerturbationModel` and the random Gram matrices
-of :func:`sample_distinguishability` with their PSD repair,
-:func:`_repair_hermitian`. A step takes one random call per sub-stack of
-noise samples, equal to the samples' lone draws in sample order bit for
-bit. The unitary fit's sub-stack holds ``scattering.CHUNK`` samples; the
-distinguishability fit's follows the budget of ``scattering.BLOCK_ENTRIES``
-complex entries, that many // k^2 Gram matrices (at least one), 327 at
-k = 5, so a grid point of a few hundred samples is one draw, one repair and
-one check.
+of :func:`sample_distinguishability`, which are positive semidefinite by
+construction. A step takes one random call per sub-stack of noise samples,
+equal to the samples' lone draws in sample order bit for bit. The unitary
+fit's sub-stack holds ``scattering.CHUNK`` samples; the distinguishability
+fit's follows the budget of ``scattering.BLOCK_ENTRIES`` complex entries,
+that many // k^2 Gram matrices (at least one), 327 at k = 5, so a grid
+point of a few hundred samples is one draw and one check.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 from math import factorial, prod
 
 import numpy as np
@@ -68,7 +65,6 @@ from .permutations import Permutation
 from .scattering import (
     BLOCK_ENTRIES,
     CHUNK,
-    PSD_TOL,
     partial_probabilities,
     partial_weights,
     prob_distinguishable,
@@ -159,10 +155,18 @@ def run_mean_probabilities(
     sub-stacks of at most ``scattering.CHUNK``, each built by one
     :func:`unitaries.build_unitaries` (which also gives the eigenvalues) and
     sent to one :func:`scattering.probabilities` call per probability its
-    tables use, and are reduced in basis order.
+    tables use, and are reduced in basis order. ``types`` follows the rules
+    of a config's ``types`` key: not empty, only particle types, none twice.
     """
     if num_bases < 1:
         raise ValueError("need at least one eigenbasis")
+    if not types:
+        raise ValueError("'types' must name at least one particle type")
+    for index, t in enumerate(types):
+        if not isinstance(t, ParticleType):
+            raise ValueError(f"'types' holds {t!r}, not a ParticleType")
+        if t in types[:index]:
+            raise ValueError(f"'types' names {t.value!r} twice")
     p = permutation
     r = require_invariant(p, input_state, ParticleType.FERMION in types)
     started = time.perf_counter()
@@ -401,7 +405,7 @@ def _fit_noise(experiment: str, theory_exponent: float, prepare, unitary, eigenv
     return RobustnessFit(tuple(measured), metadata)
 
 
-#: Mean-modulus-preserving deviation ensembles for entrywise perturbations.
+#: Mean-modulus-preserving deviation distributions for entrywise perturbations.
 DELTA_DISTRIBUTIONS = ("ring", "gaussian", "disk")
 
 
@@ -409,7 +413,7 @@ DELTA_DISTRIBUTIONS = ("ring", "gaussian", "disk")
 class PerturbationModel:
     """Entrywise multiplicative noise U_jk -> U_jk (1 + Delta_jk).
 
-    ``mean_abs`` fixes the average modulus E|Delta|; all ensembles have zero
+    ``mean_abs`` fixes the average modulus E|Delta|; all distributions have zero
     mean. ``ring`` draws a fixed modulus with uniform phase, ``gaussian`` a
     complex normal scaled to the requested mean modulus, ``disk`` a uniform
     draw from a disc.
@@ -422,7 +426,7 @@ class PerturbationModel:
         if self.mean_abs < 0:
             raise ValueError("mean_abs must be non-negative")
         if self.distribution not in DELTA_DISTRIBUTIONS:
-            raise ValueError(f"unknown deviation ensemble {self.distribution!r}")
+            raise ValueError(f"unknown deviation distribution {self.distribution!r}")
 
     def sample(self, shape, rng: np.random.Generator, entries=None) -> np.ndarray:
         """Deviations for one (n, n) matrix or a (B, n, n) stack of B samples.
@@ -503,10 +507,6 @@ def run_unitary_robustness(
                       target_output, particle, grid, samples, seed, permutation)
 
 
-#: How the random Gram matrices for the distinguishability sweep are drawn.
-GRAM_ENSEMBLES = ("independent", "gram")
-
-
 def _check_mean_deficit(mean_eps: float) -> None:
     """Refuse a mean deficit above 0.5: the deficits are drawn uniform on
     [0, 2 mean_eps], and none may exceed 1."""
@@ -515,61 +515,30 @@ def _check_mean_deficit(mean_eps: float) -> None:
                          "deficits uniform on [0, 2 * mean] would exceed 1")
 
 
-@cache
-def _hermitian_takes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached flat indices of a sample's eps and eta at the strict upper triangle
-    of its (2, n, n) draw, then at the transposed places; and of both places."""
-    rows, cols = np.triu_indices(n, 1)
-    upper, lower = rows * n + cols, cols * n + rows
-    return np.concatenate([upper, upper + n * n, lower, lower + n * n]), upper, lower
-
-
 def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
-                              ensemble: str = "independent", eta_scale: float = 1.0,
                               count: int | None = None) -> tuple[np.ndarray, bool | int]:
-    """Random distinguishability matrices with average deficit ``mean_eps``,
-    at most 0.5.
+    """Random Gram matrices of n almost-parallel unit vectors, with average
+    deficit ``mean_eps``, at most 0.5.
 
-    ``independent`` perturbs every off-diagonal entry as (1-eps)*exp(i*eta)
-    with eps uniform of mean ``mean_eps`` and eta zero-mean, bounded by
-    ``eta_scale * mean_eps``, eps symmetrised and eta antisymmetrised by
-    cached flat index takes into a flat (count, n * n) buffer. The draw
-    generically violates positivity at first order; Hermitian bit for bit,
-    it goes to :func:`_repair_hermitian` (one stacked ``eigh``) with no
-    symmetrisation. Matrices that need no repair come back as drawn. ``gram`` builds an exact Gram matrix of
-    almost-parallel unit vectors, which needs no repair by construction.
+    Particle j's internal state is cos(t_j)|0> + exp(i phi_j) sin(t_j)|1>,
+    with sin^2(t_j) uniform on [0, 2 mean_eps] and phi_j uniform on
+    [0, 2 pi); the matrix of their overlaps is a Gram matrix, positive
+    semidefinite by construction, and comes back as drawn. Beside it comes
+    the number of repaired matrices, always none, ``False`` for one matrix
+    and ``0`` for a stack, which the benchmark's counters still read.
 
-    Without ``count``: one (n, n) matrix and whether it was repaired. With
-    ``count``: a (count, n, n) stack from one random call, each sample's
-    arrays contiguous in the stream, so it equals ``count`` successive lone
-    draws bit for bit, and the number of repaired matrices. The
+    Without ``count``: one (n, n) matrix. With ``count``: a (count, n, n)
+    stack from one random call, each sample's arrays contiguous in the
+    stream, so it equals ``count`` successive lone draws bit for bit. The
     distinguishability fit passes the number of occupied input modes as
     ``n``; ``prob --distinguishability`` takes an n x n matrix over all modes.
     """
-    if ensemble not in GRAM_ENSEMBLES:
-        raise ValueError(f"unknown ensemble {ensemble!r}")
-    spread = eta_scale * mean_eps if ensemble == "independent" else 0.0  # gram: no eta
-    if not (0.0 <= 2.0 * mean_eps < np.inf and 0.0 <= 2.0 * spread < np.inf):
-        raise ValueError("mean_eps and eta_scale must be finite and non-negative")
+    if not 0.0 <= 2.0 * mean_eps < np.inf:
+        raise ValueError("mean_eps must be finite and non-negative")
     _check_mean_deficit(mean_eps)
     k = 1 if count is None else count  # a lone draw takes the stream of a stack of one
     # rng.uniform(low, high) is low + (high - low) * U: rng.random scaled so has
     # its bits and takes the same stream, without the broadcast of array bounds
-    if ensemble == "independent":
-        takes, upper, lower = _hermitian_takes(n)
-        # (k, upper or transposed place, eps or eta, entry)
-        draw = rng.random((k, 2 * n * n)).take(takes, axis=1).reshape(k, 2, 2, len(upper))
-        draw *= np.array([2.0 * mean_eps, 2.0 * spread])[:, None]  # (eps, eta) ranges
-        eps = (draw[:, 0, 0] + draw[:, 1, 0]) / 2.0
-        eta = (draw[:, 0, 1] - spread - (draw[:, 1, 1] - spread)) / 2.0
-        entries = (1.0 - eps) * np.exp(1j * eta)
-        s = np.empty((k, n * n), dtype=complex)
-        s[:, upper] = entries
-        s[:, lower] = entries.conj()  # exp(-i eta) is conj(exp(i eta)) bit for bit
-        s[:, ::n + 1] = 1.0
-        grams, mask = _repair_hermitian(s.reshape(k, n, n))
-        return (grams[0], bool(mask[0])) if count is None else (grams, int(mask.sum()))
-    # internal states cos(t)|0> + exp(i phi) sin(t)|1>: PSD by construction
     draw = rng.random((k, 2, n)) * np.array([2.0 * mean_eps, 2.0 * np.pi])[:, None]  # eps_j, phi
     t = np.arcsin(np.sqrt(draw[:, 0]))  # eps_j < 2 mean_eps <= 1
     a = np.cos(t)
@@ -577,35 +546,6 @@ def sample_distinguishability(n: int, mean_eps: float, rng: np.random.Generator,
     s = a[:, :, None] * a[:, None, :] + b[:, :, None] * np.conj(b)[:, None, :]
     s.reshape(k, n * n)[:, ::n + 1] = 1.0
     return (s[0], False) if count is None else (s, 0)
-
-
-def _repair_hermitian(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a Hermitian (B, n, n) stack, which it may write, onto the
-    valid Gram matrices: the repaired stack and the (B,) mask of the repaired
-    matrices. One ``eigh`` runs over the whole stack; only the matrices with
-    lowest eigenvalue below -``scattering.PSD_TOL`` have their negative
-    eigenvalues clipped and their diagonal renormalised back to one, each
-    with the bits of a lone call; in place, with no gather or scatter, when
-    every matrix needs it."""
-    eigvals, eigvecs = np.linalg.eigh(stack)
-    # ascending eigenvalues; the initial 0 lets a 0 x 0 matrix need no repair
-    mask = eigvals.min(axis=1, initial=0.0) < -PSD_TOL
-    if not mask.any():
-        return stack, mask
-    every = mask.all()
-    vals, vecs = (eigvals, eigvecs) if every else (eigvals[mask], eigvecs[mask])
-    adjoint = vecs.conj().swapaxes(-1, -2)
-    vecs *= np.maximum(vals, 0.0, out=vals)[:, None, :]
-    repaired = vecs @ adjoint
-    scale = np.sqrt(repaired.diagonal(0, -2, -1).real)
-    if (scale <= 0).any():
-        raise ValueError("PSD repair collapsed a diagonal entry to zero")
-    repaired /= scale[:, :, None] * scale[:, None, :]
-    repaired.reshape(len(repaired), -1)[:, ::stack.shape[-1] + 1] = 1.0  # the diagonal
-    if every:
-        return repaired, mask
-    stack[mask] = repaired
-    return stack, mask
 
 
 def run_distinguishability_robustness(
@@ -617,8 +557,6 @@ def run_distinguishability_robustness(
     particle: ParticleType = ParticleType.BOSON,
     samples: int = 2_000,
     seed: int = 0,
-    ensemble: str = "independent",
-    eta_scale: float = 1.0,
     permutation: Permutation | None = None,
 ) -> RobustnessFit:
     """Mean deviation from perfect suppression under partial distinguishability.
@@ -627,9 +565,9 @@ def run_distinguishability_robustness(
     A grid value above 0.5 is refused before the first sample (see
     :func:`sample_distinguishability`). The Gram matrices span the k
     occupied input modes, the only entries the single sum reads: a mode
-    with no particle is never drawn, and no overlap of the particles is
-    coupled to it by the PSD repair. PSD repairs of the sampled Gram
-    matrices are counted in the metadata.
+    with no particle is never drawn. They are Gram matrices as drawn, and
+    each stack is checked by the single sum; the metadata's ``psd_repairs``
+    reads 0.
     """
     def prepare(u, r, s, p_dist):
         _check_mean_deficit(max(grid))  # before the first sample
@@ -638,16 +576,13 @@ def run_distinguishability_robustness(
         # occupied modes, each particle's row renumbered into them
         occupied, rows = np.unique(terms.rows, return_inverse=True)
         terms = terms._replace(modes=len(occupied), rows=rows)
-        settings = {"ensemble": ensemble, "eta_scale": eta_scale, "psd_repairs": 0}
 
         def draw(g, rng, count):
-            grams, repaired = sample_distinguishability(terms.modes, g, rng, ensemble, eta_scale,
-                                                        count=count)
-            settings["psd_repairs"] += repaired
+            grams, _ = sample_distinguishability(terms.modes, g, rng, count=count)
             return partial_probabilities(terms, grams).tolist()
 
         stack = max(1, BLOCK_ENTRIES // terms.modes ** 2)  # k x k entries per Gram matrix
-        return draw, stack, particle_count(r) * p_dist, settings
+        return draw, stack, particle_count(r) * p_dist, {"psd_repairs": 0}
 
     return _fit_noise("distinguishability-robustness", 1.0, prepare, unitary, eigenvalues,
                       input_state, target_output, particle, grid, samples, seed, permutation)

@@ -65,8 +65,8 @@ S) rather than an eigendecomposition.
 
 Every probability here is exact for the matrices it is given: the module
 draws no random number. The noise of the robustness fits, the entrywise
-unitary perturbations and the random Gram matrices with their PSD repair,
-lives in :mod:`experiments`, beside the fits that draw it.
+unitary perturbations and the random Gram matrices, lives in
+:mod:`experiments`, beside the fits that draw it.
 """
 
 from __future__ import annotations

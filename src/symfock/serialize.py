@@ -690,11 +690,7 @@ EXPERIMENT_KEYS = {
         "input_state": ConfigKey(True, _OCCUPATION, "input_state"),
     },
     "unitary-robustness": _FITS | {"delta_distribution": ConfigKey(False, _STRING, "distribution")},
-    "distinguishability-robustness": _FITS | {
-        "ensemble": ConfigKey(False, _STRING, "ensemble"),
-        "eta_scale": ConfigKey(False, (lambda v: _is_finite(v) and v >= 0,
-                                       "a finite non-negative number"), "eta_scale"),
-    },
+    "distinguishability-robustness": _FITS,
 }
 EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
 

@@ -7,12 +7,6 @@
   ``linalg.permutation_table`` by walking its cycles, the way
   ``linalg.permutation_signs`` worked before it counted inversions. It
   shares no code with the library's signs.
-* :func:`repair_distinguishability`: the finite check and the Hermitian part
-  (S + S^H) / 2 of one Gram matrix or a stack, then the PSD repair step
-  ``experiments._repair_hermitian``. Formerly in ``scattering``; no library
-  code calls it. Its bits and repair flags are the contract of
-  ``experiments.sample_distinguishability``, whose ``independent`` draws go
-  to the repair step with no symmetrisation.
 * :func:`reference_verdict_lines`: the verdict CSV formatted row by row,
   one cell at a time, the way the writer worked before it formatted whole
   columns. Its bytes are the contract of ``serialize.write_verdict_csvs``.
@@ -37,8 +31,7 @@
   weight permanents included, per grid point, whatever the fit's stacks.
   It draws each Gram matrix over the occupied input modes and hands
   ``prob_partial`` its n x n embedding, :func:`embed_occupied_grams`. Its
-  bits and repair count are the contract of
-  ``experiments.run_distinguishability_robustness``.
+  bits are the contract of ``experiments.run_distinguishability_robustness``.
 * :func:`reference_partial_sum`: the single sum of
   ``scattering.partial_probabilities`` on a checked Gram stack, evaluated
   the way it was before the sum ran in place, with a fresh array for every
@@ -82,7 +75,6 @@ import numpy as np
 
 from symfock.experiments import (
     PerturbationModel,
-    _repair_hermitian,
     derive_seed,
     sample_distinguishability,
 )
@@ -154,22 +146,6 @@ def reference_permutation_signs(n: int) -> np.ndarray:
             transpositions += length - 1
         signs[i] = -1.0 if transpositions % 2 else 1.0
     return signs
-
-
-def repair_distinguishability(s_matrix) -> tuple[np.ndarray, bool | np.ndarray]:
-    """Project onto the valid set by clipping negative eigenvalues and
-    renormalising the diagonal back to one.
-
-    Takes one (n, n) matrix, returning its Hermitian part (repaired or not)
-    and whether a repair happened, or a (B, n, n) stack, returning the stack
-    of Hermitian parts and a (B,) mask of the repaired matrices. After the
-    finite check and (S + S^H) / 2, the whole stack goes to
-    ``experiments._repair_hermitian``.
-    """
-    s = as_complex_matrix(s_matrix, stack=True)
-    herm = (s + s.conj().swapaxes(-1, -2)) / 2.0
-    repaired, mask = _repair_hermitian(herm if herm.ndim == 3 else herm[None])
-    return (repaired, mask) if herm.ndim == 3 else (repaired[0], bool(mask[0]))
 
 
 def _fmt_occupation(s) -> str:
@@ -345,24 +321,20 @@ def embed_occupied_grams(grams: np.ndarray, r) -> np.ndarray:
     return full
 
 
-def reference_dist_fit(u, r, s, particle, grid, samples, seed, ensemble="independent",
-                       eta_scale=1.0) -> tuple[tuple[float, ...], int]:
-    """The measured means and the PSD repair count of a distinguishability
-    fit, with one draw and one ``prob_partial`` call per grid point: its
-    Gram matrices drawn over the occupied input modes and embedded into
-    n x n. The bits depend on no grouping of the draws or the sums."""
+def reference_dist_fit(u, r, s, particle, grid, samples, seed) -> tuple[float, ...]:
+    """The measured means of a distinguishability fit, with one draw and one
+    ``prob_partial`` call per grid point: its Gram matrices drawn over the
+    occupied input modes and embedded into n x n. The bits depend on no
+    grouping of the draws or the sums."""
     measured = []
-    repairs = 0
     for gi, g in enumerate(grid):
         rng = np.random.default_rng(derive_seed(seed, gi))
-        grams, repaired = sample_distinguishability(np.count_nonzero(r), g, rng, ensemble,
-                                                    eta_scale, count=samples)
-        repairs += repaired
+        grams, _ = sample_distinguishability(np.count_nonzero(r), g, rng, count=samples)
         acc = KahanMean(1)
         for p in prob_partial(u, r, s, embed_occupied_grams(grams, r), particle):
             acc.add(p)
         measured.append(float(acc.mean()[0]))
-    return tuple(measured), repairs
+    return tuple(measured)
 
 
 def assignment_to_occupation(assignment, n: int) -> tuple[int, ...]:

@@ -435,13 +435,15 @@ class TestExperiment:
         # the key the message must name comes first, the kind it goes into last
         {"modes": True, "kind": "fourier-comparison"},
         {"order": False, "kind": "fourier-comparison"},
-        {"eta_scale": float("nan"), "kind": "distinguishability-robustness"},
-        {"eta_scale": float("inf"), "kind": "distinguishability-robustness"},
-        {"eta_scale": -1, "kind": "distinguishability-robustness"},
+        # the keys of the retired Gram ensemble are unknown keys now
+        {"ensemble": "gram", "kind": "distinguishability-robustness"},
+        {"eta_scale": 1.0, "kind": "distinguishability-robustness"},
         {"grid": [0.1, float("inf")], "kind": "distinguishability-robustness"},
         {"permutation": [2.9, 3.1, 1.5, 4, 5, 6, 7, 8], "input_state": [1, 1, 1, 0, 0, 0, 1, 1]},
-        {"eta_scale": 10**400, "kind": "distinguishability-robustness"},
         {"grid": [0.1, 10**400], "kind": "distinguishability-robustness"},
+        {"grid": [0.1, -0.2], "kind": "distinguishability-robustness"},
+        {"samples": 0, "kind": "distinguishability-robustness"},
+        {"particle": "anyon", "kind": "distinguishability-robustness"},
         {"permutation": [], "input_state": []},
     ])
     def test_bad_config_value_or_key_is_one_line_error(self, tmp_path, capsys, extra):
@@ -656,8 +658,7 @@ SPELLED_OUT = {
     "fourier-comparison": {},
     "unitary-robustness": {"particle": "boson", "samples": 2000, "seed": 0,
                            "delta_distribution": "ring"},
-    "distinguishability-robustness": {"particle": "boson", "samples": 2000, "seed": 0,
-                                      "ensemble": "independent", "eta_scale": 1.0},
+    "distinguishability-robustness": {"particle": "boson", "samples": 2000, "seed": 0},
 }
 #: The required keys of a small config of each kind.
 BARE = {
@@ -976,18 +977,15 @@ def test_overflowing_probability_is_one_invariant_failure(kind, tmp_path):
                                      "--output-state", "[1,1]", "--type", kind], tmp_path))
 
 
-@pytest.mark.parametrize("ensemble, grid", [
-    ("independent", [0.1, 0.2, 0.4, 0.8]),
-    ("gram", [0.1, 0.2, 0.4, 0.8]),
-    ("independent", [1e300, 2e300, 3e300, 4e300]),
-])
-def test_mean_deficit_above_half_exits_1(ensemble, grid, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("grid", [[0.1, 0.2, 0.4, 0.8], [0.1, 0.2, 0.3, 0.5000000000000001],
+                                  [1e300, 2e300, 3e300, 4e300]])
+def test_mean_deficit_above_half_exits_1(grid, tmp_path, capsys, monkeypatch):
     """A distinguishability grid value above 0.5 is refused before the first
     sample, with one line and no output file."""
     monkeypatch.setattr(experiments, "sample_distinguishability",
                         lambda *args, **kwargs: pytest.fail("sampled"))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**RERUN_FILES["dist.json"], "grid": grid, "ensemble": ensemble}))
+    config.write_text(json.dumps({**RERUN_FILES["dist.json"], "grid": grid}))
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "dist")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: mean distinguishability deficit {grid[-1]!r} is above 0.5: ")

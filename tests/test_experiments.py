@@ -6,7 +6,6 @@ import pytest
 
 from symfock import experiments, fock
 from symfock.experiments import (
-    GRAM_ENSEMBLES,
     derive_seed,
     run_distinguishability_robustness,
     run_fourier_comparison,
@@ -172,6 +171,22 @@ class TestMeanProbabilities:
                 types=(ParticleType.FERMION,),
             )
 
+    @pytest.mark.parametrize("types, message", [
+        ((), r"^'types' must name at least one particle type$"),
+        (("boson",), r"^'types' holds 'boson', not a ParticleType$"),
+        ((ParticleType.BOSON, None), r"^'types' holds None, not a ParticleType$"),
+        ((ParticleType.DISTINGUISHABLE, ParticleType.BOSON, ParticleType.DISTINGUISHABLE),
+         r"^'types' names 'dist' twice$"),
+        ((1,), r"^'types' holds 1, not a ParticleType$"),
+        ((ParticleType.BOSON, ParticleType.BOSON), r"^'types' names 'boson' twice$"),
+    ], ids=["empty", "string", "none", "repeated", "int", "adjacent"])
+    def test_bad_types_refused_before_any_unitary(self, types, message, monkeypatch):
+        # the rules of a config's 'types' key, checked before the first basis is built
+        monkeypatch.setattr(experiments, "build_unitaries",
+                            lambda *args, **kwargs: pytest.fail("built"))
+        with pytest.raises(ValueError, match=message):
+            run_mean_probabilities(HOM_PERM, (1, 1), num_bases=1, types=types)
+
 
 class TestFourierComparison:
     def test_hom_limit(self):
@@ -308,69 +323,61 @@ class TestDistinguishabilityRobustness:
         assert meta["exponent"] == pytest.approx(1.0, abs=0.1)
         assert meta["prefactor"] == pytest.approx(meta["predicted_prefactor"], rel=0.2)
 
-    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
-    @pytest.mark.parametrize("mean_eps", [0.5000000000000001, 0.8, 1e300])
-    def test_mean_deficit_above_half_rejected(self, ensemble, mean_eps):
+    @pytest.mark.parametrize("mean_eps", [0.5000000000000001, 0.8, 1.0, 1e300])
+    def test_mean_deficit_above_half_rejected(self, mean_eps):
         """Deficits are uniform on [0, 2 mean_eps]: above 0.5 some would exceed 1."""
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match=r"^mean distinguishability deficit .* is above 0\.5"):
-            sample_distinguishability(3, mean_eps, rng, ensemble, count=2)
+            sample_distinguishability(3, mean_eps, rng, count=2)
 
-    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
-    def test_mean_deficit_of_half_draws_valid_matrices(self, ensemble):
-        grams, _ = sample_distinguishability(4, 0.5, np.random.default_rng(2), ensemble, count=300)
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_mean_deficit_of_half_draws_valid_matrices(self, n):
+        grams, _ = sample_distinguishability(n, 0.5, np.random.default_rng(2), count=300)
         for gram in grams:
             validate_distinguishability(gram)
 
-    @pytest.mark.parametrize("ensemble", GRAM_ENSEMBLES)
-    @pytest.mark.parametrize("grid", [(0.1, 0.2, 0.4, 0.8), (1e300, 2e300, 3e300, 4e300)])
-    def test_grid_above_half_rejected_before_any_sample(self, ensemble, grid, monkeypatch):
+    @pytest.mark.parametrize("grid", [(0.1, 0.2, 0.4, 0.8), (0.1, 0.2, 0.3, 0.5000000000000001),
+                                      (1e300, 2e300, 3e300, 4e300)])
+    def test_grid_above_half_rejected_before_any_sample(self, grid, monkeypatch):
         monkeypatch.setattr(experiments, "sample_distinguishability",
                             lambda *args, **kwargs: pytest.fail("sampled"))
         built = build_unitary(UnitarySpec(HOM_PERM))
         with pytest.raises(ValueError, match=r"is above 0\.5"):
             run_distinguishability_robustness(built.matrix, built.eigenvalues, (1, 1), (1, 1),
-                                              grid, samples=10, ensemble=ensemble)
+                                              grid, samples=10)
 
-    @pytest.mark.parametrize("ensemble", ["independent", "gram"])
-    def test_sampled_matrices_are_valid(self, ensemble):
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_sampled_matrices_are_valid(self, n):
         rng = np.random.default_rng(6)
         for mean_eps in [1e-3, 1e-2, 0.1]:
-            gram, _ = sample_distinguishability(5, mean_eps, rng, ensemble)
+            gram, _ = sample_distinguishability(n, mean_eps, rng)
             validate_distinguishability(gram)
 
     def test_gram_ensemble_never_repairs(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            _, repaired = sample_distinguishability(4, 1e-2, rng, "gram")
-            assert not repaired
+            _, repaired = sample_distinguishability(4, 1e-2, rng)
+            assert repaired is False
 
-    def test_repairs_recorded_in_metadata(self):
+    @pytest.mark.parametrize("particle, target", [
+        (ParticleType.BOSON, (1, 1, 0, 0)),
+        (ParticleType.FERMION, (0, 1, 0, 1)),
+    ], ids=["boson", "fermion"])
+    def test_repairs_recorded_in_metadata(self, particle, target):
         perm, values = fourier_symmetry(4, 2)
         fit = run_distinguishability_robustness(
-            fourier_unitary(4), values, (1, 0, 1, 0), (1, 1, 0, 0),
-            self.GRID, samples=100, seed=5, permutation=perm,
+            fourier_unitary(4), values, (1, 0, 1, 0), target,
+            self.GRID, particle, samples=100, seed=5, permutation=perm,
         )
-        assert fit.metadata["psd_repairs"] >= 0
-        assert fit.metadata["ensemble"] == "independent"
+        assert fit.metadata["psd_repairs"] == 0
+        assert "ensemble" not in fit.metadata and "eta_scale" not in fit.metadata
 
-    def test_unknown_ensemble_rejected(self):
+    @pytest.mark.parametrize("mean_eps", [-1e-3, -5e-324, -np.inf, np.inf, np.nan, 1e308])
+    def test_bad_noise_ranges_rejected(self, mean_eps):
+        # the ranges rng.uniform refused
         rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="ensemble"):
-            sample_distinguishability(3, 1e-3, rng, "legendre")
-
-    @pytest.mark.parametrize("ensemble, mean_eps, eta_scale", [
-        *((ensemble, mean_eps, 1.0) for ensemble in GRAM_ENSEMBLES
-          for mean_eps in (-1e-3, np.inf, np.nan, 1e308)),
-        *(("independent", 1e-3, eta_scale) for eta_scale in (-1.0, np.inf, np.nan)),
-    ])
-    def test_bad_noise_ranges_rejected(self, ensemble, mean_eps, eta_scale):
-        # the ranges rng.uniform refused; the gram ensemble has no eta
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="^mean_eps and eta_scale must be finite and non-negative$"):
-            sample_distinguishability(3, mean_eps, rng, ensemble, eta_scale, count=2)
-        if mean_eps == 1e-3:
-            sample_distinguishability(3, mean_eps, rng, "gram", eta_scale, count=2)
+        with pytest.raises(ValueError, match="^mean_eps must be finite and non-negative$"):
+            sample_distinguishability(3, mean_eps, rng, count=2)
 
 
 class TestGracefulDegradation:

@@ -5,9 +5,9 @@ same table, so they cannot see a change in the laws, the eigenvalue groups
 or the event classes that fill that table. These digests can: they pin the
 SHA-256 of every verdict CSV of the 12-mode DFT comparison at m = 6 and of a
 2-basis census of the worked example, as the CLI writes them. Likewise the
-fit CSVs of a 40-sample ``independent`` distinguishability fit and a
-40-sample ``ring`` unitary fit on the worked example pin the noise draws,
-the PSD repair and the reductions of both robustness fits. The
+fit CSVs of a 40-sample distinguishability fit and a 40-sample ``ring``
+unitary fit on the worked example pin the noise draws and the reductions
+of both robustness fits. The
 distinguishability fit draws its Gram matrices over the occupied input
 modes; a 300-sample fit on the two-mode dip, whose input occupies every
 mode, pins that such an input draws over all n modes as before. The
@@ -34,8 +34,7 @@ ROBUSTNESS = {"permutation": "(1 2 3)(4 5 6)(7 8)", "rotation_seed": 7,
               "input_state": [1, 1, 1, 0, 0, 0, 1, 1], "target_output": [1, 1, 0, 1, 1, 0, 1, 0],
               "particle": "boson", "grid": [0.001, 0.002, 0.005, 0.01], "samples": 40}
 FIT_CONFIGS = {
-    "independent": {"kind": "distinguishability-robustness", "ensemble": "independent",
-                    **ROBUSTNESS},
+    "dist": {"kind": "distinguishability-robustness", **ROBUSTNESS},
     "ring": {"kind": "unitary-robustness", "delta_distribution": "ring", **ROBUSTNESS},
     "dip": {"kind": "distinguishability-robustness", "permutation": "(1 2)",
             "input_state": [1, 1], "target_output": [1, 1],
@@ -48,16 +47,16 @@ DIGESTS = {
     "census.boson.csv": "52b04b7e5c6f510444928a3724bd439176cab54f9821f4c8281981bd351b20a3",
     "census.fermion.csv": "3dacb279e048ca30a8100ec57de184ee0325d01fc385c43e26d3f861c8537870",
     "census.dist.csv": "6992cc1b78f657caf69edb82e98eaeaa4bf31fc9b48ab176525f7702c011eb92",
-    "independent.csv": "500f250908d8fb4b2fb5fda6d310edd8040b0e54b05c4f8fcdc777db12686aa3",
+    "dist.csv": "a2482d4b2bc3681c4a9a645777a7aa6d5e4c5d84f7224e8017301528bfae7856",
     "ring.csv": "463e786e8d7030ba42e7b4bb6afe9c7a28f0dde5448e446004984989a80462b6",
-    "dip.csv": "1c78687d964b9d42857cdca0f1e95b2526c22c5038b85e35dd7582f2e6df8675",
+    "dip.csv": "9f22ab73445a68b845174e354e001e62676bbf87b3e117e92165d2db6aec26ac",
 }
 META_DIGESTS = {
     "fourier": "0b9fe651a49b0e12932872f10b4b0653e19a549525574941b49e4d909359b828",
     "census": "279bb99ccc394ebfa23bd11fbe1ae1bb9ea0053b8d422db4afeeff88f5beb83c",
-    "independent": "fbaa3a88c020939c48ed4373ffb908fbd1b3cac7f46fc0054a4934212c8d7c7d",
+    "dist": "e6c385fe20bda7d2d2b821170ca2b15f2e1854ea4cee88c285f9f19f0e1e06d2",
     "ring": "1bd0ec22be5cc1afbc6c9ee3c32e8317b2bc29d45a6f30c139ccd46c2390ba6d",
-    "dip": "0f0df3682409f7326b391e03e78d449cca83438ff70761d4530055ab708932d6",
+    "dip": "8d8e6d4169de1c11fe47ec66c7218bb6507a2a79a2b1866a6d006e9fd388c813",
 }
 
 

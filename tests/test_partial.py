@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symfock.experiments import GRAM_ENSEMBLES, sample_distinguishability
+from symfock.experiments import sample_distinguishability
 from symfock.fock import ParticleType, occupation_to_assignment
 from symfock.linalg import permutation_signs, permutation_table
 from symfock.scattering import (
@@ -182,9 +182,9 @@ def test_psd_boundary_alone_and_inside_a_stack(n, lowest, refused):
             prob_partial(u, r, s, grams, ParticleType.BOSON)
 
 
-def test_unrepaired_independent_draws_are_refused():
-    # the `independent` ensemble before its PSD repair, eight modes: every
-    # draw is further than 1e-10 from the PSD cone, so every one must fail
+def test_entrywise_perturbed_overlaps_are_refused():
+    # overlaps perturbed entry by entry, (1 - eps) exp(i eta) on eight modes:
+    # every draw is further than 1e-10 from the PSD cone, so every one must fail
     rng = np.random.default_rng(9)
     n, mean_eps = 8, 1e-2
     u = haar_random_unitary(n, rng)
@@ -211,8 +211,8 @@ def test_unrepaired_independent_draws_are_refused():
 @st.composite
 def drawn_stacks(draw):
     """(terms, Gram stack): N = 1..5 bosons (bunched) or fermions on up to 6
-    modes, and 0..70 Gram matrices from one call of either ensemble of the
-    distinguishability fit."""
+    modes, and 0..70 Gram matrices from one call of the distinguishability
+    fit's sampler."""
     kind = draw(st.sampled_from(KINDS))
     particles = draw(st.integers(1, 5))
     n = draw(st.integers(particles if kind is ParticleType.FERMION else 1, 6))
@@ -224,7 +224,6 @@ def drawn_stacks(draw):
         r = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
         s = tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles)))
     grams, _ = sample_distinguishability(n, draw(st.sampled_from((1e-3, 1e-2, 0.1))), rng,
-                                         draw(st.sampled_from(GRAM_ENSEMBLES)),
                                          count=draw(st.integers(0, 70)))
     return partial_weights(haar_random_unitary(n, rng), r, s, kind), grams
 
@@ -286,10 +285,10 @@ BAD_GRAMS = {
 @settings(max_examples=80, deadline=None)
 @given(case=st.sampled_from(sorted(BAD_GRAMS)), position=st.integers(0, 67),
        seed=st.integers(0, 2**32 - 1))
-def test_one_bad_gram_in_a_repaired_stack_is_refused(case, position, seed):
-    # a stack of 68, one single-sum block at N = 5, every matrix repaired in place
+def test_one_bad_gram_in_a_drawn_stack_is_refused(case, position, seed):
+    # a stack of 68, one single-sum block at N = 5, every matrix valid as drawn
     grams, repairs = sample_distinguishability(8, 1e-3, np.random.default_rng(seed), count=68)
-    assert repairs == 68
+    assert repairs == 0
     grams[position] = spoil(grams[position], case)
     u = haar_random_unitary(8, 3)
     terms = partial_weights(u, (1, 1, 1, 0, 0, 0, 1, 1), (1, 1, 0, 1, 1, 0, 1, 0), ParticleType.BOSON)

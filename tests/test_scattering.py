@@ -23,7 +23,6 @@ from oracles import (
     is_unitary,
     permanent_naive,
     perturb_unitary,
-    repair_distinguishability,
 )
 
 BEAM_SPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -264,20 +263,6 @@ class TestDistinguishabilityValidation:
         )
         with pytest.raises(ValueError, match="positive semidefinite"):
             validate_distinguishability(bad)
-
-    def test_repair_produces_valid_matrix(self):
-        bad = np.array(
-            [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex
-        )
-        fixed, repaired = repair_distinguishability(bad)
-        assert repaired
-        validate_distinguishability(fixed)
-
-    def test_repair_keeps_valid_matrix(self):
-        gram = np.eye(3, dtype=complex)
-        fixed, repaired = repair_distinguishability(gram)
-        assert not repaired
-        assert np.allclose(fixed, gram)
 
 
 class TestPerturbUnitary:

@@ -447,8 +447,9 @@ class TestExperimentConfigCheck:
         ("seed", "0", "unitary-robustness"),
         ("rotation_seed", 2.0, "unitary-robustness"),
         ("delta_distribution", 3, "unitary-robustness"),
-        ("ensemble", ["gram"], "distinguishability-robustness"),
-        ("eta_scale", "1", "distinguishability-robustness"),
+        ("samples", 0, "distinguishability-robustness"),
+        ("seed", 1.5, "distinguishability-robustness"),
+        ("particle", "anyon", "distinguishability-robustness"),
     ])
     def test_wrong_types_named(self, key, value, kind):
         payload = self.complete(kind) | {key: value}
@@ -468,6 +469,8 @@ class TestExperimentConfigCheck:
         ("fourier-comparison", "seed"),
         ("unitary-robustness", "ensemble"),
         ("distinguishability-robustness", "delta_distribution"),
+        ("distinguishability-robustness", "ensemble"),
+        ("distinguishability-robustness", "eta_scale"),
     ])
     def test_unknown_keys_rejected(self, kind, key):
         problems = check_experiment_config(self.complete(kind) | {key: 1})
@@ -520,7 +523,7 @@ class TestExperimentConfigCheck:
                 "kind": kind, "modes": 4, "order": 2, "input_state": [1, 0, 1, 0],
             },
             "unitary-robustness": robustness | {"delta_distribution": "ring"},
-            "distinguishability-robustness": robustness | {"ensemble": "gram", "eta_scale": 1.0},
+            "distinguishability-robustness": robustness,
         }[kind]
 
     def test_fourier_pair_checked(self):
