@@ -11,6 +11,8 @@ check.
 
 from fractions import Fraction
 
+import numpy as np
+
 from symfock import (
     ParticleType,
     Permutation,
@@ -19,12 +21,11 @@ from symfock import (
     cycle_decompose,
     initial_distribution,
     fermion_suppressed,
-    occupation_to_assignment,
     output_laws,
     prob_boson,
     prob_fermion,
 )
-from symfock.fock import output_array
+from symfock.fock import output_array, particle_modes
 
 perm = Permutation.parse("(1 2 3)(4 5 6)(7 8)")
 r = (1, 1, 1, 0, 0, 0, 1, 1)
@@ -40,7 +41,7 @@ print("input:", r, "-> initial distribution",
 print()
 
 s = (0, 2, 0, 1, 1, 1, 0, 0)
-assignment = occupation_to_assignment(s)
+assignment = tuple((particle_modes(np.array([s])) + 1)[0].tolist())  # 1-based, per particle
 laws = output_laws(built.eigenvalues, [s])  # the multiset as counts of each distinct root
 final = [v for v, count in zip(laws.roots, laws.root_counts[:, laws.group[0]].tolist())
          for _ in range(count)]

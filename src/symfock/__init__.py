@@ -7,7 +7,6 @@ from .experiments import PerturbationModel
 from .fock import (
     ParticleType,
     enumerate_outputs,
-    occupation_to_assignment,
 )
 from .linalg import (
     determinant,
@@ -50,7 +49,6 @@ from .unitaries import (
 __all__ = [
     "ParticleType",
     "enumerate_outputs",
-    "occupation_to_assignment",
     "determinant",
     "permanent_ryser",
     "EigenStructure",

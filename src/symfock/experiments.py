@@ -94,18 +94,18 @@ def derive_seed(seed: int, *indices: int) -> int:
 
 
 class _KahanMean:
-    """Streaming compensated mean/max over equally shaped rows, in arrival
+    """Streaming compensated mean over equally shaped rows, in arrival
     order: one row of outputs per eigenbasis for the census, one float per
     noise sample for the fits."""
 
     def __init__(self):
-        self.total = self._comp = self.peak = 0.0
+        self.total = self._comp = 0.0
         self.count = 0
 
     def add(self, rows) -> None:
         """Add a block of rows, one at a time in order: a block's bits equal
         those of its rows added alone. The sums run on locals, so a float
-        row costs no numpy call; the peak takes one per block."""
+        row costs no numpy call."""
         total, comp = self.total, self._comp
         for row in rows:
             y = row - comp
@@ -113,7 +113,6 @@ class _KahanMean:
             comp = (t - total) - y
             total = t
         self.total, self._comp = total, comp
-        self.peak = np.maximum(self.peak, np.max(rows, axis=0))
         self.count += len(rows)
 
     def mean(self):
@@ -181,16 +180,21 @@ def run_mean_probabilities(
                        if ParticleType.FERMION in types else none)
 
     acc = {key: _KahanMean() for key in ("pb", "pd", "pf", "pdf")}
+    peak_pb = peak_pf = 0.0  # each output's largest boson and fermion probability
     for start in range(0, num_bases, CHUNK):
         built = build_unitaries(UnitarySpec(p), [derive_seed(seed, index) for index
                                                  in range(start, min(start + CHUNK, num_bases))])
         stack, eigenvalues = built.matrices, built.eigenvalues
         if ParticleType.BOSON in types:
-            acc["pb"].add(probabilities(stack, r, boson_outputs, ParticleType.BOSON))
+            pb = probabilities(stack, r, boson_outputs, ParticleType.BOSON)
+            acc["pb"].add(pb)
+            peak_pb = np.maximum(peak_pb, pb.max(axis=0))
         if ParticleType.BOSON in types or ParticleType.DISTINGUISHABLE in types:
             acc["pd"].add(probabilities(stack, r, boson_outputs, ParticleType.DISTINGUISHABLE))
         if ParticleType.FERMION in types:
-            acc["pf"].add(probabilities(stack, r, fermion_outputs, ParticleType.FERMION))
+            pf = probabilities(stack, r, fermion_outputs, ParticleType.FERMION)
+            acc["pf"].add(pf)
+            peak_pf = np.maximum(peak_pf, pf.max(axis=0))
             pdf = probabilities(stack, r, fermion_outputs, ParticleType.DISTINGUISHABLE)
             # distinguishable reference on singly occupied outputs, normalised
             # by one 1-D sum per basis (a sum over axis 1 rounds differently)
@@ -203,7 +207,7 @@ def run_mean_probabilities(
         tables[ParticleType.BOSON] = verdict_table(laws, boson_outputs, ParticleType.BOSON,
                                                    acc["pb"].mean(), acc["pd"].mean())
         suppressed = laws.columns["boson_suppressed"]
-        max_suppressed["boson"] = float(acc["pb"].peak[suppressed].max(initial=0.0))
+        max_suppressed["boson"] = float(peak_pb[suppressed].max(initial=0.0))
     if ParticleType.DISTINGUISHABLE in types:
         mean_pd = acc["pd"].mean()
         tables[ParticleType.DISTINGUISHABLE] = verdict_table(
@@ -214,7 +218,7 @@ def run_mean_probabilities(
                                                      ParticleType.FERMION, acc["pf"].mean(),
                                                      acc["pdf"].mean())
         suppressed = fermion_laws.columns["fermion_suppressed"]
-        max_suppressed["fermion"] = float(acc["pf"].peak[suppressed].max(initial=0.0))
+        max_suppressed["fermion"] = float(peak_pf[suppressed].max(initial=0.0))
 
     metadata = {
         "experiment": "mean-probabilities",

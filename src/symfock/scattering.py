@@ -71,7 +71,7 @@ unitary perturbations and the random Gram matrices, lives in
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -80,9 +80,10 @@ from .fock import (
     ParticleType,
     check_occupation,
     lattice,
-    occupation_to_assignment,
+    lattice_size,
     odd_slots,
     output_rows,
+    particle_modes,
     require_modes,
 )
 from .linalg import (
@@ -113,10 +114,6 @@ CHUNK = 512
 BLOCK_ENTRIES = 1 << 13
 
 
-def _assignment0(occupation) -> np.ndarray:
-    return np.array(occupation_to_assignment(occupation), dtype=np.intp) - 1
-
-
 def _check_finite(value) -> None:
     if not np.isfinite(value).all():  # an overflow upstream: no probability to give
         raise ArithmeticError(f"probability {value[~np.isfinite(value)][0]} is not finite")
@@ -131,10 +128,11 @@ def _clamp_probability(value):
 
 def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     """Check one input and a list of outputs against ``u``; return the input
-    occupation and the (K, n) array of output occupations, from
-    :func:`fock.output_rows`: integer rows in their own dtype, uncopied.
-    The rules of an occupation are :mod:`fock`'s; the particle numbers are
-    checked here."""
+    occupation, the 0-based input mode d(j) of each of its particles
+    (:func:`fock.particle_modes`) and the (K, n) array of output
+    occupations, from :func:`fock.output_rows`: integer rows in their own
+    dtype, uncopied. The rules of an occupation are :mod:`fock`'s; the
+    particle numbers are checked here."""
     r = check_occupation(occupation_in, fermionic=fermionic)
     n_in, n_out = u.shape[-2:]
     require_modes(r, n_in)
@@ -147,33 +145,15 @@ def _check_outputs(u: np.ndarray, occupation_in, outputs, fermionic: bool):
     if totals.min(initial=particles) != particles or totals.max(initial=particles) != particles:
         first = tuple(int(x) for x in s[totals != particles][0])
         raise ValueError(f"particle numbers differ: sum{r}={particles} vs sum{first}={sum(first)}")
-    return r, s
-
-
-def _columns(s: np.ndarray, n_particles: int) -> np.ndarray:
-    """Column indices of the scattering matrices, one row per output in ``s``."""
-    return np.repeat(np.tile(np.arange(s.shape[1]), len(s)), s.ravel()).reshape(len(s), n_particles)
-
-
-def _gather(u: np.ndarray, r, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The input mode of each particle and the scattering matrix of a checked
-    input ``r`` and one checked (1, n) output row ``s``."""
-    rows = _assignment0(r)
-    return rows, u[np.ix_(rows, _columns(s, len(rows))[0])]
+    return r, particle_modes(np.array([r], dtype=np.intp))[0], s
 
 
 def scattering_matrix(u, occupation_in, occupation_out) -> np.ndarray:
     """Submatrix of U with rows from occupied input modes and columns from
     occupied output modes, repeated per multiplicity."""
     u = as_complex_matrix(u)
-    r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic=False)
-    return _gather(u, r, s)[1]
-
-
-def _lattice_size(n: int, particles: int, single: bool) -> int:
-    """K_N: the C(n+N-1, N) multisets of N particles in n modes, or the
-    C(n, N) subsets when ``single``."""
-    return comb(n, particles) if single else comb(n + particles - 1, particles)
+    _, d, s = _check_outputs(u, occupation_in, [occupation_out], fermionic=False)
+    return u[np.ix_(d, particle_modes(s)[0])]
 
 
 def expansion_pays(n: int, particles: int, kind: ParticleType, single: bool = False) -> bool:
@@ -194,10 +174,10 @@ def expansion_pays(n: int, particles: int, kind: ParticleType, single: bool = Fa
     Ryser refuses: the expansion accepts no input the permanent would not.
     """
     single = single or kind is ParticleType.FERMION
-    outputs = _lattice_size(n, particles, single)
+    outputs = lattice_size(n, particles, single)
     if outputs < 2 or (particles > RYSER_MAX and kind is not ParticleType.FERMION):
         return False
-    every = sum(_lattice_size(n, d, single) for d in range(particles + 1))
+    every = sum(lattice_size(n, d, single) for d in range(particles + 1))
     per_output = particles ** 3 if kind is ParticleType.FERMION else 2 ** particles * particles
     return n * every < outputs * per_output
 
@@ -295,10 +275,9 @@ def probabilities(u, occupation_in, outputs, kind: ParticleType) -> np.ndarray:
     u = as_complex_matrix(u, stack=True)
     stack = u if u.ndim == 3 else u[None]
     fermionic = kind is ParticleType.FERMION
-    r, s = _check_outputs(stack, occupation_in, outputs, fermionic)
-    rows = _assignment0(r)
+    r, rows, s = _check_outputs(stack, occupation_in, outputs, fermionic)
     n, single = s.shape[1], fermionic or s.max(initial=0) <= 1
-    if (len(s) == _lattice_size(n, len(rows), single) and expansion_pays(n, len(rows), kind, single)
+    if (len(s) == lattice_size(n, len(rows), single) and expansion_pays(n, len(rows), kind, single)
             and np.array_equal(s, lattice(n, len(rows), single).top)):
         result = _expanded_probabilities(stack, r, rows, s, kind, single)
     else:
@@ -332,7 +311,7 @@ def _per_output_probabilities(stack, r, rows, s, kind: ParticleType) -> np.ndarr
     for start in range(0, n_pairs, CHUNK):
         pair = np.arange(start, min(start + CHUNK, n_pairs))
         b, k = np.divmod(pair, len(s))
-        m = stack[b[:, None, None], rows[None, :, None], _columns(s[k], len(rows))[:, None, :]]
+        m = stack[b[:, None, None], rows[None, :, None], particle_modes(s[k])[:, None, :]]
         if kind is ParticleType.DISTINGUISHABLE:
             weights = np.abs(m) ** 2
             # squares of checked entries may overflow: the error of the
@@ -428,11 +407,11 @@ def partial_weights(u, occupation_in, occupation_out, kind: ParticleType) -> Par
         raise ValueError("partial distinguishability applies to bosons or fermions")
     fermionic = kind is ParticleType.FERMION
     u = as_complex_matrix(u)
-    r, s = _check_outputs(u, occupation_in, [occupation_out], fermionic)
+    r, d, s = _check_outputs(u, occupation_in, [occupation_out], fermionic)
     n_particles = sum(r)
     if n_particles > PARTIAL_MAX:
         raise ValueError(f"partial-distinguishability sum limited to N <= {PARTIAL_MAX}")
-    d, m = _gather(u, r, s)
+    m = u[np.ix_(d, particle_modes(s)[0])]
     perms = permutation_table(n_particles)
     weights = np.concatenate([permanent_ryser(m.conj() * m[perms[start:start + CHUNK]])
                               for start in range(0, len(perms), CHUNK)])

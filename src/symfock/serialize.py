@@ -210,11 +210,11 @@ _EVENTS = _cell_matrix([event.value for event in EventClass])
 
 def _digit_slots(outputs: np.ndarray) -> int:
     """The digit slots of each entry of the occupation cells of a (B, n)
-    integer array: 0 when every entry is a single digit (0-9), for the
-    fixed-width form, else the digit count of the largest magnitude."""
-    if outputs.shape[1] and outputs.min(initial=0) >= 0 and outputs.max(initial=0) <= 9:
-        return 0
-    return len(str(int(np.abs(outputs.astype(np.int64)).max(initial=0))))
+    array of checked, non-negative counts: 0 when every entry is a single
+    digit (0-9), for the fixed-width form, else the digit count of the
+    largest."""
+    largest = int(outputs.max(initial=0))
+    return 0 if outputs.shape[1] and largest <= 9 else len(str(largest))
 
 
 def _occupations(outputs: np.ndarray, digits: int | None = None) -> np.ndarray:
@@ -223,10 +223,10 @@ def _occupations(outputs: np.ndarray, digits: int | None = None) -> np.ndarray:
     :func:`_digit_slots`, which a block of a table takes from the whole table).
 
     With 0 digit slots each row is "[d,d,...,d]" of fixed width 2n + 1,
-    written with strided stores and no NULs. Otherwise every entry has a
-    sign slot, ``digits`` digit slots and its separator, and NULs stand for
-    the sign of a non-negative entry, leading zeros and the last entry's
-    separator.
+    written with strided stores and no NULs. Otherwise every entry has
+    ``digits`` digit slots and its separator, and NULs stand for leading
+    zeros and the last entry's separator. Every table's rows come checked
+    through :func:`fock.output_rows`, so no entry is negative.
     """
     b, n = outputs.shape
     width = _digit_slots(outputs) if digits is None else digits
@@ -236,15 +236,14 @@ def _occupations(outputs: np.ndarray, digits: int | None = None) -> np.ndarray:
         line[:, 0], line[:, -1] = ord("["), ord("]")
         np.add(outputs, ord("0"), out=line[:, 1::2], casting="unsafe")  # every other byte
         return line
-    rest = np.abs(outputs.astype(np.int64))
-    line = np.zeros((b, n * (width + 2) + 2), dtype=np.uint8)
+    rest = outputs.astype(np.int64)
+    line = np.zeros((b, n * (width + 1) + 2), dtype=np.uint8)
     line[:, 0], line[:, -1] = ord("["), ord("]")
-    chars = line[:, 1:-1].reshape(b, n, width + 2)  # a view: one axis split in two
-    chars[..., 0][outputs < 0] = ord("-")
-    for place in range(width, 0, -1):  # from the units digit leftwards
+    chars = line[:, 1:-1].reshape(b, n, width + 1)  # a view: one axis split in two
+    for place in range(width - 1, -1, -1):  # from the units digit leftwards
         quotient = rest // 10
         digit = rest - quotient * 10 + ord("0")
-        chars[..., place] = digit if place == width else np.where(rest > 0, digit, 0)
+        chars[..., place] = digit if place == width - 1 else np.where(rest > 0, digit, 0)
         rest = quotient
     chars[:, :-1, -1] = ord(",")
     return line

@@ -22,10 +22,12 @@
   lone ``probabilities`` calls per basis, reduced row by row with a
   streaming compensated mean. Their bits are the contract of
   ``experiments.run_mean_probabilities``.
-* :func:`assignment_to_occupation`, :func:`eigenvalue_sorted_order`,
+* :func:`occupation_to_assignment` and its inverse
+  :func:`assignment_to_occupation`, :func:`eigenvalue_sorted_order`,
   :func:`operator_matrix` and :func:`reconstruction_residual`: small helpers
   that only the tests use, kept here with their tests instead of in the
-  library.
+  library. The first, the 1-based mode of each particle as a tuple, is the
+  oracle of ``fock.particle_modes``.
 * :func:`reference_dist_fit`: the distinguishability fit as it ran before it
   computed its weights once per fit, one lone ``prob_partial`` call, N!
   weight permanents included, per grid point, whatever the fit's stacks.
@@ -335,6 +337,17 @@ def reference_dist_fit(u, r, s, particle, grid, samples, seed) -> tuple[float, .
             acc.add(p)
         measured.append(float(acc.mean()[0]))
     return tuple(measured)
+
+
+def occupation_to_assignment(occupation) -> tuple[int, ...]:
+    """Expand an occupation list into the sorted per-particle mode list.
+
+    (0,2,0,1,1,1,0,0) -> (2,2,4,5,6).
+    """
+    occ = check_occupation(occupation)
+    return tuple(
+        mode for mode, count in enumerate(occ, start=1) for _ in range(count)
+    )
 
 
 def assignment_to_occupation(assignment, n: int) -> tuple[int, ...]:

@@ -241,6 +241,34 @@ def test_bad_one_line_permutation_is_one_line_error(tmp_path, capsys, command, p
     assert captured.err == f"error: {message}\n"
 
 
+OVERSIZED_RUNS = [
+    (["verdicts", "--input-state", json.dumps([1] * 16)],
+     {"permutation": "(" + " ".join(map(str, range(1, 17))) + ")"}, "300540195 outputs of 16 particles in 16 modes"),
+    (["experiment"], {"kind": "fourier-comparison", "modes": 24, "order": 2,
+                      "input_state": [1, 0] * 12}, "834451800 outputs of 12 particles in 24 modes"),
+    (["experiment"], {"kind": "mean-probabilities",
+                      "permutation": "(1 2 3 4 5 6 7 8)(9 10 11 12 13 14 15 16)(17 18 19 20)",
+                      "input_state": [1] * 16 + [0] * 4}, "4059928950 outputs of 16 particles in 20 modes"),
+]
+
+
+@pytest.mark.parametrize("command, config, lattice", OVERSIZED_RUNS,
+                         ids=["verdicts", "fourier", "census"])
+def test_a_lattice_too_large_to_build_is_refused_up_front(tmp_path, capsys, monkeypatch,
+                                                          command, config, lattice):
+    """The three table writers refuse a lattice past ``fock.LATTICE_MAX`` in
+    one line, exit 1, before the lattice recurrence runs."""
+    monkeypatch.setattr(fock, "_generations", lambda *key: pytest.fail(f"built {key}"))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    option = "--spec" if command[0] == "verdicts" else "--config"
+    assert main([command[0], option, str(path), *command[1:], "--out", str(tmp_path / "x")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lattice} exceed the lattice bound of {fock.LATTICE_MAX}\n"
+    assert not list(tmp_path.glob("x*"))
+
+
 class TestVerdicts:
     def test_hom_three_rows(self, hom_spec_file, tmp_path):
         out = tmp_path / "verdicts.csv"

@@ -27,7 +27,6 @@ from symfock.fock import (
     ParticleType,
     enumerate_outputs,
     lattice,
-    occupation_to_assignment,
     odd_slots,
     output_array,
 )
@@ -39,6 +38,7 @@ from symfock.unitaries import UnitarySpec, build_unitary, fourier_unitary
 from oracles import (
     haar_random_unitary,
     leibniz_determinant,
+    occupation_to_assignment,
     odd_after,
     output_ranks,
     outputs_up_to,
@@ -309,6 +309,35 @@ def test_lattice_table_holds_every_degree(single):
                 if single:
                     assert used == d and odd_slots(d).tolist() == odd[i, occupied].tolist()
             assert not slots.parents.flags.writeable and not slots.modes.flags.writeable
+
+
+def assert_sub_lattice_agrees(u, r):
+    """The 0/1 rows of the lattice of N = sum(r) particles, in order, are
+    the 0/1 lattice, and wherever both lattices take the same branch of
+    ``probabilities`` (both expand, or neither), the distinguishable
+    probabilities over the two agree bit for bit on those rows."""
+    n, particles = len(r), sum(r)
+    full, single = lattice(n, particles, False).top, lattice(n, particles, True).top
+    zero_one = full.max(axis=1, initial=0) <= 1
+    assert full[zero_one].tolist() == single.tolist()
+    dist = ParticleType.DISTINGUISHABLE
+    if expansion_pays(n, particles, dist) == expansion_pays(n, particles, dist, single=True):
+        assert (probabilities(u, r, full, dist)[zero_one].tobytes()
+                == probabilities(u, r, single, dist).tobytes())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_the_0_1_rows_of_a_lattice_are_the_0_1_lattice(n, particles, seed, bunched):
+    particles = min(particles, n)
+    rng = np.random.default_rng(seed)
+    r = (tuple(int(x) for x in rng.multinomial(particles, [1 / n] * n)) if bunched else
+         tuple(int(x) for x in rng.permutation([1] * particles + [0] * (n - particles))))
+    assert_sub_lattice_agrees(haar_random_unitary(n, rng), r)
+
+
+def test_the_0_1_rows_of_the_dft_lattice_are_the_0_1_lattice():
+    assert_sub_lattice_agrees(fourier_unitary(12), (1, 0) * 6)
 
 
 @pytest.mark.parametrize("kind", list(ParticleType))

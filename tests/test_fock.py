@@ -1,23 +1,27 @@
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symfock import fock
 from symfock.fock import (
+    LATTICE_MAX,
     ParticleType,
     check_occupation,
     enumerate_outputs,
-    occupation_to_assignment,
+    lattice_size,
     output_array,
     particle_count,
+    particle_modes,
     require_invariant,
 )
 from symfock.permutations import Permutation
 
-from oracles import assignment_to_occupation
+from oracles import assignment_to_occupation, occupation_to_assignment
 
 
 class TestConversions:
@@ -40,6 +44,20 @@ class TestConversions:
             n = int(rng.integers(1, 9))
             occ = tuple(int(x) for x in rng.integers(0, 4, size=n))
             assert assignment_to_occupation(occupation_to_assignment(occ), n) == occ
+
+    def test_particle_modes_of_the_worked_example(self):
+        assert particle_modes(np.array([[0, 2, 0, 1, 1, 1, 0, 0]])).tolist() == [[1, 1, 3, 4, 5]]
+
+    @given(st.data(), st.integers(1, 8), st.integers(0, 6), st.sampled_from([np.uint8, np.intp]))
+    def test_particle_modes_are_the_assignment_lists(self, data, n, particles, dtype):
+        """Each row's 0-based modes, ascending, are its assignment list less
+        one, in ``intp`` whatever the integer dtype of the rows."""
+        modes = st.lists(st.integers(0, n - 1), min_size=particles, max_size=particles)
+        rows = [np.bincount(m, minlength=n).tolist()
+                for m in data.draw(st.lists(modes, min_size=1, max_size=5))]
+        got = particle_modes(np.array(rows, dtype=dtype))
+        assert got.dtype == np.intp and got.shape == (len(rows), particles)
+        assert got.tolist() == [[m - 1 for m in occupation_to_assignment(r)] for r in rows]
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -104,10 +122,10 @@ class TestEnumerateOutputs:
     @pytest.mark.parametrize("particles", range(0, 7))
     def test_counts_match_closed_forms(self, n, particles):
         bosonic = sum(1 for _ in enumerate_outputs(n, particles, ParticleType.BOSON))
-        assert bosonic == comb(n + particles - 1, particles)
+        assert bosonic == comb(n + particles - 1, particles) == lattice_size(n, particles, False)
         if particles <= n:
             fermionic = sum(1 for _ in enumerate_outputs(n, particles, ParticleType.FERMION))
-            assert fermionic == comb(n, particles)
+            assert fermionic == comb(n, particles) == lattice_size(n, particles, True)
 
     @given(n=st.integers(1, 9), particles=st.integers(0, 6))
     def test_counts_and_order_property(self, n, particles):
@@ -171,6 +189,23 @@ class TestOutputArray:
             assert str(refused.value) == str(exc)
         else:
             assert len(output_array(n, particles, kind)) >= 1
+
+    def test_a_lattice_past_the_bound_is_refused_before_it_is_built(self, monkeypatch):
+        """More than ``LATTICE_MAX`` outputs are refused in one line that
+        names both numbers, with no lattice built, fermions by their 0/1
+        count; the bound itself and the 490 314 outputs of 8 bosons in 16
+        modes pass."""
+        monkeypatch.setattr(fock, "lattice", lambda *key: pytest.fail(f"built {key}"))
+        with pytest.raises(ValueError, match=r"^2203961430 outputs of 16 particles in 34 modes "
+                                             r"exceed the lattice bound of 4194304$"):
+            output_array(34, 16, ParticleType.FERMION)  # C(34, 16), not C(49, 16)
+        assert LATTICE_MAX == 1 << 22 and lattice_size(16, 8, False) == 490_314
+        monkeypatch.setattr(fock, "LATTICE_MAX", 490_314)
+        monkeypatch.setattr(fock, "lattice", lambda *key: SimpleNamespace(top=key))
+        assert output_array(16, 8, ParticleType.DISTINGUISHABLE) == (16, 8, False)
+        monkeypatch.setattr(fock, "LATTICE_MAX", 490_313)
+        with pytest.raises(ValueError, match="^490314 outputs .* bound of 490313$"):
+            output_array(16, 8, ParticleType.BOSON)
 
 
 class TestParticleType:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfock.experiments import sample_distinguishability
-from symfock.fock import ParticleType, occupation_to_assignment
+from symfock.fock import ParticleType
 from symfock.linalg import permutation_signs, permutation_table
 from symfock.scattering import (
     BLOCK_ENTRIES,
@@ -25,7 +25,7 @@ from symfock.scattering import (
     validate_distinguishability,
 )
 
-from oracles import haar_random_unitary, reference_partial_sum
+from oracles import haar_random_unitary, occupation_to_assignment, reference_partial_sum
 
 KINDS = (ParticleType.BOSON, ParticleType.FERMION)
 

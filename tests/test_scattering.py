@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from symfock.experiments import PerturbationModel
-from symfock.fock import ParticleType, enumerate_outputs, occupation_to_assignment
+from symfock.fock import ParticleType, enumerate_outputs
 from symfock.scattering import (
     PARTIAL_MAX,
     _check_outputs,
@@ -21,6 +21,7 @@ from symfock.scattering import (
 from oracles import (
     haar_random_unitary,
     is_unitary,
+    occupation_to_assignment,
     permanent_naive,
     perturb_unitary,
 )

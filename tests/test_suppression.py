@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from symfock import suppression
 from symfock.fock import ParticleType, enumerate_outputs
-from symfock.fock import occupation_to_assignment
 from symfock.permutations import Permutation, RootOfUnity, eigenstructure
 from symfock.scattering import prob_boson, prob_fermion, probabilities
 from symfock.suppression import (
@@ -24,6 +23,7 @@ from oracles import (
     assignment_to_occupation,
     classify_event,
     final_distribution,
+    occupation_to_assignment,
     old_fourier_fermion_suppressed,
     reference_groups,
     reference_output_laws,
