@@ -27,8 +27,8 @@ its entry, and then takes one of two kernels.
   in row blocks whose terms hold at most :data:`BLOCK_ENTRIES` entries.
 * One permanent or determinant per output: the scattering matrices,
   gathered by row and column index into stacks of at most :data:`CHUNK` (a
-  module constant), go to the stack-aware Ryser permanent or LU
-  determinant, K * 2^N * N or K * N^3 work.
+  module constant), go to the stack-aware permanent (Glynn's formula) or
+  LU determinant, K * 2^(N-1) * N or K * N^3 work.
 
 The expansion serves a list of outputs that is the lattice of N particles,
 by value and in :func:`fock.output_array` order, where
@@ -36,8 +36,8 @@ by value and in :func:`fock.output_array` order, where
 tables list it so. Every other list (a lone output, as in the one-output
 wrappers ``prob_boson``, ``prob_fermion`` and ``prob_distinguishable`` and
 the robustness fits, a subset, a reordering, repeated rows) takes one
-permanent or determinant per output, with the bits of a lone Ryser or LU
-call per output, and builds no lattice. Either way a probability's bits
+permanent or determinant per output, with the bits of a lone permanent or
+LU call per output, and builds no lattice. Either way a probability's bits
 depend on neither the stack it came in nor the block boundaries, nor on the
 form of the list: the outputs are read through :func:`fock.output_rows`, so
 integer rows in any dtype, such as the cached read-only rows that
@@ -54,7 +54,7 @@ distinguishable) through the single sum over permutations tau
 (Tichy, PRA 91, 022316 (2015); Shchesnovich, PRA 91, 013844 (2015)). The N!
 weights depend on U, the input and the output only. :func:`prob_partial` is
 two halves: :func:`partial_weights` checks U, the input and the output and
-computes the weights, at N! * 2^N * N cost; :func:`partial_probabilities`
+computes the weights, at N! * 2^(N-1) * N cost; :func:`partial_probabilities`
 checks a Gram matrix or a stack of them and spends at most N! * N on each,
 in blocks of :data:`BLOCK_ENTRIES` // N! matrices.
 A caller with many Gram stacks for one transition, such as the
@@ -96,7 +96,7 @@ from .linalg import (
 )
 
 #: The N! weight permanents go through stacks of :data:`CHUNK`, so memory
-#: stays flat; a lone call takes about 0.07 s at N = 7 and 1.2 s at N = 8.
+#: stays flat; a lone call takes about 0.03 s at N = 7 and 0.4 s at N = 8.
 PARTIAL_MAX = 8
 
 _NEGATIVE_FLOOR = -1e-12
@@ -168,10 +168,14 @@ def expansion_pays(n: int, particles: int, kind: ParticleType, single: bool = Fa
     adds one per occupied mode only, sum_d min(d, n) * K_d, so the rule is
     conservative: it keeps the choices (and so the bits) it made when the
     expansion cost what it charges. One output costs 2^N * N by Ryser, N^3
-    by LU, so K_N outputs cost K_N times that. A lattice of one output
-    always takes the permanent or the determinant, and so do more than
+    by LU, so K_N outputs cost K_N times that. The permanent is Glynn's
+    loop, 2^(N-1) * N, but the rule keeps Ryser's price: at half the price
+    some lattices would change branch, and so the bits of their
+    probabilities. A lattice of one output always takes the
+    permanent or the determinant, and so do more than
     :data:`linalg.RYSER_MAX` bosons or distinguishable particles, which the
-    Ryser refuses: the expansion accepts no input the permanent would not.
+    permanent refuses: the expansion accepts no input the permanent would
+    not.
     """
     single = single or kind is ParticleType.FERMION
     outputs = lattice_size(n, particles, single)
@@ -398,7 +402,7 @@ class PartialWeights(NamedTuple):
 def partial_weights(u, occupation_in, occupation_out, kind: ParticleType) -> PartialWeights:
     """Check U, the input and the output for :func:`prob_partial` and compute
     the N! weights w_tau = chi(tau) * perm(conj(M) o M[tau, :]) through the
-    stack-aware permanent in stacks of :data:`CHUNK`, at N! * 2^N * N cost,
+    stack-aware permanent in stacks of :data:`CHUNK`, at N! * 2^(N-1) * N cost,
     once for any number of Gram matrices.
 
     Refuses N > :data:`PARTIAL_MAX` and kinds other than bosons and fermions.
@@ -485,7 +489,7 @@ def prob_partial(u, occupation_in, occupation_out, s_matrix, kind: ParticleType)
 
     It is :func:`partial_probabilities` of :func:`partial_weights`: the
     first half checks U, the input and the output and computes the N!
-    weights (N! * 2^N * N work), the second checks the Gram matrices and
+    weights (N! * 2^(N-1) * N work), the second checks the Gram matrices and
     spends N! * N on each, building e_tau one factor at a time as
     e <- e + d + e * d. A caller with many Gram stacks for one transition,
     such as the distinguishability fit, calls the halves itself and computes

@@ -59,6 +59,9 @@
   :func:`perturb_unitary`, :func:`float_reprs` and :func:`read_fit_csv`:
   helpers that only the tests use, moved here from ``fock``, ``linalg``,
   ``scattering`` and ``serialize``.
+* :func:`permanent_exact`: Ryser's formula in Python integers on the
+  exact values of the floats, rounded once; the permanent's reference
+  beyond :data:`NAIVE_MAX`, where enumerating n! permutations is too slow.
 * :func:`permanent_naive` (from ``linalg``, with :data:`NAIVE_MAX`),
   :func:`final_distribution`, :func:`old_fourier_fermion_suppressed`,
   :func:`classify_event` and :func:`count_roots` (from ``suppression``),
@@ -70,6 +73,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, lcm
 
@@ -605,6 +609,31 @@ def permanent_naive(matrix) -> complex:
     if n == 0:
         return 1.0 + 0.0j
     return complex(np.prod(m[np.arange(n)[None, :], permutation_table(n)], axis=1).sum())
+
+
+def permanent_exact(matrix) -> complex:
+    """Permanent of one square matrix in exact arithmetic, rounded once at
+    the end. Every float is an integer over a power of two, so the matrix
+    is Gaussian integers over one common power of two, and Ryser's formula
+    runs on Python integers: about 0.1 s at n = 12."""
+    m = as_complex_matrix(matrix)
+    n = m.shape[0]
+    ratios = [x.as_integer_ratio() for x in np.stack([m.real, m.imag]).ravel().tolist()]
+    scale = max((den for _, den in ratios), default=1)
+    ints = [num * (scale // den) for num, den in ratios]
+    re, im = ints[: n * n], ints[n * n :]
+    total_re = total_im = 0
+    for subset in range(1, 1 << n):
+        columns = [j for j in range(n) if subset >> j & 1]
+        prod_re, prod_im = 1, 0
+        for i in range(n):
+            row_re = sum(re[i * n + j] for j in columns)
+            row_im = sum(im[i * n + j] for j in columns)
+            prod_re, prod_im = prod_re * row_re - prod_im * row_im, prod_re * row_im + prod_im * row_re
+        sign = -1 if (n - len(columns)) % 2 else 1
+        total_re += sign * prod_re
+        total_im += sign * prod_im
+    return complex(Fraction(total_re, scale**n), Fraction(total_im, scale**n))
 
 
 def final_distribution(eigenvalues, occupation_out) -> EigenvalueDistribution:

@@ -986,9 +986,9 @@ def test_wide_dft_config_exits_1_in_a_fresh_process(tmp_path):
     assert result.stderr == "error: occupation over 2 modes, expected 100000\n"
 
 
-#: A 2 x 2 matrix with finite entries whose permanent, determinant and
-#: squared moduli overflow.
-HUGE = [[1e200, 1e200], [1e200, -1e200]]
+#: A 2 x 2 matrix with finite entries whose permanent (3e400), determinant
+#: (1e400) and squared moduli overflow, whatever the kernel's order of work.
+HUGE = [[2e200, 1e200], [1e200, 1e200]]
 
 
 def _one_invariant_failure(result) -> None:

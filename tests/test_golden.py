@@ -47,15 +47,15 @@ DIGESTS = {
     "census.boson.csv": "52b04b7e5c6f510444928a3724bd439176cab54f9821f4c8281981bd351b20a3",
     "census.fermion.csv": "3dacb279e048ca30a8100ec57de184ee0325d01fc385c43e26d3f861c8537870",
     "census.dist.csv": "6992cc1b78f657caf69edb82e98eaeaa4bf31fc9b48ab176525f7702c011eb92",
-    "dist.csv": "a2482d4b2bc3681c4a9a645777a7aa6d5e4c5d84f7224e8017301528bfae7856",
-    "ring.csv": "463e786e8d7030ba42e7b4bb6afe9c7a28f0dde5448e446004984989a80462b6",
+    "dist.csv": "f28a49f7f2ab63373769e52e5499eb712a4c1c1081e7ea401d138d3e9c228f57",
+    "ring.csv": "15591983334191563a425e8d0ffaed064a1a08f5a050be6f02588ef776f4b8dc",
     "dip.csv": "9f22ab73445a68b845174e354e001e62676bbf87b3e117e92165d2db6aec26ac",
 }
 META_DIGESTS = {
     "fourier": "0b9fe651a49b0e12932872f10b4b0653e19a549525574941b49e4d909359b828",
     "census": "279bb99ccc394ebfa23bd11fbe1ae1bb9ea0053b8d422db4afeeff88f5beb83c",
-    "dist": "e6c385fe20bda7d2d2b821170ca2b15f2e1854ea4cee88c285f9f19f0e1e06d2",
-    "ring": "1bd0ec22be5cc1afbc6c9ee3c32e8317b2bc29d45a6f30c139ccd46c2390ba6d",
+    "dist": "c74e209483ecb0d9a0a101b05d12795613148517386720bb146d38b0225f11f5",
+    "ring": "2ab29f0321a1d9103095814a33df3b0f4bd48e53e0f443e1a479d3f15dc755c2",
     "dip": "8d8e6d4169de1c11fe47ec66c7218bb6507a2a79a2b1866a6d006e9fd388c813",
 }
 

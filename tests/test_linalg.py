@@ -9,6 +9,7 @@ from oracles import (
     haar_random_unitary,
     is_unitary,
     leibniz_determinant,
+    permanent_exact,
     permanent_naive,
     reference_permutation_signs,
 )
@@ -72,11 +73,27 @@ class TestPermanentRyser:
             m = random_complex(rng, n)
             assert permanent_ryser(m) == pytest.approx(permanent_naive(m), rel=1e-10)
 
-    def test_zero_row_within_float_floor(self):
+    def test_zero_row_exact_zero(self):
         rng = np.random.default_rng(7)
         m = random_complex(rng, 5)
         m[0, :] = 0.0
-        assert abs(permanent_ryser(m)) <= 1e-12
+        assert permanent_ryser(m) == 0.0
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_all_ones_is_exactly_factorial(self, n):
+        # every term is an integer below 2^53, so the sum is exact
+        assert permanent_ryser(np.ones((n, n))) == factorial(n)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_permutation_matrix_is_exactly_one(self, n):
+        matrix = np.eye(n)[np.random.default_rng(n).permutation(n)]
+        assert permanent_ryser(matrix) == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_n12_within_1e_12_of_the_exact_permanent(self, seed):
+        m = random_complex(np.random.default_rng(1200 + seed), 12)
+        exact = permanent_exact(m)
+        assert abs(permanent_ryser(m) - exact) <= 1e-12 * abs(exact)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):

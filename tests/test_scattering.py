@@ -72,7 +72,8 @@ class TestScatteringMatrix:
 
 class TestHongOuMandel:
     def test_coincidence_dip(self):
-        assert prob_boson(BEAM_SPLITTER, (1, 1), (1, 1)) <= 1e-20
+        # Glynn's row sums are (2h, 0) and (0, 2h): every term is an exact 0
+        assert prob_boson(BEAM_SPLITTER, (1, 1), (1, 1)) == 0.0
 
     def test_bunched_outputs_split_evenly(self):
         # forced by the dip, normalisation and the 1<->2 mirror symmetry
@@ -366,10 +367,17 @@ def test_good_outputs_pass_the_checks():
 def test_non_finite_probability_is_an_arithmetic_error(kind, outputs):
     """Finite entries whose products overflow give no probability, even
     where numpy only warns."""
-    huge = np.array([[1e200, 1e200], [1e200, -1e200]])
+    huge = np.array([[2e200, 1e200], [1e200, 1e200]])  # perm 3e400, det 1e400
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ArithmeticError, match="not finite"):
             probabilities(huge, (1, 1), outputs, kind)
+
+
+def test_huge_entries_with_a_zero_permanent_give_an_exact_zero():
+    """perm([[a, a], [a, -a]]) is 0, and Glynn's row sums, (2a, 0) and
+    (0, 2a), reach it without overflow even at a = 1e200."""
+    huge = np.array([[1e200, 1e200], [1e200, -1e200]])
+    assert probabilities(huge, (1, 1), [(1, 1)], ParticleType.BOSON).tolist() == [0.0]
 
 
 @pytest.mark.parametrize("outputs", [[(1, 1)], [(2, 0), (1, 1), (0, 2)]], ids=["lone", "lattice"])
